@@ -206,9 +206,9 @@ pub struct SimConfig {
     /// to sequential runs — see `bluedbm_sim::shard`.
     pub shards: usize,
     /// How the sharded engine's workers execute (ignored when
-    /// `shards == 1`): conservative threads, cooperative single-thread,
-    /// or bounded-window optimistic speculation. See
-    /// `bluedbm_sim::shard::ExecMode`.
+    /// `shards == 1`): worker threads, cooperative rounds on the calling
+    /// thread, or (`Auto`) threads only when the host has a core per
+    /// shard. See `bluedbm_sim::shard::ExecMode`.
     pub exec: ExecMode,
     /// Deterministic event tracing (off by default — every trace entry
     /// point then costs one predictable branch). When enabled, every
@@ -234,15 +234,6 @@ impl SimConfig {
         SimConfig {
             shards: n.max(1),
             exec: ExecMode::Auto,
-            trace: TraceConfig::off(),
-        }
-    }
-
-    /// `n` worker shards on the optimistic speculative runtime.
-    pub fn optimistic(n: usize) -> Self {
-        SimConfig {
-            shards: n.max(1),
-            exec: ExecMode::Optimistic,
             trace: TraceConfig::off(),
         }
     }

@@ -130,7 +130,7 @@ impl GcAgentStats {
 /// flash command is outstanding at a time; which completion arrives
 /// next is implied by the cursor (move `mv` pending read → pending
 /// write → next move, then the round's erase).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Running {
     card: u8,
     rounds: Vec<GcRound>,
@@ -142,7 +142,6 @@ struct Running {
 
 /// Per-node DES component executing mirror-FTL GC rounds on the node's
 /// flash cards. See the [module docs](self).
-#[derive(Clone)]
 pub struct GcAgent {
     node: u32,
     geometry: FlashGeometry,
@@ -293,8 +292,6 @@ impl GcAgent {
 }
 
 impl Component<Msg> for GcAgent {
-    bluedbm_sim::clone_snapshot!();
-
     fn handle(&mut self, ctx: &mut Ctx<'_, Msg>, msg: Msg) {
         match msg {
             Msg::GcKick(_) => {

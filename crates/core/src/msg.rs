@@ -70,7 +70,7 @@ use crate::node::{AgentOp, DramServed, RemoteReq, RemoteResp};
 use crate::scheduler::{SchedDone, SchedFree, SchedSubmit};
 
 /// Functional payload of a storage-network packet in the full system.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub enum NetBody {
     /// A remote flash/DRAM request travelling to the owning node, by
     /// pool handle (interned by the requester, taken by the owner — the
@@ -83,7 +83,7 @@ pub enum NetBody {
 
 /// The concrete message type of full-system simulations. Flat on
 /// purpose — see the module docs for the layout rules.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub enum Msg {
     /// Raw flash-controller command.
     FlashCmd(CtrlCmd),

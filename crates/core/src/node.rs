@@ -299,8 +299,6 @@ impl AgentStats {
 }
 
 /// The node hub component. Built by [`crate::cluster::Cluster`].
-/// `Clone` is the agent's speculation snapshot.
-#[derive(Clone)]
 pub struct NodeAgent {
     node: NodeId,
     router: ComponentId,
@@ -832,8 +830,6 @@ impl NodeAgent {
 }
 
 impl Component<Msg> for NodeAgent {
-    bluedbm_sim::clone_snapshot!();
-
     fn handle(&mut self, ctx: &mut Ctx<'_, Msg>, msg: Msg) {
         let mut tc = AgentStats::default();
         self.handle_msg(ctx, &mut tc, msg);

@@ -120,7 +120,6 @@ struct ParkedJob {
 }
 
 /// The per-node accelerator scheduler component (see the module docs).
-#[derive(Clone)]
 pub struct AccelSched {
     units: usize,
     busy: usize,
@@ -192,8 +191,6 @@ impl AccelSched {
 }
 
 impl Component<Msg> for AccelSched {
-    bluedbm_sim::clone_snapshot!();
-
     fn handle(&mut self, ctx: &mut Ctx<'_, Msg>, msg: Msg) {
         match msg {
             Msg::SchedSubmit(s) => {

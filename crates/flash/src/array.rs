@@ -93,23 +93,6 @@ pub struct ArrayStats {
 /// A stored codeword: page data plus its OOB parity bytes.
 type StoredPage = (Box<[u8]>, Box<[u8]>);
 
-/// First-touch undo journal for speculative execution (see
-/// [`FlashArray::checkpoint_begin`]). An array can hold gigabytes of
-/// sparse page data, so the speculation snapshot must not clone it
-/// wholesale: instead, the first mutation of each page / block under an
-/// open checkpoint records the *prior* value here, and rollback replays
-/// the journal. The RNG and counters are tiny and change on every read,
-/// so those two are captured up front.
-#[derive(Debug, Default)]
-struct ArrayJournal {
-    /// Prior codeword per touched page (`None` = the page was absent).
-    pages: FxHashMap<usize, Option<StoredPage>>,
-    /// Prior state per touched block.
-    blocks: FxHashMap<usize, BlockState>,
-    rng: Option<Rng>,
-    stats: ArrayStats,
-}
-
 /// One flash card's worth of NAND.
 ///
 /// See the [crate-level documentation](crate) for an example.
@@ -123,8 +106,6 @@ pub struct FlashArray {
     rng: Rng,
     error_model: ErrorModel,
     stats: ArrayStats,
-    /// Open speculation checkpoint, if any.
-    journal: Option<Box<ArrayJournal>>,
 }
 
 impl FlashArray {
@@ -151,86 +132,6 @@ impl FlashArray {
             rng,
             error_model,
             stats: ArrayStats::default(),
-            journal: None,
-        }
-    }
-
-    /// Open an undo checkpoint: every mutation until the matching
-    /// [`checkpoint_commit`](Self::checkpoint_commit) or
-    /// [`checkpoint_rollback`](Self::checkpoint_rollback) journals the
-    /// prior value of each page and block it first touches, so rollback
-    /// restores the array bit for bit without the snapshot ever copying
-    /// untouched data. The controller wires these into
-    /// [`bluedbm_sim::engine::Component::snapshot`] for the optimistic
-    /// sharded runtime.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a checkpoint is already open (speculation never nests).
-    pub fn checkpoint_begin(&mut self) {
-        assert!(self.journal.is_none(), "nested flash-array checkpoint");
-        self.journal = Some(Box::new(ArrayJournal {
-            pages: FxHashMap::default(),
-            blocks: FxHashMap::default(),
-            rng: Some(self.rng.clone()),
-            stats: self.stats,
-        }));
-    }
-
-    /// Keep all mutations since [`checkpoint_begin`](Self::checkpoint_begin)
-    /// and drop the journal.
-    ///
-    /// # Panics
-    ///
-    /// Panics without an open checkpoint.
-    pub fn checkpoint_commit(&mut self) {
-        self.journal.take().expect("commit without checkpoint");
-    }
-
-    /// Undo every mutation since [`checkpoint_begin`](Self::checkpoint_begin):
-    /// journalled pages and blocks revert to their prior values, the RNG
-    /// stream rewinds, the counters roll back.
-    ///
-    /// # Panics
-    ///
-    /// Panics without an open checkpoint.
-    pub fn checkpoint_rollback(&mut self) {
-        let j = self.journal.take().expect("rollback without checkpoint");
-        for (linear, prior) in j.pages {
-            match prior {
-                Some(page) => {
-                    self.pages.insert(linear, page);
-                }
-                None => {
-                    self.pages.remove(&linear);
-                }
-            }
-        }
-        for (bi, prior) in j.blocks {
-            self.blocks[bi] = prior;
-        }
-        self.rng = j.rng.expect("journal holds the checkpoint rng");
-        self.stats = j.stats;
-    }
-
-    /// Record the prior value of page `linear` on first touch under an
-    /// open checkpoint (no-op otherwise, and on later touches).
-    #[inline]
-    fn journal_page(&mut self, linear: usize) {
-        let FlashArray { journal, pages, .. } = self;
-        if let Some(j) = journal.as_deref_mut() {
-            j.pages
-                .entry(linear)
-                .or_insert_with(|| pages.get(&linear).cloned());
-        }
-    }
-
-    /// As [`journal_page`](Self::journal_page), for block `bi`.
-    #[inline]
-    fn journal_block(&mut self, bi: usize) {
-        let FlashArray { journal, blocks, .. } = self;
-        if let Some(j) = journal.as_deref_mut() {
-            j.blocks.entry(bi).or_insert_with(|| blocks[bi].clone());
         }
     }
 
@@ -282,8 +183,6 @@ impl FlashArray {
             return Err(FlashError::AlreadyProgrammed(ppa));
         }
         let linear = self.geometry.linear_of(ppa);
-        self.journal_block(bi);
-        self.journal_page(linear);
         self.blocks[bi].programmed[ppa.page as usize] = true;
         let oob = ecc::encode_page(data);
         self.pages.insert(linear, (data.into(), oob.into_boxed_slice()));
@@ -410,8 +309,6 @@ impl FlashArray {
         let bi = self.block_index(ppa);
         if self.blocks[bi].programmed[ppa.page as usize] {
             let linear = self.geometry.linear_of(ppa);
-            self.journal_block(bi);
-            self.journal_page(linear);
             self.blocks[bi].programmed[ppa.page as usize] = false;
             self.pages.remove(&linear);
             self.stats.trims += 1;
@@ -427,10 +324,8 @@ impl FlashArray {
     pub fn erase(&mut self, ppa: Ppa) -> Result<(), FlashError> {
         self.check(ppa)?;
         let bi = self.block_index(ppa);
-        self.journal_block(bi);
         for page in 0..self.geometry.pages_per_block {
             let linear = self.geometry.linear_of(ppa.with_page(page as u32));
-            self.journal_page(linear);
             self.pages.remove(&linear);
             self.blocks[bi].programmed[page] = false;
         }
@@ -460,7 +355,6 @@ impl FlashArray {
         if self.blocks[bi].programmed[ppa.page as usize] {
             return Err(FlashError::AlreadyProgrammed(ppa));
         }
-        self.journal_block(bi);
         self.blocks[bi].programmed[ppa.page as usize] = true;
         self.stats.programs += 1;
         Ok(())
@@ -491,7 +385,6 @@ impl FlashArray {
     /// Mark the containing block bad (a "grown" bad block).
     pub fn mark_bad(&mut self, ppa: Ppa) {
         let bi = self.block_index(ppa);
-        self.journal_block(bi);
         self.blocks[bi].bad = true;
     }
 
@@ -719,47 +612,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_rollback_restores_everything_commit_keeps_it() {
-        let wearing = ErrorModel::wearing();
-        let mut a = FlashArray::with_error_model(FlashGeometry::tiny(), 23, wearing);
-        let keep = a.good_blocks()[0];
-        let victim = keep.with_page(1);
-        let erased = a.good_blocks()[1];
-        a.program(keep, &page_of(&a, 1)).unwrap();
-        a.program(victim, &page_of(&a, 2)).unwrap();
-        let stats0 = a.stats();
-        let wear0 = a.erase_count(erased);
-
-        // Speculate: overwrite-adjacent mutations of every kind, plus
-        // reads (which advance the RNG under a wearing model).
-        a.checkpoint_begin();
-        a.trim(victim).unwrap();
-        a.program(victim, &page_of(&a, 3)).unwrap();
-        a.erase(erased).unwrap();
-        a.mark_bad(erased);
-        a.read(keep).unwrap();
-        a.checkpoint_rollback();
-
-        assert_eq!(a.stats(), stats0, "counters must rewind");
-        assert_eq!(a.read(victim).unwrap().data, page_of(&a, 2));
-        assert_eq!(a.erase_count(erased), wear0);
-        assert!(!a.is_bad(erased));
-        // The RNG stream rewound too: a replay of the same speculation
-        // is bit-identical (same corrected-word counts, same stats).
-        a.checkpoint_begin();
-        a.read(keep).unwrap();
-        let replay_a = a.stats();
-        a.checkpoint_rollback();
-        a.checkpoint_begin();
-        a.read(keep).unwrap();
-        let replay_b = a.stats();
-        // Commit keeps the speculated read.
-        a.checkpoint_commit();
-        assert_eq!(replay_a, replay_b, "replayed speculation diverged");
-        assert_eq!(a.stats(), replay_b);
-    }
-
-    #[test]
     fn blank_programs_track_the_bitmap_but_store_no_bytes() {
         let mut a = tiny();
         let ppa = Ppa::new(0, 0, 1, 2);
@@ -783,18 +635,6 @@ mod tests {
         a.erase(ppa).unwrap();
         assert!(!a.is_programmed(ppa));
         assert_eq!(a.erase_count(ppa), 1);
-    }
-
-    #[test]
-    fn blank_programs_roll_back_with_the_journal() {
-        let mut a = tiny();
-        let ppa = Ppa::new(1, 0, 0, 0);
-        a.checkpoint_begin();
-        a.program_blank(ppa).unwrap();
-        assert!(a.is_programmed(ppa));
-        a.checkpoint_rollback();
-        assert!(!a.is_programmed(ppa));
-        assert_eq!(a.stats().programs, 0);
     }
 
     #[test]

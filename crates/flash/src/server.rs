@@ -63,7 +63,7 @@ pub struct ServerResp {
     pub result: Result<bluedbm_sim::PageRef, FlashError>,
 }
 
-#[derive(Clone, Default)]
+#[derive(Default)]
 struct ClientQueue {
     next_assign: u64,
     next_deliver: u64,
@@ -72,7 +72,6 @@ struct ClientQueue {
 }
 
 /// Bookkeeping for one in-flight read.
-#[derive(Clone)]
 struct InFlight {
     client: ComponentId,
     seq: u64,
@@ -95,7 +94,6 @@ pub struct ServerStats {
 /// The Flash Server component. Send it [`ServerReq`]s; it converses with
 /// the controller/splitter underneath and replies with in-order
 /// [`ServerResp`]s.
-#[derive(Clone)]
 pub struct FlashServer {
     /// Controller or splitter to issue reads to.
     backend: ComponentId,
@@ -220,8 +218,6 @@ impl FlashServer {
 }
 
 impl<M: FlashProtocol> Component<M> for FlashServer {
-    bluedbm_sim::clone_snapshot!();
-
     fn handle(&mut self, ctx: &mut Ctx<'_, M>, msg: M) {
         let resp = match msg.into_flash() {
             FlashMsg::ServerReq(req) => {

@@ -38,7 +38,6 @@ pub struct SplitterStats {
 /// Clients address their [`CtrlCmd`]s to the splitter exactly as they
 /// would address the controller; `reply_to` should name the *client*, and
 /// the splitter substitutes itself before forwarding.
-#[derive(Clone)]
 pub struct FlashSplitter {
     controller: ComponentId,
     free_tags: Vec<u16>,
@@ -140,8 +139,6 @@ impl FlashSplitter {
 }
 
 impl<M: FlashProtocol> Component<M> for FlashSplitter {
-    bluedbm_sim::clone_snapshot!();
-
     fn handle(&mut self, ctx: &mut Ctx<'_, M>, msg: M) {
         match msg.into_flash() {
             FlashMsg::Cmd(cmd) => self.forward(ctx, cmd),

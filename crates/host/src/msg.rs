@@ -9,7 +9,7 @@ use bluedbm_sim::Message;
 use crate::pcie::{Finish, PcieDone, PcieXfer};
 
 /// Union of every message a host-interface component sends or receives.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub enum HostMsg<B> {
     /// A DMA transfer request ([`crate::pcie::PcieLink`] ingress).
     Xfer(PcieXfer<B>),

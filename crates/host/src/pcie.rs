@@ -123,7 +123,6 @@ pub struct DirectionStats {
 }
 
 /// DES component modelling one node's PCIe link.
-#[derive(Clone)]
 pub struct PcieLink {
     params: PcieParams,
     d2h_engines: MultiResource,
@@ -225,8 +224,6 @@ impl PcieLink {
 }
 
 impl<M: HostProtocol> Component<M> for PcieLink {
-    bluedbm_sim::clone_snapshot!();
-
     fn handle(&mut self, ctx: &mut Ctx<'_, M>, msg: M) {
         self.handle_host(ctx, msg.into_host());
     }

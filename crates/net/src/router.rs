@@ -132,7 +132,6 @@ pub struct E2eAck {
     dst: NodeId,
 }
 
-#[derive(Clone)]
 struct Egress<B> {
     peer: ComponentId,
     credits: u32,
@@ -199,12 +198,6 @@ impl RouterStats {
 
 /// The per-node network component, generic over the packet body type.
 /// Build a full network with [`build_network`].
-///
-/// `Clone` is the router's speculation snapshot (see
-/// [`bluedbm_sim::engine::Component::snapshot`]): routing tables and the
-/// peer list are shared `Arc`s, so a clone copies only the per-node
-/// queues, sequence maps and statistics.
-#[derive(Clone)]
 pub struct Router<B> {
     node: NodeId,
     params: NetParams,
@@ -227,7 +220,7 @@ pub struct Router<B> {
     stats: RouterStats,
 }
 
-impl<B: Clone + Send + 'static> Router<B> {
+impl<B: Send + 'static> Router<B> {
     /// Register the consumer component for a logical endpoint. Packets
     /// arriving for `endpoint` are delivered to it as [`NetRecv`]s.
     pub fn register_endpoint(&mut self, endpoint: u16, consumer: ComponentId) {
@@ -449,7 +442,7 @@ impl<B: Clone + Send + 'static> Router<B> {
     }
 }
 
-impl<B: Clone + Send + 'static> Router<B> {
+impl<B: Send + 'static> Router<B> {
     /// Per-message logic shared by [`Component::handle`] and the batch
     /// hook. Additive statistics go through `tc`, which the dispatch
     /// entry points flush once per train.
@@ -505,8 +498,6 @@ impl<B: Clone + Send + 'static> Router<B> {
 }
 
 impl<M: NetProtocol> Component<M> for Router<M::Body> {
-    bluedbm_sim::clone_snapshot!();
-
     fn handle(&mut self, ctx: &mut Ctx<'_, M>, msg: M) {
         let mut tc = TrainCounters::default();
         self.handle_net(ctx, msg.into_net(), &mut tc);

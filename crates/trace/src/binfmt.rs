@@ -168,8 +168,8 @@ mod tests {
     fn sample() -> TraceDoc {
         let mut sink = TraceSink::new(TraceConfig::on(), 1);
         sink.at(10).instant(TraceCat::KvOp, "submit", 3, 1, 2);
-        sink.at(20).span_begin(TraceCat::Spec, "window", 0, 5, 0);
-        sink.at(30).span_end(TraceCat::Spec, "window", 0, 5, 0);
+        sink.at(20).span_begin(TraceCat::Mailbox, "window", 0, 5, 0);
+        sink.at(30).span_end(TraceCat::Mailbox, "window", 0, 5, 0);
         sink.at(30).counter(TraceCat::Accel, "busy", 2, 4);
         TraceDoc::merge(vec![sink.take()])
     }
@@ -198,5 +198,20 @@ mod tests {
         let mut long = bytes;
         long.push(0);
         assert!(decode(&long).is_err(), "trailing garbage");
+    }
+
+    #[test]
+    fn retired_category_byte_is_rejected() {
+        // Discriminant 2 is retired (see `TraceCat`); a file that still
+        // carries it must decode to an error, not a panic or a
+        // mislabeled record.
+        const RECORD_BYTES: usize = 46;
+        const CAT_OFFSET: usize = 8 + 4 + 8; // after at_ps, shard, seq
+        let doc = sample();
+        let mut bytes = encode(&doc);
+        let first_record = bytes.len() - doc.len() * RECORD_BYTES;
+        bytes[first_record + CAT_OFFSET] = 2;
+        let err = decode(&bytes).unwrap_err();
+        assert!(err.contains("record 0: bad category 2"), "{err}");
     }
 }

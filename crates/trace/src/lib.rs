@@ -75,7 +75,7 @@ pub struct TraceConfig {
     pub categories: u32,
     /// Per-sink record capacity; once full, further records are
     /// *dropped and counted* (never silently, never by evicting older
-    /// records — eviction would break speculation rollback truncation).
+    /// records).
     pub capacity: u32,
     /// Also collect per-lane wall-clock profiles ([`wallclock`]) on the
     /// threaded shard runtime. Strictly outside the deterministic

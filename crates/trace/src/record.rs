@@ -7,7 +7,7 @@ pub const DRIVER_SHARD: u32 = u32::MAX;
 /// What subsystem a record belongs to.
 ///
 /// The `u8` discriminant is part of the binary trace format: append new
-/// variants, never renumber.
+/// variants, never renumber. Discriminant 2 is retired and stays unused.
 #[repr(u8)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TraceCat {
@@ -15,9 +15,6 @@ pub enum TraceCat {
     Dispatch = 0,
     /// Cross-shard mailbox flushes in the sharded runtime.
     Mailbox = 1,
-    /// Speculation windows on the optimistic engine: open / commit /
-    /// rollback.
-    Spec = 2,
     /// Accelerator scheduler: grant / park / done.
     Accel = 3,
     /// Host read-buffer pool: park / resume.
@@ -32,10 +29,9 @@ pub enum TraceCat {
 /// Every category, in discriminant order.
 impl TraceCat {
     /// All categories, in discriminant order.
-    pub const ALL: [TraceCat; 7] = [
+    pub const ALL: [TraceCat; 6] = [
         TraceCat::Dispatch,
         TraceCat::Mailbox,
-        TraceCat::Spec,
         TraceCat::Accel,
         TraceCat::BufPool,
         TraceCat::KvOp,
@@ -53,7 +49,6 @@ impl TraceCat {
         match self {
             TraceCat::Dispatch => "dispatch",
             TraceCat::Mailbox => "mailbox",
-            TraceCat::Spec => "spec",
             TraceCat::Accel => "accel",
             TraceCat::BufPool => "bufpool",
             TraceCat::KvOp => "kvop",
@@ -66,7 +61,6 @@ impl TraceCat {
         match v {
             0 => Some(TraceCat::Dispatch),
             1 => Some(TraceCat::Mailbox),
-            2 => Some(TraceCat::Spec),
             3 => Some(TraceCat::Accel),
             4 => Some(TraceCat::BufPool),
             5 => Some(TraceCat::KvOp),
@@ -77,13 +71,21 @@ impl TraceCat {
 }
 
 /// Mask with every category bit set.
-pub const ALL_CATEGORIES: u32 = (1 << TraceCat::ALL.len() as u32) - 1;
+pub const ALL_CATEGORIES: u32 = {
+    let mut mask = 0;
+    let mut i = 0;
+    while i < TraceCat::ALL.len() {
+        mask |= TraceCat::ALL[i].bit();
+        i += 1;
+    }
+    mask
+};
 
 /// Categories whose record multiset (names, tracks, payloads — not
 /// timestamps) is arbitration-independent, i.e. identical across the
-/// Seq / Threads / Cooperative / Optimistic engines for the same
+/// Seq / Threads / Cooperative engines for the same
 /// workload. `Dispatch` carries same-instant timing that contention
-/// redistributes; `Mailbox`/`Spec` describe engine-private structure;
+/// redistributes; `Mailbox` describes engine-private structure;
 /// `Accel`/`BufPool` payloads include queue waits and park decisions,
 /// which the determinism contract explicitly leaves per-engine. `Gc`
 /// qualifies because victim choice and migration order come from the
@@ -227,6 +229,7 @@ mod tests {
             assert_eq!(TraceCat::from_u8(cat as u8), Some(cat));
             assert_eq!(ALL_CATEGORIES & cat.bit(), cat.bit());
         }
+        assert_eq!(TraceCat::from_u8(2), None, "retired discriminant");
         assert_eq!(TraceCat::from_u8(200), None);
         assert_eq!(ALL_CATEGORIES.count_ones() as usize, TraceCat::ALL.len());
     }

@@ -2,8 +2,9 @@
 //!
 //! Loads a keyspace (default 10⁶ keys across 8 tenants), then churns it
 //! with a zipfian 70/20/10 get/overwrite/delete mix, through the async
-//! `KvStore` engine on a 4-node ring — first on the sequential kernel,
-//! then on 2 and 4 worker shards — and checks that every
+//! `KvStore` engine on a 4-node ring — three lanes: the sequential
+//! kernel (`seq`), then 2 and 4 worker shards (`shard2`, `shard4`,
+//! `ExecMode::Auto`) — and checks that every
 //! arbitration-independent observable (per-op results digest, op
 //! counts, leak audits) is identical across engines.
 //!
@@ -24,7 +25,7 @@
 
 use std::time::Instant;
 
-use bluedbm::core::{Cluster, ExecMode, KvStore, SystemConfig};
+use bluedbm::core::{Cluster, KvStore, SystemConfig};
 use bluedbm::sim::{TraceConfig, TraceDoc, STABLE_CATEGORIES};
 use bluedbm::trace::{binfmt, chrome};
 use bluedbm::workloads::kvgen::{kv_flash_geometry, run_requests, KvRunSummary, KvWorkloadSpec};
@@ -45,11 +46,10 @@ fn trace_prefix() -> Option<String> {
     std::env::var("BLUEDBM_TRACE").ok().filter(|p| !p.is_empty())
 }
 
-fn run(spec: &KvWorkloadSpec, shards: usize, exec: ExecMode, slug: &str) -> RunOut {
+fn run(spec: &KvWorkloadSpec, shards: usize, slug: &str) -> RunOut {
     let mut config = SystemConfig::scaled_down();
     config.flash.geometry = kv_flash_geometry();
     config.sim.shards = shards;
-    config.sim.exec = exec;
     let tracing = trace_prefix();
     if tracing.is_some() {
         config.sim.trace = TraceConfig::on().with_capacity(1 << 21);
@@ -67,8 +67,6 @@ fn run(spec: &KvWorkloadSpec, shards: usize, exec: ExecMode, slug: &str) -> RunO
 
     let engine = if shards == 1 {
         "sequential".to_string()
-    } else if exec == ExecMode::Optimistic {
-        format!("{shards}-shard optimistic")
     } else {
         format!("{shards}-shard  ")
     };
@@ -103,8 +101,7 @@ fn run(spec: &KvWorkloadSpec, shards: usize, exec: ExecMode, slug: &str) -> RunO
         );
     }
 
-    // Engine-level speculation/sync counters from the same snapshot
-    // (replaces the old hand-rolled ShardStats printing).
+    // Engine-level sync-wait counters from the same snapshot.
     if let Some(engine_node) = metrics.node("engine") {
         let lanes: Vec<&str> = engine_node
             .keys()
@@ -113,14 +110,7 @@ fn run(spec: &KvWorkloadSpec, shards: usize, exec: ExecMode, slug: &str) -> RunO
         for shard in lanes {
             let lane = engine_node.node(shard).expect("filtered to node entries");
             let count = |key: &str| lane.get(key).and_then(|v| v.as_int()).unwrap_or(0);
-            println!(
-                "  {shard}: {} committed / {} rolled-back speculative events ({} rollbacks), {} spins, {} parks",
-                count("committed_events"),
-                count("rolled_back_events"),
-                count("rollbacks"),
-                count("spins"),
-                count("parks"),
-            );
+            println!("  {shard}: {} spins, {} parks", count("spins"), count("parks"));
         }
     }
 
@@ -172,14 +162,9 @@ fn main() {
         SystemConfig::scaled_down().accel.units,
     );
 
-    let seq = run(&spec, 1, ExecMode::Auto, "seq");
-    for (shards, exec, slug) in [
-        (2, ExecMode::Auto, "shard2"),
-        (4, ExecMode::Auto, "shard4"),
-        (2, ExecMode::Optimistic, "opt2"),
-        (4, ExecMode::Optimistic, "opt4"),
-    ] {
-        let sharded = run(&spec, shards, exec, slug);
+    let seq = run(&spec, 1, "seq");
+    for (shards, slug) in [(2, "shard2"), (4, "shard4")] {
+        let sharded = run(&spec, shards, slug);
         assert_eq!(
             seq.summary.digest, sharded.summary.digest,
             "per-op results diverged between engines"

@@ -16,10 +16,9 @@
 //!   erase counts of the DES flash must match the twin's shadow page
 //!   for page (lockstep physics, not just lockstep bookkeeping).
 //!
-//! Cross-engine: the same churn on Threads / Cooperative / Optimistic
-//! at 2 and 4 shards must leave identical GC state, identical KV
-//! results and identical flash wear — GC traffic is speculated and
-//! rolled back like any other traffic under the optimistic engine.
+//! Cross-engine: the same churn on Threads / Cooperative at 2 and 4
+//! shards must leave identical GC state, identical KV results and
+//! identical flash wear.
 //!
 //! The SSD cliff: churn past device capacity forces GC migration onto
 //! the foreground path, and the regression test pins that tenants see
@@ -231,8 +230,7 @@ fn logical_capacity_of(config: &SystemConfig, nodes: usize) -> u64 {
 
 /// The same churn on every parallel engine at 2 and 4 shards leaves
 /// byte-identical GC state: KV digest, lifecycle stats, mapping tables
-/// and simulated flash wear. Under `Optimistic` this exercises
-/// speculation and rollback of GC traffic itself.
+/// and simulated flash wear.
 #[test]
 fn gc_state_identical_across_engines_and_shards() {
     const NODES: usize = 4;
@@ -245,7 +243,7 @@ fn gc_state_identical_across_engines_and_shards() {
     let seq_print = gc_fingerprint(seq_store.cluster());
     assert_twin_agrees(seq_store.cluster());
 
-    for exec in [ExecMode::Threads, ExecMode::Cooperative, ExecMode::Optimistic] {
+    for exec in [ExecMode::Threads, ExecMode::Cooperative] {
         for shards in [2usize, 4] {
             let config = gc_config(shards, exec);
             let (store, summary) = run_churn(&config, NODES, 0x5EED, churn);
