@@ -10,11 +10,11 @@
 use std::error::Error;
 use std::fmt;
 
-use bluedbm_flash::array::FlashArray;
+use bluedbm_flash::array::{ErrorModel, FlashArray};
 use bluedbm_flash::controller::{CtrlStats, FlashController};
 use bluedbm_flash::error::FlashError;
 use bluedbm_flash::splitter::FlashSplitter;
-use bluedbm_ftl::{Ftl, GcRound};
+use bluedbm_ftl::{Ftl, FtlError, GcRound};
 use bluedbm_host::pcie::PcieLink;
 use bluedbm_net::router::{build_network, Router, RouterStats};
 use bluedbm_net::topology::{NodeId, PortId, Topology};
@@ -88,17 +88,18 @@ impl Engine {
         }
     }
 
-    /// Stage a page into the store segment the component `consumer`
-    /// reads from (the shared store on the sequential engine, the owning
-    /// shard's segment on the sharded one).
-    fn stage_page(&mut self, consumer: ComponentId, data: &[u8]) -> PageRef {
-        match self {
-            Engine::Seq(sim) => sim.page_store_mut().alloc_from(data),
+    /// Stage `data`, zero-padded to `page_bytes`, into the store segment
+    /// the component `consumer` reads from (the shared store on the
+    /// sequential engine, the owning shard's segment on the sharded one).
+    fn stage_page(&mut self, consumer: ComponentId, data: &[u8], page_bytes: usize) -> PageRef {
+        let store = match self {
+            Engine::Seq(sim) => sim.page_store_mut(),
             Engine::Sharded(sim) => {
                 let shard = sim.owner_of(consumer).expect("consumer installed");
-                sim.page_store_mut(shard).alloc_from(data)
+                sim.page_store_mut(shard)
             }
-        }
+        };
+        store.alloc_padded(data, page_bytes)
     }
 
     fn assert_quiescent(&self) {
@@ -179,6 +180,11 @@ fn cross_shard_lookaheads(
 pub enum ClusterError {
     /// An underlying flash operation failed.
     Flash(FlashError),
+    /// The configured geometry cannot back a card's mirror FTL (too
+    /// large for its tables, or too small for the GC reserve). Boxed:
+    /// construction-time only, and `ClusterError` rides in every
+    /// completion.
+    Ftl(Box<FtlError>),
     /// A node's flash cards are fully allocated.
     DeviceFull(NodeId),
     /// The simulation quiesced without producing the expected completion
@@ -190,6 +196,7 @@ impl fmt::Display for ClusterError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ClusterError::Flash(e) => write!(f, "flash error: {e}"),
+            ClusterError::Ftl(e) => write!(f, "mirror FTL rejected the geometry: {e}"),
             ClusterError::DeviceFull(n) => write!(f, "no free pages left on {n}"),
             ClusterError::MissingCompletion => write!(f, "operation produced no completion"),
         }
@@ -200,6 +207,7 @@ impl Error for ClusterError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             ClusterError::Flash(e) => Some(e),
+            ClusterError::Ftl(e) => Some(e),
             _ => None,
         }
     }
@@ -208,6 +216,12 @@ impl Error for ClusterError {
 impl From<FlashError> for ClusterError {
     fn from(e: FlashError) -> Self {
         ClusterError::Flash(e)
+    }
+}
+
+impl From<FtlError> for ClusterError {
+    fn from(e: FtlError) -> Self {
+        ClusterError::Ftl(Box::new(e))
     }
 }
 
@@ -266,9 +280,10 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Currently infallible in practice; the `Result` reserves the right
-    /// to validate configurations (and keeps call sites uniform with the
-    /// other constructors).
+    /// [`ClusterError::Flash`] wrapping `GeometryTooLarge` when the flash
+    /// geometry has more pages than a card's `u32` tables can index, and
+    /// [`ClusterError::Ftl`] when the lifecycle is enabled and the
+    /// geometry leaves no room for its GC reserve.
     pub fn new(topo: Topology, config: &SystemConfig) -> Result<Self, ClusterError> {
         let shards = config.sim.shards.clamp(1, topo.node_count());
         let partition = if shards <= 1 {
@@ -305,6 +320,13 @@ impl Cluster {
             topo.node_count(),
             "partition must assign every node a shard"
         );
+        let card_array = |node: usize, card: usize| {
+            FlashArray::with_error_model(
+                config.flash.geometry,
+                ((0xB1DE + (node as u64)) << 8) | card as u64,
+                ErrorModel::none(),
+            )
+        };
         let shards = partition.iter().map(|&s| s as usize + 1).max().unwrap_or(1);
         let mut sim = Simulator::new();
         let routers = build_network(&mut sim, &topo, config.net);
@@ -320,11 +342,10 @@ impl Cluster {
             let mut node_ctrls = Vec::new();
             let mut node_splitters = Vec::new();
             for card in 0..config.flash.cards_per_node {
-                let array = FlashArray::new(
-                    config.flash.geometry,
-                    ((0xB1DE + (node as u64)) << 8) | card as u64,
-                );
-                let ctrl = sim.add_component(FlashController::new(array, config.flash.timing));
+                let ctrl = sim.add_component(FlashController::new(
+                    card_array(node, card)?,
+                    config.flash.timing,
+                ));
                 let split = sim.add_component(FlashSplitter::new(
                     ctrl,
                     FlashController::PAPER_TAGS,
@@ -346,14 +367,7 @@ impl Cluster {
                     // start blank with identical good-block sets, so the
                     // mirror's physical decisions are valid verbatim on
                     // the simulated card.
-                    let shadow = FlashArray::new(
-                        config.flash.geometry,
-                        ((0xB1DE + (node as u64)) << 8) | card as u64,
-                    );
-                    node_mirrors.push(
-                        Ftl::new(shadow, config.gc.ftl())
-                            .expect("geometry too small for the GC watermark"),
-                    );
+                    node_mirrors.push(Ftl::new(card_array(node, card)?, config.gc.ftl())?);
                 }
                 mirrors.push(node_mirrors);
             }
@@ -991,12 +1005,11 @@ impl Cluster {
                 .component_mut::<FlashController>(ctrl)
                 .expect("controller installed")
                 .array_mut();
-            let mut buf = vec![0u8; geom.page_bytes];
             for round in &outcome.gc {
                 for &(src, dst) in &round.moves {
                     if array.page_has_data(src) {
-                        array.read_into(src, &mut buf)?;
-                        array.program(dst, &buf)?;
+                        let data = array.read(src)?.data;
+                        array.program(dst, &data)?;
                     } else {
                         array.program_blank(dst)?;
                     }
@@ -1167,14 +1180,9 @@ impl Cluster {
             addr
         };
         let page_bytes = self.config.flash.geometry.page_bytes;
-        debug_assert!(data.len() <= page_bytes);
-        let buffer = if data.len() == page_bytes {
-            self.engine.stage_page(self.agents[node.index()], data)
-        } else {
-            let mut padded = data.to_vec();
-            padded.resize(page_bytes, 0);
-            self.engine.stage_page(self.agents[node.index()], &padded)
-        };
+        let buffer = self
+            .engine
+            .stage_page(self.agents[node.index()], data, page_bytes);
         self.engine.schedule(
             SimTime::ZERO,
             self.agents[node.index()],
@@ -1487,6 +1495,28 @@ mod tests {
             cluster.alloc_page(NodeId(0)),
             Err(ClusterError::DeviceFull(_))
         ));
+    }
+
+    #[test]
+    fn unusable_geometries_are_refused_with_typed_errors() {
+        // More pages than the u32 page tables can index: refused before
+        // anything is sized from it.
+        let mut config = SystemConfig::scaled_down();
+        config.flash.geometry.blocks_per_chip = 1 << 28;
+        assert!(config.flash.geometry.checked_total_pages().is_none());
+        assert_eq!(
+            Cluster::ring(2, &config).unwrap_err(),
+            ClusterError::Flash(FlashError::GeometryTooLarge)
+        );
+        // One block per plane leaves nothing above the GC reserve.
+        let mut config = SystemConfig::scaled_down();
+        config.flash.geometry.blocks_per_chip = 1;
+        assert_eq!(
+            Cluster::ring(2, &config).unwrap_err(),
+            ClusterError::Ftl(Box::new(FtlError::NoSpace))
+        );
+        config.gc.enabled = false;
+        assert!(Cluster::ring(2, &config).is_ok());
     }
 
     #[test]

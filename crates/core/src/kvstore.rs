@@ -54,6 +54,35 @@
 //! depth and keeps the node agents' 16-bit flash tag space safe at
 //! million-key scale.
 //!
+//! ## Driver state
+//!
+//! The driver's own bookkeeping is sized for a working set that does not
+//! fit in a hash map of heap-allocated keys:
+//!
+//! * **Key table.** A key's bytes are hashed once, at submit, when the
+//!   crate-private `KeyTable` interns them into a byte arena and names
+//!   them by a `u32` id; gates, in-flight ops and ready-queue entries
+//!   carry the id. A key keeps its id while it has a value or a busy
+//!   gate and gives it back (for reuse) the moment it has neither, so
+//!   churn over fresh keys grows nothing.
+//! * **Record layout.** Each id's record is 16 bytes beside its arena
+//!   span: an 8-byte extent — one `(node, card, linear page)` packed
+//!   inline for a one-page value, or an index into a side table of page
+//!   lists for multi-page values — the byte count of the last page, and
+//!   the index of the key's gate (allocated only while ops hold or await
+//!   it). A stored one-page value costs no heap allocation of its own.
+//! * **Per-round dense tables.** Op ids are handed out consecutively and
+//!   a `drive()` returns only when every submitted op has completed
+//!   (*drain to empty*), so the op table is a `Vec` indexed by
+//!   `id - base` that is cleared, and `base` advanced, at the end of
+//!   each drive. The cluster likewise numbers injected commands
+//!   consecutively, only this store injects into its cluster, and a
+//!   round's `run_to_quiescence` completes every command the round
+//!   injected before the next `pump` injects more (*quiesce per round*),
+//!   so the command → (op, page) table is a `Vec` indexed by
+//!   `cluster op - first op of the round`, cleared every round. Both
+//!   indexings are asserted, not assumed.
+//!
 //! # Examples
 //!
 //! ```rust
@@ -87,6 +116,7 @@
 
 use std::collections::VecDeque;
 
+use bluedbm_flash::FlashGeometry;
 use bluedbm_sim::fxhash::FxHashMap;
 
 use bluedbm_net::topology::NodeId;
@@ -96,6 +126,7 @@ use bluedbm_sim::{
 };
 
 use crate::cluster::{Cluster, ClusterError, GlobalPageAddr};
+use crate::keytable::KeyTable;
 use crate::node::{Completed, Consume};
 
 /// Default per-home-node cap on in-flight page commands.
@@ -109,11 +140,154 @@ pub type KvOpId = u64;
 /// them apart by key prefix.
 pub type TenantId = u16;
 
-/// Where a value's pages live.
-#[derive(Clone, Debug)]
-struct ValueRecord {
-    pages: Vec<GlobalPageAddr>,
-    len: usize,
+/// Index-addressed storage with slot reuse: key gates and multi-page
+/// extents live here and are named by `u32` from the key records.
+#[derive(Debug, Default)]
+struct Slab<T> {
+    items: Vec<T>,
+    free: Vec<u32>,
+}
+
+impl<T: Default> Slab<T> {
+    fn insert(&mut self, item: T) -> u32 {
+        match self.free.pop() {
+            Some(at) => {
+                self.items[at as usize] = item;
+                at
+            }
+            None => {
+                let at = u32::try_from(self.items.len()).expect("fewer than 2^32 slab entries");
+                self.items.push(item);
+                at
+            }
+        }
+    }
+
+    fn remove(&mut self, at: u32) -> T {
+        self.free.push(at);
+        std::mem::take(&mut self.items[at as usize])
+    }
+}
+
+/// Where a value's pages live, in eight bytes: a tag in the top byte
+/// over either one packed page address — node (16 bits), card (8),
+/// linear page on the card (32) — or an index into the store's table of
+/// multi-page extents.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Extent(u64);
+
+/// [`Extent`], decoded.
+enum ExtentKind {
+    /// The key holds no value.
+    Absent,
+    /// A stored value of zero pages (the empty value).
+    Empty,
+    /// One page, packed.
+    One(u64),
+    /// Index into `KvStore::extents`.
+    Many(u32),
+}
+
+impl Extent {
+    const TAG_SHIFT: u32 = 56;
+    const ABSENT: Extent = Extent(0);
+    const EMPTY: Extent = Extent(1 << Self::TAG_SHIFT);
+
+    fn one(packed: u64) -> Self {
+        Extent(2 << Self::TAG_SHIFT | packed)
+    }
+
+    fn many(at: u32) -> Self {
+        Extent(3 << Self::TAG_SHIFT | u64::from(at))
+    }
+
+    fn decode(self) -> ExtentKind {
+        match self.0 >> Self::TAG_SHIFT {
+            0 => ExtentKind::Absent,
+            1 => ExtentKind::Empty,
+            2 => ExtentKind::One(self.0 & ((1 << Self::TAG_SHIFT) - 1)),
+            _ => ExtentKind::Many(self.0 as u32),
+        }
+    }
+
+    fn is_present(self) -> bool {
+        self != Extent::ABSENT
+    }
+}
+
+fn pack(geometry: &FlashGeometry, addr: GlobalPageAddr) -> u64 {
+    // The cluster refused geometries past `FlashGeometry::MAX_PAGES`.
+    let linear = u32::try_from(geometry.linear_of(addr.ppa)).expect("linear page fits u32");
+    u64::from(addr.node.0) << 40 | u64::from(addr.card) << 32 | u64::from(linear)
+}
+
+fn unpack(geometry: &FlashGeometry, packed: u64) -> GlobalPageAddr {
+    GlobalPageAddr {
+        node: NodeId((packed >> 40) as u16),
+        card: (packed >> 32) as u8,
+        ppa: geometry.ppa_of(packed as u32 as usize),
+    }
+}
+
+/// The pages of an extent, borrowed or unpacked on the spot.
+enum ExtentPages<'a> {
+    One(GlobalPageAddr),
+    Many(&'a [GlobalPageAddr]),
+}
+
+impl ExtentPages<'_> {
+    fn as_slice(&self) -> &[GlobalPageAddr] {
+        match self {
+            ExtentPages::One(addr) => std::slice::from_ref(addr),
+            ExtentPages::Many(addrs) => addrs,
+        }
+    }
+}
+
+/// The pages of `extent`, in value order (free function so callers can
+/// keep borrowing the store's other fields).
+fn extent_pages<'a>(
+    extents: &'a Slab<Vec<GlobalPageAddr>>,
+    geometry: &FlashGeometry,
+    extent: Extent,
+) -> ExtentPages<'a> {
+    match extent.decode() {
+        ExtentKind::Absent | ExtentKind::Empty => ExtentPages::Many(&[]),
+        ExtentKind::One(packed) => ExtentPages::One(unpack(geometry, packed)),
+        ExtentKind::Many(at) => ExtentPages::Many(&extents.items[at as usize]),
+    }
+}
+
+fn page_count(extents: &Slab<Vec<GlobalPageAddr>>, extent: Extent) -> usize {
+    match extent.decode() {
+        ExtentKind::Absent | ExtentKind::Empty => 0,
+        ExtentKind::One(_) => 1,
+        ExtentKind::Many(at) => extents.items[at as usize].len(),
+    }
+}
+
+/// "No gate" in [`KeyState::gate`].
+const NO_GATE: u32 = u32::MAX;
+
+/// Per-key driver state, stored inline in the key table's entry.
+#[derive(Debug)]
+struct KeyState {
+    extent: Extent,
+    /// Value bytes in the extent's last page (the rest is zero padding).
+    tail: u32,
+    /// The key's gate in `KvStore::gates` while any op holds or awaits
+    /// it, [`NO_GATE`] otherwise.
+    gate: u32,
+}
+
+impl Default for KeyState {
+    fn default() -> Self {
+        KeyState {
+            extent: Extent::ABSENT,
+            tail: 0,
+            gate: NO_GATE,
+        }
+    }
 }
 
 /// A blocking-get result: the value plus the simulated time the
@@ -247,11 +421,10 @@ enum OpBody {
     Put {
         /// The payload, held until injection chunks it onto flash.
         value: Vec<u8>,
-        /// Pages allocated at injection; moved into the directory at
+        /// Pages allocated at injection; moved into the key record at
         /// successful completion, freed on failure.
-        pages: Vec<GlobalPageAddr>,
-        /// True value length (recorded at injection, when `value` is
-        /// consumed).
+        extent: Extent,
+        /// True value length.
         len: usize,
     },
     Get {
@@ -283,7 +456,9 @@ impl OpBody {
 #[derive(Debug)]
 struct InFlight {
     tenant: TenantId,
-    key: Vec<u8>,
+    /// The key's id in `KvStore::keys` (live while the op holds or
+    /// awaits the key's gate, i.e. for the op's whole life).
+    key: u32,
     body: OpBody,
     /// Page commands still outstanding in the simulation.
     outstanding: usize,
@@ -299,27 +474,74 @@ struct InFlight {
     home: NodeId,
 }
 
+/// A gate-holding op awaiting injection, with what the window check
+/// needs — fixed once the gate is held, so deferral never recomputes it.
+#[derive(Debug)]
+struct Ready {
+    op: KvOpId,
+    home: NodeId,
+    /// Page commands the op will inject.
+    pages: usize,
+}
+
+/// One round's page commands: cluster op `base + i` is page `table[i].1`
+/// of KV op `table[i].0`. Cleared every round.
+#[derive(Debug, Default)]
+struct PageOps {
+    table: Vec<(KvOpId, u32)>,
+    base: u64,
+}
+
+impl PageOps {
+    /// Record that cluster op `cluster_op` is page `page` of KV op `id`.
+    fn note(&mut self, cluster_op: u64, id: KvOpId, page: usize) {
+        if self.table.is_empty() {
+            self.base = cluster_op;
+        }
+        // Only this store injects into its cluster, and every injection
+        // takes the next cluster op id.
+        assert_eq!(cluster_op - self.base, self.table.len() as u64);
+        self.table.push((id, page as u32));
+    }
+
+    /// The (KV op, page index) behind a completed cluster op.
+    fn owner(&self, cluster_op: u64) -> Option<(KvOpId, u32)> {
+        let at = cluster_op.checked_sub(self.base)?;
+        self.table.get(at as usize).copied()
+    }
+}
+
 /// Cluster-backed concurrent key-value store. See the [module
 /// docs](self) for the consistency and backpressure model.
 pub struct KvStore {
     cluster: Cluster,
-    directory: FxHashMap<Vec<u8>, ValueRecord>,
-    /// Flash pages referenced by the directory (incremental, so the
+    /// Every key holding a value or a busy gate, interned.
+    keys: KeyTable<KeyState>,
+    /// Keys holding a value.
+    stored: usize,
+    /// Flash pages referenced by the key records (incremental, so the
     /// stranded-extent audit is O(1) at million-key scale).
     directory_pages: u64,
-    gates: FxHashMap<Vec<u8>, KeyGate>,
-    ops: FxHashMap<KvOpId, InFlight>,
-    /// Cluster-level op id -> (KV op, page index within the op).
-    page_ops: FxHashMap<u64, (KvOpId, usize)>,
+    /// Page lists of multi-page values ([`ExtentKind::Many`]).
+    extents: Slab<Vec<GlobalPageAddr>>,
+    gates: Slab<KeyGate>,
+    /// In-flight ops; op `id` is `ops[id - ops_base]` (`None` once
+    /// finalized). Emptied at the end of every [`KvStore::drive`].
+    ops: Vec<Option<InFlight>>,
+    ops_base: KvOpId,
+    live_ops: usize,
+    page_ops: PageOps,
     /// Gate-holding ops awaiting injection (window backpressure).
-    ready: VecDeque<KvOpId>,
+    ready: VecDeque<Ready>,
+    /// Scratch for [`KvStore::pump`]: ops the window turned away.
+    deferred: VecDeque<Ready>,
     /// In-flight page commands per home node.
     inflight: Vec<usize>,
     window: usize,
     next_op: KvOpId,
     finished: Vec<KvCompletion>,
     tenants: FxHashMap<TenantId, TenantStats>,
-    page_bytes: usize,
+    geometry: FlashGeometry,
     /// Driver-side trace sink ([`DRIVER_SHARD`]): KV op lifecycle
     /// records live here, beside — not inside — the engine's per-shard
     /// sinks. Disabled (free) unless `config.sim.trace` enables the
@@ -327,48 +549,59 @@ pub struct KvStore {
     trace: TraceSink,
 }
 
+fn op_slot(ops: &mut [Option<InFlight>], base: KvOpId, id: KvOpId) -> &mut InFlight {
+    ops[(id - base) as usize].as_mut().expect("op in flight")
+}
+
 impl KvStore {
     /// Wrap a cluster as a key-value store.
     pub fn new(cluster: Cluster) -> Self {
         let nodes = cluster.node_count();
-        let page_bytes = cluster.config().flash.geometry.page_bytes;
+        let geometry = cluster.config().flash.geometry;
         let trace = TraceSink::new(cluster.config().sim.trace, DRIVER_SHARD);
         KvStore {
             cluster,
-            directory: FxHashMap::default(),
+            keys: KeyTable::new(),
+            stored: 0,
             directory_pages: 0,
-            gates: FxHashMap::default(),
-            ops: FxHashMap::default(),
-            page_ops: FxHashMap::default(),
+            extents: Slab::default(),
+            gates: Slab::default(),
+            ops: Vec::new(),
+            ops_base: 0,
+            live_ops: 0,
+            page_ops: PageOps::default(),
             ready: VecDeque::new(),
+            deferred: VecDeque::new(),
             inflight: vec![0; nodes],
             window: DEFAULT_WINDOW,
             next_op: 0,
             finished: Vec::new(),
             tenants: FxHashMap::default(),
-            page_bytes,
+            geometry,
             trace,
         }
     }
 
     /// Number of stored keys.
     pub fn len(&self) -> usize {
-        self.directory.len()
+        self.stored
     }
 
     /// `true` if no keys are stored.
     pub fn is_empty(&self) -> bool {
-        self.directory.is_empty()
+        self.stored == 0
     }
 
     /// `true` if `key` is present.
     pub fn contains(&self, key: &[u8]) -> bool {
-        self.directory.contains_key(key)
+        self.keys
+            .find(key)
+            .is_some_and(|id| self.keys.get(id).extent.is_present())
     }
 
     /// Operations submitted and not yet completed.
     pub fn in_flight(&self) -> usize {
-        self.ops.len()
+        self.live_ops
     }
 
     /// The per-home-node in-flight page-command window.
@@ -416,8 +649,8 @@ impl KvStore {
     /// end-to-end latency percentiles).
     pub fn fill_metrics(&self, reg: &mut MetricsRegistry) {
         let kv = reg.scope("kv");
-        kv.set("keys", self.directory.len());
-        kv.set("in_flight", self.ops.len());
+        kv.set("keys", self.stored);
+        kv.set("in_flight", self.live_ops);
         kv.set("window", self.window);
         kv.set("directory_pages", self.directory_pages);
         // Sort: FxHashMap iteration order must not leak into the doc.
@@ -451,7 +684,7 @@ impl KvStore {
     /// only meaningful at quiescence — [`KvStore::drive`] first).
     pub fn stranded_pages(&self) -> u64 {
         assert!(
-            self.ops.is_empty(),
+            self.live_ops == 0,
             "stranded-page audit requires quiescence; drive() first"
         );
         self.cluster
@@ -486,7 +719,7 @@ impl KvStore {
             key,
             OpBody::Put {
                 value: value.to_vec(),
-                pages: Vec::new(),
+                extent: Extent::ABSENT,
                 len: value.len(),
             },
         )
@@ -515,36 +748,61 @@ impl KvStore {
         self.next_op += 1;
         let exclusive = body.exclusive();
         let kind_code = body.kind() as u64;
-        let now_ps = self.cluster.now().as_ps();
+        let now = self.cluster.now();
         self.trace
-            .at(now_ps)
+            .at(now.as_ps())
             .instant(TraceCat::KvOp, "submit", u32::from(tenant), id, kind_code);
-        self.ops.insert(
-            id,
-            InFlight {
-                tenant,
-                key: key.to_vec(),
-                body,
-                outstanding: 0,
-                error: None,
-                found: false,
-                submitted: self.cluster.now(),
-                started: SimTime::ZERO,
-                last_end: SimTime::ZERO,
-                home: NodeId(0),
-            },
-        );
-        let gate = self.gates.entry(key.to_vec()).or_default();
+        // The one place key bytes are hashed: everything downstream
+        // names the key by id.
+        let key_id = self.keys.intern(key);
+        debug_assert_eq!(id - self.ops_base, self.ops.len() as u64);
+        self.ops.push(Some(InFlight {
+            tenant,
+            key: key_id,
+            body,
+            outstanding: 0,
+            error: None,
+            found: false,
+            submitted: now,
+            started: SimTime::ZERO,
+            last_end: SimTime::ZERO,
+            home: self.home_node(key),
+        }));
+        self.live_ops += 1;
+        let state = self.keys.get_mut(key_id);
+        if state.gate == NO_GATE {
+            state.gate = self.gates.insert(KeyGate::default());
+        }
+        let gate = &mut self.gates.items[state.gate as usize];
         if gate.waiting.is_empty() && gate.admits(exclusive) {
             gate.acquire(exclusive);
-            self.trace
-                .at(now_ps)
-                .instant(TraceCat::KvOp, "gate", u32::from(tenant), id, 0);
-            self.ready.push_back(id);
+            self.admit(id);
         } else {
             gate.waiting.push_back(id);
         }
         id
+    }
+
+    /// `id` now holds its key's gate: record that and queue it for
+    /// injection.
+    fn admit(&mut self, id: KvOpId) {
+        let op = op_slot(&mut self.ops, self.ops_base, id);
+        let pages = match &op.body {
+            OpBody::Put { value, .. } => value.len().div_ceil(self.geometry.page_bytes),
+            // Holding the gate pins the record: no put or delete of
+            // this key can complete before this get has.
+            OpBody::Get { .. } => page_count(&self.extents, self.keys.get(op.key).extent),
+            OpBody::Delete => 0,
+        };
+        let now_ps = self.cluster.now().as_ps();
+        self.trace
+            .at(now_ps)
+            .instant(TraceCat::KvOp, "gate", u32::from(op.tenant), id, 0);
+        self.ready.push_back(Ready {
+            op: id,
+            home: op.home,
+            pages,
+        });
     }
 
     // ------------------------------------------------------------------
@@ -559,16 +817,16 @@ impl KvStore {
     pub fn drive(&mut self) -> Vec<KvCompletion> {
         loop {
             self.pump();
-            if self.ops.is_empty() {
+            if self.live_ops == 0 {
                 break;
             }
             assert!(
-                !self.page_ops.is_empty(),
+                !self.page_ops.table.is_empty(),
                 "KV engine stalled: {} ops pending but nothing in flight",
-                self.ops.len()
+                self.live_ops
             );
             self.cluster.run_to_quiescence();
-            let mut batch: Vec<Completed> = Vec::new();
+            let mut batch: Vec<Completed> = Vec::with_capacity(self.page_ops.table.len());
             for node in 0..self.cluster.node_count() {
                 batch.extend(self.cluster.harvest_node(NodeId::from(node)));
             }
@@ -576,11 +834,20 @@ impl KvStore {
             // order of gate-released successors (and therefore every
             // observable downstream) is independent of which node's
             // completions drain first.
-            batch.sort_by_key(|c| c.op_id);
+            batch.sort_unstable_by_key(|c| c.op_id);
+            assert_eq!(
+                batch.len(),
+                self.page_ops.table.len(),
+                "a quiescent cluster has completed every injected command"
+            );
             for c in batch {
                 self.feed(c);
             }
+            self.page_ops.table.clear();
         }
+        // Every op has completed, so nothing refers into the op table.
+        self.ops.clear();
+        self.ops_base = self.next_op;
         self.poll()
     }
 
@@ -593,61 +860,22 @@ impl KvStore {
     /// op larger than the whole window is admitted once its node is
     /// idle, so oversized values make progress instead of deadlocking.
     fn pump(&mut self) {
-        let mut deferred = VecDeque::new();
-        while let Some(id) = self.ready.pop_front() {
-            let (node, pages) = self.injection_cost(id);
-            let used = self.inflight[node.index()];
-            if used == 0 || used + pages <= self.window {
-                self.inject(id, node);
+        while let Some(ready) = self.ready.pop_front() {
+            let used = self.inflight[ready.home.index()];
+            if used == 0 || used + ready.pages <= self.window {
+                self.inject(ready.op);
             } else {
-                deferred.push_back(id);
+                self.deferred.push_back(ready);
             }
         }
-        self.ready = deferred;
+        std::mem::swap(&mut self.ready, &mut self.deferred);
     }
 
-    /// Where an op's page commands will run and how many there are.
-    fn injection_cost(&self, id: KvOpId) -> (NodeId, usize) {
-        let op = &self.ops[&id];
-        let home = self.home_node(&op.key);
-        let pages = match &op.body {
-            OpBody::Put { value, .. } => value.len().div_ceil(self.page_bytes),
-            OpBody::Get { .. } => self
-                .directory
-                .get(&op.key)
-                .map_or(0, |record| record.pages.len()),
-            OpBody::Delete => 0,
-        };
-        (home, pages)
-    }
-
-    fn inject(&mut self, id: KvOpId, home: NodeId) {
+    fn inject(&mut self, id: KvOpId) {
         let now = self.cluster.now();
-        // Phase 1: stamp the op and lift out what injection needs, under
-        // a short borrow of the op table.
-        enum Plan {
-            Put { value: Vec<u8> },
-            Get { key: Vec<u8>, reader: NodeId },
-            Delete { key: Vec<u8> },
-        }
-        let plan = {
-            let op = self.ops.get_mut(&id).expect("ready op exists");
-            op.started = now;
-            op.home = home;
-            match &mut op.body {
-                OpBody::Put { value, .. } => Plan::Put {
-                    value: std::mem::take(value),
-                },
-                OpBody::Get { reader, .. } => Plan::Get {
-                    key: op.key.clone(),
-                    reader: *reader,
-                },
-                OpBody::Delete => Plan::Delete {
-                    key: op.key.clone(),
-                },
-            }
-        };
-        let tenant = self.ops[&id].tenant;
+        let op = op_slot(&mut self.ops, self.ops_base, id);
+        op.started = now;
+        let (tenant, key, home) = (op.tenant, op.key, op.home);
         self.trace.at(now.as_ps()).instant(
             TraceCat::KvOp,
             "start",
@@ -655,102 +883,127 @@ impl KvStore {
             id,
             home.index() as u64,
         );
-        // Phase 2: talk to the directory and the cluster, then store the
-        // results back.
-        match plan {
-            Plan::Put { value } => {
-                // The old extent (if any) stays in the directory until
-                // the replacement is durable — see `finalize` — so an
-                // overwrite transiently occupies both extents.
-                let mut injected = Vec::new();
-                let mut error = None;
-                for chunk in value.chunks(self.page_bytes) {
-                    match self.cluster.inject_write(home, chunk) {
-                        Ok((cluster_op, addr)) => {
-                            self.page_ops.insert(cluster_op, (id, injected.len()));
-                            injected.push(addr);
-                        }
-                        Err(e) => {
-                            error = Some(e);
-                            break;
-                        }
-                    }
-                }
-                let count = injected.len();
-                self.inflight[home.index()] += count;
-                let op = self.ops.get_mut(&id).expect("still in flight");
-                op.found = true;
-                op.error = error;
-                op.outstanding = count;
-                let OpBody::Put { pages, .. } = &mut op.body else {
-                    unreachable!()
-                };
-                *pages = injected;
-                if count == 0 {
-                    self.finalize(id);
-                }
+        match &mut op.body {
+            OpBody::Put { value, .. } => {
+                let value = std::mem::take(value);
+                self.inject_put(id, home, &value);
             }
-            Plan::Get { key, reader } => {
-                let Some(record) = self.directory.get(&key) else {
-                    self.ops.get_mut(&id).expect("still in flight").found = false;
-                    self.finalize(id);
-                    return;
-                };
-                let addrs = record.pages.clone();
-                let value_len = record.len;
-                let count = addrs.len();
-                let mut cluster_ops = Vec::with_capacity(count);
-                for addr in &addrs {
-                    cluster_ops.push(self.cluster.inject_read(reader, *addr, Consume::Accel));
-                }
-                for (idx, cluster_op) in cluster_ops.into_iter().enumerate() {
-                    self.page_ops.insert(cluster_op, (id, idx));
-                }
-                self.inflight[home.index()] += count;
-                let op = self.ops.get_mut(&id).expect("still in flight");
-                op.found = true;
-                op.outstanding = count;
-                let OpBody::Get { buf, len, .. } = &mut op.body else {
-                    unreachable!()
-                };
-                *len = value_len;
-                *buf = vec![0; count * self.page_bytes];
-                if count == 0 {
-                    self.finalize(id);
-                }
+            OpBody::Get { reader, .. } => {
+                let reader = *reader;
+                self.inject_get(id, key, home, reader);
             }
-            Plan::Delete { key } => {
-                let found = match self.directory.remove(&key) {
-                    None => false,
-                    Some(record) => {
-                        self.directory_pages -= record.pages.len() as u64;
-                        for addr in record.pages {
-                            self.cluster
-                                .free_page(addr)
-                                .expect("directory extents are valid");
-                        }
-                        true
-                    }
-                };
-                self.ops.get_mut(&id).expect("still in flight").found = found;
+            OpBody::Delete => {
+                let extent = std::mem::take(&mut self.keys.get_mut(key).extent);
+                if extent.is_present() {
+                    self.stored -= 1;
+                    self.directory_pages -= page_count(&self.extents, extent) as u64;
+                    self.free_extent(extent);
+                }
+                op_slot(&mut self.ops, self.ops_base, id).found = extent.is_present();
                 self.finalize(id);
             }
         }
     }
 
+    fn inject_put(&mut self, id: KvOpId, home: NodeId, value: &[u8]) {
+        // The old extent (if any) stays in the key record until the
+        // replacement is durable — see `finalize` — so an overwrite
+        // transiently occupies both extents.
+        let mut extent = Extent::EMPTY;
+        let mut count = 0;
+        let mut error = None;
+        for chunk in value.chunks(self.geometry.page_bytes) {
+            match self.cluster.inject_write(home, chunk) {
+                Ok((cluster_op, addr)) => {
+                    self.page_ops.note(cluster_op, id, count);
+                    extent = match extent.decode() {
+                        ExtentKind::One(first) => {
+                            let first = unpack(&self.geometry, first);
+                            Extent::many(self.extents.insert(vec![first, addr]))
+                        }
+                        ExtentKind::Many(at) => {
+                            self.extents.items[at as usize].push(addr);
+                            extent
+                        }
+                        _ => Extent::one(pack(&self.geometry, addr)),
+                    };
+                    count += 1;
+                }
+                Err(e) => {
+                    error = Some(e);
+                    break;
+                }
+            }
+        }
+        self.inflight[home.index()] += count;
+        let op = op_slot(&mut self.ops, self.ops_base, id);
+        op.found = true;
+        op.error = error;
+        op.outstanding = count;
+        let OpBody::Put { extent: slot, .. } = &mut op.body else {
+            unreachable!()
+        };
+        *slot = extent;
+        if count == 0 {
+            self.finalize(id);
+        }
+    }
+
+    fn inject_get(&mut self, id: KvOpId, key: u32, home: NodeId, reader: NodeId) {
+        let state = self.keys.get(key);
+        let (extent, tail) = (state.extent, state.tail as usize);
+        if !extent.is_present() {
+            op_slot(&mut self.ops, self.ops_base, id).found = false;
+            self.finalize(id);
+            return;
+        }
+        let mut count = 0;
+        for &addr in extent_pages(&self.extents, &self.geometry, extent).as_slice() {
+            let cluster_op = self.cluster.inject_read(reader, addr, Consume::Accel);
+            self.page_ops.note(cluster_op, id, count);
+            count += 1;
+        }
+        self.inflight[home.index()] += count;
+        let page_bytes = self.geometry.page_bytes;
+        let op = op_slot(&mut self.ops, self.ops_base, id);
+        op.found = true;
+        op.outstanding = count;
+        let OpBody::Get { buf, len, .. } = &mut op.body else {
+            unreachable!()
+        };
+        *len = count.saturating_sub(1) * page_bytes + tail;
+        *buf = vec![0; count * page_bytes];
+        if count == 0 {
+            self.finalize(id);
+        }
+    }
+
+    /// Return every page of `extent` to the cluster's free pool.
+    fn free_extent(&mut self, extent: Extent) {
+        for &addr in extent_pages(&self.extents, &self.geometry, extent).as_slice() {
+            self.cluster
+                .free_page(addr)
+                .expect("extents hold valid addresses");
+        }
+        if let ExtentKind::Many(at) = extent.decode() {
+            self.extents.remove(at);
+        }
+    }
+
     /// Apply one harvested cluster completion to its owning op.
     fn feed(&mut self, c: Completed) {
-        let (id, idx) = self
+        let (id, page) = self
             .page_ops
-            .remove(&c.op_id)
+            .owner(c.op_id)
             .expect("completion for an op the KV engine never injected");
-        let op = self.ops.get_mut(&id).expect("op still in flight");
+        let page_bytes = self.geometry.page_bytes;
+        let op = op_slot(&mut self.ops, self.ops_base, id);
         self.inflight[op.home.index()] -= 1;
         op.last_end = op.last_end.max(c.end);
         if let Some(e) = c.error {
             op.error.get_or_insert(ClusterError::Flash(e));
         } else if let (OpBody::Get { buf, .. }, Some(data)) = (&mut op.body, c.data) {
-            buf[idx * self.page_bytes..][..self.page_bytes].copy_from_slice(&data);
+            buf[page as usize * page_bytes..][..page_bytes].copy_from_slice(&data);
         }
         op.outstanding -= 1;
         if op.outstanding == 0 {
@@ -761,39 +1014,38 @@ impl KvStore {
     /// All page commands done: publish the result, update accounting,
     /// release the key gate and start its waiting successors.
     fn finalize(&mut self, id: KvOpId) {
-        let op = self.ops.remove(&id).expect("finalizing a live op");
+        let op = self.ops[(id - self.ops_base) as usize]
+            .take()
+            .expect("finalizing a live op");
+        self.live_ops -= 1;
         // Ops with no page commands (deletes, misses, empty values)
         // finish the instant they start.
         let finished = op.last_end.max(op.started);
         let kind = op.body.kind();
         let exclusive = op.body.exclusive();
         let value = match op.body {
-            OpBody::Put { pages, len, .. } => {
+            OpBody::Put { extent, len, .. } => {
                 if op.error.is_none() {
                     // The new extent is durable: publish it and only now
                     // retire the one it replaces, so a failed put never
                     // destroys the previous value.
-                    self.directory_pages += pages.len() as u64;
-                    let old = self
-                        .directory
-                        .insert(op.key.clone(), ValueRecord { pages, len });
-                    if let Some(old) = old {
-                        self.directory_pages -= old.pages.len() as u64;
-                        for addr in old.pages {
-                            self.cluster
-                                .free_page(addr)
-                                .expect("directory extents are valid");
-                        }
+                    let pages = page_count(&self.extents, extent);
+                    self.directory_pages += pages as u64;
+                    let state = self.keys.get_mut(op.key);
+                    let old = std::mem::replace(&mut state.extent, extent);
+                    let tail = len - pages.saturating_sub(1) * self.geometry.page_bytes;
+                    state.tail = u32::try_from(tail).expect("page size fits u32");
+                    if old.is_present() {
+                        self.directory_pages -= page_count(&self.extents, old) as u64;
+                        self.free_extent(old);
+                    } else {
+                        self.stored += 1;
                     }
                 } else {
                     // A failed put stores nothing; return what it had
                     // already claimed (written pages are trimmed). The
                     // previous extent, if any, is untouched.
-                    for addr in pages {
-                        self.cluster
-                            .free_page(addr)
-                            .expect("put extents are valid");
-                    }
+                    self.free_extent(extent);
                 }
                 None
             }
@@ -844,12 +1096,14 @@ impl KvStore {
             flags,
         );
 
-        self.release_gate(&op.key, exclusive);
+        // Copy the key out before the gate release can retire its id.
+        let key = self.keys.key(op.key).to_vec();
+        self.release_gate(op.key, exclusive);
         self.finished.push(KvCompletion {
             op: id,
             tenant: op.tenant,
             kind,
-            key: op.key,
+            key,
             value,
             found: op.found,
             error: op.error,
@@ -860,33 +1114,41 @@ impl KvStore {
     }
 
     /// Release one hold on `key`'s gate and admit waiting successors in
-    /// FIFO order: a run of consecutive readers, or one writer.
-    fn release_gate(&mut self, key: &[u8], exclusive: bool) {
-        let gate = self.gates.get_mut(key).expect("gate exists while ops hold it");
+    /// FIFO order: a run of consecutive readers, or one writer. A key
+    /// left with neither gate nor value gives its id back.
+    fn release_gate(&mut self, key: u32, exclusive: bool) {
+        let at = self.keys.get(key).gate;
+        let gate = &mut self.gates.items[at as usize];
         if exclusive {
             gate.writer = false;
         } else {
             gate.readers -= 1;
         }
-        while let Some(&front) = gate.waiting.front() {
-            let exclusive = self.ops[&front].body.exclusive();
+        loop {
+            let gate = &mut self.gates.items[at as usize];
+            let Some(&front) = gate.waiting.front() else {
+                break;
+            };
+            let exclusive = op_slot(&mut self.ops, self.ops_base, front)
+                .body
+                .exclusive();
             if !gate.admits(exclusive) {
                 break;
             }
             gate.waiting.pop_front();
             gate.acquire(exclusive);
-            let tenant = self.ops[&front].tenant;
-            let now_ps = self.cluster.now().as_ps();
-            self.trace
-                .at(now_ps)
-                .instant(TraceCat::KvOp, "gate", u32::from(tenant), front, 0);
-            self.ready.push_back(front);
+            self.admit(front);
             if exclusive {
                 break;
             }
         }
-        if gate.idle() {
-            self.gates.remove(key);
+        if self.gates.items[at as usize].idle() {
+            self.gates.remove(at);
+            let state = self.keys.get_mut(key);
+            state.gate = NO_GATE;
+            if !state.extent.is_present() {
+                self.keys.remove(key);
+            }
         }
     }
 
@@ -953,9 +1215,9 @@ impl KvStore {
 impl std::fmt::Debug for KvStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KvStore")
-            .field("keys", &self.directory.len())
+            .field("keys", &self.stored)
             .field("nodes", &self.cluster.node_count())
-            .field("in_flight", &self.ops.len())
+            .field("in_flight", &self.live_ops)
             .finish()
     }
 }
@@ -1203,6 +1465,63 @@ mod tests {
             elapsed >= SimTime::us(50) && elapsed < SimTime::us(150),
             "get latency {elapsed} should be one flash read + accel"
         );
+    }
+
+    #[test]
+    fn packed_addresses_round_trip_at_the_field_edges() {
+        let geom = bluedbm_flash::FlashGeometry::small();
+        for (node, card, linear) in [
+            (0, 0, 0),
+            (u16::MAX, u8::MAX, geom.total_pages() - 1),
+            (0x0102, 3, 1),
+        ] {
+            let addr = GlobalPageAddr {
+                node: NodeId(node),
+                card,
+                ppa: geom.ppa_of(linear),
+            };
+            let packed = pack(&geom, addr);
+            assert_eq!(unpack(&geom, packed), addr);
+            assert!(matches!(Extent::one(packed).decode(), ExtentKind::One(p) if p == packed));
+        }
+        assert!(!Extent::ABSENT.is_present() && Extent::EMPTY.is_present());
+        assert!(matches!(
+            Extent::many(u32::MAX).decode(),
+            ExtentKind::Many(u32::MAX)
+        ));
+    }
+
+    #[test]
+    fn key_churn_leaves_no_driver_state_behind() {
+        // Fresh keys put, read (hit and miss) and deleted, one- and
+        // multi-page: ids, gates and extent lists are all recycled, so
+        // the tables end no larger than one batch needed.
+        let mut s = store(2);
+        let page = s.cluster().config().flash.geometry.page_bytes;
+        for round in 0..50u32 {
+            let keys: Vec<String> = (0..16).map(|k| format!("r{round}/k{k}")).collect();
+            for (k, key) in keys.iter().enumerate() {
+                let pages = 1 + k % 3;
+                s.submit_put(0, key.as_bytes(), &vec![k as u8; pages * page - 7]);
+                s.submit_get(1, NodeId(1), key.as_bytes());
+                s.submit_get(1, NodeId(0), format!("never/{round}/{k}").as_bytes());
+                s.submit_delete(0, key.as_bytes());
+            }
+            let done = s.drive();
+            assert_eq!(done.len(), 64);
+            assert!(done.iter().all(|c| c.error.is_none()));
+            let hits = done.iter().filter(|c| c.value.is_some()).count();
+            assert_eq!(hits, 16);
+        }
+        assert!(s.is_empty());
+        assert_eq!(s.keys.len(), 0, "every key id was given back");
+        assert!(s.gates.items.len() <= 32, "{} gates", s.gates.items.len());
+        assert_eq!(s.gates.free.len(), s.gates.items.len());
+        assert!(s.extents.items.len() <= 16);
+        assert_eq!(s.extents.free.len(), s.extents.items.len());
+        assert!(s.ops.is_empty() && s.page_ops.table.is_empty());
+        s.assert_no_stranded_pages();
+        s.cluster().assert_quiescent();
     }
 
     #[test]

@@ -51,6 +51,7 @@ pub mod baselines;
 pub mod cluster;
 pub mod config;
 pub mod gc;
+mod keytable;
 pub mod kvstore;
 pub mod msg;
 pub mod node;

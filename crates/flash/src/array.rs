@@ -2,11 +2,22 @@
 //!
 //! This is the synchronous truth layer under the DES controller. It
 //! enforces real NAND semantics — program-once-then-erase, whole-block
-//! erases, per-block wear counters — stores real bytes (sparsely, so huge
-//! geometries cost only what is touched), injects wear-dependent bit
-//! errors, and runs every page through the SECDED codec from [`crate::ecc`].
-
-use bluedbm_sim::fxhash::FxHashMap;
+//! erases, per-block wear counters — stores real bytes, injects
+//! wear-dependent bit errors, and runs every page through the SECDED
+//! codec from [`crate::ecc`].
+//!
+//! ## Storage layout
+//!
+//! Codewords (page bytes followed by their OOB parity) live in one
+//! fixed-stride **slab** per card: a page holding data owns one slot,
+//! found through its block's slot table (allocated on the block's first
+//! data program), and `trim`/`erase` hand slots back to a free list for
+//! the next program anywhere on the card. The slab grows a chunk at a
+//! time and never moves, so a card costs its written pages × (page +
+//! OOB) bytes plus one `programmed` bit per page of geometry — no
+//! per-page heap allocation, no hashing. Blank-programmed pages
+//! ([`FlashArray::program_blank`]) set the bit and take no slot, so an
+//! FTL's shadow array never allocates codeword storage at all.
 
 use bluedbm_sim::rng::Rng;
 
@@ -65,12 +76,81 @@ pub struct ReadResult {
     pub corrected_words: u32,
 }
 
+/// "This page holds no codeword" in a block's slot table.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Slab chunks are about this many bytes: big enough that chunk
+/// bookkeeping vanishes, small enough that a card with two written pages
+/// stays cheap.
+const CHUNK_BYTES: usize = 16 * 1024;
+
+/// Fixed-stride codeword storage. Slot `s` is
+/// `chunks[s >> shift][(s & mask) * stride..][..stride]`; chunks are
+/// appended, never reallocated, so growth copies nothing.
+#[derive(Debug)]
+struct Slab {
+    stride: usize,
+    /// log2 of the slots per chunk.
+    shift: u32,
+    chunks: Vec<Box<[u8]>>,
+    /// Slots ever handed out (the high-water mark).
+    len: u32,
+    /// Recycled slots, reused most-recent-first.
+    free: Vec<u32>,
+}
+
+impl Slab {
+    fn new(stride: usize) -> Self {
+        let per_chunk = (CHUNK_BYTES / stride.max(1)).max(1);
+        Slab {
+            stride,
+            shift: per_chunk.ilog2(),
+            chunks: Vec::new(),
+            len: 0,
+            free: Vec::new(),
+        }
+    }
+
+    fn alloc(&mut self) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            return slot;
+        }
+        let slot = self.len;
+        if (slot >> self.shift) as usize == self.chunks.len() {
+            self.chunks
+                .push(vec![0u8; self.stride << self.shift].into_boxed_slice());
+        }
+        self.len += 1;
+        slot
+    }
+
+    fn release(&mut self, slot: u32) {
+        self.free.push(slot);
+    }
+
+    fn range(&self, slot: u32) -> (usize, usize) {
+        let within = (slot & ((1 << self.shift) - 1)) as usize;
+        ((slot >> self.shift) as usize, within * self.stride)
+    }
+
+    fn get(&self, slot: u32) -> &[u8] {
+        let (chunk, at) = self.range(slot);
+        &self.chunks[chunk][at..at + self.stride]
+    }
+
+    fn get_mut(&mut self, slot: u32) -> &mut [u8] {
+        let (chunk, at) = self.range(slot);
+        &mut self.chunks[chunk][at..at + self.stride]
+    }
+}
+
 #[derive(Clone, Debug, Default)]
 struct BlockState {
     erase_count: u64,
     bad: bool,
-    /// Bitmap of programmed pages.
-    programmed: Vec<bool>,
+    /// Codeword slot of each page holding data ([`NO_SLOT`] otherwise);
+    /// `None` until the block's first data program.
+    slots: Option<Box<[u32]>>,
 }
 
 /// Cumulative operation counters for one array.
@@ -90,19 +170,19 @@ pub struct ArrayStats {
     pub uncorrectable: u64,
 }
 
-/// A stored codeword: page data plus its OOB parity bytes.
-type StoredPage = (Box<[u8]>, Box<[u8]>);
-
 /// One flash card's worth of NAND.
 ///
 /// See the [crate-level documentation](crate) for an example.
 #[derive(Debug)]
 pub struct FlashArray {
     geometry: FlashGeometry,
-    /// Stored codewords: page data + OOB parity, keyed by linear page id.
-    pages: FxHashMap<usize, StoredPage>,
-    /// Per-block wear/bad/programmed state, keyed by linear block id.
+    /// Stored codewords (page data + OOB parity), one slot per page
+    /// holding data.
+    slab: Slab,
+    /// Per-block wear/bad/slot-table state, keyed by linear block id.
     blocks: Vec<BlockState>,
+    /// One bit per linear page: programmed (with or without data).
+    programmed: Vec<u64>,
     rng: Rng,
     error_model: ErrorModel,
     stats: ArrayStats,
@@ -110,29 +190,49 @@ pub struct FlashArray {
 
 impl FlashArray {
     /// A fresh array with no injected errors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `geometry` has more than [`FlashGeometry::MAX_PAGES`]
+    /// pages; [`FlashArray::with_error_model`] returns that as an error.
     pub fn new(geometry: FlashGeometry, seed: u64) -> Self {
         Self::with_error_model(geometry, seed, ErrorModel::none())
+            .expect("geometry within FlashGeometry::MAX_PAGES")
     }
 
     /// A fresh array with the given error model; factory-bad blocks are
     /// chosen deterministically from `seed`.
-    pub fn with_error_model(geometry: FlashGeometry, seed: u64, error_model: ErrorModel) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`FlashError::GeometryTooLarge`] if `geometry` has more than
+    /// [`FlashGeometry::MAX_PAGES`] pages (slot and page indices are
+    /// `u32`).
+    pub fn with_error_model(
+        geometry: FlashGeometry,
+        seed: u64,
+        error_model: ErrorModel,
+    ) -> Result<Self, FlashError> {
+        let pages = geometry
+            .checked_total_pages()
+            .ok_or(FlashError::GeometryTooLarge)?;
         let mut rng = Rng::new(seed);
         let blocks = (0..geometry.total_blocks())
             .map(|_| BlockState {
                 erase_count: 0,
                 bad: rng.chance(error_model.factory_bad_fraction),
-                programmed: vec![false; geometry.pages_per_block],
+                slots: None,
             })
             .collect();
-        FlashArray {
+        Ok(FlashArray {
             geometry,
-            pages: FxHashMap::default(),
+            slab: Slab::new(geometry.page_bytes + geometry.oob_bytes()),
             blocks,
+            programmed: vec![0; pages.div_ceil(64)],
             rng,
             error_model,
             stats: ArrayStats::default(),
-        }
+        })
     }
 
     /// The card geometry.
@@ -161,6 +261,24 @@ impl FlashArray {
         Ok(())
     }
 
+    /// The `programmed` bit of an in-range page.
+    fn programmed_bit(&self, ppa: Ppa) -> bool {
+        let linear = self.geometry.linear_of(ppa);
+        self.programmed[linear / 64] & (1 << (linear % 64)) != 0
+    }
+
+    /// Flip the `programmed` bit of an in-range page.
+    fn toggle_programmed(&mut self, ppa: Ppa) {
+        let linear = self.geometry.linear_of(ppa);
+        self.programmed[linear / 64] ^= 1 << (linear % 64);
+    }
+
+    /// The codeword slot of an in-range page, if it holds data.
+    fn slot_of(&self, ppa: Ppa) -> Option<u32> {
+        let slots = self.blocks[self.block_index(ppa)].slots.as_deref()?;
+        Some(slots[ppa.page as usize]).filter(|&slot| slot != NO_SLOT)
+    }
+
     /// Program one page.
     ///
     /// # Errors
@@ -172,20 +290,27 @@ impl FlashArray {
     ///   cannot overwrite in place.
     pub fn program(&mut self, ppa: Ppa, data: &[u8]) -> Result<(), FlashError> {
         self.check(ppa)?;
-        if data.len() != self.geometry.page_bytes {
+        let page_bytes = self.geometry.page_bytes;
+        if data.len() != page_bytes {
             return Err(FlashError::WrongPageSize {
                 got: data.len(),
-                want: self.geometry.page_bytes,
+                want: page_bytes,
             });
         }
-        let bi = self.block_index(ppa);
-        if self.blocks[bi].programmed[ppa.page as usize] {
+        if self.programmed_bit(ppa) {
             return Err(FlashError::AlreadyProgrammed(ppa));
         }
-        let linear = self.geometry.linear_of(ppa);
-        self.blocks[bi].programmed[ppa.page as usize] = true;
-        let oob = ecc::encode_page(data);
-        self.pages.insert(linear, (data.into(), oob.into_boxed_slice()));
+        self.toggle_programmed(ppa);
+        let slot = self.slab.alloc();
+        let (page, oob) = self.slab.get_mut(slot).split_at_mut(page_bytes);
+        page.copy_from_slice(data);
+        ecc::encode_page_into(data, oob);
+        let bi = self.block_index(ppa);
+        let pages_per_block = self.geometry.pages_per_block;
+        self.blocks[bi]
+            .slots
+            .get_or_insert_with(|| vec![NO_SLOT; pages_per_block].into_boxed_slice())
+            [ppa.page as usize] = slot;
         self.stats.programs += 1;
         Ok(())
     }
@@ -217,7 +342,7 @@ impl FlashArray {
     /// decoder in place instead of being decoded into a scratch `Vec`
     /// and copied into the store afterwards. On the common no-injected-
     /// errors configuration the stored codeword is decoded directly from
-    /// the array's backing buffer with no intermediate copy at all.
+    /// the slab with no intermediate copy at all.
     ///
     /// Returns the number of corrected codewords; on any error `dest`'s
     /// contents are unspecified.
@@ -231,24 +356,23 @@ impl FlashArray {
     /// Panics if `dest` is not exactly one page.
     pub fn read_into(&mut self, ppa: Ppa, dest: &mut [u8]) -> Result<u32, FlashError> {
         self.check(ppa)?;
-        let linear = self.geometry.linear_of(ppa);
-        let bi = self.block_index(ppa);
-        let wear = self.blocks[bi].erase_count;
-        if !self.pages.contains_key(&linear) {
+        let wear = self.blocks[self.block_index(ppa)].erase_count;
+        let Some(slot) = self.slot_of(ppa) else {
             return Err(FlashError::NotProgrammed(ppa));
-        }
+        };
         self.stats.reads += 1;
+        let page_bytes = self.geometry.page_bytes;
         let decoded = if self.ber_at(wear) <= 0.0 {
             // No injected errors: decode the stored codeword in place.
-            let (data, oob) = self.pages.get(&linear).expect("checked present");
+            let (data, oob) = self.slab.get(slot).split_at(page_bytes);
             ecc::decode_page_into(data, oob, dest)
         } else {
             // Error injection must not corrupt the stored truth: flip
             // bits on a scratch copy, then decode into `dest`.
-            let (data, oob) = self.pages.get(&linear).expect("checked present");
-            let (mut data, mut oob) = (data.to_vec(), oob.to_vec());
-            self.inject_errors(&mut data, &mut oob, wear);
-            ecc::decode_page_into(&data, &oob, dest)
+            let mut codeword = self.slab.get(slot).to_vec();
+            self.inject_errors(&mut codeword, wear);
+            let (data, oob) = codeword.split_at(page_bytes);
+            ecc::decode_page_into(data, oob, dest)
         };
         match decoded {
             Some(corrected) => {
@@ -268,14 +392,15 @@ impl FlashArray {
         self.error_model.base_ber + self.error_model.ber_per_erase * wear as f64
     }
 
-    fn inject_errors(&mut self, data: &mut [u8], oob: &mut [u8], wear: u64) {
+    /// Flip bits of `codeword` (page bytes then OOB) per the error model.
+    fn inject_errors(&mut self, codeword: &mut [u8], wear: u64) {
         let ber = self.ber_at(wear);
         if ber <= 0.0 {
             return;
         }
         // Expected flips over the whole codeword region; sample a count
         // from the exponentially-spaced geometric approximation.
-        let total_bits = (data.len() + oob.len()) * 8;
+        let total_bits = codeword.len() * 8;
         let expected = ber * total_bits as f64;
         let mut flips = expected.floor() as u64;
         if self.rng.chance(expected - flips as f64) {
@@ -283,12 +408,7 @@ impl FlashArray {
         }
         for _ in 0..flips {
             let bit = self.rng.below(total_bits as u64) as usize;
-            let (byte, off) = (bit / 8, bit % 8);
-            if byte < data.len() {
-                data[byte] ^= 1 << off;
-            } else {
-                oob[byte - data.len()] ^= 1 << off;
-            }
+            codeword[bit / 8] ^= 1 << (bit % 8);
         }
     }
 
@@ -306,11 +426,15 @@ impl FlashArray {
     /// Address errors as for [`FlashArray::program`].
     pub fn trim(&mut self, ppa: Ppa) -> Result<(), FlashError> {
         self.check(ppa)?;
-        let bi = self.block_index(ppa);
-        if self.blocks[bi].programmed[ppa.page as usize] {
-            let linear = self.geometry.linear_of(ppa);
-            self.blocks[bi].programmed[ppa.page as usize] = false;
-            self.pages.remove(&linear);
+        if self.programmed_bit(ppa) {
+            self.toggle_programmed(ppa);
+            let bi = self.block_index(ppa);
+            if let Some(slots) = self.blocks[bi].slots.as_deref_mut() {
+                let slot = std::mem::replace(&mut slots[ppa.page as usize], NO_SLOT);
+                if slot != NO_SLOT {
+                    self.slab.release(slot);
+                }
+            }
             self.stats.trims += 1;
         }
         Ok(())
@@ -323,13 +447,19 @@ impl FlashArray {
     /// Address errors as for [`FlashArray::program`].
     pub fn erase(&mut self, ppa: Ppa) -> Result<(), FlashError> {
         self.check(ppa)?;
-        let bi = self.block_index(ppa);
-        for page in 0..self.geometry.pages_per_block {
-            let linear = self.geometry.linear_of(ppa.with_page(page as u32));
-            self.pages.remove(&linear);
-            self.blocks[bi].programmed[page] = false;
+        let first = self.geometry.linear_of(ppa.block_addr());
+        for linear in first..first + self.geometry.pages_per_block {
+            self.programmed[linear / 64] &= !(1 << (linear % 64));
         }
-        self.blocks[bi].erase_count += 1;
+        let bi = self.block_index(ppa);
+        let block = &mut self.blocks[bi];
+        for slot in block.slots.iter_mut().flatten() {
+            let slot = std::mem::replace(slot, NO_SLOT);
+            if slot != NO_SLOT {
+                self.slab.release(slot);
+            }
+        }
+        block.erase_count += 1;
         self.stats.erases += 1;
         Ok(())
     }
@@ -339,8 +469,8 @@ impl FlashArray {
     /// simulated device: the programmed bitmap, the program-once
     /// discipline, and the wear counters are modelled exactly, but no
     /// page bytes or ECC parity are stored, so a shadow array costs only
-    /// its per-block bitmaps. A blank-programmed page reads back as
-    /// [`FlashError::NotProgrammed`] (it holds no bytes) while
+    /// its bitmap and per-block counters. A blank-programmed page reads
+    /// back as [`FlashError::NotProgrammed`] (it holds no bytes) while
     /// [`FlashArray::is_programmed`] reports `true`; use
     /// [`FlashArray::page_has_data`] to tell the two apart.
     ///
@@ -351,25 +481,23 @@ impl FlashArray {
     /// programmed (with or without data).
     pub fn program_blank(&mut self, ppa: Ppa) -> Result<(), FlashError> {
         self.check(ppa)?;
-        let bi = self.block_index(ppa);
-        if self.blocks[bi].programmed[ppa.page as usize] {
+        if self.programmed_bit(ppa) {
             return Err(FlashError::AlreadyProgrammed(ppa));
         }
-        self.blocks[bi].programmed[ppa.page as usize] = true;
+        self.toggle_programmed(ppa);
         self.stats.programs += 1;
         Ok(())
     }
 
     /// `true` if the page currently holds data.
     pub fn is_programmed(&self, ppa: Ppa) -> bool {
-        self.geometry.contains(ppa)
-            && self.blocks[self.block_index(ppa)].programmed[ppa.page as usize]
+        self.geometry.contains(ppa) && self.programmed_bit(ppa)
     }
 
     /// `true` if the page holds stored bytes — i.e. it was programmed via
     /// [`FlashArray::program`], not [`FlashArray::program_blank`].
     pub fn page_has_data(&self, ppa: Ppa) -> bool {
-        self.geometry.contains(ppa) && self.pages.contains_key(&self.geometry.linear_of(ppa))
+        self.geometry.contains(ppa) && self.slot_of(ppa).is_some()
     }
 
     /// Erase cycles endured by the block containing `ppa`.
@@ -540,8 +668,8 @@ mod tests {
             factory_bad_fraction: 0.25,
             ..ErrorModel::none()
         };
-        let a = FlashArray::with_error_model(FlashGeometry::tiny(), 7, model);
-        let b = FlashArray::with_error_model(FlashGeometry::tiny(), 7, model);
+        let a = FlashArray::with_error_model(FlashGeometry::tiny(), 7, model).unwrap();
+        let b = FlashArray::with_error_model(FlashGeometry::tiny(), 7, model).unwrap();
         assert_eq!(a.good_blocks(), b.good_blocks());
         let bad = a.geometry().total_blocks() - a.good_blocks().len();
         assert!(bad > 0, "a 25% fraction over 32 blocks should mark some bad");
@@ -554,7 +682,7 @@ mod tests {
             ber_per_erase: 0.0,
             factory_bad_fraction: 0.0,
         };
-        let mut a = FlashArray::with_error_model(FlashGeometry::tiny(), 11, model);
+        let mut a = FlashArray::with_error_model(FlashGeometry::tiny(), 11, model).unwrap();
         let ppa = Ppa::new(0, 0, 0, 0);
         let data = page_of(&a, 0xA5);
         a.program(ppa, &data).unwrap();
@@ -574,7 +702,7 @@ mod tests {
             ber_per_erase: 0.0,
             factory_bad_fraction: 0.0,
         };
-        let mut a = FlashArray::with_error_model(FlashGeometry::tiny(), 13, model);
+        let mut a = FlashArray::with_error_model(FlashGeometry::tiny(), 13, model).unwrap();
         let ppa = Ppa::new(0, 0, 0, 0);
         a.program(ppa, &page_of(&a, 0xFF)).unwrap();
         let mut saw_uncorrectable = false;
@@ -595,7 +723,7 @@ mod tests {
             ber_per_erase: 2e-6,
             factory_bad_fraction: 0.0,
         };
-        let mut a = FlashArray::with_error_model(FlashGeometry::tiny(), 17, model);
+        let mut a = FlashArray::with_error_model(FlashGeometry::tiny(), 17, model).unwrap();
         let ppa = Ppa::new(0, 0, 0, 0);
         // Wear the block heavily.
         for _ in 0..500 {
@@ -635,6 +763,107 @@ mod tests {
         a.erase(ppa).unwrap();
         assert!(!a.is_programmed(ppa));
         assert_eq!(a.erase_count(ppa), 1);
+    }
+
+    #[test]
+    fn freed_slots_are_reused_without_leaking_bytes() {
+        let mut a = tiny();
+        let first = Ppa::new(0, 0, 1, 0);
+        let kept = Ppa::new(0, 0, 1, 1);
+        a.program(first, &page_of(&a, 0xAA)).unwrap();
+        a.program(kept, &page_of(&a, 0xBB)).unwrap();
+        assert_eq!(a.slab.len, 2);
+        // Trim hands the slot back; a program in another block takes it.
+        a.trim(first).unwrap();
+        assert_eq!(a.slab.free, vec![0]);
+        let elsewhere = Ppa::new(1, 1, 5, 9);
+        a.program(elsewhere, &page_of(&a, 0x11)).unwrap();
+        assert_eq!((a.slab.len, a.slab.free.len()), (2, 0), "slot 0 reused");
+        assert_eq!(a.read(first), Err(FlashError::NotProgrammed(first)));
+        // The recycled slot carries the new page and the new parity only:
+        // a stale OOB byte would make the clean decode report corrections.
+        let r = a.read(elsewhere).unwrap();
+        assert_eq!((r.data, r.corrected_words), (page_of(&a, 0x11), 0));
+        assert_eq!(a.read(kept).unwrap().data, page_of(&a, 0xBB));
+        // Erase recycles every data slot of the block, and only those.
+        a.erase(kept).unwrap();
+        assert_eq!(a.slab.free, vec![1]);
+        assert_eq!(a.read(kept), Err(FlashError::NotProgrammed(kept)));
+        assert_eq!(a.read(elsewhere).unwrap().data, page_of(&a, 0x11));
+        a.program(first, &page_of(&a, 0x22)).unwrap();
+        assert_eq!(a.slab.len, 2, "churn never grows the slab");
+        assert_eq!(a.read(first).unwrap().data, page_of(&a, 0x22));
+    }
+
+    #[test]
+    fn blank_programs_never_take_codeword_storage() {
+        let mut a = tiny();
+        let geom = a.geometry();
+        for linear in 0..geom.total_pages() {
+            a.program_blank(geom.ppa_of(linear)).unwrap();
+        }
+        for block in geom.blocks() {
+            a.erase(block).unwrap();
+        }
+        assert_eq!(a.slab.len, 0);
+        assert!(a.slab.chunks.is_empty() && a.slab.free.is_empty());
+        assert!(a.blocks.iter().all(|b| b.slots.is_none()));
+    }
+
+    #[test]
+    fn slab_spans_chunks() {
+        // Enough pages to need a second chunk: slots on both sides of
+        // the boundary keep their own bytes.
+        let geom = FlashGeometry {
+            blocks_per_chip: 64,
+            ..FlashGeometry::tiny()
+        };
+        let mut a = FlashArray::new(geom, 3);
+        let per_chunk = 1usize << a.slab.shift;
+        let n = per_chunk + 3;
+        assert!(n <= geom.total_pages());
+        let fill = |i: usize| vec![(i % 251) as u8; geom.page_bytes];
+        for i in 0..n {
+            a.program(geom.ppa_of(i), &fill(i)).unwrap();
+        }
+        assert_eq!(a.slab.chunks.len(), 2);
+        for i in 0..n {
+            assert_eq!(a.read(geom.ppa_of(i)).unwrap().data, fill(i), "page {i}");
+        }
+    }
+
+    #[test]
+    fn injected_errors_never_reach_the_stored_codeword() {
+        let model = ErrorModel {
+            base_ber: 0.02,
+            ber_per_erase: 0.0,
+            factory_bad_fraction: 0.0,
+        };
+        let mut a = FlashArray::with_error_model(FlashGeometry::tiny(), 13, model).unwrap();
+        let ppa = Ppa::new(0, 0, 0, 0);
+        a.program(ppa, &page_of(&a, 0x3C)).unwrap();
+        let truth = a.slab.get(0).to_vec();
+        for _ in 0..50 {
+            let _ = a.read(ppa);
+        }
+        assert!(a.stats().corrected_words + a.stats().uncorrectable > 0);
+        // Reads flip bits on a scratch copy only.
+        assert_eq!(a.slab.get(0), truth);
+    }
+
+    #[test]
+    fn oversized_geometry_is_refused_not_truncated() {
+        let geom = FlashGeometry {
+            buses: 1 << 16,
+            chips_per_bus: 1 << 16,
+            blocks_per_chip: 1,
+            pages_per_block: 1,
+            page_bytes: 8,
+        };
+        assert_eq!(
+            FlashArray::with_error_model(geom, 1, ErrorModel::none()).unwrap_err(),
+            FlashError::GeometryTooLarge
+        );
     }
 
     #[test]

@@ -33,6 +33,9 @@ pub enum FlashError {
     TagsExhausted,
     /// A tag was used that has no in-flight command.
     UnknownTag(u16),
+    /// The geometry has more pages than the `u32` page tables can index
+    /// (see [`crate::geometry::FlashGeometry::MAX_PAGES`]).
+    GeometryTooLarge,
     /// A file handle unknown to the address translation unit.
     UnknownHandle(u64),
     /// A file-relative offset beyond the end of the mapped extent list.
@@ -61,6 +64,9 @@ impl fmt::Display for FlashError {
             }
             FlashError::TagsExhausted => write!(f, "controller tag space exhausted"),
             FlashError::UnknownTag(tag) => write!(f, "no in-flight command holds tag {tag}"),
+            FlashError::GeometryTooLarge => {
+                write!(f, "geometry exceeds the 2^32 - 3 pages a card can index")
+            }
             FlashError::UnknownHandle(h) => write!(f, "unknown file handle {h}"),
             FlashError::OffsetOutOfRange {
                 handle,

@@ -4,7 +4,8 @@
 //! boards per node give 1 TB and 1.2 GB/s per board. The geometry here is
 //! parameterized so tests can run on tiny arrays while the bench harness
 //! uses paper-scale bus/chip counts (capacity itself is scaled down — the
-//! simulator stores pages sparsely, so only *touched* capacity costs RAM).
+//! array keeps codewords in a slab that grows one slot per page holding
+//! data, so only *written* capacity costs RAM; see [`crate::array`]).
 
 use std::fmt;
 
@@ -38,8 +39,8 @@ pub struct FlashGeometry {
 impl FlashGeometry {
     /// The paper's flash board shape: 8 buses, 8 chips per bus, 8 KiB
     /// pages. Block/page counts are scaled to keep per-card capacity at a
-    /// simulation-friendly 4 GiB (the store is sparse, so unwritten pages
-    /// cost nothing).
+    /// simulation-friendly 4 GiB (unwritten pages hold no codeword slot,
+    /// so they cost one bitmap bit each).
     pub const fn paper_card() -> Self {
         FlashGeometry {
             buses: 8,
@@ -87,6 +88,28 @@ impl FlashGeometry {
     /// Total pages on the card.
     pub const fn total_pages(&self) -> usize {
         self.total_blocks() * self.pages_per_block
+    }
+
+    /// Most pages a card may have: page indices are stored as `u32` with
+    /// sentinel values at both ends (the array's slot tables, the FTL's
+    /// `index + 1` mapping tables), so constructors refuse anything
+    /// larger with a typed error.
+    pub const MAX_PAGES: usize = u32::MAX as usize - 2;
+
+    /// [`FlashGeometry::total_pages`] if the product neither overflows
+    /// nor exceeds [`FlashGeometry::MAX_PAGES`] — the check every
+    /// constructor taking a user-supplied geometry runs first.
+    pub const fn checked_total_pages(&self) -> Option<usize> {
+        let Some(chips) = self.buses.checked_mul(self.chips_per_bus) else {
+            return None;
+        };
+        let Some(blocks) = chips.checked_mul(self.blocks_per_chip) else {
+            return None;
+        };
+        match blocks.checked_mul(self.pages_per_block) {
+            Some(pages) if pages <= Self::MAX_PAGES => Some(pages),
+            _ => None,
+        }
     }
 
     /// Total user-visible capacity in bytes.
@@ -227,6 +250,31 @@ mod tests {
             assert!(g.contains(ppa));
             assert_eq!(g.linear_of(ppa), i);
         }
+    }
+
+    #[test]
+    fn checked_total_pages_bounds_the_u32_tables() {
+        let g = FlashGeometry::tiny();
+        assert_eq!(g.checked_total_pages(), Some(g.total_pages()));
+        let at = |pages_per_block| FlashGeometry {
+            buses: 1,
+            chips_per_bus: 1,
+            blocks_per_chip: 1,
+            pages_per_block,
+            page_bytes: 8,
+        };
+        assert_eq!(
+            at(FlashGeometry::MAX_PAGES).checked_total_pages(),
+            Some(FlashGeometry::MAX_PAGES)
+        );
+        assert_eq!(at(u32::MAX as usize - 1).checked_total_pages(), None);
+        // A product that overflows `usize` is refused, not wrapped.
+        let huge = FlashGeometry {
+            buses: usize::MAX,
+            chips_per_bus: 2,
+            ..g
+        };
+        assert_eq!(huge.checked_total_pages(), None);
     }
 
     #[test]

@@ -26,6 +26,9 @@ pub enum FtlError {
         /// Bytes required.
         want: usize,
     },
+    /// The array has more pages than the `u32` mapping tables can index
+    /// (see [`bluedbm_flash::FlashGeometry::MAX_PAGES`]).
+    GeometryTooLarge,
     /// File not found.
     NoSuchFile(String),
     /// A file with that name already exists.
@@ -52,6 +55,9 @@ impl fmt::Display for FtlError {
             FtlError::NoSpace => write!(f, "device full: garbage collection found no space"),
             FtlError::WrongPageSize { got, want } => {
                 write!(f, "buffer of {got} bytes where a {want}-byte page was expected")
+            }
+            FtlError::GeometryTooLarge => {
+                write!(f, "geometry exceeds the 2^32 - 3 pages the tables can index")
             }
             FtlError::NoSuchFile(name) => write!(f, "no such file: {name}"),
             FtlError::FileExists(name) => write!(f, "file already exists: {name}"),

@@ -46,6 +46,16 @@
 //! ([`FlashArray::page_has_data`] decides per page), so a full-data twin
 //! and a blank mirror driven with the same op sequence make identical
 //! policy decisions.
+//!
+//! # Table encoding
+//!
+//! Both mapping tables are `Vec<u32>` with **0 = unmapped**: `l2p[lba]`
+//! holds the linear physical page `+ 1`, `p2l[linear]` the logical page
+//! `+ 1`. Four bytes per entry instead of an `Option<Ppa>`'s sixteen,
+//! and an all-zero table is what the allocator hands out for free — a
+//! mirror costs host RAM only for the table pages its writes touch. The
+//! `+ 1` is why [`Ftl::new`] refuses geometries past
+//! [`FlashGeometry::MAX_PAGES`](bluedbm_flash::FlashGeometry::MAX_PAGES).
 
 use std::collections::VecDeque;
 
@@ -150,10 +160,11 @@ struct Plane {
 pub struct Ftl {
     array: FlashArray,
     config: FtlConfig,
-    /// Logical page -> physical page.
-    l2p: Vec<Option<Ppa>>,
-    /// Linear physical page -> logical page (for GC relocation).
-    p2l: Vec<Option<u64>>,
+    /// Logical page -> linear physical page `+ 1` (0 = unmapped).
+    l2p: Vec<u32>,
+    /// Linear physical page -> logical page `+ 1` (0 = unmapped; for GC
+    /// relocation).
+    p2l: Vec<u32>,
     /// Valid page count per linear block.
     valid: Vec<u32>,
     planes: Vec<Plane>,
@@ -172,7 +183,8 @@ impl Ftl {
     ///
     /// Returns [`FtlError::NoSpace`] if the geometry is too small to hold
     /// any logical pages after over-provisioning, or a plane has no good
-    /// blocks at all.
+    /// blocks at all, and [`FtlError::GeometryTooLarge`] if it has more
+    /// pages than the `u32` tables can index.
     pub fn new(array: FlashArray, config: FtlConfig) -> Result<Self, FtlError> {
         assert!(
             (0.0..1.0).contains(&config.over_provision),
@@ -180,6 +192,9 @@ impl Ftl {
         );
         assert!(config.gc_watermark >= 1, "GC needs a reserve block");
         let geom = array.geometry();
+        let total_pages = geom
+            .checked_total_pages()
+            .ok_or(FtlError::GeometryTooLarge)?;
         let mut planes = Vec::with_capacity(geom.total_chips());
         for bus in 0..geom.buses as u16 {
             for chip in 0..geom.chips_per_bus as u16 {
@@ -210,8 +225,8 @@ impl Ftl {
             return Err(FtlError::NoSpace);
         }
         Ok(Ftl {
-            l2p: vec![None; capacity as usize],
-            p2l: vec![None; geom.total_pages()],
+            l2p: vec![0; capacity as usize],
+            p2l: vec![0; total_pages],
             valid: vec![0; geom.total_blocks()],
             planes,
             next_plane: 0,
@@ -345,7 +360,7 @@ impl Ftl {
     /// [`FtlError::LbaOutOfRange`] on a bad address.
     pub fn step_trim(&mut self, lba: u64) -> Result<Option<Ppa>, FtlError> {
         self.check_lba(lba)?;
-        let old = self.l2p[lba as usize];
+        let old = self.physical_of(lba);
         self.invalidate(lba);
         self.stats.trims += 1;
         Ok(old)
@@ -358,19 +373,20 @@ impl Ftl {
     }
 
     fn map(&mut self, lba: u64, ppa: Ppa) {
-        let linear = self.array.geometry().linear_of(ppa);
-        self.l2p[lba as usize] = Some(ppa);
-        self.p2l[linear] = Some(lba);
-        let bi = self.linear_block(ppa);
-        self.valid[bi] += 1;
+        // Both fit: `new` bounded the geometry, `check_lba` the lba.
+        let geom = self.array.geometry();
+        let linear = geom.linear_of(ppa);
+        self.l2p[lba as usize] = linear as u32 + 1;
+        self.p2l[linear] = lba as u32 + 1;
+        self.valid[linear / geom.pages_per_block] += 1;
     }
 
     fn invalidate(&mut self, lba: u64) {
-        if let Some(old) = self.l2p[lba as usize].take() {
-            let linear = self.array.geometry().linear_of(old);
-            self.p2l[linear] = None;
-            let bi = self.linear_block(old);
-            self.valid[bi] -= 1;
+        let entry = std::mem::take(&mut self.l2p[lba as usize]);
+        if entry != 0 {
+            let linear = entry as usize - 1;
+            self.p2l[linear] = 0;
+            self.valid[linear / self.array.geometry().pages_per_block] -= 1;
         }
     }
 
@@ -385,7 +401,7 @@ impl Ftl {
     pub fn read(&mut self, lba: u64) -> Result<Vec<u8>, FtlError> {
         self.check_lba(lba)?;
         self.stats.host_reads += 1;
-        match self.l2p[lba as usize] {
+        match self.physical_of(lba) {
             None => Err(FtlError::Flash(bluedbm_flash::FlashError::NotProgrammed(
                 Ppa::default(),
             ))),
@@ -396,7 +412,8 @@ impl Ftl {
     /// The current physical location of a logical page (the query the
     /// BlueDBM software stack uses to feed in-store processors).
     pub fn physical_of(&self, lba: u64) -> Option<Ppa> {
-        self.l2p.get(lba as usize).copied().flatten()
+        let entry = *self.l2p.get(lba as usize)?;
+        (entry != 0).then(|| self.array.geometry().ppa_of(entry as usize - 1))
     }
 
     /// Drop the mapping for `lba` (TRIM), freeing its page for GC.
@@ -509,7 +526,7 @@ impl Ftl {
         for page in 0..pages_per_block {
             let src = Ppa::new(bus, chip, victim, page);
             let linear = geom.linear_of(src);
-            let Some(lba) = self.p2l[linear] else {
+            let Some(lba) = self.p2l[linear].checked_sub(1).map(u64::from) else {
                 continue;
             };
             let dst = self.alloc_in_plane(pi).ok_or(FtlError::NoSpace)?;
@@ -831,6 +848,67 @@ mod tests {
         assert_eq!(data_ftl.array().min_wear(), blank.array().min_wear());
     }
 
+    /// The `+ 1` table encoding at its edges: lba 0, the last lba and
+    /// linear physical page 0 survive `step_write`, `step_trim`,
+    /// `physical_of` and GC relocation, checked against a plain map
+    /// stepped from the reported outcomes.
+    #[test]
+    fn table_encoding_round_trips_at_the_edges() {
+        use bluedbm_sim::fxhash::{FxHashMap, FxHashSet};
+        /// lba -> where the outcomes so far say it lives, plus every lba
+        /// GC has relocated.
+        #[derive(Default)]
+        struct Model {
+            at: FxHashMap<u64, Ppa>,
+            relocated: FxHashSet<u64>,
+        }
+        fn write(ftl: &mut Ftl, model: &mut Model, lba: u64) -> Ppa {
+            let out = ftl.step_write(lba).unwrap();
+            for (src, dst) in out.gc.iter().flat_map(|r| &r.moves) {
+                let from = model.at.iter().find(|(_, p)| *p == src);
+                let (&moved, _) = from.expect("GC moves valid pages only");
+                model.at.insert(moved, *dst);
+                model.relocated.insert(moved);
+            }
+            model.at.insert(lba, out.target);
+            for (&l, &p) in &model.at {
+                assert_eq!(ftl.physical_of(l), Some(p), "lba {l}");
+            }
+            out.target
+        }
+        let mut ftl = make(FlashGeometry::tiny());
+        let geom = FlashGeometry::tiny();
+        let last = ftl.capacity_pages() - 1;
+        let mut model = Model::default();
+        // The very first program lands on linear page 0; give it to the
+        // last lba so both edges share one entry pair.
+        let first = write(&mut ftl, &mut model, last);
+        assert_eq!(geom.linear_of(first), 0);
+        assert_eq!(ftl.p2l[0], last as u32 + 1);
+        write(&mut ftl, &mut model, 0);
+        assert_ne!(ftl.l2p[0], 0);
+        // Trim reports and clears; an unmapped entry reads as absent.
+        assert_eq!(ftl.step_trim(last).unwrap(), Some(first));
+        assert_eq!((ftl.physical_of(last), ftl.p2l[0]), (None, 0));
+        assert_eq!(ftl.step_trim(last).unwrap(), None);
+        model.at.remove(&last);
+        write(&mut ftl, &mut model, last);
+        assert_eq!(ftl.physical_of(last + 1), None, "past the table");
+        // Churn everything but the two edge lbas until GC has moved both.
+        for round in 0.. {
+            assert!(round < 64, "GC never relocated the cold edge lbas");
+            for lba in 1..last {
+                write(&mut ftl, &mut model, lba);
+            }
+            if model.relocated.contains(&0) && model.relocated.contains(&last) {
+                break;
+            }
+        }
+        // Linear page 0 was erased and reprogrammed along the way.
+        assert!(ftl.array().erase_count(first) > 0);
+        assert_eq!(model.at.len() as u64, last + 1);
+    }
+
     #[test]
     fn step_trim_reports_the_old_mapping() {
         let mut ftl = make(FlashGeometry::tiny());
@@ -857,7 +935,7 @@ mod tests {
             factory_bad_fraction: 0.2,
             ..ErrorModel::none()
         };
-        let array = FlashArray::with_error_model(FlashGeometry::small(), 21, model);
+        let array = FlashArray::with_error_model(FlashGeometry::small(), 21, model).unwrap();
         let good = array.good_blocks().len();
         assert!(good < FlashGeometry::small().total_blocks());
         let mut ftl = Ftl::new(array, FtlConfig::default()).unwrap();

@@ -163,6 +163,21 @@ impl PageStore {
         r
     }
 
+    /// Allocate a page of `len` bytes holding `data` followed by zeros —
+    /// a short final chunk staged as one whole page, with no padded
+    /// temporary on the caller's side.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is longer than `len`.
+    pub fn alloc_padded(&mut self, data: &[u8], len: usize) -> PageRef {
+        let r = self.alloc(len);
+        let (head, tail) = self.slots[r.idx as usize].buf[..len].split_at_mut(data.len());
+        head.copy_from_slice(data);
+        tail.fill(0);
+        r
+    }
+
     /// The page contents.
     ///
     /// # Panics
@@ -320,6 +335,19 @@ mod tests {
         s.free(a);
         assert_eq!(s.live_pages(), 0);
         s.assert_quiescent();
+    }
+
+    #[test]
+    fn padded_alloc_zero_fills_a_recycled_slot() {
+        let mut s = PageStore::new();
+        let dirty = s.alloc_from(&[0xFF; 8]);
+        s.free(dirty);
+        let padded = s.alloc_padded(b"abc", 8);
+        assert_eq!(s.get(padded), b"abc\0\0\0\0\0");
+        s.free(padded);
+        let exact = s.alloc_padded(b"12345678", 8);
+        assert_eq!(s.get(exact), b"12345678");
+        s.free(exact);
     }
 
     #[test]

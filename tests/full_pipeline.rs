@@ -22,7 +22,7 @@ fn grep_pipeline_survives_bit_errors() {
         ber_per_erase: 0.0,
         factory_bad_fraction: 0.0,
     };
-    let array = FlashArray::with_error_model(FlashGeometry::small(), 7, model);
+    let array = FlashArray::with_error_model(FlashGeometry::small(), 7, model).unwrap();
     let mut fs = Rfs::format(array, RfsConfig::default()).expect("format");
 
     let needle = b"in-store-needle";
