@@ -420,4 +420,14 @@ mod tests {
         let back = msg.into_flash();
         assert!(matches!(back, FlashMsg::Cmd(CtrlCmd::Erase { .. })));
     }
+
+    /// The per-event layout budget README cites: what one queued `Msg`
+    /// costs in each kernel queue, and the handle bulk payloads ride as.
+    #[test]
+    fn hot_path_layout_sizes_are_pinned() {
+        use bluedbm_sim::Simulator;
+        assert_eq!(Simulator::<Msg>::fast_queue_entry_bytes(), 80);
+        assert_eq!(Simulator::<Msg>::heap_entry_bytes(), 24);
+        assert_eq!(std::mem::size_of::<PageRef>(), 8);
+    }
 }

@@ -5,8 +5,8 @@
 //!
 //! The whole value of this BlueDBM reproduction rests on one contract:
 //! the sequential and sharded engines produce **bit-identical**
-//! observable digests, which is what lets every speedup row in
-//! `BENCH_engine.json` be trusted. That contract is enforced
+//! observable digests, which is what lets a sharded run's numbers
+//! stand for the sequential engine's. That contract is enforced
 //! dynamically by the conformance suites (`tests/kv_conformance.rs`,
 //! `tests/sharded.rs`) — but a dynamic suite only catches a
 //! nondeterminism source once it changes an observable on the inputs

@@ -111,8 +111,11 @@ pub fn decode(bytes: &[u8]) -> Result<TraceDoc, String> {
         return Err("not a BlueDBM trace file (bad magic; expected BDBMTRC1)".to_string());
     }
 
+    // The count is the file's claim: reserve no more than the bytes left
+    // can hold (each name costs at least its u16 length).
     let name_count = rd.u32()? as usize;
-    let mut names: Vec<&'static str> = Vec::with_capacity(name_count);
+    let room = (bytes.len() - rd.pos) / 2;
+    let mut names: Vec<&'static str> = Vec::with_capacity(name_count.min(room));
     for _ in 0..name_count {
         let len = rd.u16()? as usize;
         let raw = rd.take(len)?;
@@ -122,7 +125,7 @@ pub fn decode(bytes: &[u8]) -> Result<TraceDoc, String> {
 
     let dropped = rd.u64()?;
     let count = rd.u64()? as usize;
-    let mut records = Vec::with_capacity(count.min(1 << 24));
+    let mut records: Vec<TraceRecord> = Vec::with_capacity(count.min(1 << 24));
     for i in 0..count {
         let at_ps = rd.u64()?;
         let shard = rd.u32()?;
@@ -138,6 +141,11 @@ pub fn decode(bytes: &[u8]) -> Result<TraceDoc, String> {
         let name = *names
             .get(name_idx)
             .ok_or_else(|| format!("record {i}: name index {name_idx} out of table"))?;
+        // `TraceDoc` promises merge order; a file cannot be trusted to keep it.
+        let prev = records.last().map(|p| (p.at_ps, p.shard, p.seq));
+        if prev.is_some_and(|p| (at_ps, shard, seq) < p) {
+            return Err(format!("record {i}: out of merge order"));
+        }
         records.push(TraceRecord {
             at_ps,
             shard,
@@ -164,6 +172,9 @@ mod tests {
     use super::*;
     use crate::sink::TraceSink;
     use crate::{TraceConfig, ALL_CATEGORIES};
+
+    /// One encoded record (see the module docs' layout).
+    const RECORD_BYTES: usize = 46;
 
     fn sample() -> TraceDoc {
         let mut sink = TraceSink::new(TraceConfig::on(), 1);
@@ -201,11 +212,30 @@ mod tests {
     }
 
     #[test]
+    fn huge_name_count_is_an_error_not_an_allocation() {
+        // 12 bytes: magic plus a name count no file this short can back.
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        let err = decode(&bytes).unwrap_err();
+        assert!(err.contains("truncated trace file at byte 12"), "{err}");
+    }
+
+    #[test]
+    fn records_out_of_merge_order_are_rejected() {
+        let doc = sample();
+        let mut bytes = encode(&doc);
+        let first_record = bytes.len() - doc.len() * RECORD_BYTES;
+        let (head, tail) = bytes[first_record..].split_at_mut(RECORD_BYTES);
+        head.swap_with_slice(&mut tail[..RECORD_BYTES]);
+        let err = decode(&bytes).unwrap_err();
+        assert!(err.contains("record 1: out of merge order"), "{err}");
+    }
+
+    #[test]
     fn retired_category_byte_is_rejected() {
         // Discriminant 2 is retired (see `TraceCat`); a file that still
         // carries it must decode to an error, not a panic or a
         // mislabeled record.
-        const RECORD_BYTES: usize = 46;
         const CAT_OFFSET: usize = 8 + 4 + 8; // after at_ps, shard, seq
         let doc = sample();
         let mut bytes = encode(&doc);

@@ -1,7 +1,7 @@
 //! One driver per paper exhibit. Each `run` function returns typed rows;
-//! `render()` produces the table the corresponding `bluedbm-bench`
-//! binary prints. Integration tests assert the *shape* of every result
-//! (winners, factors, crossovers) against the paper's claims.
+//! `render()` produces the table the `exhibit` binary prints for it.
+//! Integration tests assert the *shape* of every result (winners,
+//! factors, crossovers) against the paper's claims.
 
 pub mod ablations;
 pub mod fig11;

@@ -3,8 +3,8 @@
 //! Dataset generators and experiment drivers for the BlueDBM
 //! reproduction. Every table and figure of the paper's evaluation
 //! (Tables 1–3, Figures 11–13, 16–21) has a driver module under
-//! [`experiments`] that returns typed rows; the `bluedbm-bench` binaries
-//! print them, and integration tests assert their *shape* (who wins, by
+//! [`experiments`] that returns typed rows; the `exhibit` binary
+//! prints them, and integration tests assert their *shape* (who wins, by
 //! roughly what factor, where crossovers fall).
 //!
 //! The paper evaluates on real datasets the authors did not publish

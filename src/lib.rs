@@ -30,8 +30,8 @@
 //! ```
 //!
 //! See the `examples/` directory for domain scenarios (LSH image search,
-//! distributed graph traversal, in-store grep) and `bluedbm-bench` for the
-//! binaries that regenerate every table and figure of the paper.
+//! distributed graph traversal, in-store grep) and the `exhibit` binary of
+//! `bluedbm-workloads`, which regenerates every table and figure of the paper.
 
 pub use bluedbm_core as core;
 pub use bluedbm_flash as flash;
