@@ -9,6 +9,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use bluedbm_flash::array::{ErrorModel, FlashArray};
 use bluedbm_flash::controller::{CtrlStats, FlashController};
@@ -16,7 +17,8 @@ use bluedbm_flash::error::FlashError;
 use bluedbm_flash::splitter::FlashSplitter;
 use bluedbm_ftl::{Ftl, FtlError, GcRound};
 use bluedbm_host::pcie::PcieLink;
-use bluedbm_net::router::{build_network, Router, RouterStats};
+use bluedbm_net::router::{build_network_routed, Router, RouterStats};
+use bluedbm_net::routing::RoutingTable;
 use bluedbm_net::topology::{NodeId, PortId, Topology};
 use bluedbm_sim::engine::{Component, ComponentId, Simulator};
 use bluedbm_sim::shard::{ExecMode, ShardStats, ShardedSimulator};
@@ -240,6 +242,8 @@ pub struct Cluster {
     engine: Engine,
     config: SystemConfig,
     topo: Topology,
+    /// The routes every router follows (shared with them).
+    routing: Arc<RoutingTable>,
     routers: Vec<ComponentId>,
     agents: Vec<ComponentId>,
     pcie: Vec<ComponentId>,
@@ -329,7 +333,8 @@ impl Cluster {
         };
         let shards = partition.iter().map(|&s| s as usize + 1).max().unwrap_or(1);
         let mut sim = Simulator::new();
-        let routers = build_network(&mut sim, &topo, config.net);
+        let routing = Arc::new(RoutingTable::compute(&topo));
+        let routers = build_network_routed(&mut sim, &topo, config.net, Arc::clone(&routing));
         let n = topo.node_count();
         let mut agents = Vec::with_capacity(n);
         let mut pcie = Vec::with_capacity(n);
@@ -436,6 +441,7 @@ impl Cluster {
             free: vec![Vec::new(); n],
             pages_in_use: 0,
             topo,
+            routing,
             routers,
             agents,
             pcie,
@@ -1272,16 +1278,10 @@ impl Cluster {
         Ok(last - t0)
     }
 
-    /// Shortest-path hop count between two nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b` is unreachable from `a` (the cluster network must be
-    /// connected).
-    pub fn hops(&self, a: NodeId, b: NodeId) -> u32 {
-        let d = self.topo.distances_from(a)[b.index()];
-        assert_ne!(d, u32::MAX, "{b} unreachable from {a}");
-        d
+    /// Shortest-path hop count between two nodes, read off the routers'
+    /// shared table (`None` when `b` is unreachable from `a`).
+    pub fn hops(&self, a: NodeId, b: NodeId) -> Option<u32> {
+        self.routing.hops(a, b)
     }
 
     /// Router statistics for `node`. Borrowed straight from the

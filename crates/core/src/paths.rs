@@ -114,7 +114,11 @@ pub fn measure_path(
     // request hop + response hop network propagation, and the storage
     // access time, are known; everything else the DES added is transfer
     // (bus serialization, wire time, queueing, PCIe).
-    let hops = hops_between(cluster, reader, addr.node);
+    let hops = u64::from(
+        cluster
+            .hops(reader, addr.node)
+            .expect("the read above just crossed this path"),
+    );
     let network = config.net.hop_latency * (2 * hops);
     let storage = match path {
         AccessPath::HD => config.host.dram_latency,
@@ -131,15 +135,6 @@ pub fn measure_path(
         transfer,
         network,
     })
-}
-
-fn hops_between(cluster: &Cluster, a: NodeId, b: NodeId) -> u64 {
-    if a == b {
-        return 0;
-    }
-    // Reconstruct hop counts from router latency would be circular; the
-    // cluster's topology is the source of truth.
-    u64::from(cluster.hops(a, b))
 }
 
 #[cfg(test)]

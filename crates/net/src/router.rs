@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use bluedbm_sim::engine::{Batch, Component, ComponentId, Ctx, Simulator};
 use bluedbm_sim::pool::PoolRef;
-use bluedbm_sim::resource::SerialResource;
+use bluedbm_sim::resource::{Grant, SerialResource};
 use bluedbm_sim::stats::Histogram;
 use bluedbm_sim::time::SimTime;
 
@@ -139,6 +139,37 @@ struct Egress<B> {
     queue: VecDeque<WireRef<B>>,
 }
 
+/// What one [`Egress::launch`] decided: where the head goes and when,
+/// and which upstream port is owed its credit back.
+struct Hop {
+    peer: ComponentId,
+    grant: Grant,
+    upstream: Option<(ComponentId, PortId)>,
+}
+
+impl<B> Egress<B> {
+    /// Put `w` on this cable at `now`: spend a credit (the caller has
+    /// checked there is one), reserve the lane for the packet's
+    /// serialization time and re-stamp the record's hop fields with
+    /// `via`, this router's (id, egress port).
+    fn launch(
+        &mut self,
+        params: &NetParams,
+        w: &mut Wire<B>,
+        now: SimTime,
+        via: (ComponentId, PortId),
+    ) -> Hop {
+        self.credits -= 1;
+        let ptime = params.packet_time(w.packet.payload_bytes);
+        w.tail_lag = ptime;
+        Hop {
+            peer: self.peer,
+            grant: self.lane.acquire(now, ptime),
+            upstream: w.via.replace(via),
+        }
+    }
+}
+
 /// Cumulative router statistics. `PartialEq` so the cross-engine
 /// determinism suite can assert sharded and sequential runs observe the
 /// exact same router behaviour.
@@ -202,7 +233,7 @@ pub struct Router<B> {
     node: NodeId,
     params: NetParams,
     routing: Arc<RoutingTable>,
-    ports: Vec<Option<Egress<B>>>,
+    ports: [Option<Egress<B>>; Topology::MAX_PORTS],
     endpoints: FxHashMap<u16, ComponentId>,
     next_seq: FxHashMap<(u16, NodeId), u64>,
     expect_seq: FxHashMap<(u16, NodeId), u64>,
@@ -259,15 +290,45 @@ impl<B: Send + 'static> Router<B> {
         self.node
     }
 
-    fn transmit<M>(
-        &mut self,
-        ctx: &mut Ctx<'_, M>,
-        port: PortId,
-        wire: WireRef<B>,
-        tc: &mut TrainCounters,
-    ) where
+    /// Second half of a hop, once [`Egress::launch`] has let go of the
+    /// pooled record: pay the upstream credit back when the tail leaves
+    /// this router, then schedule the head's arrival at the peer.
+    fn send_hop<M>(&self, ctx: &mut Ctx<'_, M>, wire: WireRef<B>, hop: Hop)
+    where
         M: NetProtocol<Body = B>,
     {
+        if let Some((up, up_port)) = hop.upstream {
+            ctx.send(
+                up,
+                hop.grant.end + self.params.hop_latency - ctx.now(),
+                NetMsg::Credit(CreditReturn { port: up_port }),
+            );
+        }
+        let delay = hop.grant.start + self.params.hop_latency - ctx.now();
+        ctx.send(hop.peer, delay, NetMsg::Wire(wire));
+    }
+
+    fn route_or_deliver<M>(&mut self, ctx: &mut Ctx<'_, M>, wire: WireRef<B>, tc: &mut TrainCounters)
+    where
+        M: NetProtocol<Body = B>,
+    {
+        let (now, me) = (ctx.now(), ctx.self_id());
+        // The hop's one trip to the pool: route, and re-stamp in place.
+        let pool = ctx.pools().of::<Wire<B>>();
+        let w = pool.get_mut(wire);
+        let dst = w.packet.dst;
+        if dst == self.node {
+            let wire = pool.take(wire);
+            self.deliver(ctx, wire, tc);
+            return;
+        }
+        let port = self
+            .routing
+            .next_port(self.node, dst, w.packet.endpoint)
+            .unwrap_or_else(|| panic!("no route from {} to {}", self.node, dst));
+        if w.via.is_some() {
+            tc.forwarded += 1;
+        }
         let egress = self.ports[port.0 as usize]
             .as_mut()
             .expect("route points at a cabled port");
@@ -276,53 +337,8 @@ impl<B: Send + 'static> Router<B> {
             egress.queue.push_back(wire);
             return;
         }
-        egress.credits -= 1;
-        let (payload_bytes, via) = {
-            let w = ctx.pools().get(wire);
-            (w.packet.payload_bytes, w.via)
-        };
-        let ptime = self.params.packet_time(payload_bytes);
-        let grant = egress.lane.acquire(ctx.now(), ptime);
-        let peer = egress.peer;
-        // Pay the upstream credit back when the tail leaves this router.
-        if let Some((up, up_port)) = via {
-            ctx.send(
-                up,
-                grant.end + self.params.hop_latency - ctx.now(),
-                NetMsg::Credit(CreditReturn { port: up_port }),
-            );
-        }
-        let me = ctx.self_id();
-        // Re-stamp the hop fields in place: the record interned at
-        // injection rides the whole path.
-        let w = ctx.pools().get_mut(wire);
-        w.tail_lag = ptime;
-        w.via = Some((me, port));
-        let delay = grant.start + self.params.hop_latency - ctx.now();
-        ctx.send(peer, delay, NetMsg::Wire(wire));
-    }
-
-    fn route_or_deliver<M>(&mut self, ctx: &mut Ctx<'_, M>, wire: WireRef<B>, tc: &mut TrainCounters)
-    where
-        M: NetProtocol<Body = B>,
-    {
-        let (dst, endpoint, forwarding) = {
-            let w = ctx.pools().get(wire);
-            (w.packet.dst, w.packet.endpoint, w.via.is_some())
-        };
-        if dst == self.node {
-            let wire = ctx.pools().take(wire);
-            self.deliver(ctx, wire, tc);
-            return;
-        }
-        let port = self
-            .routing
-            .next_port(self.node, dst, endpoint)
-            .unwrap_or_else(|| panic!("no route from {} to {}", self.node, dst));
-        if forwarding {
-            tc.forwarded += 1;
-        }
-        self.transmit(ctx, port, wire, tc);
+        let hop = egress.launch(&self.params, w, now, (me, port));
+        self.send_hop(ctx, wire, hop);
     }
 
     /// Terminal hop: the packet's journey ends here, so the caller takes
@@ -489,7 +505,10 @@ impl<B: Send + 'static> Router<B> {
                     .expect("credit for a cabled port");
                 egress.credits += 1;
                 if let Some(wire) = egress.queue.pop_front() {
-                    self.transmit(ctx, credit.port, wire, tc);
+                    let (now, me) = (ctx.now(), ctx.self_id());
+                    let w = ctx.pools().get_mut(wire);
+                    let hop = egress.launch(&self.params, w, now, (me, credit.port));
+                    self.send_hop(ctx, wire, hop);
                 }
             }
             other => panic!("router got an unexpected message: {}", other.kind()),
@@ -540,21 +559,29 @@ pub fn build_network<M: NetProtocol>(
     topo: &Topology,
     params: NetParams,
 ) -> Vec<ComponentId> {
-    let routing = Arc::new(RoutingTable::compute(topo));
+    build_network_routed(sim, topo, params, Arc::new(RoutingTable::compute(topo)))
+}
+
+/// [`build_network`] over an already computed table for `topo`, for
+/// callers that keep a handle on the routes the routers share.
+pub fn build_network_routed<M: NetProtocol>(
+    sim: &mut Simulator<M>,
+    topo: &Topology,
+    params: NetParams,
+    routing: Arc<RoutingTable>,
+) -> Vec<ComponentId> {
     let ids: Vec<ComponentId> = (0..topo.node_count()).map(|_| sim.reserve()).collect();
     let peers = Arc::new(ids.clone());
     for n in 0..topo.node_count() {
         let node = NodeId::from(n);
-        let ports = (0..Topology::MAX_PORTS)
-            .map(|p| {
-                topo.peer(node, PortId(p as u8)).map(|(m, _)| Egress {
-                    peer: ids[m.index()],
-                    credits: params.credits_per_lane,
-                    lane: SerialResource::new(),
-                    queue: VecDeque::new(),
-                })
+        let ports = std::array::from_fn(|p| {
+            topo.peer(node, PortId(p as u8)).map(|(m, _)| Egress {
+                peer: ids[m.index()],
+                credits: params.credits_per_lane,
+                lane: SerialResource::new(),
+                queue: VecDeque::new(),
             })
-            .collect();
+        });
         sim.install::<Router<M::Body>>(
             ids[n],
             Router {

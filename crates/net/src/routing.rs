@@ -11,8 +11,18 @@
 //! configuration file); tables are computed offline from the
 //! [`Topology`] by BFS and endpoint-indexed selection among equal-cost
 //! next hops.
+//!
+//! Both tables are flat `n × n` arrays — one byte and one `u32` per
+//! (source, destination) pair — so a router's per-hop lookup is a single
+//! indexed load and a 1024-node cluster's tables are two allocations
+//! (≈ 5 MB), not a million small ones.
+
+use std::collections::VecDeque;
 
 use crate::topology::{NodeId, PortId, Topology};
+
+// One bit per port: a node's candidate set must fit the `u8` mask.
+const _: () = assert!(Topology::MAX_PORTS <= 8);
 
 /// Precomputed next-hop tables for every node.
 ///
@@ -30,55 +40,79 @@ use crate::topology::{NodeId, PortId, Topology};
 /// ```
 #[derive(Clone, Debug)]
 pub struct RoutingTable {
-    /// `candidates[src][dst]` = ports of `src` that begin a shortest path
-    /// to `dst` (empty when unreachable or src == dst).
-    candidates: Vec<Vec<Vec<PortId>>>,
-    /// `hops[src][dst]` = shortest-path length.
-    hops: Vec<Vec<u32>>,
+    nodes: usize,
+    /// `candidates[src * nodes + dst]`: bit `p` is set when port `p` of
+    /// `src` begins a shortest path to `dst` (zero when unreachable or
+    /// `src == dst`).
+    candidates: Vec<u8>,
+    /// `hops[src * nodes + dst]` = shortest-path length (`u32::MAX` when
+    /// unreachable).
+    hops: Vec<u32>,
 }
 
 impl RoutingTable {
     /// Compute tables for `topo`.
     pub fn compute(topo: &Topology) -> Self {
         let n = topo.node_count();
-        let mut hops = Vec::with_capacity(n);
-        for src in 0..n {
-            hops.push(topo.distances_from(NodeId::from(src)));
+        let mut hops = vec![u32::MAX; n * n];
+        let mut queue = VecDeque::new();
+        for (src, row) in hops.chunks_exact_mut(n).enumerate() {
+            topo.distances_into(NodeId::from(src), row, &mut queue);
         }
-        let mut candidates = vec![vec![Vec::new(); n]; n];
-        for src in 0..n {
-            for dst in 0..n {
-                if src == dst || hops[src][dst] == u32::MAX {
-                    continue;
+        let mut candidates = vec![0u8; n * n];
+        for (src, masks) in candidates.chunks_exact_mut(n).enumerate() {
+            let from_src = &hops[src * n..][..n];
+            for (port, via) in topo.neighbors(NodeId::from(src)) {
+                let from_via = &hops[via.index() * n..][..n];
+                let bit = 1u8 << port.0;
+                // `via` is one hop closer than `src`. Never true for
+                // `dst == src` (distance 0) nor for an unreachable `dst`
+                // (then `via` cannot reach it either).
+                for ((mask, &d_src), &d_via) in masks.iter_mut().zip(from_src).zip(from_via) {
+                    if d_via != u32::MAX && d_via + 1 == d_src {
+                        *mask |= bit;
+                    }
                 }
-                let want = hops[src][dst] - 1;
-                let mut ports: Vec<PortId> = topo
-                    .neighbors(NodeId::from(src))
-                    .filter(|(_, m)| hops[m.index()][dst] == want)
-                    .map(|(p, _)| p)
-                    .collect();
-                ports.sort();
-                candidates[src][dst] = ports;
             }
         }
-        RoutingTable { candidates, hops }
+        RoutingTable {
+            nodes: n,
+            candidates,
+            hops,
+        }
     }
 
-    /// The egress port node `src` uses toward `dst` for `endpoint`.
+    #[inline]
+    fn at(&self, src: NodeId, dst: NodeId) -> usize {
+        assert!(dst.index() < self.nodes, "{dst} is not in this network");
+        src.index() * self.nodes + dst.index()
+    }
+
+    /// The egress port node `src` uses toward `dst` for `endpoint`: the
+    /// `endpoint % k`-th lowest of the `k` ports that begin a shortest
+    /// path.
     ///
     /// Returns `None` when `src == dst` or `dst` is unreachable.
+    #[inline]
     pub fn next_port(&self, src: NodeId, dst: NodeId, endpoint: u16) -> Option<PortId> {
-        let ports = &self.candidates[src.index()][dst.index()];
-        if ports.is_empty() {
-            None
-        } else {
-            Some(ports[endpoint as usize % ports.len()])
+        let mut mask = self.candidates[self.at(src, dst)];
+        if mask == 0 {
+            return None;
         }
+        // A single candidate (most hops of a mesh's edge rows, every hop
+        // of a line) needs no division.
+        if mask & (mask - 1) != 0 {
+            for _ in 0..u32::from(endpoint) % mask.count_ones() {
+                mask &= mask - 1;
+            }
+        }
+        Some(PortId(mask.trailing_zeros() as u8))
     }
 
     /// Shortest-path hop count (`None` if unreachable).
+    #[inline]
     pub fn hops(&self, src: NodeId, dst: NodeId) -> Option<u32> {
-        let h = self.hops[src.index()][dst.index()];
+        let h = self.hops[self.at(src, dst)];
         (h != u32::MAX).then_some(h)
     }
 
@@ -168,5 +202,80 @@ mod tests {
         assert!(table.next_port(NodeId(0), NodeId(2), 0).is_none());
         assert!(table.hops(NodeId(0), NodeId(2)).is_none());
         assert_eq!(table.hops(NodeId(0), NodeId(1)), Some(1));
+    }
+
+    /// The table before it was dense, rebuilt from first principles: the
+    /// sorted list of `src`'s ports whose peer is one hop closer to `dst`
+    /// (which `next_port` indexes by `endpoint % len`).
+    fn reference_candidates(topo: &Topology, dist: &[Vec<u32>], src: usize, dst: usize) -> Vec<PortId> {
+        let d = dist[src][dst];
+        if src == dst || d == u32::MAX {
+            return Vec::new();
+        }
+        let mut ports: Vec<PortId> = topo
+            .neighbors(NodeId::from(src))
+            .filter(|(_, via)| dist[via.index()][dst] == d - 1)
+            .map(|(port, _)| port)
+            .collect();
+        ports.sort();
+        ports
+    }
+
+    #[test]
+    fn dense_table_equals_the_sorted_candidate_list_reference() {
+        let shapes = [
+            ("line", Topology::line(6, 1)),
+            ("line x3", Topology::line(3, 3)),
+            ("ring x1", Topology::ring(8, 1)),
+            ("ring x2", Topology::ring(5, 2)),
+            ("ring x4", Topology::ring(20, 4)),
+            ("mesh 3x3", Topology::mesh2d(3, 3)),
+            ("mesh 8x8", Topology::mesh2d(8, 8)),
+            ("mesh 32x32", Topology::mesh2d(32, 32)),
+            ("star", Topology::star(12, 3)),
+            ("tree", Topology::tree(3, 3)),
+            ("fat tree", Topology::fat_tree(6, 4)),
+            (
+                "two islands",
+                Topology::from_edges(7, &[(0, 1, 2), (1, 2, 1), (3, 4, 1), (4, 5, 3), (5, 3, 1)]),
+            ),
+        ];
+        for (name, topo) in &shapes {
+            let n = topo.node_count();
+            let table = RoutingTable::compute(topo);
+            let dist: Vec<Vec<u32>> = (0..n).map(|s| topo.distances_from(NodeId::from(s))).collect();
+            for src in 0..n {
+                for dst in 0..n {
+                    let (s, d) = (NodeId::from(src), NodeId::from(dst));
+                    let hops = table.hops(s, d);
+                    assert_eq!(
+                        hops,
+                        (dist[src][dst] != u32::MAX).then_some(dist[src][dst]),
+                        "{name}: hops {s} -> {d}"
+                    );
+                    let candidates = reference_candidates(topo, &dist, src, dst);
+                    for endpoint in 0..16u16 {
+                        let port = table.next_port(s, d, endpoint);
+                        assert_eq!(
+                            port,
+                            candidates.get(endpoint as usize % candidates.len().max(1)).copied(),
+                            "{name}: {s} -> {d} endpoint {endpoint}"
+                        );
+                        if src == dst || hops.is_none() {
+                            assert_eq!(port, None, "{name}: {s} -> {d} has no next hop");
+                            continue;
+                        }
+                        // Walking every path of the 32x32 mesh is 16 M
+                        // walks of ~21 hops; there each pair walks one
+                        // endpoint's path, and the reference above has
+                        // already pinned every single step of the others.
+                        if n <= 64 || endpoint == (src + dst) as u16 % 16 {
+                            let path = table.path(topo, s, d, endpoint);
+                            assert_eq!(path.len() as u32 - 1, hops.unwrap(), "{name}: {path:?}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

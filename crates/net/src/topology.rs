@@ -300,8 +300,22 @@ impl Topology {
     /// unreachable).
     pub fn distances_from(&self, src: NodeId) -> Vec<u32> {
         let mut dist = vec![u32::MAX; self.node_count()];
+        self.distances_into(src, &mut dist, &mut std::collections::VecDeque::new());
+        dist
+    }
+
+    /// [`distances_from`](Self::distances_from) into a caller-owned row
+    /// (one slot per node, all `u32::MAX` on entry) with a reusable BFS
+    /// queue, so an all-pairs table costs no allocation per source.
+    pub(crate) fn distances_into(
+        &self,
+        src: NodeId,
+        dist: &mut [u32],
+        queue: &mut std::collections::VecDeque<NodeId>,
+    ) {
+        debug_assert!(dist.len() == self.node_count() && dist.iter().all(|&d| d == u32::MAX));
         dist[src.index()] = 0;
-        let mut queue = std::collections::VecDeque::from([src]);
+        queue.push_back(src);
         while let Some(u) = queue.pop_front() {
             for (_, v) in self.neighbors(u) {
                 if dist[v.index()] == u32::MAX {
@@ -310,7 +324,6 @@ impl Topology {
                 }
             }
         }
-        dist
     }
 
     /// Number of cables whose endpoints land in different shards under

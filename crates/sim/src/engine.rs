@@ -23,7 +23,11 @@
 //!   64-bit time, a 64-bit sequence number and a 32-bit slot index, 24
 //!   bytes per entry after alignment — so sifting moves those fixed-size
 //!   entries, never payloads, and the shallower 4-ary tree halves the
-//!   pointer-chasing depth of a binary heap;
+//!   pointer-chasing depth of a binary heap. Keys compare as one `u128`
+//!   (`time << 64 | seq`) and the smallest of four children is picked
+//!   with conditional moves, because with 10⁴ events pending (the
+//!   1024-node mesh) every pop descends ≈ 7 levels and "which child" is
+//!   a branch no predictor wins;
 //! * **same-instant sends** (`delay == 0`, the dominant pattern in
 //!   command-forwarding chains) bypass the heap entirely through a FIFO
 //!   fast queue: because a handler's sends always carry the newest
@@ -201,6 +205,17 @@ struct EventKey {
     seq: u64,
 }
 
+impl EventKey {
+    /// The key as one integer, `at` in the high half: integer order on
+    /// it is exactly the derived lexicographic order, and comparing two
+    /// is one subtract-with-borrow instead of two dependent branches —
+    /// what the queue's hot compares use.
+    #[inline]
+    fn packed(self) -> u128 {
+        (u128::from(self.at.as_ps()) << 64) | u128::from(self.seq)
+    }
+}
+
 /// One entry of the four-ary index heap: the order key plus the arena
 /// slot holding the payload. Payloads never move during sifting.
 #[derive(Clone, Copy)]
@@ -321,7 +336,7 @@ impl<M: Message> Queues<M> {
             (None, None) => return None,
             (Some(_), None) => true,
             (None, Some(_)) => false,
-            (Some(f), Some(h)) => f.key <= h.key,
+            (Some(f), Some(h)) => f.key.packed() <= h.key.packed(),
         };
         if take_fast {
             let f = self.fast.pop_front().expect("checked non-empty");
@@ -351,7 +366,7 @@ impl<M: Message> Queues<M> {
             (Some(f), None) => f.key.at == at && f.to == to,
             (None, Some(h)) => h.key.at == at && self.slot_target(h.slot) == to,
             (Some(f), Some(h)) => {
-                if f.key <= h.key {
+                if f.key.packed() <= h.key.packed() {
                     f.key.at == at && f.to == to
                 } else {
                     h.key.at == at && self.slot_target(h.slot) == to
@@ -393,7 +408,7 @@ impl<M: Message> Queues<M> {
             return None;
         }
         if let Some(f) = self.fast.front() {
-            if f.key < h.key {
+            if f.key.packed() < h.key.packed() {
                 return None;
             }
         }
@@ -943,9 +958,10 @@ impl<M: Message> Simulator<M> {
 #[inline]
 fn sift_up(heap: &mut [HeapEntry], mut i: usize) {
     let entry = heap[i];
+    let key = entry.key.packed();
     while i > 0 {
         let parent = (i - 1) / 4;
-        if entry.key < heap[parent].key {
+        if key < heap[parent].key.packed() {
             heap[i] = heap[parent];
             i = parent;
         } else {
@@ -957,25 +973,44 @@ fn sift_up(heap: &mut [HeapEntry], mut i: usize) {
 
 /// Restore the heap property downward from the root after placing `entry`
 /// there conceptually (children of `i` are `4i + 1 ..= 4i + 4`).
+///
+/// With thousands of events pending every pop walks the full depth, and
+/// which child is smallest is a coin toss the branch predictor loses. So
+/// a full group of four is reduced by a two-round tournament of selects
+/// over the packed keys — conditional moves, no data-dependent branch —
+/// and the only branch left per level is "keep descending", taken until
+/// the last level or two. Only the one partial group at the heap's edge
+/// takes the plain scan.
 #[inline]
 fn sift_down(heap: &mut [HeapEntry], entry: HeapEntry) {
     let len = heap.len();
+    let key = entry.key.packed();
     let mut i = 0;
     loop {
         let first = 4 * i + 1;
-        if first >= len {
-            break;
-        }
-        let last = (first + 4).min(len);
-        let mut min = first;
-        let mut min_key = heap[first].key;
-        for (offset, e) in heap[first + 1..last].iter().enumerate() {
-            if e.key < min_key {
-                min = first + 1 + offset;
-                min_key = e.key;
+        let (min, min_key) = if let Some(group) = heap.get(first..first + 4) {
+            let k: [u128; 4] = std::array::from_fn(|c| group[c].key.packed());
+            let (a, ka) = if k[1] < k[0] { (1, k[1]) } else { (0, k[0]) };
+            let (b, kb) = if k[3] < k[2] { (3, k[3]) } else { (2, k[2]) };
+            if kb < ka {
+                (first + b, kb)
+            } else {
+                (first + a, ka)
             }
-        }
-        if min_key < entry.key {
+        } else if first < len {
+            let mut min = first;
+            let mut min_key = heap[first].key.packed();
+            for (c, e) in heap.iter().enumerate().skip(first + 1) {
+                let k = e.key.packed();
+                if k < min_key {
+                    (min, min_key) = (c, k);
+                }
+            }
+            (min, min_key)
+        } else {
+            break;
+        };
+        if min_key < key {
             heap[i] = heap[min];
             i = min;
         } else {
@@ -1496,19 +1531,22 @@ mod tests {
     }
 
     #[test]
-    fn heap_stress_random_interleaving_stays_ordered() {
-        // Many events at pseudo-random times must still come out in
-        // (time, seq) order through the 4-ary heap.
-        let mut sim = Simulator::new();
-        let id = sim.add_component(Echo::sink());
-        let mut t = 1u64;
-        for n in 0..500u32 {
-            t = t.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            sim.schedule(SimTime::ns(t % 10_000), id, Num(n));
+    fn packed_key_orders_exactly_as_the_derived_ord() {
+        // Depth and interleaving are covered by the differential test in
+        // `tests/props.rs` (`event_queue_matches_btreemap_model_at_depth`);
+        // this pins the one thing it cannot reach: the extremes, where a
+        // packing that dropped or overlapped a bit would first show.
+        let edges = [0, 1, 2, u64::MAX / 2, u64::MAX - 1, u64::MAX];
+        let keys: Vec<EventKey> = edges
+            .iter()
+            .flat_map(|&at| edges.iter().map(move |&seq| EventKey { at: SimTime::ps(at), seq }))
+            .collect();
+        for a in &keys {
+            for b in &keys {
+                assert_eq!(a.cmp(b), a.packed().cmp(&b.packed()), "{a:?} vs {b:?}");
+            }
         }
-        sim.run();
-        let echo = sim.component::<Echo>(id).unwrap();
-        assert_eq!(echo.received.len(), 500);
-        assert!(echo.received.windows(2).all(|w| w[0].0 <= w[1].0));
+        let max = EventKey { at: SimTime::ps(u64::MAX), seq: u64::MAX };
+        assert_eq!(max.packed(), u128::MAX);
     }
 }

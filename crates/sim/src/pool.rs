@@ -23,7 +23,6 @@
 //! the same discipline as page handles.
 
 use std::any::{Any, TypeId};
-use crate::fxhash::FxHashMap;
 use std::fmt;
 use std::marker::PhantomData;
 
@@ -184,12 +183,12 @@ impl<T> Pool<T> {
     }
 }
 
-/// Type-erased view of one pool, for store-wide audits.
+/// Type-erased view of one pool, for store-wide audits. `Any` is a
+/// supertrait so a `dyn AnyPool` upcasts to `dyn Any` for the typed
+/// downcast.
 trait AnyPool: Any + Send {
     fn live(&self) -> usize;
     fn type_name(&self) -> &'static str;
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-    fn as_any(&self) -> &dyn Any;
 }
 
 impl<T: Send + 'static> AnyPool for Pool<T> {
@@ -199,17 +198,15 @@ impl<T: Send + 'static> AnyPool for Pool<T> {
     fn type_name(&self) -> &'static str {
         std::any::type_name::<T>()
     }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// All of a simulator's control-block pools, keyed by interned type.
 /// Owned by the [`Simulator`](crate::engine::Simulator); components reach
 /// it through [`Ctx::pools`](crate::engine::Ctx::pools).
+///
+/// A model interns a handful of types (the cluster: two), so the pools
+/// sit in a `Vec` in creation order and the pool for `T` is found by
+/// comparing `TypeId`s down it — no hashing on the per-hop path.
 ///
 /// # Examples
 ///
@@ -227,7 +224,7 @@ impl<T: Send + 'static> AnyPool for Pool<T> {
 /// ```
 #[derive(Default)]
 pub struct PoolStore {
-    pools: FxHashMap<TypeId, Box<dyn AnyPool>>,
+    pools: Vec<(TypeId, Box<dyn AnyPool>)>,
 }
 
 impl PoolStore {
@@ -236,14 +233,23 @@ impl PoolStore {
         Self::default()
     }
 
+    /// Where the pool for `T` sits, if it was ever created.
+    #[inline]
+    fn position<T: 'static>(&self) -> Option<usize> {
+        let ty = TypeId::of::<T>();
+        self.pools.iter().position(|(t, _)| *t == ty)
+    }
+
     /// The pool for `T`, created on first access.
+    #[inline]
     pub fn of<T: Send + 'static>(&mut self) -> &mut Pool<T> {
-        self.pools
-            .entry(TypeId::of::<T>())
-            .or_insert_with(|| Box::<Pool<T>>::default())
-            .as_any_mut()
-            .downcast_mut::<Pool<T>>()
-            .expect("pool stored under its own TypeId")
+        let at = self.position::<T>().unwrap_or_else(|| {
+            self.pools
+                .push((TypeId::of::<T>(), Box::<Pool<T>>::default()));
+            self.pools.len() - 1
+        });
+        let pool: &mut dyn Any = &mut *self.pools[at].1;
+        pool.downcast_mut().expect("pool stored under its own TypeId")
     }
 
     /// Intern `val` into the pool for its type.
@@ -259,10 +265,10 @@ impl PoolStore {
     /// Panics if the handle is stale or its pool was never created.
     #[inline]
     pub fn get<T: Send + 'static>(&self, r: PoolRef<T>) -> &T {
-        self.pools
-            .get(&TypeId::of::<T>())
-            .and_then(|p| p.as_any().downcast_ref::<Pool<T>>())
-            .expect("no pool for this handle's type")
+        let at = self.position::<T>().expect("no pool for this handle's type");
+        let pool: &dyn Any = &*self.pools[at].1;
+        pool.downcast_ref::<Pool<T>>()
+            .expect("pool stored under its own TypeId")
             .get(r)
     }
 
@@ -271,10 +277,9 @@ impl PoolStore {
     /// leaving a spurious empty pool behind, as `of` would).
     #[inline]
     fn existing<T: Send + 'static>(&mut self) -> &mut Pool<T> {
-        self.pools
-            .get_mut(&TypeId::of::<T>())
-            .and_then(|p| p.as_any_mut().downcast_mut::<Pool<T>>())
-            .expect("no pool for this handle's type")
+        let at = self.position::<T>().expect("no pool for this handle's type");
+        let pool: &mut dyn Any = &mut *self.pools[at].1;
+        pool.downcast_mut().expect("pool stored under its own TypeId")
     }
 
     /// Exclusive access to an interned object.
@@ -299,7 +304,7 @@ impl PoolStore {
 
     /// Control blocks currently interned, across every pool.
     pub fn live_total(&self) -> usize {
-        self.pools.values().map(|p| p.live()).sum()
+        self.pools.iter().map(|(_, p)| p.live()).sum()
     }
 
     /// Leak audit: panics unless every interned control block has been
@@ -312,9 +317,9 @@ impl PoolStore {
     pub fn assert_quiescent(&self) {
         let leaked: Vec<(&'static str, usize)> = self
             .pools
-            .values()
-            .filter(|p| p.live() > 0)
-            .map(|p| (p.type_name(), p.live()))
+            .iter()
+            .filter(|(_, p)| p.live() > 0)
+            .map(|(_, p)| (p.type_name(), p.live()))
             .collect();
         assert!(
             leaked.is_empty(),

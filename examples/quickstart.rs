@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "remote in-store read: {} ({} hops of 0.48us each are a rounding error next to the 50us flash read)",
         read.latency,
-        cluster.hops(NodeId(2), NodeId(0)),
+        cluster.hops(NodeId(2), NodeId(0)).expect("a ring is connected"),
     );
 
     // 3. The same read into host memory pays PCIe on top.

@@ -1,4 +1,5 @@
-//! Host-memory footprint of the KV path, pinned.
+//! Host-memory footprint of the KV path and of the 1024-node mesh,
+//! pinned.
 //!
 //! A counting `#[global_allocator]` sees every heap request the
 //! simulator makes. Requested bytes and call counts depend only on the
@@ -18,6 +19,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 
 use bluedbm::core::{Cluster, KvStore, NodeId, SystemConfig};
+use bluedbm::net::Topology;
 use bluedbm::workloads::kvgen::{kv_flash_geometry, KvWorkloadSpec};
 
 struct Counting;
@@ -78,6 +80,10 @@ const KEYS: u64 = 50_000;
 const TENANTS: u16 = 8;
 const BATCH: u64 = 4_096;
 const NODES: usize = 4;
+/// ≈ 10 % above the 93.9 MB / 97 322 calls the current layout measures
+/// (with a `Vec` per routed pair: 125.0 MB, 1 154 051 calls).
+const MESH_MB_PIN: f64 = 103.0;
+const MESH_CALLS_PIN: u64 = 107_000;
 
 /// Key `i` of the dense (tenant, index) space the benchmark uses.
 fn key(i: u64) -> (u16, [u8; 10]) {
@@ -137,6 +143,18 @@ fn kv_footprint_stays_within_its_pins() {
     drop(store);
     let dropped = snapshot();
 
+    // The 1024-node mesh the `mesh_scatter` workloads build: what stays
+    // live once the cluster stands, and how many allocator calls it
+    // took. The routing table is two flat arrays (1 MB of port masks,
+    // 4 MB of hop counts); as a `Vec` per (source, destination) pair it
+    // alone was over a million calls and ≈ 55 MB.
+    let before_mesh = snapshot();
+    let mesh = Cluster::new(Topology::mesh2d(32, 32), &SystemConfig::scaled_down())
+        .expect("mesh cluster");
+    let mesh_built = snapshot();
+    drop(mesh);
+    let mesh_dropped = snapshot();
+
     // Report only now: captured test output is itself heap-allocated.
     let per_key = (loaded.0 - built.0) as f64 / KEYS as f64;
     let per_put = (after_puts.2 - before.2) as f64 / BATCH as f64;
@@ -164,5 +182,22 @@ fn kv_footprint_stays_within_its_pins() {
         (dropped.0, dropped.1),
         (baseline.0, baseline.1),
         "dropping the store must return every block it allocated"
+    );
+
+    let mesh_mb = (mesh_built.0 - before_mesh.0) as f64 / (1 << 20) as f64;
+    let mesh_calls = mesh_built.2 - before_mesh.2;
+    println!("32x32 mesh cluster: {mesh_mb:.1} MB live, {mesh_calls} allocator calls to build");
+    assert!(
+        mesh_mb <= MESH_MB_PIN,
+        "32x32 mesh holds {mesh_mb:.1} MB live, over the {MESH_MB_PIN} MB pin"
+    );
+    assert!(
+        mesh_calls <= MESH_CALLS_PIN,
+        "32x32 mesh took {mesh_calls} allocator calls to build, over the {MESH_CALLS_PIN} pin"
+    );
+    assert_eq!(
+        (mesh_dropped.0, mesh_dropped.1),
+        (before_mesh.0, before_mesh.1),
+        "dropping the mesh must return every block it allocated"
     );
 }

@@ -318,3 +318,69 @@ proptest! {
         common::ftl_matches_model(ftl, ops);
     }
 }
+
+proptest! {
+    // ~90 000 queue operations per case: a few cases.
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The event queue delivers in exactly `(time, scheduling order)`,
+    /// event for event, against a `BTreeSet` model — at the depth the
+    /// mesh workloads run it (over 20 000 events pending, so every pop
+    /// sifts through seven levels of full four-child groups), with only
+    /// 48 distinct delays (most timestamps are shared by hundreds of
+    /// events) and zero delays among them (the same-instant FIFO
+    /// interleaving with heap entries of the same instant). The
+    /// interleaved phase pops with `step`; the drain with `run`, the
+    /// train-batching path.
+    #[test]
+    fn event_queue_matches_btreemap_model_at_depth(
+        ops in proptest::collection::vec((0u8..8, 0u64..48), 30_000..40_000),
+    ) {
+        use bluedbm::sim::engine::{Component, Ctx, Simulator};
+        use std::collections::BTreeSet;
+
+        const DEPTH: usize = 20_000;
+
+        struct Log(Vec<(SimTime, u64)>);
+        impl Component<u64> for Log {
+            fn handle(&mut self, ctx: &mut Ctx<'_, u64>, id: u64) {
+                self.0.push((ctx.now(), id));
+            }
+        }
+
+        let mut sim = Simulator::new();
+        let log = sim.add_component(Log(Vec::new()));
+        // Ids are handed out in scheduling order, so they double as the
+        // model's tie-break.
+        let mut model: BTreeSet<(SimTime, u64)> = BTreeSet::new();
+        let mut next_id = 0u64;
+        let mut schedule = |sim: &mut Simulator<u64>, model: &mut BTreeSet<_>, ticks: u64| {
+            let delay = SimTime::ns(ticks);
+            sim.schedule(delay, log, next_id);
+            model.insert((sim.now() + delay, next_id));
+            next_id += 1;
+        };
+
+        for i in 0..DEPTH as u64 + 4_000 {
+            schedule(&mut sim, &mut model, i * 7919 % 48);
+        }
+        let mut stepped = 0;
+        for (kind, ticks) in ops {
+            if kind < 4 {
+                prop_assert!(sim.step());
+                let expected = model.pop_first().expect("model holds what the queue holds");
+                let got = sim.component::<Log>(log).expect("installed").0[stepped];
+                prop_assert_eq!(got, expected);
+                stepped += 1;
+            } else {
+                schedule(&mut sim, &mut model, ticks);
+            }
+            prop_assert!(sim.pending_events() >= DEPTH, "the walk left the deep regime");
+            prop_assert_eq!(sim.pending_events(), model.len());
+        }
+        sim.run();
+        let delivered = &sim.component::<Log>(log).expect("installed").0[stepped..];
+        let expected: Vec<(SimTime, u64)> = model.into_iter().collect();
+        prop_assert_eq!(delivered, &expected[..]);
+    }
+}
