@@ -189,9 +189,73 @@ pub enum ClusterError {
     Ftl(Box<FtlError>),
     /// A node's flash cards are fully allocated.
     DeviceFull(NodeId),
+    /// The node → shard map given to [`Cluster::with_partition`] cannot
+    /// be built.
+    InvalidPartition(PartitionError),
     /// The simulation quiesced without producing the expected completion
     /// (a wiring bug, surfaced as an error for debuggability).
     MissingCompletion,
+}
+
+/// What is wrong with a node → shard map.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PartitionError {
+    /// The map does not have one entry per node.
+    Length {
+        /// Nodes in the topology.
+        nodes: usize,
+        /// Entries in the map.
+        entries: usize,
+    },
+    /// The map names a shard id at or past the node count, so some
+    /// shard below it is necessarily empty.
+    ShardOutOfRange {
+        /// The offending shard id.
+        shard: u32,
+        /// Nodes in the topology.
+        nodes: usize,
+    },
+    /// Shard ids must be dense `0..k`: this one, below the largest id
+    /// used, owns no node.
+    EmptyShard(u32),
+}
+
+impl fmt::Display for PartitionError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            PartitionError::Length { nodes, entries } => {
+                write!(f, "{entries} entries for {nodes} nodes")
+            }
+            PartitionError::ShardOutOfRange { shard, nodes } => {
+                write!(f, "shard id {shard} on a topology of {nodes} nodes")
+            }
+            PartitionError::EmptyShard(shard) => {
+                write!(f, "shard ids must be dense from 0, but shard {shard} owns no node")
+            }
+        }
+    }
+}
+
+/// The shard count of a node → shard map, once it is known to be one
+/// entry per node with shard ids dense from 0.
+fn checked_shard_count(partition: &[u32], nodes: usize) -> Result<usize, PartitionError> {
+    if partition.len() != nodes {
+        return Err(PartitionError::Length { nodes, entries: partition.len() });
+    }
+    // Bounded by the node count before anything is sized by it: the
+    // engine builds a simulator per shard and a shards² lookahead matrix.
+    if let Some(&shard) = partition.iter().find(|&&s| s as usize >= nodes) {
+        return Err(PartitionError::ShardOutOfRange { shard, nodes });
+    }
+    let shards = partition.iter().map(|&s| s as usize + 1).max().unwrap_or(1);
+    let mut inhabited = vec![false; shards];
+    for &s in partition {
+        inhabited[s as usize] = true;
+    }
+    match inhabited.iter().position(|&used| !used) {
+        Some(empty) => Err(PartitionError::EmptyShard(empty as u32)),
+        None => Ok(shards),
+    }
 }
 
 impl fmt::Display for ClusterError {
@@ -200,6 +264,7 @@ impl fmt::Display for ClusterError {
             ClusterError::Flash(e) => write!(f, "flash error: {e}"),
             ClusterError::Ftl(e) => write!(f, "mirror FTL rejected the geometry: {e}"),
             ClusterError::DeviceFull(n) => write!(f, "no free pages left on {n}"),
+            ClusterError::InvalidPartition(e) => write!(f, "invalid partition: {e}"),
             ClusterError::MissingCompletion => write!(f, "operation produced no completion"),
         }
     }
@@ -300,30 +365,26 @@ impl Cluster {
         Self::with_partition(topo, config, &partition)
     }
 
-    /// Build a cluster with an explicit node -> shard map (the shard
-    /// count is `max(partition) + 1`; a map of all zeros runs the
-    /// sequential engine). Every component of a node — router, flash
+    /// Build a cluster with an explicit node -> shard map: one entry per
+    /// node, shard ids dense from 0 (the shard count is
+    /// `max(partition) + 1`; a map of all zeros runs the sequential
+    /// engine). Every component of a node — router, flash
     /// controllers, splitters, PCIe link, agent — is pinned to the
     /// node's shard, so only inter-node traffic crosses shards and the
     /// conservative lookahead is the minimum cross-shard link latency.
     ///
     /// # Errors
     ///
-    /// As for [`Cluster::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partition.len() != topo.node_count()`.
+    /// As for [`Cluster::new`], plus [`ClusterError::InvalidPartition`]
+    /// when the map is the wrong length, names a shard id at or past the
+    /// node count, or leaves a shard below its largest id empty.
     pub fn with_partition(
         topo: Topology,
         config: &SystemConfig,
         partition: &[u32],
     ) -> Result<Self, ClusterError> {
-        assert_eq!(
-            partition.len(),
-            topo.node_count(),
-            "partition must assign every node a shard"
-        );
+        let shards = checked_shard_count(partition, topo.node_count())
+            .map_err(ClusterError::InvalidPartition)?;
         let card_array = |node: usize, card: usize| {
             FlashArray::with_error_model(
                 config.flash.geometry,
@@ -331,7 +392,6 @@ impl Cluster {
                 ErrorModel::none(),
             )
         };
-        let shards = partition.iter().map(|&s| s as usize + 1).max().unwrap_or(1);
         let mut sim = Simulator::new();
         let routing = Arc::new(RoutingTable::compute(&topo));
         let routers = build_network_routed(&mut sim, &topo, config.net, Arc::clone(&routing));
@@ -1623,22 +1683,42 @@ mod tests {
         assert_eq!(cluster.lookahead_between(0, 0), None);
     }
 
+    fn partition_error(map: &[u32]) -> PartitionError {
+        let config = SystemConfig::scaled_down();
+        match Cluster::with_partition(Topology::ring(4, 1), &config, map) {
+            Err(ClusterError::InvalidPartition(e)) => e,
+            Err(other) => panic!("{map:?}: wrong error {other}"),
+            Ok(_) => panic!("{map:?}: accepted"),
+        }
+    }
+
     #[test]
-    fn explicit_partition_with_empty_middle_shard_still_runs() {
-        // Random partition maps (see tests/sharded.rs) can leave a shard
-        // uninhabited; the pair matrix must stay positive and the run
-        // must still match expectations.
-        let mut config = SystemConfig::scaled_down();
-        config.sim.shards = 1;
-        let mut cluster =
-            Cluster::with_partition(Topology::ring(4, 2), &config, &[0, 2, 0, 2]).unwrap();
-        assert_eq!(cluster.shard_count(), 3);
-        assert!(cluster.lookahead_between(0, 1).unwrap() > SimTime::ZERO);
-        assert!(cluster.lookahead_between(1, 2).unwrap() > SimTime::ZERO);
-        let addr = cluster.preload_page(NodeId(0), &page(&config, 5)).unwrap();
-        let read = cluster.read_page_remote(NodeId(1), addr).unwrap();
-        assert_eq!(read.data, page(&config, 5));
-        cluster.assert_quiescent();
+    fn partition_of_the_wrong_length_is_an_error() {
+        assert_eq!(
+            partition_error(&[0, 1, 0]),
+            PartitionError::Length { nodes: 4, entries: 3 }
+        );
+    }
+
+    #[test]
+    fn partition_with_a_shard_id_past_the_node_count_is_an_error() {
+        // Nothing may be sized by this id: 70 001 simulators and a
+        // 70 001² lookahead matrix do not fit in memory.
+        assert_eq!(
+            partition_error(&[0, 0, 0, 70_000]),
+            PartitionError::ShardOutOfRange { shard: 70_000, nodes: 4 }
+        );
+    }
+
+    #[test]
+    fn partition_with_an_empty_shard_is_an_error() {
+        // Shard 1 would get a worker with nothing to run but the
+        // frontier relay.
+        assert_eq!(partition_error(&[0, 2, 2, 0]), PartitionError::EmptyShard(1));
+        assert_eq!(
+            ClusterError::InvalidPartition(PartitionError::EmptyShard(1)).to_string(),
+            "invalid partition: shard ids must be dense from 0, but shard 1 owns no node"
+        );
     }
 
     #[test]

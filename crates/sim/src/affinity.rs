@@ -1,7 +1,7 @@
 //! Worker-core pinning for the sharded runtime.
 //!
 //! The threaded shard engine runs one worker thread per shard,
-//! exchanging mailboxes through spin-then-park channels every
+//! exchanging mailboxes through spin-then-park slots every
 //! sync round (~tens of thousands of rounds on sub-lookahead
 //! topologies). Letting the OS migrate those workers between cores costs
 //! twice: the spin windows lose their cached peer state, and a migration

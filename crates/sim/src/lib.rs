@@ -135,6 +135,7 @@ pub mod pool;
 pub mod resource;
 pub mod rng;
 pub mod shard;
+mod slot;
 pub mod stats;
 pub mod time;
 

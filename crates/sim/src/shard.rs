@@ -13,12 +13,12 @@
 //!
 //! ## The conservative window protocol
 //!
-//! Cross-shard messages ride per-pair **mailboxes** (the `crossbeam`
-//! channel shim) as `(time, seq, slot, msg)` entries. Correctness rests
-//! on one property of the model: every direct message from a component
-//! of shard `s` to a component of shard `r` takes at least the
-//! **per-pair lookahead** `L[s][r]` to arrive, asserted at the send
-//! site. For the BlueDBM cluster `L[s][r]` is the minimum network
+//! Cross-shard messages ride per-pair **mailboxes** (one hand-off slot
+//! per ordered shard pair) as `(time, seq, slot, msg)` entries.
+//! Correctness rests on one property of the model: every direct message
+//! from a component of shard `s` to a component of shard `r` takes at
+//! least the **per-pair lookahead** `L[s][r]` to arrive, asserted at the
+//! send site. For the BlueDBM cluster `L[s][r]` is the minimum network
 //! latency between the two shards' nodes — one hop (0.48 µs) for
 //! adjacent partitions, proportionally more for far-apart ones, which
 //! is sound because every cross-node send (cable hop, credit return,
@@ -55,13 +55,42 @@
 //!    lookaheads per round while idle shards just relay frontiers,
 //!    instead of everyone lock-stepping through one-lookahead windows.
 //!
-//! The worker loop keeps its merge and horizon buffers (outboxes,
-//! frontier tables, arrival staging) allocated across rounds, shares
-//! one reference-counted copy of the per-destination minima with every
-//! peer, and receives with a short spin-then-park backoff — barrier
-//! mates usually answer within microseconds, so a brief `try_recv` spin
-//! (with `yield_now` probes) skips the futex round trip of a full
-//! blocking park on most rounds.
+//! ## The round path of a threaded run
+//!
+//! A round's exchange goes through one `Slot` per ordered shard pair
+//! (`crate::slot`): a round stamp and two payload buffers. The sender
+//! swaps its filled parcel vector into the buffer of the round, copies
+//! its queue frontier and per-destination minima in beside it, and
+//! publishes the round number in the stamp; the receiver waits for the
+//! stamp and drains the buffer in place, so the vector goes back to the
+//! sender empty two rounds later. After the first few rounds nothing on
+//! this path calls the allocator, takes a contended lock or enters the
+//! kernel — unless the wait runs long.
+//!
+//! How long a lane waits by spinning is a **probe budget** it adjusts
+//! from what its own receives tell it: a receive that had to wait and
+//! was answered inside the budget doubles it, up to about a window's
+//! worth of peer work; a receive that ran the budget out parks (a
+//! futex, and the publisher wakes it — the only time it pays for a
+//! wake-up) and drops the budget to a floor that costs about what the
+//! park itself does; a receive that found the round already published
+//! changes nothing. A peer that is on a core and half a window behind
+//! is therefore waited for by spinning, and a peer that is not running
+//! (an oversubscribed host) costs one long spin before the lane goes
+//! back to parking almost at once — and one probe in sixteen is a
+//! `yield_now`, so even that spin gives the core to a peer that wants
+//! it. The budget is counted in probes, never in elapsed time: there is
+//! no clock read in the protocol, so the determinism lint's
+//! `no-wallclock` rule holds without an exemption and nothing
+//! host-timed can reach a decision that a result depends on (the
+//! budget decides only *how* a lane waits for a round, never what the
+//! round contains). With fewer cores than shards the budget is not
+//! consulted at all: look once, then park.
+//!
+//! A worker that leaves — by return or by unwinding — closes its
+//! outgoing slots, which fails every peer waiting on it (spinning or
+//! parked) with a "peer lost" panic; [`ShardedSimulator::run`] then
+//! re-raises the root cause, not the secondary.
 //!
 //! ## Execution modes
 //!
@@ -69,14 +98,14 @@
 //! independent of what they compute. The default, [`ExecMode::Auto`],
 //! spawns one worker thread per shard only when the host has a core for
 //! each; on an oversubscribed host the workers cannot overlap anyway,
-//! so the threaded protocol's marginal cost is one futex park/unpark
-//! context switch per worker per round — tens of microseconds times
-//! tens of thousands of rounds. Auto instead runs the identical rounds
-//! **cooperatively on the calling thread** (plain vectors for
-//! mailboxes, shards taking turns), which removes that cost without
-//! changing a single delivery: the merge order and safe bounds are the
-//! same computation, so threaded and cooperative runs are bit-for-bit
-//! identical and the suite pins that.
+//! so every receive parks and the threaded protocol's marginal cost is
+//! one futex park/unpark context switch per worker per round — tens of
+//! microseconds times tens of thousands of rounds. Auto instead runs
+//! the identical rounds **cooperatively on the calling thread** (plain
+//! vectors for mailboxes, shards taking turns), which removes that cost
+//! without changing a single delivery: the merge order and safe bounds
+//! are the same computation, so threaded and cooperative runs are
+//! bit-for-bit identical and the suite pins that.
 //!
 //! [`ExecMode::Threads`] forces the worker threads and additionally
 //! pins each worker to its own core on Linux ([`crate::affinity`]) so
@@ -134,13 +163,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bluedbm_trace::{TraceCat, TraceConfig, TraceKind, TracePart, WallLane, WallLaneProfile};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::affinity;
 
 use crate::engine::{Component, ComponentId, Message, Outbound, ShardEnv, Simulator, UNOWNED};
 use crate::pagestore::PageStore;
 use crate::pool::PoolStore;
+use crate::slot::{Closed, Slot, Spin, SpinBudget};
 use crate::time::SimTime;
 
 /// A message type that can cross shard boundaries: `Send`, plus the
@@ -241,7 +270,8 @@ pub struct ShardStats {
     pub shards: Vec<ShardLaneStats>,
 }
 
-/// One round's traffic from one shard to one other shard.
+/// One round's traffic from one shard to one other shard: the payload
+/// of a [`Slot`] buffer, refilled in place round after round.
 struct Exchange<M: ShardMessage> {
     parcels: Vec<Parcel<M>>,
     /// The sender's local queue frontier (earliest queued event).
@@ -249,9 +279,31 @@ struct Exchange<M: ShardMessage> {
     /// Earliest parcel time the sender mailed to every destination this
     /// round. Receivers fold these with the queue frontiers to compute
     /// every shard's exact post-merge horizon — which is what makes a
-    /// single exchange phase enough for a sound reactive bound. One
-    /// shared copy per round (not one clone per peer).
-    out_mins: Arc<Vec<Option<SimTime>>>,
+    /// single exchange phase enough for a sound reactive bound.
+    out_mins: Vec<Option<SimTime>>,
+}
+
+impl<M: ShardMessage> Exchange<M> {
+    fn empty(shards: usize) -> Self {
+        Exchange {
+            parcels: Vec::new(),
+            queue_next: None,
+            out_mins: vec![None; shards],
+        }
+    }
+}
+
+/// What one shard's worker carries besides its simulator: moved onto
+/// the worker thread for a run and back afterwards.
+#[derive(Default)]
+struct Lane {
+    stats: ShardLaneStats,
+    /// Wall-clock spin/park/execute split. Strictly outside the
+    /// deterministic record; counts only when
+    /// [`TraceConfig::wall_profile`] is set.
+    wall: WallLane,
+    /// Kept across runs, so a run starts with what the last one learned.
+    budget: SpinBudget,
 }
 
 /// N-shard conservative-parallel façade over [`Simulator`]. Build the
@@ -290,19 +342,16 @@ pub struct ShardedSimulator<M: ShardMessage> {
     /// well-defined while the shard simulators are out on their worker
     /// threads.
     delivered_live: Vec<AtomicU64>,
-    /// Per-shard statistics (spin/park counts), moved onto the workers
-    /// for a run and reassembled after it.
-    lanes: Vec<ShardLaneStats>,
+    /// Per-shard worker state (spin/park counts, wall profile, spin
+    /// budget), moved onto the workers for a run and reassembled after
+    /// it.
+    lanes: Vec<Lane>,
     /// Where [`run`](Self::run) executes the rounds (never changes what
     /// they compute).
     exec: ExecMode,
     /// The trace configuration applied to every shard simulator (and
     /// the wall-profiling opt-in for the threaded workers).
     trace_cfg: TraceConfig,
-    /// Per-shard wall-clock worker profilers (spin/park/execute split).
-    /// Strictly outside the deterministic record; populated only by the
-    /// threaded modes when [`TraceConfig::wall_profile`] is set.
-    wall: Vec<WallLane>,
 }
 
 impl<M: ShardMessage> ShardedSimulator<M> {
@@ -427,10 +476,9 @@ impl<M: ShardMessage> ShardedSimulator<M> {
             base_delivered,
             sync_rounds: AtomicU64::new(0),
             delivered_live: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            lanes: vec![ShardLaneStats::default(); shards],
+            lanes: (0..shards).map(|_| Lane::default()).collect(),
             exec: ExecMode::default(),
             trace_cfg: TraceConfig::off(),
-            wall: (0..shards).map(|_| WallLane::new(false)).collect(),
         }
     }
 
@@ -446,9 +494,9 @@ impl<M: ShardMessage> ShardedSimulator<M> {
         for (me, shard) in self.shards.iter_mut().enumerate() {
             shard.set_trace(cfg, me as u32);
         }
-        self.wall = (0..self.shards.len())
-            .map(|_| WallLane::new(cfg.wall_profile))
-            .collect();
+        for lane in &mut self.lanes {
+            lane.wall = WallLane::new(cfg.wall_profile);
+        }
     }
 
     /// Harvest every shard's captured records, in shard order (merge
@@ -462,7 +510,7 @@ impl<M: ShardMessage> ShardedSimulator<M> {
     /// accumulated across [`run`](Self::run) calls. All-zero unless
     /// [`TraceConfig::wall_profile`] was set and a threaded mode ran.
     pub fn wall_profiles(&self) -> Vec<WallLaneProfile> {
-        self.wall.iter().map(WallLane::profile).collect()
+        self.lanes.iter().map(|lane| lane.wall.profile()).collect()
     }
 
     /// Choose where [`run`](Self::run) executes the window protocol.
@@ -555,7 +603,7 @@ impl<M: ShardMessage> ShardedSimulator<M> {
     pub fn shard_stats(&self) -> ShardStats {
         ShardStats {
             sync_rounds: self.sync_rounds(),
-            shards: self.lanes.clone(),
+            shards: self.lanes.iter().map(|lane| lane.stats.clone()).collect(),
         }
     }
 
@@ -678,24 +726,14 @@ impl<M: ShardMessage> ShardedSimulator<M> {
         // because the host happens to have the cores, not because the
         // user asked for a fixed thread layout.
         let pin = self.exec == ExecMode::Threads;
-        // Per ordered pair (src, dst): one mailbox channel.
-        let mut txs: Vec<Vec<Option<Sender<Exchange<M>>>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        let mut rxs: Vec<Vec<Option<Receiver<Exchange<M>>>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        for src in 0..n {
-            for dst in 0..n {
-                if src == dst {
-                    continue;
-                }
-                let (tx, rx) = unbounded();
-                txs[src][dst] = Some(tx);
-                rxs[dst][src] = Some(rx);
-            }
-        }
+        // One slot per ordered pair, `fabric[src * n + dst]` (the
+        // diagonal is never touched).
+        let fabric: Vec<Slot<Exchange<M>>> = (0..n * n)
+            .map(|_| Slot::new(Exchange::empty(n), Exchange::empty(n)))
+            .collect();
+        let fabric = &fabric[..];
         let sims: Vec<Simulator<M>> = self.shards.drain(..).collect();
-        let lanes: Vec<ShardLaneStats> = std::mem::take(&mut self.lanes);
-        let walls: Vec<WallLane> = std::mem::take(&mut self.wall);
+        let lanes: Vec<Lane> = std::mem::take(&mut self.lanes);
         let lookaheads = &self.lookaheads;
         let spin = cores_per_shard;
         let rounds_base = self.sync_rounds.load(Ordering::Relaxed);
@@ -704,56 +742,44 @@ impl<M: ShardMessage> ShardedSimulator<M> {
         let result = crossbeam::scope(|scope| {
             let handles: Vec<_> = sims
                 .into_iter()
-                .zip(lanes.into_iter().zip(walls))
-                .zip(txs.drain(..).zip(rxs.drain(..)))
+                .zip(lanes)
                 .enumerate()
-                .map(|(me, ((sim, (lane, wall)), (tx_row, rx_row)))| {
-                    let lookaheads = Arc::clone(lookaheads);
+                .map(|(me, (sim, lane))| {
                     let cfg = WorkerCfg { me, spin, pin, rounds_base };
                     let shared = SharedCounters {
                         rounds: rounds_ctr,
                         delivered: &delivered_live[me],
                     };
-                    scope.spawn(move |_| {
-                        worker(cfg, shared, sim, lane, wall, tx_row, rx_row, lookaheads)
-                    })
+                    scope.spawn(move |_| worker(cfg, shared, sim, lane, fabric, lookaheads))
                 })
                 .collect();
-            let mut shards = Vec::with_capacity(n);
-            let mut lanes = Vec::with_capacity(n);
-            let mut walls = Vec::with_capacity(n);
+            let mut joined = Vec::with_capacity(n);
             let mut panics = Vec::new();
             for handle in handles {
                 match handle.join() {
-                    Ok((sim, lane, wall)) => {
-                        shards.push(sim);
-                        lanes.push(lane);
-                        walls.push(wall);
-                    }
+                    Ok(pair) => joined.push(pair),
                     Err(payload) => panics.push(payload),
                 }
             }
-            (shards, lanes, walls, panics)
+            (joined, panics)
         });
         match result {
-            Ok((shards, lanes, walls, panics)) => {
+            Ok((joined, panics)) => {
                 if let Some(payload) = pick_root_cause(panics) {
                     std::panic::resume_unwind(payload);
                 }
-                self.shards = shards;
-                self.lanes = lanes;
-                self.wall = walls;
+                (self.shards, self.lanes) = joined.into_iter().unzip();
             }
             Err(payload) => std::panic::resume_unwind(payload),
         }
     }
 }
 
-/// A worker that dies because a *peer* disconnected panics with this
+/// A worker that dies because a *peer* closed its slots panics with this
 /// marker, so the coordinator can surface the root cause instead.
 const PEER_LOST: &str = "mailbox peer shard terminated";
 
-/// Prefer a payload that is not the secondary "peer disconnected" panic.
+/// Prefer a payload that is not the secondary "peer lost" panic.
 fn pick_root_cause(
     mut panics: Vec<Box<dyn Any + Send + 'static>>,
 ) -> Option<Box<dyn Any + Send + 'static>> {
@@ -779,47 +805,32 @@ fn min_opt(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
     }
 }
 
-/// Receive one exchange with spin-then-park backoff. With free cores,
-/// barrier mates usually answer within microseconds, so a brief
-/// `spin_loop` window followed by a few `try_recv` + `yield_now`
-/// probes skips the futex round trip of a blocking park on most
-/// rounds. On an oversubscribed host (`spin == false` — fewer cores
-/// than shards) a waiting peer cannot be making progress while we
-/// burn its timeslice, so probing only adds context switches: park
-/// immediately and let the scheduler run the peer.
-fn recv_spin<M: ShardMessage>(
-    rx: &Receiver<Exchange<M>>,
-    spin: bool,
-    lane: &mut ShardLaneStats,
-    wall: &mut WallLane,
-) -> Result<Exchange<M>, ()> {
-    use crossbeam::channel::TryRecvError;
-    let spin_stamp = wall.stamp();
+/// Wait for `round` on `slot`: spin under the lane's budget, park when
+/// it runs out. On an oversubscribed host (`spin == false` — fewer cores
+/// than shards) a waiting peer cannot be making progress while we burn
+/// its timeslice, so the budget is not consulted: look once, then park
+/// and let the scheduler run the peer.
+fn recv<T>(slot: &Slot<T>, round: u64, spin: bool, lane: &mut Lane) -> Result<(), Closed> {
+    let spin_stamp = lane.wall.stamp();
+    let limit = if spin { lane.budget.limit() } else { 0 };
+    let outcome = slot.spin(round, limit)?;
+    lane.wall.add_spin(spin_stamp);
     if spin {
-        for probe in 0..40u32 {
-            match rx.try_recv() {
-                Ok(exchange) => {
-                    lane.spins += 1;
-                    wall.add_spin(spin_stamp);
-                    return Ok(exchange);
-                }
-                Err(TryRecvError::Disconnected) => return Err(()),
-                Err(TryRecvError::Empty) => {
-                    if probe < 32 {
-                        std::hint::spin_loop();
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-            }
+        lane.budget.record(outcome);
+    }
+    match outcome {
+        Spin::Ready(_) => {
+            lane.stats.spins += 1;
+            Ok(())
+        }
+        Spin::Exhausted => {
+            lane.stats.parks += 1;
+            let park_stamp = lane.wall.stamp();
+            let woken = slot.park(round);
+            lane.wall.add_park(park_stamp);
+            woken
         }
     }
-    lane.parks += 1;
-    wall.add_spin(spin_stamp);
-    let park_stamp = wall.stamp();
-    let got = rx.recv().map_err(|_| ());
-    wall.add_park(park_stamp);
-    got
 }
 
 /// Per-worker configuration, fixed for the whole run.
@@ -839,16 +850,27 @@ struct SharedCounters<'a> {
     delivered: &'a AtomicU64,
 }
 
-/// Drain the shard's outboxes into per-destination parcel batches and
-/// capture the exchange frontier data (queue frontier, per-destination
-/// minima).
+/// Closes a worker's outgoing slots when it leaves — by return or by
+/// unwinding — so no peer is left waiting on a lane that will never
+/// publish again.
+struct CloseOnExit<'a, T>(&'a [Slot<T>]);
+
+impl<T> Drop for CloseOnExit<'_, T> {
+    fn drop(&mut self) {
+        self.0.iter().for_each(Slot::close);
+    }
+}
+
+/// Drain the shard's outboxes into per-destination parcel batches,
+/// record the earliest parcel time per destination in `out_mins`, and
+/// return the shard's queue frontier.
 fn stage_exchange<M: ShardMessage>(
     sim: &mut Simulator<M>,
     me: usize,
     outgoing: &mut [Vec<Parcel<M>>],
-) -> (Option<SimTime>, Arc<Vec<Option<SimTime>>>) {
-    let n = outgoing.len();
-    let mut out_mins: Vec<Option<SimTime>> = vec![None; n];
+    out_mins: &mut [Option<SimTime>],
+) -> Option<SimTime> {
+    out_mins.fill(None);
     for (dst, batch) in outgoing.iter_mut().enumerate() {
         if dst == me {
             continue;
@@ -882,79 +904,72 @@ fn stage_exchange<M: ShardMessage>(
             );
         }
     }
-    (sim.queues.next_at(), Arc::new(out_mins))
+    sim.queues.next_at()
 }
 
 /// One shard's worker loop: exchange mailboxes + horizons with every
 /// peer, agree (identically, with no coordinator) on the next window,
 /// execute it, and repeat until the global horizon is empty. Returns
 /// the shard simulator (so the façade can be reassembled) and the
-/// shard's accumulated statistics.
-#[allow(clippy::too_many_arguments)] // one-caller worker entry point; bundling would just rename the list
+/// shard's lane state.
 fn worker<M: ShardMessage>(
     cfg: WorkerCfg,
     shared: SharedCounters<'_>,
     mut sim: Simulator<M>,
-    mut lane: ShardLaneStats,
-    mut wall: WallLane,
-    txs: Vec<Option<Sender<Exchange<M>>>>,
-    rxs: Vec<Option<Receiver<Exchange<M>>>>,
-    lookaheads: Arc<Vec<Arc<[SimTime]>>>,
-) -> (Simulator<M>, ShardLaneStats, WallLane) {
+    mut lane: Lane,
+    fabric: &[Slot<Exchange<M>>],
+    lookaheads: &[Arc<[SimTime]>],
+) -> (Simulator<M>, Lane) {
     let WorkerCfg { me, spin, pin, rounds_base } = cfg;
     if pin {
         // Pure performance (cache affinity across the per-round spin
         // windows); failure means "run unpinned", never an error.
         let _ = affinity::pin_to_core(me);
     }
-    let n = txs.len();
-    let mut rounds = 0u64;
+    let n = lookaheads.len();
+    let _close = CloseOnExit(&fabric[me * n..(me + 1) * n]);
+    // Exchanges made, which is also the slot round stamp: one per sync
+    // round plus the terminating all-empty one.
+    let mut exchange = 0u64;
     // Round-persistent merge and horizon buffers: allocated once, reused
     // every round (the protocol runs thousands of rounds on busy
-    // workloads, so per-round allocation is pure overhead).
+    // workloads, so per-round allocation is pure overhead). A parcel
+    // vector handed to a slot comes back empty two rounds later.
     let mut outgoing: Vec<Vec<Parcel<M>>> = (0..n).map(|_| Vec::new()).collect();
     let mut queue_nexts: Vec<Option<SimTime>> = vec![None; n];
-    let mut all_out_mins: Vec<Option<Arc<Vec<Option<SimTime>>>>> = vec![None; n];
+    // `out_mins[s * n + t]`: earliest parcel shard `s` mailed to `t`.
+    let mut out_mins: Vec<Option<SimTime>> = vec![None; n * n];
     let mut arrivals: Vec<(usize, Parcel<M>)> = Vec::new();
     let mut horizons: Vec<Option<SimTime>> = vec![None; n];
     // `earliest[t]` is the fixed-point estimate `E_t` (see module doc).
     let mut earliest: Vec<Option<SimTime>> = vec![None; n];
     loop {
+        exchange += 1;
         // Drain the outboxes (empty in round one, but external
-        // injections sit in the queues and set the frontier) and mail
-        // the exchange. Sends never block (unbounded), so the
-        // all-to-all cannot deadlock; a send can only fail if the peer
-        // died, and the matching recv below turns that into the
-        // PEER_LOST panic.
-        let (queue_next, out_mins) = stage_exchange(&mut sim, me, &mut outgoing);
-        for dst in 0..n {
-            if dst == me {
-                continue;
-            }
-            let parcels = std::mem::take(&mut outgoing[dst]);
-            let _ = txs[dst].as_ref().expect("channel to every peer").send(Exchange {
-                parcels,
-                queue_next,
-                out_mins: Arc::clone(&out_mins),
+        // injections sit in the queues and set the frontier) and publish
+        // the exchange. Publishing never waits, so the all-to-all cannot
+        // deadlock.
+        let my_mins = me * n..(me + 1) * n;
+        let queue_next = stage_exchange(&mut sim, me, &mut outgoing, &mut out_mins[my_mins.clone()]);
+        for dst in (0..n).filter(|&dst| dst != me) {
+            fabric[me * n + dst].publish(exchange, |ex| {
+                std::mem::swap(&mut ex.parcels, &mut outgoing[dst]);
+                ex.queue_next = queue_next;
+                ex.out_mins.copy_from_slice(&out_mins[my_mins.clone()]);
             });
+            debug_assert!(outgoing[dst].is_empty(), "the consumer drains what it takes");
         }
         queue_nexts[me] = queue_next;
-        all_out_mins[me] = Some(out_mins);
         // Receive every peer's exchange.
-        for src in 0..n {
-            if src == me {
-                continue;
-            }
-            let exchange = recv_spin(
-                rxs[src].as_ref().expect("channel from every peer"),
-                spin,
-                &mut lane,
-                &mut wall,
-            )
-            .unwrap_or_else(|()| panic!("shard {me}: {PEER_LOST} (shard {src})"));
-            queue_nexts[src] = exchange.queue_next;
-            all_out_mins[src] = Some(exchange.out_mins);
-            arrivals.extend(exchange.parcels.into_iter().map(|p| (src, p)));
+        for src in (0..n).filter(|&src| src != me) {
+            let slot = &fabric[src * n + me];
+            recv(slot, exchange, spin, &mut lane)
+                .unwrap_or_else(|Closed| panic!("shard {me}: {PEER_LOST} (shard {src})"));
+            slot.take(exchange, |ex| {
+                queue_nexts[src] = ex.queue_next;
+                out_mins[src * n..(src + 1) * n].copy_from_slice(&ex.out_mins);
+                arrivals.extend(ex.parcels.drain(..).map(|p| (src, p)));
+            });
         }
         // Every shard's exact *post-merge* horizon, computed identically
         // by every worker from the exchanged frontiers: its queue plus
@@ -965,20 +980,15 @@ fn worker<M: ShardMessage>(
         for t in 0..n {
             let mailed = (0..n)
                 .filter(|&r| r != t)
-                .filter_map(|r| {
-                    all_out_mins[r]
-                        .as_ref()
-                        .and_then(|mins| mins.get(t).copied().flatten())
-                })
+                .filter_map(|r| out_mins[r * n + t])
                 .min();
             horizons[t] = min_opt(queue_nexts[t], mailed);
             all_empty &= horizons[t].is_none();
         }
         if all_empty {
-            return (sim, lane, wall);
+            return (sim, lane);
         }
-        rounds += 1;
-        shared.rounds.fetch_max(rounds_base + rounds, Ordering::Relaxed);
+        shared.rounds.fetch_max(rounds_base + exchange, Ordering::Relaxed);
         // The Chandy–Misra–Bryant safe bound generalized to the per-pair
         // matrix. Nothing is in flight after the merge, so shard `t`'s
         // earliest possible next event is the least fixed point of
@@ -1020,8 +1030,11 @@ fn worker<M: ShardMessage>(
         // Deterministic merge order: arrival instant, then send instant
         // (the sequential engine's tiebreak — its sequence numbers
         // increase with send time), then source shard, then the
-        // source's own send order.
-        arrivals.sort_by_key(|(src, p)| (p.at, p.sent_at, *src, p.seq));
+        // source's own send order. No two parcels share (source, seq),
+        // so the key is total and the unstable sort — which, unlike the
+        // stable one, needs no scratch allocation — yields the same
+        // order.
+        arrivals.sort_unstable_by_key(|(src, p)| (p.at, p.sent_at, *src, p.seq));
         for (_, mut parcel) in arrivals.drain(..) {
             parcel
                 .msg
@@ -1029,9 +1042,9 @@ fn worker<M: ShardMessage>(
             sim.push_arrival(parcel.at, parcel.to, parcel.msg);
         }
         if let Some(bound) = bound {
-            let stamp = wall.stamp();
+            let stamp = lane.wall.stamp();
             sim.run_before(bound);
-            wall.add_execute(stamp);
+            lane.wall.add_execute(stamp);
         }
         shared.delivered.store(sim.events_delivered(), Ordering::Relaxed);
     }
@@ -1040,7 +1053,7 @@ fn worker<M: ShardMessage>(
 /// Cooperative single-thread execution of the identical window
 /// protocol: the round structure, the deterministic merge order and the
 /// per-pair safe bounds are exactly those of [`worker`] — only the
-/// mailboxes are plain vectors instead of channels, and the "workers"
+/// mailboxes are plain vectors instead of slots, and the "workers"
 /// take turns on the calling thread. Every delivery is therefore
 /// bit-identical to a threaded run.
 ///
@@ -1622,8 +1635,11 @@ mod tests {
             let mut sharded = ShardedSimulator::with_lookaheads(sim, vec![0, 1, 2], 3, matrix);
             sharded.set_exec_mode(exec);
             assert_eq!(sharded.exec_mode(), exec);
-            sharded.schedule(SimTime::ZERO, a, TMsg::Val(60));
+            // Long enough that the slots' two buffers and the recycled
+            // parcel vectors go round thousands of times.
+            sharded.schedule(SimTime::ZERO, a, TMsg::Val(12_000));
             sharded.run();
+            assert!(sharded.sync_rounds() >= 10_000, "{} rounds", sharded.sync_rounds());
             (
                 sharded.events_delivered(),
                 sharded.now(),
@@ -1632,6 +1648,81 @@ mod tests {
             )
         };
         assert_eq!(run(ExecMode::Threads), run(ExecMode::Cooperative));
+    }
+
+    #[test]
+    fn every_exchange_received_is_a_spin_or_a_park() {
+        // What the benchmark's `sim.shard.spins` / `.parks` rely on: per
+        // lane they add up to the exchanges received — one per sync
+        // round plus the terminating all-empty one of each run() call,
+        // from every peer.
+        let (sim, [a, b, _]) = triangle_world();
+        let mut sharded = ShardedSimulator::from_simulator(sim, vec![0, 1, 2], 3, HOP);
+        sharded.set_exec_mode(ExecMode::Threads);
+        sharded.schedule(SimTime::ZERO, a, TMsg::Val(200));
+        sharded.run();
+        sharded.schedule(SimTime::ZERO, b, TMsg::Val(90));
+        sharded.run();
+        let stats = sharded.shard_stats();
+        assert_eq!(stats.shards.len(), 3);
+        for (lane, s) in stats.shards.iter().enumerate() {
+            assert_eq!(s.spins + s.parks, (stats.sync_rounds + 2) * 2, "lane {lane}: {s:?}");
+        }
+    }
+
+    /// Run `body` on a thread of its own and fail — instead of hanging
+    /// CI — if it has not finished in ten seconds. A panic in `body` is
+    /// re-raised with its original payload.
+    fn within_ten_seconds(body: impl FnOnce() + Send + 'static) {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)));
+        });
+        match finished.recv_timeout(std::time::Duration::from_secs(10)) {
+            Ok(Ok(())) => {}
+            Ok(Err(payload)) => std::panic::resume_unwind(payload),
+            Err(_) => panic!("hung: a dying shard left its peer waiting"),
+        }
+    }
+
+    /// A bounce between shard 0 and shard 1 whose shard-1 end panics
+    /// mid-run, with shard 0's spin budget pinned so that it can only be
+    /// waiting the one way.
+    fn peer_dies_mid_run(shard0_probes: u32) {
+        struct Bomb {
+            peer: ComponentId,
+        }
+        impl Component<TMsg> for Bomb {
+            fn handle(&mut self, ctx: &mut Ctx<'_, TMsg>, msg: TMsg) {
+                let TMsg::Val(n) = msg else { panic!("Val expected") };
+                assert!(n > 40, "boom on shard 1");
+                ctx.send(self.peer, HOP, TMsg::Val(n - 1));
+            }
+        }
+        within_ten_seconds(move || {
+            let mut sim = Simulator::new();
+            let a = sim.reserve();
+            let b = sim.reserve();
+            sim.install(a, Bouncer { peer: b, delay: HOP, log: vec![] });
+            sim.install(b, Bomb { peer: a });
+            let mut sharded = ShardedSimulator::from_simulator(sim, vec![0, 1], 2, HOP);
+            sharded.set_exec_mode(ExecMode::Threads);
+            sharded.lanes[0].budget = SpinBudget::pinned(shard0_probes);
+            sharded.schedule(SimTime::ZERO, a, TMsg::Val(100));
+            sharded.run();
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "boom on shard 1")]
+    fn peer_panic_reaches_a_spinning_waiter_as_the_root_cause() {
+        peer_dies_mid_run(u32::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "boom on shard 1")]
+    fn peer_panic_reaches_a_parked_waiter_as_the_root_cause() {
+        peer_dies_mid_run(0);
     }
 
     #[test]

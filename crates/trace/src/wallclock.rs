@@ -2,7 +2,7 @@
 //! deterministic record.
 //!
 //! The threaded shard runtime spends its life in three states — spinning
-//! on an empty channel, parked, or executing events — and tuning the
+//! on a peer's round stamp, parked, or executing events — and tuning the
 //! sync protocol needs to know the real-time split. That is inherently
 //! a wall-clock measurement, so it lives here, quarantined: profiles
 //! never feed a [`crate::TraceRecord`], a digest, or any simulated
@@ -15,7 +15,7 @@ use std::time::Instant;
 /// Accumulated wall time for one worker lane, nanoseconds.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WallLaneProfile {
-    /// Spent spinning on an empty mailbox channel.
+    /// Spent spinning on a mailbox slot whose round is not published.
     pub spin_ns: u64,
     /// Spent parked waiting for a peer shard.
     pub park_ns: u64,

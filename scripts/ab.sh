@@ -3,7 +3,7 @@
 # the way a perf PR has to back its claim: alternating pairs, medians and
 # quartiles per side, pairs won, and a check that nothing simulated moved.
 #
-# Usage: scripts/ab.sh <parent-checkout> <change-checkout> <workload> [pairs=10] [seed=1]
+# Usage: scripts/ab.sh <parent-checkout> <change-checkout> <workload> [pairs=10] [seed=1] [layers]
 #
 # Each side is built once into its own <checkout>/target (where its
 # benchmark/run.sh looks by default), then run `pairs` times with
@@ -12,10 +12,19 @@
 # benchmark and does the arithmetic on what it prints; it times nothing
 # itself. Raw output of every run is kept in a fresh temp directory,
 # named at the end. Exits 1 if a run fails or a simulated value moved.
+#
+# With a trailing `layers`, one `--trace 1` pass per side follows the
+# pairs and every per-layer metric whose two values differ is printed
+# side by side — where the end-to-end difference sits — with a line on
+# whether the counts that must repeat (sync rounds, events, router
+# counters) did. One pass per side: host times in it are a reading, not
+# a median. On mesh_scatter_sh2 the CPU count is printed first and the
+# script exits 2 below 2 CPUs, where its numbers say nothing about
+# parallel speed.
 set -euo pipefail
 
-if [ $# -lt 3 ] || [ $# -gt 5 ]; then
-  sed -n '2,14p' "$0" >&2
+if [ $# -lt 3 ] || [ $# -gt 6 ] || { [ $# = 6 ] && [ "$6" != layers ]; }; then
+  sed -n '2,23p' "$0" >&2
   exit 2
 fi
 parent="$(cd "$1" && pwd)"
@@ -23,6 +32,14 @@ change="$(cd "$2" && pwd)"
 workload="$3"
 pairs="${4:-10}"
 seed="${5:-1}"
+layers="${6:-}"
+if [ "$workload" = mesh_scatter_sh2 ]; then
+  echo "nproc: $(nproc)"
+  if [ "$(nproc)" -lt 2 ]; then
+    echo "mesh_scatter_sh2 needs 2 CPUs to measure anything" >&2
+    exit 2
+  fi
+fi
 unset CARGO_TARGET_DIR # each run.sh then builds into its checkout's own target/
 
 runs="$(mktemp -d "${TMPDIR:-/tmp}/ab-$workload-XXXXXX")"
@@ -109,6 +126,33 @@ fi
 if echo "$tuples" | grep -q 'failed=[1-9]'; then
   echo "SOME OPERATIONS FAILED"
   status=1
+fi
+
+if [ "$layers" = layers ]; then
+  for side in parent change; do
+    if [ "$side" = parent ]; then dir="$parent"; else dir="$change"; fi
+    (cd "$dir" && bash benchmark/run.sh --workload "$workload" --seed "$seed" --seconds 15 --trace 1) \
+      >"$runs/$side-layers.txt"
+  done
+  # `name value unit` lines of a traced run (the table it prints ahead of
+  # the result JSON).
+  table() { sed -n -E 's/^ +([a-z_0-9]+(\.[a-z_0-9]+)+) +(-?[0-9.]+) +([^ ]+)$/\1 \3 \4/p' "$1"; }
+  # `name parent-value unit change-value unit`, one line per metric.
+  both="$(join <(table "$runs/parent-layers.txt" | sort) <(table "$runs/change-layers.txt" | sort))"
+  echo
+  echo "== per-layer metrics that differ (one --trace 1 pass per side) =="
+  printf '%-36s %16s %16s  %s\n' metric parent change unit
+  echo "$both" | awk '$2 != $4 { printf "%-36s %16s %16s  %s\n", $1, $2, $4, $3 }'
+  # Counts that are a function of the seed and the engine's round
+  # structure: a change to how lanes wait must leave them alone.
+  moved="$(echo "$both" |
+    awk '($1 == "sim.shard.sync_rounds" || $1 == "sim.engine.events" || ($1 ~ /^net\.router\./ && $3 == "count")) && $2 != $4 { print $1 }')"
+  if [ -z "$moved" ]; then
+    echo "sim.shard.sync_rounds, sim.engine.events and every net.router.* counter: equal on both sides"
+  else
+    echo "COUNTS THAT MUST REPEAT MOVED: $moved"
+    status=1
+  fi
 fi
 echo "raw runs: $runs"
 exit "$status"

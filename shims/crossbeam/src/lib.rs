@@ -1,14 +1,11 @@
 //! Offline shim for `crossbeam`: scoped threads backed by
-//! `std::thread::scope` (which crossbeam's own scope predates) plus the
-//! [`channel`] slice the sharded simulator uses. The shim mirrors
-//! crossbeam's signatures: the scope closure and every spawned closure
-//! receive a `&Scope`, and `scope` returns a `thread::Result` whose
-//! `Err` carries the first child panic payload.
+//! `std::thread::scope` (which crossbeam's own scope predates). The shim
+//! mirrors crossbeam's signatures: the scope closure and every spawned
+//! closure receive a `&Scope`, and `scope` returns a `thread::Result`
+//! whose `Err` carries the first child panic payload.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread;
-
-pub mod channel;
 
 /// Scoped-thread handle passed to the `scope` closure and to every
 /// spawned closure (crossbeam passes it so nested spawns can be issued).

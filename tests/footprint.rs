@@ -12,14 +12,19 @@
 //! table trips them; a change that shrinks the footprint should tighten
 //! them (every assert prints what it measured).
 //!
+//! The same test also pins what a sync round of the threaded shard
+//! engine asks of the allocator (see [`SYNC_ROUND_CALLS_PIN`]).
+//!
 //! One `#[test]` only: the counters are process-wide, and a second test
 //! thread would allocate into the measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 
+use bluedbm::core::node::Consume;
 use bluedbm::core::{Cluster, KvStore, NodeId, SystemConfig};
 use bluedbm::net::Topology;
+use bluedbm::sim::ExecMode;
 use bluedbm::workloads::kvgen::{kv_flash_geometry, KvWorkloadSpec};
 
 struct Counting;
@@ -84,6 +89,32 @@ const NODES: usize = 4;
 /// (with a `Vec` per routed pair: 125.0 MB, 1 154 051 calls).
 const MESH_MB_PIN: f64 = 103.0;
 const MESH_CALLS_PIN: u64 = 107_000;
+
+/// Allocator calls per sync round of a warmed two-shard threaded run,
+/// ≈ 10 % above the 11.11 (7 332 calls over 660 rounds) the slot
+/// exchange measures. What is left is the model's own — every packet
+/// that crosses the cut boxes its wire header and body on the way out
+/// and copies its page into the other shard's store — plus the per-run
+/// thread spawns spread over the rounds. With a channel per shard pair,
+/// a fresh parcel vector per exchange and a shared `Arc` of minima per
+/// round it was 16.56 (10 930 calls).
+const SYNC_ROUND_CALLS_PIN: f64 = 12.3;
+
+/// Remote reads per node in one [`scatter`].
+const SCATTER_READS: usize = 24;
+
+/// One all-to-all page scatter on `cluster`: every node reads the pages
+/// of [`SCATTER_READS`] other nodes, spread over the mesh.
+fn scatter(cluster: &mut Cluster, pages: &[bluedbm::core::GlobalPageAddr]) {
+    let n = pages.len();
+    for reader in 0..n {
+        for r in 1..=SCATTER_READS {
+            let target = (reader + r * (n / SCATTER_READS).max(1) + r % 2) % n;
+            let target = if target == reader { (target + 1) % n } else { target };
+            cluster.inject_read(NodeId::from(reader), pages[target], Consume::Isp);
+        }
+    }
+}
 
 /// Key `i` of the dense (tenant, index) space the benchmark uses.
 fn key(i: u64) -> (u16, [u8; 10]) {
@@ -155,6 +186,34 @@ fn kv_footprint_stays_within_its_pins() {
     drop(mesh);
     let mesh_dropped = snapshot();
 
+    // The threaded shard engine's round path: an 8x8 mesh cut in two,
+    // one worker thread per half. The first scatter grows everything
+    // that grows (event heaps, pools, the slots' parcel vectors); the
+    // second is measured, run() call only.
+    let mut config = SystemConfig::scaled_down();
+    config.sim.shards = 2;
+    config.sim.exec = ExecMode::Threads;
+    let mut halves = Cluster::new(Topology::mesh2d(8, 8), &config).expect("8x8 mesh");
+    let page = vec![0x5Au8; config.flash.geometry.page_bytes];
+    let pages: Vec<_> = (0..halves.node_count())
+        .map(|node| halves.preload_page(NodeId::from(node), &page).expect("preload fits"))
+        .collect();
+    scatter(&mut halves, &pages);
+    halves.run_to_quiescence();
+    let warm_rounds = halves.sync_rounds().expect("sharded");
+    scatter(&mut halves, &pages);
+    let before_rounds = snapshot();
+    halves.run_to_quiescence();
+    let after_rounds = snapshot();
+    let rounds = halves.sync_rounds().expect("sharded") - warm_rounds;
+    for node in 0..halves.node_count() {
+        let done = halves.harvest_node(NodeId::from(node));
+        assert_eq!(done.len(), 2 * SCATTER_READS);
+        assert!(done.iter().all(|c| c.error.is_none()));
+    }
+    halves.assert_quiescent();
+    drop(halves);
+
     // Report only now: captured test output is itself heap-allocated.
     let per_key = (loaded.0 - built.0) as f64 / KEYS as f64;
     let per_put = (after_puts.2 - before.2) as f64 / BATCH as f64;
@@ -182,6 +241,17 @@ fn kv_footprint_stays_within_its_pins() {
         (dropped.0, dropped.1),
         (baseline.0, baseline.1),
         "dropping the store must return every block it allocated"
+    );
+
+    let per_round = (after_rounds.2 - before_rounds.2) as f64 / rounds as f64;
+    println!(
+        "8x8 mesh on 2 threaded shards: {} allocator calls over {rounds} sync rounds = {per_round:.2} per round",
+        after_rounds.2 - before_rounds.2
+    );
+    assert!(rounds >= 100, "only {rounds} sync rounds: not a round-path measurement");
+    assert!(
+        per_round <= SYNC_ROUND_CALLS_PIN,
+        "{per_round:.2} allocator calls per sync round exceeds the {SYNC_ROUND_CALLS_PIN} pin"
     );
 
     let mesh_mb = (mesh_built.0 - before_mesh.0) as f64 / (1 << 20) as f64;

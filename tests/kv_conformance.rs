@@ -346,10 +346,19 @@ proptest! {
         spec.seed = seed;
         let seq = run(&spec, Cluster::new(topo(), &config_with_shards(1)).unwrap(), 40);
         for shards in [2u32, 4] {
-            // Random node -> shard map; shard 0 always inhabited so the
-            // shard count stays `shards` regardless of the draw.
-            let partition: Vec<u32> = (0..nodes)
+            // Random node -> shard map over up to `shards` shards,
+            // relabelled dense from 0 (a draw can miss an id, and
+            // `Cluster::with_partition` rejects a map with an empty
+            // shard).
+            let drawn: Vec<u32> = (0..nodes)
                 .map(|n| if n == 0 { 0 } else { (mix(seed ^ (n as u64) << 8) % u64::from(shards)) as u32 })
+                .collect();
+            let mut ids = drawn.clone();
+            ids.sort_unstable();
+            ids.dedup();
+            let partition: Vec<u32> = drawn
+                .iter()
+                .map(|s| ids.binary_search(s).expect("own id") as u32)
                 .collect();
             let cluster = Cluster::with_partition(topo(), &config_with_shards(1), &partition).unwrap();
             let sharded = run(&spec, cluster, 40);

@@ -288,6 +288,19 @@ fn mix(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Relabel a node -> shard map so that its shard ids are dense from 0:
+/// a random draw can miss an id, and `Cluster::with_partition` rejects
+/// a map with an empty shard.
+fn dense(partition: &[u32]) -> Vec<u32> {
+    let mut ids = partition.to_vec();
+    ids.sort_unstable();
+    ids.dedup();
+    partition
+        .iter()
+        .map(|s| ids.binary_search(s).expect("own id") as u32)
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -308,14 +321,15 @@ proptest! {
             _ => Topology::mesh2d(3, size.div_ceil(3)),
         };
         let nodes = topo().node_count();
-        for shards in [2u32, 4] {
+        for draw in [2u32, 4] {
             let partition: Vec<u32> = (0..nodes)
-                .map(|n| if n == 0 { 0 } else { (mix(seed ^ (n as u64) << 8) % u64::from(shards)) as u32 })
+                .map(|n| if n == 0 { 0 } else { (mix(seed ^ (n as u64) << 8) % u64::from(draw)) as u32 })
                 .collect();
+            let partition = dense(&partition);
             let config = config_with_shards(1);
             let cluster = Cluster::with_partition(topo(), &config, &partition).unwrap();
             let hop = config.net.hop_latency;
-            let dists = topo().shard_distances(&partition, shards as usize);
+            let dists = topo().shard_distances(&partition, cluster.shard_count());
             let global = cluster.min_lookahead().unwrap();
             for (s, row) in dists.iter().enumerate() {
                 for (r, &d) in row.iter().enumerate() {
@@ -356,11 +370,11 @@ proptest! {
             4,
         );
         for shards in [2u32, 4] {
-            // Random node -> shard map; shard 0 is always inhabited so
-            // the shard count stays `shards` regardless of the draw.
+            // Random node -> shard map over up to `shards` shards.
             let partition: Vec<u32> = (0..nodes)
                 .map(|n| if n == 0 { 0 } else { (mix(seed ^ (n as u64) << 8) % u64::from(shards)) as u32 })
                 .collect();
+            let partition = dense(&partition);
             let cluster = Cluster::with_partition(topo(), &config_with_shards(1), &partition).unwrap();
             let sharded = run_scatter(cluster, 2, 4);
             prop_assert!(
