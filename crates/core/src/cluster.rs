@@ -6,6 +6,13 @@
 //! the integrated network. Experiment drivers inject operations, the
 //! cluster runs the event queue to quiescence, and completions come back
 //! with simulated timestamps.
+//!
+//! One engine runs every cluster: a [`ShardedSimulator`] over the node →
+//! shard map. One shard (`config.sim.shards = 1`, the default) is the
+//! sequential kernel, unsplit; more shards run the conservative-parallel
+//! protocol, deterministic and observably identical (same statistics,
+//! same event counts, same store quiescence) — the shard count is a
+//! wall-clock decision, never a modelling one.
 
 use std::error::Error;
 use std::fmt;
@@ -20,10 +27,10 @@ use bluedbm_host::pcie::PcieLink;
 use bluedbm_net::router::{build_network_routed, Router, RouterStats};
 use bluedbm_net::routing::RoutingTable;
 use bluedbm_net::topology::{NodeId, PortId, Topology};
-use bluedbm_sim::engine::{Component, ComponentId, Simulator};
+use bluedbm_sim::engine::{ComponentId, Simulator};
 use bluedbm_sim::shard::{ExecMode, ShardStats, ShardedSimulator};
 use bluedbm_sim::time::SimTime;
-use bluedbm_sim::{MetricsDoc, MetricsRegistry, PageRef, TracePart, WallLaneProfile};
+use bluedbm_sim::{MetricsDoc, MetricsRegistry, PageStore, TracePart, WallLaneProfile};
 
 use crate::config::SystemConfig;
 use crate::gc::{GcAgent, GcAgentStats, GcKick, GcStats, LifecycleOp};
@@ -32,95 +39,6 @@ use crate::node::{AgentOp, AgentStats, Completed, Consume, NodeAgent, DATA_ENDPO
 use crate::scheduler::{AccelSched, SchedStats};
 
 pub use crate::node::GlobalPageAddr;
-
-/// The execution engine behind a [`Cluster`]: the sequential typed
-/// kernel, or the conservative-parallel sharded runtime when
-/// `config.sim.shards > 1`. Sharded runs are deterministic and
-/// observably identical to sequential runs (same statistics, same event
-/// counts, same store quiescence) — the engine choice is a wall-clock
-/// decision, never a modelling one.
-enum Engine {
-    // Boxed: the sequential simulator is a large inline struct and
-    // `Cluster` moves around in tests; the sharded variant is already a
-    // handle over heap state.
-    Seq(Box<Simulator<Msg>>),
-    Sharded(ShardedSimulator<Msg>),
-}
-
-impl Engine {
-    fn run(&mut self) {
-        match self {
-            Engine::Seq(sim) => sim.run(),
-            Engine::Sharded(sim) => sim.run(),
-        }
-    }
-
-    fn now(&self) -> SimTime {
-        match self {
-            Engine::Seq(sim) => sim.now(),
-            Engine::Sharded(sim) => sim.now(),
-        }
-    }
-
-    fn events_delivered(&self) -> u64 {
-        match self {
-            Engine::Seq(sim) => sim.events_delivered(),
-            Engine::Sharded(sim) => sim.events_delivered(),
-        }
-    }
-
-    fn schedule<T: Into<Msg>>(&mut self, delay: SimTime, to: ComponentId, msg: T) {
-        match self {
-            Engine::Seq(sim) => sim.schedule(delay, to, msg),
-            Engine::Sharded(sim) => sim.schedule(delay, to, msg),
-        }
-    }
-
-    fn component<C: Component<Msg>>(&self, id: ComponentId) -> Option<&C> {
-        match self {
-            Engine::Seq(sim) => sim.component::<C>(id),
-            Engine::Sharded(sim) => sim.component::<C>(id),
-        }
-    }
-
-    fn component_mut<C: Component<Msg>>(&mut self, id: ComponentId) -> Option<&mut C> {
-        match self {
-            Engine::Seq(sim) => sim.component_mut::<C>(id),
-            Engine::Sharded(sim) => sim.component_mut::<C>(id),
-        }
-    }
-
-    /// Stage `data`, zero-padded to `page_bytes`, into the store segment
-    /// the component `consumer` reads from (the shared store on the
-    /// sequential engine, the owning shard's segment on the sharded one).
-    fn stage_page(&mut self, consumer: ComponentId, data: &[u8], page_bytes: usize) -> PageRef {
-        let store = match self {
-            Engine::Seq(sim) => sim.page_store_mut(),
-            Engine::Sharded(sim) => {
-                let shard = sim.owner_of(consumer).expect("consumer installed");
-                sim.page_store_mut(shard)
-            }
-        };
-        store.alloc_padded(data, page_bytes)
-    }
-
-    fn assert_quiescent(&self) {
-        match self {
-            Engine::Seq(sim) => {
-                sim.page_store().assert_quiescent();
-                sim.pool_store().assert_quiescent();
-            }
-            Engine::Sharded(sim) => sim.assert_quiescent(),
-        }
-    }
-
-    fn take_trace(&mut self) -> Vec<TracePart> {
-        match self {
-            Engine::Seq(sim) => vec![sim.take_trace()],
-            Engine::Sharded(sim) => sim.take_trace(),
-        }
-    }
-}
 
 /// The conservative lookahead of a partition: the minimum latency of any
 /// cable whose endpoints live in different shards. Every link shares one
@@ -304,7 +222,7 @@ pub struct CompletedRead {
 /// A DES world of BlueDBM nodes. See the
 /// [crate-level documentation](crate) for an example.
 pub struct Cluster {
-    engine: Engine,
+    sim: ShardedSimulator<Msg>,
     config: SystemConfig,
     topo: Topology,
     /// The routes every router follows (shared with them).
@@ -330,7 +248,7 @@ pub struct Cluster {
     /// under `config.gc.log`) — the conformance suite's expected victim
     /// and relocation sequence.
     gc_rounds_log: Vec<Vec<Vec<GcRound>>>,
-    /// Node -> shard map (all zeros on the sequential engine).
+    /// Node -> shard map (all zeros on one shard).
     partition: Vec<u32>,
     /// Next unallocated linear page per (node, card).
     bump: Vec<Vec<usize>>,
@@ -367,8 +285,8 @@ impl Cluster {
 
     /// Build a cluster with an explicit node -> shard map: one entry per
     /// node, shard ids dense from 0 (the shard count is
-    /// `max(partition) + 1`; a map of all zeros runs the sequential
-    /// engine). Every component of a node — router, flash
+    /// `max(partition) + 1`; a map of all zeros is one shard, the
+    /// sequential kernel unsplit). Every component of a node — router, flash
     /// controllers, splitters, PCIe link, agent — is pinned to the
     /// node's shard, so only inter-node traffic crosses shards and the
     /// conservative lookahead is the minimum cross-shard link latency.
@@ -463,39 +381,31 @@ impl Cluster {
             controllers.push(node_ctrls);
             splitters.push(node_splitters);
         }
-        let engine = if shards <= 1 {
-            sim.set_trace(config.sim.trace, 0);
-            Engine::Seq(Box::new(sim))
-        } else {
-            let mut owner = vec![u32::MAX; sim.component_count()];
-            for node in 0..n {
-                let shard = partition[node];
-                owner[routers[node].index()] = shard;
-                owner[agents[node].index()] = shard;
-                owner[pcie[node].index()] = shard;
-                owner[scheds[node].index()] = shard;
-                owner[gc_agents[node].index()] = shard;
-                for c in controllers[node].iter().chain(&splitters[node]) {
-                    owner[c.index()] = shard;
-                }
+        let mut owner = vec![u32::MAX; sim.component_count()];
+        for node in 0..n {
+            let shard = partition[node];
+            owner[routers[node].index()] = shard;
+            owner[agents[node].index()] = shard;
+            owner[pcie[node].index()] = shard;
+            owner[scheds[node].index()] = shard;
+            owner[gc_agents[node].index()] = shard;
+            for c in controllers[node].iter().chain(&splitters[node]) {
+                owner[c.index()] = shard;
             }
-            let lookaheads =
-                cross_shard_lookaheads(&topo, partition, shards, config.net.hop_latency);
-            // The pair matrix can only widen the global single-link
-            // bound, never undercut it.
-            debug_assert!(lookaheads.iter().enumerate().all(|(s, row)| {
-                row.iter().enumerate().all(|(r, &l)| {
-                    s == r || l >= cross_shard_lookahead(&topo, partition, config.net.hop_latency)
-                })
-            }));
-            let mut sharded =
-                ShardedSimulator::with_lookaheads(sim, owner, shards, lookaheads);
-            sharded.set_exec_mode(config.sim.exec);
-            sharded.set_trace(config.sim.trace);
-            Engine::Sharded(sharded)
-        };
+        }
+        let lookaheads = cross_shard_lookaheads(&topo, partition, shards, config.net.hop_latency);
+        // The pair matrix can only widen the global single-link bound,
+        // never undercut it.
+        debug_assert!(lookaheads.iter().enumerate().all(|(s, row)| {
+            row.iter().enumerate().all(|(r, &l)| {
+                s == r || l >= cross_shard_lookahead(&topo, partition, config.net.hop_latency)
+            })
+        }));
+        let mut sim = ShardedSimulator::with_lookaheads(sim, owner, shards, lookaheads);
+        sim.set_exec_mode(config.sim.exec);
+        sim.set_trace(config.sim.trace);
         Ok(Cluster {
-            engine,
+            sim,
             config: *config,
             bump: vec![vec![0; config.flash.cards_per_node]; n],
             free: vec![Vec::new(); n],
@@ -548,101 +458,82 @@ impl Cluster {
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.engine.now()
+        self.sim.now()
     }
 
     /// Total simulation events delivered so far (aggregated across
-    /// shards on the sharded engine).
+    /// shards).
     pub fn events_delivered(&self) -> u64 {
-        self.engine.events_delivered()
+        self.sim.events_delivered()
     }
 
-    /// Worker shards executing this cluster (1 = sequential engine).
+    /// Shards executing this cluster (1 = the sequential kernel).
     pub fn shard_count(&self) -> usize {
-        match &self.engine {
-            Engine::Seq(_) => 1,
-            Engine::Sharded(sim) => sim.shard_count(),
-        }
+        self.sim.shard_count()
     }
 
-    /// The node -> shard map in force (all zeros on the sequential
-    /// engine).
+    /// The node -> shard map in force (all zeros on one shard).
     pub fn partition(&self) -> &[u32] {
         &self.partition
     }
 
-    /// The sharded engine's minimum conservative window — the smallest
-    /// entry of the per-pair lookahead matrix (`None` on the sequential
-    /// engine, which needs no window).
+    /// The engine when it runs the window protocol — more than one
+    /// shard. The protocol's probes below are `None` on one shard, which
+    /// needs no window and exchanges nothing.
+    fn windowed(&self) -> Option<&ShardedSimulator<Msg>> {
+        (self.sim.shard_count() > 1).then_some(&self.sim)
+    }
+
+    /// The minimum conservative window — the smallest entry of the
+    /// per-pair lookahead matrix (`None` on one shard).
     pub fn min_lookahead(&self) -> Option<SimTime> {
-        match &self.engine {
-            Engine::Seq(_) => None,
-            Engine::Sharded(sim) => Some(sim.lookahead()),
-        }
+        self.windowed().map(ShardedSimulator::lookahead)
     }
 
     /// The per-pair conservative lookahead from shard `src` to shard
-    /// `dst` (`None` on the sequential engine).
+    /// `dst` (`None` on one shard).
     ///
     /// # Panics
     ///
-    /// Panics if either shard index is out of range on the sharded
-    /// engine.
+    /// Panics if either shard index is out of range on more than one
+    /// shard.
     pub fn lookahead_between(&self, src: usize, dst: usize) -> Option<SimTime> {
-        match &self.engine {
-            Engine::Seq(_) => None,
-            Engine::Sharded(sim) => Some(sim.lookahead_between(src, dst)),
-        }
+        self.windowed().map(|sim| sim.lookahead_between(src, dst))
     }
 
-    /// Cumulative conservative-sync rounds the sharded engine has
-    /// executed (`None` on the sequential engine): one all-to-all
-    /// mailbox/horizon exchange per round, so rounds ÷ wall time is the
-    /// protocol-overhead denominator.
+    /// Cumulative conservative-sync rounds executed (`None` on one
+    /// shard): one all-to-all mailbox/horizon exchange per round, so
+    /// rounds ÷ wall time is the protocol-overhead denominator.
     pub fn sync_rounds(&self) -> Option<u64> {
-        match &self.engine {
-            Engine::Seq(_) => None,
-            Engine::Sharded(sim) => Some(sim.sync_rounds()),
-        }
+        self.windowed().map(ShardedSimulator::sync_rounds)
     }
 
-    /// The sharded engine's execution mode (`None` on the sequential
-    /// engine).
+    /// Where the window protocol runs its rounds (`None` on one shard).
     pub fn exec_mode(&self) -> Option<ExecMode> {
-        match &self.engine {
-            Engine::Seq(_) => None,
-            Engine::Sharded(sim) => Some(sim.exec_mode()),
-        }
+        self.windowed().map(ShardedSimulator::exec_mode)
     }
 
-    /// Synchronization statistics of the sharded engine (`None` on the
-    /// sequential engine): sync rounds plus, per shard, the spin/park
-    /// wait counters of the threaded rounds.
+    /// Synchronization statistics (`None` on one shard): sync rounds
+    /// plus, per shard, the spin/park wait counters of the threaded
+    /// rounds.
     pub fn shard_stats(&self) -> Option<ShardStats> {
-        match &self.engine {
-            Engine::Seq(_) => None,
-            Engine::Sharded(sim) => Some(sim.shard_stats()),
-        }
+        self.windowed().map(ShardedSimulator::shard_stats)
     }
 
-    /// Harvest the per-shard trace buffers accumulated so far: one
-    /// [`TracePart`] on the sequential engine, one per worker shard
-    /// otherwise (empty parts when `config.sim.trace` is off). Taking
-    /// resets the sinks, so back-to-back harvests see disjoint records;
-    /// merge parts with [`bluedbm_sim::TraceDoc::merge`].
+    /// Harvest the per-shard trace buffers accumulated so far, one
+    /// [`TracePart`] per shard (empty parts when `config.sim.trace` is
+    /// off). Taking resets the sinks, so back-to-back harvests see
+    /// disjoint records; merge parts with [`bluedbm_sim::TraceDoc::merge`].
     pub fn take_trace(&mut self) -> Vec<TracePart> {
-        self.engine.take_trace()
+        self.sim.take_trace()
     }
 
-    /// Wall-clock worker profiles from threaded runs (`None` on the
-    /// sequential engine; all zeros unless
-    /// `config.sim.trace.wall_profile` opted in). Strictly an
-    /// out-of-band measurement — never part of the deterministic record.
+    /// Wall-clock worker profiles from threaded runs (`None` on one
+    /// shard; all zeros unless `config.sim.trace.wall_profile` opted
+    /// in). Strictly an out-of-band measurement — never part of the
+    /// deterministic record.
     pub fn wall_profiles(&self) -> Option<Vec<WallLaneProfile>> {
-        match &self.engine {
-            Engine::Seq(_) => None,
-            Engine::Sharded(sim) => Some(sim.wall_profiles()),
-        }
+        self.windowed().map(ShardedSimulator::wall_profiles)
     }
 
     /// Write the cluster's complete statistics inventory into `reg`: an
@@ -698,7 +589,7 @@ impl Cluster {
             if self.config.gc.enabled {
                 self.gc_agent_stats(id).fill_metrics(scope.child("gc_agent"));
             }
-            self.engine
+            self.sim
                 .component::<NodeAgent>(self.agents[node])
                 .expect("agent installed")
                 .host_buffers()
@@ -819,7 +710,7 @@ impl Cluster {
                 .expect("freed address outside the mirror's logical space");
         } else {
             let ctrl = self.controllers[addr.node.index()][addr.card as usize];
-            self.engine
+            self.sim
                 .component_mut::<FlashController>(ctrl)
                 .expect("controller installed")
                 .array_mut()
@@ -890,14 +781,14 @@ impl Cluster {
     /// splitter and buses. The simulated clock advances across both
     /// drains — that stall is precisely the GC pressure tenants observe.
     fn run_gc(&mut self, node: NodeId, card: u8, rounds: Vec<GcRound>) {
-        self.engine.run();
+        self.sim.run();
         let agent = self.gc_agents[node.index()];
-        self.engine
+        self.sim
             .component_mut::<GcAgent>(agent)
             .expect("GC agent installed")
             .push_job(card, rounds);
-        self.engine.schedule(SimTime::ZERO, agent, GcKick);
-        self.engine.run();
+        self.sim.schedule(SimTime::ZERO, agent, GcKick);
+        self.sim.run();
     }
 
     /// Cluster-wide flash lifecycle accounting, aggregated over every
@@ -925,7 +816,7 @@ impl Cluster {
     /// executed as simulated traffic (preload-time functional rounds are
     /// accounted only in the mirror's policy totals).
     pub fn gc_agent_stats(&self, node: NodeId) -> &GcAgentStats {
-        self.engine
+        self.sim
             .component::<GcAgent>(self.gc_agents[node.index()])
             .expect("GC agent installed")
             .stats()
@@ -957,7 +848,7 @@ impl Cluster {
     /// checks its programmed bitmap and erase counts against the
     /// mirror's shadow.
     pub fn card_array(&self, node: NodeId, card: usize) -> &FlashArray {
-        self.engine
+        self.sim
             .component::<FlashController>(self.controllers[node.index()][card])
             .expect("controller installed")
             .array()
@@ -982,21 +873,21 @@ impl Cluster {
     }
 
     fn harvest(&mut self, node: NodeId) -> Vec<Completed> {
-        self.engine
+        self.sim
             .component_mut::<NodeAgent>(self.agents[node.index()])
             .expect("agent installed")
             .take_completed()
     }
 
     fn run_one(&mut self, node: NodeId, op: AgentOp) -> Result<Completed, ClusterError> {
-        self.engine.schedule(SimTime::ZERO, self.agents[node.index()], op);
+        self.sim.schedule(SimTime::ZERO, self.agents[node.index()], op);
         self.drain_one(node)
     }
 
     /// Run to quiescence and harvest the single completion `node` must
     /// have produced, mapping its failure to an error.
     fn drain_one(&mut self, node: NodeId) -> Result<Completed, ClusterError> {
-        self.engine.run();
+        self.sim.run();
         let mut done = self.harvest(node);
         let one = done.pop().ok_or(ClusterError::MissingCompletion)?;
         debug_assert!(done.is_empty(), "single op produced multiple completions");
@@ -1016,9 +907,9 @@ impl Cluster {
         node: NodeId,
         data: &[u8],
     ) -> Result<GlobalPageAddr, ClusterError> {
-        // Stage the page in the simulator's store (the owning node's
-        // shard segment under the sharded engine); the flash controller
-        // consumes (and frees) the handle once the bus has read it.
+        // Stage the page in the owning node's shard segment of the
+        // store; the flash controller consumes (and frees) the handle
+        // once the bus has read it.
         let (_op_id, addr) = self.inject_write(node, data)?;
         match self.drain_one(node) {
             Ok(_) => Ok(addr),
@@ -1067,7 +958,7 @@ impl Cluster {
             }
             let ctrl = self.controllers[n][c];
             let array = self
-                .engine
+                .sim
                 .component_mut::<FlashController>(ctrl)
                 .expect("controller installed")
                 .array_mut();
@@ -1087,7 +978,7 @@ impl Cluster {
         }
         let ctrl = self.controllers[node.index()][addr.card as usize];
         let programmed = self
-            .engine
+            .sim
             .component_mut::<FlashController>(ctrl)
             .expect("controller installed")
             .array_mut()
@@ -1155,7 +1046,7 @@ impl Cluster {
 
     /// Stage data into `node`'s DRAM buffer.
     pub fn load_dram(&mut self, node: NodeId, key: u64, data: &[u8]) {
-        self.engine.schedule(
+        self.sim.schedule(
             SimTime::ZERO,
             self.agents[node.index()],
             AgentOp::LoadDram {
@@ -1163,7 +1054,7 @@ impl Cluster {
                 data: data.to_vec(),
             },
         );
-        self.engine.run();
+        self.sim.run();
     }
 
     /// Read `host`'s DRAM buffer from `reader` over the integrated
@@ -1205,7 +1096,7 @@ impl Cluster {
     pub fn inject_read(&mut self, reader: NodeId, addr: GlobalPageAddr, consume: Consume) -> u64 {
         let op_id = self.op_id();
         let addr = self.resolve(addr);
-        self.engine.schedule(
+        self.sim.schedule(
             SimTime::ZERO,
             self.agents[reader.index()],
             AgentOp::ReadFlash {
@@ -1245,11 +1136,12 @@ impl Cluster {
         } else {
             addr
         };
+        // Staged in the store segment of the shard that owns the node,
+        // where its flash controller consumes (and frees) the page.
         let page_bytes = self.config.flash.geometry.page_bytes;
-        let buffer = self
-            .engine
-            .stage_page(self.agents[node.index()], data, page_bytes);
-        self.engine.schedule(
+        let shard = self.partition[node.index()] as usize;
+        let buffer = self.sim.page_store_mut(shard).alloc_padded(data, page_bytes);
+        self.sim.schedule(
             SimTime::ZERO,
             self.agents[node.index()],
             AgentOp::WriteFlash {
@@ -1261,10 +1153,9 @@ impl Cluster {
         Ok((op_id, addr))
     }
 
-    /// Run the event queues to global quiescence (across all shards on
-    /// the sharded engine).
+    /// Run the event queues to global quiescence (across all shards).
     pub fn run_to_quiescence(&mut self) {
-        self.engine.run();
+        self.sim.run();
     }
 
     /// Drain the completions recorded at `node`.
@@ -1285,7 +1176,7 @@ impl Cluster {
         for &addr in addrs {
             let op_id = self.op_id();
             let addr = self.resolve(addr);
-            self.engine.schedule(
+            self.sim.schedule(
                 SimTime::ZERO,
                 self.agents[reader.index()],
                 AgentOp::ReadFlash {
@@ -1295,7 +1186,7 @@ impl Cluster {
                 },
             );
         }
-        self.engine.run();
+        self.sim.run();
         self.harvest(reader)
     }
 
@@ -1318,7 +1209,7 @@ impl Cluster {
         addrs: &[GlobalPageAddr],
         engine: &mut dyn bluedbm_isp::Accelerator,
     ) -> Result<SimTime, ClusterError> {
-        let t0 = self.engine.now();
+        let t0 = self.sim.now();
         let mut done = self.stream_reads(reader, addrs, Consume::Isp);
         if done.len() != addrs.len() {
             return Err(ClusterError::MissingCompletion);
@@ -1348,7 +1239,7 @@ impl Cluster {
     /// component — clone at the call site if the probe must outlive
     /// further cluster mutation.
     pub fn router_stats(&self, node: NodeId) -> &RouterStats {
-        self.engine
+        self.sim
             .component::<Router<NetBody>>(self.routers[node.index()])
             .expect("router installed")
             .stats()
@@ -1357,7 +1248,7 @@ impl Cluster {
     /// Node-agent statistics for `node` (borrowed; see
     /// [`Cluster::router_stats`]).
     pub fn agent_stats(&self, node: NodeId) -> &AgentStats {
-        self.engine
+        self.sim
             .component::<NodeAgent>(self.agents[node.index()])
             .expect("agent installed")
             .stats()
@@ -1367,7 +1258,7 @@ impl Cluster {
     /// [`Cluster::router_stats`]): FIFO unit grants, parked-job counts
     /// and queue waits for the node's shared acceleration units.
     pub fn sched_stats(&self, node: NodeId) -> &SchedStats {
-        self.engine
+        self.sim
             .component::<AccelSched>(self.scheds[node.index()])
             .expect("scheduler installed")
             .stats()
@@ -1376,7 +1267,7 @@ impl Cluster {
     /// Controller statistics for one card of `node` (borrowed; see
     /// [`Cluster::router_stats`]).
     pub fn controller_stats(&self, node: NodeId, card: usize) -> &CtrlStats {
-        self.engine
+        self.sim
             .component::<FlashController>(self.controllers[node.index()][card])
             .expect("controller installed")
             .stats()
@@ -1388,44 +1279,22 @@ impl Cluster {
         self.pcie[node.index()]
     }
 
-    /// The simulator-owned page store: payload staging for advanced
-    /// drivers, and the leak audit (`assert_quiescent`) after a run.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the sharded engine, where pages live in per-shard
-    /// segments — use [`Cluster::assert_quiescent`] for audits there.
-    pub fn page_store(&self) -> &bluedbm_sim::PageStore {
-        match &self.engine {
-            Engine::Seq(sim) => sim.page_store(),
-            Engine::Sharded(_) => {
-                panic!("page_store() is sequential-engine-only; use assert_quiescent()")
-            }
-        }
+    /// Shard 0's segment of the simulator-owned page store — on a
+    /// one-shard cluster, the whole store (occupancy probes such as
+    /// `peak_live`). Audit leaks with [`Cluster::assert_quiescent`],
+    /// which covers every segment and the control-block pools too.
+    pub fn page_store(&self) -> &PageStore {
+        self.sim.page_store(0)
     }
 
-    /// Store leak audit across both engines: every page and every
-    /// interned control block must have been consumed.
+    /// Store leak audit: every page and every interned control block,
+    /// in every shard's segment, must have been consumed.
     ///
     /// # Panics
     ///
     /// Panics if any store segment still holds live entries.
     pub fn assert_quiescent(&self) {
-        self.engine.assert_quiescent();
-    }
-
-    /// Direct simulator access for advanced experiment drivers.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the sharded engine (no single simulator exists); the
-    /// aggregate probes ([`Cluster::now`], [`Cluster::events_delivered`])
-    /// work on both.
-    pub fn sim_mut(&mut self) -> &mut Simulator<Msg> {
-        match &mut self.engine {
-            Engine::Seq(sim) => sim,
-            Engine::Sharded(_) => panic!("sim_mut() is sequential-engine-only"),
-        }
+        self.sim.assert_quiescent();
     }
 }
 
@@ -1434,7 +1303,7 @@ impl fmt::Debug for Cluster {
         f.debug_struct("Cluster")
             .field("nodes", &self.node_count())
             .field("shards", &self.shard_count())
-            .field("now", &self.engine.now())
+            .field("now", &self.sim.now())
             .finish()
     }
 }
@@ -1459,7 +1328,7 @@ mod tests {
         assert!(read.latency >= SimTime::us(50));
         assert!(read.latency < SimTime::us(66), "{}", read.latency);
         // Every page handle was consumed on its way through the stack.
-        cluster.page_store().assert_quiescent();
+        cluster.assert_quiescent();
     }
 
     #[test]
@@ -1492,7 +1361,7 @@ mod tests {
         // DMA setup 1us + ~1.3us transfer (2KB page at 1.6GB/s) + 2us
         // completion.
         assert!(gap > SimTime::us(3) && gap < SimTime::us(10), "{gap}");
-        cluster.page_store().assert_quiescent();
+        cluster.assert_quiescent();
     }
 
     #[test]
@@ -1611,8 +1480,7 @@ mod tests {
         let config = SystemConfig::scaled_down();
         let mut cluster = Cluster::ring(2, &config).unwrap();
         let addr = cluster.alloc_page(NodeId(0)).unwrap(); // never written
-        let mut engine =
-            bluedbm_isp::hamming::HammingEngine::new(vec![0; config.flash.geometry.page_bytes]);
+        let mut engine = bluedbm_isp::mp::MpMatcher::new(b"needle").unwrap();
         let err = cluster.isp_scan(NodeId(0), &[addr], &mut engine).unwrap_err();
         assert!(matches!(err, ClusterError::Flash(_)));
     }
@@ -1640,7 +1508,7 @@ mod tests {
             rate > 0.90e9 && rate < 1.06e9,
             "one-lane remote stream: {rate:.3e} B/s"
         );
-        cluster.page_store().assert_quiescent();
+        cluster.assert_quiescent();
     }
 
     #[test]
@@ -1676,11 +1544,26 @@ mod tests {
     }
 
     #[test]
-    fn sequential_engine_has_no_lookahead() {
+    fn one_shard_cluster_has_no_window() {
+        // One shard is the sequential kernel: no window, no exchange,
+        // and the one store segment is the whole store.
         let config = SystemConfig::scaled_down();
-        let cluster = Cluster::ring(3, &config).unwrap();
+        let mut cluster = Cluster::with_partition(Topology::ring(3, 4), &config, &[0; 3]).unwrap();
+        assert_eq!(cluster.shard_count(), 1);
         assert_eq!(cluster.min_lookahead(), None);
         assert_eq!(cluster.lookahead_between(0, 0), None);
+        let addr = cluster.write_page_local(NodeId(1), &page(&config, 5)).unwrap();
+        cluster.read_page_host(NodeId(0), addr).unwrap();
+        assert_eq!(cluster.sync_rounds(), None);
+        assert_eq!(cluster.exec_mode(), None);
+        assert_eq!(cluster.shard_stats(), None);
+        assert_eq!(cluster.wall_profiles(), None);
+        assert!(cluster.page_store().peak_live() > 0);
+        assert_eq!(
+            cluster.metrics().get("engine/mode"),
+            Some(&bluedbm_trace::MetricValue::from("seq"))
+        );
+        cluster.assert_quiescent();
     }
 
     fn partition_error(map: &[u32]) -> PartitionError {
@@ -1740,13 +1623,13 @@ mod tests {
         assert!(done.iter().all(|c| c.error.is_none()));
         let agent = cluster.agents[0];
         let pool = cluster
-            .engine
+            .sim
             .component::<NodeAgent>(agent)
             .expect("agent installed")
             .host_buffers();
         assert_eq!(pool.peak_in_use(), 4, "the burst saturates the pool");
         assert!(pool.exhaustions() > 0, "flash outruns 4 buffers");
         assert_eq!(pool.in_use(), 0, "all buffers returned");
-        cluster.page_store().assert_quiescent();
+        cluster.assert_quiescent();
     }
 }

@@ -18,9 +18,6 @@
 //!   fresh twin to pin mappings, victim order, erase counts and write
 //!   amplification bit-for-bit. See the [module docs](ftl) for the
 //!   contract.
-//! * [`blockdev::BlockDevice`] — the block view that lets "well-known
-//!   Linux file systems (e.g., ext2/3/4) as well as database systems" run
-//!   unmodified.
 //! * [`rfs::Rfs`] — the RFS-style log-structured file system that
 //!   performs FTL functions itself (logical-to-physical mapping and
 //!   garbage collection in the FS), and exposes the API that makes
@@ -44,12 +41,10 @@
 //! # }
 //! ```
 
-pub mod blockdev;
 pub mod error;
 pub mod ftl;
 pub mod rfs;
 
-pub use blockdev::BlockDevice;
 pub use error::FtlError;
 pub use ftl::{Ftl, FtlConfig, FtlStats, GcRound, StepOutcome};
 pub use rfs::{Rfs, RfsConfig, RfsStats};

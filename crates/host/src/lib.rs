@@ -2,9 +2,8 @@
 //!
 //! The host interface of a BlueDBM node (paper Section 3.3): the PCIe
 //! link between the storage device and its Xeon server, the 4+4 DMA
-//! engines behind Connectal's RPC/DMA framework, the 128+128 page-buffer
-//! pools, and the "vector of FIFOs" burst-reassembly structure of
-//! Figure 7.
+//! engines behind Connectal's RPC/DMA framework, and the 128+128
+//! page-buffer pools.
 //!
 //! Calibration comes straight from the paper (Section 5): Connectal's
 //! PCIe Gen 1 endpoint "caps our performance at 1.6 GB/s reads and
@@ -19,15 +18,11 @@
 //! * [`BufferPool`] — the free-queue discipline of the 128 page
 //!   buffers, as a capacity view over the simulator's shared
 //!   `PageStore`.
-//! * [`ReorderQueue`] — per-buffer FIFOs that accumulate interleaved
-//!   flash bursts until a DMA burst is contiguous.
 
 pub mod bufpool;
 pub mod msg;
 pub mod pcie;
-pub mod reorder;
 
 pub use bufpool::BufferPool;
 pub use msg::{HostMsg, HostProtocol};
 pub use pcie::{Direction, PcieDone, PcieLink, PcieParams, PcieXfer};
-pub use reorder::ReorderQueue;

@@ -24,12 +24,10 @@
 //! * [`filter`] — relational selection over packed records (the paper's
 //!   "SQL offload" future-work direction, used by the ablation bench).
 //!
-//! The paper's Section 8 lists three applications under development;
-//! all three are implemented here as additional engines:
+//! Two of the applications the paper's Section 8 lists as under
+//! development are implemented here as additional engines:
 //!
 //! * [`aggregate`] — SQL group-by aggregation pushdown;
-//! * [`spmv`] — sparse matrix-vector multiply over page-packed CSR
-//!   ("Sparse-Matrix Based Linear Algebra Acceleration");
 //! * [`wordcount`] — a MapReduce map+combine stage ("BlueDBM-Optimized
 //!   MapReduce").
 //!
@@ -50,7 +48,6 @@ pub mod graph;
 pub mod hamming;
 pub mod lsh;
 pub mod mp;
-pub mod spmv;
 pub mod wordcount;
 
 pub use aggregate::{AggregateEngine, AggregateOp};
@@ -59,7 +56,6 @@ pub use graph::{PackedGraph, TraversalStats};
 pub use hamming::{hamming_distance, HammingEngine};
 pub use lsh::{LshIndex, LshParams};
 pub use mp::MpMatcher;
-pub use spmv::{PackedMatrix, SpmvEngine};
 pub use wordcount::WordCountEngine;
 
 /// A streaming in-store accelerator: consumes pages, accumulates results.

@@ -34,7 +34,8 @@
 //!   sequence numbers at the current instant, appending to that queue
 //!   keeps it globally sorted by `(time, seq)` and the dispatcher only
 //!   has to compare its head with the heap root;
-//! * components live in a **flattened arena** (see [`crate::arena`]):
+//! * components live in a **flattened arena** (the private `arena`
+//!   module):
 //!   every slot always holds an installed component (reserved slots hold
 //!   a panicking sentinel), so the dispatcher's component fetch is a
 //!   single bounds-checked index — no `Option` discriminant, no
@@ -774,7 +775,16 @@ impl<M: Message> Simulator<M> {
     /// newer than theirs.
     #[inline]
     pub fn schedule<T: Into<M>>(&mut self, delay: SimTime, to: ComponentId, msg: T) {
-        self.queues.push(self.now, self.now + delay, to, msg.into());
+        self.schedule_at(self.now + delay, to, msg.into());
+    }
+
+    /// [`schedule`](Self::schedule) at an absolute instant no earlier
+    /// than the clock — how the sharded runtime injects at its global
+    /// clock, which a member shard's own clock may trail.
+    #[inline]
+    pub(crate) fn schedule_at(&mut self, at: SimTime, to: ComponentId, msg: M) {
+        debug_assert!(at >= self.now, "injection predates the clock: at={at} now={}", self.now);
+        self.queues.push(self.now, at, to, msg);
     }
 
     /// Run one handler; its sends land in the queues directly. The

@@ -11,6 +11,11 @@
 //! vacant sentinel), so model code built for the sequential engine runs
 //! unmodified.
 //!
+//! It is the one engine: one shard is the sequential kernel, unsplit.
+//! A one-shard [`ShardedSimulator`] keeps the built [`Simulator`] whole
+//! — no fresh arena, no mailboxes, no owner lookup on a send — and its
+//! [`run`](ShardedSimulator::run) is [`Simulator::run`].
+//!
 //! ## The conservative window protocol
 //!
 //! Cross-shard messages ride per-pair **mailboxes** (one hand-off slot
@@ -308,7 +313,7 @@ struct Lane {
 
 /// N-shard conservative-parallel façade over [`Simulator`]. Build the
 /// component graph on a sequential simulator first, then split it with
-/// [`ShardedSimulator::from_simulator`].
+/// [`ShardedSimulator::from_simulator`] (one shard keeps it whole).
 ///
 /// The driving API mirrors the sequential engine where it can:
 /// [`schedule`](Self::schedule), [`run`](Self::run),
@@ -329,7 +334,8 @@ pub struct ShardedSimulator<M: ShardMessage> {
     /// conservative window, kept for probes and quick reasoning.
     min_lookahead: SimTime,
     /// Events the source simulator had already delivered before the
-    /// split, so aggregate accounting stays continuous.
+    /// split, so aggregate accounting stays continuous (0 on one shard,
+    /// whose simulator keeps its own count).
     base_delivered: u64,
     /// Cumulative synchronization rounds across all [`run`](Self::run)
     /// calls — every worker executes the identical round count, so this
@@ -373,7 +379,8 @@ impl<M: ShardMessage> ShardedSimulator<M> {
         Self::with_lookaheads(sim, owner, shards, lookaheads)
     }
 
-    /// Split a fully built (but idle) simulator into `shards` shards.
+    /// Split a fully built (but idle) simulator into `shards` shards
+    /// (one shard keeps it whole, see the [module docs](self)).
     /// `owner[i]` names the shard that owns component id `i`
     /// ([`u32::MAX`] for reserved-but-uninstalled ids);
     /// `lookaheads[s][r]` is the minimum latency of any direct message
@@ -441,15 +448,46 @@ impl<M: ShardMessage> ShardedSimulator<M> {
         }
 
         let owner = Arc::new(owner);
+        let (parts, base_delivered) = if shards == 1 {
+            // The sequential kernel, unsplit: no `ShardEnv`, so sends
+            // never consult the owner table, and the simulator keeps its
+            // own delivery count.
+            (vec![sim], 0)
+        } else {
+            let base_delivered = sim.delivered;
+            (Self::split(sim, &owner, &lookaheads), base_delivered)
+        };
+        ShardedSimulator {
+            shards: parts,
+            owner,
+            lookaheads,
+            min_lookahead,
+            base_delivered,
+            sync_rounds: AtomicU64::new(0),
+            delivered_live: (0..shards).map(|_| AtomicU64::new(0)).collect(),
+            lanes: (0..shards).map(|_| Lane::default()).collect(),
+            exec: ExecMode::default(),
+            trace_cfg: TraceConfig::off(),
+        }
+    }
+
+    /// Move every component of `sim` into the shard `owner` names, in
+    /// index-aligned arenas (the other shards hold the vacant sentinel
+    /// there), and give each shard its [`ShardEnv`].
+    fn split(
+        sim: Simulator<M>,
+        owner: &Arc<Vec<u32>>,
+        lookaheads: &[Arc<[SimTime]>],
+    ) -> Vec<Simulator<M>> {
+        let shards = lookaheads.len();
         let base_now = sim.now;
-        let base_delivered = sim.delivered;
         let mut parts: Vec<Simulator<M>> = (0..shards)
             .map(|me| {
                 let mut part = Simulator::with_capacity(64);
                 part.now = base_now;
                 part.shard_env = Some(ShardEnv {
                     me: me as u32,
-                    owner: Arc::clone(&owner),
+                    owner: Arc::clone(owner),
                     outboxes: (0..shards).map(|_| Vec::new()).collect(),
                     lookahead_to: Arc::clone(&lookaheads[me]),
                 });
@@ -468,18 +506,7 @@ impl<M: ShardMessage> ShardedSimulator<M> {
                 debug_assert_eq!(slot, idx, "shard arenas must stay index-aligned");
             }
         }
-        ShardedSimulator {
-            shards: parts,
-            owner,
-            lookaheads,
-            min_lookahead,
-            base_delivered,
-            sync_rounds: AtomicU64::new(0),
-            delivered_live: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            lanes: (0..shards).map(|_| Lane::default()).collect(),
-            exec: ExecMode::default(),
-            trace_cfg: TraceConfig::off(),
-        }
+        parts
     }
 
     /// Install (or disable) event tracing on every shard simulator.
@@ -670,10 +697,11 @@ impl<M: ShardMessage> ShardedSimulator<M> {
     }
 
     /// Schedule `msg` for delivery to `to` at `delay` from the global
-    /// clock (external injection, the sharded counterpart of
-    /// [`Simulator::schedule`]). The event is placed directly in the
-    /// owning shard's queues — external injection happens between runs,
-    /// so no lookahead constraint applies.
+    /// clock (external injection). The event is enqueued on the owning
+    /// shard exactly as [`Simulator::schedule`] enqueues it — an event
+    /// at the shard's own instant takes the same-instant queue — under
+    /// the same `(time, seq)` key; external injection happens between
+    /// runs, so no lookahead constraint applies.
     ///
     /// # Panics
     ///
@@ -683,7 +711,7 @@ impl<M: ShardMessage> ShardedSimulator<M> {
         let shard = self
             .owner_of(to)
             .unwrap_or_else(|| panic!("message scheduled to uninstalled component {to:?}"));
-        self.shards[shard].push_arrival(at, to, msg.into());
+        self.shards[shard].schedule_at(at, to, msg.into());
     }
 
     /// Run to global quiescence: execute the window protocol — on
@@ -699,7 +727,7 @@ impl<M: ShardMessage> ShardedSimulator<M> {
     pub fn run(&mut self) {
         let n = self.shards.len();
         if n == 1 {
-            // One shard is the sequential engine.
+            // One shard is the sequential kernel, unsplit.
             self.shards[0].run();
             return;
         }
@@ -1818,14 +1846,80 @@ mod tests {
 
     #[test]
     fn single_shard_degenerates_to_sequential() {
-        let (mut seq, a, _) = bounce_world();
-        seq.schedule(SimTime::ZERO, a, TMsg::Val(9));
-        seq.run();
-        let (sim, a2, _) = bounce_world();
-        let mut one = ShardedSimulator::from_simulator(sim, vec![0, 0], 1, HOP);
-        one.schedule(SimTime::ZERO, a2, TMsg::Val(9));
-        one.run();
+        // One shard is the sequential kernel, unsplit: every delivery,
+        // every trace record and the page store's high-water mark match
+        // a plain `Simulator` driven the same way.
+        struct Stager {
+            to: ComponentId,
+        }
+        impl Component<TMsg> for Stager {
+            fn handle(&mut self, ctx: &mut Ctx<'_, TMsg>, msg: TMsg) {
+                let TMsg::Val(n) = msg else { panic!("Val expected") };
+                let page = ctx.pages().alloc_from(&n.to_le_bytes());
+                ctx.send(self.to, HOP, TMsg::Page(page));
+            }
+        }
+        struct Taker {
+            seen: Vec<(SimTime, Vec<u8>)>,
+        }
+        impl Component<TMsg> for Taker {
+            fn handle(&mut self, ctx: &mut Ctx<'_, TMsg>, msg: TMsg) {
+                let TMsg::Page(page) = msg else { panic!("Page expected") };
+                let now = ctx.now();
+                self.seen.push((now, ctx.pages().take(page)));
+            }
+        }
+        let world = || {
+            let (mut sim, a, b) = bounce_world();
+            let taker = sim.reserve();
+            let stager = sim.add_component(Stager { to: taker });
+            sim.install(taker, Taker { seen: vec![] });
+            (sim, [a, b, stager, taker])
+        };
+        // A bounce plus a same-instant burst of four pages in flight at
+        // once, injected twice with a run in between.
+        let shots = |[a, _, stager, _]: [ComponentId; 4]| {
+            [(a, 9), (stager, 0), (stager, 1), (stager, 2), (stager, 3)]
+        };
+
+        let (mut seq, ids) = world();
+        seq.set_trace(TraceConfig::on(), 0);
+        let (sim, ids2) = world();
+        let mut one = ShardedSimulator::from_simulator(sim, vec![0; 4], 1, HOP);
+        one.set_trace(TraceConfig::on());
+        assert!(one.shards[0].shard_env.is_none(), "one shard needs no ShardEnv");
+        for _ in 0..2 {
+            for (to, n) in shots(ids) {
+                seq.schedule(SimTime::ZERO, to, TMsg::Val(n));
+            }
+            for (to, n) in shots(ids2) {
+                one.schedule(SimTime::ZERO, to, TMsg::Val(n));
+            }
+            seq.run();
+            one.run();
+        }
+
         assert_eq!(one.events_delivered(), seq.events_delivered());
         assert_eq!(one.now(), seq.now());
+        assert_eq!(one.sync_rounds(), 0);
+        let [a, b, _, taker] = ids;
+        let [a2, b2, _, taker2] = ids2;
+        for (s, q) in [(a2, a), (b2, b)] {
+            assert_eq!(
+                one.component::<Bouncer>(s).unwrap().log,
+                seq.component::<Bouncer>(q).unwrap().log,
+            );
+        }
+        let seen = &seq.component::<Taker>(taker).unwrap().seen;
+        assert_eq!(seen.len(), 8);
+        assert_eq!(&one.component::<Taker>(taker2).unwrap().seen, seen);
+        let seq_trace = bluedbm_trace::TraceDoc::merge(vec![seq.take_trace()]);
+        let one_trace = bluedbm_trace::TraceDoc::merge(one.take_trace());
+        assert!(!seq_trace.is_empty());
+        assert_eq!(one_trace.len(), seq_trace.len());
+        assert_eq!(one_trace.digest_full(u32::MAX), seq_trace.digest_full(u32::MAX));
+        assert_eq!(seq.page_store().peak_live(), 4);
+        assert_eq!(one.page_store(0).peak_live(), seq.page_store().peak_live());
+        one.assert_quiescent();
     }
 }

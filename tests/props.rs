@@ -7,7 +7,6 @@ use proptest::prelude::*;
 use bluedbm::flash::ecc::{self, Decoded};
 use bluedbm::flash::{FlashArray, FlashGeometry};
 use bluedbm::ftl::ftl::{Ftl, FtlConfig};
-use bluedbm::host::ReorderQueue;
 use bluedbm::isp::mp::MpMatcher;
 use bluedbm::net::{NodeId, RoutingTable, Topology};
 use bluedbm::sim::time::SimTime;
@@ -60,32 +59,6 @@ proptest! {
         m.feed(&hay[..split]);
         m.feed(&hay[split..]);
         prop_assert_eq!(m.matches(), &naive[..]);
-    }
-
-    /// The reorder queue reassembles a page exactly once from any chunk
-    /// decomposition, with every burst a full burst except possibly the
-    /// last.
-    #[test]
-    fn reorder_queue_reassembles_any_chunking(
-        chunks in proptest::collection::vec(1u32..500, 1..40),
-    ) {
-        const PAGE: u32 = 4096;
-        let mut rq = ReorderQueue::new(1, 128, PAGE);
-        let mut fed = 0u32;
-        let mut bursts = Vec::new();
-        for c in chunks {
-            let take = c.min(PAGE - fed);
-            if take == 0 { break; }
-            bursts.extend(rq.push(0, take));
-            fed += take;
-        }
-        let total: u32 = bursts.iter().map(|b| b.bytes).sum();
-        prop_assert_eq!(total, fed - rq.pending(0));
-        let completes = bursts.iter().filter(|b| b.completes_page).count();
-        prop_assert_eq!(completes, usize::from(fed == PAGE));
-        for b in &bursts[..bursts.len().saturating_sub(1)] {
-            prop_assert_eq!(b.bytes, 128);
-        }
     }
 
     /// On any connected random topology, deterministic routing reaches
