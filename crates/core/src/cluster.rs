@@ -522,8 +522,9 @@ impl Cluster {
 
     /// Harvest the per-shard trace buffers accumulated so far, one
     /// [`TracePart`] per shard (empty parts when `config.sim.trace` is
-    /// off). Taking resets the sinks, so back-to-back harvests see
-    /// disjoint records; merge parts with [`bluedbm_sim::TraceDoc::merge`].
+    /// off). Taking empties the buffers but keeps each sink's sequence
+    /// running, so back-to-back harvests see disjoint records that still
+    /// merge in order; merge parts with [`bluedbm_sim::TraceDoc::merge`].
     pub fn take_trace(&mut self) -> Vec<TracePart> {
         self.sim.take_trace()
     }

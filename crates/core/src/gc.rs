@@ -29,7 +29,7 @@ use bluedbm_flash::geometry::{FlashGeometry, Ppa};
 use bluedbm_ftl::GcRound;
 use bluedbm_sim::engine::{Component, ComponentId, Ctx};
 use bluedbm_sim::time::SimTime;
-use bluedbm_sim::{MetricsNode, TraceCat};
+use bluedbm_sim::{MetricsNode, TraceCat, TraceName};
 
 use crate::msg::Msg;
 
@@ -222,7 +222,8 @@ impl GcAgent {
             if run.announced == run.round {
                 let a = self.addr_word(card, round.victim);
                 let b = u64::from(round.wear_leveling);
-                ctx.trace().instant(TraceCat::Gc, "victim", self.node, a, b);
+                ctx.trace()
+                    .instant(TraceCat::Gc, TraceName::Victim, self.node, a, b);
                 self.run.as_mut().expect("job still running").announced += 1;
                 continue;
             }
@@ -270,7 +271,8 @@ impl GcAgent {
                 let (src, dst) = round.moves[run.mv];
                 let a = self.addr_word(card, src);
                 let b = self.geometry.linear_of(dst) as u64;
-                ctx.trace().instant(TraceCat::Gc, "move", self.node, a, b);
+                ctx.trace()
+                    .instant(TraceCat::Gc, TraceName::Move, self.node, a, b);
                 self.stats.moves += 1;
                 self.run.as_mut().expect("job still running").mv += 1;
                 self.advance(ctx);
@@ -279,7 +281,8 @@ impl GcAgent {
                 result.expect("GC erase failed: DES array diverged from mirror FTL");
                 let a = self.addr_word(card, round.victim);
                 let b = round.moves.len() as u64;
-                ctx.trace().instant(TraceCat::Gc, "erase", self.node, a, b);
+                ctx.trace()
+                    .instant(TraceCat::Gc, TraceName::Erase, self.node, a, b);
                 self.stats.erases += 1;
                 self.stats.rounds += 1;
                 let run = self.run.as_mut().expect("job still running");

@@ -122,7 +122,7 @@ use bluedbm_sim::fxhash::FxHashMap;
 use bluedbm_net::topology::NodeId;
 use bluedbm_sim::time::SimTime;
 use bluedbm_sim::{
-    Histogram, MetricsDoc, MetricsRegistry, TraceCat, TracePart, TraceSink, DRIVER_SHARD,
+    Histogram, MetricsDoc, MetricsRegistry, TraceCat, TraceName, TracePart, TraceSink, DRIVER_SHARD,
 };
 
 use crate::cluster::{Cluster, ClusterError, GlobalPageAddr};
@@ -637,7 +637,9 @@ impl KvStore {
 
     /// Harvest every trace buffer: the cluster's per-shard engine sinks
     /// plus the KV driver's own [`DRIVER_SHARD`] sink. Merge with
-    /// [`bluedbm_sim::TraceDoc::merge`]; taking resets the sinks.
+    /// [`bluedbm_sim::TraceDoc::merge`]. Taking empties the buffers but
+    /// keeps every sink's sequence running, so a later harvest's
+    /// records follow this one's.
     pub fn take_trace(&mut self) -> Vec<TracePart> {
         let mut parts = self.cluster.take_trace();
         parts.push(self.trace.take());
@@ -751,7 +753,7 @@ impl KvStore {
         let now = self.cluster.now();
         self.trace
             .at(now.as_ps())
-            .instant(TraceCat::KvOp, "submit", u32::from(tenant), id, kind_code);
+            .instant(TraceCat::KvOp, TraceName::Submit, u32::from(tenant), id, kind_code);
         // The one place key bytes are hashed: everything downstream
         // names the key by id.
         let key_id = self.keys.intern(key);
@@ -797,7 +799,7 @@ impl KvStore {
         let now_ps = self.cluster.now().as_ps();
         self.trace
             .at(now_ps)
-            .instant(TraceCat::KvOp, "gate", u32::from(op.tenant), id, 0);
+            .instant(TraceCat::KvOp, TraceName::Gate, u32::from(op.tenant), id, 0);
         self.ready.push_back(Ready {
             op: id,
             home: op.home,
@@ -878,7 +880,7 @@ impl KvStore {
         let (tenant, key, home) = (op.tenant, op.key, op.home);
         self.trace.at(now.as_ps()).instant(
             TraceCat::KvOp,
-            "start",
+            TraceName::Start,
             u32::from(tenant),
             id,
             home.index() as u64,
@@ -1090,7 +1092,7 @@ impl KvStore {
             ((kind as u64) << 2) | (u64::from(op.found) << 1) | u64::from(op.error.is_some());
         self.trace.at(finished.as_ps()).instant(
             TraceCat::KvOp,
-            "finish",
+            TraceName::Finish,
             u32::from(op.tenant),
             id,
             flags,

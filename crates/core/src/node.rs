@@ -22,7 +22,7 @@ use bluedbm_net::router::{NetRecv, NetSend};
 use bluedbm_net::topology::NodeId;
 use bluedbm_sim::engine::{Batch, Component, ComponentId, Ctx};
 use bluedbm_sim::time::{Bandwidth, SimTime};
-use bluedbm_sim::{MetricsNode, PageRef, TraceCat};
+use bluedbm_sim::{MetricsNode, PageRef, TraceCat, TraceName};
 
 use crate::msg::{Msg, NetBody};
 use crate::scheduler::{SchedDone, SchedSubmit};
@@ -505,7 +505,7 @@ impl NodeAgent {
                     tc.parked_pages += 1;
                     ctx.trace().instant(
                         TraceCat::BufPool,
-                        "park",
+                        TraceName::Park,
                         self.node.0 as u32,
                         op_id,
                         self.host_parked.len() as u64 + 1,
@@ -816,7 +816,7 @@ impl NodeAgent {
                     let waited = (ctx.now() - start).as_ps();
                     ctx.trace().instant(
                         TraceCat::BufPool,
-                        "resume",
+                        TraceName::Resume,
                         self.node.0 as u32,
                         op_id,
                         waited,

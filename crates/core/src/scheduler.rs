@@ -33,7 +33,7 @@ use std::collections::VecDeque;
 use bluedbm_sim::engine::{Component, ComponentId, Ctx};
 use bluedbm_sim::resource::MultiResource;
 use bluedbm_sim::time::SimTime;
-use bluedbm_sim::{MetricsNode, TraceCat};
+use bluedbm_sim::{MetricsNode, TraceCat, TraceName};
 
 use crate::msg::Msg;
 
@@ -184,8 +184,13 @@ impl AccelSched {
         self.stats.granted += 1;
         self.stats.total_wait += waited;
         self.stats.max_wait = self.stats.max_wait.max(waited);
-        ctx.trace()
-            .instant(TraceCat::Accel, "grant", self.node, job, waited.as_ps());
+        ctx.trace().instant(
+            TraceCat::Accel,
+            TraceName::Grant,
+            self.node,
+            job,
+            waited.as_ps(),
+        );
         ctx.send_self(duration, SchedFree { job, reply_to });
     }
 }
@@ -200,7 +205,7 @@ impl Component<Msg> for AccelSched {
                 } else {
                     self.stats.parked += 1;
                     ctx.trace()
-                        .instant(TraceCat::Accel, "park", self.node, s.job, 0);
+                        .instant(TraceCat::Accel, TraceName::Park, self.node, s.job, 0);
                     self.parked.push_back(ParkedJob {
                         job: s.job,
                         reply_to: s.reply_to,
@@ -215,7 +220,7 @@ impl Component<Msg> for AccelSched {
                 self.busy -= 1;
                 self.stats.completed += 1;
                 ctx.trace()
-                    .instant(TraceCat::Accel, "done", self.node, f.job, 0);
+                    .instant(TraceCat::Accel, TraceName::Done, self.node, f.job, 0);
                 ctx.send(f.reply_to, SimTime::ZERO, SchedDone { job: f.job });
                 if let Some(next) = self.parked.pop_front() {
                     let waited = ctx.now() - next.since;

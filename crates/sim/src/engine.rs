@@ -60,7 +60,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
-use bluedbm_trace::{TraceCat, TraceConfig, TraceKind, TracePart, TraceSink, Tracer};
+use bluedbm_trace::{TraceCat, TraceConfig, TraceKind, TraceName, TracePart, TraceSink, Tracer};
 
 use crate::arena::ComponentArena;
 use crate::pagestore::PageStore;
@@ -800,7 +800,7 @@ impl<M: Message> Simulator<M> {
             at.as_ps(),
             TraceCat::Dispatch,
             TraceKind::Instant,
-            "event",
+            TraceName::Event,
             to.index() as u32,
             1,
             0,
@@ -847,7 +847,7 @@ impl<M: Message> Simulator<M> {
             // Singleton event: plain per-message dispatch.
             self.delivered += 1;
             ctx.trace
-                .record(at.as_ps(), TraceCat::Dispatch, TraceKind::Instant, "event", to.index() as u32, 1, 0);
+                .record(at.as_ps(), TraceCat::Dispatch, TraceKind::Instant, TraceName::Event, to.index() as u32, 1, 0);
             component.handle(&mut ctx, msg);
             return;
         }
@@ -859,7 +859,7 @@ impl<M: Message> Simulator<M> {
             taken: 0,
         };
         ctx.trace
-            .record(at.as_ps(), TraceCat::Dispatch, TraceKind::Instant, "train", to.index() as u32, 0, 0);
+            .record(at.as_ps(), TraceCat::Dispatch, TraceKind::Instant, TraceName::Train, to.index() as u32, 0, 0);
         component.handle_batch(&mut ctx, &mut batch);
         self.delivered += batch.taken;
         // A batch handler may stop before taking even the head; deliver

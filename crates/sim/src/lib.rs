@@ -152,5 +152,5 @@ pub use time::{Bandwidth, SimTime};
 // without a direct `bluedbm_trace` dependency line.
 pub use bluedbm_trace::{
     HistogramSummary, MetricsDoc, MetricsNode, MetricsRegistry, TraceCat, TraceConfig, TraceDoc,
-    TracePart, TraceSink, Tracer, WallLaneProfile, DRIVER_SHARD, STABLE_CATEGORIES,
+    TraceName, TracePart, TraceSink, Tracer, WallLaneProfile, DRIVER_SHARD, STABLE_CATEGORIES,
 };

@@ -167,7 +167,9 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bluedbm_trace::{TraceCat, TraceConfig, TraceKind, TracePart, WallLane, WallLaneProfile};
+use bluedbm_trace::{
+    TraceCat, TraceConfig, TraceKind, TraceName, TracePart, WallLane, WallLaneProfile,
+};
 
 use crate::affinity;
 
@@ -925,7 +927,7 @@ fn stage_exchange<M: ShardMessage>(
                 now_ps,
                 TraceCat::Mailbox,
                 TraceKind::Instant,
-                "flush",
+                TraceName::Flush,
                 dst as u32,
                 flushed,
                 0,
@@ -1143,7 +1145,7 @@ fn run_cooperative<M: ShardMessage>(
                         now_ps,
                         TraceCat::Mailbox,
                         TraceKind::Instant,
-                        "flush",
+                        TraceName::Flush,
                         dst as u32,
                         flushed,
                         0,

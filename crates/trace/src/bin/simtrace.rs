@@ -8,7 +8,9 @@
 //! ```
 //!
 //! Flags compose: one input may be exported to both formats in one run.
-//! Exit status is non-zero on any parse or validation failure.
+//! Exit status is non-zero on any parse or validation failure, and on a
+//! trace that dropped records at capacity: its summary and exports are
+//! still written, but its digests cannot be compared with a whole run's.
 
 use std::process::ExitCode;
 
@@ -74,6 +76,12 @@ fn run() -> Result<(), String> {
     if let Some(path) = csv_out {
         std::fs::write(path, doc.to_csv()).map_err(|e| format!("{path}: {e}"))?;
         println!("wrote {path}: {} rows", doc.len());
+    }
+    if doc.dropped() > 0 {
+        return Err(format!(
+            "{} records dropped at capacity: digests are not comparable",
+            doc.dropped()
+        ));
     }
     Ok(())
 }

@@ -11,47 +11,42 @@
 //!            | name_idx u32 | track u32 | a u64 | b u64
 //! ```
 //!
-//! Names are interned into a table so the fixed-size record body stays
-//! fixed-size; the table is tiny (one entry per distinct `&'static str`
-//! used at an instrumentation site).
+//! Names are interned into a table of [`TraceName::label`]s, in first-use
+//! order; the table is tiny (one entry per distinct name in the trace).
 
 use crate::doc::TraceDoc;
-use crate::record::{TraceCat, TraceKind, TraceRecord};
+use crate::record::{TraceCat, TraceKind, TraceName, TraceRecord};
 
 /// File magic: format version 1.
 pub const MAGIC: &[u8; 8] = b"BDBMTRC1";
 
 /// Encode a merged trace.
 pub fn encode(doc: &TraceDoc) -> Vec<u8> {
-    // Interning table: linear scan is fine — instrumentation sites use
-    // a few dozen distinct names at most (and a Vec keeps the table in
-    // first-use order, deterministically).
-    let mut names: Vec<&'static str> = Vec::new();
-    let mut out = Vec::with_capacity(64 + doc.len() * 46);
-    out.extend_from_slice(MAGIC);
-
-    let mut name_idx = Vec::with_capacity(doc.len());
+    // The table lists names in first-use order; `slot` maps a name to
+    // its table index.
+    let mut names: Vec<TraceName> = Vec::new();
+    let mut slot = [u32::MAX; TraceName::ALL.len()];
     for r in doc.records() {
-        let idx = match names.iter().position(|n| *n == r.name) {
-            Some(i) => i,
-            None => {
-                names.push(r.name);
-                names.len() - 1
-            }
-        };
-        name_idx.push(idx as u32);
+        let s = &mut slot[r.name as usize];
+        if *s == u32::MAX {
+            *s = names.len() as u32;
+            names.push(r.name);
+        }
     }
 
+    let mut out = Vec::with_capacity(64 + doc.len() * 46);
+    out.extend_from_slice(MAGIC);
     out.extend_from_slice(&(names.len() as u32).to_le_bytes());
     for name in &names {
-        let bytes = name.as_bytes();
+        let bytes = name.label().as_bytes();
         out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
         out.extend_from_slice(bytes);
     }
 
     out.extend_from_slice(&doc.dropped().to_le_bytes());
     out.extend_from_slice(&(doc.len() as u64).to_le_bytes());
-    for (r, idx) in doc.records().iter().zip(name_idx) {
+    for r in doc.records() {
+        let idx = slot[r.name as usize];
         out.extend_from_slice(&r.at_ps.to_le_bytes());
         out.extend_from_slice(&r.shard.to_le_bytes());
         out.extend_from_slice(&r.seq.to_le_bytes());
@@ -99,12 +94,8 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Decode a trace file.
-///
-/// Record names are interned by leaking one allocation per *distinct*
-/// name (`TraceRecord.name` is `&'static str` for the capture hot
-/// path's sake); the decoder is meant for the short-lived `simtrace`
-/// CLI and tests, where a few dozen leaked strings are irrelevant.
+/// Decode a trace file. A string-table entry that is not some
+/// [`TraceName::label`] is an error.
 pub fn decode(bytes: &[u8]) -> Result<TraceDoc, String> {
     let mut rd = Reader { bytes, pos: 0 };
     if rd.take(8)? != MAGIC {
@@ -115,12 +106,20 @@ pub fn decode(bytes: &[u8]) -> Result<TraceDoc, String> {
     // can hold (each name costs at least its u16 length).
     let name_count = rd.u32()? as usize;
     let room = (bytes.len() - rd.pos) / 2;
-    let mut names: Vec<&'static str> = Vec::with_capacity(name_count.min(room));
+    let mut names: Vec<TraceName> = Vec::with_capacity(name_count.min(room));
     for _ in 0..name_count {
         let len = rd.u16()? as usize;
         let raw = rd.take(len)?;
-        let s = std::str::from_utf8(raw).map_err(|e| format!("bad name in string table: {e}"))?;
-        names.push(Box::leak(s.to_owned().into_boxed_str()));
+        let name = std::str::from_utf8(raw)
+            .ok()
+            .and_then(TraceName::from_label)
+            .ok_or_else(|| {
+                format!(
+                    "unknown name {:?} in string table",
+                    String::from_utf8_lossy(raw)
+                )
+            })?;
+        names.push(name);
     }
 
     let dropped = rd.u64()?;
@@ -170,19 +169,50 @@ pub fn decode(bytes: &[u8]) -> Result<TraceDoc, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::{fnv_bytes, FNV_OFFSET};
     use crate::sink::TraceSink;
-    use crate::{TraceConfig, ALL_CATEGORIES};
+    use crate::{TraceConfig, ALL_CATEGORIES, DRIVER_SHARD};
 
     /// One encoded record (see the module docs' layout).
     const RECORD_BYTES: usize = 46;
 
+    /// Two parts: an engine shard's, and a driver's that stamps a record
+    /// in the past and drops one at capacity.
     fn sample() -> TraceDoc {
+        use TraceName::*;
         let mut sink = TraceSink::new(TraceConfig::on(), 1);
-        sink.at(10).instant(TraceCat::KvOp, "submit", 3, 1, 2);
-        sink.at(20).span_begin(TraceCat::Mailbox, "window", 0, 5, 0);
-        sink.at(30).span_end(TraceCat::Mailbox, "window", 0, 5, 0);
-        sink.at(30).counter(TraceCat::Accel, "busy", 2, 4);
-        TraceDoc::merge(vec![sink.take()])
+        sink.at(10).instant(TraceCat::KvOp, Submit, 3, 1, 2);
+        sink.at(20).span_begin(TraceCat::Mailbox, Flush, 0, 5, 0);
+        sink.at(30).span_end(TraceCat::Mailbox, Flush, 0, 5, 0);
+        sink.at(30).counter(TraceCat::Accel, Grant, 2, 4);
+        let mut driver = TraceSink::new(TraceConfig::on().with_capacity(2), DRIVER_SHARD);
+        driver.at(30).instant(TraceCat::KvOp, Start, 3, 1, 0);
+        driver.at(25).instant(TraceCat::KvOp, Finish, 3, 1, 4);
+        driver.at(40).instant(TraceCat::KvOp, Submit, 3, 2, 0);
+        TraceDoc::merge(vec![sink.take(), driver.take()])
+    }
+
+    #[test]
+    fn encoding_is_pinned() {
+        // Taken on the parent of the `TraceName` change, where names were
+        // strings: the format did not move by a byte.
+        let bytes = encode(&sample());
+        assert_eq!(bytes.len(), 341);
+        assert_eq!(fnv_bytes(FNV_OFFSET, &bytes), 0xe507_1214_4894_dd1b);
+    }
+
+    #[test]
+    fn unknown_name_is_an_error() {
+        let mut bytes = encode(&sample());
+        // The first table entry, "submit", follows the magic, the name
+        // count and its own u16 length.
+        let at = 8 + 4 + 2;
+        assert_eq!(&bytes[at..at + 6], b"submit");
+        bytes[at..at + 6].copy_from_slice(b"sublet");
+        let err = decode(&bytes).unwrap_err();
+        assert!(err.contains("unknown name \"sublet\""), "{err}");
+        bytes[at] = 0xff;
+        assert!(decode(&bytes).unwrap_err().contains("unknown name"));
     }
 
     #[test]

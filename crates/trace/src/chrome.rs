@@ -110,7 +110,7 @@ pub fn to_chrome_json(doc: &TraceDoc) -> String {
         let pid = pid_of(r.cat);
         let tid = tid_of(r);
         let ts = ts_us(r.at_ps);
-        let name = escape(r.name);
+        let name = r.name.label();
         let cat = r.cat.label();
         let event = match r.kind {
             TraceKind::SpanBegin => format!(
@@ -242,12 +242,15 @@ mod tests {
     use crate::TraceConfig;
 
     fn sample() -> TraceDoc {
+        use crate::record::TraceName::*;
         let mut sink = TraceSink::new(TraceConfig::on(), 0);
-        sink.at(1_000_000).span_begin(TraceCat::Mailbox, "window", 0, 8, 0);
-        sink.at(2_500_000).span_end(TraceCat::Mailbox, "window", 0, 8, 0);
-        sink.at(2_500_000).instant(TraceCat::Accel, "grant", 3, 7, 0);
-        sink.at(3_000_000).counter(TraceCat::Accel, "busy", 3, 2);
-        sink.at(3_000_000).instant(TraceCat::KvOp, "submit", 1, 42, 0);
+        sink.at(1_000_000)
+            .span_begin(TraceCat::Mailbox, Flush, 0, 8, 0);
+        sink.at(2_500_000)
+            .span_end(TraceCat::Mailbox, Flush, 0, 8, 0);
+        sink.at(2_500_000).instant(TraceCat::Accel, Grant, 3, 7, 0);
+        sink.at(3_000_000).counter(TraceCat::Accel, Park, 3, 2);
+        sink.at(3_000_000).instant(TraceCat::KvOp, Submit, 1, 42, 0);
         TraceDoc::merge(vec![sink.take()])
     }
 

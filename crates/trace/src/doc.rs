@@ -13,16 +13,66 @@ pub struct TraceDoc {
     dropped: u64,
 }
 
-impl TraceDoc {
-    /// Merge per-sink harvests into one document.
-    pub fn merge(parts: Vec<TracePart>) -> TraceDoc {
-        let mut records = Vec::with_capacity(parts.iter().map(|p| p.records.len()).sum());
-        let mut dropped = 0;
-        for part in parts {
-            dropped += part.dropped;
-            records.extend(part.records);
+/// Whether `a` sorts after `b` in `(at_ps, shard, seq)` order. The
+/// leading pair is packed into one `u128` so one compare orders both;
+/// `seq` only decides between two harvests of one sink.
+#[inline]
+fn after(a: &TraceRecord, b: &TraceRecord) -> bool {
+    let key = |r: &TraceRecord| (u128::from(r.at_ps) << 32) | u128::from(r.shard);
+    let (ka, kb) = (key(a), key(b));
+    ka > kb || (ka == kb && a.seq > b.seq)
+}
+
+/// Merge sorted `src` into sorted `dst`, back to front in `dst`'s own
+/// buffer: the write cursor never falls behind `dst`'s read cursor, so
+/// nothing unread is overwritten.
+fn merge_into(dst: &mut Vec<TraceRecord>, src: &[TraceRecord]) {
+    let mut i = dst.len();
+    let mut j = src.len();
+    // Grow to the merged length; every new slot is rewritten below.
+    dst.extend_from_slice(src);
+    while j > 0 {
+        let b = src[j - 1];
+        if i > 0 && after(&dst[i - 1], &b) {
+            dst[i + j - 1] = dst[i - 1];
+            i -= 1;
+        } else {
+            dst[i + j - 1] = b;
+            j -= 1;
         }
-        records.sort_unstable_by_key(|r| (r.at_ps, r.shard, r.seq));
+    }
+}
+
+/// Put one sink's harvest in merge order (see [`TraceDoc::merge`]).
+fn sort_run(run: &mut [TraceRecord]) {
+    if !run.is_sorted_by_key(|r| r.at_ps) {
+        run.sort_by_key(|r| r.at_ps);
+    }
+}
+
+impl TraceDoc {
+    /// Merge per-sink harvests into one document, in `(at_ps, shard,
+    /// seq)` order.
+    ///
+    /// A part leaves its sink in that order unless a site stamped a
+    /// record in the past (the KV driver's `finish`); only such a part
+    /// is sorted, stably by `at_ps`, which keeps equal instants in
+    /// emission (= `seq`) order. The other parts are then merged into
+    /// the largest one's buffer, so no second full-size copy of the
+    /// trace is ever resident.
+    pub fn merge(parts: Vec<TracePart>) -> TraceDoc {
+        let dropped = parts.iter().map(|p| p.dropped).sum();
+        let mut runs: Vec<Vec<TraceRecord>> = parts.into_iter().map(|p| p.records).collect();
+        let Some(largest) = (0..runs.len()).max_by_key(|&i| runs[i].len()) else {
+            return TraceDoc::default();
+        };
+        let mut records = runs.swap_remove(largest);
+        sort_run(&mut records);
+        records.reserve_exact(runs.iter().map(Vec::len).sum());
+        for mut run in runs {
+            sort_run(&mut run);
+            merge_into(&mut records, &run);
+        }
         TraceDoc { records, dropped }
     }
 
@@ -91,7 +141,7 @@ impl TraceDoc {
                 r.seq,
                 r.cat.label(),
                 r.kind.label(),
-                r.name,
+                r.name.label(),
                 r.track,
                 r.a,
                 r.b,
@@ -104,14 +154,17 @@ impl TraceDoc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::TraceKind;
+    use crate::record::{TraceKind, TraceName, DRIVER_SHARD};
     use crate::sink::TraceSink;
     use crate::TraceConfig;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     fn part(shard: u32, times: &[u64]) -> TracePart {
         let mut sink = TraceSink::new(TraceConfig::on(), shard);
         for &t in times {
-            sink.at(t).instant(TraceCat::KvOp, "submit", 0, t, 0);
+            sink.at(t)
+                .instant(TraceCat::KvOp, TraceName::Submit, 0, t, 0);
         }
         sink.take()
     }
@@ -146,5 +199,43 @@ mod tests {
         assert_eq!(doc.count(TraceCat::KvOp), 1);
         assert_eq!(doc.count(TraceCat::Mailbox), 0);
         let _ = TraceKind::Instant;
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `merge` is concat-and-sort, record for record. Parts come from
+        /// four sinks (one the driver's), a sink may be harvested more
+        /// than once (equal `(at_ps, shard)` across parts, told apart by
+        /// `seq`), and a part's records are in time order or stamped in
+        /// the past; instants repeat within and across parts, parts may
+        /// be empty, and a sink of capacity 24 drops.
+        #[test]
+        fn merge_equals_concat_and_sort(
+            parts in collection::vec((0usize..4, collection::vec(0u64..12, 0..40), 0u8..2), 1..6),
+        ) {
+            let mut sinks: Vec<TraceSink> = [0, 1, 2, DRIVER_SHARD]
+                .into_iter()
+                .map(|shard| TraceSink::new(TraceConfig::on().with_capacity(24), shard))
+                .collect();
+            let mut taken = Vec::new();
+            for (n, (sink, mut times, in_order)) in parts.into_iter().enumerate() {
+                if in_order == 1 {
+                    times.sort_unstable();
+                }
+                let sink = &mut sinks[sink];
+                for (i, t) in times.into_iter().enumerate() {
+                    sink.at(t).instant(TraceCat::KvOp, TraceName::Submit, n as u32, i as u64, 0);
+                }
+                taken.push(sink.take());
+            }
+            let mut want: Vec<TraceRecord> =
+                taken.iter().flat_map(|p| p.records.iter().copied()).collect();
+            want.sort_unstable_by_key(|r| (r.at_ps, r.shard, r.seq));
+            let dropped: u64 = taken.iter().map(|p| p.dropped).sum();
+            let doc = TraceDoc::merge(taken);
+            prop_assert_eq!(doc.records(), &want[..]);
+            prop_assert_eq!(doc.dropped(), dropped);
+        }
     }
 }

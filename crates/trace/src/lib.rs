@@ -36,8 +36,10 @@
 //! 3. Emit records at the instrumentation site through
 //!    [`Tracer`] (`ctx.trace().instant(cat, name, track, a, b)` from a
 //!    component, or `sink.record(..)` from runtime code that knows the
-//!    clock). Use `&'static str` names — they are interned into the
-//!    binary string table.
+//!    clock). A new event name is one [`TraceName`] variant plus its
+//!    [`TraceName::label`] (and an entry in `TraceName::ALL`); the label
+//!    is what CSV, Chrome JSON, the binary string table and the digests
+//!    see.
 //! 4. If the new category's payloads are arbitration-dependent (queue
 //!    waits, park counts, engine-private bookkeeping), leave it out of
 //!    [`record::STABLE_CATEGORIES`]; only categories whose record
@@ -59,7 +61,9 @@ pub mod wallclock;
 
 pub use doc::TraceDoc;
 pub use metrics::{HistogramSummary, MetricValue, MetricsDoc, MetricsNode, MetricsRegistry};
-pub use record::{TraceCat, TraceKind, TraceRecord, ALL_CATEGORIES, DRIVER_SHARD, STABLE_CATEGORIES};
+pub use record::{
+    TraceCat, TraceKind, TraceName, TraceRecord, ALL_CATEGORIES, DRIVER_SHARD, STABLE_CATEGORIES,
+};
 pub use sink::{TracePart, TraceSink, Tracer};
 pub use wallclock::{WallLane, WallLaneProfile, WallStamp};
 
@@ -84,8 +88,8 @@ pub struct TraceConfig {
 }
 
 impl TraceConfig {
-    /// Default per-sink capacity: 2^18 records (~16 MiB per shard when
-    /// saturated).
+    /// Default per-sink capacity: 2^18 records (12 MiB per shard when
+    /// saturated: 48 bytes a record).
     pub const DEFAULT_CAPACITY: u32 = 1 << 18;
 
     /// Tracing disabled (the default).

@@ -11,7 +11,8 @@ pub const DRIVER_SHARD: u32 = u32::MAX;
 #[repr(u8)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TraceCat {
-    /// Event dispatch in the kernel: one record per delivered train.
+    /// Event dispatch in the kernel: one `event` record per unbatched
+    /// delivery, one `train` record per batched drain.
     Dispatch = 0,
     /// Cross-shard mailbox flushes in the sharded runtime.
     Mailbox = 1,
@@ -92,6 +93,93 @@ pub const ALL_CATEGORIES: u32 = {
 /// mirror FTL's policy, a pure function of the logical op sequence.
 pub const STABLE_CATEGORIES: u32 = TraceCat::KvOp.bit() | TraceCat::Gc.bit();
 
+/// What happened: the closed set of event names instrumentation sites
+/// emit, one byte in the record.
+///
+/// The discriminant is *not* part of the binary format: files carry
+/// each name's [`label`](TraceName::label) in their string table, and
+/// the digests hash the label bytes, so reordering variants changes
+/// neither.
+#[repr(u8)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum TraceName {
+    /// `Dispatch`: one unbatched delivery.
+    Event,
+    /// `Dispatch`: one batched train drain.
+    Train,
+    /// `Mailbox`: an outbox flushed to a peer shard.
+    Flush,
+    /// `Accel`: a job granted an accelerator unit.
+    Grant,
+    /// `Accel`: a job queued for a unit; `BufPool`: a page queued for a
+    /// read buffer.
+    Park,
+    /// `Accel`: a job released its unit.
+    Done,
+    /// `BufPool`: a parked page got a read buffer.
+    Resume,
+    /// `KvOp`: the op entered the driver.
+    Submit,
+    /// `KvOp`: the op holds its key's gate.
+    Gate,
+    /// `KvOp`: the op's page commands were injected.
+    Start,
+    /// `KvOp`: the op completed.
+    Finish,
+    /// `Gc`: a victim block was chosen.
+    Victim,
+    /// `Gc`: one valid page was relocated.
+    Move,
+    /// `Gc`: the victim block was erased.
+    Erase,
+}
+
+impl TraceName {
+    /// Every name, in discriminant order.
+    pub(crate) const ALL: [TraceName; 14] = [
+        TraceName::Event,
+        TraceName::Train,
+        TraceName::Flush,
+        TraceName::Grant,
+        TraceName::Park,
+        TraceName::Done,
+        TraceName::Resume,
+        TraceName::Submit,
+        TraceName::Gate,
+        TraceName::Start,
+        TraceName::Finish,
+        TraceName::Victim,
+        TraceName::Move,
+        TraceName::Erase,
+    ];
+
+    /// Stable lowercase label (CSV column, Chrome `name`, binary string
+    /// table, digests).
+    pub const fn label(self) -> &'static str {
+        match self {
+            TraceName::Event => "event",
+            TraceName::Train => "train",
+            TraceName::Flush => "flush",
+            TraceName::Grant => "grant",
+            TraceName::Park => "park",
+            TraceName::Done => "done",
+            TraceName::Resume => "resume",
+            TraceName::Submit => "submit",
+            TraceName::Gate => "gate",
+            TraceName::Start => "start",
+            TraceName::Finish => "finish",
+            TraceName::Victim => "victim",
+            TraceName::Move => "move",
+            TraceName::Erase => "erase",
+        }
+    }
+
+    /// The name whose label is `label`.
+    pub(crate) fn from_label(label: &str) -> Option<TraceName> {
+        TraceName::ALL.into_iter().find(|n| n.label() == label)
+    }
+}
+
 /// The shape of a record.
 #[repr(u8)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -146,8 +234,8 @@ pub struct TraceRecord {
     pub cat: TraceCat,
     /// Shape.
     pub kind: TraceKind,
-    /// Event name; `&'static str` so the hot path never allocates.
-    pub name: &'static str,
+    /// Event name.
+    pub name: TraceName,
     /// Secondary track key within the category's Chrome process: node
     /// id for `Accel`/`BufPool`, tenant for `KvOp`, destination shard
     /// for `Mailbox`, 0 otherwise.
@@ -159,11 +247,15 @@ pub struct TraceRecord {
     pub b: u64,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+// Every capture push and every merge move copies one record: keep it at
+// four u64s, two u32s and three bytes.
+const _: () = assert!(std::mem::size_of::<TraceRecord>() <= 48);
+
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 #[inline]
-fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
+pub(crate) fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
@@ -185,7 +277,7 @@ impl TraceRecord {
         let h = fnv_u64(h, self.seq);
         let h = fnv_u64(h, u64::from(self.cat as u8));
         let h = fnv_u64(h, u64::from(self.kind as u8));
-        let h = fnv_bytes(h, self.name.as_bytes());
+        let h = fnv_bytes(h, self.name.label().as_bytes());
         let h = fnv_u64(h, u64::from(self.track));
         let h = fnv_u64(h, self.a);
         fnv_u64(h, self.b)
@@ -198,7 +290,7 @@ impl TraceRecord {
     pub fn digest_stable(&self) -> u64 {
         let h = fnv_u64(FNV_OFFSET, u64::from(self.cat as u8));
         let h = fnv_u64(h, u64::from(self.kind as u8));
-        let h = fnv_bytes(h, self.name.as_bytes());
+        let h = fnv_bytes(h, self.name.label().as_bytes());
         let h = fnv_u64(h, u64::from(self.track));
         let h = fnv_u64(h, self.a);
         fnv_u64(h, self.b)
@@ -216,11 +308,36 @@ mod tests {
             seq,
             cat: TraceCat::KvOp,
             kind: TraceKind::Instant,
-            name: "submit",
+            name: TraceName::Submit,
             track: 3,
             a: 42,
             b: 7,
         }
+    }
+
+    #[test]
+    fn record_is_48_bytes() {
+        assert_eq!(std::mem::size_of::<TraceRecord>(), 48);
+    }
+
+    #[test]
+    fn name_labels_roundtrip_and_are_distinct() {
+        for name in TraceName::ALL {
+            assert_eq!(TraceName::from_label(name.label()), Some(name));
+        }
+        let mut labels: Vec<&str> = TraceName::ALL.iter().map(|n| n.label()).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), TraceName::ALL.len());
+        assert_eq!(TraceName::from_label("window"), None);
+    }
+
+    #[test]
+    fn digests_hash_the_label_bytes() {
+        // Pinned on the parent, where `name` was the string "submit":
+        // the enum must not move a single digest.
+        assert_eq!(rec(10, 0).digest_full(), 0xd5b1_3ee8_7bc5_e6af);
+        assert_eq!(rec(10, 0).digest_stable(), 0xdad5_e0bb_0d62_6b64);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! The per-shard ring buffer trace records are written into.
 
-use crate::record::{TraceCat, TraceKind, TraceRecord};
+use crate::record::{TraceCat, TraceKind, TraceName, TraceRecord};
 use crate::TraceConfig;
 
 /// One sink's harvest: its records plus how many it had to drop at
 /// capacity. Merged into a [`crate::TraceDoc`].
 #[derive(Debug, Default, Clone)]
 pub struct TracePart {
-    /// Captured records, in emission order.
+    /// Captured records, in emission order: one shard, `seq` rising.
     pub records: Vec<TraceRecord>,
     /// Records discarded because the buffer was full.
     pub dropped: u64,
@@ -96,7 +96,7 @@ impl TraceSink {
         at_ps: u64,
         cat: TraceCat,
         kind: TraceKind,
-        name: &'static str,
+        name: TraceName,
         track: u32,
         a: u64,
         b: u64,
@@ -113,7 +113,7 @@ impl TraceSink {
         at_ps: u64,
         cat: TraceCat,
         kind: TraceKind,
-        name: &'static str,
+        name: TraceName,
         track: u32,
         a: u64,
         b: u64,
@@ -167,28 +167,28 @@ impl Tracer<'_> {
 
     /// Open a span named `name` on `track`.
     #[inline]
-    pub fn span_begin(&mut self, cat: TraceCat, name: &'static str, track: u32, a: u64, b: u64) {
+    pub fn span_begin(&mut self, cat: TraceCat, name: TraceName, track: u32, a: u64, b: u64) {
         self.sink
             .record(self.at_ps, cat, TraceKind::SpanBegin, name, track, a, b);
     }
 
     /// Close the innermost span named `name` on `track`.
     #[inline]
-    pub fn span_end(&mut self, cat: TraceCat, name: &'static str, track: u32, a: u64, b: u64) {
+    pub fn span_end(&mut self, cat: TraceCat, name: TraceName, track: u32, a: u64, b: u64) {
         self.sink
             .record(self.at_ps, cat, TraceKind::SpanEnd, name, track, a, b);
     }
 
     /// Emit a point event.
     #[inline]
-    pub fn instant(&mut self, cat: TraceCat, name: &'static str, track: u32, a: u64, b: u64) {
+    pub fn instant(&mut self, cat: TraceCat, name: TraceName, track: u32, a: u64, b: u64) {
         self.sink
             .record(self.at_ps, cat, TraceKind::Instant, name, track, a, b);
     }
 
     /// Sample a counter value.
     #[inline]
-    pub fn counter(&mut self, cat: TraceCat, name: &'static str, track: u32, value: u64) {
+    pub fn counter(&mut self, cat: TraceCat, name: TraceName, track: u32, value: u64) {
         self.sink
             .record(self.at_ps, cat, TraceKind::Counter, name, track, value, 0);
     }
@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn disabled_sink_captures_nothing() {
         let mut s = TraceSink::disabled();
-        s.at(5).instant(TraceCat::KvOp, "submit", 0, 1, 2);
+        s.at(5).instant(TraceCat::KvOp, TraceName::Submit, 0, 1, 2);
         assert!(!s.is_enabled());
         assert!(s.is_empty());
         assert_eq!(s.take().records.len(), 0);
@@ -215,20 +215,20 @@ mod tests {
     fn category_mask_filters() {
         let cfg = TraceConfig::on().with_categories(TraceCat::Accel.bit());
         let mut s = TraceSink::new(cfg, 0);
-        s.at(1).instant(TraceCat::KvOp, "submit", 0, 0, 0);
-        s.at(1).instant(TraceCat::Accel, "grant", 0, 0, 0);
+        s.at(1).instant(TraceCat::KvOp, TraceName::Submit, 0, 0, 0);
+        s.at(1).instant(TraceCat::Accel, TraceName::Grant, 0, 0, 0);
         assert!(s.captures(TraceCat::Accel));
         assert!(!s.captures(TraceCat::KvOp));
         let part = s.take();
         assert_eq!(part.records.len(), 1);
-        assert_eq!(part.records[0].name, "grant");
+        assert_eq!(part.records[0].name, TraceName::Grant);
     }
 
     #[test]
     fn capacity_drops_are_counted_not_evicted() {
         let mut s = enabled(2);
         for i in 0..5 {
-            s.at(i).instant(TraceCat::KvOp, "submit", 0, i, 0);
+            s.at(i).instant(TraceCat::KvOp, TraceName::Submit, 0, i, 0);
         }
         let part = s.take();
         assert_eq!(part.records.len(), 2);
@@ -240,9 +240,9 @@ mod tests {
     #[test]
     fn take_keeps_sequence_running() {
         let mut s = enabled(64);
-        s.at(1).instant(TraceCat::KvOp, "a", 0, 0, 0);
+        s.at(1).instant(TraceCat::KvOp, TraceName::Submit, 0, 0, 0);
         let _ = s.take();
-        s.at(2).instant(TraceCat::KvOp, "b", 0, 0, 0);
+        s.at(2).instant(TraceCat::KvOp, TraceName::Gate, 0, 0, 0);
         let part = s.take();
         assert_eq!(part.records[0].seq, 1);
     }
