@@ -1,11 +1,20 @@
 //! The cluster facade: build a DES world of N BlueDBM nodes and drive it
-//! with synchronous-feeling operations.
+//! through inject, run and harvest.
 //!
 //! A [`Cluster`] owns the simulator, the per-node flash stacks
 //! (controller + splitter per card), the node agents, the PCIe links and
-//! the integrated network. Experiment drivers inject operations, the
-//! cluster runs the event queue to quiescence, and completions come back
-//! with simulated timestamps.
+//! the integrated network. Every page operation goes in one way:
+//! [`Cluster::inject_read`] / [`Cluster::inject_write`] schedule it at
+//! the current instant, [`Cluster::run_to_quiescence`] runs the event
+//! queue dry, and [`Cluster::harvest_node`] hands back the completions
+//! with simulated timestamps. The one-page calls ([`Cluster::read_page`],
+//! [`Cluster::write_page_local`], [`Cluster::read_remote_dram`]) and
+//! [`Cluster::stream_reads`] are that sequence for one op or one batch.
+//!
+//! Page addresses handed to drivers are *logical*: every card keeps a
+//! mirror [`Ftl`] that places each write, decides garbage collection and
+//! wear leveling, and maps the address to a physical cell when an op is
+//! injected.
 //!
 //! One engine runs every cluster: a [`ShardedSimulator`] over the node →
 //! shard map. One shard (`config.sim.shards = 1`, the default) is the
@@ -14,6 +23,7 @@
 //! same event counts, same store quiescence) — the shard count is a
 //! wall-clock decision, never a modelling one.
 
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -22,7 +32,7 @@ use bluedbm_flash::array::{ErrorModel, FlashArray};
 use bluedbm_flash::controller::{CtrlStats, FlashController};
 use bluedbm_flash::error::FlashError;
 use bluedbm_flash::splitter::FlashSplitter;
-use bluedbm_ftl::{Ftl, FtlError, GcRound};
+use bluedbm_ftl::{Ftl, FtlError, GcRound, StepOutcome};
 use bluedbm_host::pcie::PcieLink;
 use bluedbm_net::router::{build_network_routed, Router, RouterStats};
 use bluedbm_net::routing::RoutingTable;
@@ -237,9 +247,9 @@ pub struct Cluster {
     /// traffic.
     gc_agents: Vec<ComponentId>,
     /// Per-(node, card) mirror FTL making the GC / wear-leveling
-    /// decisions the agents execute (empty when `config.gc.enabled` is
-    /// off). Addresses handed to drivers encode *logical* pages; the
-    /// mirror's mapping table translates them at injection time.
+    /// decisions the agents execute. Addresses handed to drivers encode
+    /// *logical* pages; the mirror's mapping table translates them at
+    /// injection time.
     mirrors: Vec<Vec<Ftl>>,
     /// Per-(node, card) logical op log (populated under
     /// `config.gc.log`) — the conformance suite's replay input.
@@ -250,9 +260,9 @@ pub struct Cluster {
     gc_rounds_log: Vec<Vec<Vec<GcRound>>>,
     /// Node -> shard map (all zeros on one shard).
     partition: Vec<u32>,
-    /// Next unallocated linear page per (node, card).
+    /// Next never-allocated logical page per (node, card).
     bump: Vec<Vec<usize>>,
-    /// Trimmed pages available for reallocation, per node (LIFO — the
+    /// Freed pages available for reallocation, per node (LIFO — the
     /// most recently freed page is reused first, keeping the touched
     /// footprint compact).
     free: Vec<Vec<GlobalPageAddr>>,
@@ -269,8 +279,8 @@ impl Cluster {
     ///
     /// [`ClusterError::Flash`] wrapping `GeometryTooLarge` when the flash
     /// geometry has more pages than a card's `u32` tables can index, and
-    /// [`ClusterError::Ftl`] when the lifecycle is enabled and the
-    /// geometry leaves no room for its GC reserve.
+    /// [`ClusterError::Ftl`] when the geometry leaves no room for the
+    /// GC reserve.
     pub fn new(topo: Topology, config: &SystemConfig) -> Result<Self, ClusterError> {
         let shards = config.sim.shards.clamp(1, topo.node_count());
         let partition = if shards <= 1 {
@@ -320,7 +330,7 @@ impl Cluster {
         let mut controllers = Vec::with_capacity(n);
         let mut splitters = Vec::with_capacity(n);
         let mut gc_agents = Vec::with_capacity(n);
-        let mut mirrors = Vec::with_capacity(if config.gc.enabled { n } else { 0 });
+        let mut mirrors = Vec::with_capacity(n);
         for (node, &node_router) in routers.iter().enumerate() {
             let mut node_ctrls = Vec::new();
             let mut node_splitters = Vec::new();
@@ -342,18 +352,15 @@ impl Cluster {
                 config.flash.geometry,
             ));
             gc_agents.push(gc_agent);
-            if config.gc.enabled {
-                let mut node_mirrors = Vec::with_capacity(config.flash.cards_per_node);
-                for card in 0..config.flash.cards_per_node {
-                    // The shadow array is seeded like the card's real
-                    // array: under today's error-free factory model both
-                    // start blank with identical good-block sets, so the
-                    // mirror's physical decisions are valid verbatim on
-                    // the simulated card.
-                    node_mirrors.push(Ftl::new(card_array(node, card)?, config.gc.ftl())?);
-                }
-                mirrors.push(node_mirrors);
+            let mut node_mirrors = Vec::with_capacity(config.flash.cards_per_node);
+            for card in 0..config.flash.cards_per_node {
+                // The shadow array is seeded like the card's real array:
+                // under today's error-free factory model both start blank
+                // with identical good-block sets, so the mirror's physical
+                // decisions are valid verbatim on the simulated card.
+                node_mirrors.push(Ftl::new(card_array(node, card)?, config.gc.ftl())?);
             }
+            mirrors.push(node_mirrors);
             let link = sim.add_component(PcieLink::new(config.pcie));
             let sched = sim
                 .add_component(AccelSched::new(config.accel.units).with_node(node as u32));
@@ -539,11 +546,10 @@ impl Cluster {
 
     /// Write the cluster's complete statistics inventory into `reg`: an
     /// `engine` scope (mode, shard count, event count, sync rounds,
-    /// per-shard wait lanes, opt-in wall profiles), a `gc`
-    /// scope (lifecycle counters and write amplification, when the
-    /// lifecycle is enabled) and a `nodes` scope with per-node router /
-    /// agent / scheduler / GC-agent / host-buffer / flash-card
-    /// subtrees.
+    /// per-shard wait lanes, opt-in wall profiles), a `gc` scope
+    /// (lifecycle counters and write amplification) and a `nodes` scope
+    /// with per-node router / agent / scheduler / GC-agent / host-buffer
+    /// / flash-card subtrees.
     pub fn fill_metrics(&self, reg: &mut MetricsRegistry) {
         let engine = reg.scope("engine");
         engine.set(
@@ -577,9 +583,7 @@ impl Cluster {
                 lane.set("execute_ns", w.execute_ns);
             }
         }
-        if self.config.gc.enabled {
-            self.gc_stats().fill_metrics(reg.scope("gc"));
-        }
+        self.gc_stats().fill_metrics(reg.scope("gc"));
         let nodes = reg.scope("nodes");
         for node in 0..self.node_count() {
             let id = NodeId::from(node);
@@ -587,9 +591,7 @@ impl Cluster {
             self.router_stats(id).fill_metrics(scope.child("router"));
             self.agent_stats(id).fill_metrics(scope.child("agent"));
             self.sched_stats(id).fill_metrics(scope.child("sched"));
-            if self.config.gc.enabled {
-                self.gc_agent_stats(id).fill_metrics(scope.child("gc_agent"));
-            }
+            self.gc_agent_stats(id).fill_metrics(scope.child("gc_agent"));
             self.sim
                 .component::<NodeAgent>(self.agents[node])
                 .expect("agent installed")
@@ -613,16 +615,14 @@ impl Cluster {
 
     /// Allocate the next free page on `node`: a previously
     /// [`Cluster::free_page`]d page if one is available (most recently
-    /// freed first), otherwise the bump allocator's next page —
-    /// round-robin across cards, and striped across every bus and chip
-    /// within a card so sequential allocations exploit the device's full
-    /// parallelism (the same discipline the FTL uses).
+    /// freed first), otherwise the next never-allocated logical page of
+    /// the card with the fewest, so allocations go round-robin across
+    /// cards.
     ///
-    /// With the flash lifecycle live (`config.gc.enabled`, the default)
-    /// the address returned encodes a **logical** page: the mirror FTL
+    /// The address returned encodes a **logical** page: the mirror FTL
     /// picks the physical cell at write time and may move it later
     /// during collection, and every injection path translates through
-    /// the mapping table. Capacity is then the FTL's exported logical
+    /// the mapping table. Capacity is the FTL's exported logical
     /// capacity (good pages minus over-provision and watermark reserve),
     /// not the raw cell count — the slack is what GC reclaims into.
     ///
@@ -634,94 +634,55 @@ impl Cluster {
             self.pages_in_use += 1;
             return Ok(addr);
         }
-        let geom = self.config.flash.geometry;
-        if self.config.gc.enabled {
-            let mirrors = &self.mirrors[node.index()];
-            let cards = &mut self.bump[node.index()];
-            let card = (0..cards.len())
-                .filter(|&c| cards[c] < mirrors[c].capacity_pages() as usize)
-                .min_by_key(|&c| cards[c])
-                .ok_or(ClusterError::DeviceFull(node))?;
-            let lba = cards[card];
-            cards[card] += 1;
-            self.pages_in_use += 1;
-            return Ok(GlobalPageAddr {
-                node,
-                card: card as u8,
-                ppa: geom.ppa_of(lba),
-            });
-        }
+        let mirrors = &self.mirrors[node.index()];
         let cards = &mut self.bump[node.index()];
         let card = (0..cards.len())
+            .filter(|&c| cards[c] < mirrors[c].capacity_pages() as usize)
             .min_by_key(|&c| cards[c])
-            .filter(|&c| cards[c] < geom.total_pages())
             .ok_or(ClusterError::DeviceFull(node))?;
-        let i = cards[card];
+        let lba = cards[card];
         cards[card] += 1;
-        // Chip-interleaved layout: consecutive allocations land on
-        // consecutive (bus, chip) planes.
-        let chips = geom.total_chips();
-        let plane = i % chips;
-        let within = i / chips;
-        let ppa = bluedbm_flash::Ppa::new(
-            (plane / geom.chips_per_bus) as u16,
-            (plane % geom.chips_per_bus) as u16,
-            (within / geom.pages_per_block) as u32,
-            (within % geom.pages_per_block) as u32,
-        );
         self.pages_in_use += 1;
         Ok(GlobalPageAddr {
             node,
             card: card as u8,
-            ppa,
+            ppa: self.config.flash.geometry.ppa_of(lba),
         })
     }
 
-    /// Return an allocated page to `addr.node`'s free pool: the page is
-    /// trimmed (its data invalidated and the cell reprogrammable — see
-    /// [`bluedbm_flash::array::FlashArray::trim`]) and becomes the next
-    /// allocation candidate on that node. The caller must own the page
-    /// (allocated and not already freed) and must not have reads in
-    /// flight against it — the KV store's per-key gates guarantee both.
+    /// Return an allocated page to `addr.node`'s free pool, where it
+    /// becomes the next allocation candidate on that node. A free is a
+    /// logical trim: the mirror unmaps the page and its physical cell
+    /// turns stale, to be reclaimed when collection erases the block
+    /// (the simulated array keeps the stale bits until then, in
+    /// program-bitmap lockstep with the mirror's shadow). The caller
+    /// must own the page (allocated and not already freed) and must not
+    /// have reads in flight against it — the KV store's per-key gates
+    /// guarantee both.
     ///
     /// # Errors
     ///
-    /// [`ClusterError::Flash`] on an address outside the configured
-    /// geometry.
+    /// [`ClusterError::Flash`] wrapping `OutOfRange` on an address
+    /// outside the configured geometry or the card's logical space;
+    /// nothing changes.
     ///
     /// # Panics
     ///
     /// Panics if more pages are freed than were ever allocated (a
     /// double-free somewhere).
     pub fn free_page(&mut self, addr: GlobalPageAddr) -> Result<(), ClusterError> {
-        if self.config.gc.enabled {
-            // Lifecycle mode: a free is a logical trim. The mirror
-            // unmaps the lba (marking the physical cell stale and
-            // reclaimable); the simulated array keeps the stale bits
-            // until the block's erase, exactly like the mirror's shadow
-            // — the two stay program-bitmap lockstep.
-            let node = addr.node.index();
-            let card = addr.card as usize;
-            let lba = self.config.flash.geometry.linear_of(addr.ppa) as u64;
-            if self.config.gc.log {
-                self.lifecycle_log[node][card].push(LifecycleOp::Trim(lba));
-            }
-            self.mirrors[node][card]
-                .step_trim(lba)
-                .expect("freed address outside the mirror's logical space");
-        } else {
-            let ctrl = self.controllers[addr.node.index()][addr.card as usize];
-            self.sim
-                .component_mut::<FlashController>(ctrl)
-                .expect("controller installed")
-                .array_mut()
-                .trim(addr.ppa)?;
+        let (n, c) = (addr.node.index(), addr.card as usize);
+        let out_of_range = || FlashError::OutOfRange(addr.ppa);
+        let lba = self.lba_of(addr).ok_or_else(out_of_range)?;
+        self.mirrors[n][c].step_trim(lba).map_err(|_| out_of_range())?;
+        if self.config.gc.log {
+            self.lifecycle_log[n][c].push(LifecycleOp::Trim(lba));
         }
         self.pages_in_use = self
             .pages_in_use
             .checked_sub(1)
             .expect("free_page without a matching alloc_page");
-        self.free[addr.node.index()].push(addr);
+        self.free[n].push(addr);
         Ok(())
     }
 
@@ -733,29 +694,44 @@ impl Cluster {
         self.pages_in_use
     }
 
+    /// The logical page number `addr` names on its card, or `None` when
+    /// the geometry does not contain `addr.ppa`.
+    fn lba_of(&self, addr: GlobalPageAddr) -> Option<u64> {
+        let geom = self.config.flash.geometry;
+        geom.contains(addr.ppa).then(|| geom.linear_of(addr.ppa) as u64)
+    }
+
     /// Translate a driver-visible (logical) address into the physical
-    /// cell the mirror FTL currently maps it to. Identity when the
-    /// lifecycle is disabled, and for unmapped logical pages — an
-    /// unwritten page then reads as `NotProgrammed`, matching the
-    /// GC-off contract.
+    /// cell the mirror FTL currently maps it to. Any other address
+    /// passes through unchanged: one outside the geometry completes
+    /// with `OutOfRange`, and an unmapped logical page (never written,
+    /// or freed) reads whatever the cell at the same index holds —
+    /// `NotProgrammed` on a card no write has reached there.
     fn resolve(&self, addr: GlobalPageAddr) -> GlobalPageAddr {
-        if !self.config.gc.enabled {
-            return addr;
-        }
-        let lba = self.config.flash.geometry.linear_of(addr.ppa) as u64;
-        match self.mirrors[addr.node.index()][addr.card as usize].physical_of(lba) {
+        let mirror = &self.mirrors[addr.node.index()][addr.card as usize];
+        match self.lba_of(addr).and_then(|lba| mirror.physical_of(lba)) {
             Some(ppa) => GlobalPageAddr { ppa, ..addr },
             None => addr,
         }
     }
 
-    /// Mirror-FTL write replay for one logical page: step the mapping
-    /// table and, when the write tripped a free-block watermark, execute
-    /// the resulting collection rounds as simulated flash traffic before
-    /// returning the physical program target.
-    fn step_mirror_write(&mut self, node: NodeId, card: u8, lba: u64) -> bluedbm_flash::Ppa {
-        let n = node.index();
-        let c = card as usize;
+    /// Check a write payload against the page size before anything is
+    /// allocated: at most one page (shorter data is zero-padded).
+    fn check_page_size(&self, data: &[u8]) -> Result<(), ClusterError> {
+        let want = self.config.flash.geometry.page_bytes;
+        if data.len() > want {
+            return Err(FlashError::WrongPageSize { got: data.len(), want }.into());
+        }
+        Ok(())
+    }
+
+    /// Replay one host write of the freshly allocated `addr` on its
+    /// card's mirror FTL (logging it under `config.gc.log`): returns the
+    /// physical program target and any collection rounds the write
+    /// tripped, which the caller must execute before the program.
+    fn step_mirror(&mut self, addr: GlobalPageAddr) -> StepOutcome {
+        let (n, c) = (addr.node.index(), addr.card as usize);
+        let lba = self.config.flash.geometry.linear_of(addr.ppa) as u64;
         if self.config.gc.log {
             self.lifecycle_log[n][c].push(LifecycleOp::Write(lba));
         }
@@ -765,13 +741,10 @@ impl Cluster {
         let outcome = self.mirrors[n][c]
             .step_write(lba)
             .expect("mirror FTL out of space despite capacity-gated allocation");
-        if !outcome.gc.is_empty() {
-            if self.config.gc.log {
-                self.gc_rounds_log[n][c].extend(outcome.gc.iter().cloned());
-            }
-            self.run_gc(node, card, outcome.gc);
+        if self.config.gc.log {
+            self.gc_rounds_log[n][c].extend(outcome.gc.iter().cloned());
         }
-        outcome.target
+        outcome
     }
 
     /// Execute mirror-decided collection rounds on `node`/`card` as
@@ -796,7 +769,7 @@ impl Cluster {
     /// card's mirror FTL: host programs vs GC relocation programs (the
     /// write-amplification numerator), victim erases, relocated pages,
     /// and the widest per-card erase-count spread the wear leveler is
-    /// holding down. All zeros when `config.gc.enabled` is off.
+    /// holding down.
     pub fn gc_stats(&self) -> GcStats {
         let mut total = GcStats::default();
         for node in &self.mirrors {
@@ -823,24 +796,14 @@ impl Cluster {
             .stats()
     }
 
-    /// Logical page capacity of `node` across its cards: the mirror
-    /// FTL's exported capacity under the lifecycle, the raw cell count
-    /// otherwise.
+    /// Logical page capacity of `node` across its cards: the sum of the
+    /// mirror FTLs' exported capacities.
     pub fn node_capacity_pages(&self, node: NodeId) -> u64 {
-        if self.config.gc.enabled {
-            self.mirrors[node.index()].iter().map(Ftl::capacity_pages).sum()
-        } else {
-            (self.config.flash.cards_per_node * self.config.flash.geometry.total_pages()) as u64
-        }
+        self.mirrors[node.index()].iter().map(Ftl::capacity_pages).sum()
     }
 
-    /// The mirror FTL of one card (lifecycle mode only) — the
-    /// conformance suite compares its mapping table and stats against an
-    /// offline twin.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `config.gc.enabled` is off.
+    /// The mirror FTL of one card — the conformance suite compares its
+    /// mapping table and stats against an offline twin.
     pub fn mirror(&self, node: NodeId, card: usize) -> &Ftl {
         &self.mirrors[node.index()][card]
     }
@@ -873,46 +836,38 @@ impl Cluster {
         id
     }
 
-    fn harvest(&mut self, node: NodeId) -> Vec<Completed> {
-        self.sim
-            .component_mut::<NodeAgent>(self.agents[node.index()])
-            .expect("agent installed")
-            .take_completed()
-    }
-
-    fn run_one(&mut self, node: NodeId, op: AgentOp) -> Result<Completed, ClusterError> {
-        self.sim.schedule(SimTime::ZERO, self.agents[node.index()], op);
-        self.drain_one(node)
-    }
-
-    /// Run to quiescence and harvest the single completion `node` must
-    /// have produced, mapping its failure to an error.
-    fn drain_one(&mut self, node: NodeId) -> Result<Completed, ClusterError> {
+    /// Run to quiescence and turn the one completion `node` must have
+    /// produced into a result: its data (empty for a write) and latency,
+    /// or its failure.
+    fn finish_one(&mut self, node: NodeId) -> Result<CompletedRead, ClusterError> {
         self.sim.run();
-        let mut done = self.harvest(node);
+        let mut done = self.harvest_node(node);
         let one = done.pop().ok_or(ClusterError::MissingCompletion)?;
         debug_assert!(done.is_empty(), "single op produced multiple completions");
-        match one.error {
-            Some(e) => Err(ClusterError::Flash(e)),
-            None => Ok(one),
+        match (one.error, one.data) {
+            (Some(e), _) => Err(ClusterError::Flash(e)),
+            (None, Some(data)) => Ok(CompletedRead {
+                data,
+                latency: one.end - one.start,
+            }),
+            (None, None) => Err(ClusterError::MissingCompletion),
         }
     }
 
-    /// Write a page to `node`'s own flash through the full DES path.
+    /// Write a page to `node`'s own flash through the full DES path and
+    /// run to quiescence.
     ///
     /// # Errors
     ///
-    /// Allocation or flash failures.
+    /// As for [`Cluster::inject_write`], plus the write's flash failure
+    /// (the page then goes back to the free pool).
     pub fn write_page_local(
         &mut self,
         node: NodeId,
         data: &[u8],
     ) -> Result<GlobalPageAddr, ClusterError> {
-        // Stage the page in the owning node's shard segment of the
-        // store; the flash controller consumes (and frees) the handle
-        // once the bus has read it.
         let (_op_id, addr) = self.inject_write(node, data)?;
-        match self.drain_one(node) {
+        match self.finish_one(node) {
             Ok(_) => Ok(addr),
             Err(e) => {
                 // The write failed: the page holds nothing durable, so
@@ -926,99 +881,59 @@ impl Cluster {
 
     /// Preload a page without simulating the write (experiment setup:
     /// building a 100k-page dataset should not cost 100k simulated
-    /// tPROGs).
+    /// tPROGs). `data` shorter than a page is zero-padded.
+    ///
+    /// Preload skips simulated time but not the lifecycle: the mirror
+    /// steps exactly as for a simulated write, and any collection rounds
+    /// it decides are applied *functionally* to the card's array
+    /// (relocation copies and victim erases with no simulated latency),
+    /// keeping the two program bitmaps in lockstep for later simulated
+    /// traffic.
     ///
     /// # Errors
     ///
-    /// Allocation or flash failures.
+    /// [`ClusterError::Flash`] wrapping `WrongPageSize` when `data` is
+    /// longer than a page (nothing is allocated), allocation failures,
+    /// and flash failures.
     pub fn preload_page(
         &mut self,
         node: NodeId,
         data: &[u8],
     ) -> Result<GlobalPageAddr, ClusterError> {
+        self.check_page_size(data)?;
         let addr = self.alloc_page(node)?;
-        if self.config.gc.enabled {
-            // Preload skips simulated time but not the lifecycle: the
-            // mirror steps exactly as for a simulated write, and any
-            // collection rounds it decides are applied *functionally* to
-            // the card's array (relocation copies and victim erases with
-            // no simulated latency), keeping the two program bitmaps in
-            // lockstep for later simulated traffic.
-            let geom = self.config.flash.geometry;
-            let lba = geom.linear_of(addr.ppa) as u64;
-            let n = node.index();
-            let c = addr.card as usize;
-            if self.config.gc.log {
-                self.lifecycle_log[n][c].push(LifecycleOp::Write(lba));
-            }
-            let outcome = self.mirrors[n][c]
-                .step_write(lba)
-                .expect("mirror FTL out of space despite capacity-gated allocation");
-            if self.config.gc.log {
-                self.gc_rounds_log[n][c].extend(outcome.gc.iter().cloned());
-            }
-            let ctrl = self.controllers[n][c];
-            let array = self
-                .sim
-                .component_mut::<FlashController>(ctrl)
-                .expect("controller installed")
-                .array_mut();
-            for round in &outcome.gc {
-                for &(src, dst) in &round.moves {
-                    if array.page_has_data(src) {
-                        let data = array.read(src)?.data;
-                        array.program(dst, &data)?;
-                    } else {
-                        array.program_blank(dst)?;
-                    }
-                }
-                array.erase(round.victim)?;
-            }
-            array.program(outcome.target, data)?;
-            return Ok(addr);
+        let outcome = self.step_mirror(addr);
+        let page_bytes = self.config.flash.geometry.page_bytes;
+        let mut page = Cow::Borrowed(data);
+        if data.len() < page_bytes {
+            page.to_mut().resize(page_bytes, 0);
         }
         let ctrl = self.controllers[node.index()][addr.card as usize];
-        let programmed = self
+        let array = self
             .sim
             .component_mut::<FlashController>(ctrl)
             .expect("controller installed")
-            .array_mut()
-            .program(addr.ppa, data);
-        if let Err(e) = programmed {
-            let _ = self.free_page(addr);
-            return Err(e.into());
+            .array_mut();
+        for round in &outcome.gc {
+            for &(src, dst) in &round.moves {
+                if array.page_has_data(src) {
+                    let data = array.read(src)?.data;
+                    array.program(dst, &data)?;
+                } else {
+                    array.program_blank(dst)?;
+                }
+            }
+            array.erase(round.victim)?;
         }
+        array.program(outcome.target, &page)?;
         Ok(addr)
     }
 
-    /// Read a page, consumed by the in-store processor of `reader`
-    /// (local flash or the ISP-F remote path, depending on `addr`).
-    ///
-    /// # Errors
-    ///
-    /// Flash failures.
-    pub fn read_page_remote(
-        &mut self,
-        reader: NodeId,
-        addr: GlobalPageAddr,
-    ) -> Result<CompletedRead, ClusterError> {
-        self.read_page(reader, addr, Consume::Isp)
-    }
-
-    /// Read a page into `reader`'s host memory (adds the PCIe crossing).
-    ///
-    /// # Errors
-    ///
-    /// Flash failures.
-    pub fn read_page_host(
-        &mut self,
-        reader: NodeId,
-        addr: GlobalPageAddr,
-    ) -> Result<CompletedRead, ClusterError> {
-        self.read_page(reader, addr, Consume::Host)
-    }
-
-    /// Read with an explicit consumer.
+    /// Read one page at `reader` and run to quiescence. `consume` picks
+    /// the destination: [`Consume::Isp`] for the in-store processor
+    /// (local flash, or the ISP-F remote path when `addr` lives on
+    /// another node), [`Consume::Host`] for host memory (adds the PCIe
+    /// crossing), [`Consume::Accel`] for a shared accelerator unit.
     ///
     /// # Errors
     ///
@@ -1029,20 +944,8 @@ impl Cluster {
         addr: GlobalPageAddr,
         consume: Consume,
     ) -> Result<CompletedRead, ClusterError> {
-        let op_id = self.op_id();
-        let addr = self.resolve(addr);
-        let done = self.run_one(
-            reader,
-            AgentOp::ReadFlash {
-                op_id,
-                addr,
-                consume,
-            },
-        )?;
-        Ok(CompletedRead {
-            data: done.data.expect("successful read carries data"),
-            latency: done.end - done.start,
-        })
+        self.inject_read(reader, addr, consume);
+        self.finish_one(reader)
     }
 
     /// Stage data into `node`'s DRAM buffer.
@@ -1059,7 +962,7 @@ impl Cluster {
     }
 
     /// Read `host`'s DRAM buffer from `reader` over the integrated
-    /// network (the H-D path's storage half).
+    /// network (the H-D path's storage half) and run to quiescence.
     ///
     /// # Errors
     ///
@@ -1073,19 +976,17 @@ impl Cluster {
         consume: Consume,
     ) -> Result<CompletedRead, ClusterError> {
         let op_id = self.op_id();
-        let done = self.run_one(
-            reader,
+        self.sim.schedule(
+            SimTime::ZERO,
+            self.agents[reader.index()],
             AgentOp::ReadRemoteDram {
                 op_id,
                 node: host,
                 key,
                 consume,
             },
-        )?;
-        Ok(CompletedRead {
-            data: done.data.expect("successful read carries data"),
-            latency: done.end - done.start,
-        })
+        );
+        self.finish_one(reader)
     }
 
     /// Inject one read at `reader` (scheduled at the current instant)
@@ -1118,25 +1019,25 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// [`ClusterError::DeviceFull`] when `node` has no free pages.
+    /// [`ClusterError::Flash`] wrapping `WrongPageSize` when `data` is
+    /// longer than a page, and [`ClusterError::DeviceFull`] when `node`
+    /// has no free pages; either way nothing is allocated.
     pub fn inject_write(
         &mut self,
         node: NodeId,
         data: &[u8],
     ) -> Result<(u64, GlobalPageAddr), ClusterError> {
+        self.check_page_size(data)?;
         let addr = self.alloc_page(node)?;
         let op_id = self.op_id();
-        // Lifecycle mode: replay the write against the mirror FTL first.
-        // If it trips a watermark the collection runs to completion as
-        // simulated traffic *before* this program is scheduled — the
-        // foreground write waits out its own GC, like on a real device.
-        let target = if self.config.gc.enabled {
-            let lba = self.config.flash.geometry.linear_of(addr.ppa) as u64;
-            let ppa = self.step_mirror_write(node, addr.card, lba);
-            GlobalPageAddr { ppa, ..addr }
-        } else {
-            addr
-        };
+        // Replay the write against the mirror FTL first. If it trips a
+        // watermark the collection runs to completion as simulated
+        // traffic *before* this program is scheduled — the foreground
+        // write waits out its own GC, like on a real device.
+        let outcome = self.step_mirror(addr);
+        if !outcome.gc.is_empty() {
+            self.run_gc(node, addr.card, outcome.gc);
+        }
         // Staged in the store segment of the shard that owns the node,
         // where its flash controller consumes (and frees) the page.
         let page_bytes = self.config.flash.geometry.page_bytes;
@@ -1147,7 +1048,10 @@ impl Cluster {
             self.agents[node.index()],
             AgentOp::WriteFlash {
                 op_id,
-                addr: target,
+                addr: GlobalPageAddr {
+                    ppa: outcome.target,
+                    ..addr
+                },
                 data: buffer,
             },
         );
@@ -1161,7 +1065,10 @@ impl Cluster {
 
     /// Drain the completions recorded at `node`.
     pub fn harvest_node(&mut self, node: NodeId) -> Vec<Completed> {
-        self.harvest(node)
+        self.sim
+            .component_mut::<NodeAgent>(self.agents[node.index()])
+            .expect("agent installed")
+            .take_completed()
     }
 
     /// Inject a batch of reads at `reader` (all at the current instant),
@@ -1175,59 +1082,10 @@ impl Cluster {
         consume: Consume,
     ) -> Vec<Completed> {
         for &addr in addrs {
-            let op_id = self.op_id();
-            let addr = self.resolve(addr);
-            self.sim.schedule(
-                SimTime::ZERO,
-                self.agents[reader.index()],
-                AgentOp::ReadFlash {
-                    op_id,
-                    addr,
-                    consume,
-                },
-            );
+            self.inject_read(reader, addr, consume);
         }
-        self.sim.run();
-        self.harvest(reader)
-    }
-
-    /// Run a user-defined in-store processor over an address stream —
-    /// the paper's hardware-software codesign interface: the host
-    /// supplies physical addresses (from
-    /// [`bluedbm_ftl::Rfs::physical_addrs`] in the full flow), the
-    /// engine consumes pages *in stream order* at simulated device
-    /// bandwidth (the Flash Server's in-order interface), and only the
-    /// engine's result state returns.
-    ///
-    /// Returns the simulated time from first request to last page.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first page whose read failed.
-    pub fn isp_scan(
-        &mut self,
-        reader: NodeId,
-        addrs: &[GlobalPageAddr],
-        engine: &mut dyn bluedbm_isp::Accelerator,
-    ) -> Result<SimTime, ClusterError> {
-        let t0 = self.sim.now();
-        let mut done = self.stream_reads(reader, addrs, Consume::Isp);
-        if done.len() != addrs.len() {
-            return Err(ClusterError::MissingCompletion);
-        }
-        // Reorder completions back into the host-supplied stream order
-        // (op ids were assigned in that order).
-        done.sort_by_key(|c| c.op_id);
-        let mut last = t0;
-        for (seq, c) in done.into_iter().enumerate() {
-            if let Some(e) = c.error {
-                return Err(ClusterError::Flash(e));
-            }
-            last = last.max(c.end);
-            let data = c.data.expect("successful reads carry data");
-            engine.consume(seq as u64, &data);
-        }
-        Ok(last - t0)
+        self.run_to_quiescence();
+        self.harvest_node(reader)
     }
 
     /// Shortest-path hop count between two nodes, read off the routers'
@@ -1322,7 +1180,7 @@ mod tests {
         let config = SystemConfig::scaled_down();
         let mut cluster = Cluster::ring(2, &config).unwrap();
         let addr = cluster.write_page_local(NodeId(0), &page(&config, 1)).unwrap();
-        let read = cluster.read_page_remote(NodeId(0), addr).unwrap();
+        let read = cluster.read_page(NodeId(0), addr, Consume::Isp).unwrap();
         assert_eq!(read.data, page(&config, 1));
         // Local ISP read: tR 50us + bus transfer (2 KiB page at 150 MB/s
         // is ~13.7us), no network.
@@ -1337,8 +1195,8 @@ mod tests {
         let config = SystemConfig::scaled_down();
         let mut cluster = Cluster::ring(4, &config).unwrap();
         let addr = cluster.preload_page(NodeId(0), &page(&config, 7)).unwrap();
-        let local = cluster.read_page_remote(NodeId(0), addr).unwrap();
-        let remote = cluster.read_page_remote(NodeId(1), addr).unwrap();
+        let local = cluster.read_page(NodeId(0), addr, Consume::Isp).unwrap();
+        let remote = cluster.read_page(NodeId(1), addr, Consume::Isp).unwrap();
         assert_eq!(remote.data, page(&config, 7));
         assert!(remote.latency > local.latency);
         // One hop each way (0.48us) plus the 8KB+ page on the wire: the
@@ -1355,8 +1213,8 @@ mod tests {
         let config = SystemConfig::scaled_down();
         let mut cluster = Cluster::ring(2, &config).unwrap();
         let addr = cluster.preload_page(NodeId(0), &page(&config, 3)).unwrap();
-        let isp = cluster.read_page_remote(NodeId(0), addr).unwrap();
-        let host = cluster.read_page_host(NodeId(0), addr).unwrap();
+        let isp = cluster.read_page(NodeId(0), addr, Consume::Isp).unwrap();
+        let host = cluster.read_page(NodeId(0), addr, Consume::Host).unwrap();
         assert_eq!(host.data, page(&config, 3));
         let gap = host.latency - isp.latency;
         // DMA setup 1us + ~1.3us transfer (2KB page at 1.6GB/s) + 2us
@@ -1375,7 +1233,7 @@ mod tests {
         let dram = cluster
             .read_remote_dram(NodeId(0), NodeId(1), 42, Consume::Isp)
             .unwrap();
-        let flash = cluster.read_page_remote(NodeId(0), flash_addr).unwrap();
+        let flash = cluster.read_page(NodeId(0), flash_addr, Consume::Isp).unwrap();
         assert_eq!(dram.data, data);
         // DRAM skips the 50us tR.
         assert!(flash.latency > dram.latency + SimTime::us(40));
@@ -1399,7 +1257,7 @@ mod tests {
         let config = SystemConfig::scaled_down();
         let mut cluster = Cluster::ring(2, &config).unwrap();
         let addr = cluster.alloc_page(NodeId(0)).unwrap();
-        let err = cluster.read_page_remote(NodeId(0), addr).unwrap_err();
+        let err = cluster.read_page(NodeId(0), addr, Consume::Isp).unwrap_err();
         assert!(matches!(
             err,
             ClusterError::Flash(FlashError::NotProgrammed(_))
@@ -1445,45 +1303,6 @@ mod tests {
             Cluster::ring(2, &config).unwrap_err(),
             ClusterError::Ftl(Box::new(FtlError::NoSpace))
         );
-        config.gc.enabled = false;
-        assert!(Cluster::ring(2, &config).is_ok());
-    }
-
-    #[test]
-    fn isp_scan_streams_in_order_at_device_bandwidth() {
-        use bluedbm_isp::mp::MpMatcher;
-        let config = SystemConfig::paper();
-        let mut cluster = Cluster::line(2, 1, &config).unwrap();
-        let page_bytes = config.flash.geometry.page_bytes;
-
-        // A needle straddling two consecutive pages on the REMOTE node:
-        // stream-order delivery is what makes it findable.
-        let needle = b"cross-page-needle";
-        let mut haystack = vec![b'.'; 32 * page_bytes];
-        let at = 3 * page_bytes - 5;
-        haystack[at..at + needle.len()].copy_from_slice(needle);
-        let addrs: Vec<GlobalPageAddr> = haystack
-            .chunks(page_bytes)
-            .map(|c| cluster.preload_page(NodeId(1), c).unwrap())
-            .collect();
-
-        let mut engine = MpMatcher::new(needle).unwrap();
-        let elapsed = cluster.isp_scan(NodeId(0), &addrs, &mut engine).unwrap();
-        assert_eq!(engine.matches(), &[at as u64]);
-        // 32 pages over the single 8.2Gbps lane, minus the ~110us
-        // pipeline fill of the first page.
-        let rate = haystack.len() as f64 / elapsed.as_secs_f64();
-        assert!(rate > 0.5e9, "scan rate {rate:.3e}");
-    }
-
-    #[test]
-    fn isp_scan_reports_failed_pages() {
-        let config = SystemConfig::scaled_down();
-        let mut cluster = Cluster::ring(2, &config).unwrap();
-        let addr = cluster.alloc_page(NodeId(0)).unwrap(); // never written
-        let mut engine = bluedbm_isp::mp::MpMatcher::new(b"needle").unwrap();
-        let err = cluster.isp_scan(NodeId(0), &[addr], &mut engine).unwrap_err();
-        assert!(matches!(err, ClusterError::Flash(_)));
     }
 
     #[test]
@@ -1554,7 +1373,7 @@ mod tests {
         assert_eq!(cluster.min_lookahead(), None);
         assert_eq!(cluster.lookahead_between(0, 0), None);
         let addr = cluster.write_page_local(NodeId(1), &page(&config, 5)).unwrap();
-        cluster.read_page_host(NodeId(0), addr).unwrap();
+        cluster.read_page(NodeId(0), addr, Consume::Host).unwrap();
         assert_eq!(cluster.sync_rounds(), None);
         assert_eq!(cluster.exec_mode(), None);
         assert_eq!(cluster.shard_stats(), None);
@@ -1631,6 +1450,91 @@ mod tests {
         assert_eq!(pool.peak_in_use(), 4, "the burst saturates the pool");
         assert!(pool.exhaustions() > 0, "flash outruns 4 buffers");
         assert_eq!(pool.in_use(), 0, "all buffers returned");
+        cluster.assert_quiescent();
+    }
+
+    /// A two-node ring on the 512-byte-page tiny geometry.
+    fn tiny_cluster() -> Cluster {
+        let mut config = SystemConfig::scaled_down();
+        config.flash.geometry = bluedbm_flash::FlashGeometry::tiny();
+        Cluster::ring(2, &config).unwrap()
+    }
+
+    /// Nothing allocated, logged or mapped anywhere on the cluster.
+    fn assert_untouched(cluster: &Cluster) {
+        assert_eq!(cluster.flash_pages_in_use(), 0);
+        assert_eq!(cluster.gc_stats().host_writes, 0);
+        assert_eq!(cluster.mirror(NodeId(0), 0).physical_of(0), None);
+    }
+
+    #[test]
+    fn preload_pads_short_pages_and_refuses_long_ones_untouched() {
+        let mut cluster = tiny_cluster();
+        let err = cluster.preload_page(NodeId(0), &[7; 513]).unwrap_err();
+        assert_eq!(err, ClusterError::Flash(FlashError::WrongPageSize { got: 513, want: 512 }));
+        assert_untouched(&cluster);
+        let addr = cluster.preload_page(NodeId(0), &[1, 2, 3]).unwrap();
+        let read = cluster.read_page(NodeId(0), addr, Consume::Isp).unwrap();
+        assert_eq!(read.data[..3], [1, 2, 3]);
+        assert!(read.data[3..].iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn inject_write_refuses_long_pages_untouched() {
+        let mut cluster = tiny_cluster();
+        let err = cluster.inject_write(NodeId(0), &[0; 4096]).unwrap_err();
+        assert_eq!(err, ClusterError::Flash(FlashError::WrongPageSize { got: 4096, want: 512 }));
+        assert_untouched(&cluster);
+        cluster.run_to_quiescence();
+        assert!(cluster.harvest_node(NodeId(0)).is_empty());
+        cluster.assert_quiescent();
+    }
+
+    #[test]
+    fn address_outside_the_geometry_reads_out_of_range() {
+        let mut cluster = tiny_cluster();
+        for i in 0..40u8 {
+            cluster.preload_page(NodeId(0), &[i; 512]).unwrap();
+        }
+        // Page 16 of a 16-page block: its linear index would alias the
+        // card's logical page 16, which holds preload #32.
+        let ppa = bluedbm_flash::Ppa::new(0, 0, 0, 16);
+        let addr = GlobalPageAddr { node: NodeId(0), card: 0, ppa };
+        for reader in [NodeId(0), NodeId(1)] {
+            let err = cluster.read_page(reader, addr, Consume::Isp).unwrap_err();
+            assert_eq!(err, ClusterError::Flash(FlashError::OutOfRange(ppa)));
+        }
+        cluster.assert_quiescent();
+    }
+
+    #[test]
+    fn freeing_an_address_outside_the_geometry_is_an_error() {
+        let mut cluster = tiny_cluster();
+        let addr = cluster.alloc_page(NodeId(0)).unwrap();
+        let ppa = bluedbm_flash::Ppa::new(0, 0, 0, 16);
+        let err = cluster.free_page(GlobalPageAddr { ppa, ..addr }).unwrap_err();
+        assert_eq!(err, ClusterError::Flash(FlashError::OutOfRange(ppa)));
+        assert_eq!(cluster.flash_pages_in_use(), 1);
+        assert_eq!(cluster.mirror(NodeId(0), 0).stats().trims, 0);
+        // The page that was allocated still is, and is the one freed.
+        cluster.free_page(addr).unwrap();
+        assert_eq!(cluster.alloc_page(NodeId(0)).unwrap(), addr);
+    }
+
+    #[test]
+    fn more_reads_than_agent_tags_all_complete() {
+        // The agent's tag space is 16 bits: read 65 537 at once and the
+        // last one must wait for a tag, not spin for one forever.
+        let mut cluster = tiny_cluster();
+        let addr = cluster.preload_page(NodeId(0), &[9; 512]).unwrap();
+        let reads = (1 << 16) + 1;
+        for _ in 0..reads {
+            cluster.inject_read(NodeId(0), addr, Consume::Isp);
+        }
+        cluster.run_to_quiescence();
+        let done = cluster.harvest_node(NodeId(0));
+        assert_eq!(done.len(), reads);
+        assert!(done.iter().all(|c| c.error.is_none()));
         cluster.assert_quiescent();
     }
 }

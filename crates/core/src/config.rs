@@ -146,18 +146,15 @@ impl AccelConfig {
 /// the event-driven simulation (paper Section 4 — BlueDBM's raw flash
 /// pushes the FTL into the driver).
 ///
-/// When enabled, the cluster's driver-visible page addresses become
-/// *logical*: each card keeps a [`bluedbm_ftl::Ftl`] mirror that maps
-/// them to physical pages, and a per-node [`crate::gc::GcAgent`]
-/// executes the mirror's GC rounds (valid-page migration reads/programs
-/// and block erases) as ordinary simulated commands on the same buses
-/// and controllers as foreground traffic. Disabled, the cluster falls
-/// back to the historical physical bump allocator with magic TRIM —
-/// useful for pinning what GC costs.
+/// The lifecycle is always on: the cluster's driver-visible page
+/// addresses are *logical*, each card keeps a [`bluedbm_ftl::Ftl`]
+/// mirror that maps them to physical pages, and a per-node
+/// [`crate::gc::GcAgent`] executes the mirror's GC rounds (valid-page
+/// migration reads/programs and block erases) as ordinary simulated
+/// commands on the same buses and controllers as foreground traffic.
+/// These knobs tune the policy and the conformance log.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GcConfig {
-    /// Run the DES flash lifecycle (mirror FTLs + GC agents).
-    pub enabled: bool,
     /// Over-provisioned fraction withheld from the exported space.
     pub over_provision: f64,
     /// Per-plane free-block watermark that triggers collection.
@@ -185,7 +182,6 @@ impl Default for GcConfig {
     fn default() -> Self {
         let ftl = bluedbm_ftl::FtlConfig::default();
         GcConfig {
-            enabled: true,
             over_provision: ftl.over_provision,
             gc_watermark: ftl.gc_watermark,
             wear_threshold: ftl.wear_threshold,

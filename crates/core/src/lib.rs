@@ -10,8 +10,8 @@
 //!   each traced to the paper sentence it comes from;
 //! * [`cluster::Cluster`] — a DES world of N nodes: flash cards behind
 //!   splitters, a node agent (the in-store processing fabric), the
-//!   integrated network, and a PCIe link per node, with a synchronous
-//!   facade for experiments;
+//!   integrated network, and a PCIe link per node, driven by injecting
+//!   page operations, running to quiescence and harvesting completions;
 //! * [`paths`] — the four remote-access paths of Figure 12 (ISP-F, H-F,
 //!   H-RH-F, H-D) with latency breakdowns;
 //! * [`baselines`] — the comparison arms: host CPU model, off-the-shelf
@@ -33,6 +33,7 @@
 //! ## Example
 //!
 //! ```rust
+//! use bluedbm_core::node::Consume;
 //! use bluedbm_core::{Cluster, SystemConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -40,7 +41,7 @@
 //! let mut cluster = Cluster::ring(4, &config)?;
 //! let page = vec![0xAB; config.flash.geometry.page_bytes];
 //! let addr = cluster.write_page_local(0.into(), &page)?;
-//! let read = cluster.read_page_remote(2.into(), addr)?;
+//! let read = cluster.read_page(2.into(), addr, Consume::Isp)?;
 //! assert_eq!(read.data, page);
 //! assert!(read.latency.as_us() >= 50); // flash tR dominates
 //! # Ok(())

@@ -113,7 +113,8 @@ pub struct Completed {
     pub op_id: u64,
     /// Address the operation touched (reads/writes).
     pub addr: Option<GlobalPageAddr>,
-    /// Page data for reads; `None` for writes.
+    /// The payload: `Some` exactly when `error` is `None` — the page
+    /// for a read, empty for a write.
     pub data: Option<Vec<u8>>,
     /// Failure, if any.
     pub error: Option<FlashError>,
@@ -314,6 +315,10 @@ pub struct NodeAgent {
 
     next_tag: u16,
     flash_pending: FxHashMap<u16, FlashDest>,
+    /// Flash commands waiting for a tag while all 65 536 are in flight,
+    /// in arrival order: the page, the payload of a write, and what the
+    /// command is for.
+    tag_parked: VecDeque<(GlobalPageAddr, Option<PageRef>, FlashDest)>,
     next_req: u64,
     /// Per-destination counter for round-robin data-return endpoints
     /// (spreads response traffic across parallel lanes regardless of how
@@ -365,6 +370,7 @@ impl NodeAgent {
             accel_bandwidth,
             next_tag: 0,
             flash_pending: FxHashMap::default(),
+            tag_parked: VecDeque::new(),
             next_req: 0,
             reply_rr: FxHashMap::default(),
             net_pending: FxHashMap::default(),
@@ -401,30 +407,47 @@ impl NodeAgent {
         self.dram.get(&key)
     }
 
-    fn alloc_tag(&mut self) -> u16 {
-        // Rolling 16-bit tags; collision would need 65k in flight.
+    /// The next free rolling 16-bit tag, or `None` when every one is in
+    /// flight.
+    fn alloc_tag(&mut self) -> Option<u16> {
+        if self.flash_pending.len() > usize::from(u16::MAX) {
+            return None;
+        }
         loop {
             let t = self.next_tag;
             self.next_tag = self.next_tag.wrapping_add(1);
             if !self.flash_pending.contains_key(&t) {
-                return t;
+                return Some(t);
             }
         }
     }
 
-    fn issue_local_read(&mut self, ctx: &mut Ctx<'_, Msg>, addr: GlobalPageAddr, dest: FlashDest) {
-        let tag = self.alloc_tag();
+    /// Send one flash command for `addr` — a program of `data` when
+    /// given, a read otherwise — under a fresh tag, or park it until
+    /// [`Self::handle_ctrl_resp`] frees one.
+    fn issue_flash(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        addr: GlobalPageAddr,
+        data: Option<PageRef>,
+        dest: FlashDest,
+    ) {
+        let Some(tag) = self.alloc_tag() else {
+            self.tag_parked.push_back((addr, data, dest));
+            return;
+        };
         self.flash_pending.insert(tag, dest);
-        let me = ctx.self_id();
-        ctx.send(
-            self.cards[addr.card as usize],
-            SimTime::ZERO,
-            CtrlCmd::Read {
-                tag: Tag(tag),
-                ppa: addr.ppa,
-                reply_to: me,
+        let (tag, ppa, reply_to) = (Tag(tag), addr.ppa, ctx.self_id());
+        let cmd = match data {
+            None => CtrlCmd::Read { tag, ppa, reply_to },
+            Some(data) => CtrlCmd::Write {
+                tag,
+                ppa,
+                data,
+                reply_to,
             },
-        );
+        };
+        ctx.send(self.cards[addr.card as usize], SimTime::ZERO, cmd);
     }
 
     fn complete(
@@ -548,9 +571,10 @@ impl NodeAgent {
             } => {
                 if addr.node == self.node {
                     tc.local_reads += 1;
-                    self.issue_local_read(
+                    self.issue_flash(
                         ctx,
                         addr,
+                        None,
                         FlashDest::Local {
                             op_id,
                             addr,
@@ -598,26 +622,12 @@ impl NodeAgent {
             }
             AgentOp::WriteFlash { op_id, addr, data } => {
                 assert_eq!(addr.node, self.node, "remote writes are not modelled");
-                let tag = self.alloc_tag();
-                self.flash_pending.insert(
-                    tag,
-                    FlashDest::LocalWrite {
-                        op_id,
-                        addr,
-                        start: ctx.now(),
-                    },
-                );
-                let me = ctx.self_id();
-                ctx.send(
-                    self.cards[addr.card as usize],
-                    SimTime::ZERO,
-                    CtrlCmd::Write {
-                        tag: Tag(tag),
-                        ppa: addr.ppa,
-                        data,
-                        reply_to: me,
-                    },
-                );
+                let dest = FlashDest::LocalWrite {
+                    op_id,
+                    addr,
+                    start: ctx.now(),
+                };
+                self.issue_flash(ctx, addr, Some(data), dest);
             }
             AgentOp::LoadDram { key, data } => {
                 self.dram.insert(key, data);
@@ -669,6 +679,9 @@ impl NodeAgent {
             .flash_pending
             .remove(&tag)
             .expect("completion for a tag the agent never issued");
+        if let Some((addr, data, parked)) = self.tag_parked.pop_front() {
+            self.issue_flash(ctx, addr, data, parked);
+        }
         match (dest, resp) {
             (
                 FlashDest::Local {
@@ -720,9 +733,10 @@ impl NodeAgent {
                 match req.kind {
                     RemoteKind::Flash(addr) => {
                         debug_assert_eq!(addr.node, self.node);
-                        self.issue_local_read(
+                        self.issue_flash(
                             ctx,
                             addr,
+                            None,
                             FlashDest::RemoteJob {
                                 origin: req.origin,
                                 req_id: req.req_id,

@@ -11,8 +11,8 @@
 //! Codewords (page bytes followed by their OOB parity) live in one
 //! fixed-stride **slab** per card: a page holding data owns one slot,
 //! found through its block's slot table (allocated on the block's first
-//! data program), and `trim`/`erase` hand slots back to a free list for
-//! the next program anywhere on the card. The slab grows a chunk at a
+//! data program), and `erase` hands the block's slots back to a free
+//! list for the next program anywhere on the card. The slab grows a chunk at a
 //! time and never moves, so a card costs its written pages × (page +
 //! OOB) bytes plus one `programmed` bit per page of geometry — no
 //! per-page heap allocation, no hashing. Blank-programmed pages
@@ -162,8 +162,6 @@ pub struct ArrayStats {
     pub reads: u64,
     /// Blocks erased.
     pub erases: u64,
-    /// Pages invalidated via [`FlashArray::trim`].
-    pub trims: u64,
     /// Total single-bit corrections performed by ECC.
     pub corrected_words: u64,
     /// Reads that failed with an uncorrectable ECC error.
@@ -412,34 +410,6 @@ impl FlashArray {
         }
     }
 
-    /// Invalidate one page (a TRIM): the stored data is dropped and the
-    /// page returns to the programmable state, as if its block had been
-    /// garbage-collected around it. Real NAND can only erase whole
-    /// blocks; this models the *observable outcome* of the FTL's
-    /// copy-forward + erase at single-page granularity, so allocation
-    /// layers (the cluster KV store's free list) can recycle pages
-    /// without simulating full reclamation. Trimming an unprogrammed
-    /// page is a no-op.
-    ///
-    /// # Errors
-    ///
-    /// Address errors as for [`FlashArray::program`].
-    pub fn trim(&mut self, ppa: Ppa) -> Result<(), FlashError> {
-        self.check(ppa)?;
-        if self.programmed_bit(ppa) {
-            self.toggle_programmed(ppa);
-            let bi = self.block_index(ppa);
-            if let Some(slots) = self.blocks[bi].slots.as_deref_mut() {
-                let slot = std::mem::replace(&mut slots[ppa.page as usize], NO_SLOT);
-                if slot != NO_SLOT {
-                    self.slab.release(slot);
-                }
-            }
-            self.stats.trims += 1;
-        }
-        Ok(())
-    }
-
     /// Erase a whole block (the `page` field of `ppa` is ignored).
     ///
     /// # Errors
@@ -579,30 +549,6 @@ mod tests {
         assert!(!a.is_programmed(ppa));
         a.program(ppa, &page_of(&a, 2)).unwrap();
         assert_eq!(a.read(ppa).unwrap().data, page_of(&a, 2));
-    }
-
-    #[test]
-    fn trim_invalidates_one_page_and_allows_reprogram() {
-        let mut a = tiny();
-        let victim = Ppa::new(0, 0, 2, 1);
-        let neighbor = Ppa::new(0, 0, 2, 2);
-        a.program(victim, &page_of(&a, 1)).unwrap();
-        a.program(neighbor, &page_of(&a, 2)).unwrap();
-        a.trim(victim).unwrap();
-        assert!(!a.is_programmed(victim));
-        assert_eq!(a.read(victim), Err(FlashError::NotProgrammed(victim)));
-        // Unlike erase, the rest of the block is untouched (no wear).
-        assert_eq!(a.read(neighbor).unwrap().data, page_of(&a, 2));
-        assert_eq!(a.erase_count(victim), 0);
-        // The page is programmable again.
-        a.program(victim, &page_of(&a, 3)).unwrap();
-        assert_eq!(a.read(victim).unwrap().data, page_of(&a, 3));
-        assert_eq!(a.stats().trims, 1);
-        // Trimming an erased page is a no-op.
-        a.trim(Ppa::new(1, 1, 0, 0)).unwrap();
-        assert_eq!(a.stats().trims, 1);
-        // Address checks still apply.
-        assert_eq!(a.trim(Ppa::new(9, 0, 0, 0)), Err(FlashError::OutOfRange(Ppa::new(9, 0, 0, 0))));
     }
 
     #[test]
@@ -755,26 +701,26 @@ mod tests {
         );
         // Reads see no bytes.
         assert_eq!(a.read(ppa), Err(FlashError::NotProgrammed(ppa)));
-        // Trim and erase recycle blank pages like data pages.
-        a.trim(ppa).unwrap();
+        // Erase recycles blank pages like data pages.
+        a.erase(ppa).unwrap();
         assert!(!a.is_programmed(ppa));
         a.program(ppa, &page_of(&a, 7)).unwrap();
         assert!(a.page_has_data(ppa));
         a.erase(ppa).unwrap();
         assert!(!a.is_programmed(ppa));
-        assert_eq!(a.erase_count(ppa), 1);
+        assert_eq!(a.erase_count(ppa), 2);
     }
 
     #[test]
     fn freed_slots_are_reused_without_leaking_bytes() {
         let mut a = tiny();
         let first = Ppa::new(0, 0, 1, 0);
-        let kept = Ppa::new(0, 0, 1, 1);
+        let kept = Ppa::new(0, 0, 2, 1);
         a.program(first, &page_of(&a, 0xAA)).unwrap();
         a.program(kept, &page_of(&a, 0xBB)).unwrap();
         assert_eq!(a.slab.len, 2);
-        // Trim hands the slot back; a program in another block takes it.
-        a.trim(first).unwrap();
+        // Erase hands the slot back; a program in another block takes it.
+        a.erase(first).unwrap();
         assert_eq!(a.slab.free, vec![0]);
         let elsewhere = Ppa::new(1, 1, 5, 9);
         a.program(elsewhere, &page_of(&a, 0x11)).unwrap();
@@ -785,7 +731,7 @@ mod tests {
         let r = a.read(elsewhere).unwrap();
         assert_eq!((r.data, r.corrected_words), (page_of(&a, 0x11), 0));
         assert_eq!(a.read(kept).unwrap().data, page_of(&a, 0xBB));
-        // Erase recycles every data slot of the block, and only those.
+        // Erase recycles the data slots of its own block only.
         a.erase(kept).unwrap();
         assert_eq!(a.slab.free, vec![1]);
         assert_eq!(a.read(kept), Err(FlashError::NotProgrammed(kept)));

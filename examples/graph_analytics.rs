@@ -8,6 +8,7 @@
 //!
 //! Run with: `cargo run --release --example graph_analytics`
 
+use bluedbm::core::node::Consume;
 use bluedbm::core::{Cluster, GlobalPageAddr, NodeId, SystemConfig};
 use bluedbm::workloads::graphgen;
 
@@ -44,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         graph.bfs_with_fetch(0, |page| {
             fetches += 1;
             cluster
-                .read_page_remote(NodeId(0), placement[page as usize])
+                .read_page(NodeId(0), placement[page as usize], Consume::Isp)
                 .expect("graph pages were preloaded")
                 .data
         })

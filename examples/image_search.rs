@@ -8,6 +8,7 @@
 //!
 //! Run with: `cargo run --release --example image_search`
 
+use bluedbm::core::node::Consume;
 use bluedbm::core::{Cluster, GlobalPageAddr, NodeId, SystemConfig};
 use bluedbm::isp::hamming::HammingEngine;
 use bluedbm::isp::Accelerator;
@@ -38,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // local or remote — and keeps the closest.
         let mut engine = HammingEngine::new(query.clone());
         for &c in &candidates {
-            let read = cluster.read_page_remote(NodeId(0), placement[c as usize])?;
+            let read = cluster.read_page(NodeId(0), placement[c as usize], Consume::Isp)?;
             engine.consume(c, &read.data);
         }
         let (best, dist) = engine.best().expect("candidates were compared");

@@ -10,6 +10,7 @@
 
 use bluedbm::sim::fxhash::FxHashMap;
 
+use bluedbm::core::node::Consume;
 use bluedbm::core::{Cluster, NodeId, SystemConfig};
 use bluedbm::isp::wordcount::WordCountEngine;
 use bluedbm::isp::Accelerator;
@@ -63,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut engine = WordCountEngine::new();
         let t0 = cluster.now();
         for (seq, &(addr, len)) in shard.iter().enumerate() {
-            let read = cluster.read_page_remote(NodeId::from(node), addr)?;
+            let read = cluster.read_page(NodeId::from(node), addr, Consume::Isp)?;
             engine.consume(seq as u64, &read.data[..len.max(1)]);
         }
         engine.finish();

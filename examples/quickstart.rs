@@ -3,6 +3,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
+use bluedbm::core::node::Consume;
 use bluedbm::core::{Cluster, NodeId, SystemConfig};
 use bluedbm::isp::mp::MpMatcher;
 use bluedbm::isp::Accelerator;
@@ -22,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Read it back from node 2, two network hops away, straight into
     //    node 2's in-store processor (the ISP-F path).
-    let read = cluster.read_page_remote(NodeId(2), addr)?;
+    let read = cluster.read_page(NodeId(2), addr, Consume::Isp)?;
     assert_eq!(read.data, page);
     println!(
         "remote in-store read: {} ({} hops of 0.48us each are a rounding error next to the 50us flash read)",
@@ -31,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 3. The same read into host memory pays PCIe on top.
-    let host_read = cluster.read_page_host(NodeId(2), addr)?;
+    let host_read = cluster.read_page(NodeId(2), addr, Consume::Host)?;
     println!("remote host read:     {} (adds the PCIe crossing)", host_read.latency);
 
     // 4. In-store string search: stream pages through a Morris-Pratt
@@ -46,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         addrs.push(cluster.preload_page(NodeId(1), chunk)?);
     }
     for (i, a) in addrs.iter().enumerate() {
-        let r = cluster.read_page_remote(NodeId(1), *a)?;
+        let r = cluster.read_page(NodeId(1), *a, Consume::Isp)?;
         engine.consume(i as u64, &r.data);
     }
     println!(

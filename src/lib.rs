@@ -11,6 +11,7 @@
 //! ## Quickstart
 //!
 //! ```rust
+//! use bluedbm::core::node::Consume;
 //! use bluedbm::core::{Cluster, SystemConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -23,7 +24,7 @@
 //! // storage network (global address space).
 //! let page = vec![0xAB; config.flash.geometry.page_bytes];
 //! let addr = cluster.write_page_local(0.into(), &page)?;
-//! let read = cluster.read_page_remote(2.into(), addr)?;
+//! let read = cluster.read_page(2.into(), addr, Consume::Isp)?;
 //! assert_eq!(read.data, page);
 //! # Ok(())
 //! # }

@@ -24,7 +24,9 @@ fn twenty_nodes_form_a_global_address_space() {
         })
         .collect();
     for (n, addr) in addrs.iter().enumerate() {
-        let read = cluster.read_page_remote(NodeId(0), *addr).expect("read");
+        let read = cluster
+            .read_page(NodeId(0), *addr, Consume::Isp)
+            .expect("read");
         assert_eq!(read.data, vec![n as u8; page_bytes], "node {n} contents");
     }
 }
@@ -39,7 +41,9 @@ fn access_latency_is_near_uniform_across_the_rack() {
     for n in 0..20u16 {
         let data = vec![n as u8; page_bytes];
         let addr = cluster.preload_page(NodeId(n), &data).expect("preload");
-        let read = cluster.read_page_remote(NodeId(0), addr).expect("read");
+        let read = cluster
+            .read_page(NodeId(0), addr, Consume::Isp)
+            .expect("read");
         latencies.push((n, read.latency));
     }
     let local = latencies[0].1;
@@ -90,7 +94,9 @@ fn writes_through_the_full_stack_on_every_node() {
         let addr = cluster
             .write_page_local(NodeId(n), &data)
             .expect("write through the DES stack");
-        let read = cluster.read_page_remote(NodeId(n), addr).expect("read");
+        let read = cluster
+            .read_page(NodeId(n), addr, Consume::Isp)
+            .expect("read");
         assert_eq!(read.data, data);
     }
     // Writes pay tPROG: simulated time must reflect 20 sequential writes.
@@ -151,7 +157,11 @@ fn host_reads_pay_pcie_everywhere() {
     let addr = cluster
         .preload_page(NodeId(7), &vec![1u8; page_bytes])
         .expect("preload");
-    let isp = cluster.read_page_remote(NodeId(3), addr).expect("isp");
-    let host = cluster.read_page_host(NodeId(3), addr).expect("host");
+    let isp = cluster
+        .read_page(NodeId(3), addr, Consume::Isp)
+        .expect("isp");
+    let host = cluster
+        .read_page(NodeId(3), addr, Consume::Host)
+        .expect("host");
     assert!(host.latency > isp.latency + SimTime::us(3));
 }

@@ -187,12 +187,10 @@ fn gc_fingerprint(cluster: &Cluster) -> Vec<(FtlStats, Vec<Option<bluedbm::flash
 /// (erases, relocations, WA > 1) and the whole lifecycle — victims,
 /// moves, mapping, wear — agrees op for op with the offline twin.
 ///
-/// This is also the satellite flip: before the lifecycle existed this
-/// volume of churn could only complete by reprogramming trimmed cells
-/// in place (see `churn_without_the_lifecycle_never_erases`); with GC
-/// live it completes with zero errors and no `FtlError::NoSpace`
-/// anywhere (an out-of-space mirror panics the injection path, so
-/// completing *is* the assertion).
+/// The churn is twice what the cards can hold, so it can only complete
+/// by collecting: it completes with zero errors and no
+/// `FtlError::NoSpace` anywhere (an out-of-space mirror panics the
+/// injection path, so completing *is* the assertion).
 #[test]
 fn churn_at_twice_capacity_collects_and_agrees_with_the_offline_twin() {
     let config = gc_config(1, ExecMode::Auto);
@@ -328,7 +326,7 @@ fn gc_pressure_degrades_put_tail_latency_past_the_cliff() {
 }
 
 // ---------------------------------------------------------------------
-// Satellite pin/flip: churn past capacity without the lifecycle
+// Pin: the lifecycle needs a collection reserve
 // ---------------------------------------------------------------------
 
 /// Pin: a lifecycle with no collection reserve is structurally
@@ -341,32 +339,6 @@ fn lifecycle_without_a_reserve_block_is_rejected() {
     let mut config = gc_config(1, ExecMode::Auto);
     config.gc.gc_watermark = 0;
     let _ = Cluster::ring(2, &config);
-}
-
-/// Pin: with the lifecycle disabled, churn past raw capacity only
-/// "completes" because per-page trim pretends flash cells are
-/// reprogrammable in place — the device absorbs ~2x its raw capacity
-/// in programs without a single erase, which no real flash can do.
-/// This is the pre-GC behavior the lifecycle replaces (the flip is
-/// `churn_at_twice_capacity_collects_and_agrees_with_the_offline_twin`).
-#[test]
-fn churn_without_the_lifecycle_never_erases() {
-    let mut config = gc_config(1, ExecMode::Auto);
-    config.gc.enabled = false;
-    let geom = config.flash.geometry;
-    let raw_pages = (2 * config.flash.cards_per_node * geom.total_pages()) as u64;
-    let (store, summary) = run_churn(&config, 2, 0x5EED, 2 * raw_pages);
-    assert_eq!(summary.errors, 0);
-    assert!(summary.puts > raw_pages, "churn must exceed raw capacity");
-    for n in 0..store.cluster().node_count() {
-        for card in 0..config.flash.cards_per_node {
-            assert_eq!(
-                store.cluster().card_array(NodeId::from(n), card).max_wear(),
-                0,
-                "node {n} card {card}: the GC-less store never erases"
-            );
-        }
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -231,7 +231,9 @@ fn sharded_write_read_round_trip_with_host_consume() {
         let mut reads = Vec::new();
         for reader in 0..6u16 {
             let addr = written[(reader as usize + 2) % 6];
-            let read = cluster.read_page_host(NodeId(reader), addr).unwrap();
+            let read = cluster
+                .read_page(NodeId(reader), addr, Consume::Host)
+                .unwrap();
             reads.push(read);
         }
         let dram = cluster
