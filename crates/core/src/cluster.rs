@@ -36,7 +36,7 @@ use bluedbm_ftl::{Ftl, FtlError, GcRound, StepOutcome};
 use bluedbm_host::pcie::PcieLink;
 use bluedbm_net::router::{build_network_routed, Router, RouterStats};
 use bluedbm_net::routing::RoutingTable;
-use bluedbm_net::topology::{NodeId, PortId, Topology};
+use bluedbm_net::topology::{NodeId, Topology};
 use bluedbm_sim::engine::{ComponentId, Simulator};
 use bluedbm_sim::shard::{ExecMode, ShardStats, ShardedSimulator};
 use bluedbm_sim::time::SimTime;
@@ -49,29 +49,6 @@ use crate::node::{AgentOp, AgentStats, Completed, Consume, NodeAgent, DATA_ENDPO
 use crate::scheduler::{AccelSched, SchedStats};
 
 pub use crate::node::GlobalPageAddr;
-
-/// The conservative lookahead of a partition: the minimum latency of any
-/// cable whose endpoints live in different shards. Every link shares one
-/// hop latency today; written as a min-fold so per-link latencies stay
-/// easy to introduce. The sharded engine runs on the finer per-pair
-/// bound ([`cross_shard_lookaheads`]); this global bound survives as its
-/// floor — a probe and a debug invariant.
-fn cross_shard_lookahead(topo: &Topology, partition: &[u32], hop_latency: SimTime) -> SimTime {
-    let mut lookahead: Option<SimTime> = None;
-    for node in 0..topo.node_count() {
-        for port in 0..Topology::MAX_PORTS {
-            let Some((peer, _)) = topo.peer(NodeId::from(node), PortId(port as u8)) else {
-                continue;
-            };
-            if partition[node] != partition[peer.index()] {
-                lookahead = Some(lookahead.map_or(hop_latency, |l| l.min(hop_latency)));
-            }
-        }
-    }
-    // No cross-shard cable: the only cross-shard traffic left is the
-    // direct end-to-end ack, which also pays >= one hop of latency.
-    lookahead.unwrap_or(hop_latency)
-}
 
 /// The per-pair lookahead matrix of a partition: entry `[s][r]` is
 /// `hop_latency x` the minimum hop distance between any node of shard
@@ -401,13 +378,6 @@ impl Cluster {
             }
         }
         let lookaheads = cross_shard_lookaheads(&topo, partition, shards, config.net.hop_latency);
-        // The pair matrix can only widen the global single-link bound,
-        // never undercut it.
-        debug_assert!(lookaheads.iter().enumerate().all(|(s, row)| {
-            row.iter().enumerate().all(|(r, &l)| {
-                s == r || l >= cross_shard_lookahead(&topo, partition, config.net.hop_latency)
-            })
-        }));
         let mut sim = ShardedSimulator::with_lookaheads(sim, owner, shards, lookaheads);
         sim.set_exec_mode(config.sim.exec);
         sim.set_trace(config.sim.trace);

@@ -6,22 +6,18 @@
 //! available hardware-acceleration units to competing user-applications.
 //! In our implementation, a simple FIFO-based policy is used."
 //!
-//! Two forms of that scheduler live here:
-//!
-//! * [`AccelSched`] — the **simulated component**: one per node, built by
-//!   [`crate::cluster::Cluster`], arbitrating `config.accel.units`
-//!   identical units among in-flight jobs *inside* the running DES.
-//!   Jobs arrive as [`SchedSubmit`] messages (the node agent submits one
-//!   for every read consumed with [`crate::node::Consume::Accel`] — the
-//!   multi-tenant KV engine's data path); a free unit is granted
-//!   immediately, otherwise the job parks in a FIFO queue and is granted
-//!   when a running job releases its unit. The requester learns of
-//!   completion via [`SchedDone`]. Queue-wait statistics accumulate in
-//!   [`SchedStats`], surfaced per node through
-//!   [`crate::cluster::Cluster::sched_stats`].
-//! * [`AcceleratorScheduler`] — the offline calculator over the same
-//!   FIFO policy, for closed-form experiments and planning (no
-//!   simulator required).
+//! [`AccelSched`] is that scheduler as a **simulated component**: one
+//! per node, built by [`crate::cluster::Cluster`], arbitrating
+//! `config.accel.units` identical units among in-flight jobs *inside*
+//! the running DES. Jobs arrive as [`SchedSubmit`] messages (the node
+//! agent submits one for every read consumed with
+//! [`crate::node::Consume::Accel`] — the multi-tenant KV engine's data
+//! path); a free unit is granted immediately, otherwise the job parks in
+//! a FIFO queue and is granted when a running job releases its unit. The
+//! requester learns of completion via [`SchedDone`]. Queue-wait
+//! statistics accumulate in [`SchedStats`], surfaced per node through
+//! [`crate::cluster::Cluster::sched_stats`]. The unit tests check it
+//! against a closed-form offline calculator of the same FIFO policy.
 //!
 //! FIFO on a finite unit pool is starvation-free by construction: every
 //! parked job is granted after at most `queue-position` predecessor
@@ -31,7 +27,6 @@
 use std::collections::VecDeque;
 
 use bluedbm_sim::engine::{Component, ComponentId, Ctx};
-use bluedbm_sim::resource::MultiResource;
 use bluedbm_sim::time::SimTime;
 use bluedbm_sim::{MetricsNode, TraceCat, TraceName};
 
@@ -232,94 +227,82 @@ impl Component<Msg> for AccelSched {
     }
 }
 
-/// A scheduled job's outcome (offline calculator).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct JobSchedule {
-    /// Caller-supplied id.
-    pub job: u64,
-    /// When the job was submitted.
-    pub submitted: SimTime,
-    /// When an accelerator unit became available for it.
-    pub started: SimTime,
-    /// When it finished.
-    pub finished: SimTime,
-}
-
-impl JobSchedule {
-    /// Queueing delay before an accelerator was granted.
-    pub fn queue_wait(&self) -> SimTime {
-        self.started - self.submitted
-    }
-}
-
-/// Offline FIFO scheduler over `units` identical accelerator units: the
-/// closed-form planning twin of [`AccelSched`] (no simulator needed —
-/// grants are computed immediately from submission order).
-///
-/// # Examples
-///
-/// ```rust
-/// use bluedbm_core::scheduler::AcceleratorScheduler;
-/// use bluedbm_sim::time::SimTime;
-///
-/// let mut sched = AcceleratorScheduler::new(1);
-/// let a = sched.submit(1, SimTime::ZERO, SimTime::us(100));
-/// let b = sched.submit(2, SimTime::ZERO, SimTime::us(100));
-/// assert_eq!(a.started, SimTime::ZERO);
-/// assert_eq!(b.started, SimTime::us(100)); // FIFO behind job 1
-/// ```
-#[derive(Debug)]
-pub struct AcceleratorScheduler {
-    units: MultiResource,
-    history: VecDeque<JobSchedule>,
-}
-
-impl AcceleratorScheduler {
-    /// A scheduler over `units` accelerator units.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `units == 0`.
-    pub fn new(units: usize) -> Self {
-        AcceleratorScheduler {
-            units: MultiResource::new(units),
-            history: VecDeque::new(),
-        }
-    }
-
-    /// Submit a job needing `duration` of accelerator time at `now`.
-    /// Jobs must be submitted in non-decreasing `now` order (FIFO).
-    pub fn submit(&mut self, job: u64, now: SimTime, duration: SimTime) -> JobSchedule {
-        let grant = self.units.acquire(now, duration);
-        let schedule = JobSchedule {
-            job,
-            submitted: now,
-            started: grant.start,
-            finished: grant.end,
-        };
-        self.history.push_back(schedule);
-        schedule
-    }
-
-    /// All scheduled jobs, in submission order.
-    pub fn history(&self) -> impl Iterator<Item = &JobSchedule> {
-        self.history.iter()
-    }
-
-    /// Mean queue wait across all jobs.
-    pub fn mean_wait(&self) -> SimTime {
-        if self.history.is_empty() {
-            return SimTime::ZERO;
-        }
-        let total: SimTime = self.history.iter().map(|j| j.queue_wait()).sum();
-        total / self.history.len() as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bluedbm_sim::engine::Simulator;
+    use bluedbm_sim::resource::MultiResource;
+
+    /// A scheduled job's outcome (offline calculator).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    struct JobSchedule {
+        /// Caller-supplied id.
+        job: u64,
+        /// When the job was submitted.
+        submitted: SimTime,
+        /// When an accelerator unit became available for it.
+        started: SimTime,
+        /// When it finished.
+        finished: SimTime,
+    }
+
+    impl JobSchedule {
+        /// Queueing delay before an accelerator was granted.
+        fn queue_wait(&self) -> SimTime {
+            self.started - self.submitted
+        }
+    }
+
+    /// Offline FIFO scheduler over `units` identical accelerator units: the
+    /// closed-form reference [`AccelSched`] is checked against (no
+    /// simulator — grants are computed immediately from submission order).
+    #[derive(Debug)]
+    struct AcceleratorScheduler {
+        units: MultiResource,
+        history: VecDeque<JobSchedule>,
+    }
+
+    impl AcceleratorScheduler {
+        /// A scheduler over `units` accelerator units.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `units == 0`.
+        fn new(units: usize) -> Self {
+            AcceleratorScheduler {
+                units: MultiResource::new(units),
+                history: VecDeque::new(),
+            }
+        }
+
+        /// Submit a job needing `duration` of accelerator time at `now`.
+        /// Jobs must be submitted in non-decreasing `now` order (FIFO).
+        fn submit(&mut self, job: u64, now: SimTime, duration: SimTime) -> JobSchedule {
+            let grant = self.units.acquire(now, duration);
+            let schedule = JobSchedule {
+                job,
+                submitted: now,
+                started: grant.start,
+                finished: grant.end,
+            };
+            self.history.push_back(schedule);
+            schedule
+        }
+
+        /// All scheduled jobs, in submission order.
+        fn history(&self) -> impl Iterator<Item = &JobSchedule> {
+            self.history.iter()
+        }
+
+        /// Mean queue wait across all jobs.
+        fn mean_wait(&self) -> SimTime {
+            if self.history.is_empty() {
+                return SimTime::ZERO;
+            }
+            let total: SimTime = self.history.iter().map(|j| j.queue_wait()).sum();
+            total / self.history.len() as u64
+        }
+    }
 
     #[test]
     fn fifo_order_preserved() {

@@ -99,23 +99,27 @@
 //!
 //! ## Execution modes
 //!
-//! Where the rounds run is a scheduling decision ([`ExecMode`]),
-//! independent of what they compute. The default, [`ExecMode::Auto`],
-//! spawns one worker thread per shard only when the host has a core for
-//! each; on an oversubscribed host the workers cannot overlap anyway,
-//! so every receive parks and the threaded protocol's marginal cost is
-//! one futex park/unpark context switch per worker per round — tens of
-//! microseconds times tens of thousands of rounds. Auto instead runs
-//! the identical rounds **cooperatively on the calling thread** (plain
-//! vectors for mailboxes, shards taking turns), which removes that cost
-//! without changing a single delivery: the merge order and safe bounds
-//! are the same computation, so threaded and cooperative runs are
-//! bit-for-bit identical and the suite pins that.
+//! The round is written once: staging a shard's outboxes, settling the
+//! window (post-merge horizons, the `E_t` fixed point, the safe bound)
+//! and merging a shard's arrivals are each one function. Two drivers
+//! call them and differ only in how an exchange travels:
 //!
-//! [`ExecMode::Threads`] forces the worker threads and additionally
-//! pins each worker to its own core on Linux ([`crate::affinity`]) so
-//! the per-round spin windows keep their cache affinity;
-//! [`ExecMode::Cooperative`] forces the calling-thread rounds.
+//! * the **threaded** driver runs one worker per shard and carries each
+//!   exchange through the pair's `Slot`;
+//! * the **cooperative** driver runs every shard on the calling thread
+//!   and carries the exchanges in plain vectors, the shards taking turns
+//!   to merge and run.
+//!
+//! So the two are bit-for-bit identical, and the suite pins that.
+//! Which driver runs is an [`ExecMode`]. The default, [`ExecMode::Auto`],
+//! picks the threads only when the host has a core per shard: on an
+//! oversubscribed host the workers cannot overlap, every receive parks,
+//! and the threads add one futex park/unpark per worker per round —
+//! tens of microseconds times tens of thousands of rounds.
+//! [`ExecMode::Threads`] forces the threads and also pins each worker to
+//! its own core on Linux ([`crate::affinity`]) so the per-round spin
+//! windows keep their cache affinity; [`ExecMode::Cooperative`] forces
+//! the calling thread.
 //!
 //! ## Determinism and observational equivalence
 //!
@@ -231,9 +235,10 @@ struct Parcel<M: ShardMessage> {
 
 /// How [`ShardedSimulator::run`] executes its shards.
 ///
-/// The window protocol itself — round structure, merge order, safe
-/// bounds — is identical in every mode, so all modes produce
-/// bit-identical results; the modes only choose *where* the rounds run.
+/// Every mode runs the one round of the [module docs](self#execution-modes)
+/// and produces bit-identical results; the modes only choose how an
+/// exchange travels — a `Slot` between worker threads, or a plain vector
+/// on the calling thread.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecMode {
     /// One worker thread per shard when the host has a core for each
@@ -246,8 +251,8 @@ pub enum ExecMode {
     Auto,
     /// Always spawn one worker thread per shard.
     Threads,
-    /// Always run the window protocol cooperatively on the calling
-    /// thread: the same rounds, with plain vectors for mailboxes.
+    /// Always run the rounds on the calling thread, the shards taking
+    /// turns, with plain vectors for mailboxes.
     Cooperative,
 }
 
@@ -937,6 +942,114 @@ fn stage_exchange<M: ShardMessage>(
     sim.queues.next_at()
 }
 
+/// Settle one round's window from what every shard staged: its queue
+/// frontier `queue_nexts[s]` and the earliest parcel it mailed to each
+/// destination, `out_mins[s * n + t]`. Fills `earliest` with every
+/// shard's fixed-point estimate `E_t` and returns `false` when every
+/// post-merge horizon is empty — the run is over.
+///
+/// Every threaded worker runs this identical computation on identical
+/// tables, so no coordinator is needed.
+fn settle_window(
+    queue_nexts: &[Option<SimTime>],
+    out_mins: &[Option<SimTime>],
+    lookaheads: &[Arc<[SimTime]>],
+    earliest: &mut [Option<SimTime>],
+) -> bool {
+    let n = lookaheads.len();
+    // Every shard's exact *post-merge* horizon: its queue plus every
+    // parcel just mailed to it. After the merge nothing is in flight,
+    // which is what makes the reactive fixed point below sound.
+    for (t, horizon) in earliest.iter_mut().enumerate() {
+        let mailed = (0..n)
+            .filter(|&r| r != t)
+            .filter_map(|r| out_mins[r * n + t])
+            .min();
+        *horizon = min_opt(queue_nexts[t], mailed);
+    }
+    if earliest.iter().all(Option::is_none) {
+        return false;
+    }
+    // The Chandy–Misra–Bryant safe bound generalized to the per-pair
+    // matrix: shard `t`'s earliest possible next event is the least
+    // fixed point of
+    //
+    //   E_t = min(h_t, min_{r != t}(E_r + L[r][t]))
+    //
+    // — its own queued work, or the earliest chain of cross-shard
+    // reactions that could reach it. Computed by relaxation over the
+    // matrix (Bellman–Ford on the shard graph, at most n-1 passes).
+    for _ in 1..n {
+        let mut changed = false;
+        for t in 0..n {
+            for r in (0..n).filter(|&r| r != t) {
+                if let Some(er) = earliest[r] {
+                    let via = er + lookaheads[r][t];
+                    if earliest[t].is_none_or(|e| via < e) {
+                        earliest[t] = Some(via);
+                        changed = true;
+                    }
+                }
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    true
+}
+
+/// Shard `me`'s execution bound from the settled estimates:
+/// `min_{s != me}(E_s + L[s][me])`. Everything strictly below it is
+/// already in `me`'s queues; `None` when no other shard can ever reach
+/// `me` again.
+fn safe_bound(
+    earliest: &[Option<SimTime>],
+    lookaheads: &[Arc<[SimTime]>],
+    me: usize,
+) -> Option<SimTime> {
+    (0..earliest.len())
+        .filter(|&s| s != me)
+        .filter_map(|s| earliest[s].map(|e| e + lookaheads[s][me]))
+        .min()
+}
+
+/// Merge one round's incoming `(source shard, parcel)` pairs into shard
+/// `me`, draining `arrivals`.
+///
+/// Deterministic merge order: arrival instant, then send instant (the
+/// sequential engine's tiebreak — its sequence numbers increase with
+/// send time), then source shard, then the source's own send order. No
+/// two parcels share (source, seq), so the key is total and the
+/// unstable sort — which, unlike the stable one, needs no scratch
+/// allocation — yields one order.
+fn merge_arrivals<M: ShardMessage>(
+    sim: &mut Simulator<M>,
+    me: usize,
+    arrivals: &mut Vec<(usize, Parcel<M>)>,
+    lookaheads: &[Arc<[SimTime]>],
+) {
+    arrivals.sort_unstable_by_key(|(src, p)| (p.at, p.sent_at, *src, p.seq));
+    for (src, mut parcel) in arrivals.drain(..) {
+        // The send site already asserts this (`Ctx::send`); keep a
+        // second line of defense at the merge so a future bypass of
+        // that path still can't deliver a parcel that breaks the
+        // window bound the fixed point relies on.
+        debug_assert!(
+            parcel.at >= parcel.sent_at + lookaheads[src][me],
+            "lookahead violation at merge: shard {src} -> shard {me} parcel arrives \
+             at {:?} but was sent at {:?}, below the pair lookahead {:?}",
+            parcel.at,
+            parcel.sent_at,
+            lookaheads[src][me],
+        );
+        parcel
+            .msg
+            .attach(parcel.detached, &mut sim.pages, &mut sim.pools);
+        sim.push_arrival(parcel.at, parcel.to, parcel.msg);
+    }
+}
+
 /// One shard's worker loop: exchange mailboxes + horizons with every
 /// peer, agree (identically, with no coordinator) on the next window,
 /// execute it, and repeat until the global horizon is empty. Returns
@@ -970,7 +1083,6 @@ fn worker<M: ShardMessage>(
     // `out_mins[s * n + t]`: earliest parcel shard `s` mailed to `t`.
     let mut out_mins: Vec<Option<SimTime>> = vec![None; n * n];
     let mut arrivals: Vec<(usize, Parcel<M>)> = Vec::new();
-    let mut horizons: Vec<Option<SimTime>> = vec![None; n];
     // `earliest[t]` is the fixed-point estimate `E_t` (see module doc).
     let mut earliest: Vec<Option<SimTime>> = vec![None; n];
     loop {
@@ -981,6 +1093,7 @@ fn worker<M: ShardMessage>(
         // deadlock.
         let my_mins = me * n..(me + 1) * n;
         let queue_next = stage_exchange(&mut sim, me, &mut outgoing, &mut out_mins[my_mins.clone()]);
+        queue_nexts[me] = queue_next;
         for dst in (0..n).filter(|&dst| dst != me) {
             fabric[me * n + dst].publish(exchange, |ex| {
                 std::mem::swap(&mut ex.parcels, &mut outgoing[dst]);
@@ -989,7 +1102,6 @@ fn worker<M: ShardMessage>(
             });
             debug_assert!(outgoing[dst].is_empty(), "the consumer drains what it takes");
         }
-        queue_nexts[me] = queue_next;
         // Receive every peer's exchange.
         for src in (0..n).filter(|&src| src != me) {
             let slot = &fabric[src * n + me];
@@ -1001,77 +1113,12 @@ fn worker<M: ShardMessage>(
                 arrivals.extend(ex.parcels.drain(..).map(|p| (src, p)));
             });
         }
-        // Every shard's exact *post-merge* horizon, computed identically
-        // by every worker from the exchanged frontiers: its queue plus
-        // every parcel just mailed to it. After the merge nothing is in
-        // flight, which is what makes the reactive fixed point below
-        // sound.
-        let mut all_empty = true;
-        for t in 0..n {
-            let mailed = (0..n)
-                .filter(|&r| r != t)
-                .filter_map(|r| out_mins[r * n + t])
-                .min();
-            horizons[t] = min_opt(queue_nexts[t], mailed);
-            all_empty &= horizons[t].is_none();
-        }
-        if all_empty {
+        if !settle_window(&queue_nexts, &out_mins, lookaheads, &mut earliest) {
             return (sim, lane);
         }
         shared.rounds.fetch_max(rounds_base + exchange, Ordering::Relaxed);
-        // The Chandy–Misra–Bryant safe bound generalized to the per-pair
-        // matrix. Nothing is in flight after the merge, so shard `t`'s
-        // earliest possible next event is the least fixed point of
-        //
-        //   E_t = min(h_t, min_{r != t}(E_r + L[r][t]))
-        //
-        // — its own queued work, or the earliest chain of cross-shard
-        // reactions that could reach it. Computed by relaxation over the
-        // matrix (Bellman–Ford on the shard graph, at most n-1 passes);
-        // every worker runs the identical computation, so no
-        // coordinator is needed. Everything strictly below
-        // `min_{s != me}(E_s + L[s][me])` is already in our queues —
-        // run it.
-        earliest.copy_from_slice(&horizons);
-        for _ in 1..n {
-            let mut changed = false;
-            for t in 0..n {
-                for r in 0..n {
-                    if r == t {
-                        continue;
-                    }
-                    if let Some(er) = earliest[r] {
-                        let via = er + lookaheads[r][t];
-                        if earliest[t].is_none_or(|e| via < e) {
-                            earliest[t] = Some(via);
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        let bound = (0..n)
-            .filter(|&s| s != me)
-            .filter_map(|s| earliest[s].map(|e| e + lookaheads[s][me]))
-            .min();
-        // Deterministic merge order: arrival instant, then send instant
-        // (the sequential engine's tiebreak — its sequence numbers
-        // increase with send time), then source shard, then the
-        // source's own send order. No two parcels share (source, seq),
-        // so the key is total and the unstable sort — which, unlike the
-        // stable one, needs no scratch allocation — yields the same
-        // order.
-        arrivals.sort_unstable_by_key(|(src, p)| (p.at, p.sent_at, *src, p.seq));
-        for (_, mut parcel) in arrivals.drain(..) {
-            parcel
-                .msg
-                .attach(parcel.detached, &mut sim.pages, &mut sim.pools);
-            sim.push_arrival(parcel.at, parcel.to, parcel.msg);
-        }
-        if let Some(bound) = bound {
+        merge_arrivals(&mut sim, me, &mut arrivals, lookaheads);
+        if let Some(bound) = safe_bound(&earliest, lookaheads, me) {
             let stamp = lane.wall.stamp();
             sim.run_before(bound);
             lane.wall.add_execute(stamp);
@@ -1080,17 +1127,12 @@ fn worker<M: ShardMessage>(
     }
 }
 
-/// Cooperative single-thread execution of the identical window
-/// protocol: the round structure, the deterministic merge order and the
-/// per-pair safe bounds are exactly those of [`worker`] — only the
-/// mailboxes are plain vectors instead of slots, and the "workers"
-/// take turns on the calling thread. Every delivery is therefore
-/// bit-identical to a threaded run.
-///
-/// This is what makes sharded runs cheap on oversubscribed hosts: with
-/// fewer cores than shards the threaded protocol cannot overlap any
-/// work, so its only marginal cost is the futex park/unpark context
-/// switch per worker per round — which this path removes entirely.
+/// The same rounds as [`worker`], driven on the calling thread: every
+/// shard stages its exchange into plain vectors, the window is settled
+/// once for all of them, and the shards take turns merging and running
+/// to their bounds. Staging, settling and merging are the functions the
+/// threaded worker calls, so every delivery is bit-identical to a
+/// threaded run.
 ///
 /// Rounds and per-shard deliveries are published to the façade's
 /// counters as they happen, exactly like the threaded workers, so
@@ -1103,134 +1145,31 @@ fn run_cooperative<M: ShardMessage>(
     delivered_live: &[AtomicU64],
 ) {
     let n = sims.len();
-    // Same round-persistent buffers as the threaded worker, held once
-    // for all shards: outgoing[src][dst] parcels, frontier tables,
-    // merge staging, fixed-point estimates.
+    // The worker's round-persistent tables, held once for all shards;
+    // `outgoing[src][dst]` stands in for the slot from `src` to `dst`.
     let mut outgoing: Vec<Vec<Vec<Parcel<M>>>> =
         (0..n).map(|_| (0..n).map(|_| Vec::new()).collect()).collect();
-    let mut out_mins: Vec<Vec<Option<SimTime>>> = vec![vec![None; n]; n];
     let mut queue_nexts: Vec<Option<SimTime>> = vec![None; n];
+    let mut out_mins: Vec<Option<SimTime>> = vec![None; n * n];
     let mut arrivals: Vec<(usize, Parcel<M>)> = Vec::new();
-    let mut horizons: Vec<Option<SimTime>> = vec![None; n];
     let mut earliest: Vec<Option<SimTime>> = vec![None; n];
     loop {
-        // Exchange phase. Frontiers are captured for *every* shard
-        // before *any* shard merges, exactly like the all-to-all send
-        // in the threaded round.
-        for src in 0..n {
-            let sim = &mut sims[src];
-            for dst in 0..n {
-                if dst == src {
-                    continue;
-                }
-                let env = sim.shard_env.as_mut().expect("shard env installed");
-                let mut raw: Vec<Outbound<M>> = std::mem::take(&mut env.outboxes[dst]);
-                let flushed = raw.len() as u64;
-                for mut out in raw.drain(..) {
-                    out_mins[src][dst] = min_opt(out_mins[src][dst], Some(out.at));
-                    let detached = out.msg.detach(&mut sim.pages, &mut sim.pools);
-                    outgoing[src][dst].push(Parcel {
-                        at: out.at,
-                        sent_at: out.sent_at,
-                        seq: out.seq,
-                        to: out.to,
-                        msg: out.msg,
-                        detached,
-                    });
-                }
-                sim.shard_env.as_mut().expect("shard env installed").outboxes[dst] = raw;
-                if flushed > 0 {
-                    let now_ps = sim.now.as_ps();
-                    sim.trace.record(
-                        now_ps,
-                        TraceCat::Mailbox,
-                        TraceKind::Instant,
-                        TraceName::Flush,
-                        dst as u32,
-                        flushed,
-                        0,
-                    );
-                }
-            }
-            queue_nexts[src] = sim.queues.next_at();
+        // Every shard stages before any shard merges, as in the
+        // threaded all-to-all.
+        for (src, sim) in sims.iter_mut().enumerate() {
+            let mins = &mut out_mins[src * n..(src + 1) * n];
+            queue_nexts[src] = stage_exchange(sim, src, &mut outgoing[src], mins);
         }
-        // Merge phase: per destination, the worker's deterministic
-        // (arrival, send time, source shard, source seq) order.
-        for dst in 0..n {
-            for (src, from_src) in outgoing.iter_mut().enumerate() {
-                if src == dst {
-                    continue;
-                }
-                arrivals.extend(from_src[dst].drain(..).map(|p| (src, p)));
-            }
-            arrivals.sort_by_key(|(src, p)| (p.at, p.sent_at, *src, p.seq));
-            let sim = &mut sims[dst];
-            for (src, mut parcel) in arrivals.drain(..) {
-                // The send site already asserts this (`Ctx::send`); keep
-                // a second line of defense at the merge so a future
-                // bypass of that path still can't deliver a parcel that
-                // breaks the window bound the fixed point relies on.
-                debug_assert!(
-                    parcel.at >= parcel.sent_at + lookaheads[src][dst],
-                    "lookahead violation at cooperative merge: shard {src} -> shard {dst} \
-                     parcel arrives at {:?} but was sent at {:?}, below the pair \
-                     lookahead {:?}",
-                    parcel.at,
-                    parcel.sent_at,
-                    lookaheads[src][dst],
-                );
-                parcel
-                    .msg
-                    .attach(parcel.detached, &mut sim.pages, &mut sim.pools);
-                sim.push_arrival(parcel.at, parcel.to, parcel.msg);
-            }
-        }
-        // Post-merge horizons and termination, as in the worker.
-        let mut all_empty = true;
-        for t in 0..n {
-            let mailed = (0..n)
-                .filter(|&r| r != t)
-                .filter_map(|r| out_mins[r][t])
-                .min();
-            horizons[t] = min_opt(queue_nexts[t], mailed);
-            all_empty &= horizons[t].is_none();
-        }
-        for row in out_mins.iter_mut() {
-            row.fill(None);
-        }
-        if all_empty {
+        if !settle_window(&queue_nexts, &out_mins, lookaheads, &mut earliest) {
             return;
         }
         rounds_ctr.fetch_add(1, Ordering::Relaxed);
-        // The identical E_t fixed point (see the worker), then each
-        // shard executes its window in turn.
-        earliest.copy_from_slice(&horizons);
-        for _ in 1..n {
-            let mut changed = false;
-            for t in 0..n {
-                for r in 0..n {
-                    if r == t {
-                        continue;
-                    }
-                    if let Some(er) = earliest[r] {
-                        let via = er + lookaheads[r][t];
-                        if earliest[t].is_none_or(|e| via < e) {
-                            earliest[t] = Some(via);
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
         for (me, sim) in sims.iter_mut().enumerate() {
-            let bound = (0..n)
-                .filter(|&s| s != me)
-                .filter_map(|s| earliest[s].map(|e| e + lookaheads[s][me]))
-                .min();
-            if let Some(bound) = bound {
+            for (src, from_src) in outgoing.iter_mut().enumerate().filter(|&(src, _)| src != me) {
+                arrivals.extend(from_src[me].drain(..).map(|p| (src, p)));
+            }
+            merge_arrivals(sim, me, &mut arrivals, lookaheads);
+            if let Some(bound) = safe_bound(&earliest, lookaheads, me) {
                 sim.run_before(bound);
             }
             delivered_live[me].store(sim.events_delivered(), Ordering::Relaxed);

@@ -1,13 +1,18 @@
-//! Shared HashMap-oracle harness for the schedule-driven suites.
+//! Shared harness for the schedule-driven and cross-engine suites.
 //!
 //! `tests/kv_engine.rs`, `tests/props.rs` and `tests/gc_conformance.rs`
-//! all replay randomly drawn schedules against a reference map model,
-//! relying on proptest's shrinker to minimize failures. The schedule
-//! encoding ([`Draw`]), the decoder ([`decode`]) and the drivers
-//! ([`check_schedule`] for the async KV engine, [`ftl_matches_model`]
-//! for the offline FTL) live here so all three suites draw from one
-//! generator and shrink through one decoder — a shrunk counterexample
-//! from any suite replays verbatim in the others.
+//! all replay randomly drawn schedules against a reference map model.
+//! The schedule encoding ([`Draw`]), the decoder ([`decode`]) and the
+//! drivers ([`check_schedule`] for the async KV engine,
+//! [`ftl_matches_model`] for the offline FTL) live here so all three
+//! suites draw from one generator and decode through one decoder — a
+//! failing schedule from any suite replays verbatim in the others. The
+//! vendored proptest shim does not shrink: a failure reports the test
+//! name, case index and seed, not a minimized schedule (integrated
+//! shrinking through [`decode`] is ROADMAP item L).
+//!
+//! `tests/kv_conformance.rs` and `tests/gc_conformance.rs` compare every
+//! multi-shard engine lane in [`SHARDED_LANES`] against one shard.
 
 // Each test binary compiles this module independently and uses a
 // different subset of it.
@@ -17,14 +22,22 @@
 use std::collections::HashMap;
 
 use bluedbm::core::kvstore::KvOpKind;
-use bluedbm::core::{KvStore, NodeId};
+use bluedbm::core::{ExecMode, KvStore, NodeId};
 use bluedbm::flash::FlashArray;
 use bluedbm::ftl::ftl::Ftl;
 
+/// The multi-shard engine lanes, `(shards, exec)`: two and four shards,
+/// each on worker threads and on the calling thread.
+pub const SHARDED_LANES: [(usize, ExecMode); 4] = [
+    (2, ExecMode::Threads),
+    (2, ExecMode::Cooperative),
+    (4, ExecMode::Threads),
+    (4, ExecMode::Cooperative),
+];
+
 /// One undecoded schedule step: `(kind, key, len)` as drawn by
 /// proptest. Kept as a plain tuple so every suite shares the same
-/// strategy (`proptest::collection::vec(any::<Draw>(), ..)`) and the
-/// same shrinking behavior.
+/// strategy (`proptest::collection::vec(any::<Draw>(), ..)`).
 pub type Draw = (u8, u8, u16);
 
 /// One schedule step, decoded from the proptest draw: which of a small

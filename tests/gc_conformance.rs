@@ -241,24 +241,22 @@ fn gc_state_identical_across_engines_and_shards() {
     let seq_print = gc_fingerprint(seq_store.cluster());
     assert_twin_agrees(seq_store.cluster());
 
-    for exec in [ExecMode::Threads, ExecMode::Cooperative] {
-        for shards in [2usize, 4] {
-            let config = gc_config(shards, exec);
-            let (store, summary) = run_churn(&config, NODES, 0x5EED, churn);
-            assert_eq!(summary.errors, 0, "{exec:?}@{shards}");
-            assert_eq!(summary.digest, seq_digest, "{exec:?}@{shards}: KV digest diverged");
-            assert_eq!(
-                store.cluster().gc_stats(),
-                seq_gc,
-                "{exec:?}@{shards}: GC stats diverged"
-            );
-            assert_eq!(
-                gc_fingerprint(store.cluster()),
-                seq_print,
-                "{exec:?}@{shards}: GC fingerprint diverged"
-            );
-            assert_twin_agrees(store.cluster());
-        }
+    for (shards, exec) in common::SHARDED_LANES {
+        let config = gc_config(shards, exec);
+        let (store, summary) = run_churn(&config, NODES, 0x5EED, churn);
+        assert_eq!(summary.errors, 0, "{exec:?}@{shards}");
+        assert_eq!(summary.digest, seq_digest, "{exec:?}@{shards}: KV digest diverged");
+        assert_eq!(
+            store.cluster().gc_stats(),
+            seq_gc,
+            "{exec:?}@{shards}: GC stats diverged"
+        );
+        assert_eq!(
+            gc_fingerprint(store.cluster()),
+            seq_print,
+            "{exec:?}@{shards}: GC fingerprint diverged"
+        );
+        assert_twin_agrees(store.cluster());
     }
 }
 

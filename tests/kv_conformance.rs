@@ -19,6 +19,8 @@
 //! arbitration choice each engine resolves deterministically but not
 //! necessarily identically (see `bluedbm_sim::shard`).
 
+mod common;
+
 use proptest::prelude::*;
 
 use bluedbm::core::{Cluster, ExecMode, GcStats, KvStore, NodeId, SystemConfig};
@@ -189,21 +191,19 @@ fn trace_digest_identical_across_all_engines() {
     assert!(seq_doc.count(TraceCat::KvOp) > 0, "KV lifecycle must be traced");
     assert!(seq_doc.count(TraceCat::Dispatch) > 0, "dispatch must be traced");
     let stable = seq_doc.digest_stable(STABLE_CATEGORIES);
-    for shards in [2, 4] {
-        for exec in [ExecMode::Threads, ExecMode::Cooperative] {
-            let (obs, doc) = run_traced(
-                &spec,
-                Cluster::ring(4, &traced_config(shards, exec)).unwrap(),
-                64,
-            );
-            assert_eq!(seq_obs, obs, "{exec:?}@{shards} observation diverged");
-            assert_eq!(doc.dropped(), 0, "{exec:?}@{shards} dropped records");
-            assert_eq!(
-                doc.digest_stable(STABLE_CATEGORIES),
-                stable,
-                "{exec:?}@{shards} stable trace digest diverged from sequential"
-            );
-        }
+    for (shards, exec) in common::SHARDED_LANES {
+        let (obs, doc) = run_traced(
+            &spec,
+            Cluster::ring(4, &traced_config(shards, exec)).unwrap(),
+            64,
+        );
+        assert_eq!(seq_obs, obs, "{exec:?}@{shards} observation diverged");
+        assert_eq!(doc.dropped(), 0, "{exec:?}@{shards} dropped records");
+        assert_eq!(
+            doc.digest_stable(STABLE_CATEGORIES),
+            stable,
+            "{exec:?}@{shards} stable trace digest diverged from sequential"
+        );
     }
 }
 
@@ -247,20 +247,18 @@ fn gc_active_trace_digest_identical_across_all_engines() {
     assert!(seq_obs.gc.relocated > 0, "victims must carry live pages: {:?}", seq_obs.gc);
     assert!(seq_doc.count(TraceCat::Gc) > 0, "GC lifecycle must be traced");
     let stable = seq_doc.digest_stable(STABLE_CATEGORIES);
-    for shards in [2, 4] {
-        for exec in [ExecMode::Threads, ExecMode::Cooperative] {
-            let (obs, doc) = run_traced(
-                &spec,
-                Cluster::ring(4, &gc_traced_config(shards, exec)).unwrap(),
-                64,
-            );
-            assert_eq!(seq_obs, obs, "{exec:?}@{shards} GC-active observation diverged");
-            assert_eq!(
-                doc.digest_stable(STABLE_CATEGORIES),
-                stable,
-                "{exec:?}@{shards} GC-active stable digest diverged"
-            );
-        }
+    for (shards, exec) in common::SHARDED_LANES {
+        let (obs, doc) = run_traced(
+            &spec,
+            Cluster::ring(4, &gc_traced_config(shards, exec)).unwrap(),
+            64,
+        );
+        assert_eq!(seq_obs, obs, "{exec:?}@{shards} GC-active observation diverged");
+        assert_eq!(
+            doc.digest_stable(STABLE_CATEGORIES),
+            stable,
+            "{exec:?}@{shards} GC-active stable digest diverged"
+        );
     }
 }
 

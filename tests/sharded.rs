@@ -307,12 +307,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Random topology × random partition map: every per-pair lookahead
-    /// is exactly `hop_latency x` the shard hop distance, and therefore
-    /// never below the global single-link bound the engine used to run
-    /// on (cross-shard cables are one hop, so the old bound is one hop
-    /// of latency).
+    /// between mutually reachable shards is exactly `hop_latency x` the
+    /// shard hop distance.
     #[test]
-    fn pair_lookaheads_dominate_the_global_bound(
+    fn pair_lookaheads_are_hop_latency_times_shard_distance(
         shape in 0u8..3,
         size in 6usize..13,
         seed: u64,
@@ -332,18 +330,10 @@ proptest! {
             let cluster = Cluster::with_partition(topo(), &config, &partition).unwrap();
             let hop = config.net.hop_latency;
             let dists = topo().shard_distances(&partition, cluster.shard_count());
-            let global = cluster.min_lookahead().unwrap();
             for (s, row) in dists.iter().enumerate() {
                 for (r, &d) in row.iter().enumerate() {
-                    if s == r {
-                        continue;
-                    }
-                    let l = cluster.lookahead_between(s, r).unwrap();
-                    prop_assert!(
-                        l >= global,
-                        "pair ({s},{r}) lookahead {l} under global bound {global}"
-                    );
-                    if d != u32::MAX {
+                    if s != r && d != u32::MAX {
+                        let l = cluster.lookahead_between(s, r).unwrap();
                         prop_assert_eq!(l, hop * u64::from(d));
                     }
                 }
