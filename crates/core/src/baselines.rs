@@ -3,8 +3,10 @@
 //! the grep-style CPU utilization model.
 //!
 //! All arms are analytic rate models over the calibrated constants in
-//! [`crate::config`]; the derivations are spelled out in EXPERIMENTS.md.
-//! The BlueDBM arms of the same figures come from the DES ([`crate::cluster`]).
+//! [`crate::config`]. So are the BlueDBM arms of the nearest-neighbour
+//! figures: closed forms ([`SystemConfig::isp_nn_rate`] and
+//! [`isp_nn_rate_throttled`]), not DES measurements. Measuring them on
+//! the simulated cluster is ROADMAP item J.
 
 use bluedbm_sim::time::SimTime;
 

@@ -2,8 +2,7 @@
 //!
 //! Each default is annotated with the paper statement it reproduces.
 //! Values marked *calibrated* are not printed in the paper directly but
-//! are solved from the paper's reported results (the solving is written
-//! out in EXPERIMENTS.md).
+//! are solved from the paper's reported results.
 
 use bluedbm_flash::{FlashGeometry, FlashTiming};
 use bluedbm_host::PcieParams;

@@ -21,8 +21,8 @@
 //! ## The 64-byte budget
 //!
 //! `size_of::<Msg>() <= 64` is asserted at compile time: one message
-//! fits a cache line, so fast-queue entries stay compact and train
-//! dispatch is never payload-transport-bound. Three layout decisions
+//! fits a cache line, so fast-queue entries stay compact and dispatch
+//! is never payload-transport-bound. Three layout decisions
 //! keep it true:
 //!
 //! * [`Msg`] is **flat** — one discriminant level. Each nested enum

@@ -20,7 +20,7 @@ use bluedbm_host::msg::HostMsg;
 use bluedbm_host::pcie::{Direction, PcieXfer};
 use bluedbm_net::router::{NetRecv, NetSend};
 use bluedbm_net::topology::NodeId;
-use bluedbm_sim::engine::{Batch, Component, ComponentId, Ctx};
+use bluedbm_sim::engine::{Component, ComponentId, Ctx};
 use bluedbm_sim::time::{Bandwidth, SimTime};
 use bluedbm_sim::{MetricsNode, PageRef, TraceCat, TraceName};
 
@@ -253,10 +253,8 @@ struct NetPending {
     target: RemoteKind,
 }
 
-/// Cumulative node-agent statistics. Purely additive counters, so the
-/// batched dispatcher accumulates a per-train delta and applies it once
-/// per train instead of once per message; `PartialEq` so the
-/// cross-engine determinism suite can compare agents field for field.
+/// Cumulative node-agent statistics. `PartialEq` so the cross-engine
+/// determinism suite can compare agents field for field.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AgentStats {
     /// Driver operations accepted.
@@ -286,16 +284,6 @@ impl AgentStats {
         node.set("completions", self.completions);
         node.set("parked_pages", self.parked_pages);
         node.set("accel_jobs", self.accel_jobs);
-    }
-
-    fn apply(&mut self, delta: AgentStats) {
-        self.ops += delta.ops;
-        self.local_reads += delta.local_reads;
-        self.remote_reads += delta.remote_reads;
-        self.remote_jobs += delta.remote_jobs;
-        self.completions += delta.completions;
-        self.parked_pages += delta.parked_pages;
-        self.accel_jobs += delta.accel_jobs;
     }
 }
 
@@ -452,14 +440,13 @@ impl NodeAgent {
 
     fn complete(
         &mut self,
-        tc: &mut AgentStats,
         now: SimTime,
         op_id: u64,
         addr: Option<GlobalPageAddr>,
         data: Result<Vec<u8>, FlashError>,
         start: SimTime,
     ) {
-        tc.completions += 1;
+        self.stats.completions += 1;
         let (data, error) = match data {
             Ok(d) => (Some(d), None),
             Err(e) => (None, Some(e)),
@@ -477,11 +464,9 @@ impl NodeAgent {
     /// Deliver read data to its consumer: ISP copies the page out of the
     /// store here; Host claims a read buffer and pays the PCIe crossing
     /// first (parking if all buffers are in flight).
-    #[allow(clippy::too_many_arguments)]
     fn consume_read(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
-        tc: &mut AgentStats,
         op_id: u64,
         addr: Option<GlobalPageAddr>,
         consume: Consume,
@@ -491,14 +476,14 @@ impl NodeAgent {
         match (consume, data) {
             (Consume::Isp, data) => {
                 let data = data.map(|page| ctx.pages().take(page));
-                self.complete(tc, ctx.now(), op_id, addr, data, start);
+                self.complete(ctx.now(), op_id, addr, data, start);
             }
             (Consume::Accel, Ok(page)) => {
                 // The payload must stream through one of the node's
                 // shared accelerator units before the op counts as done;
                 // the FIFO scheduler (paper Section 4) arbitrates them
                 // among competing tenants.
-                tc.accel_jobs += 1;
+                self.stats.accel_jobs += 1;
                 let data = ctx.pages().take(page);
                 let duration = self.accel_bandwidth.time_for(data.len() as u64);
                 let job = self.next_accel_job;
@@ -516,7 +501,7 @@ impl NodeAgent {
                 );
             }
             (Consume::Accel, Err(e)) => {
-                self.complete(tc, ctx.now(), op_id, addr, Err(e), start)
+                self.complete(ctx.now(), op_id, addr, Err(e), start)
             }
             (Consume::Host, Ok(page)) => {
                 if self.host_buffers.adopt(page) {
@@ -525,7 +510,7 @@ impl NodeAgent {
                     // All 128 read buffers hold in-flight pages: the
                     // paper's free-queue discipline makes this page wait
                     // for a completion to return a buffer.
-                    tc.parked_pages += 1;
+                    self.stats.parked_pages += 1;
                     ctx.trace().instant(
                         TraceCat::BufPool,
                         TraceName::Park,
@@ -536,7 +521,7 @@ impl NodeAgent {
                     self.host_parked.push_back((op_id, addr, start, page));
                 }
             }
-            (Consume::Host, Err(e)) => self.complete(tc, ctx.now(), op_id, addr, Err(e), start),
+            (Consume::Host, Err(e)) => self.complete(ctx.now(), op_id, addr, Err(e), start),
         }
     }
 
@@ -561,8 +546,8 @@ impl NodeAgent {
         );
     }
 
-    fn handle_op(&mut self, ctx: &mut Ctx<'_, Msg>, tc: &mut AgentStats, op: AgentOp) {
-        tc.ops += 1;
+    fn handle_op(&mut self, ctx: &mut Ctx<'_, Msg>, op: AgentOp) {
+        self.stats.ops += 1;
         match op {
             AgentOp::ReadFlash {
                 op_id,
@@ -570,7 +555,7 @@ impl NodeAgent {
                 consume,
             } => {
                 if addr.node == self.node {
-                    tc.local_reads += 1;
+                    self.stats.local_reads += 1;
                     self.issue_flash(
                         ctx,
                         addr,
@@ -583,7 +568,7 @@ impl NodeAgent {
                         },
                     );
                 } else {
-                    tc.remote_reads += 1;
+                    self.stats.remote_reads += 1;
                     let req_id = self.next_req;
                     self.next_req += 1;
                     self.net_pending.insert(
@@ -638,7 +623,7 @@ impl NodeAgent {
                 key,
                 consume,
             } => {
-                tc.remote_reads += 1;
+                self.stats.remote_reads += 1;
                 let req_id = self.next_req;
                 self.next_req += 1;
                 self.net_pending.insert(
@@ -673,7 +658,7 @@ impl NodeAgent {
         }
     }
 
-    fn handle_ctrl_resp(&mut self, ctx: &mut Ctx<'_, Msg>, tc: &mut AgentStats, resp: CtrlResp) {
+    fn handle_ctrl_resp(&mut self, ctx: &mut Ctx<'_, Msg>, resp: CtrlResp) {
         let tag = resp.tag().0;
         let dest = self
             .flash_pending
@@ -692,11 +677,11 @@ impl NodeAgent {
                 },
                 CtrlResp::ReadDone { result, .. },
             ) => {
-                self.consume_read(ctx, tc, op_id, Some(addr), consume, start, result.map(|r| r.page));
+                self.consume_read(ctx, op_id, Some(addr), consume, start, result.map(|r| r.page));
             }
             (FlashDest::LocalWrite { op_id, addr, start }, CtrlResp::WriteDone { result, .. }) => {
                 let data = result.map(|()| Vec::new());
-                self.complete(tc, ctx.now(), op_id, Some(addr), data, start);
+                self.complete(ctx.now(), op_id, Some(addr), data, start);
             }
             (
                 FlashDest::RemoteJob {
@@ -725,11 +710,11 @@ impl NodeAgent {
         }
     }
 
-    fn handle_net(&mut self, ctx: &mut Ctx<'_, Msg>, tc: &mut AgentStats, recv: NetRecv<NetBody>) {
+    fn handle_net(&mut self, ctx: &mut Ctx<'_, Msg>, recv: NetRecv<NetBody>) {
         let resp = match recv.body {
             NetBody::Req(req) => {
                 let req = ctx.pools().take(req);
-                tc.remote_jobs += 1;
+                self.stats.remote_jobs += 1;
                 match req.kind {
                     RemoteKind::Flash(addr) => {
                         debug_assert_eq!(addr.node, self.node);
@@ -779,19 +764,16 @@ impl NodeAgent {
             RemoteKind::Dram(_) => None,
         };
         let data = resp.data.map_err(|code| code.rehydrate(pending.target));
-        self.consume_read(ctx, tc, pending.op_id, addr, pending.consume, pending.start, data);
+        self.consume_read(ctx, pending.op_id, addr, pending.consume, pending.start, data);
     }
 }
 
-impl NodeAgent {
-    /// Per-message logic shared by [`Component::handle`] and the batch
-    /// hook. Additive statistics go through `tc`, which the dispatch
-    /// entry points flush once per train.
-    fn handle_msg(&mut self, ctx: &mut Ctx<'_, Msg>, tc: &mut AgentStats, msg: Msg) {
+impl Component<Msg> for NodeAgent {
+    fn handle(&mut self, ctx: &mut Ctx<'_, Msg>, msg: Msg) {
         match msg {
-            Msg::Op(op) => self.handle_op(ctx, tc, op),
-            Msg::FlashResp(resp) => self.handle_ctrl_resp(ctx, tc, resp),
-            Msg::NetRecv(recv) => self.handle_net(ctx, tc, recv),
+            Msg::Op(op) => self.handle_op(ctx, op),
+            Msg::FlashResp(resp) => self.handle_ctrl_resp(ctx, resp),
+            Msg::NetRecv(recv) => self.handle_net(ctx, recv),
             Msg::Dram(served) => {
                 ctx.send(
                     self.router,
@@ -812,7 +794,7 @@ impl NodeAgent {
                     .accel_pending
                     .remove(&job)
                     .expect("accelerator completion for an unknown job");
-                self.complete(tc, ctx.now(), op_id, addr, Ok(data), start);
+                self.complete(ctx.now(), op_id, addr, Ok(data), start);
             }
             Msg::Host(HostMsg::Done(done)) => {
                 let (op_id, addr, start) = self
@@ -823,7 +805,7 @@ impl NodeAgent {
                 // the free queue and hand the next parked page its slot.
                 self.host_buffers.release(done.body);
                 let data = ctx.pages().take(done.body);
-                self.complete(tc, ctx.now(), op_id, addr, Ok(data), start);
+                self.complete(ctx.now(), op_id, addr, Ok(data), start);
                 if let Some((op_id, addr, start, page)) = self.host_parked.pop_front() {
                     let adopted = self.host_buffers.adopt(page);
                     debug_assert!(adopted, "a just-released buffer must be free");
@@ -840,27 +822,6 @@ impl NodeAgent {
             }
             other => panic!("node agent got an unexpected message: {other:?}"),
         }
-    }
-}
-
-impl Component<Msg> for NodeAgent {
-    fn handle(&mut self, ctx: &mut Ctx<'_, Msg>, msg: Msg) {
-        let mut tc = AgentStats::default();
-        self.handle_msg(ctx, &mut tc, msg);
-        self.stats.apply(tc);
-    }
-
-    /// Batched dispatch with the per-train hoist: the experiment drivers
-    /// inject whole read streams at one instant, and those [`AgentOp`]
-    /// trains drain in one borrow with the additive statistics (ops,
-    /// reads, jobs, completions, parks) applied once per train instead
-    /// of once per message.
-    fn handle_batch(&mut self, ctx: &mut Ctx<'_, Msg>, batch: &mut Batch<Msg>) {
-        let mut tc = AgentStats::default();
-        while let Some(msg) = batch.next(ctx) {
-            self.handle_msg(ctx, &mut tc, msg);
-        }
-        self.stats.apply(tc);
     }
 }
 

@@ -1,15 +1,14 @@
 //! Line/token context tracking: which tokens sit inside a
-//! `Component::handle`/`handle_batch` body, and which identifiers in a
-//! file name hash-based containers.
+//! `Component::handle` body, and which identifiers in a file name
+//! hash-based containers.
 //!
 //! Both are brace-depth approximations over the token stream (detlint
 //! has no type information), tuned to the workspace's idioms:
 //!
 //! * A *Component impl* is any `impl … Component … for … { … }` block —
 //!   the `Component` and `for` identifiers must both appear in the impl
-//!   header (before its opening brace). Inside one, the bodies of
-//!   `fn handle(…) { … }` and `fn handle_batch(…) { … }` are recorded
-//!   as token ranges.
+//!   header (before its opening brace). Inside one, the body of
+//!   `fn handle(…) { … }` is recorded as a token range.
 //! * A *hash container name* is any identifier bound to a
 //!   `HashMap`/`HashSet`/`FxHashMap`/`FxHashSet` by type ascription
 //!   (`field: FxHashMap<…>`) or by construction assignment
@@ -54,7 +53,7 @@ pub fn matching_brace(tokens: &[Token], open: usize) -> usize {
 }
 
 /// Token index ranges (open-brace..close-brace, exclusive of both) of
-/// every `handle`/`handle_batch` body inside a `Component` impl.
+/// every `handle` body inside a `Component` impl.
 pub fn handle_bodies(tokens: &[Token]) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     let mut i = 0;
@@ -81,9 +80,7 @@ pub fn handle_bodies(tokens: &[Token]) -> Vec<(usize, usize)> {
         let close = matching_brace(tokens, open);
         let mut j = open + 1;
         while j < close {
-            if ident_at(tokens, j) == Some("fn")
-                && matches!(ident_at(tokens, j + 1), Some("handle" | "handle_batch"))
-            {
+            if ident_at(tokens, j) == Some("fn") && ident_at(tokens, j + 1) == Some("handle") {
                 if let Some(rel) = tokens[j..close]
                     .iter()
                     .position(|t| t.kind == TokenKind::Punct('{'))
@@ -175,7 +172,9 @@ mod tests {
                 fn handle(&mut self, ctx: &mut Ctx<'_, Msg>, msg: Msg) {
                     inner();
                 }
-                fn handle_batch(&mut self, ctx: &mut Ctx<'_, Msg>, batch: Batch<'_, Msg>) {
+            }
+            impl Component<Tick> for Node {
+                fn handle(&mut self, ctx: &mut Ctx<'_, Tick>, tick: Tick) {
                     drain();
                 }
             }

@@ -9,7 +9,7 @@
 //! |----|-----------------|
 //! | `no-std-hasher` | `std::collections::{HashMap,HashSet}` imports and constructions — use `bluedbm_sim::fxhash` |
 //! | `no-wallclock` | `Instant::now` / `SystemTime` / `thread_rng` / `available_parallelism` (allowlisted: the `ExecMode::Auto` probe in `crates/sim/src/shard.rs`) |
-//! | `map-iteration-order-leak` | iterating a hash container inside a `Component::handle`/`handle_batch` body that also sends |
+//! | `map-iteration-order-leak` | iterating a hash container inside a `Component::handle` body that also sends |
 //! | `float-sim-time` | constructing a `SimTime` from `f32`/`f64` arithmetic |
 //! | `stale-allow` | a `detlint::allow` that suppresses nothing (emitted by the engine, not here) |
 
@@ -220,7 +220,7 @@ const ITERATING_METHODS: [&str; 8] = [
     "iter", "iter_mut", "keys", "values", "values_mut", "drain", "retain", "into_iter",
 ];
 
-/// R3: hash-container iteration inside a `handle`/`handle_batch` body
+/// R3: hash-container iteration inside a `Component::handle` body
 /// that also sends. The iteration order of a hash container — even the
 /// deterministic `Fx` ones, whose order is insertion-dependent — must
 /// never decide the order of `send`s, or engines that insert in a
@@ -443,7 +443,7 @@ mod tests {
     fn for_in_reference_iteration_detected() {
         let src = "struct S { peers: FxHashSet<u32> }\n\
              impl Component<M> for S {\n\
-             fn handle_batch(&mut self, ctx: &mut Ctx<'_, M>, b: Batch<'_, M>) {\n\
+             fn handle(&mut self, ctx: &mut Ctx<'_, M>, m: M) {\n\
              for p in &self.peers { ctx.send_at(*p, NOW, M::Tick); } } }";
         assert_eq!(hits(src), vec![("map-iteration-order-leak", 4)]);
     }

@@ -12,11 +12,11 @@ impl Component<Msg> for Fanout {
         for (peer, credit) in self.peers.iter() {
             ctx.send(*peer, FANOUT_DELAY, Msg::Credit(*credit));
         }
-    }
-
-    fn handle_batch(&mut self, ctx: &mut Ctx<'_, Msg>, batch: Batch<'_, Msg>) {
+        let Msg::Tick(at) = msg else {
+            return;
+        };
         for peer in &self.peers { // detlint::allow(map-iteration-order-leak): ditto
-            ctx.send_at(peer.0, batch.now(), Msg::Tick);
+            ctx.send_at(peer.0, at, Msg::Tick);
         }
     }
 }

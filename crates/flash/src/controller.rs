@@ -16,7 +16,7 @@
 
 use std::collections::VecDeque;
 
-use bluedbm_sim::engine::{Batch, Component, ComponentId, Ctx};
+use bluedbm_sim::engine::{Component, ComponentId, Ctx};
 use bluedbm_sim::pagestore::{PageRef, PageStore};
 use bluedbm_sim::resource::SerialResource;
 use bluedbm_sim::stats::{Histogram, Throughput};
@@ -412,11 +412,11 @@ impl FlashController {
         };
         ctx.send_self(done - now, FlashMsg::Finish(Finish { slot }));
     }
+}
 
-    /// Per-message logic shared by [`Component::handle`] and the batch
-    /// hook.
-    fn handle_flash<M: FlashProtocol>(&mut self, ctx: &mut Ctx<'_, M>, msg: FlashMsg) {
-        match msg {
+impl<M: FlashProtocol> Component<M> for FlashController {
+    fn handle(&mut self, ctx: &mut Ctx<'_, M>, msg: M) {
+        match msg.into_flash() {
             FlashMsg::Cmd(cmd) => {
                 if self.in_flight >= self.tag_limit {
                     self.stats.tag_stalls += 1;
@@ -439,23 +439,6 @@ impl FlashController {
                 }
             }
             other => panic!("flash controller got an unexpected message: {other:?}"),
-        }
-    }
-}
-
-impl<M: FlashProtocol> Component<M> for FlashController {
-    fn handle(&mut self, ctx: &mut Ctx<'_, M>, msg: M) {
-        self.handle_flash(ctx, msg.into_flash());
-    }
-
-    /// Explicit batch adoption: command trains (the splitter fans one
-    /// logical request into many same-instant [`CtrlCmd`]s) drain in one
-    /// borrow. Equivalent to the default today — kept as the landing
-    /// spot for train-level hoists (shared stats, queue-admission
-    /// checks).
-    fn handle_batch(&mut self, ctx: &mut Ctx<'_, M>, batch: &mut Batch<M>) {
-        while let Some(msg) = batch.next(ctx) {
-            self.handle_flash(ctx, msg.into_flash());
         }
     }
 }

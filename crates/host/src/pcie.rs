@@ -7,7 +7,7 @@
 //! exist so that setup latency of back-to-back transfers overlaps — with
 //! one engine the paper's 1.6 GB/s would not be reachable at 8 KiB pages.
 
-use bluedbm_sim::engine::{Batch, Component, ComponentId, Ctx};
+use bluedbm_sim::engine::{Component, ComponentId, Ctx};
 use bluedbm_sim::resource::{MultiResource, SerialResource};
 use bluedbm_sim::stats::{Histogram, Throughput};
 use bluedbm_sim::time::{Bandwidth, SimTime};
@@ -170,11 +170,9 @@ pub struct Finish<B> {
     notify: ComponentId,
 }
 
-impl PcieLink {
-    /// Per-message logic shared by [`Component::handle`] and the batch
-    /// hook.
-    fn handle_host<M: HostProtocol>(&mut self, ctx: &mut Ctx<'_, M>, msg: HostMsg<M::Body>) {
-        match msg {
+impl<M: HostProtocol> Component<M> for PcieLink {
+    fn handle(&mut self, ctx: &mut Ctx<'_, M>, msg: M) {
+        match msg.into_host() {
             HostMsg::Xfer(xfer) => {
                 let (engines, link, bw) = match xfer.direction {
                     Direction::DeviceToHost => {
@@ -219,22 +217,6 @@ impl PcieLink {
                 ctx.send(finish.notify, SimTime::ZERO, HostMsg::Done(finish.done));
             }
             other => panic!("pcie link got an unexpected message: {}", other.kind()),
-        }
-    }
-}
-
-impl<M: HostProtocol> Component<M> for PcieLink {
-    fn handle(&mut self, ctx: &mut Ctx<'_, M>, msg: M) {
-        self.handle_host(ctx, msg.into_host());
-    }
-
-    /// Explicit batch adoption: back-to-back DMA requests (a page-stream
-    /// burst) drain in one borrow. Equivalent to the default today —
-    /// kept as the landing spot for train-level hoists (direction
-    /// resource lookups).
-    fn handle_batch(&mut self, ctx: &mut Ctx<'_, M>, batch: &mut Batch<M>) {
-        while let Some(msg) = batch.next(ctx) {
-            self.handle_host(ctx, msg.into_host());
         }
     }
 }

@@ -23,7 +23,7 @@ use std::collections::VecDeque;
 use bluedbm_sim::fxhash::FxHashMap;
 use std::sync::Arc;
 
-use bluedbm_sim::engine::{Batch, Component, ComponentId, Ctx, Simulator};
+use bluedbm_sim::engine::{Component, ComponentId, Ctx, Simulator};
 use bluedbm_sim::pool::PoolRef;
 use bluedbm_sim::resource::{Grant, SerialResource};
 use bluedbm_sim::stats::Histogram;
@@ -191,29 +191,7 @@ pub struct RouterStats {
     pub order_violations: u64,
 }
 
-/// Counter deltas accumulated across one dispatch train and applied to
-/// [`RouterStats`] once per train (instead of once per message) — the
-/// batched dispatcher's hoist of the router's hot-path bookkeeping.
-/// Distribution samples (the latency histogram) still record per packet;
-/// only the additive counters batch.
-#[derive(Default)]
-struct TrainCounters {
-    injected: u64,
-    forwarded: u64,
-    delivered: u64,
-    delivered_bytes: u64,
-    credit_stalls: u64,
-}
-
 impl RouterStats {
-    fn apply(&mut self, tc: TrainCounters) {
-        self.injected += tc.injected;
-        self.forwarded += tc.forwarded;
-        self.delivered += tc.delivered;
-        self.delivered_bytes += tc.delivered_bytes;
-        self.credit_stalls += tc.credit_stalls;
-    }
-
     /// Write the counters and latency percentiles into a metrics
     /// subtree (for the unified `bluedbm_trace::MetricsRegistry`).
     pub fn fill_metrics(&self, node: &mut bluedbm_trace::MetricsNode) {
@@ -308,7 +286,7 @@ impl<B: Send + 'static> Router<B> {
         ctx.send(hop.peer, delay, NetMsg::Wire(wire));
     }
 
-    fn route_or_deliver<M>(&mut self, ctx: &mut Ctx<'_, M>, wire: WireRef<B>, tc: &mut TrainCounters)
+    fn route_or_deliver<M>(&mut self, ctx: &mut Ctx<'_, M>, wire: WireRef<B>)
     where
         M: NetProtocol<Body = B>,
     {
@@ -319,7 +297,7 @@ impl<B: Send + 'static> Router<B> {
         let dst = w.packet.dst;
         if dst == self.node {
             let wire = pool.take(wire);
-            self.deliver(ctx, wire, tc);
+            self.deliver(ctx, wire);
             return;
         }
         let port = self
@@ -327,13 +305,13 @@ impl<B: Send + 'static> Router<B> {
             .next_port(self.node, dst, w.packet.endpoint)
             .unwrap_or_else(|| panic!("no route from {} to {}", self.node, dst));
         if w.via.is_some() {
-            tc.forwarded += 1;
+            self.stats.forwarded += 1;
         }
         let egress = self.ports[port.0 as usize]
             .as_mut()
             .expect("route points at a cabled port");
         if egress.credits == 0 {
-            tc.credit_stalls += 1;
+            self.stats.credit_stalls += 1;
             egress.queue.push_back(wire);
             return;
         }
@@ -343,7 +321,7 @@ impl<B: Send + 'static> Router<B> {
 
     /// Terminal hop: the packet's journey ends here, so the caller takes
     /// the wire record back out of the pool.
-    fn deliver<M>(&mut self, ctx: &mut Ctx<'_, M>, wire: Wire<B>, tc: &mut TrainCounters)
+    fn deliver<M>(&mut self, ctx: &mut Ctx<'_, M>, wire: Wire<B>)
     where
         M: NetProtocol<Body = B>,
     {
@@ -365,8 +343,8 @@ impl<B: Send + 'static> Router<B> {
         *expect = pkt.seq + 1;
 
         let latency = ctx.now() + tail_at - wire.sent_at;
-        tc.delivered += 1;
-        tc.delivered_bytes += u64::from(pkt.payload_bytes);
+        self.stats.delivered += 1;
+        self.stats.delivered_bytes += u64::from(pkt.payload_bytes);
         self.stats.latency.record(latency);
 
         if wire.wants_ack {
@@ -406,7 +384,7 @@ impl<B: Send + 'static> Router<B> {
     }
 
     /// Stamp and route one accepted send (past the end-to-end gate).
-    fn inject<M>(&mut self, ctx: &mut Ctx<'_, M>, send: NetSend<B>, tc: &mut TrainCounters)
+    fn inject<M>(&mut self, ctx: &mut Ctx<'_, M>, send: NetSend<B>)
     where
         M: NetProtocol<Body = B>,
     {
@@ -454,21 +432,15 @@ impl<B: Send + 'static> Router<B> {
             via: None,
             wants_ack,
         });
-        self.route_or_deliver(ctx, wire, tc);
+        self.route_or_deliver(ctx, wire);
     }
 }
 
-impl<B: Send + 'static> Router<B> {
-    /// Per-message logic shared by [`Component::handle`] and the batch
-    /// hook. Additive statistics go through `tc`, which the dispatch
-    /// entry points flush once per train.
-    fn handle_net<M>(&mut self, ctx: &mut Ctx<'_, M>, msg: NetMsg<B>, tc: &mut TrainCounters)
-    where
-        M: NetProtocol<Body = B>,
-    {
-        match msg {
+impl<M: NetProtocol> Component<M> for Router<M::Body> {
+    fn handle(&mut self, ctx: &mut Ctx<'_, M>, msg: M) {
+        match msg.into_net() {
             NetMsg::Send(send) => {
-                tc.injected += 1;
+                self.stats.injected += 1;
                 if send.dst != self.node {
                     if let Some(&cap) = self.e2e_credits.get(&send.endpoint) {
                         let key = (send.endpoint, send.dst);
@@ -480,7 +452,7 @@ impl<B: Send + 'static> Router<B> {
                         *outstanding += 1;
                     }
                 }
-                self.inject(ctx, send, tc);
+                self.inject(ctx, send);
             }
             NetMsg::Ack(ack) => {
                 let key = (ack.endpoint, ack.dst);
@@ -495,10 +467,10 @@ impl<B: Send + 'static> Router<B> {
                     .and_then(VecDeque::pop_front)
                 {
                     *self.e2e_outstanding.get_mut(&key).expect("present") += 1;
-                    self.inject(ctx, next, tc);
+                    self.inject(ctx, next);
                 }
             }
-            NetMsg::Wire(wire) => self.route_or_deliver(ctx, wire, tc),
+            NetMsg::Wire(wire) => self.route_or_deliver(ctx, wire),
             NetMsg::Credit(credit) => {
                 let egress = self.ports[credit.port.0 as usize]
                     .as_mut()
@@ -513,27 +485,6 @@ impl<B: Send + 'static> Router<B> {
             }
             other => panic!("router got an unexpected message: {}", other.kind()),
         }
-    }
-}
-
-impl<M: NetProtocol> Component<M> for Router<M::Body> {
-    fn handle(&mut self, ctx: &mut Ctx<'_, M>, msg: M) {
-        let mut tc = TrainCounters::default();
-        self.handle_net(ctx, msg.into_net(), &mut tc);
-        self.stats.apply(tc);
-    }
-
-    /// Batched dispatch with the per-train hoist: bursts of same-instant
-    /// injections and the credit/wire trains of a saturated lane drain in
-    /// one borrow, and the additive statistics (injected / forwarded /
-    /// delivered / bytes / stalls) hit the stats struct once per train
-    /// instead of once per message.
-    fn handle_batch(&mut self, ctx: &mut Ctx<'_, M>, batch: &mut Batch<M>) {
-        let mut tc = TrainCounters::default();
-        while let Some(msg) = batch.next(ctx) {
-            self.handle_net(ctx, msg.into_net(), &mut tc);
-        }
-        self.stats.apply(tc);
     }
 }
 

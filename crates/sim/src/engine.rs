@@ -40,15 +40,11 @@
 //!   a panicking sentinel), so the dispatcher's component fetch is a
 //!   single bounds-checked index — no `Option` discriminant, no
 //!   move-out/move-back around the handler call;
-//! * [`Simulator::run`] and [`Simulator::run_until`] use **batched
-//!   dispatch**: when consecutive queue heads target the same component
-//!   at the same instant (a command-forwarding *train*), the whole train
-//!   is drained in one borrow of that component — one arena fetch and one
-//!   virtual call per train instead of per event. Components opt into
-//!   train-level processing via [`Component::handle_batch`]; the default
-//!   implementation falls back to per-message [`Component::handle`], so
-//!   batching is transparent to existing models and never changes
-//!   delivery order;
+//! * there is one delivery path: [`Simulator::step`] pops the globally
+//!   next event, fetches its component and calls [`Component::handle`]
+//!   once, and every other runner ([`Simulator::run`],
+//!   [`Simulator::run_until`], the sharded runtime's window executor) is
+//!   a loop over it;
 //! * bulk payloads (flash pages) live in the simulator-owned
 //!   [`PageStore`] and cross the system as 8-byte
 //!   [`PageRef`](crate::PageRef) handles, so messages stay
@@ -118,80 +114,6 @@ pub trait Component<M: Message>: Any + Send {
     /// bug, not a runtime condition, so models here `panic!` loudly on
     /// them.
     fn handle(&mut self, ctx: &mut Ctx<'_, M>, msg: M);
-
-    /// Opt-in hook for **batched dispatch**: process a train of messages
-    /// all delivered to this component at `ctx.now()`, in delivery order.
-    ///
-    /// The dispatcher calls this (instead of per-message [`handle`])
-    /// whenever consecutive queue heads target the same component at the
-    /// same instant, so hot components can hoist per-message overhead
-    /// (the `match` on the protocol enum, field reloads) out of the inner
-    /// loop. [`Batch::next`] yields messages lazily, straight off the
-    /// event queues — there is no intermediate train buffer — so
-    /// zero-delay self-sends emitted *while* draining join the running
-    /// train when they are globally next. Implementations must process
-    /// messages in yield order; they may stop early — whatever they leave
-    /// stays queued and is dispatched normally, so semantics never depend
-    /// on how much of the train a component consumes.
-    ///
-    /// The default implementation is exactly the per-message fallback,
-    /// which makes batching behaviourally invisible to components that do
-    /// not opt in.
-    ///
-    /// [`handle`]: Component::handle
-    fn handle_batch(&mut self, ctx: &mut Ctx<'_, M>, batch: &mut Batch<M>) {
-        while let Some(msg) = batch.next(ctx) {
-            self.handle(ctx, msg);
-        }
-    }
-}
-
-/// A train of same-instant messages addressed to one component, handed to
-/// [`Component::handle_batch`]. [`next`](Batch::next) lazily pops the
-/// globally next event off the queues for as long as it continues the
-/// train (same instant, same component), so a train is consumed with zero
-/// buffering or copying.
-pub struct Batch<M: Message> {
-    to: ComponentId,
-    /// The already-popped event that opened the train.
-    head: Option<M>,
-    /// Fast-queue events already verified to continue the train: while
-    /// this run lasts, [`next`](Batch::next) is a bare `pop_front` — the
-    /// train-match comparison is amortized to one scan per run.
-    run: usize,
-    /// Messages yielded so far (the dispatcher's delivery accounting).
-    taken: u64,
-}
-
-impl<M: Message> Batch<M> {
-    /// The next message of the train, or `None` once the globally next
-    /// event no longer continues it. Takes the `Ctx` because the train is
-    /// read straight off the queues the context also schedules into.
-    #[inline]
-    pub fn next(&mut self, ctx: &mut Ctx<'_, M>) -> Option<M> {
-        if let Some(m) = self.head.take() {
-            self.taken += 1;
-            return Some(m);
-        }
-        if self.run > 0 {
-            // Pre-verified by the last scan: pop without re-comparing.
-            self.run -= 1;
-            self.taken += 1;
-            let f = ctx.queues.fast.pop_front().expect("scanned run entry");
-            return Some(f.msg);
-        }
-        self.run = ctx.queues.scan_fast_run(ctx.now, self.to);
-        if self.run > 0 {
-            self.run -= 1;
-            self.taken += 1;
-            let f = ctx.queues.fast.pop_front().expect("scanned run entry");
-            return Some(f.msg);
-        }
-        // No fast run: the train continues only if the heap root matches.
-        let msg = ctx.queues.pop_heap_if(ctx.now, self.to);
-        self.taken += msg.is_some() as u64;
-        msg
-    }
 }
 
 /// Total delivery order: time first, then scheduling sequence. `seq` is
@@ -347,75 +269,6 @@ impl<M: Message> Queues<M> {
             let (to, msg) = self.take_slot(e.slot);
             Some((e.key, to, msg))
         }
-    }
-
-    /// Destination of the event stored in `slot` (which must be full).
-    #[inline]
-    fn slot_target(&self, slot: u32) -> ComponentId {
-        match self.slots[slot as usize] {
-            Slot::Full { to, .. } => to,
-            Slot::Free { .. } => unreachable!("heap entry points at a free slot"),
-        }
-    }
-
-    /// `true` if the globally next event is addressed to `to` at exactly
-    /// `at` — the train-extension test of the batched dispatcher.
-    #[inline]
-    fn next_matches(&self, at: SimTime, to: ComponentId) -> bool {
-        match (self.fast.front(), self.heap.first()) {
-            (None, None) => false,
-            (Some(f), None) => f.key.at == at && f.to == to,
-            (None, Some(h)) => h.key.at == at && self.slot_target(h.slot) == to,
-            (Some(f), Some(h)) => {
-                if f.key.packed() <= h.key.packed() {
-                    f.key.at == at && f.to == to
-                } else {
-                    h.key.at == at && self.slot_target(h.slot) == to
-                }
-            }
-        }
-    }
-
-    /// Count the prefix of fast-queue events that continue the `(at,
-    /// to)` train: addressed to `to` and globally next, i.e. ordered
-    /// before the heap root. Fast-queue entries all sit at the current
-    /// instant, so only a heap root at the same instant (with an older
-    /// sequence number) can order ahead of them.
-    fn scan_fast_run(&self, at: SimTime, to: ComponentId) -> usize {
-        let seq_limit = match self.heap.first() {
-            Some(h) => {
-                debug_assert!(h.key.at >= at, "heap root precedes the current instant");
-                if h.key.at == at {
-                    h.key.seq
-                } else {
-                    u64::MAX
-                }
-            }
-            None => u64::MAX,
-        };
-        self.fast
-            .iter()
-            .take_while(|f| f.to == to && f.key.seq < seq_limit && f.key.at == at)
-            .count()
-    }
-
-    /// Pop the heap root only if it is globally next and continues the
-    /// `(at, to)` train. Callers drain the matching fast run first; a
-    /// fast-queue head that is still pending here either precedes the
-    /// root (train over) or follows it (root may continue the train).
-    fn pop_heap_if(&mut self, at: SimTime, to: ComponentId) -> Option<M> {
-        let h = self.heap.first()?;
-        if h.key.at != at || self.slot_target(h.slot) != to {
-            return None;
-        }
-        if let Some(f) = self.fast.front() {
-            if f.key.packed() < h.key.packed() {
-                return None;
-            }
-        }
-        let e = pop_root(&mut self.heap).expect("checked non-empty");
-        let (_, msg) = self.take_slot(e.slot);
-        Some(msg)
     }
 
     /// Timestamp of the next pending event, if any.
@@ -787,11 +640,23 @@ impl<M: Message> Simulator<M> {
         self.queues.push(self.now, at, to, msg);
     }
 
-    /// Run one handler; its sends land in the queues directly. The
-    /// component fetch is a single bounds-checked arena index; reserved
-    /// slots hold a sentinel whose handler raises the
-    /// uninstalled-component panic.
-    fn dispatch(&mut self, at: SimTime, to: ComponentId, msg: M) {
+    /// Deliver the next event, if any: the one path from the queues to a
+    /// handler, which every runner below loops over. Returns `false` when
+    /// the queue is empty.
+    ///
+    /// The handler's sends land in the queues directly. The component
+    /// fetch is a single bounds-checked arena index; reserved slots hold
+    /// a sentinel whose handler raises the uninstalled-component panic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the event targets a reserved slot that was never
+    /// [`install`](Self::install)ed.
+    pub fn step(&mut self) -> bool {
+        let Some((key, to, msg)) = self.queues.pop_next() else {
+            return false;
+        };
+        let at = key.at;
         debug_assert!(at >= self.now, "event queue went backwards");
         self.now = at;
         self.delivered += 1;
@@ -816,118 +681,37 @@ impl<M: Message> Simulator<M> {
             trace: &mut self.trace,
         };
         component.handle(&mut ctx, msg);
+        true
     }
 
-    /// Deliver one event and, when the following queue heads continue at
-    /// the same instant toward the same component, the whole train behind
-    /// it in a single borrow of that component.
-    ///
-    /// Batching never reorders anything: [`Batch::next`] yields exactly
-    /// the maximal prefix of the global `(time, seq)` order addressed to
-    /// one component. Messages a handler sends *while* draining carry
-    /// newer sequence numbers, so they sort after everything already
-    /// queued at this instant — when they end up globally next they join
-    /// the train, in the same place per-event dispatch would deliver
-    /// them.
-    fn dispatch_train(&mut self, at: SimTime, to: ComponentId, msg: M) {
-        debug_assert!(at >= self.now, "event queue went backwards");
-        self.now = at;
-
-        let component = self.components.get_mut(to.index());
-        let mut ctx = Ctx {
-            now: at,
-            self_id: to,
-            queues: &mut self.queues,
-            pages: &mut self.pages,
-            pools: &mut self.pools,
-            shard: self.shard_env.as_mut(),
-            trace: &mut self.trace,
-        };
-        if !ctx.queues.next_matches(at, to) {
-            // Singleton event: plain per-message dispatch.
-            self.delivered += 1;
-            ctx.trace
-                .record(at.as_ps(), TraceCat::Dispatch, TraceKind::Instant, TraceName::Event, to.index() as u32, 1, 0);
-            component.handle(&mut ctx, msg);
-            return;
-        }
-
-        let mut batch = Batch {
-            to,
-            head: Some(msg),
-            run: 0,
-            taken: 0,
-        };
-        ctx.trace
-            .record(at.as_ps(), TraceCat::Dispatch, TraceKind::Instant, TraceName::Train, to.index() as u32, 0, 0);
-        component.handle_batch(&mut ctx, &mut batch);
-        self.delivered += batch.taken;
-        // A batch handler may stop before taking even the head; deliver
-        // it per-message then (anything else it skipped is still queued
-        // and simply dispatches as the next train). No event is ever
-        // dropped.
-        if let Some(rest) = batch.head.take() {
-            self.delivered += 1;
-            component.handle(&mut ctx, rest);
-        }
-    }
-
-    /// Deliver the next event, if any. Returns `false` when the queue is
-    /// empty.
-    ///
-    /// Always delivers exactly one event (no train batching), which is
-    /// what makes [`run_limited`](Self::run_limited)'s event accounting
-    /// precise; the bulk runners below batch instead. Both paths produce
-    /// identical delivery order and totals.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the event targets a reserved slot that was never
-    /// [`install`](Self::install)ed.
-    pub fn step(&mut self) -> bool {
-        match self.queues.pop_next() {
-            Some((key, to, msg)) => {
-                self.dispatch(key.at, to, msg);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Run until the event queue is empty, draining same-component
-    /// same-instant trains in one component borrow each.
+    /// Run until the event queue is empty.
     pub fn run(&mut self) {
-        while let Some((key, to, msg)) = self.queues.pop_next() {
-            self.dispatch_train(key.at, to, msg);
-        }
+        while self.step() {}
     }
 
     /// Run until the queue is empty or the next event is after `until`;
     /// then advance the clock to exactly `until`.
     ///
     /// Events scheduled at exactly `until` are delivered. The bound is
-    /// enforced with a single O(1) head comparison per train — the heap
-    /// is not re-searched between deliveries, and every event of a train
-    /// shares the head's timestamp, so the bound holds for all of it.
+    /// one O(1) head comparison per event — the heap is not re-searched
+    /// between deliveries.
     pub fn run_until(&mut self, until: SimTime) {
         while self.queues.next_at().is_some_and(|at| at <= until) {
-            let (key, to, msg) = self.queues.pop_next().expect("next_at saw an event");
-            self.dispatch_train(key.at, to, msg);
+            self.step();
         }
         debug_assert!(self.now <= until);
         self.now = until;
     }
 
-    /// Run every event strictly before `end`, draining trains as
-    /// [`run`](Self::run) does, and leave the clock at the last delivered
-    /// event. The sharded runtime's window executor: the strict bound is
-    /// what makes the conservative window `[start, end)` half-open, so an
-    /// event at exactly `end` waits for the next window (after the
-    /// mailbox barrier that may deliver cross-shard events at `end`).
+    /// Run every event strictly before `end` and leave the clock at the
+    /// last delivered event. The sharded runtime's window executor: the
+    /// strict bound is what makes the conservative window `[start, end)`
+    /// half-open, so an event at exactly `end` waits for the next window
+    /// (after the mailbox barrier that may deliver cross-shard events at
+    /// `end`).
     pub(crate) fn run_before(&mut self, end: SimTime) {
         while self.queues.next_at().is_some_and(|at| at < end) {
-            let (key, to, msg) = self.queues.pop_next().expect("next_at saw an event");
-            self.dispatch_train(key.at, to, msg);
+            self.step();
         }
     }
 
@@ -1288,157 +1072,84 @@ mod tests {
         sim.install(id, Echo::sink());
     }
 
-    /// Records how each message reached it: via a train batch or a
-    /// per-message dispatch.
-    struct BatchProbe {
-        log: Vec<(u32, bool)>,
-        batches: u64,
-        /// Max messages to consume per `handle_batch` call (`usize::MAX`
-        /// = all of them).
-        consume_limit: usize,
+    /// Logs every delivery and answers each of its first `budget`
+    /// messages with a zero-delay self-send of `100 + n`.
+    struct SelfEcho {
+        seen: Vec<u32>,
+        budget: u32,
     }
 
-    impl BatchProbe {
-        fn new() -> Self {
-            BatchProbe {
-                log: vec![],
-                batches: 0,
-                consume_limit: usize::MAX,
-            }
-        }
-    }
-
-    impl Component<Num> for BatchProbe {
-        fn handle(&mut self, _ctx: &mut Ctx<'_, Num>, Num(n): Num) {
-            self.log.push((n, false));
-        }
-
-        fn handle_batch(&mut self, ctx: &mut Ctx<'_, Num>, batch: &mut Batch<Num>) {
-            self.batches += 1;
-            for _ in 0..self.consume_limit {
-                match batch.next(ctx) {
-                    Some(Num(n)) => self.log.push((n, true)),
-                    None => break,
-                }
+    impl Component<Num> for SelfEcho {
+        fn handle(&mut self, ctx: &mut Ctx<'_, Num>, Num(n): Num) {
+            self.seen.push(n);
+            if self.budget > 0 {
+                self.budget -= 1;
+                ctx.send_self(SimTime::ZERO, Num(100 + n));
             }
         }
     }
 
     #[test]
-    fn same_instant_trains_arrive_as_one_batch() {
+    fn zero_delay_self_sends_follow_everything_queued_at_the_instant() {
+        // The echoes carry newer sequence numbers than the three
+        // scheduled messages, so they are delivered after all of them.
         let mut sim = Simulator::new();
-        let a = sim.add_component(BatchProbe::new());
-        let b = sim.add_component(BatchProbe::new());
-        // Global order at t=1us: a, a, b, a — the first two form a train,
-        // the b interleave breaks it, the last a is a singleton.
-        sim.schedule(SimTime::us(1), a, Num(0));
-        sim.schedule(SimTime::us(1), a, Num(1));
-        sim.schedule(SimTime::us(1), b, Num(2));
-        sim.schedule(SimTime::us(1), a, Num(3));
-        sim.run();
-        let pa = sim.component::<BatchProbe>(a).unwrap();
-        assert_eq!(pa.log, vec![(0, true), (1, true), (3, false)]);
-        assert_eq!(pa.batches, 1);
-        let pb = sim.component::<BatchProbe>(b).unwrap();
-        assert_eq!(pb.log, vec![(2, false)]);
-        assert_eq!(sim.events_delivered(), 4);
-    }
-
-    #[test]
-    fn partially_consumed_batch_leaves_the_rest_queued() {
-        let mut sim = Simulator::new();
-        let mut probe = BatchProbe::new();
-        probe.consume_limit = 2;
-        let id = sim.add_component(probe);
-        for n in 0..5 {
-            sim.schedule(SimTime::us(1), id, Num(n));
-        }
-        sim.run();
-        let p = sim.component::<BatchProbe>(id).unwrap();
-        // The handler takes two per call; what it leaves stays queued, so
-        // the five events arrive as trains of 2 + 2 and a singleton — in
-        // the original order, with nothing dropped.
-        assert_eq!(
-            p.log,
-            vec![(0, true), (1, true), (2, true), (3, true), (4, false)]
-        );
-        assert_eq!(p.batches, 2);
-        assert_eq!(sim.events_delivered(), 5);
-    }
-
-    #[test]
-    fn batch_handler_taking_nothing_still_delivers_everything() {
-        let mut sim = Simulator::new();
-        let mut probe = BatchProbe::new();
-        probe.consume_limit = 0;
-        let id = sim.add_component(probe);
-        for n in 0..3 {
-            sim.schedule(SimTime::us(1), id, Num(n));
-        }
-        sim.run();
-        let p = sim.component::<BatchProbe>(id).unwrap();
-        // The refusing batch handler forces the per-message fallback for
-        // every train head; order and totals are untouched.
-        assert_eq!(p.log, vec![(0, false), (1, false), (2, false)]);
-        assert_eq!(sim.events_delivered(), 3);
-    }
-
-    #[test]
-    fn zero_delay_sends_during_a_batch_join_the_running_train() {
-        // A component that, while draining a train, emits one zero-delay
-        // self-send per scheduled message: the emissions sort after
-        // everything already queued at this instant — exactly where
-        // per-event dispatch would deliver them — and, being globally
-        // next when the original train runs dry, extend the same batch.
-        struct Echoing {
-            seen: Vec<u32>,
-            trains: Vec<usize>,
-            budget: u32,
-        }
-        impl Component<Num> for Echoing {
-            fn handle(&mut self, ctx: &mut Ctx<'_, Num>, Num(n): Num) {
-                self.seen.push(n);
-                if self.budget > 0 {
-                    self.budget -= 1;
-                    ctx.send_self(SimTime::ZERO, Num(100 + n));
-                }
-                self.trains.push(1);
-            }
-
-            fn handle_batch(&mut self, ctx: &mut Ctx<'_, Num>, batch: &mut Batch<Num>) {
-                let mut train = 0;
-                while let Some(Num(n)) = batch.next(ctx) {
-                    train += 1;
-                    self.seen.push(n);
-                    if self.budget > 0 {
-                        self.budget -= 1;
-                        ctx.send_self(SimTime::ZERO, Num(100 + n));
-                    }
-                }
-                self.trains.push(train);
-            }
-        }
-        let mut sim = Simulator::new();
-        let id = sim.add_component(Echoing {
+        let id = sim.add_component(SelfEcho {
             seen: vec![],
-            trains: vec![],
             budget: 3,
         });
         for n in 0..3 {
             sim.schedule(SimTime::ZERO, id, Num(n));
         }
         sim.run();
-        let e = sim.component::<Echoing>(id).unwrap();
+        let e = sim.component::<SelfEcho>(id).unwrap();
         assert_eq!(e.seen, vec![0, 1, 2, 100, 101, 102]);
-        assert_eq!(e.trains, vec![6], "echoes extend the same train");
         assert_eq!(sim.events_delivered(), 6);
     }
 
     #[test]
+    fn every_delivery_records_one_dispatch_event() {
+        // Runs of same-instant events to one component, broken by
+        // interleaves to another, plus zero-delay self-sends: each
+        // delivery still leaves exactly one record.
+        fn traced(drive: fn(&mut Simulator<Num>)) -> (Vec<bluedbm_trace::TraceRecord>, u64) {
+            let mut sim = Simulator::new();
+            sim.set_trace(TraceConfig::on(), 0);
+            let a = sim.add_component(SelfEcho {
+                seen: vec![],
+                budget: 4,
+            });
+            let b = sim.add_component(SelfEcho {
+                seen: vec![],
+                budget: 1,
+            });
+            let at_1us = [(a, 0), (a, 1), (b, 2), (a, 3), (a, 4)];
+            let at_2us = [(a, 5), (a, 6)];
+            for (to, n) in at_1us {
+                sim.schedule(SimTime::us(1), to, Num(n));
+            }
+            for (to, n) in at_2us {
+                sim.schedule(SimTime::us(2), to, Num(n));
+            }
+            drive(&mut sim);
+            (sim.take_trace().records, sim.events_delivered())
+        }
+        let (run, delivered) = traced(|sim| sim.run());
+        assert_eq!(delivered, 12);
+        assert_eq!(run.len() as u64, delivered, "one record per event");
+        assert!(run
+            .iter()
+            .all(|r| r.cat == TraceCat::Dispatch && r.name == TraceName::Event && r.a == 1));
+        // Same order as the stepping loop, record for record.
+        let (stepped, _) = traced(|sim| while sim.step() {});
+        assert_eq!(run, stepped);
+    }
+
+    #[test]
     fn step_and_run_deliver_identically() {
-        // The per-event path (step) and the batched path (run) must agree
-        // on order, count and final clock for a workload mixing trains,
-        // interleaves and zero-delay fan-out.
+        // Stepping by hand and `run` must agree on order, count and final
+        // clock for a workload mixing same-instant runs, interleaves and
+        // zero-delay fan-out.
         fn build() -> (Simulator<Num>, ComponentId) {
             struct Relay {
                 to: ComponentId,
@@ -1458,36 +1169,16 @@ mod tests {
             }
             (sim, sink)
         }
-        let (mut batched, sink_b) = build();
-        batched.run();
+        let (mut ran, sink_r) = build();
+        ran.run();
         let (mut stepped, sink_s) = build();
         while stepped.step() {}
         assert_eq!(
-            batched.component::<Echo>(sink_b).unwrap().received,
+            ran.component::<Echo>(sink_r).unwrap().received,
             stepped.component::<Echo>(sink_s).unwrap().received,
         );
-        assert_eq!(batched.events_delivered(), stepped.events_delivered());
-        assert_eq!(batched.now(), stepped.now());
-    }
-
-    #[test]
-    fn run_until_batches_trains_only_within_bound() {
-        let mut sim = Simulator::new();
-        let id = sim.add_component(BatchProbe::new());
-        for n in 0..4 {
-            sim.schedule(SimTime::us(1), id, Num(n));
-        }
-        for n in 4..6 {
-            sim.schedule(SimTime::us(9), id, Num(n));
-        }
-        sim.run_until(SimTime::us(5));
-        let p = sim.component::<BatchProbe>(id).unwrap();
-        assert_eq!(p.log, vec![(0, true), (1, true), (2, true), (3, true)]);
-        assert_eq!(sim.now(), SimTime::us(5));
-        sim.run();
-        let p = sim.component::<BatchProbe>(id).unwrap();
-        assert_eq!(p.log.len(), 6);
-        assert_eq!(p.batches, 2);
+        assert_eq!(ran.events_delivered(), stepped.events_delivered());
+        assert_eq!(ran.now(), stepped.now());
     }
 
     #[test]

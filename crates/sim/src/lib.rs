@@ -22,9 +22,8 @@
 //! is a slab write plus a `(time, seq, slot)` entry insertion into a
 //! four-ary index heap, and same-instant sends skip the heap entirely.
 //! Components live in a flattened arena (one bounds-checked index per
-//! fetch), and the bulk runners drain same-instant trains addressed to
-//! one component in a single borrow — components can intercept whole
-//! trains via [`Component::handle_batch`].
+//! fetch), and every runner delivers one event per [`Component::handle`]
+//! call.
 //!
 //! Each hardware crate defines a protocol enum for its own components
 //! (`bluedbm_flash::FlashMsg`, `bluedbm_net::NetMsg<B>`,
@@ -139,7 +138,7 @@ mod slot;
 pub mod stats;
 pub mod time;
 
-pub use engine::{Batch, Component, ComponentId, Ctx, Message, Simulator};
+pub use engine::{Component, ComponentId, Ctx, Message, Simulator};
 pub use pagestore::{PageRef, PageStore};
 pub use pool::{Pool, PoolRef, PoolStore};
 pub use resource::{MultiResource, SerialResource};

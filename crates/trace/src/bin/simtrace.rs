@@ -9,8 +9,9 @@
 //!
 //! Flags compose: one input may be exported to both formats in one run.
 //! Exit status is non-zero on any parse or validation failure, and on a
-//! trace that dropped records at capacity: its summary and exports are
-//! still written, but its digests cannot be compared with a whole run's.
+//! trace that dropped records at capacity — a binary trace's summary and
+//! exports are still written, and a Chrome file's check still printed,
+//! but neither can stand for a whole run.
 
 use std::process::ExitCode;
 
@@ -36,10 +37,10 @@ fn run() -> Result<(), String> {
         let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         let check = chrome::check_chrome_json(&src).map_err(|e| format!("{path}: {e}"))?;
         println!(
-            "{path}: OK — {} events ({} spans, {} instants, {} counters)",
-            check.events, check.spans, check.instants, check.counters
+            "{path}: OK — {} events ({} spans, {} instants, {} counters), {} dropped",
+            check.events, check.spans, check.instants, check.counters, check.dropped
         );
-        return Ok(());
+        return dropped_is_loud(check.dropped);
     }
 
     let input = &args[0];
@@ -77,10 +78,14 @@ fn run() -> Result<(), String> {
         std::fs::write(path, doc.to_csv()).map_err(|e| format!("{path}: {e}"))?;
         println!("wrote {path}: {} rows", doc.len());
     }
-    if doc.dropped() > 0 {
+    dropped_is_loud(doc.dropped())
+}
+
+/// A trace that lost records at capacity fails the run.
+fn dropped_is_loud(dropped: u64) -> Result<(), String> {
+    if dropped > 0 {
         return Err(format!(
-            "{} records dropped at capacity: digests are not comparable",
-            doc.dropped()
+            "{dropped} records dropped at capacity: digests are not comparable"
         ));
     }
     Ok(())

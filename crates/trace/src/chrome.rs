@@ -13,6 +13,10 @@
 //! Timestamps are microseconds (the `trace_event` unit) derived from
 //! the picosecond simulated clock, so one simulated microsecond renders
 //! as one timeline microsecond.
+//!
+//! The top-level `"otherData"` object carries the trace's `dropped`
+//! count, so a file cut short at sink capacity says so on its own and
+//! `simtrace --check` can fail on it.
 
 use crate::doc::TraceDoc;
 use crate::json::{self, escape, Json};
@@ -67,7 +71,10 @@ fn ts_us(at_ps: u64) -> String {
 /// Render a merged trace as Chrome `trace_event` JSON.
 pub fn to_chrome_json(doc: &TraceDoc) -> String {
     let mut out = String::with_capacity(128 + doc.len() * 96);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+    out.push_str(&format!(
+        "{{\"displayTimeUnit\":\"ms\",\"otherData\":{{\"dropped\":{}}},\"traceEvents\":[",
+        doc.dropped()
+    ));
 
     // Metadata first: name every process and thread-track in use.
     let mut tracks: Vec<(u32, u32)> = doc.records().iter().map(|r| (pid_of(r.cat), tid_of(r))).collect();
@@ -151,11 +158,16 @@ pub struct ChromeCheck {
     pub instants: usize,
     /// Counter samples.
     pub counters: usize,
+    /// Records the trace dropped at sink capacity (`otherData.dropped`;
+    /// 0 when absent).
+    pub dropped: u64,
 }
 
 /// Structurally validate Chrome `trace_event` JSON: a `traceEvents`
 /// array whose members carry the fields their phase requires, with
-/// every `B` span closed by an `E` on the same `(pid, tid)` track.
+/// every `B` span closed by an `E` on the same `(pid, tid)` track, and
+/// an `otherData.dropped`, if present, that is a count. A nonzero count
+/// is reported, not rejected: the file is well formed, only incomplete.
 pub fn check_chrome_json(src: &str) -> Result<ChromeCheck, String> {
     let root = json::parse(src)?;
     let events = root
@@ -163,8 +175,16 @@ pub fn check_chrome_json(src: &str) -> Result<ChromeCheck, String> {
         .and_then(Json::as_arr)
         .ok_or("top level must be an object with a traceEvents array")?;
 
+    let dropped = match root.get("otherData").and_then(|o| o.get("dropped")) {
+        None => 0,
+        Some(d) => d
+            .as_f64()
+            .filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0)
+            .ok_or("otherData.dropped must be a non-negative integer")? as u64,
+    };
     let mut check = ChromeCheck {
         events: events.len(),
+        dropped,
         ..ChromeCheck::default()
     };
     // Open-span depth per (pid, tid); linear scan over a Vec keeps the
@@ -263,6 +283,21 @@ mod tests {
         assert_eq!(check.instants, 2);
         assert_eq!(check.counters, 1);
         assert!(check.events >= 5);
+        assert_eq!(check.dropped, 0);
+    }
+
+    #[test]
+    fn dropped_count_travels_in_other_data() {
+        let mut sink = TraceSink::new(TraceConfig::on().with_capacity(1), 0);
+        for t in 0..3 {
+            sink.at(t)
+                .instant(TraceCat::KvOp, crate::record::TraceName::Submit, 0, t, 0);
+        }
+        let json = to_chrome_json(&TraceDoc::merge(vec![sink.take()]));
+        assert!(json.contains("\"otherData\":{\"dropped\":2}"), "{json}");
+        assert_eq!(check_chrome_json(&json).unwrap().dropped, 2);
+        let bad = r#"{"otherData":{"dropped":-1},"traceEvents":[]}"#;
+        assert!(check_chrome_json(bad).unwrap_err().contains("dropped"));
     }
 
     #[test]

@@ -11,8 +11,8 @@ pub const DRIVER_SHARD: u32 = u32::MAX;
 #[repr(u8)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TraceCat {
-    /// Event dispatch in the kernel: one `event` record per unbatched
-    /// delivery, one `train` record per batched drain.
+    /// Event dispatch in the kernel: one `event` record per delivered
+    /// event, so this category's count equals the events delivered.
     Dispatch = 0,
     /// Cross-shard mailbox flushes in the sharded runtime.
     Mailbox = 1,
@@ -103,10 +103,8 @@ pub const STABLE_CATEGORIES: u32 = TraceCat::KvOp.bit() | TraceCat::Gc.bit();
 #[repr(u8)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TraceName {
-    /// `Dispatch`: one unbatched delivery.
+    /// `Dispatch`: one delivered event.
     Event,
-    /// `Dispatch`: one batched train drain.
-    Train,
     /// `Mailbox`: an outbox flushed to a peer shard.
     Flush,
     /// `Accel`: a job granted an accelerator unit.
@@ -136,9 +134,8 @@ pub enum TraceName {
 
 impl TraceName {
     /// Every name, in discriminant order.
-    pub(crate) const ALL: [TraceName; 14] = [
+    pub(crate) const ALL: [TraceName; 13] = [
         TraceName::Event,
-        TraceName::Train,
         TraceName::Flush,
         TraceName::Grant,
         TraceName::Park,
@@ -158,7 +155,6 @@ impl TraceName {
     pub const fn label(self) -> &'static str {
         match self {
             TraceName::Event => "event",
-            TraceName::Train => "train",
             TraceName::Flush => "flush",
             TraceName::Grant => "grant",
             TraceName::Park => "park",

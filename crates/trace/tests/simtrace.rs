@@ -37,7 +37,14 @@ fn simtrace(args: &[&std::ffi::OsStr]) -> (Option<i32>, String, String) {
 fn dropped_records_fail_after_summary_and_export() {
     let bin = write_trace("dropped.bin", 2);
     let csv = bin.with_extension("csv");
-    let (code, stdout, stderr) = simtrace(&[bin.as_os_str(), "--csv".as_ref(), csv.as_os_str()]);
+    let json = bin.with_extension("json");
+    let (code, stdout, stderr) = simtrace(&[
+        bin.as_os_str(),
+        "--csv".as_ref(),
+        csv.as_os_str(),
+        "--chrome".as_ref(),
+        json.as_os_str(),
+    ]);
     assert_eq!(code, Some(1), "{stderr}");
     assert!(
         stdout.contains("2 records (3 dropped at capacity)"),
@@ -49,15 +56,29 @@ fn dropped_records_fail_after_summary_and_export() {
         "{stderr}"
     );
     assert_eq!(std::fs::read_to_string(&csv).unwrap().lines().count(), 3);
+
+    // The Chrome export carries the loss, so checking it alone fails too.
+    let (code, stdout, stderr) = simtrace(&["--check".as_ref(), json.as_os_str()]);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stdout.contains("3 dropped"), "{stdout}");
+    assert!(stderr.contains("3 records dropped at capacity"), "{stderr}");
 }
 
 #[test]
 fn a_whole_trace_passes() {
     let bin = write_trace("whole.bin", 64);
-    let (code, stdout, stderr) = simtrace(&[bin.as_os_str()]);
+    let json = bin.with_extension("json");
+    let (code, stdout, stderr) =
+        simtrace(&[bin.as_os_str(), "--chrome".as_ref(), json.as_os_str()]);
     assert_eq!(code, Some(0), "{stderr}");
     assert!(
         stdout.contains("5 records (0 dropped at capacity)"),
+        "{stdout}"
+    );
+    let (code, stdout, stderr) = simtrace(&["--check".as_ref(), json.as_os_str()]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(
+        stdout.contains("OK") && stdout.contains("0 dropped"),
         "{stdout}"
     );
 }

@@ -303,8 +303,7 @@ proptest! {
     /// 48 distinct delays (most timestamps are shared by hundreds of
     /// events) and zero delays among them (the same-instant FIFO
     /// interleaving with heap entries of the same instant). The
-    /// interleaved phase pops with `step`; the drain with `run`, the
-    /// train-batching path.
+    /// interleaved phase pops with `step`; the drain with `run`.
     #[test]
     fn event_queue_matches_btreemap_model_at_depth(
         ops in proptest::collection::vec((0u8..8, 0u64..48), 30_000..40_000),
