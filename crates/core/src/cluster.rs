@@ -87,8 +87,9 @@ fn cross_shard_lookaheads(
 pub enum ClusterError {
     /// An underlying flash operation failed.
     Flash(FlashError),
-    /// The configured geometry cannot back a card's mirror FTL (too
-    /// large for its tables, or too small for the GC reserve). Boxed:
+    /// A card's mirror FTL cannot be built: the lifecycle knobs in
+    /// `config.gc` are out of range, or the geometry is too large for
+    /// its tables or too small for the GC reserve. Boxed:
     /// construction-time only, and `ClusterError` rides in every
     /// completion.
     Ftl(Box<FtlError>),
@@ -167,7 +168,7 @@ impl fmt::Display for ClusterError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ClusterError::Flash(e) => write!(f, "flash error: {e}"),
-            ClusterError::Ftl(e) => write!(f, "mirror FTL rejected the geometry: {e}"),
+            ClusterError::Ftl(e) => write!(f, "mirror FTL cannot be built: {e}"),
             ClusterError::DeviceFull(n) => write!(f, "no free pages left on {n}"),
             ClusterError::InvalidPartition(e) => write!(f, "invalid partition: {e}"),
             ClusterError::MissingCompletion => write!(f, "operation produced no completion"),
@@ -256,8 +257,8 @@ impl Cluster {
     ///
     /// [`ClusterError::Flash`] wrapping `GeometryTooLarge` when the flash
     /// geometry has more pages than a card's `u32` tables can index, and
-    /// [`ClusterError::Ftl`] when the geometry leaves no room for the
-    /// GC reserve.
+    /// [`ClusterError::Ftl`] when the lifecycle knobs in `config.gc` are
+    /// out of range or the geometry leaves no room for the GC reserve.
     pub fn new(topo: Topology, config: &SystemConfig) -> Result<Self, ClusterError> {
         let shards = config.sim.shards.clamp(1, topo.node_count());
         let partition = if shards <= 1 {
@@ -311,11 +312,15 @@ impl Cluster {
         for (node, &node_router) in routers.iter().enumerate() {
             let mut node_ctrls = Vec::new();
             let mut node_splitters = Vec::new();
+            let mut node_mirrors = Vec::with_capacity(config.flash.cards_per_node);
             for card in 0..config.flash.cards_per_node {
-                let ctrl = sim.add_component(FlashController::new(
-                    card_array(node, card)?,
-                    config.flash.timing,
-                ));
+                // One array per card: the mirror reads the factory state
+                // (geometry, bad blocks, wear) off it before the card's
+                // controller takes it over, so the mirror's physical
+                // decisions are valid verbatim on the simulated card.
+                let array = card_array(node, card)?;
+                node_mirrors.push(Ftl::new(&array, config.gc.ftl())?);
+                let ctrl = sim.add_component(FlashController::new(array, config.flash.timing));
                 let split = sim.add_component(FlashSplitter::new(
                     ctrl,
                     FlashController::PAPER_TAGS,
@@ -329,14 +334,6 @@ impl Cluster {
                 config.flash.geometry,
             ));
             gc_agents.push(gc_agent);
-            let mut node_mirrors = Vec::with_capacity(config.flash.cards_per_node);
-            for card in 0..config.flash.cards_per_node {
-                // The shadow array is seeded like the card's real array:
-                // under today's error-free factory model both start blank
-                // with identical good-block sets, so the mirror's physical
-                // decisions are valid verbatim on the simulated card.
-                node_mirrors.push(Ftl::new(card_array(node, card)?, config.gc.ftl())?);
-            }
             mirrors.push(node_mirrors);
             let link = sim.add_component(PcieLink::new(config.pcie));
             let sched = sim
@@ -624,8 +621,8 @@ impl Cluster {
     /// becomes the next allocation candidate on that node. A free is a
     /// logical trim: the mirror unmaps the page and its physical cell
     /// turns stale, to be reclaimed when collection erases the block
-    /// (the simulated array keeps the stale bits until then, in
-    /// program-bitmap lockstep with the mirror's shadow). The caller
+    /// (the simulated array keeps the stale page programmed until then,
+    /// as the mirror's books do). The caller
     /// must own the page (allocated and not already freed) and must not
     /// have reads in flight against it — the KV store's per-key gates
     /// guarantee both.
@@ -672,17 +669,16 @@ impl Cluster {
     }
 
     /// Translate a driver-visible (logical) address into the physical
-    /// cell the mirror FTL currently maps it to. Any other address
-    /// passes through unchanged: one outside the geometry completes
-    /// with `OutOfRange`, and an unmapped logical page (never written,
-    /// or freed) reads whatever the cell at the same index holds —
-    /// `NotProgrammed` on a card no write has reached there.
-    fn resolve(&self, addr: GlobalPageAddr) -> GlobalPageAddr {
+    /// cell the mirror FTL currently maps it to. An address outside the
+    /// geometry passes through unchanged, to complete with `OutOfRange`
+    /// where it lands; an unmapped logical page (never written, or
+    /// freed) has no cell, so `None`.
+    fn resolve(&self, addr: GlobalPageAddr) -> Option<GlobalPageAddr> {
+        let Some(lba) = self.lba_of(addr) else {
+            return Some(addr);
+        };
         let mirror = &self.mirrors[addr.node.index()][addr.card as usize];
-        match self.lba_of(addr).and_then(|lba| mirror.physical_of(lba)) {
-            Some(ppa) => GlobalPageAddr { ppa, ..addr },
-            None => addr,
-        }
+        mirror.physical_of(lba).map(|ppa| GlobalPageAddr { ppa, ..addr })
     }
 
     /// Check a write payload against the page size before anything is
@@ -749,8 +745,7 @@ impl Cluster {
                 total.gc_writes += stats.flash_writes - stats.host_writes;
                 total.erases += stats.gc_erases;
                 total.relocated += stats.gc_moves;
-                let spread = mirror.array().max_wear() - mirror.array().min_wear();
-                total.wear_spread = total.wear_spread.max(spread);
+                total.wear_spread = total.wear_spread.max(mirror.wear_spread());
             }
         }
         total
@@ -778,9 +773,9 @@ impl Cluster {
         &self.mirrors[node.index()][card]
     }
 
-    /// The simulated flash array of one card — the conformance suite
-    /// checks its programmed bitmap and erase counts against the
-    /// mirror's shadow.
+    /// The simulated flash array of one card (the only one) — the
+    /// conformance suite checks its programmed pages and erase counts
+    /// against an offline twin's books.
     pub fn card_array(&self, node: NodeId, card: usize) -> &FlashArray {
         self.sim
             .component::<FlashController>(self.controllers[node.index()][card])
@@ -854,11 +849,11 @@ impl Cluster {
     /// tPROGs). `data` shorter than a page is zero-padded.
     ///
     /// Preload skips simulated time but not the lifecycle: the mirror
-    /// steps exactly as for a simulated write, and any collection rounds
-    /// it decides are applied *functionally* to the card's array
-    /// (relocation copies and victim erases with no simulated latency),
-    /// keeping the two program bitmaps in lockstep for later simulated
-    /// traffic.
+    /// steps exactly as for a simulated write, and the step — any
+    /// collection rounds it decided, then the program — is applied
+    /// *functionally* to the card's array ([`StepOutcome::apply`]: no
+    /// simulated latency), so the array holds what the mirror's books
+    /// say for later simulated traffic.
     ///
     /// # Errors
     ///
@@ -884,18 +879,7 @@ impl Cluster {
             .component_mut::<FlashController>(ctrl)
             .expect("controller installed")
             .array_mut();
-        for round in &outcome.gc {
-            for &(src, dst) in &round.moves {
-                if array.page_has_data(src) {
-                    let data = array.read(src)?.data;
-                    array.program(dst, &data)?;
-                } else {
-                    array.program_blank(dst)?;
-                }
-            }
-            array.erase(round.victim)?;
-        }
-        array.program(outcome.target, &page)?;
+        outcome.apply(array, &page)?;
         Ok(addr)
     }
 
@@ -964,19 +948,20 @@ impl Cluster {
     /// concurrent multi-reader workloads (all-to-all scatter streams):
     /// inject from every reader, then [`Cluster::run_to_quiescence`] and
     /// [`Cluster::harvest_node`]. Returns the op id echoed in the
-    /// completion.
+    /// completion. A read of an unmapped logical page completes with
+    /// `NotProgrammed` at the injection instant, with no flash command
+    /// and no network message.
     pub fn inject_read(&mut self, reader: NodeId, addr: GlobalPageAddr, consume: Consume) -> u64 {
         let op_id = self.op_id();
-        let addr = self.resolve(addr);
-        self.sim.schedule(
-            SimTime::ZERO,
-            self.agents[reader.index()],
-            AgentOp::ReadFlash {
+        let op = match self.resolve(addr) {
+            Some(addr) => AgentOp::ReadFlash {
                 op_id,
                 addr,
                 consume,
             },
-        );
+            None => AgentOp::ReadUnmapped { op_id, addr },
+        };
+        self.sim.schedule(SimTime::ZERO, self.agents[reader.index()], op);
         op_id
     }
 
@@ -1266,13 +1251,16 @@ mod tests {
             Cluster::ring(2, &config).unwrap_err(),
             ClusterError::Flash(FlashError::GeometryTooLarge)
         );
-        // One block per plane leaves nothing above the GC reserve.
-        let mut config = SystemConfig::scaled_down();
-        config.flash.geometry.blocks_per_chip = 1;
-        assert_eq!(
-            Cluster::ring(2, &config).unwrap_err(),
-            ClusterError::Ftl(Box::new(FtlError::NoSpace))
-        );
+        // One block per plane leaves nothing above the GC reserve, and
+        // no blocks at all leave nothing.
+        for blocks_per_chip in [1, 0] {
+            let mut config = SystemConfig::scaled_down();
+            config.flash.geometry.blocks_per_chip = blocks_per_chip;
+            assert_eq!(
+                Cluster::ring(2, &config).unwrap_err(),
+                ClusterError::Ftl(Box::new(FtlError::NoSpace))
+            );
+        }
     }
 
     #[test]
@@ -1489,6 +1477,45 @@ mod tests {
         // The page that was allocated still is, and is the one freed.
         cluster.free_page(addr).unwrap();
         assert_eq!(cluster.alloc_page(NodeId(0)).unwrap(), addr);
+    }
+
+    #[test]
+    fn freed_page_read_fails_without_flash_or_network() {
+        let mut cluster = tiny_cluster();
+        let geom = cluster.config().flash.geometry;
+        let addrs: Vec<GlobalPageAddr> = (0..10u8)
+            .map(|i| cluster.preload_page(NodeId(0), &[i; 512]).unwrap())
+            .collect();
+        // Allocation alternates the two cards, and each card's writes
+        // go round-robin over its four planes: the third preload is
+        // card 0's logical page 1, and its fifth logical page (the ninth
+        // preload) sits in linear page 1, the cell that shares the freed
+        // page's index.
+        let freed = addrs[2];
+        assert_eq!((freed.card, geom.linear_of(freed.ppa)), (0, 1));
+        assert_eq!((addrs[8].card, geom.linear_of(addrs[8].ppa)), (0, 4));
+        assert_eq!(cluster.mirror(NodeId(0), 0).physical_of(4), Some(geom.ppa_of(1)));
+        cluster.free_page(freed).unwrap();
+        let not_programmed = FlashError::NotProgrammed(freed.ppa);
+        for reader in [NodeId(0), NodeId(1)] {
+            let flash_reads = cluster.card_array(NodeId(0), 0).stats().reads;
+            let injected = cluster.router_stats(reader).injected;
+            let at = cluster.now();
+            let op = cluster.inject_read(reader, freed, Consume::Host);
+            cluster.run_to_quiescence();
+            let done = cluster.harvest_node(reader);
+            assert_eq!(done.len(), 1);
+            let c = &done[0];
+            assert_eq!((c.op_id, c.error.clone(), c.data.is_none()), (op, Some(not_programmed.clone()), true));
+            assert_eq!((c.start, c.end), (at, at), "completes at the injection instant");
+            assert_eq!(cluster.card_array(NodeId(0), 0).stats().reads, flash_reads);
+            assert_eq!(cluster.router_stats(reader).injected, injected);
+            let err = cluster.read_page(reader, freed, Consume::Isp).unwrap_err();
+            assert_eq!(err, ClusterError::Flash(not_programmed.clone()));
+        }
+        let read = cluster.read_page(NodeId(1), addrs[8], Consume::Isp).unwrap();
+        assert_eq!(read.data, [8; 512]);
+        cluster.assert_quiescent();
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub struct GcStats {
     pub erases: u64,
     /// Valid pages relocated.
     pub relocated: u64,
-    /// Largest erase-count spread (`max_wear - min_wear`) of any card.
+    /// Largest erase-count spread of any card ([`bluedbm_ftl::Ftl::wear_spread`]).
     pub wear_spread: u64,
 }
 
@@ -254,7 +254,7 @@ impl GcAgent {
                 // The mirror only relocates valid (mapped) pages, and
                 // every mapped page was programmed by a simulated or
                 // preloaded write — a failed read means the DES array
-                // diverged from the mirror's shadow.
+                // diverged from the mirror's books.
                 let read = result.expect("GC relocation read failed: DES array diverged from mirror FTL");
                 let (_src, dst) = round.moves[run.mv];
                 let cmd = CtrlCmd::Write {

@@ -75,6 +75,15 @@ pub enum AgentOp {
         /// Data destination.
         consume: Consume,
     },
+    /// A read of a logical page no cell holds (never written, or
+    /// freed): completes at once with `NotProgrammed`, touching neither
+    /// flash nor network.
+    ReadUnmapped {
+        /// Driver-chosen id echoed in the completion record.
+        op_id: u64,
+        /// The logical page asked for.
+        addr: GlobalPageAddr,
+    },
     /// Program one local page.
     WriteFlash {
         /// Driver-chosen id echoed in the completion record.
@@ -604,6 +613,10 @@ impl NodeAgent {
                         ),
                     );
                 }
+            }
+            AgentOp::ReadUnmapped { op_id, addr } => {
+                let error = FlashError::NotProgrammed(addr.ppa);
+                self.complete(ctx.now(), op_id, Some(addr), Err(error), ctx.now());
             }
             AgentOp::WriteFlash { op_id, addr, data } => {
                 assert_eq!(addr.node, self.node, "remote writes are not modelled");

@@ -9,15 +9,14 @@
 //! ## Storage layout
 //!
 //! Codewords (page bytes followed by their OOB parity) live in one
-//! fixed-stride **slab** per card: a page holding data owns one slot,
+//! fixed-stride **slab** per card: a programmed page owns one slot,
 //! found through its block's slot table (allocated on the block's first
-//! data program), and `erase` hands the block's slots back to a free
-//! list for the next program anywhere on the card. The slab grows a chunk at a
-//! time and never moves, so a card costs its written pages × (page +
-//! OOB) bytes plus one `programmed` bit per page of geometry — no
-//! per-page heap allocation, no hashing. Blank-programmed pages
-//! ([`FlashArray::program_blank`]) set the bit and take no slot, so an
-//! FTL's shadow array never allocates codeword storage at all.
+//! program), and `erase` hands the block's slots back to a free list for
+//! the next program anywhere on the card. A page is programmed exactly
+//! when it holds a slot. The slab grows a chunk at a time and never
+//! moves, so a card costs its written pages × (page + OOB) bytes plus
+//! one slot table per block it has programmed — no per-page heap
+//! allocation, no hashing.
 
 use bluedbm_sim::rng::Rng;
 
@@ -148,8 +147,8 @@ impl Slab {
 struct BlockState {
     erase_count: u64,
     bad: bool,
-    /// Codeword slot of each page holding data ([`NO_SLOT`] otherwise);
-    /// `None` until the block's first data program.
+    /// Codeword slot of each programmed page ([`NO_SLOT`] otherwise);
+    /// `None` until the block's first program.
     slots: Option<Box<[u32]>>,
 }
 
@@ -174,13 +173,11 @@ pub struct ArrayStats {
 #[derive(Debug)]
 pub struct FlashArray {
     geometry: FlashGeometry,
-    /// Stored codewords (page data + OOB parity), one slot per page
-    /// holding data.
+    /// Stored codewords (page data + OOB parity), one slot per
+    /// programmed page.
     slab: Slab,
     /// Per-block wear/bad/slot-table state, keyed by linear block id.
     blocks: Vec<BlockState>,
-    /// One bit per linear page: programmed (with or without data).
-    programmed: Vec<u64>,
     rng: Rng,
     error_model: ErrorModel,
     stats: ArrayStats,
@@ -211,7 +208,7 @@ impl FlashArray {
         seed: u64,
         error_model: ErrorModel,
     ) -> Result<Self, FlashError> {
-        let pages = geometry
+        geometry
             .checked_total_pages()
             .ok_or(FlashError::GeometryTooLarge)?;
         let mut rng = Rng::new(seed);
@@ -226,7 +223,6 @@ impl FlashArray {
             geometry,
             slab: Slab::new(geometry.page_bytes + geometry.oob_bytes()),
             blocks,
-            programmed: vec![0; pages.div_ceil(64)],
             rng,
             error_model,
             stats: ArrayStats::default(),
@@ -259,19 +255,7 @@ impl FlashArray {
         Ok(())
     }
 
-    /// The `programmed` bit of an in-range page.
-    fn programmed_bit(&self, ppa: Ppa) -> bool {
-        let linear = self.geometry.linear_of(ppa);
-        self.programmed[linear / 64] & (1 << (linear % 64)) != 0
-    }
-
-    /// Flip the `programmed` bit of an in-range page.
-    fn toggle_programmed(&mut self, ppa: Ppa) {
-        let linear = self.geometry.linear_of(ppa);
-        self.programmed[linear / 64] ^= 1 << (linear % 64);
-    }
-
-    /// The codeword slot of an in-range page, if it holds data.
+    /// The codeword slot of an in-range page, if it is programmed.
     fn slot_of(&self, ppa: Ppa) -> Option<u32> {
         let slots = self.blocks[self.block_index(ppa)].slots.as_deref()?;
         Some(slots[ppa.page as usize]).filter(|&slot| slot != NO_SLOT)
@@ -284,8 +268,8 @@ impl FlashArray {
     /// * [`FlashError::OutOfRange`] / [`FlashError::BadBlock`] on a bad
     ///   address.
     /// * [`FlashError::WrongPageSize`] unless `data` is exactly one page.
-    /// * [`FlashError::AlreadyProgrammed`] if the page holds data — NAND
-    ///   cannot overwrite in place.
+    /// * [`FlashError::AlreadyProgrammed`] if the page is programmed —
+    ///   NAND cannot overwrite in place.
     pub fn program(&mut self, ppa: Ppa, data: &[u8]) -> Result<(), FlashError> {
         self.check(ppa)?;
         let page_bytes = self.geometry.page_bytes;
@@ -295,10 +279,9 @@ impl FlashArray {
                 want: page_bytes,
             });
         }
-        if self.programmed_bit(ppa) {
+        if self.slot_of(ppa).is_some() {
             return Err(FlashError::AlreadyProgrammed(ppa));
         }
-        self.toggle_programmed(ppa);
         let slot = self.slab.alloc();
         let (page, oob) = self.slab.get_mut(slot).split_at_mut(page_bytes);
         page.copy_from_slice(data);
@@ -417,10 +400,6 @@ impl FlashArray {
     /// Address errors as for [`FlashArray::program`].
     pub fn erase(&mut self, ppa: Ppa) -> Result<(), FlashError> {
         self.check(ppa)?;
-        let first = self.geometry.linear_of(ppa.block_addr());
-        for linear in first..first + self.geometry.pages_per_block {
-            self.programmed[linear / 64] &= !(1 << (linear % 64));
-        }
         let bi = self.block_index(ppa);
         let block = &mut self.blocks[bi];
         for slot in block.slots.iter_mut().flatten() {
@@ -434,39 +413,8 @@ impl FlashArray {
         Ok(())
     }
 
-    /// Program one page **without storing data** — the blank-shadow mode
-    /// used by the offline FTL twin (`bluedbm_ftl`) when it mirrors a
-    /// simulated device: the programmed bitmap, the program-once
-    /// discipline, and the wear counters are modelled exactly, but no
-    /// page bytes or ECC parity are stored, so a shadow array costs only
-    /// its bitmap and per-block counters. A blank-programmed page reads
-    /// back as [`FlashError::NotProgrammed`] (it holds no bytes) while
-    /// [`FlashArray::is_programmed`] reports `true`; use
-    /// [`FlashArray::page_has_data`] to tell the two apart.
-    ///
-    /// # Errors
-    ///
-    /// Address errors as for [`FlashArray::program`], and
-    /// [`FlashError::AlreadyProgrammed`] if the page is already
-    /// programmed (with or without data).
-    pub fn program_blank(&mut self, ppa: Ppa) -> Result<(), FlashError> {
-        self.check(ppa)?;
-        if self.programmed_bit(ppa) {
-            return Err(FlashError::AlreadyProgrammed(ppa));
-        }
-        self.toggle_programmed(ppa);
-        self.stats.programs += 1;
-        Ok(())
-    }
-
     /// `true` if the page currently holds data.
     pub fn is_programmed(&self, ppa: Ppa) -> bool {
-        self.geometry.contains(ppa) && self.programmed_bit(ppa)
-    }
-
-    /// `true` if the page holds stored bytes — i.e. it was programmed via
-    /// [`FlashArray::program`], not [`FlashArray::program_blank`].
-    pub fn page_has_data(&self, ppa: Ppa) -> bool {
         self.geometry.contains(ppa) && self.slot_of(ppa).is_some()
     }
 
@@ -492,21 +440,6 @@ impl FlashArray {
             .blocks()
             .filter(|b| !self.is_bad(*b))
             .collect()
-    }
-
-    /// Highest erase count across all blocks (wear-leveling metric).
-    pub fn max_wear(&self) -> u64 {
-        self.blocks.iter().map(|b| b.erase_count).max().unwrap_or(0)
-    }
-
-    /// Lowest erase count across good blocks.
-    pub fn min_wear(&self) -> u64 {
-        self.blocks
-            .iter()
-            .filter(|b| !b.bad)
-            .map(|b| b.erase_count)
-            .min()
-            .unwrap_or(0)
     }
 }
 
@@ -681,34 +614,8 @@ mod tests {
             corrected += a.read(ppa).map(|r| r.corrected_words).unwrap_or(1);
         }
         assert!(corrected > 0, "worn block should show bit errors");
-        assert_eq!(a.max_wear(), 500);
-        assert_eq!(a.min_wear(), 0);
-    }
-
-    #[test]
-    fn blank_programs_track_the_bitmap_but_store_no_bytes() {
-        let mut a = tiny();
-        let ppa = Ppa::new(0, 0, 1, 2);
-        a.program_blank(ppa).unwrap();
-        assert!(a.is_programmed(ppa));
-        assert!(!a.page_has_data(ppa));
-        assert_eq!(a.stats().programs, 1);
-        // Program-once discipline applies to blank programs too.
-        assert_eq!(a.program_blank(ppa), Err(FlashError::AlreadyProgrammed(ppa)));
-        assert_eq!(
-            a.program(ppa, &page_of(&a, 1)),
-            Err(FlashError::AlreadyProgrammed(ppa))
-        );
-        // Reads see no bytes.
-        assert_eq!(a.read(ppa), Err(FlashError::NotProgrammed(ppa)));
-        // Erase recycles blank pages like data pages.
-        a.erase(ppa).unwrap();
-        assert!(!a.is_programmed(ppa));
-        a.program(ppa, &page_of(&a, 7)).unwrap();
-        assert!(a.page_has_data(ppa));
-        a.erase(ppa).unwrap();
-        assert!(!a.is_programmed(ppa));
-        assert_eq!(a.erase_count(ppa), 2);
+        assert_eq!(a.erase_count(ppa), 500);
+        assert_eq!(a.erase_count(Ppa::new(0, 0, 1, 0)), 0);
     }
 
     #[test]
@@ -739,21 +646,6 @@ mod tests {
         a.program(first, &page_of(&a, 0x22)).unwrap();
         assert_eq!(a.slab.len, 2, "churn never grows the slab");
         assert_eq!(a.read(first).unwrap().data, page_of(&a, 0x22));
-    }
-
-    #[test]
-    fn blank_programs_never_take_codeword_storage() {
-        let mut a = tiny();
-        let geom = a.geometry();
-        for linear in 0..geom.total_pages() {
-            a.program_blank(geom.ppa_of(linear)).unwrap();
-        }
-        for block in geom.blocks() {
-            a.erase(block).unwrap();
-        }
-        assert_eq!(a.slab.len, 0);
-        assert!(a.slab.chunks.is_empty() && a.slab.free.is_empty());
-        assert!(a.blocks.iter().all(|b| b.slots.is_none()));
     }
 
     #[test]

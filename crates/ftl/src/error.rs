@@ -19,13 +19,9 @@ pub enum FtlError {
     /// The device is full and garbage collection cannot reclaim space
     /// (all remaining data is valid).
     NoSpace,
-    /// A buffer of exactly one page was expected.
-    WrongPageSize {
-        /// Bytes supplied.
-        got: usize,
-        /// Bytes required.
-        want: usize,
-    },
+    /// A tuning knob is outside its domain (see
+    /// [`crate::ftl::FtlConfig`]); the text says which and why.
+    InvalidConfig(&'static str),
     /// The array has more pages than the `u32` mapping tables can index
     /// (see [`bluedbm_flash::FlashGeometry::MAX_PAGES`]).
     GeometryTooLarge,
@@ -53,9 +49,7 @@ impl fmt::Display for FtlError {
                 write!(f, "logical page {lba} beyond exported capacity {capacity}")
             }
             FtlError::NoSpace => write!(f, "device full: garbage collection found no space"),
-            FtlError::WrongPageSize { got, want } => {
-                write!(f, "buffer of {got} bytes where a {want}-byte page was expected")
-            }
+            FtlError::InvalidConfig(why) => write!(f, "invalid FTL configuration: {why}"),
             FtlError::GeometryTooLarge => {
                 write!(f, "geometry exceeds the 2^32 - 3 pages the tables can index")
             }

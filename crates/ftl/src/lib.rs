@@ -8,16 +8,16 @@
 //!   similar to Fusion IO's driver": page-level logical-to-physical
 //!   mapping, round-robin write allocation across buses for parallelism,
 //!   greedy garbage collection, threshold-based static wear leveling and
-//!   TRIM, with write-amplification accounting. Beyond the classic
-//!   read/write surface it exposes a **twin-replay API**
-//!   ([`ftl::Ftl::step_write`] / [`ftl::Ftl::step_trim`], returning
-//!   [`ftl::StepOutcome`] / [`ftl::GcRound`]): the event-driven
-//!   simulation keeps one `Ftl` per simulated card as its lifecycle
-//!   policy oracle, executes the rounds it reports as timed bus/chip
-//!   commands, and the conformance suite replays the same op log into a
-//!   fresh twin to pin mappings, victim order, erase counts and write
-//!   amplification bit-for-bit. See the [module docs](ftl) for the
-//!   contract.
+//!   TRIM, with write-amplification accounting. It is the policy alone,
+//!   over its own per-block books: [`ftl::Ftl::step_write`] /
+//!   [`ftl::Ftl::step_trim`] return what to do ([`ftl::StepOutcome`] /
+//!   [`ftl::GcRound`]), and [`ftl::StepOutcome::apply`] does it to a
+//!   [`bluedbm_flash::FlashArray`]. The event-driven simulation keeps
+//!   one `Ftl` per simulated card as its lifecycle policy and executes
+//!   the rounds as timed bus/chip commands; the conformance suite
+//!   replays the same op log into a fresh twin to pin mappings, victim
+//!   order, erase counts and write amplification bit-for-bit. See the
+//!   [module docs](ftl) for the contract.
 //! * [`rfs::Rfs`] — the RFS-style log-structured file system that
 //!   performs FTL functions itself (logical-to-physical mapping and
 //!   garbage collection in the FS), and exposes the API that makes
@@ -32,11 +32,12 @@
 //! use bluedbm_ftl::ftl::{Ftl, FtlConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let array = FlashArray::new(FlashGeometry::small(), 1);
-//! let mut ftl = Ftl::new(array, FtlConfig::default())?;
-//! let page = vec![0x11u8; ftl.page_bytes()];
-//! ftl.write(3, &page)?;
-//! assert_eq!(ftl.read(3)?, page);
+//! let mut array = FlashArray::new(FlashGeometry::small(), 1);
+//! let mut ftl = Ftl::new(&array, FtlConfig::default())?;
+//! let page = vec![0x11u8; array.geometry().page_bytes];
+//! ftl.step_write(3)?.apply(&mut array, &page)?;
+//! let ppa = ftl.physical_of(3).expect("lba 3 is mapped");
+//! assert_eq!(array.read(ppa)?.data, page);
 //! # Ok(())
 //! # }
 //! ```

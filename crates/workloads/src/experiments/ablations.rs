@@ -185,13 +185,12 @@ pub fn over_provisioning() -> Sweep {
             let mut ftl =
                 Ftl::new(FlashArray::new(FlashGeometry::small(), 3), config).unwrap();
             let cap = ftl.capacity_pages();
-            let data = vec![0u8; ftl.page_bytes()];
             let mut rng = Rng::new(17);
             for lba in 0..cap {
-                ftl.write(lba, &data).unwrap();
+                ftl.step_write(lba).unwrap();
             }
             for _ in 0..cap * 3 {
-                ftl.write(rng.below(cap), &data).unwrap();
+                ftl.step_write(rng.below(cap)).unwrap();
             }
             (op, ftl.stats().waf())
         })

@@ -151,7 +151,7 @@ fn mesh32x32_smoke_at_4_shards() {
 }
 
 #[test]
-fn host_reads_pay_pcie_everywhere() {
+fn host_consumed_reads_pay_pcie_everywhere() {
     let mut cluster = twenty_node_cluster();
     let page_bytes = cluster.config().flash.geometry.page_bytes;
     let addr = cluster

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use bluedbm::core::kvstore::KvOpKind;
 use bluedbm::core::{ExecMode, KvStore, NodeId};
 use bluedbm::flash::FlashArray;
-use bluedbm::ftl::ftl::Ftl;
+use bluedbm::ftl::ftl::{Ftl, FtlConfig};
 
 /// The multi-shard engine lanes, `(shards, exec)`: two and four shards,
 /// each on worker threads and on the calling thread.
@@ -146,57 +146,58 @@ pub fn check_schedule(s: &mut KvStore, nodes: usize, steps: Vec<Draw>, chunk: us
     s.assert_no_stranded_pages();
 }
 
-/// Drive `(op, lba, fill)` triples through an offline [`Ftl`] and a
-/// `HashMap` model: writes, trims and reads must agree op for op, and a
-/// final sweep of the whole logical space must match the model exactly.
-/// `lba` draws are reduced modulo `min(capacity, 64)` so schedules stay
-/// geometry-independent.
-pub fn ftl_matches_model(mut ftl: Ftl, ops: Vec<(u8, u64, u8)>) {
+/// Drive `(op, lba, fill)` triples through an offline [`Ftl`] applying
+/// every step to `array`, and through a `HashMap` model: writes, trims
+/// and reads must agree op for op, and a final sweep of the whole
+/// logical space must match the model exactly. `lba` draws are reduced
+/// modulo `min(capacity, 64)` so schedules stay geometry-independent.
+pub fn ftl_matches_model(mut array: FlashArray, ops: Vec<(u8, u64, u8)>) {
+    let mut ftl = Ftl::new(&array, FtlConfig::default()).expect("ftl");
     let cap = ftl.capacity_pages().min(64);
-    let page_bytes = ftl.page_bytes();
+    let page_bytes = array.geometry().page_bytes;
     // detlint::allow(no-std-hasher): oracle model independent of fxhash
     let mut model: HashMap<u64, u8> = HashMap::new();
+    let check = |ftl: &Ftl, array: &mut FlashArray, model: &HashMap<u64, u8>, lba: u64| {
+        match (model.get(&lba), ftl.physical_of(lba)) {
+            (Some(&fill), Some(ppa)) => {
+                assert_eq!(array.read(ppa).expect("read").data, vec![fill; page_bytes]);
+            }
+            (want, got) => assert!(want.is_none() && got.is_none(), "lba {lba} at {got:?}"),
+        }
+    };
     for (op, lba, fill) in ops {
         let lba = lba % cap;
         match op {
             0 => {
-                ftl.write(lba, &vec![fill; page_bytes]).expect("write");
+                let step = ftl.step_write(lba).expect("write");
+                step.apply(&mut array, &vec![fill; page_bytes]).expect("apply");
                 model.insert(lba, fill);
             }
             1 => {
-                ftl.trim(lba).expect("trim");
+                ftl.step_trim(lba).expect("trim");
                 model.remove(&lba);
             }
-            _ => match model.get(&lba) {
-                Some(&fill) => {
-                    assert_eq!(ftl.read(lba).expect("read"), vec![fill; page_bytes]);
-                }
-                None => assert!(ftl.read(lba).is_err()),
-            },
+            _ => check(&ftl, &mut array, &model, lba),
         }
     }
     // Final sweep: every mapping agrees.
     for lba in 0..cap {
-        match model.get(&lba) {
-            Some(&fill) => {
-                assert_eq!(ftl.read(lba).expect("read"), vec![fill; page_bytes]);
-            }
-            None => assert!(ftl.read(lba).is_err()),
-        }
+        check(&ftl, &mut array, &model, lba);
     }
 }
 
 /// Replay a cluster card's recorded logical lifecycle ops against a
-/// fresh offline twin built over `shadow` — the GC conformance oracle.
-/// Returns the twin and the GC rounds it decided, in op order, for
-/// comparison against the cluster mirror's state and recorded rounds.
+/// fresh offline twin of a card in `factory` state — the GC conformance
+/// oracle. Returns the twin and the GC rounds it decided, in op order,
+/// for comparison against the cluster mirror's state and recorded
+/// rounds.
 pub fn replay_lifecycle(
-    shadow: FlashArray,
-    config: bluedbm::ftl::ftl::FtlConfig,
+    factory: &FlashArray,
+    config: FtlConfig,
     ops: &[bluedbm::core::LifecycleOp],
 ) -> (Ftl, Vec<bluedbm::ftl::GcRound>) {
     use bluedbm::core::LifecycleOp;
-    let mut twin = Ftl::new(shadow, config).expect("twin FTL");
+    let mut twin = Ftl::new(factory, config).expect("twin FTL");
     let mut rounds = Vec::new();
     for op in ops {
         match *op {

@@ -7,14 +7,16 @@
 //! driver-side mirror `Ftl` per card decides placement and victims.
 //! This suite replays each card's recorded logical lifecycle (every
 //! host write and trim, in order) through a fresh offline `Ftl` built
-//! over an identical blank array and requires bit-level agreement on:
+//! for an identical factory-fresh card and requires bit-level agreement
+//! on:
 //!
 //! * the GC victim sequence and every relocation `(from, to)` pair;
 //! * the full logical→physical mapping table;
 //! * cumulative stats — host writes, flash writes, erases, moves, WA;
-//! * the *simulated* arrays themselves: program bitmaps and per-block
-//!   erase counts of the DES flash must match the twin's shadow page
-//!   for page (lockstep physics, not just lockstep bookkeeping).
+//! * the *simulated* arrays themselves: which pages the DES flash holds
+//!   programmed and each block's erase count must match the twin's
+//!   books page for page (lockstep physics, not just lockstep
+//!   bookkeeping).
 //!
 //! Cross-engine: the same churn on Threads / Cooperative at 2 and 4
 //! shards must leave identical GC state, identical KV results and
@@ -28,10 +30,11 @@ mod common;
 
 use proptest::prelude::*;
 
+use bluedbm::core::cluster::ClusterError;
 use bluedbm::core::{Cluster, ExecMode, KvStore, NodeId, SystemConfig};
 use bluedbm::flash::FlashArray;
 use bluedbm::flash::FlashGeometry;
-use bluedbm::ftl::FtlStats;
+use bluedbm::ftl::{FtlError, FtlStats};
 use bluedbm::net::Topology;
 use bluedbm::sim::time::SimTime;
 use bluedbm::workloads::kvgen::{run_requests, KvRequest, KvRunSummary, KvWorkloadSpec};
@@ -99,11 +102,11 @@ fn assert_twin_agrees(cluster: &Cluster) {
     for n in 0..cluster.node_count() {
         let node = NodeId::from(n);
         for card in 0..config.flash.cards_per_node {
-            // Same blank array the cluster builds: same seed, so the
-            // same bad-block map and the same physics.
-            let shadow_seed = ((0xB1DE + (n as u64)) << 8) | card as u64;
+            // The factory state the cluster built the card with: same
+            // seed, so the same bad-block map and the same wear.
+            let card_seed = ((0xB1DE + (n as u64)) << 8) | card as u64;
             let (twin, rounds) = common::replay_lifecycle(
-                FlashArray::new(geom, shadow_seed),
+                &FlashArray::new(geom, card_seed),
                 config.gc.ftl(),
                 cluster.lifecycle_log(node, card),
             );
@@ -132,20 +135,19 @@ fn assert_twin_agrees(cluster: &Cluster) {
 
             // Physical lockstep: the DES array (real data, written by
             // simulated commands racing foreground traffic) and the
-            // twin's shadow (blank pages) must agree on which cells are
-            // programmed and how often each block was erased.
+            // twin's books must agree on which cells are programmed and
+            // how often each block was erased.
             let des = cluster.card_array(node, card);
-            let shadow = twin.array();
             for linear in 0..geom.total_pages() {
                 let ppa = geom.ppa_of(linear);
                 assert_eq!(
                     des.is_programmed(ppa),
-                    shadow.is_programmed(ppa),
-                    "node {n} card {card} page {linear}: program bitmap diverged"
+                    twin.is_programmed(ppa),
+                    "node {n} card {card} page {linear}: programmed pages diverged"
                 );
                 assert_eq!(
                     des.erase_count(ppa),
-                    shadow.erase_count(ppa),
+                    twin.erase_count(ppa),
                     "node {n} card {card} page {linear}: erase count diverged"
                 );
             }
@@ -327,16 +329,38 @@ fn gc_pressure_degrades_put_tail_latency_past_the_cliff() {
 // Pin: the lifecycle needs a collection reserve
 // ---------------------------------------------------------------------
 
+/// The error a cluster built under `config` fails with.
+fn build_error(config: &SystemConfig) -> ClusterError {
+    Cluster::ring(2, config).expect_err("cluster accepted the configuration")
+}
+
 /// Pin: a lifecycle with no collection reserve is structurally
 /// impossible — relocation would have nowhere to land and sustained
 /// churn would die with `FtlError::NoSpace` mid-run, so the FTL rejects
-/// the configuration at construction.
+/// the configuration at construction, as a value.
 #[test]
-#[should_panic(expected = "GC needs a reserve block")]
 fn lifecycle_without_a_reserve_block_is_rejected() {
     let mut config = gc_config(1, ExecMode::Auto);
     config.gc.gc_watermark = 0;
-    let _ = Cluster::ring(2, &config);
+    assert!(matches!(
+        build_error(&config),
+        ClusterError::Ftl(e) if matches!(*e, FtlError::InvalidConfig(_))
+    ));
+}
+
+/// Over-provisioning must withhold a fraction in `[0, 1)`: all of the
+/// space, a negative share or a NaN is refused as a value, not a panic.
+#[test]
+fn over_provision_outside_its_range_is_rejected() {
+    for over_provision in [1.0, -0.1, f64::NAN] {
+        let mut config = gc_config(1, ExecMode::Auto);
+        config.gc.over_provision = over_provision;
+        let err = build_error(&config);
+        assert!(
+            matches!(&err, ClusterError::Ftl(e) if matches!(**e, FtlError::InvalidConfig(_))),
+            "over_provision {over_provision}: {err}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------

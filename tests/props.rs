@@ -6,7 +6,6 @@ use proptest::prelude::*;
 
 use bluedbm::flash::ecc::{self, Decoded};
 use bluedbm::flash::{FlashArray, FlashGeometry};
-use bluedbm::ftl::ftl::{Ftl, FtlConfig};
 use bluedbm::isp::mp::MpMatcher;
 use bluedbm::net::{NodeId, RoutingTable, Topology};
 use bluedbm::sim::time::SimTime;
@@ -284,11 +283,7 @@ proptest! {
     fn ftl_matches_hashmap_model(
         ops in proptest::collection::vec((0u8..3, 0u64..64, 0u8..255), 1..300),
     ) {
-        let ftl = Ftl::new(
-            FlashArray::new(FlashGeometry::tiny(), 3),
-            FtlConfig::default(),
-        ).expect("ftl");
-        common::ftl_matches_model(ftl, ops);
+        common::ftl_matches_model(FlashArray::new(FlashGeometry::tiny(), 3), ops);
     }
 }
 
