@@ -229,7 +229,6 @@ impl<V: Default> KeyTable<V> {
 mod tests {
     use super::*;
     use bluedbm_sim::fxhash::FxHashMap;
-    use proptest::prelude::*;
 
     /// Keys drawn from a small alphabet of shapes, so sequences revisit
     /// them: short, empty, shared-prefix and long keys.
@@ -259,13 +258,12 @@ mod tests {
         assert_eq!(ids.len(), model.len(), "ids are unique");
     }
 
-    proptest! {
-        /// Any interleaving of intern / update / remove / re-intern
-        /// agrees with a plain hash map.
-        #[test]
-        fn matches_hashmap_model(
-            ops in proptest::collection::vec((0u8..4, 0u16..96, 0u64..1000), 1..400),
-        ) {
+    /// Any interleaving of intern / update / remove / re-intern agrees
+    /// with a plain hash map.
+    #[test]
+    fn matches_hashmap_model() {
+        bluedbm_check::check("matches_hashmap_model", 64, |s| {
+            let ops = s.vec(1..400, |s| (s.range(0u8..4), s.range(0u16..96), s.range(0u64..1000)));
             let mut table: KeyTable<u64> = KeyTable::new();
             let mut model: FxHashMap<Vec<u8>, (u32, u64)> = FxHashMap::default();
             for (op, n, value) in ops {
@@ -274,9 +272,9 @@ mod tests {
                     0 | 1 => {
                         let id = table.intern(&key);
                         match model.get(&key) {
-                            Some(&(known, _)) => prop_assert_eq!(id, known),
+                            Some(&(known, _)) => assert_eq!(id, known),
                             // Fresh (and recycled) ids start from the default.
-                            None => prop_assert_eq!(*table.get(id), 0),
+                            None => assert_eq!(*table.get(id), 0),
                         }
                         *table.get_mut(id) = value;
                         model.insert(key, (id, value));
@@ -285,13 +283,13 @@ mod tests {
                         if let Some((id, _)) = model.remove(&key) {
                             table.remove(id);
                         }
-                        prop_assert_eq!(table.find(&key), None);
+                        assert_eq!(table.find(&key), None);
                     }
-                    _ => prop_assert_eq!(table.find(&key), model.get(&key).map(|e| e.0)),
+                    _ => assert_eq!(table.find(&key), model.get(&key).map(|e| e.0)),
                 }
             }
             check(&table, &model);
-        }
+        });
     }
 
     #[test]

@@ -144,7 +144,7 @@ pub use pool::{Pool, PoolRef, PoolStore};
 pub use resource::{MultiResource, SerialResource};
 pub use rng::Rng;
 pub use shard::{ExecMode, PlainMessage, ShardLaneStats, ShardMessage, ShardStats, ShardedSimulator};
-pub use stats::{Counter, Histogram, MeanTracker, Throughput};
+pub use stats::{Histogram, Throughput};
 pub use time::{Bandwidth, SimTime};
 
 // Re-exported so downstream crates can configure and harvest tracing

@@ -1,4 +1,4 @@
-//! Measurement primitives: counters, latency histograms, throughput meters.
+//! Measurement primitives: latency histograms and throughput meters.
 //!
 //! Every experiment in the reproduction reports either a latency
 //! distribution (Figures 11, 12, 20) or a sustained throughput (Figures 11,
@@ -8,130 +8,6 @@
 use std::fmt;
 
 use crate::time::SimTime;
-
-/// A monotonically increasing event counter.
-///
-/// # Examples
-///
-/// ```rust
-/// use bluedbm_sim::stats::Counter;
-///
-/// let mut reads = Counter::new();
-/// reads.add(3);
-/// reads.inc();
-/// assert_eq!(reads.get(), 4);
-/// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// A counter at zero.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Add `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Add one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-/// Streaming mean/min/max tracker (Welford's algorithm for the variance).
-///
-/// # Examples
-///
-/// ```rust
-/// use bluedbm_sim::stats::MeanTracker;
-///
-/// let mut m = MeanTracker::new();
-/// for x in [1.0, 2.0, 3.0] { m.record(x); }
-/// assert_eq!(m.mean(), 2.0);
-/// assert_eq!(m.min(), Some(1.0));
-/// assert_eq!(m.max(), Some(3.0));
-/// ```
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MeanTracker {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl MeanTracker {
-    /// An empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        if self.count == 0 {
-            self.min = x;
-            self.max = x;
-        } else {
-            self.min = self.min.min(x);
-            self.max = self.max.max(x);
-        }
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (0.0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Minimum observation, if any.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Maximum observation, if any.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-}
 
 /// A log-bucketed latency histogram with percentile queries.
 ///
@@ -366,30 +242,6 @@ impl Throughput {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        assert_eq!(c.to_string(), "10");
-    }
-
-    #[test]
-    fn mean_tracker_statistics() {
-        let mut m = MeanTracker::new();
-        assert_eq!(m.min(), None);
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            m.record(x);
-        }
-        assert_eq!(m.count(), 8);
-        assert!((m.mean() - 5.0).abs() < 1e-12);
-        assert!((m.variance() - 4.0).abs() < 1e-12);
-        assert!((m.stddev() - 2.0).abs() < 1e-12);
-        assert_eq!(m.min(), Some(2.0));
-        assert_eq!(m.max(), Some(9.0));
-    }
 
     #[test]
     fn bucket_round_trip_ordering() {

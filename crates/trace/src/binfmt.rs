@@ -20,6 +20,9 @@ use crate::record::{TraceCat, TraceKind, TraceName, TraceRecord};
 /// File magic: format version 1.
 pub const MAGIC: &[u8; 8] = b"BDBMTRC1";
 
+/// One encoded record (see the module docs' layout).
+const RECORD_BYTES: usize = 46;
+
 /// Encode a merged trace.
 pub fn encode(doc: &TraceDoc) -> Vec<u8> {
     // The table lists names in first-use order; `slot` maps a name to
@@ -34,7 +37,7 @@ pub fn encode(doc: &TraceDoc) -> Vec<u8> {
         }
     }
 
-    let mut out = Vec::with_capacity(64 + doc.len() * 46);
+    let mut out = Vec::with_capacity(64 + doc.len() * RECORD_BYTES);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&(names.len() as u32).to_le_bytes());
     for name in &names {
@@ -124,7 +127,9 @@ pub fn decode(bytes: &[u8]) -> Result<TraceDoc, String> {
 
     let dropped = rd.u64()?;
     let count = rd.u64()? as usize;
-    let mut records: Vec<TraceRecord> = Vec::with_capacity(count.min(1 << 24));
+    // As for the names: reserve what the bytes left can hold.
+    let room = (bytes.len() - rd.pos) / RECORD_BYTES;
+    let mut records: Vec<TraceRecord> = Vec::with_capacity(count.min(room));
     for i in 0..count {
         let at_ps = rd.u64()?;
         let shard = rd.u32()?;
@@ -172,9 +177,6 @@ mod tests {
     use crate::record::{fnv_bytes, FNV_OFFSET};
     use crate::sink::TraceSink;
     use crate::{TraceConfig, ALL_CATEGORIES, DRIVER_SHARD};
-
-    /// One encoded record (see the module docs' layout).
-    const RECORD_BYTES: usize = 46;
 
     /// Two parts: an engine shard's, and a driver's that stamps a record
     /// in the past and drops one at capacity.

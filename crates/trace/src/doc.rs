@@ -157,8 +157,6 @@ mod tests {
     use crate::record::{TraceKind, TraceName, DRIVER_SHARD};
     use crate::sink::TraceSink;
     use crate::TraceConfig;
-    use proptest::collection;
-    use proptest::prelude::*;
 
     fn part(shard: u32, times: &[u64]) -> TracePart {
         let mut sink = TraceSink::new(TraceConfig::on(), shard);
@@ -201,26 +199,23 @@ mod tests {
         let _ = TraceKind::Instant;
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// `merge` is concat-and-sort, record for record. Parts come from
-        /// four sinks (one the driver's), a sink may be harvested more
-        /// than once (equal `(at_ps, shard)` across parts, told apart by
-        /// `seq`), and a part's records are in time order or stamped in
-        /// the past; instants repeat within and across parts, parts may
-        /// be empty, and a sink of capacity 24 drops.
-        #[test]
-        fn merge_equals_concat_and_sort(
-            parts in collection::vec((0usize..4, collection::vec(0u64..12, 0..40), 0u8..2), 1..6),
-        ) {
+    /// `merge` is concat-and-sort, record for record. Parts come from
+    /// four sinks (one the driver's), a sink may be harvested more than
+    /// once (equal `(at_ps, shard)` across parts, told apart by `seq`),
+    /// and a part's records are in time order or stamped in the past;
+    /// instants repeat within and across parts, parts may be empty, and
+    /// a sink of capacity 24 drops.
+    #[test]
+    fn merge_equals_concat_and_sort() {
+        bluedbm_check::check("merge_equals_concat_and_sort", 256, |s| {
+            let parts = s.vec(1..6, |s| (s.range(0usize..4), s.vec(0..40, |s| s.range(0u64..12)), s.bool()));
             let mut sinks: Vec<TraceSink> = [0, 1, 2, DRIVER_SHARD]
                 .into_iter()
                 .map(|shard| TraceSink::new(TraceConfig::on().with_capacity(24), shard))
                 .collect();
             let mut taken = Vec::new();
             for (n, (sink, mut times, in_order)) in parts.into_iter().enumerate() {
-                if in_order == 1 {
+                if in_order {
                     times.sort_unstable();
                 }
                 let sink = &mut sinks[sink];
@@ -234,8 +229,8 @@ mod tests {
             want.sort_unstable_by_key(|r| (r.at_ps, r.shard, r.seq));
             let dropped: u64 = taken.iter().map(|p| p.dropped).sum();
             let doc = TraceDoc::merge(taken);
-            prop_assert_eq!(doc.records(), &want[..]);
-            prop_assert_eq!(doc.dropped(), dropped);
-        }
+            assert_eq!(doc.records(), &want[..]);
+            assert_eq!(doc.dropped(), dropped);
+        });
     }
 }

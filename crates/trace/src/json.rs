@@ -54,11 +54,18 @@ impl Json {
     }
 }
 
-/// Parse a complete JSON document (rejects trailing non-whitespace).
+/// The deepest array/object nesting [`parse`] accepts. The parser
+/// recurses once per bracket, so the bound keeps a hostile file from
+/// overflowing the stack; the Chrome exporter nests three deep.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse a complete JSON document (rejects trailing non-whitespace, and
+/// nesting deeper than [`MAX_DEPTH`]).
 pub fn parse(src: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -72,6 +79,8 @@ pub fn parse(src: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -114,8 +123,13 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(self.err("nesting too deep")),
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -303,6 +317,17 @@ mod tests {
         let original = "line\nbreak \"quoted\" back\\slash\ttab";
         let parsed = parse(&format!("\"{}\"", escape(original))).expect("parse");
         assert_eq!(parsed.as_str(), Some(original));
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        let err = parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting too deep"), "{err}");
+        let err = parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("at byte 128: nesting too deep"), "{err}");
+        assert!(parse(&"{\"a\":".repeat(1_000_000)).unwrap_err().contains("nesting too deep"));
     }
 
     #[test]

@@ -1,18 +1,20 @@
 //! Shared harness for the schedule-driven and cross-engine suites.
 //!
-//! `tests/kv_engine.rs`, `tests/props.rs` and `tests/gc_conformance.rs`
-//! all replay randomly drawn schedules against a reference map model.
-//! The schedule encoding ([`Draw`]), the decoder ([`decode`]) and the
-//! drivers ([`check_schedule`] for the async KV engine,
-//! [`ftl_matches_model`] for the offline FTL) live here so all three
-//! suites draw from one generator and decode through one decoder — a
-//! failing schedule from any suite replays verbatim in the others. The
-//! vendored proptest shim does not shrink: a failure reports the test
-//! name, case index and seed, not a minimized schedule (integrated
-//! shrinking through [`decode`] is ROADMAP item L).
+//! Property tests draw their inputs from a [`Source`] (the repo's
+//! `bluedbm-check` generator). A failing case is shrunk over its recorded
+//! choices and reported as a minimal choice list, which
+//! `bluedbm_check::replay` pins as a regression test.
 //!
-//! `tests/kv_conformance.rs` and `tests/gc_conformance.rs` compare every
-//! multi-shard engine lane in [`SHARDED_LANES`] against one shard.
+//! * Schedules: the step encoding ([`Draw`], drawn by [`draw`]), the one
+//!   decoder ([`decode`]) and the drivers ([`check_schedule`] for the
+//!   async KV engine, [`ftl_matches_model`] for the offline FTL). All-zero
+//!   choices decode to a put of key 0 with an empty value, so a shrunk
+//!   schedule reads as the few steps that matter.
+//! * Lanes: a [`Lane`] names a shard count and its [`ExecMode`], or an
+//!   explicit partition. [`assert_lanes_agree`] is the one cross-engine
+//!   comparison of `tests/kv_conformance.rs`, `tests/gc_conformance.rs`
+//!   and `tests/sharded.rs`; [`topology`] and [`partition`] are their
+//!   random topology and partition draws.
 
 // Each test binary compiles this module independently and uses a
 // different subset of it.
@@ -20,28 +22,134 @@
 
 // detlint::allow(no-std-hasher): oracle models independent of fxhash
 use std::collections::HashMap;
+use std::fmt;
+use std::ops::Range;
 
 use bluedbm::core::kvstore::KvOpKind;
-use bluedbm::core::{ExecMode, KvStore, NodeId};
+use bluedbm::core::{Cluster, ExecMode, KvStore, NodeId, SystemConfig};
 use bluedbm::flash::FlashArray;
 use bluedbm::ftl::ftl::{Ftl, FtlConfig};
+use bluedbm::net::Topology;
+use bluedbm_check::Source;
 
-/// The multi-shard engine lanes, `(shards, exec)`: two and four shards,
-/// each on worker threads and on the calling thread.
-pub const SHARDED_LANES: [(usize, ExecMode); 4] = [
-    (2, ExecMode::Threads),
-    (2, ExecMode::Cooperative),
-    (4, ExecMode::Threads),
-    (4, ExecMode::Cooperative),
+/// One engine lane: `shards` shards executing per `exec`, or an explicit
+/// node -> shard `partition` (dense; `shards` is its shard count).
+#[derive(Clone, Debug)]
+pub struct Lane {
+    pub shards: usize,
+    pub exec: ExecMode,
+    pub partition: Option<Vec<u32>>,
+}
+
+impl Lane {
+    /// One shard: the sequential kernel, every comparison's reference.
+    pub const ONE: Lane = Lane::new(1, ExecMode::Auto);
+
+    /// `shards` shards executing per `exec`.
+    pub const fn new(shards: usize, exec: ExecMode) -> Lane {
+        Lane { shards, exec, partition: None }
+    }
+
+    /// The lane of a dense `partition`: worker threads at two shards,
+    /// the calling thread above (what a two-core host picked before every
+    /// multi-shard lane named its mode).
+    pub fn partitioned(partition: Vec<u32>) -> Lane {
+        let shards = partition.iter().max().map_or(1, |&s| s as usize + 1);
+        let exec = if shards > 2 { ExecMode::Cooperative } else { ExecMode::Threads };
+        Lane { shards, exec, partition: Some(partition) }
+    }
+
+    /// `topo` built under `base` on this lane.
+    pub fn cluster(&self, topo: Topology, base: &SystemConfig) -> Cluster {
+        let mut config = *base;
+        config.sim.shards = self.shards;
+        config.sim.exec = self.exec;
+        match &self.partition {
+            Some(partition) => Cluster::with_partition(topo, &config, partition),
+            None => Cluster::new(topo, &config),
+        }
+        .expect("lane cluster")
+    }
+}
+
+impl fmt::Display for Lane {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:?}@{}", self.exec, self.shards)?;
+        match &self.partition {
+            Some(partition) => write!(f, " partition {partition:?}"),
+            None => Ok(()),
+        }
+    }
+}
+
+/// The multi-shard lanes: two and four shards, each on worker threads
+/// and on the calling thread.
+pub const SHARDED_LANES: [Lane; 4] = [
+    Lane::new(2, ExecMode::Threads),
+    Lane::new(2, ExecMode::Cooperative),
+    Lane::new(4, ExecMode::Threads),
+    Lane::new(4, ExecMode::Cooperative),
 ];
 
-/// One undecoded schedule step: `(kind, key, len)` as drawn by
-/// proptest. Kept as a plain tuple so every suite shares the same
-/// strategy (`proptest::collection::vec(any::<Draw>(), ..)`).
+/// Two shards on worker threads and four on the calling thread.
+pub const TWO_AND_FOUR: [Lane; 2] = [Lane::new(2, ExecMode::Threads), Lane::new(4, ExecMode::Cooperative)];
+
+/// Observe the `reference` lane (mostly [`Lane::ONE`]), then every lane
+/// of `lanes`, and require each observation to equal the reference's,
+/// which is returned.
+pub fn assert_lanes_agree<T: PartialEq + fmt::Debug>(
+    reference: &Lane,
+    lanes: &[Lane],
+    mut observe: impl FnMut(&Lane) -> T,
+) -> T {
+    let want = observe(reference);
+    for lane in lanes {
+        assert_eq!(observe(lane), want, "{lane} diverged from {reference}");
+    }
+    want
+}
+
+/// A random topology of `sizes` nodes, one of the first `shapes` of:
+/// a ring, a line, a three-row mesh (two lanes per hop). Shrinks toward
+/// the smallest ring.
+pub fn topology(s: &mut Source, shapes: u64, sizes: Range<usize>) -> Topology {
+    let (shape, size) = (s.below(shapes), s.range(sizes));
+    match shape {
+        0 => Topology::ring(size, 2),
+        1 => Topology::line(size, 2),
+        _ => Topology::mesh2d(3, size.div_ceil(3)),
+    }
+}
+
+/// A random lane of `shards` shards, on worker threads or on the
+/// calling thread. Shrinks toward the fewest shards on threads.
+pub fn exec_lane(s: &mut Source, shards: Range<usize>) -> Lane {
+    let shards = s.range(shards);
+    Lane::new(shards, if s.bool() { ExecMode::Cooperative } else { ExecMode::Threads })
+}
+
+/// A random node -> shard map over up to `shards` shards with node 0 on
+/// shard 0, relabelled dense from 0 (a draw can miss an id, and
+/// `Cluster::with_partition` rejects a map with an empty shard). Shrinks
+/// toward one shard.
+pub fn partition(s: &mut Source, nodes: usize, shards: u64) -> Vec<u32> {
+    let drawn: Vec<u32> = (0..nodes).map(|n| if n == 0 { 0 } else { s.below(shards) as u32 }).collect();
+    let mut ids = drawn.clone();
+    ids.sort_unstable();
+    ids.dedup();
+    drawn.iter().map(|id| ids.binary_search(id).expect("own id") as u32).collect()
+}
+
+/// One undecoded schedule step: `(kind, key, len)`.
 pub type Draw = (u8, u8, u16);
 
-/// One schedule step, decoded from the proptest draw: which of a small
-/// hot key set, what op, how large a value.
+/// One random schedule step, each field over its whole range.
+pub fn draw(s: &mut Source) -> Draw {
+    (s.below(256) as u8, s.below(256) as u8, s.below(1 << 16) as u16)
+}
+
+/// One schedule step, decoded from a [`Draw`]: which of a small hot key
+/// set, what op, how large a value.
 #[derive(Debug)]
 pub enum Step {
     /// Store (or overwrite) `key` with a `len`-byte value.

@@ -13,7 +13,9 @@
 //! them (every assert prints what it measured).
 //!
 //! The same test also pins what a sync round of the threaded shard
-//! engine asks of the allocator (see [`SYNC_ROUND_CALLS_PIN`]).
+//! engine asks of the allocator (see [`SYNC_ROUND_CALLS_PIN`]), and that
+//! decoding a trace header whose record count is a lie requests next to
+//! nothing.
 //!
 //! One `#[test]` only: the counters are process-wide, and a second test
 //! thread would allocate into the measurement.
@@ -32,6 +34,7 @@ struct Counting;
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 static LIVE_BLOCKS: AtomicI64 = AtomicI64::new(0);
 static CALLS: AtomicU64 = AtomicU64::new(0);
+static REQUESTED: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract; the counters are plain
@@ -39,6 +42,7 @@ static CALLS: AtomicU64 = AtomicU64::new(0);
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         CALLS.fetch_add(1, Relaxed);
+        REQUESTED.fetch_add(layout.size() as u64, Relaxed);
         LIVE_BLOCKS.fetch_add(1, Relaxed);
         LIVE_BYTES.fetch_add(layout.size() as i64, Relaxed);
         // SAFETY: `layout` is the caller's, passed through as is.
@@ -47,6 +51,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         CALLS.fetch_add(1, Relaxed);
+        REQUESTED.fetch_add(layout.size() as u64, Relaxed);
         LIVE_BLOCKS.fetch_add(1, Relaxed);
         LIVE_BYTES.fetch_add(layout.size() as i64, Relaxed);
         // SAFETY: as for `alloc`.
@@ -63,6 +68,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         CALLS.fetch_add(1, Relaxed);
+        REQUESTED.fetch_add(new_size as u64, Relaxed);
         LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Relaxed);
         // SAFETY: as for `dealloc`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -72,12 +78,14 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// (live bytes, live blocks, allocator calls) right now.
-fn snapshot() -> (i64, i64, u64) {
+/// (live bytes, live blocks, allocator calls, bytes ever requested)
+/// right now.
+fn snapshot() -> (i64, i64, u64, u64) {
     (
         LIVE_BYTES.load(Relaxed),
         LIVE_BLOCKS.load(Relaxed),
         CALLS.load(Relaxed),
+        REQUESTED.load(Relaxed),
     )
 }
 
@@ -216,6 +224,17 @@ fn kv_footprint_stays_within_its_pins() {
     halves.assert_quiescent();
     drop(halves);
 
+    // A trace file's record count is only its claim: magic, no names,
+    // `dropped`, then `count = u64::MAX` and no records must fail on the
+    // missing bytes, not reserve for the claim first.
+    let mut header = bluedbm::trace::binfmt::MAGIC.to_vec();
+    header.extend_from_slice(&0u32.to_le_bytes());
+    header.extend_from_slice(&0u64.to_le_bytes());
+    header.extend_from_slice(&u64::MAX.to_le_bytes());
+    let before_decode = snapshot();
+    let decoded = bluedbm::trace::binfmt::decode(&header).map(|doc| doc.len());
+    let decode_requested = snapshot().3 - before_decode.3;
+
     // Report only now: captured test output is itself heap-allocated.
     let per_key = (loaded.0 - built.0) as f64 / KEYS as f64;
     let per_put = (after_puts.2 - before.2) as f64 / BATCH as f64;
@@ -254,6 +273,14 @@ fn kv_footprint_stays_within_its_pins() {
     assert!(
         per_round <= SYNC_ROUND_CALLS_PIN,
         "{per_round:.2} allocator calls per sync round exceeds the {SYNC_ROUND_CALLS_PIN} pin"
+    );
+
+    println!("decoding a {}-byte trace header claiming u64::MAX records: {decode_requested} B requested", header.len());
+    assert!(decoded.is_err(), "a header without its records decoded: {decoded:?}");
+    assert!(
+        decode_requested < 1 << 20,
+        "decoding a {}-byte header requested {decode_requested} B",
+        header.len()
     );
 
     let mesh_mb = (mesh_built.0 - before_mesh.0) as f64 / (1 << 20) as f64;

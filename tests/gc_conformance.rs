@@ -28,25 +28,23 @@
 
 mod common;
 
-use proptest::prelude::*;
-
 use bluedbm::core::cluster::ClusterError;
-use bluedbm::core::{Cluster, ExecMode, KvStore, NodeId, SystemConfig};
+use bluedbm::core::{Cluster, GcStats, KvStore, NodeId, SystemConfig};
 use bluedbm::flash::FlashArray;
 use bluedbm::flash::FlashGeometry;
 use bluedbm::ftl::{FtlError, FtlStats};
 use bluedbm::net::Topology;
 use bluedbm::sim::time::SimTime;
 use bluedbm::workloads::kvgen::{run_requests, KvRequest, KvRunSummary, KvWorkloadSpec};
+use bluedbm_check::check;
+use common::{assert_lanes_agree, Lane, SHARDED_LANES};
 
 /// Scaled-down system on the tiny flash geometry (512 pages x 512 B
 /// per card, 2 cards per node) so churn reaches the GC watermark in
 /// test time. GC is on by default in `SystemConfig`.
-fn gc_config(shards: usize, exec: ExecMode) -> SystemConfig {
+fn gc_config() -> SystemConfig {
     let mut config = SystemConfig::scaled_down();
     config.flash.geometry = FlashGeometry::tiny();
-    config.sim.shards = shards;
-    config.sim.exec = exec;
     config.gc.log = true; // record the lifecycle for twin replay
     config
 }
@@ -82,15 +80,22 @@ fn logical_capacity(cluster: &Cluster) -> u64 {
         .sum()
 }
 
-/// Load the keyspace, then churn it with `churn_ops` zipfian overwrites.
-fn run_churn(config: &SystemConfig, nodes: usize, seed: u64, churn_ops: u64) -> (KvStore, KvRunSummary) {
-    let mut store = KvStore::new(Cluster::ring(nodes, config).expect("cluster"));
-    let mut spec = churn_spec(nodes, seed);
-    spec.churn_ops = churn_ops;
-    let summary = run_requests(&mut store, spec.load().chain(spec.churn()), 64);
+/// Load `spec`'s keyspace on `cluster`, then churn it, and pass the
+/// leak audits.
+fn run_churn(cluster: Cluster, spec: &KvWorkloadSpec, batch: usize) -> (KvStore, KvRunSummary) {
+    let mut store = KvStore::new(cluster);
+    let summary = run_requests(&mut store, spec.load().chain(spec.churn()), batch);
     store.cluster().assert_quiescent();
     store.assert_no_stranded_pages();
     (store, summary)
+}
+
+/// A ring of `nodes` nodes on `lane`, loaded and churned with
+/// `churn_ops` zipfian overwrites.
+fn churn_ring(lane: &Lane, nodes: usize, seed: u64, churn_ops: u64) -> (KvStore, KvRunSummary) {
+    let mut spec = churn_spec(nodes, seed);
+    spec.churn_ops = churn_ops;
+    run_churn(lane.cluster(Topology::ring(nodes, 4), &gc_config()), &spec, 64)
 }
 
 /// Replay every card's lifecycle log through a fresh offline twin and
@@ -155,11 +160,16 @@ fn assert_twin_agrees(cluster: &Cluster) {
     }
 }
 
-/// Everything GC-observable about a cluster, for cross-engine equality:
-/// per-card FTL stats, full mapping tables, and the physical state of
-/// every simulated page.
-#[allow(clippy::type_complexity)]
-fn gc_fingerprint(cluster: &Cluster) -> Vec<(FtlStats, Vec<Option<bluedbm::flash::Ppa>>, Vec<(bool, u64)>)> {
+/// Per card: FTL stats, the full mapping table, and the physical state
+/// (programmed, erase count) of every simulated page.
+type CardPrint = (FtlStats, Vec<Option<bluedbm::flash::Ppa>>, Vec<(bool, u64)>);
+
+/// Everything GC-observable about a churn run, for cross-engine
+/// equality — errors, KV digest, lifecycle stats and every card's
+/// [`CardPrint`] — once the run agrees with its offline twin.
+fn observe_gc(store: &KvStore, summary: &KvRunSummary) -> (u64, u64, GcStats, Vec<CardPrint>) {
+    let cluster = store.cluster();
+    assert_twin_agrees(cluster);
     let config = cluster.config();
     let geom = config.flash.geometry;
     let mut cards = Vec::new();
@@ -178,7 +188,7 @@ fn gc_fingerprint(cluster: &Cluster) -> Vec<(FtlStats, Vec<Option<bluedbm::flash
             cards.push((mirror.stats(), mapping, physical));
         }
     }
-    cards
+    (summary.errors, summary.digest, cluster.gc_stats(), cards)
 }
 
 // ---------------------------------------------------------------------
@@ -195,9 +205,8 @@ fn gc_fingerprint(cluster: &Cluster) -> Vec<(FtlStats, Vec<Option<bluedbm::flash
 /// injection path, so completing *is* the assertion).
 #[test]
 fn churn_at_twice_capacity_collects_and_agrees_with_the_offline_twin() {
-    let config = gc_config(1, ExecMode::Auto);
-    let churn = 2 * logical_capacity_of(&config, 2);
-    let (store, summary) = run_churn(&config, 2, 0x5EED, churn);
+    let churn = 2 * logical_capacity_of(2);
+    let (store, summary) = churn_ring(&Lane::ONE, 2, 0x5EED, churn);
     assert_eq!(summary.errors, 0, "churn must complete error-free");
 
     let gc = store.cluster().gc_stats();
@@ -218,10 +227,10 @@ fn churn_at_twice_capacity_collects_and_agrees_with_the_offline_twin() {
     assert_twin_agrees(store.cluster());
 }
 
-/// Total logical capacity for a ring of `nodes` under `config`,
+/// Total logical capacity for a ring of `nodes` under [`gc_config`],
 /// without keeping the probe cluster around.
-fn logical_capacity_of(config: &SystemConfig, nodes: usize) -> u64 {
-    logical_capacity(&Cluster::ring(nodes, config).expect("cluster"))
+fn logical_capacity_of(nodes: usize) -> u64 {
+    logical_capacity(&Cluster::ring(nodes, &gc_config()).expect("cluster"))
 }
 
 // ---------------------------------------------------------------------
@@ -234,32 +243,13 @@ fn logical_capacity_of(config: &SystemConfig, nodes: usize) -> u64 {
 #[test]
 fn gc_state_identical_across_engines_and_shards() {
     const NODES: usize = 4;
-    let seq_config = gc_config(1, ExecMode::Auto);
-    let churn = (13 * logical_capacity_of(&seq_config, NODES)) / 10; // 1.3x capacity
-    let (seq_store, seq_summary) = run_churn(&seq_config, NODES, 0x5EED, churn);
-    let seq_gc = seq_store.cluster().gc_stats();
-    assert!(seq_gc.erases > 0, "baseline must collect: {seq_gc:?}");
-    let seq_digest = seq_summary.digest;
-    let seq_print = gc_fingerprint(seq_store.cluster());
-    assert_twin_agrees(seq_store.cluster());
-
-    for (shards, exec) in common::SHARDED_LANES {
-        let config = gc_config(shards, exec);
-        let (store, summary) = run_churn(&config, NODES, 0x5EED, churn);
-        assert_eq!(summary.errors, 0, "{exec:?}@{shards}");
-        assert_eq!(summary.digest, seq_digest, "{exec:?}@{shards}: KV digest diverged");
-        assert_eq!(
-            store.cluster().gc_stats(),
-            seq_gc,
-            "{exec:?}@{shards}: GC stats diverged"
-        );
-        assert_eq!(
-            gc_fingerprint(store.cluster()),
-            seq_print,
-            "{exec:?}@{shards}: GC fingerprint diverged"
-        );
-        assert_twin_agrees(store.cluster());
-    }
+    let churn = (13 * logical_capacity_of(NODES)) / 10; // 1.3x capacity
+    let (errors, _, gc, _) = assert_lanes_agree(&Lane::ONE, &SHARDED_LANES, |lane| {
+        let (store, summary) = churn_ring(lane, NODES, 0x5EED, churn);
+        observe_gc(&store, &summary)
+    });
+    assert_eq!(errors, 0);
+    assert!(gc.erases > 0, "baseline must collect: {gc:?}");
 }
 
 // ---------------------------------------------------------------------
@@ -301,7 +291,7 @@ fn p999(latencies: &mut [SimTime]) -> SimTime {
 /// it, foreground puts absorb migration + erase stalls.
 #[test]
 fn gc_pressure_degrades_put_tail_latency_past_the_cliff() {
-    let config = gc_config(1, ExecMode::Auto);
+    let config = gc_config();
     let spec = churn_spec(2, 0x5EED);
 
     // Below the cliff: load + light churn, never reaching the
@@ -312,7 +302,7 @@ fn gc_pressure_degrades_put_tail_latency_past_the_cliff() {
     let calm_p999 = p999(&mut calm_lat);
 
     // Past the cliff: 2x capacity of cumulative writes.
-    let churn = 2 * logical_capacity_of(&config, 2);
+    let churn = 2 * logical_capacity_of(2);
     let mut cliff = KvStore::new(Cluster::ring(2, &config).expect("cluster"));
     let mut cliff_lat = put_latencies(&mut cliff, spec.load().chain(spec.overwrite_churn(churn)));
     let gc = cliff.cluster().gc_stats();
@@ -340,7 +330,7 @@ fn build_error(config: &SystemConfig) -> ClusterError {
 /// the configuration at construction, as a value.
 #[test]
 fn lifecycle_without_a_reserve_block_is_rejected() {
-    let mut config = gc_config(1, ExecMode::Auto);
+    let mut config = gc_config();
     config.gc.gc_watermark = 0;
     assert!(matches!(
         build_error(&config),
@@ -353,7 +343,7 @@ fn lifecycle_without_a_reserve_block_is_rejected() {
 #[test]
 fn over_provision_outside_its_range_is_rejected() {
     for over_provision in [1.0, -0.1, f64::NAN] {
-        let mut config = gc_config(1, ExecMode::Auto);
+        let mut config = gc_config();
         config.gc.over_provision = over_provision;
         let err = build_error(&config);
         assert!(
@@ -367,70 +357,23 @@ fn over_provision_outside_its_range_is_rejected() {
 // Property: random topology x partition x churn seed
 // ---------------------------------------------------------------------
 
-/// Deterministic mixer for the property test's derived choices.
-fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// For any small topology, any node -> shard partition and any
-    /// churn seed: the sequential run agrees with its offline twin,
-    /// and a sharded run leaves the identical KV digest and GC
-    /// fingerprint.
-    #[test]
-    fn random_topology_partition_and_seed_agree_with_the_twin(
-        shape in 0u8..2,
-        size in 2usize..5,
-        seed: u64,
-        keys in 16u64..48,
-    ) {
-        let topo = || match shape {
-            0 => Topology::ring(size, 2),
-            _ => Topology::line(size, 2),
-        };
-        let nodes = topo().node_count();
-        let mut spec = churn_spec(nodes, seed);
-        spec.keys_per_tenant = keys;
-
-        let config = gc_config(1, ExecMode::Auto);
-        let churn = (14 * logical_capacity_of(&config, nodes)) / 10; // 1.4x capacity
-        spec.churn_ops = churn;
-        let run = |cluster: Cluster| {
-            let mut store = KvStore::new(cluster);
-            let summary = run_requests(&mut store, spec.load().chain(spec.churn()), 48);
-            store.cluster().assert_quiescent();
-            store.assert_no_stranded_pages();
-            (store, summary)
-        };
-
-        let (seq_store, seq_summary) = run(Cluster::new(topo(), &config).unwrap());
-        prop_assert_eq!(seq_summary.errors, 0);
-        let gc = seq_store.cluster().gc_stats();
-        prop_assert!(gc.erases > 0, "churn past capacity must collect: {:?}", gc);
-        assert_twin_agrees(seq_store.cluster());
-
-        // Random node -> shard map over 2 shards; shard 0 always
-        // inhabited so the shard count survives the draw.
-        let partition: Vec<u32> = (0..nodes)
-            .map(|n| if n == 0 { 0 } else { (mix(seed ^ (n as u64) << 8) % 2) as u32 })
-            .collect();
-        let (sharded_store, sharded_summary) =
-            run(Cluster::with_partition(topo(), &config, &partition).unwrap());
-        prop_assert!(
-            seq_summary.digest == sharded_summary.digest,
-            "KV digest diverged under partition {:?}",
-            partition
-        );
-        prop_assert!(
-            gc_fingerprint(seq_store.cluster()) == gc_fingerprint(sharded_store.cluster()),
-            "GC fingerprint diverged under partition {:?}",
-            partition
-        );
-        assert_twin_agrees(sharded_store.cluster());
-    }
+/// For any small topology, any node -> shard partition and any churn
+/// seed: the sequential run agrees with its offline twin, and a sharded
+/// run leaves the identical KV digest and GC fingerprint.
+#[test]
+fn random_topology_partition_and_seed_agree_with_the_twin() {
+    check("random_topology_partition_and_seed_agree_with_the_twin", 4, |s| {
+        let topo = common::topology(s, 2, 2..5);
+        let nodes = topo.node_count();
+        let mut spec = churn_spec(nodes, s.any_u64());
+        spec.keys_per_tenant = s.range(16..48);
+        spec.churn_ops = (14 * logical_capacity_of(nodes)) / 10; // 1.4x capacity
+        let lane = Lane::partitioned(common::partition(s, nodes, 2));
+        let (errors, _, gc, _) = assert_lanes_agree(&Lane::ONE, &[lane], |lane| {
+            let (store, summary) = run_churn(lane.cluster(topo.clone(), &gc_config()), &spec, 48);
+            observe_gc(&store, &summary)
+        });
+        assert_eq!(errors, 0);
+        assert!(gc.erases > 0, "churn past capacity must collect: {gc:?}");
+    });
 }

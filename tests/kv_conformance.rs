@@ -21,13 +21,13 @@
 
 mod common;
 
-use proptest::prelude::*;
-
 use bluedbm::core::{Cluster, ExecMode, GcStats, KvStore, NodeId, SystemConfig};
 use bluedbm::flash::FlashGeometry;
 use bluedbm::net::Topology;
 use bluedbm::trace::{TraceCat, TraceConfig, TraceDoc, ALL_CATEGORIES, STABLE_CATEGORIES};
 use bluedbm::workloads::kvgen::{run_requests, KvRunSummary, KvWorkloadSpec};
+use bluedbm_check::check;
+use common::{assert_lanes_agree, Lane, SHARDED_LANES, TWO_AND_FOUR};
 
 /// Everything arbitration-independent a KV run exposes.
 #[derive(Debug, PartialEq)]
@@ -96,17 +96,17 @@ fn run_traced(spec: &KvWorkloadSpec, cluster: Cluster, batch: usize) -> (KvObser
     (obs, doc)
 }
 
-fn config_with_shards(shards: usize) -> SystemConfig {
+/// The scaled-down system with the trace sinks on.
+fn traced() -> SystemConfig {
     let mut config = SystemConfig::scaled_down();
-    config.sim.shards = shards;
+    config.sim.trace = TraceConfig::on();
     config
 }
 
-fn traced_config(shards: usize, exec: ExecMode) -> SystemConfig {
-    let mut config = config_with_shards(shards);
-    config.sim.exec = exec;
-    config.sim.trace = TraceConfig::on();
-    config
+/// The 4-node, 4-lane ring of `Cluster::ring`, built under `base` on
+/// `lane`.
+fn ring4(lane: &Lane, base: &SystemConfig) -> Cluster {
+    lane.cluster(Topology::ring(4, 4), base)
 }
 
 fn small_spec(nodes: usize) -> KvWorkloadSpec {
@@ -126,14 +126,11 @@ fn small_spec(nodes: usize) -> KvWorkloadSpec {
 #[test]
 fn ring4_kv_identical_at_2_and_4_shards() {
     let spec = small_spec(4);
-    let seq = run(&spec, Cluster::ring(4, &config_with_shards(1)).unwrap(), 64);
+    let base = SystemConfig::scaled_down();
+    let seq = assert_lanes_agree(&Lane::ONE, &TWO_AND_FOUR, |lane| run(&spec, ring4(lane, &base), 64));
     assert_eq!(spec.total_keys(), 480);
     assert!(seq.summary.errors == 0);
     assert!(seq.summary.get_hits > 0 && seq.summary.get_misses > 0);
-    for shards in [2, 4] {
-        let sharded = run(&spec, Cluster::ring(4, &config_with_shards(shards)).unwrap(), 64);
-        assert_eq!(seq, sharded, "{shards}-shard KV run diverged from sequential");
-    }
 }
 
 #[test]
@@ -144,22 +141,21 @@ fn mesh_kv_with_multi_page_values_matches() {
     spec.keys_per_tenant = 40;
     spec.churn_ops = 160;
     spec.value_bytes = 3 * 2048 + 123; // 4 pages at scaled-down geometry
-    let topo = || Topology::mesh2d(3, 3);
-    let seq = run(&spec, Cluster::new(topo(), &config_with_shards(1)).unwrap(), 48);
+    let base = SystemConfig::scaled_down();
+    let seq = assert_lanes_agree(&Lane::ONE, &TWO_AND_FOUR, |lane| {
+        run(&spec, lane.cluster(Topology::mesh2d(3, 3), &base), 48)
+    });
     assert_eq!(seq.summary.errors, 0);
-    for shards in [2, 4] {
-        let sharded = run(&spec, Cluster::new(topo(), &config_with_shards(shards)).unwrap(), 48);
-        assert_eq!(seq, sharded, "{shards}-shard multi-page run diverged");
-    }
 }
 
 #[test]
 fn kv_runs_are_bit_repeatable_per_engine() {
     let spec = small_spec(4);
-    for shards in [1, 4] {
-        let a = run(&spec, Cluster::ring(4, &config_with_shards(shards)).unwrap(), 32);
-        let b = run(&spec, Cluster::ring(4, &config_with_shards(shards)).unwrap(), 32);
-        assert_eq!(a, b, "{shards}-shard run not repeatable");
+    let base = SystemConfig::scaled_down();
+    for lane in [Lane::ONE, Lane::new(4, ExecMode::Cooperative)] {
+        let a = run(&spec, ring4(&lane, &base), 32);
+        let b = run(&spec, ring4(&lane, &base), 32);
+        assert_eq!(a, b, "{lane} run not repeatable");
     }
 }
 
@@ -170,13 +166,12 @@ fn batch_size_does_not_change_results() {
     // each drive round runs the engines to quiescence, so round
     // boundaries — and e.g. how often parked pages resume — shift.)
     let spec = small_spec(4);
-    let a = run(&spec, Cluster::ring(4, &config_with_shards(1)).unwrap(), 16);
-    let b = run(&spec, Cluster::ring(4, &config_with_shards(2)).unwrap(), 512);
-    assert_eq!(a.summary.digest, b.summary.digest);
-    assert_eq!(a.summary.ops, b.summary.ops);
-    assert_eq!(a.summary.get_hits, b.summary.get_hits);
-    assert_eq!(a.keys, b.keys);
-    assert_eq!(a.flash_pages_in_use, b.flash_pages_in_use);
+    let base = SystemConfig::scaled_down();
+    assert_lanes_agree(&Lane::ONE, &[Lane::new(2, ExecMode::Threads)], |lane| {
+        let batch = if lane.shards == 1 { 16 } else { 512 };
+        let o = run(&spec, ring4(lane, &base), batch);
+        (o.summary.digest, o.summary.ops, o.summary.get_hits, o.keys, o.flash_pages_in_use)
+    });
 }
 
 #[test]
@@ -185,33 +180,21 @@ fn trace_digest_identical_across_all_engines() {
     // must XOR-fold to the same digest on every engine at every shard
     // count — the merged trace is *observably* the same run.
     let spec = small_spec(4);
-    let (seq_obs, seq_doc) =
-        run_traced(&spec, Cluster::ring(4, &traced_config(1, ExecMode::Auto)).unwrap(), 64);
-    assert_eq!(seq_doc.dropped(), 0, "conformance topology must fit the ring");
-    assert!(seq_doc.count(TraceCat::KvOp) > 0, "KV lifecycle must be traced");
-    assert!(seq_doc.count(TraceCat::Dispatch) > 0, "dispatch must be traced");
-    let stable = seq_doc.digest_stable(STABLE_CATEGORIES);
-    for (shards, exec) in common::SHARDED_LANES {
-        let (obs, doc) = run_traced(
-            &spec,
-            Cluster::ring(4, &traced_config(shards, exec)).unwrap(),
-            64,
-        );
-        assert_eq!(seq_obs, obs, "{exec:?}@{shards} observation diverged");
-        assert_eq!(doc.dropped(), 0, "{exec:?}@{shards} dropped records");
-        assert_eq!(
-            doc.digest_stable(STABLE_CATEGORIES),
-            stable,
-            "{exec:?}@{shards} stable trace digest diverged from sequential"
-        );
-    }
+    let (_, dropped, _, kv_ops, dispatched) = assert_lanes_agree(&Lane::ONE, &SHARDED_LANES, |lane| {
+        let (obs, doc) = run_traced(&spec, ring4(lane, &traced()), 64);
+        let stable = doc.digest_stable(STABLE_CATEGORIES);
+        (obs, doc.dropped(), stable, doc.count(TraceCat::KvOp), doc.count(TraceCat::Dispatch) > 0)
+    });
+    assert_eq!(dropped, 0, "conformance topology must fit the ring");
+    assert!(kv_ops > 0, "KV lifecycle must be traced");
+    assert!(dispatched, "dispatch must be traced");
 }
 
-/// Tiny-geometry system whose churn phase runs past the GC watermark,
-/// so collection traffic (victim / move / erase instants in the `Gc`
-/// trace category) interleaves with foreground KV ops.
-fn gc_traced_config(shards: usize, exec: ExecMode) -> SystemConfig {
-    let mut config = traced_config(shards, exec);
+/// Tiny-geometry traced system whose churn phase runs past the GC
+/// watermark, so collection traffic (victim / move / erase instants in
+/// the `Gc` trace category) interleaves with foreground KV ops.
+fn gc_traced() -> SystemConfig {
+    let mut config = traced();
     config.flash.geometry = FlashGeometry::tiny();
     config
 }
@@ -240,26 +223,14 @@ fn gc_active_trace_digest_identical_across_all_engines() {
     // too: every engine must report the identical victim / relocation /
     // erase sequence, not just the same KV results.
     let spec = gc_spec(4);
-    let (seq_obs, seq_doc) =
-        run_traced(&spec, Cluster::ring(4, &gc_traced_config(1, ExecMode::Auto)).unwrap(), 64);
-    assert_eq!(seq_obs.summary.errors, 0);
-    assert!(seq_obs.gc.erases > 0, "churn must collect: {:?}", seq_obs.gc);
-    assert!(seq_obs.gc.relocated > 0, "victims must carry live pages: {:?}", seq_obs.gc);
-    assert!(seq_doc.count(TraceCat::Gc) > 0, "GC lifecycle must be traced");
-    let stable = seq_doc.digest_stable(STABLE_CATEGORIES);
-    for (shards, exec) in common::SHARDED_LANES {
-        let (obs, doc) = run_traced(
-            &spec,
-            Cluster::ring(4, &gc_traced_config(shards, exec)).unwrap(),
-            64,
-        );
-        assert_eq!(seq_obs, obs, "{exec:?}@{shards} GC-active observation diverged");
-        assert_eq!(
-            doc.digest_stable(STABLE_CATEGORIES),
-            stable,
-            "{exec:?}@{shards} GC-active stable digest diverged"
-        );
-    }
+    let (seq, _, gc_records) = assert_lanes_agree(&Lane::ONE, &SHARDED_LANES, |lane| {
+        let (obs, doc) = run_traced(&spec, ring4(lane, &gc_traced()), 64);
+        (obs, doc.digest_stable(STABLE_CATEGORIES), doc.count(TraceCat::Gc))
+    });
+    assert_eq!(seq.summary.errors, 0);
+    assert!(seq.gc.erases > 0, "churn must collect: {:?}", seq.gc);
+    assert!(seq.gc.relocated > 0, "victims must carry live pages: {:?}", seq.gc);
+    assert!(gc_records > 0, "GC lifecycle must be traced");
 }
 
 #[test]
@@ -268,19 +239,14 @@ fn trace_reruns_are_bit_identical_per_engine() {
     // timestamps, shard ids and per-shard sequence numbers — pins
     // rerun-for-rerun bit identity of the whole merged trace.
     let spec = small_spec(4);
-    for (shards, exec) in [
-        (1, ExecMode::Auto),
-        (2, ExecMode::Threads),
-        (2, ExecMode::Cooperative),
-    ] {
-        let mk = || Cluster::ring(4, &traced_config(shards, exec)).unwrap();
-        let (_, a) = run_traced(&spec, mk(), 64);
-        let (_, b) = run_traced(&spec, mk(), 64);
-        assert_eq!(a.len(), b.len(), "{exec:?}@{shards} record counts diverged");
+    for lane in [Lane::ONE].iter().chain(&SHARDED_LANES[..2]) {
+        let (_, a) = run_traced(&spec, ring4(lane, &traced()), 64);
+        let (_, b) = run_traced(&spec, ring4(lane, &traced()), 64);
+        assert_eq!(a.len(), b.len(), "{lane} record counts diverged");
         assert_eq!(
             a.digest_full(ALL_CATEGORIES),
             b.digest_full(ALL_CATEGORIES),
-            "{exec:?}@{shards} rerun trace not bit-identical"
+            "{lane} rerun trace not bit-identical"
         );
     }
 }
@@ -292,130 +258,67 @@ fn threads_and_cooperative_produce_the_same_full_trace() {
     // instants, mailbox flushes — must match record for record.
     let spec = small_spec(4);
     for shards in [2, 4] {
-        let (_, t) = run_traced(
-            &spec,
-            Cluster::ring(4, &traced_config(shards, ExecMode::Threads)).unwrap(),
-            64,
-        );
-        let (_, c) = run_traced(
-            &spec,
-            Cluster::ring(4, &traced_config(shards, ExecMode::Cooperative)).unwrap(),
-            64,
-        );
-        assert_eq!(t.len(), c.len(), "{shards}-shard record counts diverged");
-        assert_eq!(
-            t.digest_full(ALL_CATEGORIES),
-            c.digest_full(ALL_CATEGORIES),
-            "{shards}-shard threads/cooperative traces diverged"
-        );
+        let cooperative = Lane::new(shards, ExecMode::Cooperative);
+        assert_lanes_agree(&Lane::new(shards, ExecMode::Threads), &[cooperative], |lane| {
+            let (_, doc) = run_traced(&spec, ring4(lane, &traced()), 64);
+            (doc.len(), doc.digest_full(ALL_CATEGORIES))
+        });
     }
 }
 
-/// Deterministic mixer for the property test's derived choices.
-fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Random topology × random partition map × random workload seed:
-    /// sharded (2 and 4 shards) and sequential runs of the same KV
-    /// workload must produce identical observations and pass every
-    /// audit.
-    #[test]
-    fn random_topology_partition_and_seed_match_sequential(
-        shape in 0u8..3,
-        size in 6usize..11,
-        seed: u64,
-    ) {
-        let topo = || match shape {
-            0 => Topology::ring(size, 2),
-            1 => Topology::line(size, 2),
-            _ => Topology::mesh2d(3, size.div_ceil(3)),
-        };
-        let nodes = topo().node_count();
+/// Random topology × random partition map × random workload seed:
+/// sharded (up to 2 and up to 4 shards) and sequential runs of the same
+/// KV workload must produce identical observations and pass every
+/// audit.
+#[test]
+fn random_topology_partition_and_seed_match_sequential() {
+    check("random_topology_partition_and_seed_match_sequential", 6, |s| {
+        let topo = common::topology(s, 3, 6..11);
+        let nodes = topo.node_count();
         let mut spec = small_spec(nodes);
         spec.keys_per_tenant = 60;
         spec.churn_ops = 200;
-        spec.seed = seed;
-        let seq = run(&spec, Cluster::new(topo(), &config_with_shards(1)).unwrap(), 40);
-        for shards in [2u32, 4] {
-            // Random node -> shard map over up to `shards` shards,
-            // relabelled dense from 0 (a draw can miss an id, and
-            // `Cluster::with_partition` rejects a map with an empty
-            // shard).
-            let drawn: Vec<u32> = (0..nodes)
-                .map(|n| if n == 0 { 0 } else { (mix(seed ^ (n as u64) << 8) % u64::from(shards)) as u32 })
-                .collect();
-            let mut ids = drawn.clone();
-            ids.sort_unstable();
-            ids.dedup();
-            let partition: Vec<u32> = drawn
-                .iter()
-                .map(|s| ids.binary_search(s).expect("own id") as u32)
-                .collect();
-            let cluster = Cluster::with_partition(topo(), &config_with_shards(1), &partition).unwrap();
-            let sharded = run(&spec, cluster, 40);
-            prop_assert!(
-                seq == sharded,
-                "shards={shards} partition={partition:?} diverged: seq={seq:?} sharded={sharded:?}"
-            );
-        }
-    }
+        spec.seed = s.any_u64();
+        let lanes = [2, 4].map(|shards| Lane::partitioned(common::partition(s, nodes, shards)));
+        let base = SystemConfig::scaled_down();
+        assert_lanes_agree(&Lane::ONE, &lanes, |lane| run(&spec, lane.cluster(topo.clone(), &base), 40));
+    });
+}
 
-    /// Turning the trace sinks on must never perturb a run: every
-    /// arbitration-independent observable of a traced run equals the
-    /// untraced run's, on both engines, for any workload seed.
-    #[test]
-    fn trace_capture_never_perturbs_results(
-        seed: u64,
-        shards in 1usize..5,
-        cooperative: bool,
-    ) {
-        let exec = if cooperative { ExecMode::Cooperative } else { ExecMode::Threads };
+/// Turning the trace sinks on must never perturb a run: every
+/// arbitration-independent observable of a traced run equals the
+/// untraced run's, on both engines, for any workload seed.
+#[test]
+fn trace_capture_never_perturbs_results() {
+    check("trace_capture_never_perturbs_results", 6, |s| {
         let mut spec = small_spec(4);
         spec.keys_per_tenant = 40;
         spec.churn_ops = 120;
-        spec.seed = seed;
-        let mut off_config = config_with_shards(shards);
-        off_config.sim.exec = exec;
-        let off = run(&spec, Cluster::ring(4, &off_config).unwrap(), 32);
-        let (on, doc) =
-            run_traced(&spec, Cluster::ring(4, &traced_config(shards, exec)).unwrap(), 32);
-        prop_assert!(
-            off == on,
-            "tracing perturbed the run (shards={shards} exec={exec:?}): off={off:?} on={on:?}"
-        );
-        prop_assert!(!doc.is_empty(), "enabled sinks must capture records");
-    }
+        spec.seed = s.any_u64();
+        let lane = common::exec_lane(s, 1..5);
+        let off = run(&spec, ring4(&lane, &SystemConfig::scaled_down()), 32);
+        let (on, doc) = run_traced(&spec, ring4(&lane, &traced()), 32);
+        assert_eq!(off, on, "tracing perturbed the run on {lane}");
+        assert!(!doc.is_empty(), "enabled sinks must capture records");
+    });
+}
 
-    /// Capture must never perturb *collection* either: with churn past
-    /// the GC watermark, the traced and untraced runs must agree on
-    /// every lifecycle counter (erases, relocations, WA) and every KV
-    /// observable, for any seed on either sharded engine.
-    #[test]
-    fn trace_capture_never_perturbs_gc(
-        seed: u64,
-        shards in 1usize..5,
-        cooperative: bool,
-    ) {
-        let exec = if cooperative { ExecMode::Cooperative } else { ExecMode::Threads };
+/// Capture must never perturb *collection* either: with churn past
+/// the GC watermark, the traced and untraced runs must agree on
+/// every lifecycle counter (erases, relocations, WA) and every KV
+/// observable, for any seed on either sharded engine.
+#[test]
+fn trace_capture_never_perturbs_gc() {
+    check("trace_capture_never_perturbs_gc", 6, |s| {
         let mut spec = gc_spec(4);
-        spec.seed = seed;
-        let mut off_config = gc_traced_config(shards, exec);
-        off_config.sim.trace = TraceConfig::default();
-        let off = run(&spec, Cluster::ring(4, &off_config).unwrap(), 64);
-        prop_assert!(off.gc.erases > 0, "churn must collect: {:?}", off.gc);
-        let (on, doc) =
-            run_traced(&spec, Cluster::ring(4, &gc_traced_config(shards, exec)).unwrap(), 64);
-        prop_assert!(
-            off == on,
-            "tracing perturbed GC (shards={shards} exec={exec:?}): off={off:?} on={on:?}"
-        );
-        prop_assert!(doc.count(TraceCat::Gc) > 0, "GC activity must be captured");
-    }
+        spec.seed = s.any_u64();
+        let lane = common::exec_lane(s, 1..5);
+        let mut untraced = gc_traced();
+        untraced.sim.trace = TraceConfig::default();
+        let off = run(&spec, ring4(&lane, &untraced), 64);
+        assert!(off.gc.erases > 0, "churn must collect: {:?}", off.gc);
+        let (on, doc) = run_traced(&spec, ring4(&lane, &gc_traced()), 64);
+        assert_eq!(off, on, "tracing perturbed GC on {lane}");
+        assert!(doc.count(TraceCat::Gc) > 0, "GC activity must be captured");
+    });
 }

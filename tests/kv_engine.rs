@@ -15,9 +15,8 @@
 
 mod common;
 
-use proptest::prelude::*;
-
 use bluedbm::core::{Cluster, KvStore, NodeId, SystemConfig};
+use bluedbm_check::check;
 use common::Draw;
 
 fn store(nodes: usize) -> KvStore {
@@ -33,28 +32,24 @@ fn check_schedule(steps: Vec<Draw>, chunk: usize) {
     common::check_schedule(&mut s, NODES, steps, chunk);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+/// Fully concurrent: every op of the schedule is submitted before a
+/// single drive, so same-key runs pile onto the gates and different
+/// keys flood the cluster at one instant.
+#[test]
+fn random_concurrent_churn_agrees_with_oracle() {
+    check("random_concurrent_churn_agrees_with_oracle", 8, |s| {
+        check_schedule(s.vec(1..120, common::draw), usize::MAX);
+    });
+}
 
-    /// Fully concurrent: every op of the schedule is submitted before a
-    /// single drive, so same-key runs pile onto the gates and different
-    /// keys flood the cluster at one instant.
-    #[test]
-    fn random_concurrent_churn_agrees_with_oracle(
-        steps in proptest::collection::vec((proptest::num::u8::ANY, proptest::num::u8::ANY, proptest::num::u16::ANY), 20..120),
-    ) {
-        check_schedule(steps, usize::MAX);
-    }
-
-    /// Interleaved: drive every few ops, so schedules cross round
-    /// boundaries and freed extents get recycled mid-schedule.
-    #[test]
-    fn random_interleaved_churn_agrees_with_oracle(
-        steps in proptest::collection::vec((proptest::num::u8::ANY, proptest::num::u8::ANY, proptest::num::u16::ANY), 20..120),
-        chunk in 3usize..17,
-    ) {
-        check_schedule(steps, chunk);
-    }
+/// Interleaved: drive every few ops, so schedules cross round
+/// boundaries and freed extents get recycled mid-schedule.
+#[test]
+fn random_interleaved_churn_agrees_with_oracle() {
+    check("random_interleaved_churn_agrees_with_oracle", 8, |s| {
+        let steps = s.vec(1..120, common::draw);
+        check_schedule(steps, s.range(3..17));
+    });
 }
 
 #[test]

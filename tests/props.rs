@@ -2,53 +2,58 @@
 
 mod common;
 
-use proptest::prelude::*;
-
 use bluedbm::flash::ecc::{self, Decoded};
 use bluedbm::flash::{FlashArray, FlashGeometry};
 use bluedbm::isp::mp::MpMatcher;
 use bluedbm::net::{NodeId, RoutingTable, Topology};
 use bluedbm::sim::time::SimTime;
 use bluedbm::sim::{PageRef, PageStore};
+use bluedbm_check::{check, Source};
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// A byte, over its whole range.
+fn byte(s: &mut Source) -> u8 {
+    s.below(256) as u8
+}
 
-    /// SECDED corrects any single flipped bit of the 72-bit codeword.
-    #[test]
-    fn ecc_corrects_any_single_flip(data: u64, bit in 0usize..72) {
+/// SECDED corrects any single flipped bit of the 72-bit codeword.
+#[test]
+fn ecc_corrects_any_single_flip() {
+    check("ecc_corrects_any_single_flip", 128, |s| {
+        let (data, bit) = (s.any_u64(), s.range(0usize..72));
         let parity = ecc::encode(data);
         let (d, p) = if bit < 64 {
             (data ^ (1u64 << bit), parity)
         } else {
             (data, parity ^ (1u8 << (bit - 64)))
         };
-        prop_assert_eq!(ecc::decode(d, p), Decoded::Corrected(data));
-    }
+        assert_eq!(ecc::decode(d, p), Decoded::Corrected(data));
+    });
+}
 
-    /// SECDED never mis-corrects a double flip into the wrong word: it
-    /// either reports uncorrectable or (for flips involving the overall
-    /// parity bit) recovers the original data.
-    #[test]
-    fn ecc_never_silently_corrupts_on_double_flip(
-        data: u64,
-        b1 in 0usize..64,
-        b2 in 0usize..64,
-    ) {
-        prop_assume!(b1 != b2);
+/// SECDED never mis-corrects a double flip into the wrong word: it
+/// either reports uncorrectable or (for flips involving the overall
+/// parity bit) recovers the original data.
+#[test]
+fn ecc_never_silently_corrupts_on_double_flip() {
+    check("ecc_never_silently_corrupts_on_double_flip", 128, |s| {
+        let data = s.any_u64();
+        // Two distinct bits: the second is 1..64 places past the first.
+        let b1 = s.below(64);
+        let b2 = (b1 + 1 + s.below(63)) % 64;
         let parity = ecc::encode(data);
         let corrupted = data ^ (1u64 << b1) ^ (1u64 << b2);
-        prop_assert_eq!(ecc::decode(corrupted, parity), Decoded::Uncorrectable);
-    }
+        assert_eq!(ecc::decode(corrupted, parity), Decoded::Uncorrectable);
+    });
+}
 
-    /// Morris-Pratt equals naive search for arbitrary inputs and
-    /// arbitrary stream split points.
-    #[test]
-    fn mp_equals_naive_under_any_split(
-        hay in proptest::collection::vec(0u8..3, 0..400),
-        pat in proptest::collection::vec(0u8..3, 1..6),
-        split in 0usize..400,
-    ) {
+/// Morris-Pratt equals naive search for arbitrary inputs and
+/// arbitrary stream split points.
+#[test]
+fn mp_equals_naive_under_any_split() {
+    check("mp_equals_naive_under_any_split", 128, |s| {
+        let hay = s.vec(0..400, |s| s.range(0u8..3));
+        let pat = s.vec(1..6, |s| s.range(0u8..3));
+        let split = s.range(0usize..400);
         let naive: Vec<u64> = (0..hay.len().saturating_sub(pat.len() - 1))
             .filter(|&i| hay[i..i + pat.len()] == pat[..])
             .map(|i| i as u64)
@@ -57,17 +62,18 @@ proptest! {
         let split = split.min(hay.len());
         m.feed(&hay[..split]);
         m.feed(&hay[split..]);
-        prop_assert_eq!(m.matches(), &naive[..]);
-    }
+        assert_eq!(m.matches(), &naive[..]);
+    });
+}
 
-    /// On any connected random topology, deterministic routing reaches
-    /// every destination on a shortest path, for every endpoint.
-    #[test]
-    fn routing_always_finds_shortest_paths(
-        n in 3usize..10,
-        extra_edges in proptest::collection::vec((0usize..10, 0usize..10), 0..8),
-        endpoint in 0u16..8,
-    ) {
+/// On any connected random topology, deterministic routing reaches
+/// every destination on a shortest path, for every endpoint.
+#[test]
+fn routing_always_finds_shortest_paths() {
+    check("routing_always_finds_shortest_paths", 128, |s| {
+        let n = s.range(3usize..10);
+        let extra_edges = s.vec(0..8, |s| (s.range(0usize..10), s.range(0usize..10)));
+        let endpoint = s.range(0u16..8);
         // A ring guarantees connectivity; extra edges add diversity.
         let mut topo = Topology::ring(n, 1);
         for (a, b) in extra_edges {
@@ -85,21 +91,22 @@ proptest! {
             for (dst, &want) in dist.iter().enumerate().take(n) {
                 if src == dst { continue; }
                 let path = table.path(&topo, NodeId::from(src), NodeId::from(dst), endpoint);
-                prop_assert_eq!(path.len() as u32 - 1, want);
-                prop_assert_eq!(*path.last().unwrap(), NodeId::from(dst));
+                assert_eq!(path.len() as u32 - 1, want);
+                assert_eq!(*path.last().unwrap(), NodeId::from(dst));
             }
         }
-    }
+    });
+}
 
-    /// The page store never hands out a stale handle, under any
-    /// interleaving of allocations, frees and slot reuse: live handles
-    /// always read back exactly their contents, freed handles never
-    /// become live again (generation tagging), and the live count always
-    /// matches a reference model.
-    #[test]
-    fn pagestore_interleavings_never_alias(
-        ops in proptest::collection::vec((0u8..5, 0usize..64, 1usize..96), 1..160),
-    ) {
+/// The page store never hands out a stale handle, under any
+/// interleaving of allocations, frees and slot reuse: live handles
+/// always read back exactly their contents, freed handles never
+/// become live again (generation tagging), and the live count always
+/// matches a reference model.
+#[test]
+fn pagestore_interleavings_never_alias() {
+    check("pagestore_interleavings_never_alias", 128, |s| {
+        let ops = s.vec(1..160, |s| (s.range(0u8..5), s.range(0usize..64), s.range(1usize..96)));
         let mut store = PageStore::new();
         let mut live: Vec<(PageRef, Vec<u8>)> = Vec::new();
         let mut dead: Vec<PageRef> = Vec::new();
@@ -111,7 +118,7 @@ proptest! {
                     stamp = stamp.wrapping_add(1);
                     let data = vec![stamp; len];
                     let r = store.alloc_from(&data);
-                    prop_assert!(
+                    assert!(
                         dead.iter().all(|&d| d != r),
                         "recycled slot must carry a new generation"
                     );
@@ -121,59 +128,59 @@ proptest! {
                 2 => if !live.is_empty() {
                     let (r, _) = live.remove(pick % live.len());
                     store.free(r);
-                    prop_assert!(!store.is_live(r));
+                    assert!(!store.is_live(r));
                     dead.push(r);
                 }
                 // Read a random live page back.
                 3 => if !live.is_empty() {
                     let (r, data) = &live[pick % live.len()];
-                    prop_assert_eq!(store.get(*r), &data[..]);
-                    prop_assert_eq!(store.len(*r), data.len());
+                    assert_eq!(store.get(*r), &data[..]);
+                    assert_eq!(store.len(*r), data.len());
                 }
                 // Every dead handle stays dead; every live handle stays live.
                 _ => {
-                    prop_assert!(dead.iter().all(|&d| !store.is_live(d)));
-                    prop_assert!(live.iter().all(|(r, _)| store.is_live(*r)));
+                    assert!(dead.iter().all(|&d| !store.is_live(d)));
+                    assert!(live.iter().all(|(r, _)| store.is_live(*r)));
                 }
             }
         }
         // The audit agrees with the model: it passes exactly when the
         // model says nothing is live (`live_pages` is what it checks).
-        prop_assert_eq!(store.live_pages(), live.len());
+        assert_eq!(store.live_pages(), live.len());
         for (r, data) in &live {
-            prop_assert_eq!(store.get(*r), &data[..]); // contents survive to the end
+            assert_eq!(store.get(*r), &data[..]); // contents survive to the end
         }
         for (r, _) in live {
             store.free(r);
         }
         store.assert_quiescent();
-    }
-
-    /// SimTime arithmetic: associativity of addition and consistency of
-    /// multiplication, over sane ranges.
-    #[test]
-    fn simtime_arithmetic_laws(a in 0u64..1u64 << 40, b in 0u64..1u64 << 40, k in 0u64..1000) {
-        let ta = SimTime::ps(a);
-        let tb = SimTime::ps(b);
-        prop_assert_eq!(ta + tb, tb + ta);
-        prop_assert_eq!((ta + tb).saturating_sub(tb), ta);
-        prop_assert_eq!(ta * k, SimTime::ps(a * k));
-        prop_assert_eq!(ta.max(tb).min(ta), ta.min(tb).max(ta));
-    }
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// SimTime arithmetic: associativity of addition and consistency of
+/// multiplication, over sane ranges.
+#[test]
+fn simtime_arithmetic_laws() {
+    check("simtime_arithmetic_laws", 128, |s| {
+        let (a, b, k) = (s.range(0u64..1 << 40), s.range(0u64..1 << 40), s.range(0u64..1000));
+        let ta = SimTime::ps(a);
+        let tb = SimTime::ps(b);
+        assert_eq!(ta + tb, tb + ta);
+        assert_eq!((ta + tb).saturating_sub(tb), ta);
+        assert_eq!(ta * k, SimTime::ps(a * k));
+        assert_eq!(ta.max(tb).min(ta), ta.min(tb).max(ta));
+    });
+}
 
-    /// Word count over any byte stream equals itself under any page
-    /// split (the combiner's straddle-carrying invariant).
-    #[test]
-    fn wordcount_split_invariance(
-        text in proptest::collection::vec(proptest::num::u8::ANY, 0..300),
-        split in 0usize..300,
-    ) {
+/// Word count over any byte stream equals itself under any page
+/// split (the combiner's straddle-carrying invariant).
+#[test]
+fn wordcount_split_invariance() {
+    check("wordcount_split_invariance", 64, |s| {
         use bluedbm::isp::wordcount::WordCountEngine;
         use bluedbm::isp::Accelerator;
+        let text = s.vec(0..300, byte);
+        let split = s.range(0usize..300);
         let mut whole = WordCountEngine::new();
         whole.consume(0, &text);
         whole.finish();
@@ -182,18 +189,19 @@ proptest! {
         halves.consume(0, &text[..split]);
         halves.consume(1, &text[split..]);
         halves.finish();
-        prop_assert_eq!(whole.into_table(), halves.into_table());
-    }
+        assert_eq!(whole.into_table(), halves.into_table());
+    });
+}
 
-    /// Aggregation is page-decomposition invariant: any chunking of the
-    /// record stream yields the same group table.
-    #[test]
-    fn aggregation_chunking_invariance(
-        rows in proptest::collection::vec((0u64..8, 0u64..1000), 1..200),
-        chunk in 1usize..32,
-    ) {
+/// Aggregation is page-decomposition invariant: any chunking of the
+/// record stream yields the same group table.
+#[test]
+fn aggregation_chunking_invariance() {
+    check("aggregation_chunking_invariance", 64, |s| {
         use bluedbm::isp::aggregate::{AggregateEngine, AggregateOp};
         use bluedbm::isp::Accelerator;
+        let rows = s.vec(1..200, |s| (s.range(0u64..8), s.range(0u64..1000)));
+        let chunk = s.range(1usize..32);
         let page_of = |rows: &[(u64, u64)]| {
             let mut p = Vec::with_capacity(rows.len() * 16);
             for &(k, v) in rows {
@@ -208,26 +216,20 @@ proptest! {
         for (i, c) in rows.chunks(chunk).enumerate() {
             chunked.consume(i as u64, &page_of(c));
         }
-        prop_assert_eq!(whole.into_table(), chunked.into_table());
-    }
+        assert_eq!(whole.into_table(), chunked.into_table());
+    });
 }
 
-proptest! {
-    // Heavier model-based test: fewer cases.
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The log-structured file system behaves exactly like an in-memory
-    /// map of name -> bytes under any sequence of create / write /
-    /// append / delete / read operations, cleaner churn included.
-    #[test]
-    fn rfs_matches_map_model(
-        ops in proptest::collection::vec(
-            (0u8..5, 0usize..4, proptest::collection::vec(proptest::num::u8::ANY, 0..1500)),
-            1..60,
-        ),
-    ) {
+/// The log-structured file system behaves exactly like an in-memory
+/// map of name -> bytes under any sequence of create / write /
+/// append / delete / read operations, cleaner churn included. (Heavier
+/// model-based test: fewer cases.)
+#[test]
+fn rfs_matches_map_model() {
+    check("rfs_matches_map_model", 16, |s| {
         use bluedbm::ftl::rfs::{Rfs, RfsConfig};
         use bluedbm::ftl::FtlError;
+        let ops = s.vec(1..60, |s| (s.range(0u8..5), s.range(0usize..4), s.vec(0..1500, byte)));
         let mut fs = Rfs::format(
             FlashArray::new(FlashGeometry::tiny(), 23),
             RfsConfig::default(),
@@ -239,70 +241,67 @@ proptest! {
             let name = names[which];
             match op {
                 0 => match fs.create(name) {
-                    Ok(()) => { prop_assert!(!model.contains_key(name)); model.insert(name.into(), vec![]); }
-                    Err(FtlError::FileExists(_)) => prop_assert!(model.contains_key(name)),
-                    Err(e) => return Err(TestCaseError::fail(format!("create: {e}"))),
+                    Ok(()) => { assert!(!model.contains_key(name)); model.insert(name.into(), vec![]); }
+                    Err(FtlError::FileExists(_)) => assert!(model.contains_key(name)),
+                    Err(e) => panic!("create: {e}"),
                 },
                 1 => match fs.write(name, &data) {
-                    Ok(()) => { prop_assert!(model.contains_key(name)); model.insert(name.into(), data); }
-                    Err(FtlError::NoSuchFile(_)) => prop_assert!(!model.contains_key(name)),
-                    Err(e) => return Err(TestCaseError::fail(format!("write: {e}"))),
+                    Ok(()) => { assert!(model.contains_key(name)); model.insert(name.into(), data); }
+                    Err(FtlError::NoSuchFile(_)) => assert!(!model.contains_key(name)),
+                    Err(e) => panic!("write: {e}"),
                 },
                 2 => match fs.append(name, &data) {
                     Ok(()) => {
-                        prop_assert!(model.contains_key(name));
+                        assert!(model.contains_key(name));
                         model.get_mut(name).expect("checked").extend_from_slice(&data);
                     }
-                    Err(FtlError::NoSuchFile(_)) => prop_assert!(!model.contains_key(name)),
-                    Err(e) => return Err(TestCaseError::fail(format!("append: {e}"))),
+                    Err(FtlError::NoSuchFile(_)) => assert!(!model.contains_key(name)),
+                    Err(e) => panic!("append: {e}"),
                 },
                 3 => match fs.delete(name) {
-                    Ok(()) => { prop_assert!(model.remove(name).is_some()); }
-                    Err(FtlError::NoSuchFile(_)) => prop_assert!(!model.contains_key(name)),
-                    Err(e) => return Err(TestCaseError::fail(format!("delete: {e}"))),
+                    Ok(()) => { assert!(model.remove(name).is_some()); }
+                    Err(FtlError::NoSuchFile(_)) => assert!(!model.contains_key(name)),
+                    Err(e) => panic!("delete: {e}"),
                 },
                 _ => match model.get(name) {
-                    Some(want) => prop_assert_eq!(&fs.read(name).expect("read"), want),
-                    None => prop_assert!(fs.read(name).is_err()),
+                    Some(want) => assert_eq!(&fs.read(name).expect("read"), want),
+                    None => assert!(fs.read(name).is_err()),
                 },
             }
         }
         for (name, want) in &model {
-            prop_assert_eq!(&fs.read(name).expect("final read"), want);
-            prop_assert_eq!(
+            assert_eq!(&fs.read(name).expect("final read"), want);
+            assert_eq!(
                 fs.physical_addrs(name).expect("addrs").len() as u64,
                 (want.len() as u64).div_ceil(fs.page_bytes() as u64)
             );
         }
-    }
-
-    /// The FTL behaves exactly like a hash map under any sequence of
-    /// writes, overwrites, trims and reads (driver shared with the
-    /// other oracle suites via `tests/common`).
-    #[test]
-    fn ftl_matches_hashmap_model(
-        ops in proptest::collection::vec((0u8..3, 0u64..64, 0u8..255), 1..300),
-    ) {
-        common::ftl_matches_model(FlashArray::new(FlashGeometry::tiny(), 3), ops);
-    }
+    });
 }
 
-proptest! {
-    // ~90 000 queue operations per case: a few cases.
-    #![proptest_config(ProptestConfig::with_cases(8))]
+/// The FTL behaves exactly like a hash map under any sequence of
+/// writes, overwrites, trims and reads (driver shared with the
+/// other oracle suites via `tests/common`).
+#[test]
+fn ftl_matches_hashmap_model() {
+    check("ftl_matches_hashmap_model", 16, |s| {
+        let ops = s.vec(1..300, |s| (s.range(0u8..3), s.range(0u64..64), s.range(0u8..255)));
+        common::ftl_matches_model(FlashArray::new(FlashGeometry::tiny(), 3), ops);
+    });
+}
 
-    /// The event queue delivers in exactly `(time, scheduling order)`,
-    /// event for event, against a `BTreeSet` model — at the depth the
-    /// mesh workloads run it (over 20 000 events pending, so every pop
-    /// sifts through seven levels of full four-child groups), with only
-    /// 48 distinct delays (most timestamps are shared by hundreds of
-    /// events) and zero delays among them (the same-instant FIFO
-    /// interleaving with heap entries of the same instant). The
-    /// interleaved phase pops with `step`; the drain with `run`.
-    #[test]
-    fn event_queue_matches_btreemap_model_at_depth(
-        ops in proptest::collection::vec((0u8..8, 0u64..48), 30_000..40_000),
-    ) {
+/// The event queue delivers in exactly `(time, scheduling order)`,
+/// event for event, against a `BTreeSet` model — at the depth the
+/// mesh workloads run it (over 20 000 events pending, so every pop
+/// sifts through seven levels of full four-child groups), with only
+/// 48 distinct delays (most timestamps are shared by hundreds of
+/// events) and zero delays among them (the same-instant FIFO
+/// interleaving with heap entries of the same instant). The
+/// interleaved phase pops with `step`; the drain with `run`. About
+/// 90 000 queue operations per case: a few cases.
+#[test]
+fn event_queue_matches_btreemap_model_at_depth() {
+    check("event_queue_matches_btreemap_model_at_depth", 8, |s| {
         use bluedbm::sim::engine::{Component, Ctx, Simulator};
         use std::collections::BTreeSet;
 
@@ -315,6 +314,7 @@ proptest! {
             }
         }
 
+        let ops = s.vec(30_000..40_000, |s| (s.range(0u8..8), s.range(0u64..48)));
         let mut sim = Simulator::new();
         let log = sim.add_component(Log(Vec::new()));
         // Ids are handed out in scheduling order, so they double as the
@@ -334,20 +334,20 @@ proptest! {
         let mut stepped = 0;
         for (kind, ticks) in ops {
             if kind < 4 {
-                prop_assert!(sim.step());
+                assert!(sim.step());
                 let expected = model.pop_first().expect("model holds what the queue holds");
                 let got = sim.component::<Log>(log).expect("installed").0[stepped];
-                prop_assert_eq!(got, expected);
+                assert_eq!(got, expected);
                 stepped += 1;
             } else {
                 schedule(&mut sim, &mut model, ticks);
             }
-            prop_assert!(sim.pending_events() >= DEPTH, "the walk left the deep regime");
-            prop_assert_eq!(sim.pending_events(), model.len());
+            assert!(sim.pending_events() >= DEPTH, "the walk left the deep regime");
+            assert_eq!(sim.pending_events(), model.len());
         }
         sim.run();
         let delivered = &sim.component::<Log>(log).expect("installed").0[stepped..];
         let expected: Vec<(SimTime, u64)> = model.into_iter().collect();
-        prop_assert_eq!(delivered, &expected[..]);
-    }
+        assert_eq!(delivered, &expected[..]);
+    });
 }

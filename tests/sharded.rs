@@ -21,14 +21,16 @@
 //! property-style over random topologies × random partition maps at 2
 //! and 4 shards.
 
-use proptest::prelude::*;
+mod common;
 
 use bluedbm::core::node::{AgentStats, Consume};
-use bluedbm::core::{Cluster, GlobalPageAddr, NodeId, SystemConfig};
+use bluedbm::core::{Cluster, ExecMode, GlobalPageAddr, NodeId, SystemConfig};
 use bluedbm::flash::controller::CtrlStats;
 use bluedbm::net::router::RouterStats;
 use bluedbm::net::Topology;
 use bluedbm::sim::time::SimTime;
+use bluedbm_check::check;
+use common::{assert_lanes_agree, Lane, TWO_AND_FOUR};
 
 /// The arbitration-independent view of one router: every additive
 /// counter plus the latency histogram's sample count (the distribution
@@ -184,40 +186,26 @@ fn run_scatter(mut cluster: Cluster, pages_per_node: usize, reads_per_node: usiz
     obs
 }
 
-fn config_with_shards(shards: usize) -> SystemConfig {
-    let mut config = SystemConfig::scaled_down();
-    config.sim.shards = shards;
-    config
-}
-
 #[test]
 fn mesh4x4_scatter_identical_at_2_and_4_shards() {
-    let topo = || Topology::mesh2d(4, 4);
-    let seq = run_scatter(
-        Cluster::new(topo(), &config_with_shards(1)).unwrap(),
-        3,
-        6,
-    );
-    for shards in [2, 4] {
-        let sharded = run_scatter(
-            Cluster::new(topo(), &config_with_shards(shards)).unwrap(),
-            3,
-            6,
-        );
-        assert_eq!(seq, sharded, "{shards}-shard run diverged from sequential");
-    }
+    let base = SystemConfig::scaled_down();
+    assert_lanes_agree(&Lane::ONE, &TWO_AND_FOUR, |lane| {
+        run_scatter(lane.cluster(Topology::mesh2d(4, 4), &base), 3, 6)
+    });
 }
 
 #[test]
 fn sharded_write_read_round_trip_with_host_consume() {
     // The full payload path under sharding: local writes, remote reads
     // into host memory (PCIe + read-buffer pool), remote DRAM reads.
-    let run = |shards: usize| {
-        let mut config = config_with_shards(shards);
-        config.host.read_buffers = 4; // force buffer-pool recycling
-        let mut cluster = Cluster::ring(6, &config).unwrap();
-        assert_eq!(cluster.shard_count(), shards);
-        let page_bytes = config.flash.geometry.page_bytes;
+    // Serialized operations are uncontended, so the strict contract
+    // applies: exact clocks, exact latencies, full histograms.
+    let mut base = SystemConfig::scaled_down();
+    base.host.read_buffers = 4; // force buffer-pool recycling
+    assert_lanes_agree(&Lane::ONE, &[Lane::new(3, ExecMode::Cooperative)], |lane| {
+        let mut cluster = lane.cluster(Topology::ring(6, 4), &base);
+        assert_eq!(cluster.shard_count(), lane.shards);
+        let page_bytes = base.flash.geometry.page_bytes;
 
         let mut written = Vec::new();
         for node in 0..6u16 {
@@ -243,34 +231,20 @@ fn sharded_write_read_round_trip_with_host_consume() {
             .read_remote_dram(NodeId(1), NodeId(3), 999, Consume::Isp)
             .unwrap_err();
         cluster.assert_quiescent();
-        // Serialized operations are uncontended, so the strict contract
-        // applies: exact clocks, exact latencies, full histograms.
-        let obs = observe_strict(&mut cluster);
-        (reads, dram, missing.to_string(), obs)
-    };
-    let seq = run(1);
-    let sharded = run(3);
-    assert_eq!(seq.0, sharded.0, "host reads (incl. latencies) diverged");
-    assert_eq!(seq.1, sharded.1, "remote DRAM read diverged");
-    assert_eq!(seq.2, sharded.2, "error path diverged");
-    assert_eq!(seq.3, sharded.3, "strict observations diverged");
+        (reads, dram, missing.to_string(), observe_strict(&mut cluster))
+    });
 }
 
 #[test]
 fn sharded_runs_are_repeatable() {
-    let run = || {
-        run_scatter(
-            Cluster::new(Topology::mesh2d(3, 3), &config_with_shards(4)).unwrap(),
-            2,
-            5,
-        )
-    };
+    let lane = Lane::new(4, ExecMode::Cooperative);
+    let run = || run_scatter(lane.cluster(Topology::mesh2d(3, 3), &SystemConfig::scaled_down()), 2, 5);
     assert_eq!(run(), run());
 }
 
 #[test]
 fn explicit_partition_controls_shard_count() {
-    let config = config_with_shards(1);
+    let config = SystemConfig::scaled_down();
     let cluster = Cluster::with_partition(
         Topology::ring(5, 2),
         &config,
@@ -281,98 +255,39 @@ fn explicit_partition_controls_shard_count() {
     assert_eq!(cluster.partition(), &[0, 1, 0, 2, 1]);
 }
 
-/// Deterministic mulberry-style mixer for the property test's derived
-/// choices (kept local so the test is self-contained).
-fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
-/// Relabel a node -> shard map so that its shard ids are dense from 0:
-/// a random draw can miss an id, and `Cluster::with_partition` rejects
-/// a map with an empty shard.
-fn dense(partition: &[u32]) -> Vec<u32> {
-    let mut ids = partition.to_vec();
-    ids.sort_unstable();
-    ids.dedup();
-    partition
-        .iter()
-        .map(|s| ids.binary_search(s).expect("own id") as u32)
-        .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// Random topology × random partition map: every per-pair lookahead
-    /// between mutually reachable shards is exactly `hop_latency x` the
-    /// shard hop distance.
-    #[test]
-    fn pair_lookaheads_are_hop_latency_times_shard_distance(
-        shape in 0u8..3,
-        size in 6usize..13,
-        seed: u64,
-    ) {
-        let topo = || match shape {
-            0 => Topology::ring(size, 2),
-            1 => Topology::line(size, 2),
-            _ => Topology::mesh2d(3, size.div_ceil(3)),
-        };
-        let nodes = topo().node_count();
-        for draw in [2u32, 4] {
-            let partition: Vec<u32> = (0..nodes)
-                .map(|n| if n == 0 { 0 } else { (mix(seed ^ (n as u64) << 8) % u64::from(draw)) as u32 })
-                .collect();
-            let partition = dense(&partition);
-            let config = config_with_shards(1);
-            let cluster = Cluster::with_partition(topo(), &config, &partition).unwrap();
-            let hop = config.net.hop_latency;
-            let dists = topo().shard_distances(&partition, cluster.shard_count());
-            for (s, row) in dists.iter().enumerate() {
-                for (r, &d) in row.iter().enumerate() {
-                    if s != r && d != u32::MAX {
-                        let l = cluster.lookahead_between(s, r).unwrap();
-                        prop_assert_eq!(l, hop * u64::from(d));
+/// Random topology × random partition map: every per-pair lookahead
+/// between mutually reachable shards is exactly `hop_latency x` the
+/// shard hop distance.
+#[test]
+fn pair_lookaheads_are_hop_latency_times_shard_distance() {
+    check("pair_lookaheads_are_hop_latency_times_shard_distance", 10, |s| {
+        let topo = common::topology(s, 3, 6..13);
+        let config = SystemConfig::scaled_down();
+        let hop = config.net.hop_latency;
+        for shards in [2, 4] {
+            let lane = Lane::partitioned(common::partition(s, topo.node_count(), shards));
+            let cluster = lane.cluster(topo.clone(), &config);
+            let dists = topo.shard_distances(lane.partition.as_deref().unwrap(), cluster.shard_count());
+            for (from, row) in dists.iter().enumerate() {
+                for (to, &d) in row.iter().enumerate() {
+                    if from != to && d != u32::MAX {
+                        assert_eq!(cluster.lookahead_between(from, to).unwrap(), hop * u64::from(d), "{lane}");
                     }
                 }
             }
         }
-    }
+    });
+}
 
-    /// Random topology × random partition map: sharded (2 and 4 shards)
-    /// and sequential runs of the same scatter workload must produce
-    /// identical observations and pass the leak audit.
-    #[test]
-    fn random_topology_and_partition_match_sequential(
-        shape in 0u8..3,
-        size in 6usize..13,
-        seed: u64,
-    ) {
-        let topo = || match shape {
-            0 => Topology::ring(size, 2),
-            1 => Topology::line(size, 2),
-            _ => Topology::mesh2d(3, size.div_ceil(3)),
-        };
-        let nodes = topo().node_count();
-        let seq = run_scatter(
-            Cluster::new(topo(), &config_with_shards(1)).unwrap(),
-            2,
-            4,
-        );
-        for shards in [2u32, 4] {
-            // Random node -> shard map over up to `shards` shards.
-            let partition: Vec<u32> = (0..nodes)
-                .map(|n| if n == 0 { 0 } else { (mix(seed ^ (n as u64) << 8) % u64::from(shards)) as u32 })
-                .collect();
-            let partition = dense(&partition);
-            let cluster = Cluster::with_partition(topo(), &config_with_shards(1), &partition).unwrap();
-            let sharded = run_scatter(cluster, 2, 4);
-            prop_assert!(
-                seq == sharded,
-                "shards={shards} partition={partition:?} diverged from sequential"
-            );
-        }
-    }
+/// Random topology × random partition map: sharded (up to 2 and up to 4
+/// shards) and sequential runs of the same scatter workload must produce
+/// identical observations and pass the leak audit.
+#[test]
+fn random_topology_and_partition_match_sequential() {
+    check("random_topology_and_partition_match_sequential", 10, |s| {
+        let topo = common::topology(s, 3, 6..13);
+        let lanes = [2, 4].map(|shards| Lane::partitioned(common::partition(s, topo.node_count(), shards)));
+        let base = SystemConfig::scaled_down();
+        assert_lanes_agree(&Lane::ONE, &lanes, |lane| run_scatter(lane.cluster(topo.clone(), &base), 2, 4));
+    });
 }
