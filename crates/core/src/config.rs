@@ -58,10 +58,8 @@ impl HostModel {
     pub fn paper() -> Self {
         HostModel {
             sw_overhead: SimTime::us(100),
-            // detlint::allow(float-sim-time): paper-calibrated constant
-            io_page_overhead: SimTime::from_us_f64(2.7),
-            // detlint::allow(float-sim-time): paper-calibrated constant
-            nn_compare_time: SimTime::from_us_f64(22.9),
+            io_page_overhead: SimTime::ns(2_700),
+            nn_compare_time: SimTime::ns(22_900),
             dram_latency: SimTime::ns(200),
             read_buffers: 128,
             max_threads: 24,

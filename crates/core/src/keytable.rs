@@ -228,7 +228,7 @@ impl<V: Default> KeyTable<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bluedbm_sim::fxhash::FxHashMap;
+    use std::collections::BTreeMap;
 
     /// Keys drawn from a small alphabet of shapes, so sequences revisit
     /// them: short, empty, shared-prefix and long keys.
@@ -243,7 +243,7 @@ mod tests {
 
     /// Every key of `model` is found under its id with its value, every
     /// id is distinct, and the index holds exactly the live ids.
-    fn check(table: &KeyTable<u64>, model: &FxHashMap<Vec<u8>, (u32, u64)>) {
+    fn check(table: &KeyTable<u64>, model: &BTreeMap<Vec<u8>, (u32, u64)>) {
         assert_eq!(table.len(), model.len());
         assert_eq!(table.index.iter().filter(|&&s| s != 0).count(), model.len());
         let mut ids: Vec<u32> = Vec::new();
@@ -259,13 +259,13 @@ mod tests {
     }
 
     /// Any interleaving of intern / update / remove / re-intern agrees
-    /// with a plain hash map.
+    /// with a plain `BTreeMap`.
     #[test]
     fn matches_hashmap_model() {
         bluedbm_check::check("matches_hashmap_model", 64, |s| {
             let ops = s.vec(1..400, |s| (s.range(0u8..4), s.range(0u16..96), s.range(0u64..1000)));
             let mut table: KeyTable<u64> = KeyTable::new();
-            let mut model: FxHashMap<Vec<u8>, (u32, u64)> = FxHashMap::default();
+            let mut model: BTreeMap<Vec<u8>, (u32, u64)> = BTreeMap::new();
             for (op, n, value) in ops {
                 let key = key_of(n);
                 match op {

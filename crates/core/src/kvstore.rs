@@ -649,13 +649,13 @@ impl KvStore {
     /// Write the KV layer's statistics into `reg`: a `kv` scope with
     /// totals plus one `tenant<T>` subtree per tenant (counters and the
     /// end-to-end latency percentiles).
+    #[expect(clippy::disallowed_methods, reason = "the tenants are sorted before use")]
     pub fn fill_metrics(&self, reg: &mut MetricsRegistry) {
         let kv = reg.scope("kv");
         kv.set("keys", self.stored);
         kv.set("in_flight", self.live_ops);
         kv.set("window", self.window);
         kv.set("directory_pages", self.directory_pages);
-        // Sort: FxHashMap iteration order must not leak into the doc.
         let mut tenants: Vec<&TenantId> = self.tenants.keys().collect();
         tenants.sort_unstable();
         for &tenant in tenants {

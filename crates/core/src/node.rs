@@ -344,7 +344,7 @@ pub struct NodeAgent {
 impl NodeAgent {
     /// Build an agent for `node` wired to its router, PCIe link, flash
     /// card frontends and accelerator scheduler.
-    #[allow(clippy::too_many_arguments)] // the cluster builder is the one caller
+    #[expect(clippy::too_many_arguments, reason = "the cluster builder is the one caller")]
     pub fn new(
         node: NodeId,
         router: ComponentId,

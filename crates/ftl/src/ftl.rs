@@ -870,13 +870,13 @@ mod tests {
     /// stepped from the reported outcomes.
     #[test]
     fn table_encoding_round_trips_at_the_edges() {
-        use bluedbm_sim::fxhash::{FxHashMap, FxHashSet};
+        use std::collections::{BTreeMap, BTreeSet};
         /// lba -> where the outcomes so far say it lives, plus every lba
         /// GC has relocated.
         #[derive(Default)]
         struct Model {
-            at: FxHashMap<u64, Ppa>,
-            relocated: FxHashSet<u64>,
+            at: BTreeMap<u64, Ppa>,
+            relocated: BTreeSet<u64>,
         }
         fn write(ftl: &mut Ftl, model: &mut Model, lba: u64) -> Ppa {
             let out = ftl.step_write(lba).unwrap();

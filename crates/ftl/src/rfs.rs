@@ -12,7 +12,7 @@
 //! processors can directly read data from flash with very low latency"
 //! (Figure 8).
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use bluedbm_sim::fxhash::FxHashMap;
 
@@ -82,7 +82,8 @@ struct Plane {
 pub struct Rfs {
     array: FlashArray,
     config: RfsConfig,
-    files: FxHashMap<String, Inode>,
+    /// By name, ordered so [`Rfs::list`] needs no sort.
+    files: BTreeMap<String, Inode>,
     /// Linear page -> (file, page index) for cleaner relocation.
     owner: FxHashMap<usize, (String, u32)>,
     valid: Vec<u32>,
@@ -120,7 +121,7 @@ impl Rfs {
         }
         Ok(Rfs {
             valid: vec![0; geom.total_blocks()],
-            files: FxHashMap::default(),
+            files: BTreeMap::new(),
             owner: FxHashMap::default(),
             planes,
             next_plane: 0,
@@ -184,9 +185,7 @@ impl Rfs {
 
     /// All file names, sorted.
     pub fn list(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.files.keys().cloned().collect();
-        names.sort();
-        names
+        self.files.keys().cloned().collect()
     }
 
     /// **The BlueDBM API**: physical flash addresses of a file, in file

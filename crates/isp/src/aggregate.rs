@@ -239,8 +239,7 @@ mod tests {
         let rows: Vec<(u64, u64)> = (0..2000).map(|_| (rng.below(50), rng.next_u64() >> 32)).collect();
         let mut e = AggregateEngine::new(16, 0, 8, AggregateOp::Max);
         e.consume(0, &page_of(&rows));
-        // detlint::allow(no-std-hasher): deliberately independent std oracle
-        let mut want: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+        let mut want: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
         for &(k, v) in &rows {
             want.entry(k).and_modify(|m| *m = (*m).max(v)).or_insert(v);
         }

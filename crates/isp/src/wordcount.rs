@@ -112,6 +112,7 @@ impl Accelerator for WordCountEngine {
         self.scanned += page.len() as u64;
     }
 
+    #[expect(clippy::disallowed_methods, reason = "a sum over every key is order-independent")]
     fn result_bytes(&self) -> usize {
         self.counts.keys().map(|w| w.len() + 8).sum()
     }

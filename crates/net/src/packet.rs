@@ -41,8 +41,7 @@ impl NetParams {
             lane_bandwidth: Bandwidth::gbits(10.0),
             efficiency: 0.82,
             header_bytes: 8,
-            // detlint::allow(float-sim-time): paper-calibrated constant
-            hop_latency: SimTime::from_us_f64(0.48),
+            hop_latency: SimTime::ns(480),
             credits_per_lane: 16,
         }
     }

@@ -186,7 +186,7 @@ mod tests {
     fn different_endpoints_may_take_different_paths() {
         let topo = Topology::mesh2d(3, 3);
         let table = RoutingTable::compute(&topo);
-        let paths: bluedbm_sim::fxhash::FxHashSet<Vec<NodeId>> = (0..8u16)
+        let paths: std::collections::BTreeSet<Vec<NodeId>> = (0..8u16)
             .map(|e| table.path(&topo, NodeId(0), NodeId(8), e))
             .collect();
         assert!(paths.len() > 1, "equal-cost diversity should be exploited");

@@ -14,23 +14,32 @@
 //! determinism contract in [`crate::shard`] is scheduling-independent),
 //! so the no-op fallback loses nothing but speed.
 //!
-//! The [`std::thread::available_parallelism`] probe below reads host
-//! state, like the `ExecMode::Auto` probe in [`crate::shard`]; both
-//! sites are allowlisted for detlint's `no-wallclock` rule because they
-//! only ever gate *how* the identical event schedule executes, never
-//! what it computes.
+//! [`host_cores`] is the workspace's one probe of host state (clippy's
+//! `disallowed_methods` bans `available_parallelism` everywhere else).
+//! Its callers — [`pin_to_core`] and the `ExecMode::Auto` choice in
+//! [`crate::shard`] — only ever gate *how* the identical event schedule
+//! executes, never what it computes.
 
 /// Largest CPU index representable in the affinity mask passed to the
 /// kernel (1024 CPUs, the conventional `cpu_set_t` size).
 const MASK_WORDS: usize = 16;
 
-/// Pin the calling thread to `core` (modulo the host's available
-/// parallelism, so shard indices map onto real cores on any machine).
+/// The host's available parallelism, or 1 if the OS cannot say.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one host probe; it gates how the event schedule executes, never what it computes"
+)]
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
+}
+
+/// Pin the calling thread to `core` (modulo [`host_cores`], so shard
+/// indices map onto real cores on any machine).
 /// Returns `true` if the kernel accepted the mask; `false` on
 /// non-Linux/unsupported targets or if the syscall failed — callers
 /// treat failure as "run unpinned", never as an error.
 pub fn pin_to_core(core: usize) -> bool {
-    let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let cpus = host_cores();
     if cpus <= 1 {
         // Nothing to distribute over; pinning would only fight the OS.
         return false;
@@ -103,7 +112,7 @@ mod tests {
         // Whatever the host, pin_to_core must return (not crash); on a
         // multi-core Linux host it should succeed for core 0.
         let pinned = pin_to_core(0);
-        let cpus = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let cpus = host_cores();
         if cfg!(all(
             target_os = "linux",
             any(target_arch = "x86_64", target_arch = "aarch64")

@@ -13,7 +13,8 @@
 //! Not DoS-resistant — these maps hold simulation state keyed by the
 //! model itself, never by untrusted external input.
 
-// detlint::allow(no-std-hasher): the definition site of the Fx aliases
+#![expect(clippy::disallowed_types, reason = "the definition site of the Fx aliases")]
+
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 

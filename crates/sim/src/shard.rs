@@ -741,8 +741,7 @@ impl<M: ShardMessage> ShardedSimulator<M> {
         // Spin-probe for exchanges only when the host has a core per
         // worker; on oversubscribed hosts probing burns the very
         // timeslice the peer needs, so workers park immediately.
-        let cores_per_shard =
-            std::thread::available_parallelism().is_ok_and(|p| p.get() >= n);
+        let cores_per_shard = affinity::host_cores() >= n;
         let threads = match self.exec {
             ExecMode::Threads => true,
             ExecMode::Cooperative => false,

@@ -76,18 +76,6 @@ impl SimTime {
         SimTime((s * 1e12).round() as u64)
     }
 
-    /// Construct from fractional microseconds, rounding to the nearest
-    /// picosecond.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `us` is negative or not finite.
-    #[inline]
-    pub fn from_us_f64(us: f64) -> Self {
-        assert!(us.is_finite() && us >= 0.0, "invalid time in us: {us}");
-        SimTime((us * 1e6).round() as u64)
-    }
-
     /// Raw picosecond count.
     #[inline]
     pub const fn as_ps(self) -> u64 {
@@ -324,9 +312,9 @@ impl Bandwidth {
     /// picosecond.
     #[inline]
     pub fn time_for(self, bytes: u64) -> SimTime {
-        // detlint::allow(float-sim-time): f64 has 53 exact mantissa bits —
-        // deterministic for every reachable byte count, and conformance
-        // digests are pinned to this formula.
+        // Float math feeding simulated time, on purpose: f64 has 53 exact
+        // mantissa bits — deterministic for every reachable byte count,
+        // and conformance digests are pinned to this formula.
         SimTime::ps((bytes as f64 * 1e12 / self.0).round() as u64)
     }
 
@@ -366,13 +354,11 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "exercises the float bridge itself")]
     fn float_round_trips() {
-        // detlint::allow(float-sim-time): exercising the float bridge itself
         let t = SimTime::from_secs_f64(1.5);
         assert_eq!(t, SimTime::ms(1_500));
         assert!((t.as_secs_f64() - 1.5).abs() < 1e-12);
-        // detlint::allow(float-sim-time): ditto
-        assert_eq!(SimTime::from_us_f64(0.48), SimTime::ns(480));
     }
 
     #[test]

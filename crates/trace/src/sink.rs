@@ -90,7 +90,7 @@ impl TraceSink {
     /// Append one record. The first two tests compile to a single
     /// predictable branch when tracing is off.
     #[inline]
-    #[allow(clippy::too_many_arguments)] // mirrors TraceRecord's fields
+    #[expect(clippy::too_many_arguments, reason = "mirrors TraceRecord's fields")]
     pub fn record(
         &mut self,
         at_ps: u64,
@@ -107,7 +107,7 @@ impl TraceSink {
         self.push(at_ps, cat, kind, name, track, a, b);
     }
 
-    #[allow(clippy::too_many_arguments)] // mirrors TraceRecord's fields
+    #[expect(clippy::too_many_arguments, reason = "mirrors TraceRecord's fields")]
     fn push(
         &mut self,
         at_ps: u64,

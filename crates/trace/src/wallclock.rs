@@ -6,8 +6,8 @@
 //! sync protocol needs to know the real-time split. That is inherently
 //! a wall-clock measurement, so it lives here, quarantined: profiles
 //! never feed a [`crate::TraceRecord`], a digest, or any simulated
-//! state, and the detlint `no-wallclock` sites below each carry their
-//! justification. Everything is a no-op unless
+//! state, and the one `Instant::now` below carries an `#[expect]` of
+//! clippy's `disallowed_methods` with its justification. Everything is a no-op unless
 //! [`crate::TraceConfig::wall_profile`] is set.
 
 use std::time::Instant;
@@ -53,9 +53,13 @@ impl WallLane {
 
     /// Start an interval. Returns an inert stamp when disabled.
     #[inline]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "opt-in worker profiling; measurements never reach simulated state or the deterministic trace"
+    )]
     pub fn stamp(&self) -> WallStamp {
         if self.on {
-            WallStamp(Some(Instant::now())) // detlint::allow(no-wallclock): opt-in worker profiling; measurements never reach simulated state or the deterministic trace
+            WallStamp(Some(Instant::now()))
         } else {
             WallStamp(None)
         }

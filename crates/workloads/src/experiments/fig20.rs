@@ -74,8 +74,8 @@ fn step_latencies(config: &SystemConfig) -> Vec<(&'static str, SimTime)> {
     let dram_first = config.host.dram_latency;
     let h_dram = req_hop + dram_first + wire_first + pcie_first + sw;
 
+    #[expect(clippy::disallowed_methods, reason = "analytic figure model, not simulation")]
     let mix = |flash_fraction: f64| {
-        // detlint::allow(float-sim-time): analytic figure model, not simulation
         SimTime::from_secs_f64(
             flash_fraction * h_f.as_secs_f64() + (1.0 - flash_fraction) * h_dram.as_secs_f64(),
         )

@@ -455,7 +455,7 @@ mod tests {
     fn overwrite_churn_sweeps_the_keyspace_cyclically() {
         let s = spec();
         let ops = 2 * s.total_keys() + 3;
-        let mut per_key = bluedbm_sim::fxhash::FxHashMap::default();
+        let mut per_key = std::collections::BTreeMap::new();
         for (i, req) in s.overwrite_churn(ops).enumerate() {
             let KvRequest::Put { tenant, key, value } = req else {
                 panic!("overwrite churn emits puts only");

@@ -56,7 +56,8 @@ fn run(spec: &KvWorkloadSpec, shards: usize, slug: &str) -> RunOut {
     }
     let mut store = KvStore::new(Cluster::ring(NODES, &config).expect("cluster"));
 
-    let t0 = Instant::now(); // detlint::allow(no-wallclock): reports wall time only
+    #[expect(clippy::disallowed_methods, reason = "reports wall time only")]
+    let t0 = Instant::now();
     let summary = run_requests(&mut store, spec.load().chain(spec.churn()), 8192);
     let wall = t0.elapsed().as_secs_f64();
 

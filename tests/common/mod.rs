@@ -16,12 +16,12 @@
 //!   and `tests/sharded.rs`; [`topology`] and [`partition`] are their
 //!   random topology and partition draws.
 
-// Each test binary compiles this module independently and uses a
-// different subset of it.
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "each test binary compiles this module independently and uses a different subset of it"
+)]
 
-// detlint::allow(no-std-hasher): oracle models independent of fxhash
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
 
@@ -181,7 +181,7 @@ pub fn decode(draw: Draw, nodes: usize, page_bytes: usize) -> Step {
 }
 
 /// Drive `steps` through the engine (submitting everything before one
-/// drive per `chunk` ops) and through a `HashMap` oracle, then compare
+/// drive per `chunk` ops) and through a `BTreeMap` oracle, then compare
 /// every per-op observable, the final directory state, and the leak
 /// audits. The store's own configuration decides what else the schedule
 /// exercises — a GC-enabled tiny-geometry cluster turns the same
@@ -189,11 +189,9 @@ pub fn decode(draw: Draw, nodes: usize, page_bytes: usize) -> Step {
 pub fn check_schedule(s: &mut KvStore, nodes: usize, steps: Vec<Draw>, chunk: usize) {
     let page_bytes = s.cluster().config().flash.geometry.page_bytes;
 
-    // detlint::allow(no-std-hasher): oracle model independent of fxhash
-    let mut oracle: HashMap<u8, Vec<u8>> = HashMap::new();
+    let mut oracle: BTreeMap<u8, Vec<u8>> = BTreeMap::new();
     // op id -> expected (kind, found, value).
-    // detlint::allow(no-std-hasher): ditto
-    let mut expected: HashMap<u64, (KvOpKind, bool, Option<Vec<u8>>)> = HashMap::new();
+    let mut expected: BTreeMap<u64, (KvOpKind, bool, Option<Vec<u8>>)> = BTreeMap::new();
     let mut completions = Vec::new();
     let mut pending = 0usize;
 
@@ -255,7 +253,7 @@ pub fn check_schedule(s: &mut KvStore, nodes: usize, steps: Vec<Draw>, chunk: us
 }
 
 /// Drive `(op, lba, fill)` triples through an offline [`Ftl`] applying
-/// every step to `array`, and through a `HashMap` model: writes, trims
+/// every step to `array`, and through a `BTreeMap` model: writes, trims
 /// and reads must agree op for op, and a final sweep of the whole
 /// logical space must match the model exactly. `lba` draws are reduced
 /// modulo `min(capacity, 64)` so schedules stay geometry-independent.
@@ -263,9 +261,8 @@ pub fn ftl_matches_model(mut array: FlashArray, ops: Vec<(u8, u64, u8)>) {
     let mut ftl = Ftl::new(&array, FtlConfig::default()).expect("ftl");
     let cap = ftl.capacity_pages().min(64);
     let page_bytes = array.geometry().page_bytes;
-    // detlint::allow(no-std-hasher): oracle model independent of fxhash
-    let mut model: HashMap<u64, u8> = HashMap::new();
-    let check = |ftl: &Ftl, array: &mut FlashArray, model: &HashMap<u64, u8>, lba: u64| {
+    let mut model: BTreeMap<u64, u8> = BTreeMap::new();
+    let check = |ftl: &Ftl, array: &mut FlashArray, model: &BTreeMap<u64, u8>, lba: u64| {
         match (model.get(&lba), ftl.physical_of(lba)) {
             (Some(&fill), Some(ppa)) => {
                 assert_eq!(array.read(ppa).expect("read").data, vec![fill; page_bytes]);

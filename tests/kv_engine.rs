@@ -1,6 +1,6 @@
 //! Model-based and stress coverage for the async KV engine.
 //!
-//! * A `HashMap` oracle (the shared `tests/common` harness) replays
+//! * A `BTreeMap` oracle (the shared `tests/common` harness) replays
 //!   every random put/get/delete/overwrite schedule in submission order
 //!   per key — the engine's per-key FIFO
 //!   gates must make the simulated store agree on every read and every

@@ -234,8 +234,7 @@ fn rfs_matches_map_model() {
             FlashArray::new(FlashGeometry::tiny(), 23),
             RfsConfig::default(),
         ).expect("format");
-        // detlint::allow(no-std-hasher): oracle model independent of fxhash
-        let mut model: std::collections::HashMap<String, Vec<u8>> = Default::default();
+        let mut model: std::collections::BTreeMap<String, Vec<u8>> = Default::default();
         let names = ["a", "b", "c", "d"];
         for (op, which, data) in ops {
             let name = names[which];
