@@ -21,8 +21,8 @@
 //! ## The 64-byte budget
 //!
 //! `size_of::<Msg>() <= 64` is asserted at compile time: one message
-//! fits a cache line, so fast-queue entries stay compact and dispatch
-//! is never payload-transport-bound. Three layout decisions
+//! fits a cache line, so the kernel's payload-arena slots stay compact
+//! and dispatch is never payload-transport-bound. Three layout decisions
 //! keep it true:
 //!
 //! * [`Msg`] is **flat** — one discriminant level. Each nested enum
@@ -421,13 +421,14 @@ mod tests {
         assert!(matches!(back, FlashMsg::Cmd(CtrlCmd::Erase { .. })));
     }
 
-    /// The per-event layout budget README cites: what one queued `Msg`
-    /// costs in each kernel queue, and the handle bulk payloads ride as.
+    /// The per-event layout budget README cites: what one pending `Msg`
+    /// costs in the kernel (a queue entry plus an arena slot), and the
+    /// handle bulk payloads ride as.
     #[test]
     fn hot_path_layout_sizes_are_pinned() {
         use bluedbm_sim::Simulator;
-        assert_eq!(Simulator::<Msg>::fast_queue_entry_bytes(), 80);
-        assert_eq!(Simulator::<Msg>::heap_entry_bytes(), 24);
+        assert_eq!(Simulator::<Msg>::queue_entry_bytes(), 16);
+        assert_eq!(Simulator::<Msg>::arena_slot_bytes(), 64);
         assert_eq!(std::mem::size_of::<PageRef>(), 8);
     }
 }

@@ -5,7 +5,7 @@
 //! are modelled as [`Component`]s registered with a [`Simulator`]. They
 //! communicate exclusively by scheduling messages to each other's
 //! [`ComponentId`]s with a non-negative delay; the engine delivers messages
-//! in a total order (time, then scheduling sequence), which makes every run
+//! in a total order (time, then scheduling order), which makes every run
 //! deterministic.
 //!
 //! ## The typed message kernel
@@ -18,22 +18,10 @@
 //! it. This is the hot path of every experiment, so its layout is tuned:
 //!
 //! * pending events live in a **slab arena** (`Vec` + free list) that is
-//!   reused for the whole run, and the priority queue itself is a
-//!   **four-ary index heap** of small `(time, seq, slot)` entries — a
-//!   64-bit time, a 64-bit sequence number and a 32-bit slot index, 24
-//!   bytes per entry after alignment — so sifting moves those fixed-size
-//!   entries, never payloads, and the shallower 4-ary tree halves the
-//!   pointer-chasing depth of a binary heap. Keys compare as one `u128`
-//!   (`time << 64 | seq`) and the smallest of four children is picked
-//!   with conditional moves, because with 10⁴ events pending (the
-//!   1024-node mesh) every pop descends ≈ 7 levels and "which child" is
-//!   a branch no predictor wins;
-//! * **same-instant sends** (`delay == 0`, the dominant pattern in
-//!   command-forwarding chains) bypass the heap entirely through a FIFO
-//!   fast queue: because a handler's sends always carry the newest
-//!   sequence numbers at the current instant, appending to that queue
-//!   keeps it globally sorted by `(time, seq)` and the dispatcher only
-//!   has to compare its head with the heap root;
+//!   reused for the whole run, and the priority queue itself is one
+//!   **monotone radix heap** (Ahuja, Mehlhorn, Orlin & Tarjan 1990) of
+//!   16-byte `(time, slot)` entries, so ordering work moves those, never
+//!   payloads (see *The event queue* below);
 //! * components live in a **flattened arena** (the private `arena`
 //!   module):
 //!   every slot always holds an installed component (reserved slots hold
@@ -50,9 +38,39 @@
 //!   [`PageRef`](crate::PageRef) handles, so messages stay
 //!   cache-line-sized — [`Ctx::pages`] is the component-side window into
 //!   the store, and [`ComponentId`] is a `u32` for the same reason.
+//!
+//! ## The event queue
+//!
+//! DES pops are monotone: no event is ever scheduled before the one being
+//! executed. The radix heap is built on exactly that property. It keeps
+//! `last`, the instant of the last pop, and 65 buckets:
+//!
+//! * **bucket 0** is a FIFO of the events at exactly `last`;
+//! * **bucket `b` ≥ 1** holds the events whose `at ^ last` has its
+//!   highest set bit at `b - 1`, so every event in bucket `b` is earlier
+//!   than every event in bucket `b + 1`.
+//!
+//! A push files its entry by that one XOR and appends it. A per-bucket
+//! minimum plus an occupancy mask make `next_at` O(1) and
+//! read-only: a peek that advanced `last` would misfile events injected
+//! later between the clock and the next event. A pop takes the head of
+//! bucket 0; when it is empty, `last` moves to the minimum of the lowest
+//! occupied bucket, and that bucket is redistributed, in order, into the
+//! buckets below it. Each entry moves at most 64 times over its life,
+//! and at a shared instant (command-forwarding chains send at delay
+//! zero) a push and a pop are one append and one cursor step.
+//!
+//! **Why the order is (time, push order).** Every push lands at or after
+//! the clock, and the clock is at or after `last` (`run_until` never
+//! moves it backwards), so no entry is ever filed below `last`. A push
+//! appends, and redistribution only fills buckets that are empty (they
+//! lie below the lowest occupied one) and walks its source front to
+//! back. So every bucket stays in push order, two events at one instant
+//! always share a bucket, and pops come out in (time, push order): the
+//! total order every digest, event count and trace in the workspace is
+//! pinned in.
 
 use std::any::Any;
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -116,34 +134,11 @@ pub trait Component<M: Message>: Any + Send {
     fn handle(&mut self, ctx: &mut Ctx<'_, M>, msg: M);
 }
 
-/// Total delivery order: time first, then scheduling sequence. `seq` is
-/// unique per event, so the order is total and runs are deterministic.
-///
-/// The derived lexicographic `Ord` **is** the queue order (this type
-/// replaces the old `Scheduled` struct whose manual `Ord`/`PartialEq`
-/// pair disagreed about which fields participate).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-struct EventKey {
-    at: SimTime,
-    seq: u64,
-}
-
-impl EventKey {
-    /// The key as one integer, `at` in the high half: integer order on
-    /// it is exactly the derived lexicographic order, and comparing two
-    /// is one subtract-with-borrow instead of two dependent branches —
-    /// what the queue's hot compares use.
-    #[inline]
-    fn packed(self) -> u128 {
-        (u128::from(self.at.as_ps()) << 64) | u128::from(self.seq)
-    }
-}
-
-/// One entry of the four-ary index heap: the order key plus the arena
-/// slot holding the payload. Payloads never move during sifting.
+/// One queue entry: the event's instant in picoseconds plus the arena
+/// slot holding its payload. Payloads never move between buckets.
 #[derive(Clone, Copy)]
-struct HeapEntry {
-    key: EventKey,
+struct Entry {
+    at: u64,
     slot: u32,
 }
 
@@ -153,40 +148,52 @@ enum Slot<M> {
     Full { to: ComponentId, msg: M },
 }
 
-/// Same-instant event held in the heap-bypass FIFO.
-struct FastEvent<M> {
-    key: EventKey,
-    to: ComponentId,
-    msg: M,
-}
-
 const NO_SLOT: u32 = u32::MAX;
 
-/// The event queues: the four-ary index heap + payload arena for future
-/// events, and the FIFO fast queue for same-instant ones. Split out of
-/// [`Simulator`] so a running handler's [`Ctx`] can push events directly
-/// (the queues and the component arena are disjoint `Simulator` fields,
-/// so the executing component's `&mut` borrow never aliases them) — each
-/// send is a single inline move, with no intermediate outbox copy.
+/// Bucket 0 plus one bucket per bit of a `u64` instant.
+const BUCKETS: usize = 65;
+
+/// The bucket an event at `at` belongs in while the last pop was at
+/// `last`: 0 for `at == last`, else one past the highest bit where the
+/// two differ.
+#[inline]
+fn bucket(at: u64, last: u64) -> usize {
+    (u64::BITS - (at ^ last).leading_zeros()) as usize
+}
+
+/// The event queue: the radix heap of the [module docs](self#the-event-queue)
+/// over a payload arena. Split out of [`Simulator`] so a running
+/// handler's [`Ctx`] can push events directly (the queue and the
+/// component arena are disjoint `Simulator` fields, so the executing
+/// component's `&mut` borrow never aliases them) — each send is a single
+/// inline move, with no intermediate outbox copy.
 pub(crate) struct Queues<M> {
-    /// Four-ary min-heap of `(key, slot)` entries.
-    heap: Vec<HeapEntry>,
+    /// Bucket 0 (read from `head`) and buckets 1–64, each in push order.
+    buckets: [Vec<Entry>; BUCKETS],
+    /// Smallest `at` per bucket, `u64::MAX` where the bucket is empty.
+    mins: [u64; BUCKETS],
+    /// Bit `b` set iff bucket `b` holds an entry.
+    occupied: u128,
+    /// Read cursor of bucket 0. Consumed entries stay until bucket 0
+    /// drains, so it holds at most the events of one instant.
+    head: usize,
+    /// Instant of the last pop, in picoseconds.
+    last: u64,
     /// Payload arena; freed slots chain through `free_head`.
     slots: Vec<Slot<M>>,
     free_head: u32,
-    /// Same-instant sends, globally sorted by `(at, seq)` by construction.
-    fast: VecDeque<FastEvent<M>>,
-    pub(crate) seq: u64,
 }
 
 impl<M: Message> Queues<M> {
     fn with_capacity(events: usize) -> Self {
         Queues {
-            heap: Vec::with_capacity(events),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            mins: [u64::MAX; BUCKETS],
+            occupied: 0,
+            head: 0,
+            last: 0,
             slots: Vec::with_capacity(events),
             free_head: NO_SLOT,
-            fast: VecDeque::with_capacity(events.min(256)),
-            seq: 0,
         }
     }
 
@@ -217,69 +224,83 @@ impl<M: Message> Queues<M> {
         self.free_head = slot;
         match prev {
             Slot::Full { to, msg } => (to, msg),
-            Slot::Free { .. } => unreachable!("heap entry points at a free slot"),
+            Slot::Free { .. } => unreachable!("queue entry points at a free slot"),
         }
     }
 
-    /// Enqueue one event. `now` is the current instant: events landing
-    /// exactly on it take the heap-bypass FIFO (their keys are strictly
-    /// larger than anything already queued at `now`, so appending
-    /// preserves the fast queue's global `(at, seq)` order).
+    /// Append `entry` to the bucket its instant belongs in.
     #[inline]
-    fn push(&mut self, now: SimTime, at: SimTime, to: ComponentId, msg: M) {
-        if at == now {
-            let key = EventKey { at, seq: self.seq };
-            self.seq += 1;
-            self.fast.push_back(FastEvent { key, to, msg });
-        } else {
-            self.push_heap(at, to, msg);
-        }
+    fn file(&mut self, entry: Entry) {
+        let b = bucket(entry.at, self.last);
+        self.buckets[b].push(entry);
+        self.mins[b] = self.mins[b].min(entry.at);
+        self.occupied |= 1 << b;
     }
 
-    /// Enqueue one event straight into the index heap, bypassing the
-    /// same-instant FIFO. Used for cross-shard arrivals, which are merged
-    /// at a window barrier: the fast queue's append-only ordering
-    /// argument assumes sends happen at the current instant, which does
-    /// not hold for them.
+    /// Enqueue one event at `at`, which must not precede the last pop
+    /// (the clock never does, so every send and injection qualifies).
     #[inline]
-    pub(crate) fn push_heap(&mut self, at: SimTime, to: ComponentId, msg: M) {
-        let key = EventKey { at, seq: self.seq };
-        self.seq += 1;
+    fn push(&mut self, at: SimTime, to: ComponentId, msg: M) {
+        let at = at.as_ps();
+        debug_assert!(
+            at >= self.last,
+            "event at {at} ps predates the last pop at {} ps",
+            self.last
+        );
         let slot = self.alloc_slot(to, msg);
-        self.heap.push(HeapEntry { key, slot });
-        let last = self.heap.len() - 1;
-        sift_up(&mut self.heap, last);
+        self.file(Entry { at, slot });
     }
 
-    /// Pop the globally next event, if any: the smaller of the fast-queue
-    /// head and the heap root.
+    /// Pop the next event in (time, push order), if any.
     #[inline]
-    fn pop_next(&mut self) -> Option<(EventKey, ComponentId, M)> {
-        let take_fast = match (self.fast.front(), self.heap.first()) {
-            (None, None) => return None,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some(f), Some(h)) => f.key.packed() <= h.key.packed(),
-        };
-        if take_fast {
-            let f = self.fast.pop_front().expect("checked non-empty");
-            Some((f.key, f.to, f.msg))
-        } else {
-            let e = pop_root(&mut self.heap).expect("checked non-empty");
-            let (to, msg) = self.take_slot(e.slot);
-            Some((e.key, to, msg))
+    fn pop_next(&mut self) -> Option<(SimTime, ComponentId, M)> {
+        if self.occupied & 1 == 0 && !self.advance() {
+            return None;
         }
+        let now = &mut self.buckets[0];
+        let slot = now[self.head].slot;
+        self.head += 1;
+        if self.head == now.len() {
+            now.clear();
+            self.head = 0;
+            self.mins[0] = u64::MAX;
+            self.occupied &= !1;
+        }
+        let (to, msg) = self.take_slot(slot);
+        Some((SimTime::ps(self.last), to, msg))
     }
 
-    /// Timestamp of the next pending event, if any.
+    /// Bucket 0 is empty: move `last` to the minimum of the lowest
+    /// occupied bucket and redistribute that bucket, front to back, into
+    /// the empty buckets below it. Returns `false` if nothing is pending.
+    fn advance(&mut self) -> bool {
+        let b = self.occupied.trailing_zeros() as usize;
+        if b >= BUCKETS {
+            return false;
+        }
+        self.last = self.mins[b];
+        self.mins[b] = u64::MAX;
+        self.occupied &= !(1 << b);
+        let mut moving = std::mem::take(&mut self.buckets[b]);
+        for &entry in &moving {
+            self.file(entry);
+        }
+        moving.clear();
+        self.buckets[b] = moving;
+        true
+    }
+
+    /// Timestamp of the next pending event, if any. Read-only: `last`
+    /// moves only when that event is popped.
     #[inline]
     pub(crate) fn next_at(&self) -> Option<SimTime> {
-        match (self.fast.front(), self.heap.first()) {
-            (None, None) => None,
-            (Some(f), None) => Some(f.key.at),
-            (None, Some(h)) => Some(h.key.at),
-            (Some(f), Some(h)) => Some(f.key.at.min(h.key.at)),
-        }
+        let b = self.occupied.trailing_zeros() as usize;
+        self.mins.get(b).map(|&at| SimTime::ps(at))
+    }
+
+    /// Events pending.
+    fn len(&self) -> usize {
+        self.buckets.iter().map(Vec::len).sum::<usize>() - self.head
     }
 }
 
@@ -291,7 +312,7 @@ pub(crate) const UNOWNED: u32 = u32::MAX;
 /// One cross-shard send, parked in the sending shard's outbox until the
 /// next window barrier. `(at, seq, to, msg)` is the mailbox entry the
 /// receiving shard merges on; `sent_at` refines same-instant merges so
-/// they follow send order, like the sequential engine's global sequence.
+/// they follow send order, like the sequential engine's push order.
 pub(crate) struct Outbound<M> {
     pub(crate) at: SimTime,
     pub(crate) sent_at: SimTime,
@@ -315,6 +336,8 @@ pub(crate) struct ShardEnv<M> {
     /// `lookahead_to[r]` to arrive. The conservative execution bounds
     /// rest on it, so it is asserted at the send site.
     pub(crate) lookahead_to: Arc<[SimTime]>,
+    /// The next [`Outbound::seq`]: this shard's cross-shard send order.
+    pub(crate) sent: u64,
 }
 
 /// Execution context passed to [`Component::handle`].
@@ -400,19 +423,18 @@ impl<M: Message> Ctx<'_, M> {
                     env.me,
                     env.lookahead_to[dst as usize],
                 );
-                let seq = self.queues.seq;
-                self.queues.seq += 1;
                 env.outboxes[dst as usize].push(Outbound {
                     at,
                     sent_at: self.now,
-                    seq,
+                    seq: env.sent,
                     to,
                     msg: msg.into(),
                 });
+                env.sent += 1;
                 return;
             }
         }
-        self.queues.push(self.now, at, to, msg.into());
+        self.queues.push(at, to, msg.into());
     }
 
     /// Schedule a message back to the executing component — the idiom for
@@ -527,22 +549,24 @@ impl<M: Message> Simulator<M> {
         self.trace.take()
     }
 
-    /// Size in bytes of one fast-queue entry (the same-instant FIFO's
-    /// element: key + target + inline message). Recorded into the bench
-    /// trajectory so payload-slimming regressions are visible.
+    /// Size in bytes of one event-queue entry (`(time, slot)`), the
+    /// unit the queue's ordering work moves.
     #[inline]
-    pub fn fast_queue_entry_bytes() -> usize {
-        std::mem::size_of::<FastEvent<M>>()
+    pub fn queue_entry_bytes() -> usize {
+        std::mem::size_of::<Entry>()
     }
 
-    /// Size in bytes of one index-heap entry (`(time, seq, slot)`).
+    /// Size in bytes of one payload-arena slot (target + inline
+    /// message, or a free-list link): what each pending event holds
+    /// besides its queue entry.
     #[inline]
-    pub fn heap_entry_bytes() -> usize {
-        std::mem::size_of::<HeapEntry>()
+    pub fn arena_slot_bytes() -> usize {
+        std::mem::size_of::<Slot<M>>()
     }
 
     /// Current simulated time (the timestamp of the last delivered event,
-    /// or the `until` argument of the last bounded run).
+    /// or the `until` argument of the last bounded run that reached
+    /// past it).
     #[inline]
     pub fn now(&self) -> SimTime {
         self.now
@@ -566,10 +590,10 @@ impl<M: Message> Simulator<M> {
         self.components.installed_count()
     }
 
-    /// Events currently pending (heap plus fast queue).
+    /// Events currently pending.
     #[inline]
     pub fn pending_events(&self) -> usize {
-        self.queues.heap.len() + self.queues.fast.len()
+        self.queues.len()
     }
 
     /// Size of the payload arena (slots ever allocated, free or full).
@@ -622,10 +646,8 @@ impl<M: Message> Simulator<M> {
     /// Schedule `msg` for delivery to `to` at `delay` from now (external
     /// injection; components use [`Ctx::send`]).
     ///
-    /// Shares [`Ctx::send`]'s insertion path — the fast-queue append is
-    /// safe here too, because any events still pending in the fast queue
-    /// sit at the current instant and this send's sequence number is
-    /// newer than theirs.
+    /// Shares [`Ctx::send`]'s insertion path: it is delivered after
+    /// every event already pending at its instant.
     #[inline]
     pub fn schedule<T: Into<M>>(&mut self, delay: SimTime, to: ComponentId, msg: T) {
         self.schedule_at(self.now + delay, to, msg.into());
@@ -637,7 +659,7 @@ impl<M: Message> Simulator<M> {
     #[inline]
     pub(crate) fn schedule_at(&mut self, at: SimTime, to: ComponentId, msg: M) {
         debug_assert!(at >= self.now, "injection predates the clock: at={at} now={}", self.now);
-        self.queues.push(self.now, at, to, msg);
+        self.queues.push(at, to, msg);
     }
 
     /// Deliver the next event, if any: the one path from the queues to a
@@ -653,10 +675,9 @@ impl<M: Message> Simulator<M> {
     /// Panics if the event targets a reserved slot that was never
     /// [`install`](Self::install)ed.
     pub fn step(&mut self) -> bool {
-        let Some((key, to, msg)) = self.queues.pop_next() else {
+        let Some((at, to, msg)) = self.queues.pop_next() else {
             return false;
         };
-        let at = key.at;
         debug_assert!(at >= self.now, "event queue went backwards");
         self.now = at;
         self.delivered += 1;
@@ -690,17 +711,17 @@ impl<M: Message> Simulator<M> {
     }
 
     /// Run until the queue is empty or the next event is after `until`;
-    /// then advance the clock to exactly `until`.
+    /// then advance the clock to `until`.
     ///
     /// Events scheduled at exactly `until` are delivered. The bound is
-    /// one O(1) head comparison per event — the heap is not re-searched
-    /// between deliveries.
+    /// one O(1) peek per event. An `until` before the clock delivers
+    /// nothing and leaves the clock and the queue as they are: the clock
+    /// never runs backwards.
     pub fn run_until(&mut self, until: SimTime) {
         while self.queues.next_at().is_some_and(|at| at <= until) {
             self.step();
         }
-        debug_assert!(self.now <= until);
-        self.now = until;
+        self.now = self.now.max(until);
     }
 
     /// Run every event strictly before `end` and leave the clock at the
@@ -715,18 +736,15 @@ impl<M: Message> Simulator<M> {
         }
     }
 
-    /// Enqueue one cross-shard arrival (already payload-attached) under a
-    /// fresh local sequence number. Arrivals always go through the index
-    /// heap: the fast queue's append-only ordering argument assumes sends
-    /// happen at the current instant, which barrier-merged arrivals
-    /// violate.
+    /// Enqueue one cross-shard arrival (already payload-attached): it
+    /// is delivered after every event already pending at its instant.
     pub(crate) fn push_arrival(&mut self, at: SimTime, to: ComponentId, msg: M) {
         debug_assert!(
             at >= self.now,
             "arrival predates the shard clock: at={at} now={} to={to:?}",
             self.now
         );
-        self.queues.push_heap(at, to, msg);
+        self.queues.push(at, to, msg);
     }
 
     /// Run until the queue empties or `max_events` more events have been
@@ -742,88 +760,8 @@ impl<M: Message> Simulator<M> {
 
     /// `true` if no events remain.
     pub fn is_idle(&self) -> bool {
-        self.queues.heap.is_empty() && self.queues.fast.is_empty()
+        self.queues.occupied == 0
     }
-}
-
-/// Restore the heap property upward from `i` (4-ary: parent of `i` is
-/// `(i - 1) / 4`). Moves a hole instead of swapping: one store per level
-/// plus the final placement.
-#[inline]
-fn sift_up(heap: &mut [HeapEntry], mut i: usize) {
-    let entry = heap[i];
-    let key = entry.key.packed();
-    while i > 0 {
-        let parent = (i - 1) / 4;
-        if key < heap[parent].key.packed() {
-            heap[i] = heap[parent];
-            i = parent;
-        } else {
-            break;
-        }
-    }
-    heap[i] = entry;
-}
-
-/// Restore the heap property downward from the root after placing `entry`
-/// there conceptually (children of `i` are `4i + 1 ..= 4i + 4`).
-///
-/// With thousands of events pending every pop walks the full depth, and
-/// which child is smallest is a coin toss the branch predictor loses. So
-/// a full group of four is reduced by a two-round tournament of selects
-/// over the packed keys — conditional moves, no data-dependent branch —
-/// and the only branch left per level is "keep descending", taken until
-/// the last level or two. Only the one partial group at the heap's edge
-/// takes the plain scan.
-#[inline]
-fn sift_down(heap: &mut [HeapEntry], entry: HeapEntry) {
-    let len = heap.len();
-    let key = entry.key.packed();
-    let mut i = 0;
-    loop {
-        let first = 4 * i + 1;
-        let (min, min_key) = if let Some(group) = heap.get(first..first + 4) {
-            let k: [u128; 4] = std::array::from_fn(|c| group[c].key.packed());
-            let (a, ka) = if k[1] < k[0] { (1, k[1]) } else { (0, k[0]) };
-            let (b, kb) = if k[3] < k[2] { (3, k[3]) } else { (2, k[2]) };
-            if kb < ka {
-                (first + b, kb)
-            } else {
-                (first + a, ka)
-            }
-        } else if first < len {
-            let mut min = first;
-            let mut min_key = heap[first].key.packed();
-            for (c, e) in heap.iter().enumerate().skip(first + 1) {
-                let k = e.key.packed();
-                if k < min_key {
-                    (min, min_key) = (c, k);
-                }
-            }
-            (min, min_key)
-        } else {
-            break;
-        };
-        if min_key < key {
-            heap[i] = heap[min];
-            i = min;
-        } else {
-            break;
-        }
-    }
-    heap[i] = entry;
-}
-
-/// Pop the minimum entry of the 4-ary heap.
-#[inline]
-fn pop_root(heap: &mut Vec<HeapEntry>) -> Option<HeapEntry> {
-    let last = heap.pop()?;
-    if heap.is_empty() {
-        return Some(last);
-    }
-    let root = heap[0];
-    sift_down(heap, last);
-    Some(root)
 }
 
 impl<M: Message> fmt::Debug for Simulator<M> {
@@ -907,11 +845,11 @@ mod tests {
     }
 
     #[test]
-    fn same_instant_fifo_order_under_fast_path() {
+    fn same_instant_fifo_order_under_zero_delay_fan_out() {
         // A fan-out chain built from zero-delay sends: one component
-        // relays each message to a sink at delay zero, twice. The fast
-        // queue must interleave with heap events without reordering any
-        // same-instant FIFO.
+        // relays each message to a sink at delay zero, twice. The sends
+        // at the current instant must interleave with events pending at
+        // later instants without reordering any same-instant FIFO.
         struct Relay {
             to: ComponentId,
         }
@@ -1224,30 +1162,64 @@ mod tests {
     }
 
     #[test]
-    fn entry_size_accessors_report_compact_layouts() {
-        // A zero-sized message: the fast-queue entry is the fixed
-        // overhead alone (16-byte key + 4-byte target, padded).
-        assert_eq!(Simulator::<()>::heap_entry_bytes(), 24);
-        assert!(Simulator::<()>::fast_queue_entry_bytes() <= 24);
+    fn queue_entries_are_sixteen_bytes() {
+        // A 64-bit instant and a 32-bit arena slot, padded: whatever the
+        // message type, ordering work moves these and nothing larger.
+        assert_eq!(Simulator::<()>::queue_entry_bytes(), 16);
+        assert_eq!(Simulator::<[u8; 256]>::queue_entry_bytes(), 16);
     }
 
     #[test]
-    fn packed_key_orders_exactly_as_the_derived_ord() {
-        // Depth and interleaving are covered by the differential test in
-        // `tests/props.rs` (`event_queue_matches_btreemap_model_at_depth`);
-        // this pins the one thing it cannot reach: the extremes, where a
-        // packing that dropped or overlapped a bit would first show.
-        let edges = [0, 1, 2, u64::MAX / 2, u64::MAX - 1, u64::MAX];
-        let keys: Vec<EventKey> = edges
-            .iter()
-            .flat_map(|&at| edges.iter().map(move |&seq| EventKey { at: SimTime::ps(at), seq }))
-            .collect();
-        for a in &keys {
-            for b in &keys {
-                assert_eq!(a.cmp(b), a.packed().cmp(&b.packed()), "{a:?} vs {b:?}");
-            }
+    fn run_until_before_the_clock_leaves_clock_and_queue_alone() {
+        let mut sim = Simulator::new();
+        let id = sim.add_component(Echo::sink());
+        sim.schedule(SimTime::us(1), id, Num(1));
+        sim.schedule(SimTime::us(7), id, Num(2));
+        sim.run_until(SimTime::us(5));
+        sim.run_until(SimTime::us(2));
+        assert_eq!(sim.now(), SimTime::us(5));
+        assert_eq!(sim.pending_events(), 1);
+        sim.schedule(SimTime::ZERO, id, Num(3));
+        sim.run();
+        assert_eq!(
+            sim.component::<Echo>(id).unwrap().received,
+            vec![
+                (SimTime::us(1), 1),
+                (SimTime::us(5), 3),
+                (SimTime::us(7), 2)
+            ]
+        );
+        assert_eq!(sim.now(), SimTime::us(7));
+    }
+
+    #[test]
+    fn queue_orders_the_key_extremes() {
+        // Depth and interleaving are covered by the differential tests in
+        // `tests/props.rs`; this pins the edges of the 64-bit key, where
+        // a bucket index off by one would first show: `u64::MAX` against
+        // `last = 0` is bucket 64, the top one.
+        assert_eq!(bucket(u64::MAX, 0), 64);
+        assert_eq!(bucket(1 << 63, 0), 64);
+        assert_eq!(bucket(1, 0), 1);
+        assert_eq!(bucket(7, 7), 0);
+        let edges = [0, 1, 1 << 63, u64::MAX - 1, u64::MAX];
+        let mut sim = Simulator::new();
+        let id = sim.add_component(Echo::sink());
+        // Two events per instant, pushed latest first, so both the time
+        // order and the same-instant push order are exercised.
+        for (n, &at) in edges.iter().rev().enumerate() {
+            sim.schedule(SimTime::ps(at), id, Num(2 * n as u32));
+            sim.schedule(SimTime::ps(at), id, Num(2 * n as u32 + 1));
         }
-        let max = EventKey { at: SimTime::ps(u64::MAX), seq: u64::MAX };
-        assert_eq!(max.packed(), u128::MAX);
+        assert_eq!(sim.queues.next_at(), Some(SimTime::ZERO));
+        let mut expected = Vec::new();
+        for (n, &at) in edges.iter().rev().enumerate().rev() {
+            expected.push((SimTime::ps(at), 2 * n as u32));
+            expected.push((SimTime::ps(at), 2 * n as u32 + 1));
+        }
+        sim.run();
+        assert_eq!(sim.component::<Echo>(id).unwrap().received, expected);
+        assert!(sim.is_idle());
+        assert_eq!(sim.queues.next_at(), None);
     }
 }

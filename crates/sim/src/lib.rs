@@ -19,8 +19,8 @@
 //! concrete type (usually an enum) carrying every payload the components
 //! of that simulation exchange. Messages travel inline through the event
 //! queue — no `Box`, no `dyn Any`, no downcasting — so the per-event cost
-//! is a slab write plus a `(time, seq, slot)` entry insertion into a
-//! four-ary index heap, and same-instant sends skip the heap entirely.
+//! is a slab write plus a 16-byte `(time, slot)` append to one bucket of
+//! a monotone radix heap.
 //! Components live in a flattened arena (one bounds-checked index per
 //! fetch), and every runner delivers one event per [`Component::handle`]
 //! call.

@@ -3,13 +3,12 @@
 //!
 //! A [`ShardedSimulator`] partitions an already-built component graph
 //! across N **shards**. Each shard is a complete [`Simulator`] — its own
-//! event heap, same-instant fast queue, [`PageStore`] segment and
-//! [`PoolStore`] segment — and runs on its own worker thread (the
-//! vendored `crossbeam` scoped threads). The shards' arenas are
-//! index-aligned: every [`ComponentId`] exists in every shard, but the
-//! component itself is installed in exactly one (the others hold the
-//! vacant sentinel), so model code built for the sequential engine runs
-//! unmodified.
+//! event queue, [`PageStore`] segment and [`PoolStore`] segment — and
+//! runs on its own worker thread (the vendored `crossbeam` scoped
+//! threads). The shards' arenas are index-aligned: every
+//! [`ComponentId`] exists in every shard, but the component itself is
+//! installed in exactly one (the others hold the vacant sentinel), so
+//! model code built for the sequential engine runs unmodified.
 //!
 //! It is the one engine: one shard is the sequential kernel, unsplit.
 //! A one-shard [`ShardedSimulator`] keeps the built [`Simulator`] whole
@@ -124,7 +123,7 @@
 //! ## Determinism and observational equivalence
 //!
 //! Within a shard, events keep the sequential engine's total `(time,
-//! local seq)` order. Incoming cross-shard events are merged at the
+//! push order)` order. Incoming cross-shard events are merged at the
 //! window barrier in the deterministic order `(arrival time, send time,
 //! source shard, source seq)` — nothing depends on thread scheduling, so
 //! a sharded run is **bit-for-bit repeatable**.
@@ -134,7 +133,7 @@
 //! at the *same simulated instant* from *different shards*. That is a
 //! same-cycle arbitration race in the modelled hardware too; each engine
 //! resolves it deterministically, but not necessarily identically (the
-//! sequential engine uses its global send sequence, the merge uses send
+//! sequential engine uses its global push order, the merge uses send
 //! time + source shard). The equivalence contract is therefore:
 //!
 //! * **uncontended timing is identical** — any message flow with no
@@ -497,6 +496,7 @@ impl<M: ShardMessage> ShardedSimulator<M> {
                     owner: Arc::clone(owner),
                     outboxes: (0..shards).map(|_| Vec::new()).collect(),
                     lookahead_to: Arc::clone(&lookaheads[me]),
+                    sent: 0,
                 });
                 part
             })
@@ -705,10 +705,9 @@ impl<M: ShardMessage> ShardedSimulator<M> {
 
     /// Schedule `msg` for delivery to `to` at `delay` from the global
     /// clock (external injection). The event is enqueued on the owning
-    /// shard exactly as [`Simulator::schedule`] enqueues it — an event
-    /// at the shard's own instant takes the same-instant queue — under
-    /// the same `(time, seq)` key; external injection happens between
-    /// runs, so no lookahead constraint applies.
+    /// shard exactly as [`Simulator::schedule`] enqueues it — after
+    /// every event already pending at its instant; external injection
+    /// happens between runs, so no lookahead constraint applies.
     ///
     /// # Panics
     ///
@@ -1017,11 +1016,11 @@ fn safe_bound(
 /// `me`, draining `arrivals`.
 ///
 /// Deterministic merge order: arrival instant, then send instant (the
-/// sequential engine's tiebreak — its sequence numbers increase with
-/// send time), then source shard, then the source's own send order. No
-/// two parcels share (source, seq), so the key is total and the
-/// unstable sort — which, unlike the stable one, needs no scratch
-/// allocation — yields one order.
+/// sequential engine's tiebreak — its push order follows send time),
+/// then source shard, then the source's own send order. No two parcels
+/// share (source, seq), so the key is total and the unstable sort —
+/// which, unlike the stable one, needs no scratch allocation — yields
+/// one order.
 fn merge_arrivals<M: ShardMessage>(
     sim: &mut Simulator<M>,
     me: usize,
@@ -1357,6 +1356,29 @@ mod tests {
         // mailbox arrivals follow in (source shard, send order) order.
         assert_eq!(values, vec![1, 2, 10, 11, 20, 21]);
         assert!(got.iter().all(|&(at, _)| at == HOP * 2));
+    }
+
+    #[test]
+    fn arrival_at_a_pending_instant_is_delivered_after_it() {
+        // A merged arrival joins the one queue like any send: at the
+        // instant being executed (events already at the head) and at a
+        // later instant still pending, it follows what is queued there.
+        let mut sim = Simulator::new();
+        let sink = sim.add_component(Sink { got: vec![] });
+        sim.schedule(HOP, sink, TMsg::Val(1));
+        sim.schedule(HOP, sink, TMsg::Val(2));
+        sim.schedule(HOP * 3, sink, TMsg::Val(3));
+        assert!(sim.step());
+        assert_eq!(sim.now(), HOP);
+        sim.push_arrival(HOP, sink, TMsg::Val(10));
+        sim.push_arrival(HOP * 3, sink, TMsg::Val(30));
+        sim.schedule(HOP * 2, sink, TMsg::Val(31));
+        sim.run();
+        let got = &sim.component::<Sink>(sink).unwrap().got;
+        assert_eq!(
+            got,
+            &[(HOP, 1), (HOP, 2), (HOP, 10), (HOP * 3, 3), (HOP * 3, 30), (HOP * 3, 31)]
+        );
     }
 
     #[test]

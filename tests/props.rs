@@ -291,13 +291,13 @@ fn ftl_matches_hashmap_model() {
 
 /// The event queue delivers in exactly `(time, scheduling order)`,
 /// event for event, against a `BTreeSet` model — at the depth the
-/// mesh workloads run it (over 20 000 events pending, so every pop
-/// sifts through seven levels of full four-child groups), with only
-/// 48 distinct delays (most timestamps are shared by hundreds of
-/// events) and zero delays among them (the same-instant FIFO
-/// interleaving with heap entries of the same instant). The
-/// interleaved phase pops with `step`; the drain with `run`. About
-/// 90 000 queue operations per case: a few cases.
+/// mesh workloads run it (over 20 000 events pending), with only 48
+/// distinct delays (most timestamps are shared by hundreds of events,
+/// so the low buckets are redistributed with long same-instant runs)
+/// and zero delays among them (sends at the instant being executed
+/// interleaving with events pending at it). The interleaved phase pops
+/// with `step`; the drain with `run`. About 90 000 queue operations per
+/// case: a few cases.
 #[test]
 fn event_queue_matches_btreemap_model_at_depth() {
     check("event_queue_matches_btreemap_model_at_depth", 8, |s| {
@@ -348,5 +348,100 @@ fn event_queue_matches_btreemap_model_at_depth() {
         let delivered = &sim.component::<Log>(log).expect("installed").0[stepped..];
         let expected: Vec<(SimTime, u64)> = model.into_iter().collect();
         assert_eq!(delivered, &expected[..]);
+    });
+}
+
+/// The same model over the whole key range: delays of every bit
+/// length, from 0 and 1 ps up to 2⁴⁰ ps, so every bucket of the radix
+/// heap up to the 41st fills and is redistributed; events scheduled at
+/// the first and the last pending instant, so ties meet in the lowest
+/// and the highest occupied bucket; and `run_until` to instants before
+/// the clock, at a pending instant and just before one, interleaved
+/// with `step` and `schedule`, over 10 000 events pending throughout.
+#[test]
+fn event_queue_matches_btreemap_model_across_the_key_range() {
+    check("event_queue_matches_btreemap_model_across_the_key_range", 6, |s| {
+        use bluedbm::sim::engine::{Component, Ctx, Simulator};
+        use std::collections::BTreeSet;
+
+        const DEPTH: usize = 10_000;
+
+        struct Log(Vec<(SimTime, u64)>);
+        impl Component<u64> for Log {
+            fn handle(&mut self, ctx: &mut Ctx<'_, u64>, id: u64) {
+                self.0.push((ctx.now(), id));
+            }
+        }
+
+        /// A delay `bits` long (0 is zero), its low bits from `low`.
+        fn delay(bits: u32, low: u64) -> SimTime {
+            match bits {
+                0 => SimTime::ZERO,
+                b => {
+                    let top = 1u64 << (b - 1);
+                    SimTime::ps(top | low & (top - 1))
+                }
+            }
+        }
+
+        let ops = s.vec(20_000..30_000, |s| (s.range(0u8..8), s.range(0u32..41), s.any_u64()));
+        let mut sim = Simulator::new();
+        let log = sim.add_component(Log(Vec::new()));
+        // Ids are handed out in scheduling order, so they double as the
+        // model's tie-break.
+        let mut model: BTreeSet<(SimTime, u64)> = BTreeSet::new();
+        let mut next_id = 0u64;
+        let mut schedule = |sim: &mut Simulator<u64>, model: &mut BTreeSet<_>, at: SimTime| {
+            sim.schedule(at - sim.now(), log, next_id);
+            model.insert((at, next_id));
+            next_id += 1;
+        };
+
+        for i in 0..DEPTH as u64 + 4_000 {
+            let at = sim.now() + delay((i % 41) as u32, i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            schedule(&mut sim, &mut model, at);
+        }
+        let (mut clock, mut expected, mut checked) = (SimTime::ZERO, Vec::new(), 0);
+        for (kind, bits, low) in ops {
+            // Kind 0 schedules, so a failure shrinks toward a deeper
+            // queue, never out of the regime under test.
+            match kind {
+                0..=2 => schedule(&mut sim, &mut model, clock + delay(bits, low)),
+                3 => {
+                    let pending = if bits % 2 == 0 { model.first() } else { model.last() };
+                    let at = pending.expect("deep").0;
+                    schedule(&mut sim, &mut model, at);
+                }
+                4..=6 => {
+                    assert!(sim.step());
+                    let next = model.pop_first().expect("model holds what the queue holds");
+                    clock = next.0;
+                    expected.push(next);
+                }
+                _ => {
+                    let nth = model.iter().nth(bits as usize % 4).expect("deep").0;
+                    let until = match low % 3 {
+                        0 => clock.saturating_sub(delay(bits, low)),
+                        1 => nth.saturating_sub(SimTime::ps(1)),
+                        _ => nth,
+                    };
+                    sim.run_until(until);
+                    while model.first().is_some_and(|&(at, _)| at <= until) {
+                        expected.push(model.pop_first().expect("checked"));
+                    }
+                    clock = clock.max(until);
+                }
+            }
+            let delivered = &sim.component::<Log>(log).expect("installed").0;
+            assert_eq!(&delivered[checked..], &expected[checked..]);
+            checked = expected.len();
+            assert_eq!(sim.now(), clock);
+            assert!(sim.pending_events() >= DEPTH, "the walk left the deep regime");
+            assert_eq!(sim.pending_events(), model.len());
+        }
+        sim.run();
+        let delivered = &sim.component::<Log>(log).expect("installed").0[checked..];
+        let rest: Vec<(SimTime, u64)> = model.into_iter().collect();
+        assert_eq!(delivered, &rest[..]);
     });
 }
