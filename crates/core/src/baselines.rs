@@ -8,8 +8,6 @@
 //! [`isp_nn_rate_throttled`]), not DES measurements. Measuring them on
 //! the simulated cluster is ROADMAP item J.
 
-use bluedbm_sim::time::SimTime;
-
 use crate::config::SystemConfig;
 
 /// Where spilled accesses land in the RAM-cloud experiments.
@@ -91,13 +89,6 @@ pub fn host_sw_scan_rate(config: &SystemConfig, device_fraction: f64, threads: u
     (1.0 / stretched)
         .min(pcie_cap)
         .min(config.host_nn_rate(threads))
-}
-
-/// Dependent-lookup (graph traversal) step rate given a per-step access
-/// latency — Figure 20's arms all reduce to `1 / step_latency` since the
-/// next request depends on the previous response.
-pub fn traversal_rate(step_latency: SimTime) -> f64 {
-    1.0 / step_latency.as_secs_f64()
 }
 
 /// Sequential-scan throughput (bytes/s) of grep-style software on a
@@ -202,12 +193,6 @@ mod tests {
         assert!((scan_cpu_utilization(&c, ssd) - 65.0).abs() < 1.0);
         assert!((scan_cpu_utilization(&c, hdd) - 13.0).abs() < 1.0);
         assert!(isp_scan_cpu_utilization(&c, isp_search) < 2.0);
-    }
-
-    #[test]
-    fn traversal_rate_inverts_latency() {
-        let r = traversal_rate(SimTime::us(50));
-        assert!((r - 20_000.0).abs() < 1e-6);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! A [`Cluster`] owns the simulator, the per-node flash stacks
 //! (controller + splitter per card), the node agents, the PCIe links and
 //! the integrated network. Every page operation goes in one way:
-//! [`Cluster::inject_read`] / [`Cluster::inject_write`] schedule it at
+//! [`Cluster::inject_read`] / `Cluster::inject_write` schedule it at
 //! the current instant, [`Cluster::run_to_quiescence`] runs the event
 //! queue dry, and [`Cluster::harvest_node`] hands back the completions
 //! with simulated timestamps. The one-page calls ([`Cluster::read_page`],
@@ -217,7 +217,6 @@ pub struct Cluster {
     routing: Arc<RoutingTable>,
     routers: Vec<ComponentId>,
     agents: Vec<ComponentId>,
-    pcie: Vec<ComponentId>,
     controllers: Vec<Vec<ComponentId>>,
     /// Per-node accelerator scheduler (paper Section 4).
     scheds: Vec<ComponentId>,
@@ -388,7 +387,6 @@ impl Cluster {
             routing,
             routers,
             agents,
-            pcie,
             scheds,
             gc_agents,
             mirrors,
@@ -483,7 +481,7 @@ impl Cluster {
     }
 
     /// Where the window protocol runs its rounds (`None` on one shard).
-    pub fn exec_mode(&self) -> Option<ExecMode> {
+    pub(crate) fn exec_mode(&self) -> Option<ExecMode> {
         self.windowed().map(ShardedSimulator::exec_mode)
     }
 
@@ -499,7 +497,7 @@ impl Cluster {
     /// off). Taking empties the buffers but keeps each sink's sequence
     /// running, so back-to-back harvests see disjoint records that still
     /// merge in order; merge parts with [`bluedbm_sim::TraceDoc::merge`].
-    pub fn take_trace(&mut self) -> Vec<TracePart> {
+    pub(crate) fn take_trace(&mut self) -> Vec<TracePart> {
         self.sim.take_trace()
     }
 
@@ -517,7 +515,7 @@ impl Cluster {
     /// (lifecycle counters and write amplification) and a `nodes` scope
     /// with per-node router / agent / scheduler / GC-agent / host-buffer
     /// / flash-card subtrees.
-    pub fn fill_metrics(&self, reg: &mut MetricsRegistry) {
+    pub(crate) fn fill_metrics(&self, reg: &mut MetricsRegistry) {
         let engine = reg.scope("engine");
         engine.set(
             "mode",
@@ -571,7 +569,7 @@ impl Cluster {
         }
     }
 
-    /// A fresh [`MetricsDoc`] snapshot of [`Cluster::fill_metrics`] —
+    /// A fresh [`MetricsDoc`] snapshot of `Cluster::fill_metrics` —
     /// the mid-run observability entry point (JSON via
     /// [`MetricsDoc::to_json_pretty`]).
     pub fn metrics(&self) -> MetricsDoc {
@@ -596,7 +594,7 @@ impl Cluster {
     /// # Errors
     ///
     /// [`ClusterError::DeviceFull`] when every card is exhausted.
-    pub fn alloc_page(&mut self, node: NodeId) -> Result<GlobalPageAddr, ClusterError> {
+    pub(crate) fn alloc_page(&mut self, node: NodeId) -> Result<GlobalPageAddr, ClusterError> {
         if let Some(addr) = self.free[node.index()].pop() {
             self.pages_in_use += 1;
             return Ok(addr);
@@ -637,7 +635,7 @@ impl Cluster {
     ///
     /// Panics if more pages are freed than were ever allocated (a
     /// double-free somewhere).
-    pub fn free_page(&mut self, addr: GlobalPageAddr) -> Result<(), ClusterError> {
+    pub(crate) fn free_page(&mut self, addr: GlobalPageAddr) -> Result<(), ClusterError> {
         let (n, c) = (addr.node.index(), addr.card as usize);
         let out_of_range = || FlashError::OutOfRange(addr.ppa);
         let lba = self.lba_of(addr).ok_or_else(out_of_range)?;
@@ -654,8 +652,8 @@ impl Cluster {
     }
 
     /// Flash pages currently allocated (cluster-wide): every
-    /// [`Cluster::alloc_page`] not yet returned via
-    /// [`Cluster::free_page`]. The KV store audits its directory against
+    /// `Cluster::alloc_page` not yet returned via
+    /// `Cluster::free_page`. The KV store audits its directory against
     /// this to catch stranded extents.
     pub fn flash_pages_in_use(&self) -> u64 {
         self.pages_in_use
@@ -824,7 +822,7 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// As for [`Cluster::inject_write`], plus the write's flash failure
+    /// As for `Cluster::inject_write`, plus the write's flash failure
     /// (the page then goes back to the free pool).
     pub fn write_page_local(
         &mut self,
@@ -977,7 +975,7 @@ impl Cluster {
     /// [`ClusterError::Flash`] wrapping `WrongPageSize` when `data` is
     /// longer than a page, and [`ClusterError::DeviceFull`] when `node`
     /// has no free pages; either way nothing is allocated.
-    pub fn inject_write(
+    pub(crate) fn inject_write(
         &mut self,
         node: NodeId,
         data: &[u8],
@@ -1085,12 +1083,6 @@ impl Cluster {
             .component::<FlashController>(self.controllers[node.index()][card])
             .expect("controller installed")
             .stats()
-    }
-
-    /// The PCIe link component id of `node` (advanced drivers can inject
-    /// [`bluedbm_host::pcie::PcieXfer`]s directly).
-    pub fn pcie_id(&self, node: NodeId) -> ComponentId {
-        self.pcie[node.index()]
     }
 
     /// Shard 0's segment of the simulator-owned page store — on a

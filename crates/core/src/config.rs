@@ -37,11 +37,11 @@ pub struct HostModel {
     /// Per-page host I/O overhead when software streams pages over PCIe
     /// (DMA descriptor + completion handling, amortized). *Calibrated*
     /// from Figure 19's >= 20% in-store advantage at throttled bandwidth.
-    pub io_page_overhead: SimTime,
+    pub(crate) io_page_overhead: SimTime,
     /// Time for one host thread to hamming-compare one 8 KiB item that is
     /// already in DRAM. *Calibrated*: Figure 17's H-DRAM arm reaches
     /// ~350 K comparisons/s at 8 threads -> ~22.9 µs per item per thread.
-    pub nn_compare_time: SimTime,
+    pub(crate) nn_compare_time: SimTime,
     /// Host DRAM random access latency (remote H-D storage-access term).
     pub dram_latency: SimTime,
     /// Host-interface read page buffers per node: "the host interface
@@ -50,12 +50,12 @@ pub struct HostModel {
     /// buffer before crossing PCIe.
     pub read_buffers: usize,
     /// Host threads available (24 cores in the paper's Xeons).
-    pub max_threads: usize,
+    pub(crate) max_threads: usize,
 }
 
 impl HostModel {
     /// Paper-calibrated host model.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         HostModel {
             sw_overhead: SimTime::us(100),
             io_page_overhead: SimTime::ns(2_700),
@@ -69,32 +69,32 @@ impl HostModel {
 
 /// Comparison-device envelopes (Figures 16–21).
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BaselineDevices {
+pub(crate) struct BaselineDevices {
     /// Off-the-shelf M.2 mPCIe SSD sequential/ideal bandwidth: "whose
     /// performance, for 8 KB accesses, was limited to 600 MB/s"
     /// (Section 7.1).
-    pub ssd_bandwidth: Bandwidth,
+    pub(crate) ssd_bandwidth: Bandwidth,
     /// Random 8 KiB read latency through the full software stack at
     /// queue depth 1. *Calibrated* from Figure 17: DRAM + 10% flash drops
     /// below 80 K comparisons/s at 8 threads.
-    pub ssd_random_latency: SimTime,
+    pub(crate) ssd_random_latency: SimTime,
     /// HDD sequential bandwidth. *Calibrated* from Figure 21: Grep on
     /// disk is 7.5x slower than the 1.1 GB/s in-store search -> ~147 MB/s.
-    pub hdd_bandwidth: Bandwidth,
+    pub(crate) hdd_bandwidth: Bandwidth,
     /// HDD random 8 KiB latency (seek + rotate + queueing); Figure 17's
     /// DRAM + 5% disk arm falls under 10 K comparisons/s.
-    pub hdd_random_latency: SimTime,
+    pub(crate) hdd_random_latency: SimTime,
     /// Grep-style scan CPU model: utilization% = a * MB/s + b, fitted to
     /// Figure 21's two software points (65% at 600 MB/s, 13% at
     /// 147 MB/s).
-    pub scan_cpu_slope: f64,
+    pub(crate) scan_cpu_slope: f64,
     /// Intercept of the scan CPU fit (clamped at zero).
-    pub scan_cpu_intercept: f64,
+    pub(crate) scan_cpu_intercept: f64,
 }
 
 impl BaselineDevices {
     /// Paper-calibrated baseline devices.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         BaselineDevices {
             ssd_bandwidth: Bandwidth::mb(600.0),
             ssd_random_latency: SimTime::us(775),
@@ -113,7 +113,7 @@ impl BaselineDevices {
 /// resources, BlueDBM runs a scheduler that assigns available
 /// hardware-acceleration units to competing user-applications. In our
 /// implementation, a simple FIFO-based policy is used." Each node's
-/// [`crate::scheduler::AccelSched`] component arbitrates these units;
+/// `crate::scheduler::AccelSched` component arbitrates these units;
 /// reads consumed with [`crate::node::Consume::Accel`] claim one for the
 /// time it takes to stream the page through at `bandwidth`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -125,12 +125,12 @@ pub struct AccelConfig {
     /// flash bandwidth so a single tenant is never accelerator-bound —
     /// contention only appears when tenants compete, which is the
     /// scheduling behaviour Section 4 describes.
-    pub bandwidth: Bandwidth,
+    pub(crate) bandwidth: Bandwidth,
 }
 
 impl AccelConfig {
     /// Paper-shaped accelerator provisioning.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         AccelConfig {
             units: 4,
             bandwidth: Bandwidth::gb(2.4),
@@ -146,7 +146,7 @@ impl AccelConfig {
 /// The lifecycle is always on: the cluster's driver-visible page
 /// addresses are *logical*, each card keeps a [`bluedbm_ftl::Ftl`]
 /// mirror that maps them to physical pages, and a per-node
-/// [`crate::gc::GcAgent`] executes the mirror's GC rounds (valid-page
+/// `crate::gc::GcAgent` executes the mirror's GC rounds (valid-page
 /// migration reads/programs and block erases) as ordinary simulated
 /// commands on the same buses and controllers as foreground traffic.
 /// These knobs tune the policy and the conformance log.
@@ -157,7 +157,7 @@ pub struct GcConfig {
     /// Per-plane free-block watermark that triggers collection.
     pub gc_watermark: usize,
     /// Erase-count spread beyond which wear leveling picks victims.
-    pub wear_threshold: u64,
+    pub(crate) wear_threshold: u64,
     /// Record each card's logical op log and executed GC rounds so the
     /// conformance suite can replay them into an offline twin. Memory
     /// grows with the op count — leave off outside tests.
@@ -214,27 +214,12 @@ pub struct SimConfig {
 
 impl SimConfig {
     /// The sequential engine.
-    pub fn sequential() -> Self {
+    pub(crate) fn sequential() -> Self {
         SimConfig {
             shards: 1,
             exec: ExecMode::Auto,
             trace: TraceConfig::off(),
         }
-    }
-
-    /// `n` worker shards.
-    pub fn sharded(n: usize) -> Self {
-        SimConfig {
-            shards: n.max(1),
-            exec: ExecMode::Auto,
-            trace: TraceConfig::off(),
-        }
-    }
-
-    /// The same engine with event tracing per `trace`.
-    pub fn with_trace(mut self, trace: TraceConfig) -> Self {
-        self.trace = trace;
-        self
     }
 }
 
@@ -256,9 +241,9 @@ pub struct SystemConfig {
     /// Host server model.
     pub host: HostModel,
     /// Comparison devices.
-    pub baseline: BaselineDevices,
+    pub(crate) baseline: BaselineDevices,
     /// Power model (Table 3).
-    pub power: PowerModel,
+    pub(crate) power: PowerModel,
     /// Shared accelerator units per node (Section 4 scheduling).
     pub accel: AccelConfig,
     /// Flash lifecycle (GC / wear leveling) knobs.
@@ -304,7 +289,7 @@ impl SystemConfig {
     }
 
     /// Node-aggregate flash bandwidth (all cards).
-    pub fn node_flash_bandwidth(&self) -> Bandwidth {
+    pub(crate) fn node_flash_bandwidth(&self) -> Bandwidth {
         let per_card =
             self.flash.timing.bus_bandwidth.as_bytes_per_sec() * self.flash.geometry.buses as f64;
         Bandwidth::bytes_per_sec(per_card * self.flash.cards_per_node as f64)

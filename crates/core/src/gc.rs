@@ -7,7 +7,7 @@
 //! every host write it replays the allocation/GC/wear-leveling decision
 //! via [`bluedbm_ftl::Ftl::step_write`] and, when a plane fell to its
 //! free-block watermark, hands the resulting [`GcRound`]s to this
-//! component. The [`GcAgent`] then executes them as **ordinary
+//! component. The `GcAgent` then executes them as **ordinary
 //! simulated commands** — a [`CtrlCmd::Read`] and [`CtrlCmd::Write`]
 //! per valid-page relocation, a [`CtrlCmd::Erase`] per victim block —
 //! through the same tag-renaming splitter foreground traffic uses, so
@@ -34,9 +34,9 @@ use bluedbm_sim::{MetricsNode, TraceCat, TraceName};
 use crate::msg::Msg;
 
 /// Wake-up message for a node's [`GcAgent`]: the cluster queued at
-/// least one [`GcJob`] and wants it executed now.
+/// least one `GcJob` and wants it executed now.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct GcKick;
+pub(crate) struct GcKick;
 
 /// One logical-space lifecycle operation, as recorded by the cluster's
 /// conformance log (`config.gc.log`). Replaying the per-card log
@@ -55,11 +55,11 @@ pub enum LifecycleOp {
 /// One watermark-triggered collection: the rounds one mirror-FTL write
 /// reported, to run against one card.
 #[derive(Clone, Debug)]
-pub struct GcJob {
+pub(crate) struct GcJob {
     /// Card index within the node.
-    pub card: u8,
+    pub(crate) card: u8,
     /// The rounds, in policy order.
-    pub rounds: Vec<GcRound>,
+    pub(crate) rounds: Vec<GcRound>,
 }
 
 /// Cluster-wide flash lifecycle accounting, aggregated over every
@@ -91,7 +91,7 @@ impl GcStats {
 
     /// Write every counter (and the derived WA ratio) into a metrics
     /// `node` (see [`bluedbm_sim::MetricsRegistry`]).
-    pub fn fill_metrics(&self, node: &mut MetricsNode) {
+    pub(crate) fn fill_metrics(&self, node: &mut MetricsNode) {
         node.set("host_writes", self.host_writes);
         node.set("gc_writes", self.gc_writes);
         node.set("erases", self.erases);
@@ -107,9 +107,9 @@ impl GcStats {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GcAgentStats {
     /// Jobs (watermark triggers) executed.
-    pub jobs: u64,
+    pub(crate) jobs: u64,
     /// Collection rounds completed.
-    pub rounds: u64,
+    pub(crate) rounds: u64,
     /// Valid-page relocations performed (read + program pairs).
     pub moves: u64,
     /// Block erases issued.
@@ -118,7 +118,7 @@ pub struct GcAgentStats {
 
 impl GcAgentStats {
     /// Write every counter into a metrics `node`.
-    pub fn fill_metrics(&self, node: &mut MetricsNode) {
+    pub(crate) fn fill_metrics(&self, node: &mut MetricsNode) {
         node.set("jobs", self.jobs);
         node.set("rounds", self.rounds);
         node.set("moves", self.moves);
@@ -142,7 +142,7 @@ struct Running {
 
 /// Per-node DES component executing mirror-FTL GC rounds on the node's
 /// flash cards. See the [module docs](self).
-pub struct GcAgent {
+pub(crate) struct GcAgent {
     node: u32,
     geometry: FlashGeometry,
     /// Per-card flash splitter (shared with foreground traffic).
@@ -155,7 +155,7 @@ pub struct GcAgent {
 
 impl GcAgent {
     /// An agent for node `node` driving one splitter per card.
-    pub fn new(node: u32, cards: Vec<ComponentId>, geometry: FlashGeometry) -> Self {
+    pub(crate) fn new(node: u32, cards: Vec<ComponentId>, geometry: FlashGeometry) -> Self {
         GcAgent {
             node,
             geometry,
@@ -168,19 +168,14 @@ impl GcAgent {
     }
 
     /// Queue a job; the driver follows up with a [`GcKick`] to start it.
-    pub fn push_job(&mut self, card: u8, rounds: Vec<GcRound>) {
+    pub(crate) fn push_job(&mut self, card: u8, rounds: Vec<GcRound>) {
         assert!((card as usize) < self.cards.len(), "job for a card this node lacks");
         self.jobs.push_back(GcJob { card, rounds });
     }
 
     /// Statistics gathered so far.
-    pub fn stats(&self) -> &GcAgentStats {
+    pub(crate) fn stats(&self) -> &GcAgentStats {
         &self.stats
-    }
-
-    /// `true` when no job is running or queued.
-    pub fn idle(&self) -> bool {
-        self.run.is_none() && self.jobs.is_empty()
     }
 
     fn alloc_tag(&mut self) -> Tag {

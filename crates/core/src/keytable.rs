@@ -93,6 +93,7 @@ impl<V: Default> KeyTable<V> {
     }
 
     /// The id of `key`, if interned.
+    #[cfg(test)]
     pub(crate) fn find(&self, key: &[u8]) -> Option<u32> {
         self.probe(key).ok()
     }

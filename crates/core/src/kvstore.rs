@@ -27,7 +27,7 @@
 //!
 //! Get payloads are consumed with [`Consume::Accel`]: each page must be
 //! granted one of the node's shared accelerator units by the FIFO
-//! [`crate::scheduler::AccelSched`] (paper Section 4), so competing
+//! `crate::scheduler::AccelSched` (paper Section 4), so competing
 //! tenants queue against `config.accel.units` and the per-node queue
 //! waits are visible via [`Cluster::sched_stats`].
 //!
@@ -35,11 +35,11 @@
 //!
 //! Values own flash pages. [`KvStore::submit_delete`] and overwriting
 //! puts release the previous extent back to the cluster's per-node free
-//! pool ([`Cluster::free_page`]), where the mirror FTL unmaps the pages
+//! pool (`Cluster::free_page`), where the mirror FTL unmaps the pages
 //! and later puts reallocate them; the per-key gates guarantee no reader
 //! holds the extent when it is freed, and an overwrite retires the old
 //! extent only once its replacement is durable (a failed put leaves the
-//! previous value intact). [`KvStore::stranded_pages`] /
+//! previous value intact). `KvStore::stranded_pages` /
 //! [`KvStore::assert_no_stranded_pages`] audit the directory against the
 //! cluster's allocation counter, so a code path that drops an extent
 //! without freeing it (what `delete` used to do) is caught the way
@@ -48,7 +48,7 @@
 //! ## Backpressure
 //!
 //! In-flight flash work is bounded by a per-home-node window
-//! ([`KvStore::set_window`]): an op's page commands are injected only
+//! (`DEFAULT_WINDOW` page commands): an op's page commands are injected only
 //! when its home node has room (an oversized op is admitted alone), and
 //! further ready ops wait driver-side. This models bounded device queue
 //! depth and keeps the node agents' 16-bit flash tag space safe at
@@ -133,7 +133,7 @@ use crate::node::{Completed, Consume};
 const DEFAULT_WINDOW: usize = 512;
 
 /// Operation id returned by the `submit_*` calls.
-pub type KvOpId = u64;
+pub(crate) type KvOpId = u64;
 
 /// Tenant (application instance) id, for accounting and fairness
 /// observation — tenants share the directory namespace; generators keep
@@ -297,7 +297,7 @@ pub struct GetResult {
     /// The stored bytes.
     pub value: Vec<u8>,
     /// Simulated wall time spent (pages stream concurrently).
-    pub elapsed: SimTime,
+    pub(crate) elapsed: SimTime,
 }
 
 /// What kind of operation a completion reports.
@@ -332,17 +332,9 @@ pub struct KvCompletion {
     /// When the op was submitted.
     pub submitted: SimTime,
     /// When its key gate was acquired and its commands injected.
-    pub started: SimTime,
+    pub(crate) started: SimTime,
     /// When the last page command (or accelerator job) finished.
     pub finished: SimTime,
-}
-
-impl KvCompletion {
-    /// Driver-side wait for the key gate (serialization against
-    /// conflicting ops on the same key).
-    pub fn gate_wait(&self) -> SimTime {
-        self.started - self.submitted
-    }
 }
 
 /// Per-tenant accounting, updated as operations complete.
@@ -372,7 +364,7 @@ pub struct TenantStats {
 impl TenantStats {
     /// Write every counter (and the latency percentiles) into a metrics
     /// `node` (see [`bluedbm_sim::MetricsRegistry`]).
-    pub fn fill_metrics(&self, node: &mut bluedbm_sim::MetricsNode) {
+    pub(crate) fn fill_metrics(&self, node: &mut bluedbm_sim::MetricsNode) {
         node.set("puts", self.puts);
         node.set("gets", self.gets);
         node.set("deletes", self.deletes);
@@ -587,31 +579,18 @@ impl KvStore {
         self.stored
     }
 
-    /// `true` if no keys are stored.
+    /// `true` if no keys are stored (public beside [`len`](Self::len),
+    /// as clippy's `len_without_is_empty` asks).
     pub fn is_empty(&self) -> bool {
         self.stored == 0
     }
 
     /// `true` if `key` is present.
-    pub fn contains(&self, key: &[u8]) -> bool {
+    #[cfg(test)]
+    fn contains(&self, key: &[u8]) -> bool {
         self.keys
             .find(key)
             .is_some_and(|id| self.keys.get(id).extent.is_present())
-    }
-
-    /// Operations submitted and not yet completed.
-    pub fn in_flight(&self) -> usize {
-        self.live_ops
-    }
-
-    /// The per-home-node in-flight page-command window.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Set the per-home-node window (clamped to at least 1).
-    pub fn set_window(&mut self, window: usize) {
-        self.window = window.max(1);
     }
 
     /// The node a key's value is placed on (FNV-1a over the key, modulo
@@ -650,7 +629,7 @@ impl KvStore {
     /// totals plus one `tenant<T>` subtree per tenant (counters and the
     /// end-to-end latency percentiles).
     #[expect(clippy::disallowed_methods, reason = "the tenants are sorted before use")]
-    pub fn fill_metrics(&self, reg: &mut MetricsRegistry) {
+    pub(crate) fn fill_metrics(&self, reg: &mut MetricsRegistry) {
         let kv = reg.scope("kv");
         kv.set("keys", self.stored);
         kv.set("in_flight", self.live_ops);
@@ -665,7 +644,7 @@ impl KvStore {
     }
 
     /// A complete [`MetricsDoc`] snapshot: the cluster inventory
-    /// ([`Cluster::fill_metrics`]) plus the KV scope above.
+    /// (`Cluster::fill_metrics`) plus the KV scope above.
     pub fn metrics(&self) -> MetricsDoc {
         let mut reg = MetricsRegistry::new();
         self.cluster.fill_metrics(&mut reg);
@@ -684,7 +663,7 @@ impl KvStore {
     ///
     /// Panics if called with operations still in flight (the audit is
     /// only meaningful at quiescence — [`KvStore::drive`] first).
-    pub fn stranded_pages(&self) -> u64 {
+    pub(crate) fn stranded_pages(&self) -> u64 {
         assert!(
             self.live_ops == 0,
             "stranded-page audit requires quiescence; drive() first"
@@ -854,7 +833,7 @@ impl KvStore {
     }
 
     /// Drain completions recorded so far without running the simulation.
-    pub fn poll(&mut self) -> Vec<KvCompletion> {
+    pub(crate) fn poll(&mut self) -> Vec<KvCompletion> {
         std::mem::take(&mut self.finished)
     }
 
@@ -1208,7 +1187,8 @@ impl KvStore {
 
     /// Remove `key`, returning whether it was present. The extent goes
     /// back to the free pool. Drives the simulation to completion.
-    pub fn delete(&mut self, key: &[u8]) -> bool {
+    #[cfg(test)]
+    fn delete(&mut self, key: &[u8]) -> bool {
         let id = self.submit_delete(0, key);
         self.drive_blocking(id).found
     }
@@ -1393,7 +1373,7 @@ mod tests {
     #[test]
     fn windowed_injection_completes_more_ops_than_the_window() {
         let mut s = store(2);
-        s.set_window(4);
+        s.window = 4;
         let page = s.cluster().config().flash.geometry.page_bytes;
         let keys: Vec<String> = (0..32).map(|i| format!("w{i}")).collect();
         for (i, key) in keys.iter().enumerate() {
@@ -1412,7 +1392,7 @@ mod tests {
     #[test]
     fn oversized_value_is_admitted_when_node_idle() {
         let mut s = store(2);
-        s.set_window(2);
+        s.window = 2;
         let page = s.cluster().config().flash.geometry.page_bytes;
         // 6 pages > window of 2: must still complete.
         let value = vec![9u8; 6 * page];

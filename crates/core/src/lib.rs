@@ -18,14 +18,14 @@
 //!   SSD, HDD, DRAM store and the RAM-cloud spill model (Figures 16–21);
 //! * [`power`] — the Table 3 power model and the RAM-cloud comparison;
 //! * [`scheduler`] — the FIFO accelerator scheduler of Section 4, the
-//!   per-node simulated component ([`scheduler::AccelSched`]) gating
+//!   per-node simulated component (`scheduler::AccelSched`) gating
 //!   in-store accelerator work;
 //! * [`kvstore`] — the concurrent multi-tenant key-value workload
 //!   engine: async op submission, per-key FIFO consistency, windowed
 //!   injection, extent free-lists with a stranded-page audit;
 //! * [`gc`] — the flash lifecycle inside the simulation: per-card
 //!   mirror FTLs decide garbage collection and wear leveling, and a
-//!   per-node [`gc::GcAgent`] executes the migration reads/programs and
+//!   per-node `gc::GcAgent` executes the migration reads/programs and
 //!   block erases as ordinary simulated commands, so GC pressure shows
 //!   up in tenant tail latency and [`cluster::Cluster::gc_stats`]
 //!   reports erase counts and write amplification.
@@ -43,7 +43,7 @@
 //! let addr = cluster.write_page_local(0.into(), &page)?;
 //! let read = cluster.read_page(2.into(), addr, Consume::Isp)?;
 //! assert_eq!(read.data, page);
-//! assert!(read.latency.as_us() >= 50); // flash tR dominates
+//! assert!(read.latency >= bluedbm_sim::time::SimTime::us(50)); // flash tR dominates
 //! # Ok(())
 //! # }
 //! ```
@@ -54,20 +54,20 @@ pub mod config;
 pub mod gc;
 mod keytable;
 pub mod kvstore;
-pub mod msg;
+mod msg;
 pub mod node;
 pub mod paths;
 pub mod power;
 pub mod scheduler;
 
 pub use cluster::{Cluster, CompletedRead, GlobalPageAddr};
-pub use gc::{GcAgent, GcAgentStats, GcStats, LifecycleOp};
-pub use msg::{Msg, NetBody};
+pub use gc::{GcAgentStats, GcStats, LifecycleOp};
+
 pub use config::{GcConfig, SystemConfig};
-pub use kvstore::{KvCompletion, KvOpId, KvOpKind, KvStore, TenantId, TenantStats};
+pub use kvstore::{KvCompletion, KvOpKind, KvStore, TenantId, TenantStats};
 pub use paths::{AccessPath, LatencyBreakdown};
 pub use power::PowerModel;
-pub use scheduler::{AccelSched, SchedStats};
+pub use scheduler::SchedStats;
 
 // Re-export the node id type used throughout the public API, and the
 // page-store types payload-bearing drivers stage data through.

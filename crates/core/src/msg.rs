@@ -1,8 +1,8 @@
 //! The workspace-wide concrete message type.
 //!
-//! [`Msg`] composes every subsystem protocol a full BlueDBM node speaks —
+//! `Msg` composes every subsystem protocol a full BlueDBM node speaks —
 //! flash commands, network packets (whose bodies are the remote-operation
-//! types in [`NetBody`]), PCIe transfers, and the node-agent operations —
+//! types in `NetBody`), PCIe transfers, and the node-agent operations —
 //! into one enum that instantiates the typed [`bluedbm_sim::Simulator`].
 //!
 //! ## Handle-based payloads
@@ -25,7 +25,7 @@
 //! and dispatch is never payload-transport-bound. Three layout decisions
 //! keep it true:
 //!
-//! * [`Msg`] is **flat** — one discriminant level. Each nested enum
+//! * `Msg` is **flat** — one discriminant level. Each nested enum
 //!   wrapper costs 8 bytes of tag + padding, so the subsystem enums
 //!   (`FlashMsg`, `NetMsg`) are split into their variants here and
 //!   reassembled (a plain move) in the protocol-trait impls below;
@@ -34,22 +34,22 @@
 //!   simulator-owned control-block pool** where they are born:
 //!   `NetMsg::Wire` (per-hop routing metadata; interned at injection,
 //!   the 8-byte [`WireRef`] moves hop to hop, the delivering router
-//!   takes it out) and [`NetBody::Req`] (interned by the requesting
+//!   takes it out) and `NetBody::Req` (interned by the requesting
 //!   agent, taken by the owning node's agent). Pool slots recycle, so
 //!   the remote-request control plane allocates nothing in steady state
-//!   — the per-page data plane, [`NetBody::Resp`], stays inline.
+//!   — the per-page data plane, `NetBody::Resp`, stays inline.
 //!
 //! ## Crossing shard boundaries
 //!
 //! Under the sharded runtime ([`bluedbm_sim::ShardedSimulator`]) pages
 //! and pooled control blocks live in per-shard store segments, so a
 //! message leaving its shard must carry its payloads along: the
-//! [`ShardMessage`] impl below detaches them into a [`Luggage`] crate on
+//! [`ShardMessage`] impl below detaches them into a `Luggage` crate on
 //! the way out and re-installs them (rewriting the handles in place) on
-//! the way in. Only the controller-internal `FlashFinish` and the PCIe
-//! link's internal `Finish` cannot cross — they are self-sends by
-//! contract, and the impl panics loudly if a partition ever splits them
-//! from their component.
+//! the way in. `Cluster::with_partition` pins every component of a node
+//! to that node's shard, so only router-to-router traffic (`NetWire`,
+//! `NetCredit`, `NetAck`) ever crosses; any other variant crossing is a
+//! wiring bug, and the impl panics naming it.
 //!
 //! To add a new message kind, see the "Adding a new message variant"
 //! checklist in the `bluedbm_sim` crate docs.
@@ -71,7 +71,7 @@ use crate::scheduler::{SchedDone, SchedFree, SchedSubmit};
 
 /// Functional payload of a storage-network packet in the full system.
 #[derive(Debug)]
-pub enum NetBody {
+pub(crate) enum NetBody {
     /// A remote flash/DRAM request travelling to the owning node, by
     /// pool handle (interned by the requester, taken by the owner — the
     /// control plane allocates nothing in steady state).
@@ -84,7 +84,7 @@ pub enum NetBody {
 /// The concrete message type of full-system simulations. Flat on
 /// purpose — see the module docs for the layout rules.
 #[derive(Debug)]
-pub enum Msg {
+pub(crate) enum Msg {
     /// Raw flash-controller command.
     FlashCmd(CtrlCmd),
     /// Flash-controller completion.
@@ -268,11 +268,13 @@ impl HostProtocol for Msg {
 }
 
 /// Owned form of a [`Msg`]'s store-backed payloads while the message is
-/// in transit between shards (see the module docs). Built by
-/// [`ShardMessage::detach`], consumed by [`ShardMessage::attach`].
+/// in transit between shards: a wire record and its body's payload (see
+/// the module docs). Built by [`ShardMessage::detach`], consumed by
+/// [`ShardMessage::attach`].
 #[derive(Debug)]
-pub enum Luggage {
-    /// No store-backed payload.
+pub(crate) enum Luggage {
+    /// No store-backed payload (a credit return, an ack, or a failed
+    /// response's body).
     None,
     /// One page's bytes (the copy the real network link would perform).
     Page(Vec<u8>),
@@ -314,55 +316,16 @@ impl ShardMessage for Msg {
 
     fn detach(&mut self, pages: &mut PageStore, pools: &mut PoolStore) -> Luggage {
         match self {
-            // The inter-node traffic that actually crosses shards under
-            // the cluster partition (router/links are node-pinned).
             Msg::NetWire(wire) => {
                 let mut wire = Box::new(pools.take(*wire));
                 let inner = detach_body(wire.body_mut(), pages, pools);
                 Luggage::Wire(wire, Box::new(inner))
             }
             Msg::NetCredit(_) | Msg::NetAck(_) => Luggage::None,
-            // Node-internal in the cluster wiring, but supported so
-            // arbitrary partitions stay correct.
-            Msg::NetSend(send) => detach_body(&mut send.body, pages, pools),
-            Msg::NetRecv(recv) => detach_body(&mut recv.body, pages, pools),
-            Msg::FlashCmd(CtrlCmd::Write { data, .. }) => Luggage::Page(pages.take(*data)),
-            Msg::FlashCmd(_) => Luggage::None,
-            Msg::FlashResp(CtrlResp::ReadDone { result: Ok(read), .. }) => {
-                Luggage::Page(pages.take(read.page))
-            }
-            Msg::FlashResp(_) => Luggage::None,
-            Msg::ServerReq(_) => Luggage::None,
-            Msg::ServerResp(resp) => match &resp.result {
-                Ok(page) => Luggage::Page(pages.take(*page)),
-                Err(_) => Luggage::None,
-            },
-            Msg::Host(HostMsg::Xfer(xfer)) => Luggage::Page(pages.take(xfer.body)),
-            Msg::Host(HostMsg::Done(done)) => Luggage::Page(pages.take(done.body)),
-            Msg::Op(AgentOp::WriteFlash { data, .. }) => Luggage::Page(pages.take(*data)),
-            Msg::Op(_) => Luggage::None,
-            Msg::Dram(served) => match &served.data {
-                Ok(page) => Luggage::Page(pages.take(*page)),
-                Err(_) => Luggage::None,
-            },
-            // Scheduler traffic is handle-free (and node-internal under
-            // the cluster partition, but arbitrary partitions stay
-            // correct).
-            Msg::SchedSubmit(_) | Msg::SchedDone(_) => Luggage::None,
-            // Driver → node-pinned GC agent; carries no payload.
-            Msg::GcKick(_) => Luggage::None,
-            // Self-sends by contract: a partition can never split a
-            // component from itself, so these crossing a shard boundary
-            // is a wiring bug.
-            Msg::SchedFree(_) => {
-                panic!("scheduler-internal SchedFree cannot cross shards")
-            }
-            Msg::FlashFinish(_) => {
-                panic!("controller-internal Finish cannot cross shards")
-            }
-            Msg::Host(HostMsg::Finish(_)) => {
-                panic!("PCIe-link-internal Finish cannot cross shards")
-            }
+            other => panic!(
+                "{other:?} crossed shards: every component of a node lives on the node's \
+                 shard, so only router-to-router traffic may cross"
+            ),
         }
     }
 
@@ -372,30 +335,7 @@ impl ShardMessage for Msg {
                 attach_body(carried.body_mut(), *inner, pages, pools);
                 *wire = pools.intern(*carried);
             }
-            (Msg::NetSend(send), luggage) => attach_body(&mut send.body, luggage, pages, pools),
-            (Msg::NetRecv(recv), luggage) => attach_body(&mut recv.body, luggage, pages, pools),
-            (Msg::FlashCmd(CtrlCmd::Write { data, .. }), Luggage::Page(bytes)) => {
-                *data = pages.alloc_from(&bytes);
-            }
-            (Msg::FlashResp(CtrlResp::ReadDone { result: Ok(read), .. }), Luggage::Page(bytes)) => {
-                read.page = pages.alloc_from(&bytes);
-            }
-            (Msg::ServerResp(resp), Luggage::Page(bytes)) => {
-                resp.result = Ok(pages.alloc_from(&bytes));
-            }
-            (Msg::Host(HostMsg::Xfer(xfer)), Luggage::Page(bytes)) => {
-                xfer.body = pages.alloc_from(&bytes);
-            }
-            (Msg::Host(HostMsg::Done(done)), Luggage::Page(bytes)) => {
-                done.body = pages.alloc_from(&bytes);
-            }
-            (Msg::Op(AgentOp::WriteFlash { data, .. }), Luggage::Page(bytes)) => {
-                *data = pages.alloc_from(&bytes);
-            }
-            (Msg::Dram(served), Luggage::Page(bytes)) => {
-                served.data = Ok(pages.alloc_from(&bytes));
-            }
-            (_, Luggage::None) => {}
+            (Msg::NetCredit(_) | Msg::NetAck(_), Luggage::None) => {}
             (msg, luggage) => panic!("luggage {luggage:?} does not fit message {msg:?}"),
         }
     }
@@ -419,6 +359,20 @@ mod tests {
         assert!(matches!(msg, Msg::FlashCmd(_)));
         let back = msg.into_flash();
         assert!(matches!(back, FlashMsg::Cmd(CtrlCmd::Erase { .. })));
+    }
+
+    #[test]
+    #[should_panic(expected = "crossed shards")]
+    fn only_router_traffic_crosses_shards() {
+        let mut sim = bluedbm_sim::Simulator::<Msg>::new();
+        let mut pages = PageStore::new();
+        let mut msg = Msg::FlashCmd(CtrlCmd::Write {
+            tag: bluedbm_flash::Tag(1),
+            ppa: bluedbm_flash::Ppa::new(0, 0, 0, 0),
+            data: pages.alloc_from(&[7; 8]),
+            reply_to: sim.reserve(),
+        });
+        msg.detach(&mut pages, &mut PoolStore::default());
     }
 
     /// The per-event layout budget README cites: what one pending `Msg`

@@ -2,7 +2,7 @@
 //!
 //! In the paper's node architecture (Figure 2) the in-store processor
 //! sits between four services: flash interface, network interface, host
-//! interface and the on-board DRAM buffer. [`NodeAgent`] is that hub as a
+//! interface and the on-board DRAM buffer. `NodeAgent` is that hub as a
 //! DES component: it accepts operations from the experiment driver,
 //! issues tagged commands to the local flash splitters, serves and issues
 //! remote requests over the integrated network, stages host-bound data
@@ -28,10 +28,10 @@ use crate::msg::{Msg, NetBody};
 use crate::scheduler::{SchedDone, SchedSubmit};
 
 /// Endpoint used for remote request messages.
-pub const REQUEST_ENDPOINT: u16 = 0;
+pub(crate) const REQUEST_ENDPOINT: u16 = 0;
 /// Number of endpoints used for data return (spread across parallel
 /// lanes by the deterministic router).
-pub const DATA_ENDPOINTS: u16 = 4;
+pub(crate) const DATA_ENDPOINTS: u16 = 4;
 /// Wire size of a remote read request.
 pub const REQUEST_BYTES: u32 = 32;
 
@@ -43,7 +43,7 @@ pub struct GlobalPageAddr {
     /// Flash card within the node.
     pub card: u8,
     /// Physical page on that card.
-    pub ppa: Ppa,
+    pub(crate) ppa: Ppa,
 }
 
 /// Who consumes the data of a read.
@@ -57,14 +57,14 @@ pub enum Consume {
     /// A shared in-store accelerator unit: data stays on the device but
     /// must first be granted one of the node's
     /// `config.accel.units` units by the FIFO
-    /// [`crate::scheduler::AccelSched`] (paper Section 4) — competing
+    /// `crate::scheduler::AccelSched` (paper Section 4) — competing
     /// tenants queue. The KV engine's get path.
     Accel,
 }
 
-/// Operations the experiment driver sends to a [`NodeAgent`].
+/// Operations the experiment driver sends to a `NodeAgent`.
 #[derive(Clone, Debug)]
-pub enum AgentOp {
+pub(crate) enum AgentOp {
     /// Read one page of the global address space (local or remote — the
     /// agent routes accordingly).
     ReadFlash {
@@ -138,7 +138,7 @@ pub struct Completed {
 /// carries the 8-byte handle). Public only because it rides the network
 /// body and crosses shard boundaries; agents construct and consume it.
 #[derive(Clone, Debug)]
-pub struct RemoteReq {
+pub(crate) struct RemoteReq {
     req_id: u64,
     origin: NodeId,
     reply_ep: u16,
@@ -157,7 +157,7 @@ enum RemoteKind {
 /// state, so the response message stays small. Only the errors a read
 /// path can produce exist here.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RemoteError {
+pub(crate) enum RemoteError {
     /// The address does not exist on the owning node.
     OutOfRange,
     /// The block is marked bad.
@@ -206,9 +206,9 @@ impl RemoteError {
 /// Remote response carried over the storage network. Public only because
 /// it rides [`crate::msg::NetBody`]. Page data travels by handle (the
 /// requesting agent consumes the page); failures travel as
-/// [`RemoteError`] codes.
+/// `RemoteError` codes.
 #[derive(Clone, Debug)]
-pub struct RemoteResp {
+pub(crate) struct RemoteResp {
     req_id: u64,
     /// `pub(crate)` so the cross-shard relocation in [`crate::msg`] can
     /// rewrite the page handle.
@@ -221,7 +221,7 @@ pub struct RemoteResp {
 /// fields flat (DRAM replies never carry a flash address) so the
 /// variant stays inside `Msg`'s 64-byte budget.
 #[derive(Clone, Debug)]
-pub struct DramServed {
+pub(crate) struct DramServed {
     origin: NodeId,
     reply_ep: u16,
     req_id: u64,
@@ -273,7 +273,7 @@ pub struct AgentStats {
     /// Remote requests sent over the storage network.
     pub remote_reads: u64,
     /// Remote requests served here on behalf of other nodes.
-    pub remote_jobs: u64,
+    pub(crate) remote_jobs: u64,
     /// Operations completed (success or failure).
     pub completions: u64,
     /// Host-bound pages that had to park waiting for a read buffer.
@@ -285,7 +285,7 @@ pub struct AgentStats {
 impl AgentStats {
     /// Write every counter into a metrics `node` (see
     /// [`bluedbm_sim::MetricsRegistry`]).
-    pub fn fill_metrics(&self, node: &mut MetricsNode) {
+    pub(crate) fn fill_metrics(&self, node: &mut MetricsNode) {
         node.set("ops", self.ops);
         node.set("local_reads", self.local_reads);
         node.set("remote_reads", self.remote_reads);
@@ -297,7 +297,7 @@ impl AgentStats {
 }
 
 /// The node hub component. Built by [`crate::cluster::Cluster`].
-pub struct NodeAgent {
+pub(crate) struct NodeAgent {
     node: NodeId,
     router: ComponentId,
     pcie: ComponentId,
@@ -345,7 +345,7 @@ impl NodeAgent {
     /// Build an agent for `node` wired to its router, PCIe link, flash
     /// card frontends and accelerator scheduler.
     #[expect(clippy::too_many_arguments, reason = "the cluster builder is the one caller")]
-    pub fn new(
+    pub(crate) fn new(
         node: NodeId,
         router: ComponentId,
         pcie: ComponentId,
@@ -385,23 +385,18 @@ impl NodeAgent {
 
     /// The host-interface read-buffer pool (stats: peak occupancy,
     /// exhaustion stalls).
-    pub fn host_buffers(&self) -> &BufferPool {
+    pub(crate) fn host_buffers(&self) -> &BufferPool {
         &self.host_buffers
     }
 
     /// Statistics gathered so far.
-    pub fn stats(&self) -> &AgentStats {
+    pub(crate) fn stats(&self) -> &AgentStats {
         &self.stats
     }
 
     /// Drain all completions recorded so far.
-    pub fn take_completed(&mut self) -> Vec<Completed> {
+    pub(crate) fn take_completed(&mut self) -> Vec<Completed> {
         std::mem::take(&mut self.completed)
-    }
-
-    /// Inspect the DRAM buffer (test support).
-    pub fn dram_get(&self, key: u64) -> Option<&Vec<u8>> {
-        self.dram.get(&key)
     }
 
     /// The next free rolling 16-bit tag, or `None` when every one is in

@@ -20,11 +20,11 @@ pub struct PowerModel {
     pub server_watts: f64,
     /// A RAM-cloud server: a denser box (e.g. 256 GB DRAM) drawing more
     /// power per node.
-    pub ramcloud_server_watts: f64,
+    pub(crate) ramcloud_server_watts: f64,
     /// DRAM per RAM-cloud server, bytes.
-    pub ramcloud_dram_bytes: u64,
+    pub(crate) ramcloud_dram_bytes: u64,
     /// Flash per BlueDBM node, bytes (two 512 GB cards).
-    pub node_flash_bytes: u64,
+    pub(crate) node_flash_bytes: u64,
 }
 
 impl PowerModel {
@@ -42,7 +42,7 @@ impl PowerModel {
     }
 
     /// Watts added by the BlueDBM storage device (FPGA + flash boards).
-    pub fn device_watts(&self) -> f64 {
+    pub(crate) fn device_watts(&self) -> f64 {
         self.vc707_watts + self.flash_board_watts * self.flash_boards as f64
     }
 

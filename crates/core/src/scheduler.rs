@@ -6,15 +6,15 @@
 //! available hardware-acceleration units to competing user-applications.
 //! In our implementation, a simple FIFO-based policy is used."
 //!
-//! [`AccelSched`] is that scheduler as a **simulated component**: one
+//! `AccelSched` is that scheduler as a **simulated component**: one
 //! per node, built by [`crate::cluster::Cluster`], arbitrating
 //! `config.accel.units` identical units among in-flight jobs *inside*
-//! the running DES. Jobs arrive as [`SchedSubmit`] messages (the node
+//! the running DES. Jobs arrive as `SchedSubmit` messages (the node
 //! agent submits one for every read consumed with
 //! [`crate::node::Consume::Accel`] — the multi-tenant KV engine's data
 //! path); a free unit is granted immediately, otherwise the job parks in
 //! a FIFO queue and is granted when a running job releases its unit. The
-//! requester learns of completion via [`SchedDone`]. Queue-wait
+//! requester learns of completion via `SchedDone`. Queue-wait
 //! statistics accumulate in [`SchedStats`], surfaced per node through
 //! [`crate::cluster::Cluster::sched_stats`]. The unit tests check it
 //! against a closed-form offline calculator of the same FIFO policy.
@@ -32,29 +32,29 @@ use bluedbm_sim::{MetricsNode, TraceCat, TraceName};
 
 use crate::msg::Msg;
 
-/// Ask a node's [`AccelSched`] for one accelerator unit for `duration`.
+/// Ask a node's `AccelSched` for one accelerator unit for `duration`.
 #[derive(Clone, Copy, Debug)]
-pub struct SchedSubmit {
+pub(crate) struct SchedSubmit {
     /// Requester-chosen job id, echoed in [`SchedDone`].
-    pub job: u64,
+    pub(crate) job: u64,
     /// Component notified when the job finishes.
-    pub reply_to: ComponentId,
+    pub(crate) reply_to: ComponentId,
     /// Accelerator busy time the job needs once granted.
-    pub duration: SimTime,
+    pub(crate) duration: SimTime,
 }
 
 /// Scheduler-internal self-send: a running job's unit becomes free.
 #[derive(Clone, Copy, Debug)]
-pub struct SchedFree {
+pub(crate) struct SchedFree {
     pub(crate) job: u64,
     pub(crate) reply_to: ComponentId,
 }
 
 /// A job finished on its accelerator unit (scheduler → requester).
 #[derive(Clone, Copy, Debug)]
-pub struct SchedDone {
+pub(crate) struct SchedDone {
     /// Echo of the [`SchedSubmit`] job id.
-    pub job: u64,
+    pub(crate) job: u64,
 }
 
 /// Cumulative per-node scheduler statistics. Additive counters plus
@@ -83,7 +83,7 @@ pub struct SchedStats {
 impl SchedStats {
     /// Mean queue wait across granted jobs ([`SimTime::ZERO`] before any
     /// grant).
-    pub fn mean_wait(&self) -> SimTime {
+    pub(crate) fn mean_wait(&self) -> SimTime {
         if self.granted == 0 {
             SimTime::ZERO
         } else {
@@ -93,7 +93,7 @@ impl SchedStats {
 
     /// Write every counter into a metrics `node` (see
     /// [`bluedbm_sim::MetricsRegistry`]).
-    pub fn fill_metrics(&self, node: &mut MetricsNode) {
+    pub(crate) fn fill_metrics(&self, node: &mut MetricsNode) {
         node.set("submitted", self.submitted);
         node.set("granted", self.granted);
         node.set("completed", self.completed);
@@ -115,7 +115,7 @@ struct ParkedJob {
 }
 
 /// The per-node accelerator scheduler component (see the module docs).
-pub struct AccelSched {
+pub(crate) struct AccelSched {
     units: usize,
     busy: usize,
     node: u32,
@@ -129,7 +129,7 @@ impl AccelSched {
     /// # Panics
     ///
     /// Panics if `units == 0`.
-    pub fn new(units: usize) -> Self {
+    pub(crate) fn new(units: usize) -> Self {
         assert!(units > 0, "a node needs at least one accelerator unit");
         AccelSched {
             units,
@@ -142,28 +142,13 @@ impl AccelSched {
 
     /// Tag this scheduler with its owning node index — the `track` of
     /// every [`TraceCat::Accel`] record it emits.
-    pub fn with_node(mut self, node: u32) -> Self {
+    pub(crate) fn with_node(mut self, node: u32) -> Self {
         self.node = node;
         self
     }
 
-    /// Units this scheduler arbitrates.
-    pub fn units(&self) -> usize {
-        self.units
-    }
-
-    /// Units currently granted to running jobs.
-    pub fn busy_units(&self) -> usize {
-        self.busy
-    }
-
-    /// Jobs currently parked waiting for a unit.
-    pub fn parked_jobs(&self) -> usize {
-        self.parked.len()
-    }
-
     /// Statistics gathered so far.
-    pub fn stats(&self) -> &SchedStats {
+    pub(crate) fn stats(&self) -> &SchedStats {
         &self.stats
     }
 
@@ -383,8 +368,8 @@ mod tests {
         assert_eq!(s.stats().completed, 6);
         assert_eq!(s.stats().parked, 5, "all but the first waited");
         assert_eq!(s.stats().peak_parked, 5);
-        assert_eq!(s.busy_units(), 0);
-        assert_eq!(s.parked_jobs(), 0);
+        assert_eq!(s.busy, 0);
+        assert!(s.parked.is_empty());
     }
 
     #[test]

@@ -49,15 +49,6 @@ impl ErrorModel {
             factory_bad_fraction: 0.0,
         }
     }
-
-    /// A wear-sensitive model for the reliability test suites.
-    pub const fn wearing() -> Self {
-        ErrorModel {
-            base_ber: 1e-7,
-            ber_per_erase: 1e-8,
-            factory_bad_fraction: 0.01,
-        }
-    }
 }
 
 impl Default for ErrorModel {
@@ -72,7 +63,7 @@ pub struct ReadResult {
     /// The page contents after ECC correction.
     pub data: Vec<u8>,
     /// Codewords in which a single-bit error was corrected on this read.
-    pub corrected_words: u32,
+    pub(crate) corrected_words: u32,
 }
 
 /// "This page holds no codeword" in a block's slot table.
@@ -156,15 +147,15 @@ struct BlockState {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArrayStats {
     /// Pages programmed.
-    pub programs: u64,
+    pub(crate) programs: u64,
     /// Pages read.
     pub reads: u64,
     /// Blocks erased.
-    pub erases: u64,
+    pub(crate) erases: u64,
     /// Total single-bit corrections performed by ECC.
     pub corrected_words: u64,
     /// Reads that failed with an uncorrectable ECC error.
-    pub uncorrectable: u64,
+    pub(crate) uncorrectable: u64,
 }
 
 /// One flash card's worth of NAND.
@@ -188,7 +179,7 @@ impl FlashArray {
     ///
     /// # Panics
     ///
-    /// Panics if `geometry` has more than [`FlashGeometry::MAX_PAGES`]
+    /// Panics if `geometry` has more than `FlashGeometry::MAX_PAGES`
     /// pages; [`FlashArray::with_error_model`] returns that as an error.
     pub fn new(geometry: FlashGeometry, seed: u64) -> Self {
         Self::with_error_model(geometry, seed, ErrorModel::none())
@@ -201,7 +192,7 @@ impl FlashArray {
     /// # Errors
     ///
     /// [`FlashError::GeometryTooLarge`] if `geometry` has more than
-    /// [`FlashGeometry::MAX_PAGES`] pages (slot and page indices are
+    /// `FlashGeometry::MAX_PAGES` pages (slot and page indices are
     /// `u32`).
     pub fn with_error_model(
         geometry: FlashGeometry,
@@ -335,7 +326,7 @@ impl FlashArray {
     /// # Panics
     ///
     /// Panics if `dest` is not exactly one page.
-    pub fn read_into(&mut self, ppa: Ppa, dest: &mut [u8]) -> Result<u32, FlashError> {
+    pub(crate) fn read_into(&mut self, ppa: Ppa, dest: &mut [u8]) -> Result<u32, FlashError> {
         self.check(ppa)?;
         let wear = self.blocks[self.block_index(ppa)].erase_count;
         let Some(slot) = self.slot_of(ppa) else {
@@ -429,7 +420,8 @@ impl FlashArray {
     }
 
     /// Mark the containing block bad (a "grown" bad block).
-    pub fn mark_bad(&mut self, ppa: Ppa) {
+    #[cfg(test)]
+    fn mark_bad(&mut self, ppa: Ppa) {
         let bi = self.block_index(ppa);
         self.blocks[bi].bad = true;
     }

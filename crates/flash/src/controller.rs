@@ -72,7 +72,7 @@ pub enum CtrlCmd {
 
 impl CtrlCmd {
     /// The tag carried by this command.
-    pub fn tag(&self) -> Tag {
+    pub(crate) fn tag(&self) -> Tag {
         match self {
             CtrlCmd::Read { tag, .. } | CtrlCmd::Write { tag, .. } | CtrlCmd::Erase { tag, .. } => {
                 *tag
@@ -81,7 +81,7 @@ impl CtrlCmd {
     }
 
     /// The reply target carried by this command.
-    pub fn reply_to(&self) -> ComponentId {
+    pub(crate) fn reply_to(&self) -> ComponentId {
         match self {
             CtrlCmd::Read { reply_to, .. }
             | CtrlCmd::Write { reply_to, .. }
@@ -98,7 +98,7 @@ pub struct PageRead {
     /// Handle to the page contents after ECC correction.
     pub page: PageRef,
     /// Codewords in which a single-bit error was corrected on this read.
-    pub corrected_words: u32,
+    pub(crate) corrected_words: u32,
 }
 
 /// Completions produced by the [`FlashController`].
@@ -346,7 +346,7 @@ impl FlashController {
                 };
                 if result.is_ok() {
                     self.stats.read_latency.record(done - now);
-                    self.stats.read_throughput.record(done, page_bytes);
+                    self.stats.read_throughput.record(page_bytes);
                 }
                 (
                     done,

@@ -132,16 +132,6 @@ pub enum Decoded {
     Uncorrectable,
 }
 
-impl Decoded {
-    /// The recovered data word, if the word was recoverable.
-    pub fn data(self) -> Option<u64> {
-        match self {
-            Decoded::Clean(d) | Decoded::Corrected(d) => Some(d),
-            Decoded::Uncorrectable => None,
-        }
-    }
-}
-
 /// Encode a 64-bit word, producing its 8-bit SECDED parity.
 ///
 /// Bits 0..=6 of the result are the Hamming parity bits; bit 7 is the
@@ -198,27 +188,6 @@ pub fn decode(data: u64, parity: u8) -> Decoded {
     }
 }
 
-/// Result of decoding a page.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PageDecode {
-    /// Corrected page contents.
-    pub data: Vec<u8>,
-    /// Number of codewords in which a single-bit error was corrected.
-    pub corrected_words: u32,
-}
-
-/// Encode a page: returns one parity byte per 8-byte word.
-///
-/// # Panics
-///
-/// Panics if `page.len()` is not a multiple of 8.
-pub fn encode_page(page: &[u8]) -> Vec<u8> {
-    assert!(page.len().is_multiple_of(8), "page length must be a multiple of 8");
-    let mut oob = vec![0u8; page.len() / 8];
-    encode_page_into(page, &mut oob);
-    oob
-}
-
 /// Encode a page straight into `oob` (one parity byte per 8-byte word) —
 /// the in-place program path: the array points `oob` at the tail of the
 /// page's codeword slot, so a program allocates nothing.
@@ -226,7 +195,7 @@ pub fn encode_page(page: &[u8]) -> Vec<u8> {
 /// # Panics
 ///
 /// Panics if `page.len() != 8 * oob.len()`.
-pub fn encode_page_into(page: &[u8], oob: &mut [u8]) {
+pub(crate) fn encode_page_into(page: &[u8], oob: &mut [u8]) {
     assert_eq!(page.len(), oob.len() * 8, "page/oob size mismatch");
     for (word, parity) in page.chunks_exact(8).zip(oob) {
         *parity = encode(u64::from_le_bytes(word.try_into().expect("chunk of 8")));
@@ -244,7 +213,7 @@ pub fn encode_page_into(page: &[u8], oob: &mut [u8]) {
 /// # Panics
 ///
 /// Panics if `page.len() != 8 * oob.len()` or `out.len() != page.len()`.
-pub fn decode_page_into(page: &[u8], oob: &[u8], out: &mut [u8]) -> Option<u32> {
+pub(crate) fn decode_page_into(page: &[u8], oob: &[u8], out: &mut [u8]) -> Option<u32> {
     assert_eq!(page.len(), oob.len() * 8, "page/oob size mismatch");
     assert_eq!(out.len(), page.len(), "output/page size mismatch");
     let mut corrected = 0u32;
@@ -264,23 +233,6 @@ pub fn decode_page_into(page: &[u8], oob: &[u8], out: &mut [u8]) -> Option<u32> 
         }
     }
     Some(corrected)
-}
-
-/// Decode a page against its out-of-band parity bytes, allocating the
-/// output. Convenience wrapper over [`decode_page_into`].
-///
-/// Returns `None` if any codeword is uncorrectable.
-///
-/// # Panics
-///
-/// Panics if `page.len() != 8 * oob.len()`.
-pub fn decode_page(page: &[u8], oob: &[u8]) -> Option<PageDecode> {
-    let mut data = vec![0u8; page.len()];
-    let corrected_words = decode_page_into(page, oob, &mut data)?;
-    Some(PageDecode {
-        data,
-        corrected_words,
-    })
 }
 
 #[cfg(test)]
@@ -368,62 +320,49 @@ mod tests {
         }
     }
 
-    #[test]
-    fn decoded_data_accessor() {
-        assert_eq!(Decoded::Clean(5).data(), Some(5));
-        assert_eq!(Decoded::Corrected(6).data(), Some(6));
-        assert_eq!(Decoded::Uncorrectable.data(), None);
+    /// A random page and its parity bytes.
+    fn encoded_page(seed: u64, len: usize) -> (Vec<u8>, Vec<u8>) {
+        let mut page = vec![0u8; len];
+        Rng::new(seed).fill_bytes(&mut page);
+        let mut oob = vec![0u8; len / 8];
+        encode_page_into(&page, &mut oob);
+        (page, oob)
     }
 
     #[test]
     fn page_round_trip() {
-        let mut rng = Rng::new(6);
-        let mut page = vec![0u8; 512];
-        rng.fill_bytes(&mut page);
-        let oob = encode_page(&page);
-        assert_eq!(oob.len(), 64);
-        let dec = decode_page(&page, &oob).expect("clean page decodes");
-        assert_eq!(dec.data, page);
-        assert_eq!(dec.corrected_words, 0);
+        let (page, oob) = encoded_page(6, 512);
+        let mut out = vec![0u8; page.len()];
+        assert_eq!(decode_page_into(&page, &oob, &mut out), Some(0));
+        assert_eq!(out, page);
     }
 
     #[test]
     fn page_corrects_scattered_single_bit_errors() {
+        let (page, oob) = encoded_page(7, 512);
         let mut rng = Rng::new(7);
-        let mut page = vec![0u8; 512];
-        rng.fill_bytes(&mut page);
-        let oob = encode_page(&page);
         // Flip one bit in each of 10 different words.
         let mut corrupted = page.clone();
         for w in 0..10 {
             let byte = w * 8 + (rng.below(8) as usize);
             corrupted[byte] ^= 1 << rng.below(8);
         }
-        let dec = decode_page(&corrupted, &oob).expect("single-bit errors correct");
-        assert_eq!(dec.data, page);
-        assert_eq!(dec.corrected_words, 10);
+        let mut out = vec![0u8; page.len()];
+        assert_eq!(decode_page_into(&corrupted, &oob, &mut out), Some(10));
+        assert_eq!(out, page);
     }
 
     #[test]
     fn page_reports_uncorrectable() {
-        let mut rng = Rng::new(8);
-        let mut page = vec![0u8; 64];
-        rng.fill_bytes(&mut page);
-        let oob = encode_page(&page);
+        let (page, oob) = encoded_page(8, 64);
         let mut corrupted = page.clone();
         corrupted[0] ^= 0b11; // two flips in word 0
-        assert!(decode_page(&corrupted, &oob).is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of 8")]
-    fn encode_page_validates_length() {
-        let _ = encode_page(&[0u8; 7]);
+        assert!(decode_page_into(&corrupted, &oob, &mut [0u8; 64]).is_none());
     }
 
     #[test]
     #[should_panic(expected = "size mismatch")]
     fn decode_page_validates_oob() {
-        let _ = decode_page(&[0u8; 16], &[0u8; 1]);
+        let _ = decode_page_into(&[0u8; 16], &[0u8; 1], &mut [0u8; 16]);
     }
 }

@@ -34,7 +34,7 @@ pub enum FlashError {
     /// A tag was used that has no in-flight command.
     UnknownTag(u16),
     /// The geometry has more pages than the `u32` page tables can index
-    /// (see [`crate::geometry::FlashGeometry::MAX_PAGES`]).
+    /// (see `crate::geometry::FlashGeometry::MAX_PAGES`).
     GeometryTooLarge,
     /// A file handle unknown to the address translation unit.
     UnknownHandle(u64),

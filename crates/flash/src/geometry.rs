@@ -94,10 +94,10 @@ impl FlashGeometry {
     /// sentinel values at both ends (the array's slot tables, the FTL's
     /// `index + 1` mapping tables), so constructors refuse anything
     /// larger with a typed error.
-    pub const MAX_PAGES: usize = u32::MAX as usize - 2;
+    pub(crate) const MAX_PAGES: usize = u32::MAX as usize - 2;
 
     /// [`FlashGeometry::total_pages`] if the product neither overflows
-    /// nor exceeds [`FlashGeometry::MAX_PAGES`] — the check every
+    /// nor exceeds `FlashGeometry::MAX_PAGES` — the check every
     /// constructor taking a user-supplied geometry runs first.
     pub const fn checked_total_pages(&self) -> Option<usize> {
         let Some(chips) = self.buses.checked_mul(self.chips_per_bus) else {
@@ -112,14 +112,9 @@ impl FlashGeometry {
         }
     }
 
-    /// Total user-visible capacity in bytes.
-    pub const fn capacity_bytes(&self) -> u64 {
-        self.total_pages() as u64 * self.page_bytes as u64
-    }
-
     /// Out-of-band bytes per page reserved for ECC parity: one SECDED
     /// parity byte per 64-bit data word.
-    pub const fn oob_bytes(&self) -> usize {
+    pub(crate) const fn oob_bytes(&self) -> usize {
         self.page_bytes / 8
     }
 
@@ -198,16 +193,6 @@ impl Ppa {
             page,
         }
     }
-
-    /// The same block with `page` replaced.
-    pub const fn with_page(self, page: u32) -> Self {
-        Ppa { page, ..self }
-    }
-
-    /// The containing block (page forced to 0).
-    pub const fn block_addr(self) -> Self {
-        self.with_page(0)
-    }
 }
 
 impl fmt::Debug for Ppa {
@@ -239,7 +224,6 @@ mod tests {
         let g = FlashGeometry::paper_card();
         assert_eq!(g.total_chips(), 64);
         assert_eq!(g.oob_bytes(), 1024);
-        assert_eq!(g.capacity_bytes(), 4 * 1024 * 1024 * 1024);
     }
 
     #[test]
@@ -309,9 +293,6 @@ mod tests {
     #[test]
     fn ppa_helpers() {
         let p = Ppa::new(1, 2, 3, 4);
-        assert_eq!(p.with_page(9).page, 9);
-        assert_eq!(p.block_addr().page, 0);
-        assert_eq!(p.block_addr().block, 3);
         assert_eq!(p.to_string(), "bus1/chip2/block3/page4");
         assert_eq!(format!("{p:?}"), "Ppa(b1.c2.blk3.p4)");
     }

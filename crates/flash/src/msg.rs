@@ -2,7 +2,7 @@
 //!
 //! Every component in this crate speaks [`FlashMsg`]; simulations that
 //! compose flash with other subsystems implement [`FlashProtocol`] on
-//! their own message enum (see `bluedbm_core::Msg`), which lets the
+//! their own message enum (see the core crate's `Msg`), which lets the
 //! components here stay generic without boxing a single payload.
 
 use bluedbm_sim::Message;

@@ -55,7 +55,7 @@ pub enum ServerReq {
 #[derive(Clone, Debug)]
 pub struct ServerResp {
     /// 0-based position of this response in the client's request order.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// The physical page that was read.
     pub ppa: Ppa,
     /// Handle to the page contents in the simulator's page store (the
@@ -80,15 +80,15 @@ struct InFlight {
 
 /// Cumulative server statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServerStats {
+pub(crate) struct ServerStats {
     /// Reads accepted.
-    pub accepted: u64,
+    pub(crate) accepted: u64,
     /// Responses delivered.
-    pub delivered: u64,
+    pub(crate) delivered: u64,
     /// Responses that had to park in a page buffer to restore order.
-    pub reordered: u64,
+    pub(crate) reordered: u64,
     /// Requests that waited for a free page buffer/tag.
-    pub buffer_stalls: u64,
+    pub(crate) buffer_stalls: u64,
 }
 
 /// The Flash Server component. Send it [`ServerReq`]s; it converses with
@@ -128,18 +128,8 @@ impl FlashServer {
 
     /// Install an ATU mapping directly (test/setup convenience; the
     /// message form is [`ServerReq::MapHandle`]).
-    pub fn map_handle(&mut self, handle: u64, extents: Vec<Ppa>) {
+    pub(crate) fn map_handle(&mut self, handle: u64, extents: Vec<Ppa>) {
         self.atu.insert(handle, extents);
-    }
-
-    /// Look up the extent list for `handle`.
-    pub fn extents(&self, handle: u64) -> Option<&[Ppa]> {
-        self.atu.get(&handle).map(Vec::as_slice)
-    }
-
-    /// Statistics gathered so far.
-    pub fn stats(&self) -> ServerStats {
-        self.stats
     }
 
     fn accept<M: FlashProtocol>(&mut self, ctx: &mut Ctx<'_, M>, client: ComponentId, ppa: Ppa) {
@@ -368,10 +358,10 @@ mod tests {
         }
         let s = sim.component::<FlashServer>(server).unwrap();
         assert!(
-            s.stats().reordered > 0,
+            s.stats.reordered > 0,
             "flash must have completed out of order for this test to bite"
         );
-        assert_eq!(s.stats().delivered, 4);
+        assert_eq!(s.stats.delivered, 4);
     }
 
     #[test]
@@ -478,7 +468,7 @@ mod tests {
         let c = sim.component::<Client>(client).unwrap();
         assert_eq!(c.seqs, (0..10).collect::<Vec<_>>());
         let s = sim.component::<FlashServer>(server).unwrap();
-        assert!(s.stats().buffer_stalls >= 8);
+        assert!(s.stats.buffer_stalls >= 8);
     }
 
     #[test]
@@ -487,7 +477,7 @@ mod tests {
         let backend = sim.reserve();
         let mut server = FlashServer::new(backend, 4);
         server.map_handle(1, extent_list());
-        assert_eq!(server.extents(1).unwrap().len(), 4);
-        assert!(server.extents(2).is_none());
+        assert_eq!(server.atu[&1].len(), 4);
+        assert!(!server.atu.contains_key(&2));
     }
 }

@@ -24,13 +24,13 @@ struct Rename {
 
 /// Cumulative splitter statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SplitterStats {
+pub(crate) struct SplitterStats {
     /// Commands forwarded to the controller.
-    pub forwarded: u64,
+    pub(crate) forwarded: u64,
     /// Completions returned to clients.
-    pub returned: u64,
+    pub(crate) returned: u64,
     /// Commands that had to wait for a free rename tag.
-    pub rename_stalls: u64,
+    pub(crate) rename_stalls: u64,
 }
 
 /// Tag-renaming multiplexer in front of a [`crate::FlashController`].
@@ -62,16 +62,6 @@ impl FlashSplitter {
             waiting: VecDeque::new(),
             stats: SplitterStats::default(),
         }
-    }
-
-    /// Statistics gathered so far.
-    pub fn stats(&self) -> SplitterStats {
-        self.stats
-    }
-
-    /// Outstanding renamed commands.
-    pub fn in_flight(&self) -> usize {
-        self.renames.iter().filter(|r| r.is_some()).count()
     }
 
     fn forward<M: FlashProtocol>(&mut self, ctx: &mut Ctx<'_, M>, cmd: CtrlCmd) {
@@ -213,9 +203,9 @@ mod tests {
         assert_eq!(sim.component::<Client>(c1).unwrap().done, vec![Tag(0)]);
         assert_eq!(sim.component::<Client>(c2).unwrap().done, vec![Tag(0)]);
         let s = sim.component::<FlashSplitter>(split).unwrap();
-        assert_eq!(s.stats().forwarded, 2);
-        assert_eq!(s.stats().returned, 2);
-        assert_eq!(s.in_flight(), 0);
+        assert_eq!(s.stats.forwarded, 2);
+        assert_eq!(s.stats.returned, 2);
+        assert!(s.renames.iter().all(Option::is_none));
     }
 
     #[test]
@@ -236,8 +226,8 @@ mod tests {
         let c = sim.component::<Client>(c1).unwrap();
         assert_eq!(c.done.len(), 8);
         let s = sim.component::<FlashSplitter>(split).unwrap();
-        assert!(s.stats().rename_stalls >= 6);
-        assert_eq!(s.in_flight(), 0);
+        assert!(s.stats.rename_stalls >= 6);
+        assert!(s.renames.iter().all(Option::is_none));
     }
 
     #[test]

@@ -25,9 +25,9 @@ pub struct FlashTiming {
     /// Cell-to-register read time (tR).
     pub read_cell: SimTime,
     /// Register-program time (tPROG).
-    pub program_cell: SimTime,
+    pub(crate) program_cell: SimTime,
     /// Block erase time (tBERS).
-    pub erase_block: SimTime,
+    pub(crate) erase_block: SimTime,
     /// Per-bus transfer bandwidth between NAND register and controller.
     pub bus_bandwidth: Bandwidth,
     /// Fixed command issue/decode overhead per operation in the
@@ -50,7 +50,8 @@ impl FlashTiming {
     }
 
     /// Fast timing for unit tests (microsecond-scale events).
-    pub fn test_fast() -> Self {
+    #[cfg(test)]
+    pub(crate) fn test_fast() -> Self {
         FlashTiming {
             read_cell: SimTime::us(5),
             program_cell: SimTime::us(20),
@@ -63,21 +64,6 @@ impl FlashTiming {
     /// Time to move `bytes` across one bus.
     pub fn transfer_time(&self, bytes: usize) -> SimTime {
         self.bus_bandwidth.time_for(bytes as u64)
-    }
-
-    /// A copy with every bus throttled by `factor` (used by the Figure
-    /// 16/19 throttled-BlueDBM experiments, which cap the device at
-    /// 600 MB/s to match the off-the-shelf SSD).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not in `(0, 1]`.
-    pub fn throttled(&self, factor: f64) -> Self {
-        assert!(factor > 0.0 && factor <= 1.0, "bad throttle factor {factor}");
-        FlashTiming {
-            bus_bandwidth: self.bus_bandwidth.scale(factor),
-            ..*self
-        }
     }
 }
 
@@ -110,20 +96,6 @@ mod tests {
         let one = t.transfer_time(8192);
         let two = t.transfer_time(16384);
         assert!(close(one * 2, two), "{one} * 2 vs {two}");
-    }
-
-    #[test]
-    fn throttle_scales_bandwidth_only() {
-        let t = FlashTiming::paper();
-        let half = t.throttled(0.5);
-        assert_eq!(half.read_cell, t.read_cell);
-        assert!(close(half.transfer_time(8192), t.transfer_time(8192) * 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "bad throttle factor")]
-    fn throttle_validates() {
-        FlashTiming::paper().throttled(0.0);
     }
 
     #[test]

@@ -99,7 +99,7 @@ pub struct FtlStats {
     /// Valid pages relocated by GC.
     pub gc_moves: u64,
     /// Wear-leveling victim selections.
-    pub wear_swaps: u64,
+    pub(crate) wear_swaps: u64,
     /// TRIM commands processed.
     pub trims: u64,
 }

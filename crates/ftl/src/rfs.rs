@@ -26,7 +26,7 @@ use crate::error::FtlError;
 pub struct RfsConfig {
     /// The segment cleaner runs when a plane's free-block queue drops to
     /// this size. Must be >= 1.
-    pub cleaner_watermark: usize,
+    pub(crate) cleaner_watermark: usize,
 }
 
 impl Default for RfsConfig {
@@ -41,24 +41,13 @@ impl Default for RfsConfig {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RfsStats {
     /// Pages written on behalf of applications.
-    pub logical_writes: u64,
+    pub(crate) logical_writes: u64,
     /// Pages programmed to flash (logical + cleaner relocation).
-    pub flash_writes: u64,
+    pub(crate) flash_writes: u64,
     /// Cleaner victim blocks erased.
     pub cleaner_erases: u64,
     /// Valid pages relocated by the cleaner.
-    pub cleaner_moves: u64,
-}
-
-impl RfsStats {
-    /// Write amplification: flash writes per logical write.
-    pub fn waf(&self) -> f64 {
-        if self.logical_writes == 0 {
-            1.0
-        } else {
-            self.flash_writes as f64 / self.logical_writes as f64
-        }
-    }
+    pub(crate) cleaner_moves: u64,
 }
 
 #[derive(Clone, Debug, Default)]
@@ -166,17 +155,12 @@ impl Rfs {
         Ok(())
     }
 
-    /// `true` if `name` exists.
-    pub fn exists(&self, name: &str) -> bool {
-        self.files.contains_key(name)
-    }
-
     /// File size in bytes.
     ///
     /// # Errors
     ///
     /// [`FtlError::NoSuchFile`] when absent.
-    pub fn size(&self, name: &str) -> Result<u64, FtlError> {
+    pub(crate) fn size(&self, name: &str) -> Result<u64, FtlError> {
         self.files
             .get(name)
             .map(|i| i.size)
@@ -356,7 +340,12 @@ impl Rfs {
     /// # Errors
     ///
     /// [`FtlError::ReadPastEof`] when the range exceeds the file.
-    pub fn read_range(&mut self, name: &str, offset: u64, len: usize) -> Result<Vec<u8>, FtlError> {
+    pub(crate) fn read_range(
+        &mut self,
+        name: &str,
+        offset: u64,
+        len: usize,
+    ) -> Result<Vec<u8>, FtlError> {
         let size = self.size(name)?;
         if offset + len as u64 > size {
             return Err(FtlError::ReadPastEof {
@@ -492,7 +481,7 @@ mod tests {
         fs.write("a.bin", &data).unwrap();
         assert_eq!(fs.read("a.bin").unwrap(), data);
         assert_eq!(fs.size("a.bin").unwrap(), data.len() as u64);
-        assert!(fs.exists("a.bin"));
+        assert!(fs.files.contains_key("a.bin"));
         assert_eq!(fs.list(), vec!["a.bin".to_string()]);
     }
 
@@ -577,7 +566,7 @@ mod tests {
         fs.create("d").unwrap();
         fs.write("d", &bytes(100, 6)).unwrap();
         fs.delete("d").unwrap();
-        assert!(!fs.exists("d"));
+        assert!(!fs.files.contains_key("d"));
         fs.create("d").unwrap();
         assert_eq!(fs.size("d").unwrap(), 0);
     }
@@ -601,7 +590,7 @@ mod tests {
         assert_eq!(fs.read("cold").unwrap(), cold, "cleaner must move cold data intact");
         let s = fs.stats();
         assert!(s.cleaner_erases > 0, "cleaner must have run");
-        assert!(s.waf() >= 1.0);
+        assert!(s.flash_writes >= s.logical_writes);
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub enum HostMsg<B> {
 
 impl<B> HostMsg<B> {
     /// Variant name, for wiring-bug panics without a `Debug` bound on `B`.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             HostMsg::Xfer(_) => "PcieXfer",
             HostMsg::Done(_) => "PcieDone",

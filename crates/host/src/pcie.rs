@@ -33,20 +33,19 @@ pub enum Direction {
 ///
 /// let p = PcieParams::paper();
 /// assert!((p.d2h.as_gb() - 1.6).abs() < 1e-9);
-/// assert!((p.h2d.as_gb() - 1.0).abs() < 1e-9);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PcieParams {
     /// Device-to-host bandwidth cap.
     pub d2h: Bandwidth,
     /// Host-to-device bandwidth cap.
-    pub h2d: Bandwidth,
+    pub(crate) h2d: Bandwidth,
     /// DMA descriptor setup time per transfer.
     pub dma_setup: SimTime,
     /// Completion notification (interrupt delivery / poll observation).
     pub completion_latency: SimTime,
     /// Engines per direction (paper: four read + four write).
-    pub engines_per_direction: usize,
+    pub(crate) engines_per_direction: usize,
 }
 
 impl PcieParams {
@@ -73,16 +72,16 @@ impl Default for PcieParams {
 #[derive(Clone, Debug)]
 pub struct PcieXfer<B> {
     /// Transfer direction.
-    pub direction: Direction,
+    pub(crate) direction: Direction,
     /// Bytes to move.
-    pub bytes: u32,
+    pub(crate) bytes: u32,
     /// Component notified with a [`PcieDone`] when the transfer (and its
     /// completion notification) finish.
-    pub notify: ComponentId,
+    pub(crate) notify: ComponentId,
     /// Caller token echoed in the completion.
-    pub token: u64,
+    pub(crate) token: u64,
     /// Message object carried across (the functional payload).
-    pub body: B,
+    pub(crate) body: B,
 }
 
 impl<B> PcieXfer<B> {
@@ -104,22 +103,22 @@ pub struct PcieDone<B> {
     /// Echo of the request token.
     pub token: u64,
     /// Direction that completed.
-    pub direction: Direction,
+    pub(crate) direction: Direction,
     /// Bytes moved.
-    pub bytes: u32,
+    pub(crate) bytes: u32,
     /// Request-accept to notification-delivered latency.
-    pub latency: SimTime,
+    pub(crate) latency: SimTime,
     /// The carried message object.
     pub body: B,
 }
 
 /// Per-direction statistics.
 #[derive(Clone, Debug, Default)]
-pub struct DirectionStats {
+pub(crate) struct DirectionStats {
     /// Transfer latency distribution.
-    pub latency: Histogram,
+    pub(crate) latency: Histogram,
     /// Payload throughput.
-    pub throughput: Throughput,
+    pub(crate) throughput: Throughput,
 }
 
 /// DES component modelling one node's PCIe link.
@@ -145,19 +144,6 @@ impl PcieLink {
             d2h_stats: DirectionStats::default(),
             h2d_stats: DirectionStats::default(),
         }
-    }
-
-    /// Statistics for one direction.
-    pub fn stats(&self, direction: Direction) -> &DirectionStats {
-        match direction {
-            Direction::DeviceToHost => &self.d2h_stats,
-            Direction::HostToDevice => &self.h2d_stats,
-        }
-    }
-
-    /// The configured parameters.
-    pub fn params(&self) -> PcieParams {
-        self.params
     }
 }
 
@@ -213,7 +199,7 @@ impl<M: HostProtocol> Component<M> for PcieLink {
                     Direction::HostToDevice => &mut self.h2d_stats,
                 };
                 stats.latency.record(finish.done.latency);
-                stats.throughput.record(ctx.now(), u64::from(finish.done.bytes));
+                stats.throughput.record(u64::from(finish.done.bytes));
                 ctx.send(finish.notify, SimTime::ZERO, HostMsg::Done(finish.done));
             }
             other => panic!("pcie link got an unexpected message: {}", other.kind()),
@@ -325,8 +311,8 @@ mod tests {
         // KiB / 1 GB/s ~ 819us), not the sum.
         assert!(sim.now() < SimTime::us(900), "took {}", sim.now());
         let l = sim.component::<PcieLink>(link).unwrap();
-        assert_eq!(l.stats(Direction::DeviceToHost).throughput.ops(), 100);
-        assert_eq!(l.stats(Direction::HostToDevice).throughput.ops(), 100);
+        assert_eq!(l.d2h_stats.throughput.ops(), 100);
+        assert_eq!(l.h2d_stats.throughput.ops(), 100);
     }
 
     #[test]
@@ -380,14 +366,14 @@ mod tests {
         let delivered = sim.component::<Sink>(sink).unwrap().done.len() as u64;
         assert!(delivered > 0 && delivered < N, "snapshot point: {delivered}");
         let l = sim.component::<PcieLink>(link).unwrap();
-        let snap = l.stats(Direction::DeviceToHost);
+        let snap = &l.d2h_stats;
         assert_eq!(snap.throughput.ops(), delivered);
         assert_eq!(snap.latency.count(), delivered);
         assert_eq!(snap.throughput.total_bytes(), delivered * 8192);
 
         sim.run();
         let l = sim.component::<PcieLink>(link).unwrap();
-        let full = l.stats(Direction::DeviceToHost);
+        let full = &l.d2h_stats;
         assert_eq!(full.throughput.ops(), N);
         assert_eq!(full.latency.count(), N);
     }

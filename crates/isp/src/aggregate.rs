@@ -13,19 +13,6 @@ use bluedbm_sim::fxhash::FxHashMap;
 
 use crate::Accelerator;
 
-/// Which aggregate to maintain per group.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AggregateOp {
-    /// Count of records per group.
-    Count,
-    /// Sum of the value column.
-    Sum,
-    /// Minimum of the value column.
-    Min,
-    /// Maximum of the value column.
-    Max,
-}
-
 /// Per-group running state.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GroupState {
@@ -34,9 +21,9 @@ pub struct GroupState {
     /// Sum of values.
     pub sum: u64,
     /// Minimum value (meaningful when `count > 0`).
-    pub min: u64,
+    pub(crate) min: u64,
     /// Maximum value.
-    pub max: u64,
+    pub(crate) max: u64,
 }
 
 impl GroupState {
@@ -58,28 +45,27 @@ impl GroupState {
 /// # Examples
 ///
 /// ```rust
-/// use bluedbm_isp::aggregate::{AggregateEngine, AggregateOp};
+/// use bluedbm_isp::aggregate::AggregateEngine;
 /// use bluedbm_isp::Accelerator;
 ///
 /// // 16-byte records: key at offset 0, value at offset 8.
-/// let mut e = AggregateEngine::new(16, 0, 8, AggregateOp::Sum);
+/// let mut e = AggregateEngine::new(16, 0, 8);
 /// let mut page = Vec::new();
 /// for (k, v) in [(1u64, 10u64), (2, 5), (1, 7)] {
 ///     page.extend_from_slice(&k.to_le_bytes());
 ///     page.extend_from_slice(&v.to_le_bytes());
 /// }
 /// e.consume(0, &page);
-/// assert_eq!(e.group(1).unwrap().sum, 17);
-/// assert_eq!(e.group(2).unwrap().sum, 5);
+/// let table = e.into_table();
+/// assert_eq!((table[0].0, table[0].1.sum), (1, 17));
+/// assert_eq!((table[1].0, table[1].1.sum), (2, 5));
 /// ```
 #[derive(Clone, Debug)]
 pub struct AggregateEngine {
     record_bytes: usize,
     key_offset: usize,
     value_offset: usize,
-    op: AggregateOp,
     groups: FxHashMap<u64, GroupState>,
-    scanned: u64,
 }
 
 impl AggregateEngine {
@@ -89,12 +75,7 @@ impl AggregateEngine {
     /// # Panics
     ///
     /// Panics if either column does not fit inside a record.
-    pub fn new(
-        record_bytes: usize,
-        key_offset: usize,
-        value_offset: usize,
-        op: AggregateOp,
-    ) -> Self {
+    pub fn new(record_bytes: usize, key_offset: usize, value_offset: usize) -> Self {
         assert!(key_offset + 8 <= record_bytes, "key must fit the record");
         assert!(
             value_offset + 8 <= record_bytes,
@@ -104,35 +85,8 @@ impl AggregateEngine {
             record_bytes,
             key_offset,
             value_offset,
-            op,
             groups: FxHashMap::default(),
-            scanned: 0,
         }
-    }
-
-    /// The running state of one group.
-    pub fn group(&self, key: u64) -> Option<&GroupState> {
-        self.groups.get(&key)
-    }
-
-    /// The configured aggregate of one group, if seen.
-    pub fn value(&self, key: u64) -> Option<u64> {
-        self.groups.get(&key).map(|g| match self.op {
-            AggregateOp::Count => g.count,
-            AggregateOp::Sum => g.sum,
-            AggregateOp::Min => g.min,
-            AggregateOp::Max => g.max,
-        })
-    }
-
-    /// Number of distinct groups.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Records scanned.
-    pub fn scanned(&self) -> u64 {
-        self.scanned
     }
 
     /// The final aggregate table, sorted by key (what returns to the
@@ -162,7 +116,6 @@ impl Accelerator for AggregateEngine {
                     .expect("value slice"),
             );
             self.groups.entry(key).or_default().absorb(value);
-            self.scanned += 1;
         }
     }
 
@@ -188,35 +141,27 @@ mod tests {
 
     #[test]
     fn all_aggregates_track_correctly() {
-        let rows = [(7u64, 3u64), (7, 9), (7, 5), (8, 100)];
-        for (op, want7) in [
-            (AggregateOp::Count, 3u64),
-            (AggregateOp::Sum, 17),
-            (AggregateOp::Min, 3),
-            (AggregateOp::Max, 9),
-        ] {
-            let mut e = AggregateEngine::new(16, 0, 8, op);
-            e.consume(0, &page_of(&rows));
-            assert_eq!(e.value(7), Some(want7), "{op:?}");
-            assert_eq!(e.value(8), Some(if op == AggregateOp::Count { 1 } else { 100 }));
-            assert_eq!(e.value(9), None);
-        }
+        let mut e = AggregateEngine::new(16, 0, 8);
+        e.consume(0, &page_of(&[(7u64, 3u64), (7, 9), (7, 5), (8, 100)]));
+        let g = |count, sum, min, max| GroupState { count, sum, min, max };
+        assert_eq!(e.groups[&7], g(3, 17, 3, 9));
+        assert_eq!(e.groups[&8], g(1, 100, 100, 100));
+        assert!(!e.groups.contains_key(&9));
     }
 
     #[test]
     fn groups_accumulate_across_pages() {
-        let mut e = AggregateEngine::new(16, 0, 8, AggregateOp::Sum);
+        let mut e = AggregateEngine::new(16, 0, 8);
         e.consume(0, &page_of(&[(1, 1), (2, 2)]));
         e.consume(1, &page_of(&[(1, 10), (3, 3)]));
-        assert_eq!(e.group_count(), 3);
-        assert_eq!(e.value(1), Some(11));
-        assert_eq!(e.scanned(), 4);
+        assert_eq!(e.groups.len(), 3);
+        assert_eq!(e.groups[&1].sum, 11);
     }
 
     #[test]
     fn table_is_sorted_and_result_traffic_compact() {
         let mut rng = Rng::new(1);
-        let mut e = AggregateEngine::new(16, 0, 8, AggregateOp::Count);
+        let mut e = AggregateEngine::new(16, 0, 8);
         const RECORDS: usize = 4096;
         const GROUPS: u64 = 16;
         let rows: Vec<(u64, u64)> = (0..RECORDS)
@@ -237,20 +182,20 @@ mod tests {
     fn matches_reference_hashmap() {
         let mut rng = Rng::new(2);
         let rows: Vec<(u64, u64)> = (0..2000).map(|_| (rng.below(50), rng.next_u64() >> 32)).collect();
-        let mut e = AggregateEngine::new(16, 0, 8, AggregateOp::Max);
+        let mut e = AggregateEngine::new(16, 0, 8);
         e.consume(0, &page_of(&rows));
         let mut want: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
         for &(k, v) in &rows {
             want.entry(k).and_modify(|m| *m = (*m).max(v)).or_insert(v);
         }
         for (k, m) in want {
-            assert_eq!(e.value(k), Some(m), "group {k}");
+            assert_eq!(e.groups[&k].max, m, "group {k}");
         }
     }
 
     #[test]
     #[should_panic(expected = "value must fit")]
     fn offsets_validated() {
-        let _ = AggregateEngine::new(16, 0, 12, AggregateOp::Sum);
+        let _ = AggregateEngine::new(16, 0, 12);
     }
 }

@@ -34,13 +34,11 @@ pub struct TraversalStats {
 /// let adj = vec![vec![1, 2], vec![2], vec![0]];
 /// let g = PackedGraph::build(&adj, 64);
 /// assert_eq!(g.vertex_count(), 3);
-/// assert_eq!(g.neighbors(0), vec![1, 2]);
 /// let stats = g.bfs_with_fetch(0, |page| g.page(page).to_vec());
 /// assert_eq!(stats.order, vec![0, 1, 2]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct PackedGraph {
-    page_bytes: usize,
     /// Per vertex: (page index, byte offset within page).
     loc: Vec<(u64, u32)>,
     pages: Vec<Vec<u8>>,
@@ -82,11 +80,7 @@ impl PackedGraph {
         for page in &mut pages {
             page.resize(page_bytes, 0);
         }
-        PackedGraph {
-            page_bytes,
-            loc,
-            pages,
-        }
+        PackedGraph { loc, pages }
     }
 
     /// Number of vertices.
@@ -97,11 +91,6 @@ impl PackedGraph {
     /// Number of pages the graph occupies.
     pub fn page_count(&self) -> usize {
         self.pages.len()
-    }
-
-    /// Bytes per page.
-    pub fn page_bytes(&self) -> usize {
-        self.page_bytes
     }
 
     /// Raw page contents (what gets written to flash).
@@ -118,7 +107,7 @@ impl PackedGraph {
     /// # Panics
     ///
     /// Panics if `v` is out of range.
-    pub fn page_of(&self, v: u32) -> u64 {
+    pub(crate) fn page_of(&self, v: u32) -> u64 {
         self.loc[v as usize].0
     }
 
@@ -129,7 +118,7 @@ impl PackedGraph {
     /// # Panics
     ///
     /// Panics if `v` is out of range or `page` is not `v`'s page image.
-    pub fn neighbors_in(&self, v: u32, page: &[u8]) -> Vec<u32> {
+    pub(crate) fn neighbors_in(&self, v: u32, page: &[u8]) -> Vec<u32> {
         let (_, off) = self.loc[v as usize];
         let off = off as usize;
         let degree = u32::from_le_bytes(page[off..off + 4].try_into().expect("degree")) as usize;
@@ -139,11 +128,6 @@ impl PackedGraph {
                 u32::from_le_bytes(page[at..at + 4].try_into().expect("neighbor"))
             })
             .collect()
-    }
-
-    /// Convenience: decode `v`'s neighbors from the in-memory image.
-    pub fn neighbors(&self, v: u32) -> Vec<u32> {
-        self.neighbors_in(v, &self.pages[self.loc[v as usize].0 as usize])
     }
 
     /// Breadth-first traversal from `start`, fetching each visited
@@ -190,7 +174,8 @@ mod tests {
         let adj = vec![vec![1, 2, 3], vec![0], vec![], vec![2, 1]];
         let g = PackedGraph::build(&adj, 64);
         for (v, want) in adj.iter().enumerate() {
-            assert_eq!(&g.neighbors(v as u32), want, "vertex {v}");
+            let page = g.page(g.page_of(v as u32));
+            assert_eq!(&g.neighbors_in(v as u32, page), want, "vertex {v}");
         }
     }
 

@@ -12,16 +12,7 @@ use crate::Accelerator;
 /// # Panics
 ///
 /// Panics if the lengths differ.
-///
-/// # Examples
-///
-/// ```rust
-/// use bluedbm_isp::hamming::hamming_distance;
-///
-/// assert_eq!(hamming_distance(&[0xFF], &[0x0F]), 4);
-/// assert_eq!(hamming_distance(b"same", b"same"), 0);
-/// ```
-pub fn hamming_distance(a: &[u8], b: &[u8]) -> u32 {
+pub(crate) fn hamming_distance(a: &[u8], b: &[u8]) -> u32 {
     assert_eq!(a.len(), b.len(), "hamming distance needs equal lengths");
     let mut dist = 0u32;
     let mut ac = a.chunks_exact(8);
@@ -72,18 +63,6 @@ impl HammingEngine {
     /// The closest candidate so far: `(sequence index, distance)`.
     pub fn best(&self) -> Option<(u64, u32)> {
         self.best
-    }
-
-    /// Candidates compared so far.
-    pub fn compared(&self) -> u64 {
-        self.compared
-    }
-
-    /// Reset for a new query, keeping the allocation.
-    pub fn restart(&mut self, query: Vec<u8>) {
-        self.query = query;
-        self.best = None;
-        self.compared = 0;
     }
 }
 
@@ -159,7 +138,7 @@ mod tests {
         e.consume(1, &[0x03, 0, 0, 0]); // distance 2
         e.consume(2, &[0x03, 0, 0, 0]); // distance 2 again: not better
         assert_eq!(e.best(), Some((1, 2)));
-        assert_eq!(e.compared(), 3);
+        assert_eq!(e.compared, 3);
     }
 
     #[test]
@@ -180,16 +159,5 @@ mod tests {
         near[500] ^= 4;
         e.consume(200, &near);
         assert_eq!(e.best(), Some((200, 3)));
-    }
-
-    #[test]
-    fn restart_clears_state() {
-        let mut e = HammingEngine::new(vec![0u8; 2]);
-        e.consume(0, &[1, 1]);
-        e.restart(vec![0xFFu8; 2]);
-        assert_eq!(e.best(), None);
-        assert_eq!(e.compared(), 0);
-        e.consume(5, &[0xFF, 0xFF]);
-        assert_eq!(e.best(), Some((5, 0)));
     }
 }

@@ -50,10 +50,10 @@ pub mod lsh;
 pub mod mp;
 pub mod wordcount;
 
-pub use aggregate::{AggregateEngine, AggregateOp};
+pub use aggregate::AggregateEngine;
 pub use filter::FilterEngine;
 pub use graph::{PackedGraph, TraversalStats};
-pub use hamming::{hamming_distance, HammingEngine};
+pub use hamming::HammingEngine;
 pub use lsh::{LshIndex, LshParams};
 pub use mp::MpMatcher;
 pub use wordcount::WordCountEngine;

@@ -19,11 +19,11 @@ use bluedbm_sim::rng::Rng;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LshParams {
     /// Number of hash tables (union of matches is the candidate set).
-    pub tables: usize,
+    pub(crate) tables: usize,
     /// Sampled bit positions per hash function.
-    pub bits_per_hash: usize,
+    pub(crate) bits_per_hash: usize,
     /// Seed for choosing the sampled positions.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for LshParams {
@@ -88,16 +88,6 @@ impl LshIndex {
         }
     }
 
-    /// Items inserted so far.
-    pub fn len(&self) -> u64 {
-        self.items
-    }
-
-    /// `true` if no items are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.items == 0
-    }
-
     fn bucket_of(&self, table: usize, item: &[u8]) -> u64 {
         let mut key = 0u64;
         for (i, &bit) in self.samples[table].iter().enumerate() {
@@ -146,12 +136,6 @@ impl LshIndex {
             }
         }
         out
-    }
-
-    /// Number of buckets currently holding items in table `t` (bucket
-    /// occupancy metric for the workload generator).
-    pub fn bucket_count(&self, t: usize) -> usize {
-        self.tables[t].len()
     }
 }
 
@@ -234,8 +218,8 @@ mod tests {
         for i in 0..500 {
             idx.insert(i, &random_item(&mut rng, 64));
         }
-        assert!(idx.bucket_count(0) > 100, "random data spreads over buckets");
-        assert_eq!(idx.len(), 500);
+        assert!(idx.tables[0].len() > 100, "random data spreads over buckets");
+        assert_eq!(idx.items, 500);
     }
 
     #[test]

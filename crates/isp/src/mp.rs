@@ -17,7 +17,7 @@ use crate::Accelerator;
 /// # Panics
 ///
 /// Panics if the pattern is empty.
-pub fn failure_function(pattern: &[u8]) -> Vec<usize> {
+pub(crate) fn failure_function(pattern: &[u8]) -> Vec<usize> {
     assert!(!pattern.is_empty(), "empty pattern");
     let mut fail = vec![0usize; pattern.len()];
     let mut k = 0;
@@ -95,14 +95,6 @@ impl MpMatcher {
     /// Bytes scanned so far.
     pub fn scanned(&self) -> u64 {
         self.scanned
-    }
-
-    /// Reset the stream (keep the pattern).
-    pub fn reset(&mut self) {
-        self.state = 0;
-        self.pos = 0;
-        self.matches.clear();
-        self.scanned = 0;
     }
 
     /// One-shot convenience: all match offsets of `pattern` in
@@ -213,16 +205,5 @@ mod tests {
         let mut m = MpMatcher::new(b"rare-needle-string").unwrap();
         m.feed(&hay);
         assert!((m.result_bytes() as f64) < 0.0001 * hay.len() as f64);
-    }
-
-    #[test]
-    fn reset_reuses_pattern() {
-        let mut m = MpMatcher::new(b"ab").unwrap();
-        m.feed(b"abab");
-        assert_eq!(m.matches().len(), 2);
-        m.reset();
-        assert!(m.matches().is_empty());
-        m.feed(b"ab");
-        assert_eq!(m.matches(), &[0]);
     }
 }

@@ -17,7 +17,7 @@ use crate::Accelerator;
 /// Streaming word-count map+combine engine.
 ///
 /// Tokens are maximal runs of ASCII alphanumerics, lowercased; words
-/// longer than [`WordCountEngine::MAX_WORD`] are truncated (a bound on
+/// longer than `WordCountEngine::MAX_WORD` are truncated (a bound on
 /// device memory).
 ///
 /// # Examples
@@ -43,7 +43,7 @@ pub struct WordCountEngine {
 
 impl WordCountEngine {
     /// Device-memory bound on token length.
-    pub const MAX_WORD: usize = 64;
+    pub(crate) const MAX_WORD: usize = 64;
 
     /// An empty engine.
     pub fn new() -> Self {
@@ -68,16 +68,6 @@ impl WordCountEngine {
             .get(word.to_ascii_lowercase().as_bytes())
             .copied()
             .unwrap_or(0)
-    }
-
-    /// Distinct words seen.
-    pub fn distinct_words(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Bytes scanned.
-    pub fn scanned(&self) -> u64 {
-        self.scanned
     }
 
     /// The combined table, sorted by descending count then word — the
@@ -130,7 +120,7 @@ mod tests {
         assert_eq!(e.count("the"), 3);
         assert_eq!(e.count("fox"), 1);
         assert_eq!(e.count("missing"), 0);
-        assert_eq!(e.distinct_words(), 9);
+        assert_eq!(e.counts.len(), 9);
     }
 
     #[test]
@@ -180,7 +170,7 @@ mod tests {
         e.finish();
         assert_eq!(e.count("shuffle"), 2000);
         assert!(e.result_bytes() * 100 < sentence.len());
-        assert_eq!(e.scanned(), sentence.len() as u64);
+        assert_eq!(e.scanned, sentence.len() as u64);
     }
 
     #[test]
@@ -189,7 +179,7 @@ mod tests {
         let long = vec![b'x'; 500];
         e.consume(0, &long);
         e.finish();
-        assert_eq!(e.distinct_words(), 1);
+        assert_eq!(e.counts.len(), 1);
         let table = e.into_table();
         assert_eq!(table[0].0.len(), WordCountEngine::MAX_WORD);
     }

@@ -29,7 +29,7 @@ pub mod routing;
 pub mod topology;
 
 pub use msg::{NetMsg, NetProtocol};
-pub use packet::{NetParams, Packet};
+pub use packet::NetParams;
 pub use router::{build_network, NetRecv, NetSend, Router, RouterStats};
 pub use routing::RoutingTable;
 pub use topology::{NodeId, PortId, Topology};

@@ -36,7 +36,7 @@ pub enum NetMsg<B> {
 
 impl<B> NetMsg<B> {
     /// Variant name, for wiring-bug panics without a `Debug` bound on `B`.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             NetMsg::Send(_) => "NetSend",
             NetMsg::Recv(_) => "NetRecv",

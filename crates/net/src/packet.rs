@@ -47,7 +47,7 @@ impl NetParams {
     }
 
     /// Effective payload bandwidth of one lane.
-    pub fn goodput(&self) -> Bandwidth {
+    pub(crate) fn goodput(&self) -> Bandwidth {
         self.lane_bandwidth.scale(self.efficiency)
     }
 
@@ -72,33 +72,19 @@ impl Default for NetParams {
 /// "small" on the wire while still carrying rich Rust types — and the
 /// body travels inline, not boxed.
 #[derive(Clone, Debug)]
-pub struct Packet<B> {
+pub(crate) struct Packet<B> {
     /// Originating node.
-    pub src: NodeId,
+    pub(crate) src: NodeId,
     /// Destination node.
-    pub dst: NodeId,
+    pub(crate) dst: NodeId,
     /// Logical endpoint (virtual channel) index.
-    pub endpoint: u16,
+    pub(crate) endpoint: u16,
     /// Size on the wire, excluding the header.
-    pub payload_bytes: u32,
+    pub(crate) payload_bytes: u32,
     /// Per-(endpoint, src) sequence number, for order checking.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// The message object delivered to the receiving endpoint.
-    pub body: B,
-}
-
-impl<B> Packet<B> {
-    /// Construct a packet; `seq` is usually filled by the sending router.
-    pub fn new(src: NodeId, dst: NodeId, endpoint: u16, payload_bytes: u32, body: B) -> Self {
-        Packet {
-            src,
-            dst,
-            endpoint,
-            payload_bytes,
-            seq: 0,
-            body,
-        }
-    }
+    pub(crate) body: B,
 }
 
 #[cfg(test)]
@@ -125,15 +111,5 @@ mod tests {
         let small_rate = 16.0 / p.packet_time(16).as_secs_f64();
         let large_rate = 8192.0 / p.packet_time(8192).as_secs_f64();
         assert!(large_rate > small_rate);
-    }
-
-    #[test]
-    fn packet_constructor() {
-        let pkt = Packet::new(NodeId(1), NodeId(2), 3, 64, "hello");
-        assert_eq!(pkt.src, NodeId(1));
-        assert_eq!(pkt.dst, NodeId(2));
-        assert_eq!(pkt.endpoint, 3);
-        assert_eq!(pkt.seq, 0);
-        assert_eq!(pkt.body, "hello");
     }
 }

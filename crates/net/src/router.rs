@@ -41,13 +41,13 @@ use crate::topology::{NodeId, PortId, Topology};
 #[derive(Clone, Debug)]
 pub struct NetSend<B> {
     /// Destination node.
-    pub dst: NodeId,
+    pub(crate) dst: NodeId,
     /// Logical endpoint (virtual channel).
-    pub endpoint: u16,
+    pub(crate) endpoint: u16,
     /// Wire size of the payload.
-    pub payload_bytes: u32,
+    pub(crate) payload_bytes: u32,
     /// Message object delivered at the far end.
-    pub body: B,
+    pub(crate) body: B,
 }
 
 impl<B> NetSend<B> {
@@ -245,7 +245,8 @@ impl<B: Send + 'static> Router<B> {
     /// # Panics
     ///
     /// Panics if `credits == 0`.
-    pub fn set_e2e_credits(&mut self, endpoint: u16, credits: u32) {
+    #[cfg(test)]
+    fn set_e2e_credits(&mut self, endpoint: u16, credits: u32) {
         assert!(credits > 0, "end-to-end flow control needs at least one credit");
         self.e2e_credits.insert(endpoint, credits);
     }
@@ -253,19 +254,6 @@ impl<B: Send + 'static> Router<B> {
     /// Statistics gathered so far.
     pub fn stats(&self) -> &RouterStats {
         &self.stats
-    }
-
-    /// Number of wire flows this router has opened as a sender (distinct
-    /// `(endpoint, destination)` pairs it has stamped sequence numbers
-    /// for). Loopback sends never open a flow; exposed for diagnostics
-    /// and the regression tests guarding that.
-    pub fn send_flows(&self) -> usize {
-        self.next_seq.len()
-    }
-
-    /// This router's node id.
-    pub fn node(&self) -> NodeId {
-        self.node
     }
 
     /// Second half of a hop, once [`Egress::launch`] has let go of the
@@ -800,7 +788,7 @@ mod tests {
         }
         sim.run();
         let r0 = sim.component::<Router<()>>(routers[0]).unwrap();
-        assert_eq!(r0.send_flows(), 0, "loopback must not open a wire flow");
+        assert_eq!(r0.next_seq.len(), 0, "loopback must not open a wire flow");
         let s = sim.component::<Sink>(local).unwrap();
         assert_eq!(s.got.len(), 10);
         assert!(s.got.iter().all(|&(_, seq, _)| seq == 0));
@@ -815,7 +803,7 @@ mod tests {
         assert_eq!(s.got.len(), 1);
         assert_eq!(s.got[0].1, 0, "first wire packet of the flow is seq 0");
         let r0 = sim.component::<Router<()>>(routers[0]).unwrap();
-        assert_eq!(r0.send_flows(), 1, "exactly the one remote flow");
+        assert_eq!(r0.next_seq.len(), 1, "exactly the one remote flow");
         let r1 = sim.component::<Router<()>>(routers[1]).unwrap();
         assert_eq!(r1.stats().order_violations, 0);
     }

@@ -34,9 +34,9 @@ const _: () = assert!(Topology::MAX_PORTS <= 8);
 ///
 /// let topo = Topology::ring(4, 2);
 /// let table = RoutingTable::compute(&topo);
-/// let port = table.next_port(NodeId(0), NodeId(2), 0).unwrap();
-/// let (hop, _) = topo.peer(NodeId(0), port).unwrap();
-/// assert!(hop == NodeId(1) || hop == NodeId(3)); // either way around
+/// assert_eq!(table.hops(NodeId(0), NodeId(2)), Some(2)); // either way around
+/// let path = table.path(&topo, NodeId(0), NodeId(2), 0);
+/// assert!(path[1] == NodeId(1) || path[1] == NodeId(3));
 /// ```
 #[derive(Clone, Debug)]
 pub struct RoutingTable {
@@ -94,7 +94,7 @@ impl RoutingTable {
     ///
     /// Returns `None` when `src == dst` or `dst` is unreachable.
     #[inline]
-    pub fn next_port(&self, src: NodeId, dst: NodeId, endpoint: u16) -> Option<PortId> {
+    pub(crate) fn next_port(&self, src: NodeId, dst: NodeId, endpoint: u16) -> Option<PortId> {
         let mut mask = self.candidates[self.at(src, dst)];
         if mask == 0 {
             return None;

@@ -1,7 +1,7 @@
 //! Physical cabling of the storage network.
 //!
 //! A topology is a set of nodes, each with up to
-//! [`Topology::MAX_PORTS`] = 8 serial ports (the fan-out of the paper's
+//! `Topology::MAX_PORTS` = 8 serial ports (the fan-out of the paper's
 //! flash board), and full-duplex cables between (node, port) pairs. The
 //! paper's Figure 5 shows a distributed star, a mesh and a fat tree; the
 //! builders here cover those shapes plus arbitrary edge lists loaded from
@@ -57,7 +57,6 @@ impl fmt::Debug for PortId {
 ///
 /// let ring = Topology::ring(20, 4); // the paper's 20-node, 4-lane ring
 /// assert_eq!(ring.node_count(), 20);
-/// assert!(ring.is_connected());
 /// ```
 #[derive(Clone, Debug)]
 pub struct Topology {
@@ -69,10 +68,10 @@ pub struct Topology {
 impl Topology {
     /// Physical port fan-out per node (paper Section 5.1: 8 SATA
     /// connectors pin out the serial ports).
-    pub const MAX_PORTS: usize = 8;
+    pub(crate) const MAX_PORTS: usize = 8;
 
     /// An edgeless topology over `nodes` nodes.
-    pub fn empty(nodes: usize) -> Self {
+    pub(crate) fn empty(nodes: usize) -> Self {
         Topology {
             ports: vec![vec![None; Self::MAX_PORTS]; nodes],
         }
@@ -111,12 +110,12 @@ impl Topology {
     }
 
     /// The remote end of (node, port), if cabled.
-    pub fn peer(&self, n: NodeId, p: PortId) -> Option<(NodeId, PortId)> {
+    pub(crate) fn peer(&self, n: NodeId, p: PortId) -> Option<(NodeId, PortId)> {
         self.ports[n.index()][p.0 as usize]
     }
 
     /// All cabled ports of `n` with their peers.
-    pub fn neighbors(&self, n: NodeId) -> impl Iterator<Item = (PortId, NodeId)> + '_ {
+    pub(crate) fn neighbors(&self, n: NodeId) -> impl Iterator<Item = (PortId, NodeId)> + '_ {
         self.ports[n.index()]
             .iter()
             .enumerate()
@@ -182,7 +181,8 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `hubs == 0` or `hubs > n`.
-    pub fn star(n: usize, hubs: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn star(n: usize, hubs: usize) -> Self {
         assert!(hubs > 0 && hubs <= n);
         let mut t = Self::empty(n);
         for a in 0..hubs {
@@ -204,7 +204,8 @@ impl Topology {
     ///
     /// Panics if the fanout would exceed the port budget (a non-root
     /// inner node needs `fanout + 1` ports) or `levels == 0`.
-    pub fn tree(fanout: usize, levels: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn tree(fanout: usize, levels: usize) -> Self {
         assert!(levels >= 1 && fanout >= 1);
         assert!(
             fanout < Self::MAX_PORTS,
@@ -243,7 +244,8 @@ impl Topology {
     ///
     /// Panics if the port budget is exceeded (`spines <= 8` and
     /// `leaves <= 8`).
-    pub fn fat_tree(leaves: usize, spines: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn fat_tree(leaves: usize, spines: usize) -> Self {
         assert!(leaves >= 2 && spines >= 1);
         assert!(
             spines <= Self::MAX_PORTS && leaves <= Self::MAX_PORTS,
@@ -277,7 +279,8 @@ impl Topology {
     }
 
     /// `true` if every node can reach every other node.
-    pub fn is_connected(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_connected(&self) -> bool {
         let n = self.node_count();
         if n == 0 {
             return true;

@@ -29,7 +29,7 @@ const MASK_WORDS: usize = 16;
     clippy::disallowed_methods,
     reason = "the one host probe; it gates how the event schedule executes, never what it computes"
 )]
-pub fn host_cores() -> usize {
+pub(crate) fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
@@ -38,7 +38,7 @@ pub fn host_cores() -> usize {
 /// Returns `true` if the kernel accepted the mask; `false` on
 /// non-Linux/unsupported targets or if the syscall failed — callers
 /// treat failure as "run unpinned", never as an error.
-pub fn pin_to_core(core: usize) -> bool {
+pub(crate) fn pin_to_core(core: usize) -> bool {
     let cpus = host_cores();
     if cpus <= 1 {
         // Nothing to distribute over; pinning would only fight the OS.

@@ -12,7 +12,7 @@
 //!
 //! A simulation is instantiated over one concrete message type `M`
 //! (typically an enum composing every protocol in the model — see
-//! `bluedbm_core::Msg` for the workspace-wide instance). Messages travel
+//! the core crate's `Msg` for the workspace-wide instance). Messages travel
 //! **inline**: no per-message heap allocation, no `Box<dyn Any>`, no
 //! downcast on delivery — a component receives `M` by value and matches on
 //! it. This is the hot path of every experiment, so its layout is tuned:
@@ -371,7 +371,7 @@ impl<M: Message> Ctx<'_, M> {
 
     /// The trace emission handle, clock-bound to the current instant.
     /// One branch and a no-op unless tracing was enabled on the
-    /// simulator (see [`Simulator::set_trace`]).
+    /// simulator (see `Simulator::set_trace`).
     #[inline]
     pub fn trace(&mut self) -> Tracer<'_> {
         self.trace.at(self.now.as_ps())
@@ -478,7 +478,7 @@ impl<M: Message> Simulator<M> {
 
     /// An empty simulator with room for `events` pending events before
     /// any queue reallocation.
-    pub fn with_capacity(events: usize) -> Self {
+    pub(crate) fn with_capacity(events: usize) -> Self {
         Simulator {
             now: SimTime::ZERO,
             delivered: 0,
@@ -509,15 +509,8 @@ impl<M: Message> Simulator<M> {
     /// Shared access to the simulator-owned control-block [`PoolStore`]
     /// (leak audits, occupancy introspection).
     #[inline]
-    pub fn pool_store(&self) -> &PoolStore {
+    pub(crate) fn pool_store(&self) -> &PoolStore {
         &self.pools
-    }
-
-    /// Exclusive access to the [`PoolStore`] — how experiment drivers
-    /// stage interned control blocks before injecting messages.
-    #[inline]
-    pub fn pool_store_mut(&mut self) -> &mut PoolStore {
-        &mut self.pools
     }
 
     /// Install (or disable) event tracing per `cfg`. Records are stamped
@@ -526,26 +519,13 @@ impl<M: Message> Simulator<M> {
     /// [`bluedbm_trace::DRIVER_SHARD`].
     ///
     /// Replaces any existing sink, discarding unharvested records.
-    pub fn set_trace(&mut self, cfg: TraceConfig, shard: u32) {
+    pub(crate) fn set_trace(&mut self, cfg: TraceConfig, shard: u32) {
         self.trace = TraceSink::new(cfg, shard);
-    }
-
-    /// Shared access to the trace sink (enabled/capture introspection).
-    #[inline]
-    pub fn trace_sink(&self) -> &TraceSink {
-        &self.trace
-    }
-
-    /// Exclusive access to the trace sink — how experiment drivers emit
-    /// records from outside a component handler.
-    #[inline]
-    pub fn trace_sink_mut(&mut self) -> &mut TraceSink {
-        &mut self.trace
     }
 
     /// Harvest the records captured so far (the sink stays installed and
     /// its sequence numbering keeps running).
-    pub fn take_trace(&mut self) -> TracePart {
+    pub(crate) fn take_trace(&mut self) -> TracePart {
         self.trace.take()
     }
 
@@ -584,24 +564,10 @@ impl<M: Message> Simulator<M> {
         self.components.len()
     }
 
-    /// Number of slots whose component is actually installed (a dense
-    /// arena sweep; reserved-but-empty slots are excluded).
-    pub fn installed_components(&self) -> usize {
-        self.components.installed_count()
-    }
-
     /// Events currently pending.
     #[inline]
     pub fn pending_events(&self) -> usize {
         self.queues.len()
-    }
-
-    /// Size of the payload arena (slots ever allocated, free or full).
-    /// Stays flat under steady-state load thanks to the free list; exposed
-    /// for capacity introspection and the kernel's own regression tests.
-    #[inline]
-    pub fn arena_slots(&self) -> usize {
-        self.queues.slots.len()
     }
 
     /// Register a component and return its id.
@@ -747,19 +713,8 @@ impl<M: Message> Simulator<M> {
         self.queues.push(at, to, msg);
     }
 
-    /// Run until the queue empties or `max_events` more events have been
-    /// delivered. Returns the number actually delivered — a guard against
-    /// accidental livelock in model development.
-    pub fn run_limited(&mut self, max_events: u64) -> u64 {
-        let mut n = 0;
-        while n < max_events && self.step() {
-            n += 1;
-        }
-        n
-    }
-
     /// `true` if no events remain.
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.queues.occupied == 0
     }
 }
@@ -779,6 +734,18 @@ impl<M: Message> fmt::Debug for Simulator<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<M: Message> Simulator<M> {
+        /// Run until the queue empties or `max_events` more events have
+        /// been delivered; returns the number delivered.
+        fn run_limited(&mut self, max_events: u64) -> u64 {
+            let mut n = 0;
+            while n < max_events && self.step() {
+                n += 1;
+            }
+            n
+        }
+    }
 
     struct Echo {
         received: Vec<(SimTime, u32)>,
@@ -918,7 +885,7 @@ mod tests {
         let delivered = sim.run_limited(10_000);
         assert_eq!(delivered, 10_000);
         assert_eq!(
-            sim.arena_slots(),
+            sim.queues.slots.len(),
             1,
             "steady one-in-flight load must not grow the arena"
         );
@@ -964,20 +931,6 @@ mod tests {
         sim.schedule(SimTime::us(5), id, Num(1));
         sim.run_until(SimTime::us(5));
         assert_eq!(sim.component::<Echo>(id).unwrap().received.len(), 1);
-    }
-
-    #[test]
-    fn run_limited_bounds_work() {
-        // Two components ping-ponging forever.
-        let mut sim = Simulator::new();
-        let a = sim.reserve();
-        let b = sim.reserve();
-        sim.install(a, Echo::replying(b));
-        sim.install(b, Echo::replying(a));
-        sim.schedule(SimTime::ZERO, a, Num(0));
-        let delivered = sim.run_limited(101);
-        assert_eq!(delivered, 101);
-        assert!(!sim.is_idle());
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! (`bluedbm_flash::FlashMsg`, `bluedbm_net::NetMsg<B>`,
 //! `bluedbm_host::HostMsg<B>`) plus a protocol trait that any composed
 //! message type implements. The workspace-wide composition lives in
-//! `bluedbm_core::Msg`; single-subsystem simulations (unit tests,
+//! the core crate's `Msg`; single-subsystem simulations (unit tests,
 //! microbenches, network-only experiments) instantiate the kernel
 //! directly over the subsystem's own enum.
 //!
@@ -43,7 +43,7 @@
 //! (`ctx.pages().take(..)` to copy out, or `free`). Stale handles and
 //! double frees panic immediately; leaks are caught by
 //! [`PageStore::assert_quiescent`] at simulation end. This keeps message
-//! enums cache-line-sized (`bluedbm_core::Msg` asserts `<= 64` bytes at
+//! enums cache-line-sized (the core crate's `Msg` asserts `<= 64` bytes at
 //! compile time) and makes fixed buffer budgets — the paper's 128
 //! host-interface page buffers, `bluedbm_host::BufferPool` — enforceable
 //! as capacity views over the one shared store.
@@ -63,8 +63,7 @@
 //! and observably identical to the sequential engine — see the
 //! [`shard`] module docs for the partitioning rules, the lookahead
 //! derivation, and the precise determinism contract. Message types opt
-//! in via [`ShardMessage`] (or the [`PlainMessage`] marker when they
-//! carry no store handles).
+//! in via [`ShardMessage`].
 //!
 //! ### Adding a new message variant
 //!
@@ -78,16 +77,20 @@
 //!    [`Component::handle`] `match`; unknown variants should `panic!` —
 //!    they indicate mis-wiring, not a runtime condition.
 //! 3. If the payload must cross the workspace composition, add the
-//!    corresponding arm to `bluedbm_core::Msg`'s `From`/protocol impls.
+//!    corresponding arm to the `From`/protocol impls of the core crate's
+//!    `Msg`.
 //!    `Msg` is **flat** (one discriminant level) and budgeted: the
-//!    compile-time assertion in `bluedbm_core::msg` fails the build if
+//!    compile-time assertion in `crates/core/src/msg.rs` fails the build if
 //!    the new variant pushes `size_of::<Msg>()` past 64 bytes — slim the
 //!    variant (handles, interned cold metadata) rather than raising the
 //!    budget.
-//! 4. If the variant carries a [`PageRef`] or [`PoolRef`], extend
-//!    `bluedbm_core::Msg`'s [`ShardMessage`] impl (`detach`/`attach`)
-//!    so the payload relocates when the message crosses a shard
-//!    boundary; handle-free variants need nothing.
+//! 4. Nothing for the shard boundary, unless the variant is traffic
+//!    between routers: a cluster pins every component of a node to
+//!    that node's shard, so the [`ShardMessage`] impl of the core
+//!    crate's `Msg` (`detach`/`attach`) relocates the payloads of router-to-router
+//!    traffic only (`NetWire`, `NetCredit`, `NetAck`) and panics on
+//!    every other variant. A new router-to-router variant that carries
+//!    a [`PageRef`] or [`PoolRef`] gets an arm there.
 //!
 //! ## Example
 //!
@@ -125,7 +128,7 @@
 //! assert_eq!(sim.now(), SimTime::us(10)); // last ping's pong
 //! ```
 
-pub mod affinity;
+mod affinity;
 mod arena;
 pub mod engine;
 pub mod fxhash;
@@ -143,7 +146,7 @@ pub use pagestore::{PageRef, PageStore};
 pub use pool::{Pool, PoolRef, PoolStore};
 pub use resource::{MultiResource, SerialResource};
 pub use rng::Rng;
-pub use shard::{ExecMode, PlainMessage, ShardLaneStats, ShardMessage, ShardStats, ShardedSimulator};
+pub use shard::{ExecMode, ShardLaneStats, ShardMessage, ShardStats, ShardedSimulator};
 pub use stats::{Histogram, Throughput};
 pub use time::{Bandwidth, SimTime};
 

@@ -36,20 +36,6 @@ pub struct PageRef {
     gen: u32,
 }
 
-impl PageRef {
-    /// The slot index (diagnostics; not an accessor into the store).
-    #[inline]
-    pub fn index(self) -> u32 {
-        self.idx
-    }
-
-    /// The generation this handle was minted under.
-    #[inline]
-    pub fn generation(self) -> u32 {
-        self.gen
-    }
-}
-
 impl fmt::Debug for PageRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "p{}g{}", self.idx, self.gen)
@@ -147,13 +133,6 @@ impl PageStore {
             idx,
             gen: self.slots[idx as usize].gen,
         }
-    }
-
-    /// Allocate a zero-filled page of `len` bytes.
-    pub fn alloc_zeroed(&mut self, len: usize) -> PageRef {
-        let r = self.alloc(len);
-        self.slots[r.idx as usize].buf[..len].fill(0);
-        r
     }
 
     /// Allocate a page holding a copy of `data`.
@@ -261,19 +240,6 @@ impl PageStore {
         self.peak_live
     }
 
-    /// Total allocations performed.
-    #[inline]
-    pub fn allocs(&self) -> u64 {
-        self.allocs
-    }
-
-    /// Slots ever created (live + free); stays flat under steady-state
-    /// load thanks to the free list.
-    #[inline]
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Leak audit: panics unless every allocated page has been freed.
     /// Call at simulation end — a live page here means a handler dropped
     /// a handle without consuming it, which in the real system would
@@ -325,7 +291,7 @@ mod tests {
     fn alloc_get_free_round_trip() {
         let mut s = PageStore::new();
         let a = s.alloc_from(b"hello");
-        let b = s.alloc_zeroed(3);
+        let b = s.alloc_from(&[0; 3]);
         assert_eq!(s.get(a), b"hello");
         assert_eq!(s.get(b), &[0, 0, 0]);
         assert_eq!(s.len(a), 5);
@@ -354,15 +320,15 @@ mod tests {
     fn slots_are_reused_with_fresh_generations() {
         let mut s = PageStore::new();
         let a = s.alloc_from(&[1, 2, 3, 4]);
-        let idx = a.index();
+        let idx = a.idx;
         s.free(a);
         let b = s.alloc_from(&[9]);
-        assert_eq!(b.index(), idx, "free list must recycle the slot");
-        assert_ne!(b.generation(), a.generation());
+        assert_eq!(b.idx, idx, "free list must recycle the slot");
+        assert_ne!(b.gen, a.gen);
         assert!(!s.is_live(a));
         assert!(s.is_live(b));
         assert_eq!(s.get(b), &[9], "shorter page must not expose old bytes");
-        assert_eq!(s.slot_count(), 1);
+        assert_eq!(s.slots.len(), 1);
         s.free(b);
     }
 
@@ -374,7 +340,7 @@ mod tests {
             assert_eq!(s.get(r), &i.to_le_bytes());
             s.free(r);
         }
-        assert_eq!(s.slot_count(), 1);
+        assert_eq!(s.slots.len(), 1);
         assert_eq!(s.peak_live(), 1);
         s.assert_quiescent();
     }

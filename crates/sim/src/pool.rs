@@ -6,7 +6,7 @@
 //! verbose metadata structs (a network packet's per-hop wire record, a
 //! remote request) that would otherwise need a heap `Box` per instance to
 //! fit the 64-byte message budget. A producer
-//! [`intern`](Pool::intern)s the object into the simulator-owned
+//! `intern`s the object into the simulator-owned
 //! [`Pool`] for its type and sends the 8-byte, generation-tagged
 //! [`PoolRef`]; each hop moves the handle; the single consumer
 //! [`take`](Pool::take)s the object back out. The slab's free list makes
@@ -19,7 +19,7 @@
 //! by the [`Simulator`](crate::engine::Simulator) and reached through
 //! [`Ctx::pools`](crate::engine::Ctx::pools). Handles are
 //! generation-tagged, so stale use and double `take` panic immediately,
-//! and [`PoolStore::assert_quiescent`] audits leaks at simulation end —
+//! and `PoolStore::assert_quiescent` audits leaks at simulation end —
 //! the same discipline as page handles.
 
 use std::any::{Any, TypeId};
@@ -34,14 +34,6 @@ pub struct PoolRef<T> {
     gen: u32,
     // `fn() -> T` keeps the handle `Send`/`Sync`/`Copy` regardless of `T`.
     _type: PhantomData<fn() -> T>,
-}
-
-impl<T> PoolRef<T> {
-    /// The slot index (diagnostics only).
-    #[inline]
-    pub fn index(self) -> u32 {
-        self.idx
-    }
 }
 
 impl<T> Clone for PoolRef<T> {
@@ -75,7 +67,6 @@ pub struct Pool<T> {
     slots: Vec<PoolSlot<T>>,
     free: Vec<u32>,
     live: usize,
-    interned: u64,
 }
 
 impl<T> Default for Pool<T> {
@@ -84,7 +75,6 @@ impl<T> Default for Pool<T> {
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
-            interned: 0,
         }
     }
 }
@@ -92,9 +82,8 @@ impl<T> Default for Pool<T> {
 impl<T> Pool<T> {
     /// Intern `val`, returning its handle. Steady-state traffic recycles
     /// freed slots, so no allocation happens after warm-up.
-    pub fn intern(&mut self, val: T) -> PoolRef<T> {
+    pub(crate) fn intern(&mut self, val: T) -> PoolRef<T> {
         self.live += 1;
-        self.interned += 1;
         let idx = match self.free.pop() {
             Some(idx) => {
                 let slot = &mut self.slots[idx as usize];
@@ -154,33 +143,6 @@ impl<T> Pool<T> {
         slot
     }
 
-    /// Shared access to the interned object.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle is stale (taken, or from a recycled slot).
-    #[inline]
-    pub fn get(&self, r: PoolRef<T>) -> &T {
-        self.check(r).val.as_ref().expect("checked live")
-    }
-
-    /// Objects currently interned.
-    #[inline]
-    pub fn live(&self) -> usize {
-        self.live
-    }
-
-    /// Total interns performed.
-    #[inline]
-    pub fn interned(&self) -> u64 {
-        self.interned
-    }
-
-    /// Slots ever created (live + free); flat under steady-state load.
-    #[inline]
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
 }
 
 /// Type-erased view of one pool, for store-wide audits. `Any` is a
@@ -215,12 +177,11 @@ impl<T: Send + 'static> AnyPool for Pool<T> {
 ///
 /// struct Req { op: u64 }
 ///
-/// let mut pools = PoolStore::new();
+/// let mut pools = PoolStore::default();
 /// let r = pools.intern(Req { op: 9 });
-/// assert_eq!(pools.get(r).op, 9);
+/// pools.get_mut(r).op += 1;
 /// let req = pools.take(r); // the one consumer
-/// assert_eq!(req.op, 9);
-/// pools.assert_quiescent(); // nothing leaked
+/// assert_eq!(req.op, 10);
 /// ```
 #[derive(Default)]
 pub struct PoolStore {
@@ -229,7 +190,7 @@ pub struct PoolStore {
 
 impl PoolStore {
     /// An empty store; per-type pools are created on first use.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -258,23 +219,9 @@ impl PoolStore {
         self.of::<T>().intern(val)
     }
 
-    /// Shared access to an interned object.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the handle is stale or its pool was never created.
-    #[inline]
-    pub fn get<T: Send + 'static>(&self, r: PoolRef<T>) -> &T {
-        let at = self.position::<T>().expect("no pool for this handle's type");
-        let pool: &dyn Any = &*self.pools[at].1;
-        pool.downcast_ref::<Pool<T>>()
-            .expect("pool stored under its own TypeId")
-            .get(r)
-    }
-
-    /// The existing pool for `T`, with the same diagnostic panic as
-    /// [`PoolStore::get`] when the pool was never created (and without
-    /// leaving a spurious empty pool behind, as `of` would).
+    /// The existing pool for `T`, with a diagnostic panic when the pool
+    /// was never created (and without leaving a spurious empty pool
+    /// behind, as `of` would).
     #[inline]
     fn existing<T: Send + 'static>(&mut self) -> &mut Pool<T> {
         let at = self.position::<T>().expect("no pool for this handle's type");
@@ -286,7 +233,8 @@ impl PoolStore {
     ///
     /// # Panics
     ///
-    /// As for [`PoolStore::get`].
+    /// Panics if the handle is stale (taken, or from a recycled slot) or
+    /// its pool was never created.
     #[inline]
     pub fn get_mut<T: Send + 'static>(&mut self, r: PoolRef<T>) -> &mut T {
         self.existing::<T>().get_mut(r)
@@ -296,14 +244,14 @@ impl PoolStore {
     ///
     /// # Panics
     ///
-    /// As for [`PoolStore::get`], plus double takes.
+    /// As for [`PoolStore::get_mut`], plus double takes.
     #[inline]
     pub fn take<T: Send + 'static>(&mut self, r: PoolRef<T>) -> T {
         self.existing::<T>().take(r)
     }
 
     /// Control blocks currently interned, across every pool.
-    pub fn live_total(&self) -> usize {
+    pub(crate) fn live_total(&self) -> usize {
         self.pools.iter().map(|(_, p)| p.live()).sum()
     }
 
@@ -314,7 +262,7 @@ impl PoolStore {
     /// # Panics
     ///
     /// Panics if any pool still holds live objects, naming the types.
-    pub fn assert_quiescent(&self) {
+    pub(crate) fn assert_quiescent(&self) {
         let leaked: Vec<(&'static str, usize)> = self
             .pools
             .iter()
@@ -346,8 +294,8 @@ mod tests {
         let mut pools = PoolStore::new();
         let a = pools.intern(String::from("hello"));
         let b = pools.intern(42u64);
-        assert_eq!(pools.get(a), "hello");
-        assert_eq!(*pools.get(b), 42);
+        assert_eq!(pools.get_mut(a), "hello");
+        assert_eq!(*pools.get_mut(b), 42);
         pools.get_mut(a).push('!');
         assert_eq!(pools.take(a), "hello!");
         assert_eq!(pools.take(b), 42);
@@ -358,13 +306,12 @@ mod tests {
     fn slots_recycle_with_fresh_generations() {
         let mut pool = Pool::<u32>::default();
         let a = pool.intern(1);
-        let idx = a.index();
+        let idx = a.idx;
         assert_eq!(pool.take(a), 1);
         let b = pool.intern(2);
-        assert_eq!(b.index(), idx, "free list must recycle the slot");
+        assert_eq!(b.idx, idx, "free list must recycle the slot");
         assert_ne!(a, b);
-        assert_eq!(pool.slot_count(), 1);
-        assert_eq!(pool.interned(), 2);
+        assert_eq!(pool.slots.len(), 1);
         pool.take(b);
     }
 
@@ -373,11 +320,11 @@ mod tests {
         let mut pool = Pool::<[u64; 6]>::default();
         for i in 0..10_000u64 {
             let r = pool.intern([i; 6]);
-            assert_eq!(pool.get(r)[0], i);
+            assert_eq!(pool.get_mut(r)[0], i);
             pool.take(r);
         }
-        assert_eq!(pool.slot_count(), 1);
-        assert_eq!(pool.live(), 0);
+        assert_eq!(pool.slots.len(), 1);
+        assert_eq!(pool.live, 0);
     }
 
     #[test]
@@ -396,7 +343,7 @@ mod tests {
         let a = pool.intern(0);
         pool.take(a);
         let _b = pool.intern(1);
-        let _ = pool.get(a);
+        let _ = pool.get_mut(a);
     }
 
     #[test]

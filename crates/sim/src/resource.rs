@@ -21,13 +21,6 @@ pub struct Grant {
     pub end: SimTime,
 }
 
-impl Grant {
-    /// Queueing delay experienced before service started.
-    pub fn wait(&self, arrival: SimTime) -> SimTime {
-        self.start.saturating_sub(arrival)
-    }
-}
-
 /// A single-server FIFO resource with busy-time accounting.
 ///
 /// # Examples
@@ -46,8 +39,6 @@ impl Grant {
 #[derive(Clone, Debug, Default)]
 pub struct SerialResource {
     next_free: SimTime,
-    busy: SimTime,
-    grants: u64,
 }
 
 impl SerialResource {
@@ -64,33 +55,7 @@ impl SerialResource {
         let start = arrival.max(self.next_free);
         let end = start + service;
         self.next_free = end;
-        self.busy += service;
-        self.grants += 1;
         Grant { start, end }
-    }
-
-    /// The earliest time a new request could begin service.
-    pub fn next_free(&self) -> SimTime {
-        self.next_free
-    }
-
-    /// Total busy time granted so far.
-    pub fn busy_time(&self) -> SimTime {
-        self.busy
-    }
-
-    /// Number of grants issued.
-    pub fn grants(&self) -> u64 {
-        self.grants
-    }
-
-    /// Utilization over `[0, horizon]` as a fraction in `[0, 1]`
-    /// (clamped; meaningful when `horizon >= next_free`).
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon.is_zero() {
-            return 0.0;
-        }
-        (self.busy.as_ps() as f64 / horizon.as_ps() as f64).min(1.0)
     }
 }
 
@@ -117,8 +82,6 @@ impl SerialResource {
 pub struct MultiResource {
     /// Min-heap of per-server next-free times.
     servers: BinaryHeap<Reverse<SimTime>>,
-    busy: SimTime,
-    grants: u64,
 }
 
 impl MultiResource {
@@ -131,14 +94,7 @@ impl MultiResource {
         assert!(servers > 0, "MultiResource needs at least one server");
         MultiResource {
             servers: (0..servers).map(|_| Reverse(SimTime::ZERO)).collect(),
-            busy: SimTime::ZERO,
-            grants: 0,
         }
-    }
-
-    /// Number of servers in the pool.
-    pub fn server_count(&self) -> usize {
-        self.servers.len()
     }
 
     /// Reserve the earliest-free server for `service` starting no earlier
@@ -148,33 +104,7 @@ impl MultiResource {
         let start = arrival.max(free_at);
         let end = start + service;
         self.servers.push(Reverse(end));
-        self.busy += service;
-        self.grants += 1;
         Grant { start, end }
-    }
-
-    /// The earliest time any server could begin a new request.
-    pub fn next_free(&self) -> SimTime {
-        self.servers.peek().map(|r| r.0).unwrap_or(SimTime::ZERO)
-    }
-
-    /// Total busy time across all servers.
-    pub fn busy_time(&self) -> SimTime {
-        self.busy
-    }
-
-    /// Grants issued so far.
-    pub fn grants(&self) -> u64 {
-        self.grants
-    }
-
-    /// Mean per-server utilization over `[0, horizon]`.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon.is_zero() {
-            return 0.0;
-        }
-        let denom = horizon.as_ps() as f64 * self.servers.len() as f64;
-        (self.busy.as_ps() as f64 / denom).min(1.0)
     }
 }
 
@@ -190,19 +120,8 @@ mod tests {
         let g3 = r.acquire(SimTime::us(20), SimTime::us(5));
         assert_eq!(g1.start, SimTime::ZERO);
         assert_eq!(g2.start, SimTime::us(5));
-        assert_eq!(g2.wait(SimTime::us(1)), SimTime::us(4));
         // Idle gap before g3: starts at its arrival.
         assert_eq!(g3.start, SimTime::us(20));
-        assert_eq!(r.busy_time(), SimTime::us(15));
-        assert_eq!(r.grants(), 3);
-    }
-
-    #[test]
-    fn serial_utilization() {
-        let mut r = SerialResource::new();
-        r.acquire(SimTime::ZERO, SimTime::us(25));
-        assert!((r.utilization(SimTime::us(100)) - 0.25).abs() < 1e-12);
-        assert_eq!(r.utilization(SimTime::ZERO), 0.0);
     }
 
     #[test]
@@ -215,7 +134,6 @@ mod tests {
             last = r.acquire(SimTime::ZERO, SimTime::us(10)).end;
         }
         assert_eq!(last, SimTime::ms(10));
-        assert!((r.utilization(last) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -227,31 +145,11 @@ mod tests {
         // First four run in parallel, the next four queue behind them.
         assert!(ends[..4].iter().all(|&e| e == SimTime::us(10)));
         assert!(ends[4..].iter().all(|&e| e == SimTime::us(20)));
-        assert_eq!(r.server_count(), 4);
-        assert_eq!(r.grants(), 8);
-    }
-
-    #[test]
-    fn multi_utilization_is_per_server() {
-        let mut r = MultiResource::new(2);
-        r.acquire(SimTime::ZERO, SimTime::us(10));
-        // One of two servers busy for the full horizon: 50%.
-        assert!((r.utilization(SimTime::us(10)) - 0.5).abs() < 1e-12);
     }
 
     #[test]
     #[should_panic(expected = "at least one server")]
     fn multi_zero_servers_panics() {
         let _ = MultiResource::new(0);
-    }
-
-    #[test]
-    fn multi_next_free_tracks_earliest_server() {
-        let mut r = MultiResource::new(2);
-        assert_eq!(r.next_free(), SimTime::ZERO);
-        r.acquire(SimTime::ZERO, SimTime::us(10));
-        assert_eq!(r.next_free(), SimTime::ZERO); // second server still free
-        r.acquire(SimTime::ZERO, SimTime::us(4));
-        assert_eq!(r.next_free(), SimTime::us(4));
     }
 }

@@ -72,12 +72,6 @@ impl Rng {
         result
     }
 
-    /// Next 32 uniformly random bits.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform integer in `[0, bound)` (Lemire's method, debiased).
     ///
     /// # Panics
@@ -100,16 +94,6 @@ impl Rng {
         (m >> 64) as u64
     }
 
-    /// Uniform integer in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi`.
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range [{lo}, {hi})");
-        lo + self.below(hi - lo)
-    }
-
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn unit_f64(&mut self) -> f64 {
@@ -127,18 +111,6 @@ impl Rng {
         }
     }
 
-    /// Exponentially distributed sample with the given mean.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean` is not finite and positive.
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        assert!(mean.is_finite() && mean > 0.0, "invalid mean {mean}");
-        // Avoid ln(0).
-        let u = 1.0 - self.unit_f64();
-        -mean * u.ln()
-    }
-
     /// Fill `buf` with random bytes.
     pub fn fill_bytes(&mut self, buf: &mut [u8]) {
         let mut chunks = buf.chunks_exact_mut(8);
@@ -149,25 +121,6 @@ impl Rng {
         if !rem.is_empty() {
             let bytes = self.next_u64().to_le_bytes();
             rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            slice.swap(i, j);
-        }
-    }
-
-    /// Uniformly choose an element.
-    ///
-    /// Returns `None` on an empty slice.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
-        if slice.is_empty() {
-            None
-        } else {
-            Some(&slice[self.below(slice.len() as u64) as usize])
         }
     }
 }
@@ -215,16 +168,6 @@ impl Zipf {
         Zipf { cdf }
     }
 
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// `true` when there is exactly one rank (degenerate sampler).
-    pub fn is_empty(&self) -> bool {
-        false // constructor rejects n == 0
-    }
-
     /// Draw one rank (0 = most popular).
     pub fn sample(&self, rng: &mut Rng) -> usize {
         let u = rng.unit_f64();
@@ -263,15 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn range_bounds() {
-        let mut rng = Rng::new(2);
-        for _ in 0..100 {
-            let v = rng.range(10, 20);
-            assert!((10..20).contains(&v));
-        }
-    }
-
-    #[test]
     fn unit_f64_in_unit_interval_with_sane_mean() {
         let mut rng = Rng::new(3);
         let mut sum = 0.0;
@@ -295,40 +229,12 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean() {
-        let mut rng = Rng::new(5);
-        const N: usize = 50_000;
-        let sum: f64 = (0..N).map(|_| rng.exponential(50.0)).sum();
-        let mean = sum / N as f64;
-        assert!((mean - 50.0).abs() < 2.0, "mean was {mean}");
-    }
-
-    #[test]
     fn fill_bytes_covers_tail() {
         let mut rng = Rng::new(6);
         let mut buf = [0u8; 13];
         rng.fill_bytes(&mut buf);
         // Probability all 13 bytes are zero is negligible.
         assert!(buf.iter().any(|&b| b != 0));
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = Rng::new(7);
-        let mut v: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, (0..100).collect::<Vec<_>>(), "shuffle moved something");
-    }
-
-    #[test]
-    fn choose_empty_and_nonempty() {
-        let mut rng = Rng::new(8);
-        let empty: [u8; 0] = [];
-        assert!(rng.choose(&empty).is_none());
-        assert!(rng.choose(&[1, 2, 3]).is_some());
     }
 
     #[test]
@@ -365,6 +271,6 @@ mod tests {
             let p = c as f64 / 50_000.0;
             assert!((p - 0.1).abs() < 0.02, "p = {p}");
         }
-        assert_eq!(zipf.len(), 10);
+        assert_eq!(zipf.cdf.len(), 10);
     }
 }

@@ -116,7 +116,7 @@
 //! and the threads add one futex park/unpark per worker per round —
 //! tens of microseconds times tens of thousands of rounds.
 //! [`ExecMode::Threads`] forces the threads and also pins each worker to
-//! its own core on Linux ([`crate::affinity`]) so the per-round spin
+//! its own core on Linux (`crate::affinity`) so the per-round spin
 //! windows keep their cache affinity; [`ExecMode::Cooperative`] forces
 //! the calling thread.
 //!
@@ -162,8 +162,7 @@
 //! mailbox entry, and the receiving worker
 //! [`attach`](ShardMessage::attach)es it into its own stores, rewriting
 //! the handles in place. For a flash page that is exactly the copy the
-//! real network link would perform. Message types without store-backed
-//! payloads opt out wholesale via [`PlainMessage`].
+//! real network link would perform.
 
 use std::any::Any;
 use std::fmt;
@@ -189,9 +188,8 @@ use crate::time::SimTime;
 ///
 /// Implementations must be exact inverses: after `attach(detach(m))` on
 /// fresh stores, the message must describe the same payload bytes (via
-/// new, valid handles). Messages that never carry handles should
-/// implement the [`PlainMessage`] marker instead and inherit the no-op
-/// impl.
+/// new, valid handles). Messages that never carry handles detach to
+/// `()`.
 pub trait ShardMessage: Message + Send {
     /// The owned form of the message's store-backed payloads while in
     /// transit between shards.
@@ -205,20 +203,6 @@ pub trait ShardMessage: Message + Send {
     /// Install the detached payloads into the receiving shard's stores
     /// and rewrite the handles inside `self`.
     fn attach(&mut self, detached: Self::Detached, pages: &mut PageStore, pools: &mut PoolStore);
-}
-
-/// Marker for message types that carry no store-backed payloads; they
-/// get the no-op [`ShardMessage`] impl for free.
-pub trait PlainMessage: Message + Send {}
-
-impl<M: PlainMessage> ShardMessage for M {
-    type Detached = ();
-
-    #[inline]
-    fn detach(&mut self, _pages: &mut PageStore, _pools: &mut PoolStore) {}
-
-    #[inline]
-    fn attach(&mut self, (): (), _pages: &mut PageStore, _pools: &mut PoolStore) {}
 }
 
 /// One cross-shard event in transit: the mailbox entry plus the detached
@@ -319,7 +303,7 @@ struct Lane {
 
 /// N-shard conservative-parallel façade over [`Simulator`]. Build the
 /// component graph on a sequential simulator first, then split it with
-/// [`ShardedSimulator::from_simulator`] (one shard keeps it whole).
+/// [`ShardedSimulator::with_lookaheads`] (one shard keeps it whole).
 ///
 /// The driving API mirrors the sequential engine where it can:
 /// [`schedule`](Self::schedule), [`run`](Self::run),
@@ -367,24 +351,6 @@ pub struct ShardedSimulator<M: ShardMessage> {
 }
 
 impl<M: ShardMessage> ShardedSimulator<M> {
-    /// Split a fully built (but idle) simulator into `shards` shards
-    /// under a single global `lookahead` — the minimum latency of any
-    /// message between components of different shards. Shorthand for
-    /// [`ShardedSimulator::with_lookaheads`] with a uniform matrix.
-    ///
-    /// # Panics
-    ///
-    /// As for [`ShardedSimulator::with_lookaheads`].
-    pub fn from_simulator(
-        sim: Simulator<M>,
-        owner: Vec<u32>,
-        shards: usize,
-        lookahead: SimTime,
-    ) -> Self {
-        let lookaheads = vec![vec![lookahead; shards]; shards];
-        Self::with_lookaheads(sim, owner, shards, lookaheads)
-    }
-
     /// Split a fully built (but idle) simulator into `shards` shards
     /// (one shard keeps it whole, see the [module docs](self)).
     /// `owner[i]` names the shard that owns component id `i`
@@ -566,8 +532,8 @@ impl<M: ShardMessage> ShardedSimulator<M> {
     }
 
     /// The minimum conservative window size — the smallest off-diagonal
-    /// entry of the lookahead matrix (for a uniform matrix, exactly the
-    /// `lookahead` given to [`ShardedSimulator::from_simulator`]).
+    /// entry of the lookahead matrix (for a uniform matrix, its one
+    /// off-diagonal value).
     pub fn lookahead(&self) -> SimTime {
         self.min_lookahead
     }
@@ -584,7 +550,7 @@ impl<M: ShardMessage> ShardedSimulator<M> {
 
     /// The shard owning component `id`, or `None` for a
     /// reserved-but-uninstalled id.
-    pub fn owner_of(&self, id: ComponentId) -> Option<usize> {
+    pub(crate) fn owner_of(&self, id: ComponentId) -> Option<usize> {
         match self.owner.get(id.index()).copied() {
             Some(UNOWNED) | None => None,
             Some(s) => Some(s as usize),
@@ -641,16 +607,6 @@ impl<M: ShardMessage> ShardedSimulator<M> {
         }
     }
 
-    /// Events currently pending across all shards.
-    pub fn pending_events(&self) -> usize {
-        self.shards.iter().map(|s| s.pending_events()).sum()
-    }
-
-    /// Number of component ids (identical in every shard).
-    pub fn component_count(&self) -> usize {
-        self.owner.len()
-    }
-
     /// Typed shared access to a component's state, routed to its owning
     /// shard.
     pub fn component<C: Component<M>>(&self, id: ComponentId) -> Option<&C> {
@@ -682,15 +638,10 @@ impl<M: ShardMessage> ShardedSimulator<M> {
         self.shards[shard].page_store_mut()
     }
 
-    /// Pages currently live across every shard's store segment.
-    pub fn live_pages(&self) -> usize {
-        self.shards.iter().map(|s| s.page_store().live_pages()).sum()
-    }
-
     /// Leak audit over every shard's page and pool segments — the
     /// sharded analogue of
     /// [`PageStore::assert_quiescent`] +
-    /// [`PoolStore::assert_quiescent`].
+    /// `PoolStore::assert_quiescent`.
     ///
     /// # Panics
     ///
@@ -1194,6 +1145,20 @@ mod tests {
     use crate::pagestore::PageRef;
 
     const HOP: SimTime = SimTime::us(1);
+
+    impl<M: ShardMessage> ShardedSimulator<M> {
+        /// [`ShardedSimulator::with_lookaheads`] with one `lookahead`
+        /// for every shard pair.
+        fn from_simulator(
+            sim: Simulator<M>,
+            owner: Vec<u32>,
+            shards: usize,
+            lookahead: SimTime,
+        ) -> Self {
+            let lookaheads = vec![vec![lookahead; shards]; shards];
+            Self::with_lookaheads(sim, owner, shards, lookaheads)
+        }
+    }
 
     /// Test protocol: a counter bounce with a fixed latency, plus a
     /// page-carrying shape to exercise relocation.
@@ -1760,7 +1725,11 @@ mod tests {
             left: u64,
             trail: Vec<u32>,
         }
-        impl PlainMessage for Baton {}
+        impl ShardMessage for Baton {
+            type Detached = ();
+            fn detach(&mut self, _: &mut PageStore, _: &mut PoolStore) {}
+            fn attach(&mut self, (): (), _: &mut PageStore, _: &mut PoolStore) {}
+        }
         struct Runner {
             peer: ComponentId,
             delay: SimTime,

@@ -22,13 +22,13 @@ use crate::time::SimTime;
 /// use bluedbm_sim::stats::Histogram;
 /// use bluedbm_sim::time::SimTime;
 ///
-/// let mut h = Histogram::new();
+/// let mut h = Histogram::default();
 /// for us in [50, 55, 60, 500] {
 ///     h.record(SimTime::us(us));
 /// }
 /// assert_eq!(h.count(), 4);
 /// assert!(h.percentile(0.5) >= SimTime::us(50));
-/// assert!(h.max() >= SimTime::us(500));
+/// assert!(h.percentile(1.0) >= SimTime::us(450)); // the 500 us bucket
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Histogram {
@@ -63,8 +63,10 @@ fn bucket_lower_bound(idx: usize) -> u64 {
 }
 
 impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
+    /// An empty histogram whose minimum starts at `u64::MAX` (unlike
+    /// `default()`, which starts it at 0).
+    #[cfg(test)]
+    fn new() -> Self {
         Histogram {
             buckets: Vec::new(),
             count: 0,
@@ -103,7 +105,7 @@ impl Histogram {
     }
 
     /// Exact minimum sample (zero when empty).
-    pub fn min(&self) -> SimTime {
+    pub(crate) fn min(&self) -> SimTime {
         if self.count == 0 {
             SimTime::ZERO
         } else {
@@ -112,7 +114,7 @@ impl Histogram {
     }
 
     /// Exact maximum sample (zero when empty).
-    pub fn max(&self) -> SimTime {
+    pub(crate) fn max(&self) -> SimTime {
         SimTime::ns(self.max_ns)
     }
 
@@ -167,39 +169,29 @@ impl fmt::Display for Histogram {
     }
 }
 
-/// Byte-throughput meter: total bytes over the observation interval.
+/// Completion meter: operations and the bytes they moved.
 ///
 /// # Examples
 ///
 /// ```rust
 /// use bluedbm_sim::stats::Throughput;
-/// use bluedbm_sim::time::SimTime;
 ///
-/// let mut tp = Throughput::new();
-/// tp.record(SimTime::ms(1), 1_000_000);
-/// tp.record(SimTime::ms(2), 1_000_000);
-/// // 2 MB in 2 ms = 1 GB/s.
-/// assert!((tp.bytes_per_sec() - 1e9).abs() / 1e9 < 1e-9);
+/// let mut tp = Throughput::default();
+/// tp.record(1_000_000);
+/// tp.record(1_000_000);
+/// assert_eq!((tp.ops(), tp.total_bytes()), (2, 2_000_000));
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Throughput {
     bytes: u64,
     ops: u64,
-    last: SimTime,
 }
 
 impl Throughput {
-    /// An empty meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record `bytes` completed at time `at` (times must be non-decreasing
-    /// across calls for the rate to be meaningful).
-    pub fn record(&mut self, at: SimTime, bytes: u64) {
+    /// Record one operation that moved `bytes`.
+    pub fn record(&mut self, bytes: u64) {
         self.bytes += bytes;
         self.ops += 1;
-        self.last = self.last.max(at);
     }
 
     /// Total bytes recorded.
@@ -210,32 +202,6 @@ impl Throughput {
     /// Total operations recorded.
     pub fn ops(&self) -> u64 {
         self.ops
-    }
-
-    /// Timestamp of the last completion.
-    pub fn last_completion(&self) -> SimTime {
-        self.last
-    }
-
-    /// Bytes per second over `[0, last_completion]` (0.0 when no time has
-    /// passed).
-    pub fn bytes_per_sec(&self) -> f64 {
-        let secs = self.last.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.bytes as f64 / secs
-        }
-    }
-
-    /// Operations per second over `[0, last_completion]`.
-    pub fn ops_per_sec(&self) -> f64 {
-        let secs = self.last.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.ops as f64 / secs
-        }
     }
 }
 
@@ -307,22 +273,11 @@ mod tests {
 
     #[test]
     fn throughput_rates() {
-        let mut tp = Throughput::new();
-        for i in 1..=10u64 {
-            tp.record(SimTime::ms(i), 8192);
+        let mut tp = Throughput::default();
+        for _ in 0..10 {
+            tp.record(8192);
         }
         assert_eq!(tp.total_bytes(), 81_920);
         assert_eq!(tp.ops(), 10);
-        assert_eq!(tp.last_completion(), SimTime::ms(10));
-        assert!((tp.ops_per_sec() - 1000.0).abs() < 1e-9);
-        let expect = 81_920.0 / 0.010;
-        assert!((tp.bytes_per_sec() - expect).abs() < 1e-6);
-    }
-
-    #[test]
-    fn throughput_empty_is_zero() {
-        let tp = Throughput::new();
-        assert_eq!(tp.bytes_per_sec(), 0.0);
-        assert_eq!(tp.ops_per_sec(), 0.0);
     }
 }

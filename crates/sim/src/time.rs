@@ -31,8 +31,6 @@ pub struct SimTime(u64);
 impl SimTime {
     /// The zero instant / empty duration.
     pub const ZERO: SimTime = SimTime(0);
-    /// The maximum representable time (used as "never").
-    pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Construct from picoseconds.
     #[inline]
@@ -56,12 +54,6 @@ impl SimTime {
     #[inline]
     pub const fn ms(ms: u64) -> Self {
         SimTime(ms * 1_000_000_000)
-    }
-
-    /// Construct from whole seconds.
-    #[inline]
-    pub const fn secs(s: u64) -> Self {
-        SimTime(s * 1_000_000_000_000)
     }
 
     /// Construct from fractional seconds, rounding to the nearest
@@ -88,18 +80,6 @@ impl SimTime {
         self.0 / 1_000
     }
 
-    /// Whole microseconds (truncating).
-    #[inline]
-    pub const fn as_us(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
-    /// Fractional nanoseconds.
-    #[inline]
-    pub fn as_ns_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// Fractional microseconds.
     #[inline]
     pub fn as_us_f64(self) -> f64 {
@@ -118,12 +98,6 @@ impl SimTime {
         self.0 as f64 / 1e12
     }
 
-    /// `true` if this is the zero duration.
-    #[inline]
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// Saturating subtraction: returns [`SimTime::ZERO`] instead of
     /// underflowing.
     #[inline]
@@ -131,18 +105,9 @@ impl SimTime {
         SimTime(self.0.saturating_sub(rhs.0))
     }
 
-    /// Checked addition; `None` on overflow.
-    #[inline]
-    pub const fn checked_add(self, rhs: SimTime) -> Option<SimTime> {
-        match self.0.checked_add(rhs.0) {
-            Some(v) => Some(SimTime(v)),
-            None => None,
-        }
-    }
-
     /// The later of two times.
     #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
+    pub(crate) fn max(self, other: SimTime) -> SimTime {
         if self.0 >= other.0 {
             self
         } else {
@@ -152,7 +117,7 @@ impl SimTime {
 
     /// The earlier of two times.
     #[inline]
-    pub fn min(self, other: SimTime) -> SimTime {
+    pub(crate) fn min(self, other: SimTime) -> SimTime {
         if self.0 <= other.0 {
             self
         } else {
@@ -350,7 +315,6 @@ mod tests {
         assert_eq!(SimTime::ns(1), SimTime::ps(1_000));
         assert_eq!(SimTime::us(1), SimTime::ns(1_000));
         assert_eq!(SimTime::ms(1), SimTime::us(1_000));
-        assert_eq!(SimTime::secs(1), SimTime::ms(1_000));
     }
 
     #[test]
@@ -393,7 +357,7 @@ mod tests {
         assert_eq!(SimTime::ns(480).to_string(), "480.000ns");
         assert_eq!(SimTime::us(50).to_string(), "50.000us");
         assert_eq!(SimTime::ms(3).to_string(), "3.000ms");
-        assert_eq!(SimTime::secs(2).to_string(), "2.000000s");
+        assert_eq!(SimTime::ms(2_000).to_string(), "2.000000s");
     }
 
     #[test]
@@ -408,7 +372,10 @@ mod tests {
         let pcie = Bandwidth::gb(1.6);
         assert!((pcie.as_gb() - 1.6).abs() < 1e-12);
         assert!((Bandwidth::gbits(10.0).as_gbits() - 10.0).abs() < 1e-12);
-        assert_eq!(Bandwidth::mb(600.0).time_for(600_000_000), SimTime::secs(1));
+        assert_eq!(
+            Bandwidth::mb(600.0).time_for(600_000_000),
+            SimTime::ms(1_000)
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!            | name_idx u32 | track u32 | a u64 | b u64
 //! ```
 //!
-//! Names are interned into a table of [`TraceName::label`]s, in first-use
+//! Names are interned into a table of `TraceName::label`s, in first-use
 //! order; the table is tiny (one entry per distinct name in the trace).
 
 use crate::doc::TraceDoc;
@@ -98,7 +98,7 @@ impl<'a> Reader<'a> {
 }
 
 /// Decode a trace file. A string-table entry that is not some
-/// [`TraceName::label`] is an error.
+/// `TraceName::label` is an error.
 pub fn decode(bytes: &[u8]) -> Result<TraceDoc, String> {
     let mut rd = Reader { bytes, pos: 0 };
     if rd.take(8)? != MAGIC {

@@ -106,14 +106,14 @@ impl TraceDoc {
         self.records.iter().filter(|r| r.cat == cat).count()
     }
 
-    /// XOR fold of [`TraceRecord::digest_full`] over every record whose
+    /// XOR fold of `TraceRecord::digest_full` over every record whose
     /// category is in `mask`. Order-independent; pins bit-identity of
     /// the selected slice (reruns of one engine must agree exactly).
     pub fn digest_full(&self, mask: u32) -> u64 {
         self.fold(mask, TraceRecord::digest_full)
     }
 
-    /// XOR fold of [`TraceRecord::digest_stable`] over every record
+    /// XOR fold of `TraceRecord::digest_stable` over every record
     /// whose category is in `mask`. With
     /// [`crate::STABLE_CATEGORIES`] this is the cross-engine digest:
     /// identical for Seq / Threads / Cooperative runs of

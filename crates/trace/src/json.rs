@@ -57,10 +57,10 @@ impl Json {
 /// The deepest array/object nesting [`parse`] accepts. The parser
 /// recurses once per bracket, so the bound keeps a hostile file from
 /// overflowing the stack; the Chrome exporter nests three deep.
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// Parse a complete JSON document (rejects trailing non-whitespace, and
-/// nesting deeper than [`MAX_DEPTH`]).
+/// nesting deeper than `MAX_DEPTH`).
 pub fn parse(src: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: src.as_bytes(),

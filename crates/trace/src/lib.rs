@@ -22,13 +22,14 @@
 //!
 //! # Adding a trace category
 //!
-//! Categories are a closed enum so that the bitmask in
-//! [`TraceConfig::categories`] and the binary format stay stable. To
+//! Every sink captures every category. Categories are a closed enum so
+//! that the digest masks ([`ALL_CATEGORIES`], [`STABLE_CATEGORIES`],
+//! built from `TraceCat::bit`) and the binary format stay stable. To
 //! add one:
 //!
 //! 1. Add a variant to [`TraceCat`] (append — the `u8` discriminant is
 //!    part of the binary format), extend [`TraceCat::ALL`],
-//!    [`TraceCat::label`] and [`TraceCat::from_u8`].
+//!    [`TraceCat::label`] and `TraceCat::from_u8`.
 //! 2. Decide its Chrome track mapping in [`chrome`]: engine-side
 //!    categories render one track per shard; node-side categories one
 //!    track per node (the record's `track` field); KV categories one
@@ -37,7 +38,7 @@
 //!    [`Tracer`] (`ctx.trace().instant(cat, name, track, a, b)` from a
 //!    component, or `sink.record(..)` from runtime code that knows the
 //!    clock). A new event name is one [`TraceName`] variant plus its
-//!    [`TraceName::label`] (and an entry in `TraceName::ALL`); the label
+//!    `TraceName::label` (and an entry in `TraceName::ALL`); the label
 //!    is what CSV, Chrome JSON, the binary string table and the digests
 //!    see.
 //! 4. If the new category's payloads are arbitration-dependent (queue
@@ -75,12 +76,10 @@ pub struct TraceConfig {
     /// Master switch. When false every sink is a no-op and owns no
     /// buffer.
     pub enabled: bool,
-    /// Bitmask of [`TraceCat`] bits to capture (see [`TraceCat::bit`]).
-    pub categories: u32,
     /// Per-sink record capacity; once full, further records are
     /// *dropped and counted* (never silently, never by evicting older
     /// records).
-    pub capacity: u32,
+    pub(crate) capacity: u32,
     /// Also collect per-lane wall-clock profiles ([`wallclock`]) on the
     /// threaded shard runtime. Strictly outside the deterministic
     /// record.
@@ -90,13 +89,12 @@ pub struct TraceConfig {
 impl TraceConfig {
     /// Default per-sink capacity: 2^18 records (12 MiB per shard when
     /// saturated: 48 bytes a record).
-    pub const DEFAULT_CAPACITY: u32 = 1 << 18;
+    pub(crate) const DEFAULT_CAPACITY: u32 = 1 << 18;
 
     /// Tracing disabled (the default).
     pub const fn off() -> Self {
         TraceConfig {
             enabled: false,
-            categories: ALL_CATEGORIES,
             capacity: Self::DEFAULT_CAPACITY,
             wall_profile: false,
         }
@@ -108,12 +106,6 @@ impl TraceConfig {
             enabled: true,
             ..Self::off()
         }
-    }
-
-    /// Replace the category mask.
-    pub const fn with_categories(mut self, mask: u32) -> Self {
-        self.categories = mask;
-        self
     }
 
     /// Replace the per-sink capacity.
@@ -142,13 +134,11 @@ mod tests {
     #[test]
     fn config_builders() {
         let cfg = TraceConfig::on()
-            .with_categories(TraceCat::KvOp.bit() | TraceCat::Accel.bit())
             .with_capacity(1024)
             .with_wall_profile(true);
         assert!(cfg.enabled);
         assert_eq!(cfg.capacity, 1024);
         assert!(cfg.wall_profile);
-        assert_eq!(cfg.categories.count_ones(), 2);
         assert_eq!(TraceConfig::default(), TraceConfig::off());
     }
 }

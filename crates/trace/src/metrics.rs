@@ -117,7 +117,7 @@ pub struct MetricsNode {
 
 impl MetricsNode {
     /// An empty node.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -264,13 +264,6 @@ pub struct MetricsDoc {
 }
 
 impl MetricsDoc {
-    /// Compact JSON.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.root.write_json(&mut out, false, 0);
-        out
-    }
-
     /// Indented JSON for human eyes.
     pub fn to_json_pretty(&self) -> String {
         let mut out = String::new();
@@ -293,6 +286,15 @@ impl MetricsDoc {
 mod tests {
     use super::*;
     use crate::json;
+
+    impl MetricsDoc {
+        /// Compact JSON.
+        fn to_json(&self) -> String {
+            let mut out = String::new();
+            self.root.write_json(&mut out, false, 0);
+            out
+        }
+    }
 
     #[test]
     fn tree_building_and_lookup() {

@@ -39,9 +39,11 @@ impl TraceCat {
         TraceCat::Gc,
     ];
 
-    /// This category's bit in a [`crate::TraceConfig::categories`] mask.
+    /// This category's bit in a digest mask ([`ALL_CATEGORIES`],
+    /// [`STABLE_CATEGORIES`], the argument of
+    /// [`crate::TraceDoc::digest_full`]).
     #[inline]
-    pub const fn bit(self) -> u32 {
+    pub(crate) const fn bit(self) -> u32 {
         1 << (self as u32)
     }
 
@@ -58,7 +60,7 @@ impl TraceCat {
     }
 
     /// Decode a binary-format discriminant.
-    pub const fn from_u8(v: u8) -> Option<TraceCat> {
+    pub(crate) const fn from_u8(v: u8) -> Option<TraceCat> {
         match v {
             0 => Some(TraceCat::Dispatch),
             1 => Some(TraceCat::Mailbox),
@@ -97,7 +99,7 @@ pub const STABLE_CATEGORIES: u32 = TraceCat::KvOp.bit() | TraceCat::Gc.bit();
 /// emit, one byte in the record.
 ///
 /// The discriminant is *not* part of the binary format: files carry
-/// each name's [`label`](TraceName::label) in their string table, and
+/// each name's `label` in their string table, and
 /// the digests hash the label bytes, so reordering variants changes
 /// neither.
 #[repr(u8)]
@@ -152,7 +154,7 @@ impl TraceName {
 
     /// Stable lowercase label (CSV column, Chrome `name`, binary string
     /// table, digests).
-    pub const fn label(self) -> &'static str {
+    pub(crate) const fn label(self) -> &'static str {
         match self {
             TraceName::Event => "event",
             TraceName::Flush => "flush",
@@ -193,7 +195,7 @@ pub enum TraceKind {
 
 impl TraceKind {
     /// Stable lowercase label for the CSV export.
-    pub const fn label(self) -> &'static str {
+    pub(crate) const fn label(self) -> &'static str {
         match self {
             TraceKind::SpanBegin => "begin",
             TraceKind::SpanEnd => "end",
@@ -203,7 +205,7 @@ impl TraceKind {
     }
 
     /// Decode a binary-format discriminant.
-    pub const fn from_u8(v: u8) -> Option<TraceKind> {
+    pub(crate) const fn from_u8(v: u8) -> Option<TraceKind> {
         match v {
             0 => Some(TraceKind::SpanBegin),
             1 => Some(TraceKind::SpanEnd),
@@ -222,10 +224,10 @@ pub struct TraceRecord {
     /// Simulated timestamp, picoseconds.
     pub at_ps: u64,
     /// Owning shard (or [`DRIVER_SHARD`]).
-    pub shard: u32,
+    pub(crate) shard: u32,
     /// Per-shard monotone sequence number; `(at_ps, shard, seq)` is the
     /// total merge order.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Subsystem.
     pub cat: TraceCat,
     /// Shape.
@@ -235,12 +237,12 @@ pub struct TraceRecord {
     /// Secondary track key within the category's Chrome process: node
     /// id for `Accel`/`BufPool`, tenant for `KvOp`, destination shard
     /// for `Mailbox`, 0 otherwise.
-    pub track: u32,
+    pub(crate) track: u32,
     /// First payload word (meaning is per-name; see the instrumentation
     /// site).
     pub a: u64,
     /// Second payload word.
-    pub b: u64,
+    pub(crate) b: u64,
 }
 
 // Every capture push and every merge move copies one record: keep it at
@@ -267,7 +269,7 @@ fn fnv_u64(h: u64, v: u64) -> u64 {
 impl TraceRecord {
     /// FNV-1a over every field. XOR-folding these across a trace pins
     /// bit-identity (reruns of the same engine must agree exactly).
-    pub fn digest_full(&self) -> u64 {
+    pub(crate) fn digest_full(&self) -> u64 {
         let h = fnv_u64(FNV_OFFSET, self.at_ps);
         let h = fnv_u64(h, u64::from(self.shard));
         let h = fnv_u64(h, self.seq);
@@ -283,7 +285,7 @@ impl TraceRecord {
     /// timestamp, shard or sequence number). XOR-folding these across
     /// the [`STABLE_CATEGORIES`] slice of a trace yields a value that
     /// must be identical across engines.
-    pub fn digest_stable(&self) -> u64 {
+    pub(crate) fn digest_stable(&self) -> u64 {
         let h = fnv_u64(FNV_OFFSET, u64::from(self.cat as u8));
         let h = fnv_u64(h, u64::from(self.kind as u8));
         let h = fnv_bytes(h, self.name.label().as_bytes());

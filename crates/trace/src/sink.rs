@@ -10,7 +10,7 @@ pub struct TracePart {
     /// Captured records, in emission order: one shard, `seq` rising.
     pub records: Vec<TraceRecord>,
     /// Records discarded because the buffer was full.
-    pub dropped: u64,
+    pub(crate) dropped: u64,
 }
 
 /// A bounded trace buffer owned by one shard (or one driver loop).
@@ -21,7 +21,6 @@ pub struct TracePart {
 #[derive(Debug, Default)]
 pub struct TraceSink {
     on: bool,
-    mask: u32,
     shard: u32,
     capacity: usize,
     seq: u64,
@@ -43,40 +42,12 @@ impl TraceSink {
         }
         TraceSink {
             on: true,
-            mask: cfg.categories,
             shard,
             capacity: cfg.capacity as usize,
             seq: 0,
             dropped: 0,
             records: Vec::new(),
         }
-    }
-
-    /// Whether this sink captures anything at all.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.on
-    }
-
-    /// Whether `cat` is captured.
-    #[inline]
-    pub fn captures(&self, cat: TraceCat) -> bool {
-        self.on && self.mask & cat.bit() != 0
-    }
-
-    /// The shard id stamped on records.
-    pub fn shard(&self) -> u32 {
-        self.shard
-    }
-
-    /// Records captured so far (drops excluded).
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when nothing has been captured.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
     }
 
     /// Bind the clock: returns a [`Tracer`] stamping `now_ps` on every
@@ -87,8 +58,8 @@ impl TraceSink {
         Tracer { at_ps: now_ps, sink: self }
     }
 
-    /// Append one record. The first two tests compile to a single
-    /// predictable branch when tracing is off.
+    /// Append one record. When tracing is off this is one predictable
+    /// branch.
     #[inline]
     #[expect(clippy::too_many_arguments, reason = "mirrors TraceRecord's fields")]
     pub fn record(
@@ -101,7 +72,7 @@ impl TraceSink {
         a: u64,
         b: u64,
     ) {
-        if !self.on || self.mask & cat.bit() == 0 {
+        if !self.on {
             return;
         }
         self.push(at_ps, cat, kind, name, track, a, b);
@@ -158,13 +129,6 @@ pub struct Tracer<'a> {
 }
 
 impl Tracer<'_> {
-    /// Whether anything is being captured (to skip payload computation
-    /// at call sites that need more than constants).
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.sink.on
-    }
-
     /// Open a span named `name` on `track`.
     #[inline]
     pub fn span_begin(&mut self, cat: TraceCat, name: TraceName, track: u32, a: u64, b: u64) {
@@ -206,22 +170,8 @@ mod tests {
     fn disabled_sink_captures_nothing() {
         let mut s = TraceSink::disabled();
         s.at(5).instant(TraceCat::KvOp, TraceName::Submit, 0, 1, 2);
-        assert!(!s.is_enabled());
-        assert!(s.is_empty());
+        assert!(s.records.is_empty());
         assert_eq!(s.take().records.len(), 0);
-    }
-
-    #[test]
-    fn category_mask_filters() {
-        let cfg = TraceConfig::on().with_categories(TraceCat::Accel.bit());
-        let mut s = TraceSink::new(cfg, 0);
-        s.at(1).instant(TraceCat::KvOp, TraceName::Submit, 0, 0, 0);
-        s.at(1).instant(TraceCat::Accel, TraceName::Grant, 0, 0, 0);
-        assert!(s.captures(TraceCat::Accel));
-        assert!(!s.captures(TraceCat::KvOp));
-        let part = s.take();
-        assert_eq!(part.records.len(), 1);
-        assert_eq!(part.records[0].name, TraceName::Grant);
     }
 
     #[test]

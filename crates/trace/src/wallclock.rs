@@ -45,12 +45,6 @@ impl WallLane {
         }
     }
 
-    /// Whether this lane is measuring.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.on
-    }
-
     /// Start an interval. Returns an inert stamp when disabled.
     #[inline]
     #[expect(
@@ -110,7 +104,6 @@ mod tests {
         lane.add_park(lane.stamp());
         lane.add_execute(lane.stamp());
         assert_eq!(lane.profile(), WallLaneProfile::default());
-        assert!(!lane.enabled());
     }
 
     #[test]
@@ -119,7 +112,6 @@ mod tests {
         let s = lane.stamp();
         std::thread::sleep(std::time::Duration::from_millis(2));
         lane.add_execute(s);
-        assert!(lane.enabled());
         assert!(lane.profile().execute_ns >= 1_000_000, "{:?}", lane.profile());
         assert_eq!(lane.profile().spin_ns, 0);
     }

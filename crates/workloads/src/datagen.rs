@@ -33,7 +33,7 @@ pub struct Corpus {
     /// Offsets where the needle was planted.
     pub planted: Vec<u64>,
     /// The needle.
-    pub needle: Vec<u8>,
+    pub(crate) needle: Vec<u8>,
 }
 
 /// Generate a printable-ASCII corpus of `bytes` with `plants` copies of

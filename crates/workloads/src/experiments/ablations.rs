@@ -29,11 +29,11 @@ use serde::Serialize;
 #[derive(Clone, Debug, Serialize, PartialEq)]
 pub struct Sweep {
     /// What was swept.
-    pub parameter: &'static str,
+    pub(crate) parameter: &'static str,
     /// What was measured.
-    pub metric: &'static str,
+    pub(crate) metric: &'static str,
     /// The (x, y) points.
-    pub points: Vec<(f64, f64)>,
+    pub(crate) points: Vec<(f64, f64)>,
 }
 
 impl Sweep {

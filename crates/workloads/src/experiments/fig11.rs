@@ -16,7 +16,7 @@ use serde::Serialize;
 #[derive(Clone, Copy, Debug, Serialize, PartialEq)]
 pub struct Fig11Row {
     /// Network distance of the stream.
-    pub hops: u32,
+    pub(crate) hops: u32,
     /// Sustained goodput of a saturating stream (Gbps).
     pub bandwidth_gbps: f64,
     /// Per-hop latency of an unloaded small packet (µs).

@@ -14,19 +14,19 @@ use serde::Serialize;
 
 /// One bar of the figure.
 #[derive(Clone, Copy, Debug, Serialize, PartialEq)]
-pub struct Fig12Row {
+pub(crate) struct Fig12Row {
     /// Paper label of the access path.
-    pub path: &'static str,
+    pub(crate) path: &'static str,
     /// Host software component (µs).
-    pub software_us: f64,
+    pub(crate) software_us: f64,
     /// Storage access component (µs).
-    pub storage_us: f64,
+    pub(crate) storage_us: f64,
     /// Data transfer component (µs).
-    pub transfer_us: f64,
+    pub(crate) transfer_us: f64,
     /// Network propagation component (µs).
-    pub network_us: f64,
+    pub(crate) network_us: f64,
     /// End-to-end (µs).
-    pub total_us: f64,
+    pub(crate) total_us: f64,
 }
 
 impl Fig12Row {
@@ -46,7 +46,7 @@ impl Fig12Row {
 #[derive(Clone, Debug, Serialize, PartialEq)]
 pub struct Fig12 {
     /// One row per access path, in the paper's order.
-    pub rows: Vec<Fig12Row>,
+    pub(crate) rows: Vec<Fig12Row>,
 }
 
 /// Run the experiment: an 8 KiB page on node 1, read from node 0 (one

@@ -20,7 +20,7 @@ pub struct Fig13Row {
     /// streams.
     pub bandwidth_gb: f64,
     /// Per-source-node steady-state rates (GB/s).
-    pub per_class_gb: Vec<f64>,
+    pub(crate) per_class_gb: Vec<f64>,
 }
 
 /// The full figure.

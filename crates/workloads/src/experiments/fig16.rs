@@ -13,29 +13,29 @@ use serde::Serialize;
 
 /// One x-position of the figure.
 #[derive(Clone, Copy, Debug, Serialize, PartialEq)]
-pub struct Fig16Row {
+pub(crate) struct Fig16Row {
     /// Host threads.
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// Host software over DRAM-resident data (comparisons/s).
-    pub dram: f64,
+    pub(crate) dram: f64,
     /// BlueDBM in-store baseline (flat).
-    pub baseline: f64,
+    pub(crate) baseline: f64,
     /// BlueDBM throttled to 600 MB/s (flat).
-    pub throttled: f64,
+    pub(crate) throttled: f64,
 }
 
 /// The full figure.
 #[derive(Clone, Debug, Serialize, PartialEq)]
 pub struct Fig16 {
     /// One row per thread count.
-    pub rows: Vec<Fig16Row>,
+    pub(crate) rows: Vec<Fig16Row>,
 }
 
 /// Thread counts swept (paper: 2..16).
-pub const THREADS: [usize; 8] = [2, 4, 6, 8, 10, 12, 14, 16];
+pub(crate) const THREADS: [usize; 8] = [2, 4, 6, 8, 10, 12, 14, 16];
 
 /// Fraction the paper throttles to: 600 MB/s of 2.4 GB/s.
-pub const THROTTLE: f64 = 0.25;
+pub(crate) const THROTTLE: f64 = 0.25;
 
 /// Run the experiment.
 pub fn run() -> Fig16 {

@@ -14,24 +14,24 @@ use serde::Serialize;
 
 /// One x-position of the figure.
 #[derive(Clone, Copy, Debug, Serialize, PartialEq)]
-pub struct Fig17Row {
+pub(crate) struct Fig17Row {
     /// Host threads.
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// Pure DRAM host software.
-    pub dram: f64,
+    pub(crate) dram: f64,
     /// BlueDBM in-store (flat; immune to the cliff).
-    pub isp: f64,
+    pub(crate) isp: f64,
     /// DRAM with 10% of accesses spilling to an SSD.
-    pub flash10: f64,
+    pub(crate) flash10: f64,
     /// DRAM with 5% of accesses spilling to disk.
-    pub disk5: f64,
+    pub(crate) disk5: f64,
 }
 
 /// The full figure.
 #[derive(Clone, Debug, Serialize, PartialEq)]
 pub struct Fig17 {
     /// One row per thread count 1..=8.
-    pub rows: Vec<Fig17Row>,
+    pub(crate) rows: Vec<Fig17Row>,
 }
 
 /// Run the experiment.

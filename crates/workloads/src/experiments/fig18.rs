@@ -16,22 +16,22 @@ use serde::Serialize;
 
 /// One x-position of the figure.
 #[derive(Clone, Copy, Debug, Serialize, PartialEq)]
-pub struct Fig18Row {
+pub(crate) struct Fig18Row {
     /// Host threads.
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// Throttled BlueDBM in-store (the fairness baseline).
-    pub isp: f64,
+    pub(crate) isp: f64,
     /// Off-the-shelf SSD, accesses arranged sequential.
-    pub seq_flash: f64,
+    pub(crate) seq_flash: f64,
     /// Off-the-shelf SSD, natural random accesses.
-    pub full_flash: f64,
+    pub(crate) full_flash: f64,
 }
 
 /// The full figure.
 #[derive(Clone, Debug, Serialize, PartialEq)]
 pub struct Fig18 {
     /// One row per thread count 1..=8.
-    pub rows: Vec<Fig18Row>,
+    pub(crate) rows: Vec<Fig18Row>,
 }
 
 /// Run the experiment.

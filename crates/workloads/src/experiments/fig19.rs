@@ -13,24 +13,24 @@ use serde::Serialize;
 
 /// One x-position of the figure.
 #[derive(Clone, Copy, Debug, Serialize, PartialEq)]
-pub struct Fig19Row {
+pub(crate) struct Fig19Row {
     /// Host threads.
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// Throttled in-store processor (flat).
-    pub isp: f64,
+    pub(crate) isp: f64,
     /// Host software scanning the same throttled device over PCIe.
-    pub bluedbm_sw: f64,
+    pub(crate) bluedbm_sw: f64,
 }
 
 /// The full figure, plus the unthrottled summary comparison.
 #[derive(Clone, Debug, Serialize, PartialEq)]
 pub struct Fig19 {
     /// One row per thread count 1..=8.
-    pub rows: Vec<Fig19Row>,
+    pub(crate) rows: Vec<Fig19Row>,
     /// Unthrottled in-store rate (full 2.4 GB/s).
-    pub unthrottled_isp: f64,
+    pub(crate) unthrottled_isp: f64,
     /// Unthrottled host-software rate (PCIe-capped).
-    pub unthrottled_sw: f64,
+    pub(crate) unthrottled_sw: f64,
 }
 
 /// Run the experiment.

@@ -24,29 +24,29 @@ use serde::Serialize;
 
 /// One bar of the figure.
 #[derive(Clone, Copy, Debug, Serialize, PartialEq)]
-pub struct Fig20Row {
+pub(crate) struct Fig20Row {
     /// Paper label of the access mode.
-    pub mode: &'static str,
+    pub(crate) mode: &'static str,
     /// Per-step latency (µs).
-    pub step_us: f64,
+    pub(crate) step_us: f64,
     /// Traversal throughput (steps/s).
-    pub steps_per_sec: f64,
+    pub(crate) steps_per_sec: f64,
 }
 
 /// The full figure, plus the functional traversal it was grounded on.
 #[derive(Clone, Debug, Serialize, PartialEq)]
 pub struct Fig20 {
     /// One row per access mode, in the paper's order.
-    pub rows: Vec<Fig20Row>,
+    pub(crate) rows: Vec<Fig20Row>,
     /// Vertices visited by the verification BFS.
-    pub bfs_visited: usize,
+    pub(crate) bfs_visited: usize,
     /// Dependent page fetches the BFS issued.
-    pub bfs_fetches: u64,
+    pub(crate) bfs_fetches: u64,
 }
 
 /// Bytes of a page a traversal step must receive before it can issue the
 /// next request (one burst holding the adjacency entries it needs).
-pub const CRITICAL_BYTES: usize = 128;
+pub(crate) const CRITICAL_BYTES: usize = 128;
 
 /// Per-path step latencies from the calibrated constants.
 fn step_latencies(config: &SystemConfig) -> Vec<(&'static str, SimTime)> {

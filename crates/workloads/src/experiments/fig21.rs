@@ -17,26 +17,26 @@ use serde::Serialize;
 
 /// One bar pair of the figure.
 #[derive(Clone, Copy, Debug, Serialize, PartialEq)]
-pub struct Fig21Row {
+pub(crate) struct Fig21Row {
     /// Search method label.
-    pub method: &'static str,
+    pub(crate) method: &'static str,
     /// Search bandwidth (MB/s).
-    pub bandwidth_mb: f64,
+    pub(crate) bandwidth_mb: f64,
     /// Host CPU utilization (%).
-    pub cpu_percent: f64,
+    pub(crate) cpu_percent: f64,
 }
 
 /// The full figure, plus the functional search that grounded it.
 #[derive(Clone, Debug, Serialize, PartialEq)]
 pub struct Fig21 {
     /// One row per search method, in the paper's order.
-    pub rows: Vec<Fig21Row>,
+    pub(crate) rows: Vec<Fig21Row>,
     /// Needles planted in the generated corpus.
     pub planted: usize,
     /// Matches the in-store MP engines actually found.
     pub found: usize,
     /// Result bytes returned to the host, as a fraction of bytes scanned.
-    pub result_fraction: f64,
+    pub(crate) result_fraction: f64,
 }
 
 /// Run the experiment.

@@ -16,24 +16,24 @@ use serde::Serialize;
 
 /// One module row of Table 1 (flash controller on the Artix-7).
 #[derive(Clone, Debug, Serialize, PartialEq)]
-pub struct Table1Row {
+pub(crate) struct Table1Row {
     /// Module name.
-    pub module: String,
+    pub(crate) module: String,
     /// Instances in the model.
-    pub instances: usize,
+    pub(crate) instances: usize,
     /// Command/scoreboard queue depth.
-    pub queue_depth: usize,
+    pub(crate) queue_depth: usize,
     /// Dedicated buffer bytes (BRAM analogue).
-    pub buffer_bytes: usize,
+    pub(crate) buffer_bytes: usize,
     /// The paper's LUT count for the closest module (reference only).
-    pub paper_luts: Option<u32>,
+    pub(crate) paper_luts: Option<u32>,
 }
 
 /// The Table 1 substitute.
 #[derive(Clone, Debug, Serialize, PartialEq)]
 pub struct Table1 {
     /// One row per controller module.
-    pub rows: Vec<Table1Row>,
+    pub(crate) rows: Vec<Table1Row>,
 }
 
 /// Build Table 1 from the paper-shape controller.
@@ -91,20 +91,20 @@ impl Table1 {
 
 /// One module row of Table 2 (host Virtex-7).
 #[derive(Clone, Debug, Serialize, PartialEq)]
-pub struct Table2Row {
+pub(crate) struct Table2Row {
     /// Module name.
-    pub module: String,
+    pub(crate) module: String,
     /// Instances in the model.
-    pub instances: usize,
+    pub(crate) instances: usize,
     /// The paper's LUT count (reference only).
-    pub paper_luts: Option<u32>,
+    pub(crate) paper_luts: Option<u32>,
 }
 
 /// The Table 2 substitute.
 #[derive(Clone, Debug, Serialize, PartialEq)]
 pub struct Table2 {
     /// One row per node-level module.
-    pub rows: Vec<Table2Row>,
+    pub(crate) rows: Vec<Table2Row>,
 }
 
 /// Build Table 2 from the node inventory.
@@ -150,13 +150,13 @@ impl Table2 {
 #[derive(Clone, Debug, Serialize, PartialEq)]
 pub struct Table3 {
     /// (component, watts) rows.
-    pub rows: Vec<(String, f64)>,
+    pub(crate) rows: Vec<(String, f64)>,
     /// Device overhead fraction of node power.
-    pub device_overhead: f64,
+    pub(crate) device_overhead: f64,
     /// Cluster watts for a 20 TB dataset on BlueDBM.
-    pub bluedbm_20tb_watts: f64,
+    pub(crate) bluedbm_20tb_watts: f64,
     /// Cluster watts for the same dataset in a RAM cloud.
-    pub ramcloud_20tb_watts: f64,
+    pub(crate) ramcloud_20tb_watts: f64,
 }
 
 /// Build Table 3 from the power model.

@@ -1,16 +1,16 @@
 //! Graph generators for the traversal experiment (Figure 20).
 //!
-//! Two families: uniform random graphs, and power-law (Zipf-attachment)
-//! graphs resembling the social-network data the paper's introduction
-//! motivates. Both are capped-degree so adjacency lists pack into flash
-//! pages.
+//! Power-law (Zipf-attachment) graphs resembling the social-network
+//! data the paper's introduction motivates, capped-degree so adjacency
+//! lists pack into flash pages.
 
 use bluedbm_isp::graph::PackedGraph;
 use bluedbm_sim::rng::{Rng, Zipf};
 
 /// Uniform random digraph: every vertex gets `degree` neighbors chosen
 /// uniformly (self-loops allowed — harmless to BFS).
-pub fn uniform(vertices: u32, degree: usize, seed: u64) -> Vec<Vec<u32>> {
+#[cfg(test)]
+fn uniform(vertices: u32, degree: usize, seed: u64) -> Vec<Vec<u32>> {
     let mut rng = Rng::new(seed);
     (0..vertices)
         .map(|_| {
@@ -39,14 +39,6 @@ pub fn pack(adj: &[Vec<u32>], page_bytes: usize) -> PackedGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn uniform_graph_shape() {
-        let adj = uniform(100, 4, 1);
-        assert_eq!(adj.len(), 100);
-        assert!(adj.iter().all(|l| l.len() == 4));
-        assert!(adj.iter().flatten().all(|&v| v < 100));
-    }
 
     #[test]
     fn power_law_concentrates_in_degree() {
@@ -81,7 +73,6 @@ mod tests {
 
     #[test]
     fn generators_are_deterministic() {
-        assert_eq!(uniform(50, 3, 9), uniform(50, 3, 9));
         assert_eq!(power_law(50, 3, 1.0, 9), power_law(50, 3, 1.0, 9));
     }
 }

@@ -123,7 +123,7 @@ impl KvWorkloadSpec {
 
     /// The node tenant `t`'s application instance runs on (and reads
     /// from).
-    pub fn reader(&self, tenant: TenantId) -> NodeId {
+    pub(crate) fn reader(&self, tenant: TenantId) -> NodeId {
         NodeId::from(tenant as usize % self.nodes.max(1))
     }
 
@@ -256,11 +256,11 @@ pub struct KvRunSummary {
     /// Operations completed.
     pub ops: u64,
     /// Puts completed.
-    pub puts: u64,
+    pub(crate) puts: u64,
     /// Gets completed.
-    pub gets: u64,
+    pub(crate) gets: u64,
     /// Deletes completed.
-    pub deletes: u64,
+    pub(crate) deletes: u64,
     /// Gets that found their key.
     pub get_hits: u64,
     /// Gets of absent keys.
@@ -278,20 +278,6 @@ pub struct KvRunSummary {
 }
 
 impl KvRunSummary {
-    /// Write the run counters into a metrics `node` (see
-    /// [`bluedbm_sim::MetricsRegistry`]).
-    pub fn fill_metrics(&self, node: &mut bluedbm_sim::MetricsNode) {
-        node.set("ops", self.ops);
-        node.set("puts", self.puts);
-        node.set("gets", self.gets);
-        node.set("deletes", self.deletes);
-        node.set("get_hits", self.get_hits);
-        node.set("get_misses", self.get_misses);
-        node.set("errors", self.errors);
-        node.set("digest", self.digest);
-        node.set("sim_time_ps", self.sim_time.as_ps());
-    }
-
     fn fold(&mut self, c: &KvCompletion) {
         self.ops += 1;
         match c.kind {

@@ -21,4 +21,4 @@ pub mod experiments;
 pub mod graphgen;
 pub mod kvgen;
 pub mod lshgen;
-pub mod report;
+mod report;

@@ -1,20 +1,7 @@
 //! Plain-text table rendering for the experiment binaries.
 
 /// Render rows as an aligned ASCII table with a header rule.
-///
-/// # Examples
-///
-/// ```rust
-/// use bluedbm_workloads::report::render_table;
-///
-/// let s = render_table(
-///     &["arm", "value"],
-///     &[vec!["ISP".to_string(), "2.4".to_string()]],
-/// );
-/// assert!(s.contains("ISP"));
-/// assert!(s.lines().count() >= 3);
-/// ```
-pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
     let cols = header.len();
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -43,25 +30,14 @@ pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Format a throughput in the paper's GB/s convention.
-pub fn gb(bytes_per_sec: f64) -> String {
-    format!("{:.2}", bytes_per_sec / 1e9)
-}
-
 /// Format a rate in thousands per second ("K/s", the Figure 16–20 unit).
-pub fn kilo(rate_per_sec: f64) -> String {
+pub(crate) fn kilo(rate_per_sec: f64) -> String {
     format!("{:.1}", rate_per_sec / 1e3)
-}
-
-/// Format microseconds.
-pub fn us(t: bluedbm_sim::time::SimTime) -> String {
-    format!("{:.2}", t.as_us_f64())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bluedbm_sim::time::SimTime;
 
     #[test]
     fn table_alignment() {
@@ -88,8 +64,6 @@ mod tests {
 
     #[test]
     fn formatters() {
-        assert_eq!(gb(2.4e9), "2.40");
         assert_eq!(kilo(320_000.0), "320.0");
-        assert_eq!(us(SimTime::us(50)), "50.00");
     }
 }

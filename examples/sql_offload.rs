@@ -17,7 +17,7 @@
 
 use bluedbm::flash::{FlashArray, FlashGeometry};
 use bluedbm::ftl::rfs::{Rfs, RfsConfig};
-use bluedbm::isp::aggregate::{AggregateEngine, AggregateOp};
+use bluedbm::isp::aggregate::AggregateEngine;
 use bluedbm::isp::filter::FilterEngine;
 use bluedbm::isp::Accelerator;
 use bluedbm::sim::rng::Rng;
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // In-store execution: stream pages once, filter feeding aggregate.
     let mut filter = FilterEngine::new(RECORD, AMOUNT_OFF, 500..1001);
-    let mut agg = AggregateEngine::new(RECORD, REGION_OFF, AMOUNT_OFF, AggregateOp::Sum);
+    let mut agg = AggregateEngine::new(RECORD, REGION_OFF, AMOUNT_OFF);
     let addrs = fs.physical_addrs("db/sales")?;
     let rows_per_page = geom.page_bytes / RECORD;
     for (i, ppa) in addrs.iter().enumerate() {

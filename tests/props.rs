@@ -198,7 +198,7 @@ fn wordcount_split_invariance() {
 #[test]
 fn aggregation_chunking_invariance() {
     check("aggregation_chunking_invariance", 64, |s| {
-        use bluedbm::isp::aggregate::{AggregateEngine, AggregateOp};
+        use bluedbm::isp::aggregate::AggregateEngine;
         use bluedbm::isp::Accelerator;
         let rows = s.vec(1..200, |s| (s.range(0u64..8), s.range(0u64..1000)));
         let chunk = s.range(1usize..32);
@@ -210,9 +210,9 @@ fn aggregation_chunking_invariance() {
             }
             p
         };
-        let mut whole = AggregateEngine::new(16, 0, 8, AggregateOp::Sum);
+        let mut whole = AggregateEngine::new(16, 0, 8);
         whole.consume(0, &page_of(&rows));
-        let mut chunked = AggregateEngine::new(16, 0, 8, AggregateOp::Sum);
+        let mut chunked = AggregateEngine::new(16, 0, 8);
         for (i, c) in rows.chunks(chunk).enumerate() {
             chunked.consume(i as u64, &page_of(c));
         }
