@@ -53,31 +53,18 @@ pub use crate::node::GlobalPageAddr;
 /// The per-pair lookahead matrix of a partition: entry `[s][r]` is
 /// `hop_latency x` the minimum hop distance between any node of shard
 /// `s` and any node of shard `r`. Sound because every cross-node message
-/// — cable transmit, credit return, end-to-end ack — pays at least one
-/// hop of latency per hop of distance, so a message from shard `s` into
-/// shard `r` takes at least that long. Mutually unreachable shard pairs
-/// (possible on disconnected topologies) exchange no traffic at all;
-/// they get a generous `hop_latency x node count` bound.
+/// — cable transmit or credit return — pays at least one hop of latency
+/// per hop of distance, so a message from shard `s` into shard `r` takes
+/// at least that long.
 fn cross_shard_lookaheads(
     topo: &Topology,
     partition: &[u32],
     shards: usize,
     hop_latency: SimTime,
 ) -> Vec<Vec<SimTime>> {
-    let unreachable = hop_latency * topo.node_count() as u64;
     topo.shard_distances(partition, shards)
         .into_iter()
-        .map(|row| {
-            row.into_iter()
-                .map(|d| {
-                    if d == u32::MAX {
-                        unreachable
-                    } else {
-                        hop_latency * u64::from(d)
-                    }
-                })
-                .collect()
-        })
+        .map(|row| row.into_iter().map(|d| hop_latency * u64::from(d)).collect())
         .collect()
 }
 
@@ -98,6 +85,9 @@ pub enum ClusterError {
     /// The node → shard map given to [`Cluster::with_partition`] cannot
     /// be built.
     InvalidPartition(PartitionError),
+    /// The topology is not connected: this node cannot be reached from
+    /// node 0, so no route joins them.
+    Disconnected(NodeId),
     /// The simulation quiesced without producing the expected completion
     /// (a wiring bug, surfaced as an error for debuggability).
     MissingCompletion,
@@ -171,6 +161,7 @@ impl fmt::Display for ClusterError {
             ClusterError::Ftl(e) => write!(f, "mirror FTL cannot be built: {e}"),
             ClusterError::DeviceFull(n) => write!(f, "no free pages left on {n}"),
             ClusterError::InvalidPartition(e) => write!(f, "invalid partition: {e}"),
+            ClusterError::Disconnected(n) => write!(f, "topology is disconnected: no route to {n}"),
             ClusterError::MissingCompletion => write!(f, "operation produced no completion"),
         }
     }
@@ -257,7 +248,9 @@ impl Cluster {
     /// [`ClusterError::Flash`] wrapping `GeometryTooLarge` when the flash
     /// geometry has more pages than a card's `u32` tables can index, and
     /// [`ClusterError::Ftl`] when the lifecycle knobs in `config.gc` are
-    /// out of range or the geometry leaves no room for the GC reserve.
+    /// out of range or the geometry leaves no room for the GC reserve,
+    /// and [`ClusterError::Disconnected`] when some node cannot reach
+    /// another.
     pub fn new(topo: Topology, config: &SystemConfig) -> Result<Self, ClusterError> {
         let shards = config.sim.shards.clamp(1, topo.node_count());
         let partition = if shards <= 1 {
@@ -297,8 +290,14 @@ impl Cluster {
                 ErrorModel::none(),
             )
         };
-        let mut sim = Simulator::new();
         let routing = Arc::new(RoutingTable::compute(&topo));
+        if let Some(lost) = (0..topo.node_count())
+            .map(NodeId::from)
+            .find(|&n| routing.hops(NodeId(0), n).is_none())
+        {
+            return Err(ClusterError::Disconnected(lost));
+        }
+        let mut sim = Simulator::new();
         let routers = build_network_routed(&mut sim, &topo, config.net, Arc::clone(&routing));
         let n = topo.node_count();
         let mut agents = Vec::with_capacity(n);
@@ -1042,7 +1041,7 @@ impl Cluster {
     }
 
     /// Shortest-path hop count between two nodes, read off the routers'
-    /// shared table (`None` when `b` is unreachable from `a`).
+    /// shared table (never `None`: a cluster's topology is connected).
     pub fn hops(&self, a: NodeId, b: NodeId) -> Option<u32> {
         self.routing.hops(a, b)
     }
@@ -1372,6 +1371,19 @@ mod tests {
             ClusterError::InvalidPartition(PartitionError::EmptyShard(1)).to_string(),
             "invalid partition: shard ids must be dense from 0, but shard 1 owns no node"
         );
+    }
+
+    #[test]
+    fn disconnected_topology_is_an_error() {
+        let config = SystemConfig::scaled_down();
+        let topo = Topology::from_edges(4, &[(0, 1, 1), (2, 3, 1)]);
+        match Cluster::new(topo, &config) {
+            Err(e) => {
+                assert_eq!(e, ClusterError::Disconnected(NodeId(2)));
+                assert_eq!(e.to_string(), "topology is disconnected: no route to node2");
+            }
+            Ok(_) => panic!("a split topology was accepted"),
+        }
     }
 
     #[test]

@@ -373,7 +373,7 @@ impl TenantStats {
         node.set("errors", self.errors);
         node.set("total_gate_wait_ps", self.total_gate_wait.as_ps());
         node.set("max_gate_wait_ps", self.max_gate_wait.as_ps());
-        node.histogram("latency", &self.latency.summary());
+        self.latency.fill_metrics(node.child("latency"));
     }
 }
 

@@ -47,8 +47,8 @@
 //! [`ShardMessage`] impl below detaches them into a `Luggage` crate on
 //! the way out and re-installs them (rewriting the handles in place) on
 //! the way in. `Cluster::with_partition` pins every component of a node
-//! to that node's shard, so only router-to-router traffic (`NetWire`,
-//! `NetCredit`, `NetAck`) ever crosses; any other variant crossing is a
+//! to that node's shard, so only router-to-router traffic (`NetWire` and
+//! `NetCredit`) ever crosses; any other variant crossing is a
 //! wiring bug, and the impl panics naming it.
 //!
 //! To add a new message kind, see the "Adding a new message variant"
@@ -60,7 +60,7 @@ use bluedbm_flash::server::{ServerReq, ServerResp};
 use bluedbm_host::msg::{HostMsg, HostProtocol};
 use bluedbm_host::pcie::PcieXfer;
 use bluedbm_net::msg::{NetMsg, NetProtocol};
-use bluedbm_net::router::{CreditReturn, E2eAck, NetRecv, NetSend, Wire, WireRef};
+use bluedbm_net::router::{CreditReturn, NetRecv, NetSend, Wire, WireRef};
 use bluedbm_sim::pool::PoolRef;
 use bluedbm_sim::shard::ShardMessage;
 use bluedbm_sim::{PageRef, PageStore, PoolStore};
@@ -103,8 +103,6 @@ pub(crate) enum Msg {
     NetWire(WireRef<NetBody>),
     /// Link-layer credit return.
     NetCredit(CreditReturn),
-    /// End-to-end flow-control acknowledgement.
-    NetAck(E2eAck),
     /// PCIe/DMA traffic carrying page handles.
     Host(HostMsg<PageRef>),
     /// Driver operation addressed to a node agent.
@@ -150,7 +148,6 @@ impl From<NetMsg<NetBody>> for Msg {
             NetMsg::Recv(r) => Msg::NetRecv(r),
             NetMsg::Wire(w) => Msg::NetWire(w),
             NetMsg::Credit(c) => Msg::NetCredit(c),
-            NetMsg::Ack(a) => Msg::NetAck(a),
         }
     }
 }
@@ -249,7 +246,6 @@ impl NetProtocol for Msg {
             Msg::NetRecv(r) => NetMsg::Recv(r),
             Msg::NetWire(w) => NetMsg::Wire(w),
             Msg::NetCredit(c) => NetMsg::Credit(c),
-            Msg::NetAck(a) => NetMsg::Ack(a),
             other => panic!("network component received a non-network message: {other:?}"),
         }
     }
@@ -273,8 +269,8 @@ impl HostProtocol for Msg {
 /// [`ShardMessage::attach`].
 #[derive(Debug)]
 pub(crate) enum Luggage {
-    /// No store-backed payload (a credit return, an ack, or a failed
-    /// response's body).
+    /// No store-backed payload (a credit return or a failed response's
+    /// body).
     None,
     /// One page's bytes (the copy the real network link would perform).
     Page(Vec<u8>),
@@ -321,7 +317,7 @@ impl ShardMessage for Msg {
                 let inner = detach_body(wire.body_mut(), pages, pools);
                 Luggage::Wire(wire, Box::new(inner))
             }
-            Msg::NetCredit(_) | Msg::NetAck(_) => Luggage::None,
+            Msg::NetCredit(_) => Luggage::None,
             other => panic!(
                 "{other:?} crossed shards: every component of a node lives on the node's \
                  shard, so only router-to-router traffic may cross"
@@ -335,7 +331,7 @@ impl ShardMessage for Msg {
                 attach_body(carried.body_mut(), *inner, pages, pools);
                 *wire = pools.intern(*carried);
             }
-            (Msg::NetCredit(_) | Msg::NetAck(_), Luggage::None) => {}
+            (Msg::NetCredit(_), Luggage::None) => {}
             (msg, luggage) => panic!("luggage {luggage:?} does not fit message {msg:?}"),
         }
     }

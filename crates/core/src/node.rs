@@ -17,7 +17,7 @@ use bluedbm_flash::error::FlashError;
 use bluedbm_flash::geometry::Ppa;
 use bluedbm_host::bufpool::BufferPool;
 use bluedbm_host::msg::HostMsg;
-use bluedbm_host::pcie::{Direction, PcieXfer};
+use bluedbm_host::pcie::PcieXfer;
 use bluedbm_net::router::{NetRecv, NetSend};
 use bluedbm_net::topology::NodeId;
 use bluedbm_sim::engine::{Component, ComponentId, Ctx};
@@ -546,7 +546,7 @@ impl NodeAgent {
         ctx.send(
             self.pcie,
             SimTime::ZERO,
-            PcieXfer::new(Direction::DeviceToHost, bytes, me, token, page),
+            PcieXfer::new(bytes, me, token, page),
         );
     }
 

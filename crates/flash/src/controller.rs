@@ -188,7 +188,7 @@ impl CtrlStats {
         node.set("peak_in_flight", self.peak_in_flight);
         node.set("read_bytes", self.read_throughput.total_bytes());
         node.set("read_ops", self.read_throughput.ops());
-        node.histogram("read_latency", &self.read_latency.summary());
+        self.read_latency.fill_metrics(node.child("read_latency"));
     }
 }
 

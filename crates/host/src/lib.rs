@@ -1,20 +1,20 @@
 //! # bluedbm-host
 //!
 //! The host interface of a BlueDBM node (paper Section 3.3): the PCIe
-//! link between the storage device and its Xeon server, the 4+4 DMA
-//! engines behind Connectal's RPC/DMA framework, and the 128+128
-//! page-buffer pools.
+//! link between the storage device and its Xeon server, the DMA engines
+//! behind Connectal's RPC/DMA framework, and the 128 read page buffers.
 //!
 //! Calibration comes straight from the paper (Section 5): Connectal's
 //! PCIe Gen 1 endpoint "caps our performance at 1.6 GB/s reads and
-//! 1 GB/s writes", with four read and four write DMA engines to keep the
-//! link busy.
+//! 1 GB/s writes". Writes do not cross the modelled link — a cluster
+//! injects them at the node — so the link models the device-to-host
+//! direction only, with four DMA engines to keep it busy.
 //!
 //! ## Pieces
 //!
-//! * [`PcieParams`] — bandwidth caps and latency constants.
-//! * [`PcieLink`] — DES component serializing transfers in each
-//!   direction; send it [`PcieXfer`]s, receive [`PcieDone`]s.
+//! * [`PcieParams`] — bandwidth cap and latency constants.
+//! * [`PcieLink`] — DES component serializing device-to-host
+//!   transfers; send it [`PcieXfer`]s, receive [`PcieDone`]s.
 //! * [`BufferPool`] — the free-queue discipline of the 128 page
 //!   buffers, as a capacity view over the simulator's shared
 //!   `PageStore`.
@@ -25,4 +25,4 @@ pub mod pcie;
 
 pub use bufpool::BufferPool;
 pub use msg::{HostMsg, HostProtocol};
-pub use pcie::{Direction, PcieDone, PcieLink, PcieParams, PcieXfer};
+pub use pcie::{PcieDone, PcieLink, PcieParams, PcieXfer};

@@ -6,7 +6,7 @@
 
 use bluedbm_sim::Message;
 
-use crate::pcie::{Finish, PcieDone, PcieXfer};
+use crate::pcie::{PcieDone, PcieXfer};
 
 /// Union of every message a host-interface component sends or receives.
 #[derive(Debug)]
@@ -15,8 +15,6 @@ pub enum HostMsg<B> {
     Xfer(PcieXfer<B>),
     /// Transfer completion (egress to whoever `notify` names).
     Done(PcieDone<B>),
-    /// Link-internal delayed completion (self-send only).
-    Finish(Finish<B>),
 }
 
 impl<B> HostMsg<B> {
@@ -25,7 +23,6 @@ impl<B> HostMsg<B> {
         match self {
             HostMsg::Xfer(_) => "PcieXfer",
             HostMsg::Done(_) => "PcieDone",
-            HostMsg::Finish(_) => "Finish",
         }
     }
 }

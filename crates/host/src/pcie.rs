@@ -1,28 +1,22 @@
-//! The PCIe/DMA model.
+//! The PCIe/DMA model of the device-to-host direction.
 //!
-//! A transfer occupies (1) one of the direction's DMA engines for its
-//! setup time, then (2) the direction's link capacity for its
-//! serialization time, then (3) pays the completion-notification latency
-//! (interrupt or poll). The link is the shared bottleneck; the engines
-//! exist so that setup latency of back-to-back transfers overlaps — with
-//! one engine the paper's 1.6 GB/s would not be reachable at 8 KiB pages.
+//! A transfer occupies (1) one of the link's DMA engines for its setup
+//! time, then (2) the link capacity for its serialization time, then (3)
+//! pays the completion-notification latency (interrupt or poll). The link
+//! is the shared bottleneck; the engines exist so that setup latency of
+//! back-to-back transfers overlaps — with one engine the paper's
+//! 1.6 GB/s would not be reachable at 8 KiB pages.
+//!
+//! The paper's Connectal endpoint "caps our performance at 1.6 GB/s
+//! reads and 1 GB/s writes" (Section 5). Writes do not cross the
+//! modelled link — a cluster injects them at the node — so only the
+//! device-to-host direction and its 1.6 GB/s cap are modelled.
 
 use bluedbm_sim::engine::{Component, ComponentId, Ctx};
 use bluedbm_sim::resource::{MultiResource, SerialResource};
-use bluedbm_sim::stats::{Histogram, Throughput};
 use bluedbm_sim::time::{Bandwidth, SimTime};
 
 use crate::msg::{HostMsg, HostProtocol};
-
-/// Which way a transfer crosses the link.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Direction {
-    /// Device to host ("DMA read to host DRAM" in Connectal terms):
-    /// capped at 1.6 GB/s in the paper.
-    DeviceToHost,
-    /// Host to device: capped at 1.0 GB/s in the paper.
-    HostToDevice,
-}
 
 /// PCIe link constants.
 ///
@@ -38,14 +32,12 @@ pub enum Direction {
 pub struct PcieParams {
     /// Device-to-host bandwidth cap.
     pub d2h: Bandwidth,
-    /// Host-to-device bandwidth cap.
-    pub(crate) h2d: Bandwidth,
     /// DMA descriptor setup time per transfer.
     pub dma_setup: SimTime,
     /// Completion notification (interrupt delivery / poll observation).
     pub completion_latency: SimTime,
-    /// Engines per direction (paper: four read + four write).
-    pub(crate) engines_per_direction: usize,
+    /// Device-to-host DMA engines (paper: four).
+    pub(crate) engines: usize,
 }
 
 impl PcieParams {
@@ -53,10 +45,9 @@ impl PcieParams {
     pub fn paper() -> Self {
         PcieParams {
             d2h: Bandwidth::gb(1.6),
-            h2d: Bandwidth::gb(1.0),
             dma_setup: SimTime::us(1),
             completion_latency: SimTime::us(2),
-            engines_per_direction: 4,
+            engines: 4,
         }
     }
 }
@@ -67,12 +58,10 @@ impl Default for PcieParams {
     }
 }
 
-/// A transfer request addressed to a [`PcieLink`], generic over the
-/// carried body type.
+/// A device-to-host transfer request addressed to a [`PcieLink`],
+/// generic over the carried body type.
 #[derive(Clone, Debug)]
 pub struct PcieXfer<B> {
-    /// Transfer direction.
-    pub(crate) direction: Direction,
     /// Bytes to move.
     pub(crate) bytes: u32,
     /// Component notified with a [`PcieDone`] when the transfer (and its
@@ -86,9 +75,8 @@ pub struct PcieXfer<B> {
 
 impl<B> PcieXfer<B> {
     /// Convenience constructor.
-    pub fn new(direction: Direction, bytes: u32, notify: ComponentId, token: u64, body: B) -> Self {
+    pub fn new(bytes: u32, notify: ComponentId, token: u64, body: B) -> Self {
         PcieXfer {
-            direction,
             bytes,
             notify,
             token,
@@ -97,39 +85,20 @@ impl<B> PcieXfer<B> {
     }
 }
 
-/// Completion of a [`PcieXfer`].
+/// Completion of a [`PcieXfer`], delivered when its notification lands.
 #[derive(Clone, Debug)]
 pub struct PcieDone<B> {
     /// Echo of the request token.
     pub token: u64,
-    /// Direction that completed.
-    pub(crate) direction: Direction,
-    /// Bytes moved.
-    pub(crate) bytes: u32,
-    /// Request-accept to notification-delivered latency.
-    pub(crate) latency: SimTime,
     /// The carried message object.
     pub body: B,
-}
-
-/// Per-direction statistics.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct DirectionStats {
-    /// Transfer latency distribution.
-    pub(crate) latency: Histogram,
-    /// Payload throughput.
-    pub(crate) throughput: Throughput,
 }
 
 /// DES component modelling one node's PCIe link.
 pub struct PcieLink {
     params: PcieParams,
-    d2h_engines: MultiResource,
-    h2d_engines: MultiResource,
-    d2h_link: SerialResource,
-    h2d_link: SerialResource,
-    d2h_stats: DirectionStats,
-    h2d_stats: DirectionStats,
+    engines: MultiResource,
+    link: SerialResource,
 }
 
 impl PcieLink {
@@ -137,70 +106,30 @@ impl PcieLink {
     pub fn new(params: PcieParams) -> Self {
         PcieLink {
             params,
-            d2h_engines: MultiResource::new(params.engines_per_direction),
-            h2d_engines: MultiResource::new(params.engines_per_direction),
-            d2h_link: SerialResource::new(),
-            h2d_link: SerialResource::new(),
-            d2h_stats: DirectionStats::default(),
-            h2d_stats: DirectionStats::default(),
+            engines: MultiResource::new(params.engines),
+            link: SerialResource::new(),
         }
     }
-}
-
-/// Link-internal delayed completion. Public only because it rides the
-/// [`HostMsg`] enum as a self-send; nothing outside the link constructs
-/// or inspects one.
-#[derive(Clone, Debug)]
-pub struct Finish<B> {
-    done: PcieDone<B>,
-    notify: ComponentId,
 }
 
 impl<M: HostProtocol> Component<M> for PcieLink {
     fn handle(&mut self, ctx: &mut Ctx<'_, M>, msg: M) {
         match msg.into_host() {
             HostMsg::Xfer(xfer) => {
-                let (engines, link, bw) = match xfer.direction {
-                    Direction::DeviceToHost => {
-                        (&mut self.d2h_engines, &mut self.d2h_link, self.params.d2h)
-                    }
-                    Direction::HostToDevice => {
-                        (&mut self.h2d_engines, &mut self.h2d_link, self.params.h2d)
-                    }
-                };
                 // An engine owns its transfer end to end: descriptor setup
                 // plus the wire time. The link is the shared serializer.
-                let wire_time = bw.time_for(u64::from(xfer.bytes));
-                let engine = engines.acquire(ctx.now(), self.params.dma_setup + wire_time);
-                let wire = link.acquire(engine.start + self.params.dma_setup, wire_time);
+                let wire_time = self.params.d2h.time_for(u64::from(xfer.bytes));
+                let engine = self.engines.acquire(ctx.now(), self.params.dma_setup + wire_time);
+                let wire = self.link.acquire(engine.start + self.params.dma_setup, wire_time);
                 let done_at = wire.end + self.params.completion_latency;
-                let latency = done_at - ctx.now();
-                ctx.send_self(
+                ctx.send(
+                    xfer.notify,
                     done_at - ctx.now(),
-                    HostMsg::Finish(Finish {
-                        done: PcieDone {
-                            token: xfer.token,
-                            direction: xfer.direction,
-                            bytes: xfer.bytes,
-                            latency,
-                            body: xfer.body,
-                        },
-                        notify: xfer.notify,
+                    HostMsg::Done(PcieDone {
+                        token: xfer.token,
+                        body: xfer.body,
                     }),
                 );
-            }
-            HostMsg::Finish(finish) => {
-                // Statistics are recorded here — at completion time — not
-                // at request accept: a `run_until` snapshot mid-run must
-                // never count transfers whose wire time has not fully
-                // elapsed yet.
-                let stats = match finish.done.direction {
-                    Direction::DeviceToHost => &mut self.d2h_stats,
-                    Direction::HostToDevice => &mut self.h2d_stats,
-                };
-                stats.latency.record(finish.done.latency);
-                stats.throughput.record(u64::from(finish.done.bytes));
-                ctx.send(finish.notify, SimTime::ZERO, HostMsg::Done(finish.done));
             }
             other => panic!("pcie link got an unexpected message: {}", other.kind()),
         }
@@ -212,133 +141,58 @@ mod tests {
     use super::*;
     use bluedbm_sim::engine::Simulator;
 
+    /// Records each completion's token and arrival time; every transfer
+    /// is requested at time zero, so the arrival time is its latency.
     struct Sink {
         done: Vec<(u64, SimTime)>,
-        bytes: u64,
     }
 
     type TestMsg = HostMsg<()>;
 
     impl Component<TestMsg> for Sink {
-        fn handle(&mut self, _ctx: &mut Ctx<'_, TestMsg>, msg: TestMsg) {
+        fn handle(&mut self, ctx: &mut Ctx<'_, TestMsg>, msg: TestMsg) {
             let HostMsg::Done(d) = msg else {
                 panic!("PcieDone expected")
             };
-            self.done.push((d.token, d.latency));
-            self.bytes += u64::from(d.bytes);
+            self.done.push((d.token, ctx.now()));
         }
     }
 
-    fn world() -> (Simulator<TestMsg>, ComponentId, ComponentId) {
-        let mut sim = Simulator::new();
-        let link = sim.add_component(PcieLink::new(PcieParams::paper()));
-        let sink = sim.add_component(Sink {
-            done: vec![],
-            bytes: 0,
-        });
-        (sim, link, sink)
+    /// Send `n` 8 KiB pages at time zero over a link with `params` and
+    /// return the sink's completions and the link's rate in bytes/s.
+    fn stream(params: PcieParams, n: u64) -> (Vec<(u64, SimTime)>, f64) {
+        let mut sim = Simulator::<TestMsg>::new();
+        let link = sim.add_component(PcieLink::new(params));
+        let sink = sim.add_component(Sink { done: vec![] });
+        for t in 0..n {
+            sim.schedule(SimTime::ZERO, link, PcieXfer::new(8192, sink, t, ()));
+        }
+        sim.run();
+        let rate = (n * 8192) as f64 / sim.now().as_secs_f64();
+        let done = std::mem::take(&mut sim.component_mut::<Sink>(sink).unwrap().done);
+        (done, rate)
     }
 
     #[test]
     fn single_page_latency() {
-        let (mut sim, link, sink) = world();
-        sim.schedule(
-            SimTime::ZERO,
-            link,
-            PcieXfer::new(Direction::DeviceToHost, 8192, sink, 1, ()),
-        );
-        sim.run();
-        let s = sim.component::<Sink>(sink).unwrap();
-        assert_eq!(s.done.len(), 1);
+        let (done, _) = stream(PcieParams::paper(), 1);
+        assert_eq!(done.len(), 1);
         // setup 1us + 8KiB/1.6GB/s (~5.1us) + completion 2us ~ 8.1us.
-        let lat = s.done[0].1;
+        let lat = done[0].1;
         assert!(lat > SimTime::us(7) && lat < SimTime::us(9), "{lat}");
     }
 
     #[test]
     fn d2h_saturates_at_paper_cap() {
-        let (mut sim, link, sink) = world();
         const N: u64 = 400;
-        for t in 0..N {
-            sim.schedule(
-                SimTime::ZERO,
-                link,
-                PcieXfer::new(Direction::DeviceToHost, 8192, sink, t, ()),
-            );
-        }
-        sim.run();
-        let s = sim.component::<Sink>(sink).unwrap();
-        assert_eq!(s.done.len(), N as usize);
-        let rate = s.bytes as f64 / sim.now().as_secs_f64();
+        let (done, rate) = stream(PcieParams::paper(), N);
+        assert_eq!(done.len(), N as usize);
         assert!(rate > 1.55e9 && rate <= 1.6e9, "rate {rate:.3e}");
     }
 
     #[test]
-    fn h2d_is_slower_than_d2h() {
-        let run = |dir: Direction| {
-            let (mut sim, link, sink) = world();
-            for t in 0..200u64 {
-                sim.schedule(SimTime::ZERO, link, PcieXfer::new(dir, 8192, sink, t, ()));
-            }
-            sim.run();
-            let s = sim.component::<Sink>(sink).unwrap();
-            s.bytes as f64 / sim.now().as_secs_f64()
-        };
-        let d2h = run(Direction::DeviceToHost);
-        let h2d = run(Direction::HostToDevice);
-        assert!(d2h > 1.5 * h2d, "d2h {d2h:.3e} vs h2d {h2d:.3e}");
-        assert!(h2d > 0.95e9 && h2d <= 1.0e9);
-    }
-
-    #[test]
-    fn directions_do_not_contend() {
-        let (mut sim, link, sink) = world();
-        for t in 0..100u64 {
-            sim.schedule(
-                SimTime::ZERO,
-                link,
-                PcieXfer::new(Direction::DeviceToHost, 8192, sink, t, ()),
-            );
-            sim.schedule(
-                SimTime::ZERO,
-                link,
-                PcieXfer::new(Direction::HostToDevice, 8192, sink, 1000 + t, ()),
-            );
-        }
-        sim.run();
-        // Full duplex: total time is governed by the slower direction
-        // alone (h2d: 100 * 8
-        // KiB / 1 GB/s ~ 819us), not the sum.
-        assert!(sim.now() < SimTime::us(900), "took {}", sim.now());
-        let l = sim.component::<PcieLink>(link).unwrap();
-        assert_eq!(l.d2h_stats.throughput.ops(), 100);
-        assert_eq!(l.h2d_stats.throughput.ops(), 100);
-    }
-
-    #[test]
     fn engine_count_hides_setup_latency() {
-        let run = |engines: usize| {
-            let mut sim = Simulator::new();
-            let params = PcieParams {
-                engines_per_direction: engines,
-                ..PcieParams::paper()
-            };
-            let link = sim.add_component(PcieLink::new(params));
-            let sink = sim.add_component(Sink {
-                done: vec![],
-                bytes: 0,
-            });
-            for t in 0..200u64 {
-                sim.schedule(
-                    SimTime::ZERO,
-                    link,
-                    PcieXfer::new(Direction::DeviceToHost, 8192, sink, t, ()),
-                );
-            }
-            sim.run();
-            let s = sim.component::<Sink>(sink).unwrap();
-            s.bytes as f64 / sim.now().as_secs_f64()
-        };
+        let run = |engines: usize| stream(PcieParams { engines, ..PcieParams::paper() }, 200).1;
         // With one engine, 1us setup serializes with each ~5.1us transfer;
         // with four (the paper's choice) the setups overlap and the link
         // runs at capacity.
@@ -348,46 +202,9 @@ mod tests {
     }
 
     #[test]
-    fn run_until_snapshot_counts_only_completed_transfers() {
-        // Ten serialized 8 KiB D2H transfers: each occupies the link for
-        // ~5.1us, so a snapshot at 20us must see a strict subset done.
-        // The old model recorded stats at request-accept time, so the
-        // mid-run snapshot claimed all ten had completed.
-        let (mut sim, link, sink) = world();
-        const N: u64 = 10;
-        for t in 0..N {
-            sim.schedule(
-                SimTime::ZERO,
-                link,
-                PcieXfer::new(Direction::DeviceToHost, 8192, sink, t, ()),
-            );
-        }
-        sim.run_until(SimTime::us(20));
-        let delivered = sim.component::<Sink>(sink).unwrap().done.len() as u64;
-        assert!(delivered > 0 && delivered < N, "snapshot point: {delivered}");
-        let l = sim.component::<PcieLink>(link).unwrap();
-        let snap = &l.d2h_stats;
-        assert_eq!(snap.throughput.ops(), delivered);
-        assert_eq!(snap.latency.count(), delivered);
-        assert_eq!(snap.throughput.total_bytes(), delivered * 8192);
-
-        sim.run();
-        let l = sim.component::<PcieLink>(link).unwrap();
-        let full = &l.d2h_stats;
-        assert_eq!(full.throughput.ops(), N);
-        assert_eq!(full.latency.count(), N);
-    }
-
-    #[test]
     fn tokens_and_bodies_round_trip() {
-        let (mut sim, link, sink) = world();
-        sim.schedule(
-            SimTime::ZERO,
-            link,
-            PcieXfer::new(Direction::HostToDevice, 64, sink, 42, ()),
-        );
-        sim.run();
-        let s = sim.component::<Sink>(sink).unwrap();
-        assert_eq!(s.done[0].0, 42);
+        let (done, _) = stream(PcieParams::paper(), 3);
+        let tokens: Vec<u64> = done.iter().map(|&(t, _)| t).collect();
+        assert_eq!(tokens, [0, 1, 2]);
     }
 }

@@ -8,7 +8,7 @@
 
 use bluedbm_sim::Message;
 
-use crate::router::{CreditReturn, E2eAck, NetRecv, NetSend, WireRef};
+use crate::router::{CreditReturn, NetRecv, NetSend, WireRef};
 
 /// Union of every message a network component sends or receives.
 ///
@@ -30,8 +30,6 @@ pub enum NetMsg<B> {
     Wire(WireRef<B>),
     /// Link-layer credit returned by the downstream router.
     Credit(CreditReturn),
-    /// End-to-end flow-control acknowledgement.
-    Ack(E2eAck),
 }
 
 impl<B> NetMsg<B> {
@@ -42,7 +40,6 @@ impl<B> NetMsg<B> {
             NetMsg::Recv(_) => "NetRecv",
             NetMsg::Wire(_) => "Wire",
             NetMsg::Credit(_) => "CreditReturn",
-            NetMsg::Ack(_) => "E2eAck",
         }
     }
 }

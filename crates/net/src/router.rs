@@ -93,8 +93,6 @@ pub struct Wire<B> {
     sent_at: SimTime,
     /// Upstream (router, its egress port) owed a credit, if any.
     via: Option<(ComponentId, PortId)>,
-    /// The sending endpoint asked for an end-to-end acknowledgement.
-    wants_ack: bool,
 }
 
 impl<B> Wire<B> {
@@ -120,16 +118,6 @@ pub type WireRef<B> = PoolRef<Wire<B>>;
 #[derive(Clone, Debug)]
 pub struct CreditReturn {
     port: PortId,
-}
-
-/// End-to-end acknowledgement: the destination endpoint consumed one
-/// packet of this flow. Modelled as a minimal control packet travelling
-/// back over the same number of hops. Public only because it rides the
-/// [`NetMsg`] enum.
-#[derive(Clone, Debug)]
-pub struct E2eAck {
-    endpoint: u16,
-    dst: NodeId,
 }
 
 struct Egress<B> {
@@ -201,7 +189,7 @@ impl RouterStats {
         node.set("delivered_bytes", self.delivered_bytes);
         node.set("credit_stalls", self.credit_stalls);
         node.set("order_violations", self.order_violations);
-        node.histogram("latency", &self.latency.summary());
+        self.latency.fill_metrics(node.child("latency"));
     }
 }
 
@@ -215,17 +203,6 @@ pub struct Router<B> {
     endpoints: FxHashMap<u16, ComponentId>,
     next_seq: FxHashMap<(u16, NodeId), u64>,
     expect_seq: FxHashMap<(u16, NodeId), u64>,
-    /// All routers in the network, indexed by node (for end-to-end
-    /// flow-control acknowledgements).
-    peers: Arc<Vec<ComponentId>>,
-    /// Optional end-to-end credit budget per endpoint (paper
-    /// Section 3.2.3: an endpoint "can be configured to only send data
-    /// when there is space on the destination endpoint").
-    e2e_credits: FxHashMap<u16, u32>,
-    /// Outstanding unacknowledged packets per (endpoint, destination).
-    e2e_outstanding: FxHashMap<(u16, NodeId), u32>,
-    /// Sends waiting for an end-to-end credit.
-    e2e_waiting: FxHashMap<(u16, NodeId), VecDeque<NetSend<B>>>,
     stats: RouterStats,
 }
 
@@ -234,21 +211,6 @@ impl<B: Send + 'static> Router<B> {
     /// arriving for `endpoint` are delivered to it as [`NetRecv`]s.
     pub fn register_endpoint(&mut self, endpoint: u16, consumer: ComponentId) {
         self.endpoints.insert(endpoint, consumer);
-    }
-
-    /// Enable end-to-end flow control for `endpoint` on this (sending)
-    /// router: at most `credits` packets per destination may be
-    /// unacknowledged. The paper leaves this per-endpoint choice to the
-    /// developer — safety for receivers that may stall, at the cost of
-    /// latency and flow-control traffic (Section 3.2.3).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `credits == 0`.
-    #[cfg(test)]
-    fn set_e2e_credits(&mut self, endpoint: u16, credits: u32) {
-        assert!(credits > 0, "end-to-end flow control needs at least one credit");
-        self.e2e_credits.insert(endpoint, credits);
     }
 
     /// Statistics gathered so far.
@@ -334,27 +296,6 @@ impl<B: Send + 'static> Router<B> {
         self.stats.delivered += 1;
         self.stats.delivered_bytes += u64::from(pkt.payload_bytes);
         self.stats.latency.record(latency);
-
-        if wire.wants_ack {
-            // The flow-control packet travels back over the same number
-            // of hops (modelled as a direct delayed message so control
-            // traffic does not recursively consume credits).
-            let hops = self
-                .routing
-                .hops(self.node, pkt.src)
-                .expect("source is reachable: the packet just arrived");
-            let ack_delay = tail_at
-                + self.params.hop_latency * u64::from(hops)
-                + self.params.packet_time(8);
-            ctx.send(
-                self.peers[pkt.src.index()],
-                ack_delay,
-                NetMsg::Ack(E2eAck {
-                    endpoint: pkt.endpoint,
-                    dst: self.node,
-                }),
-            );
-        }
         if let Some(&consumer) = self.endpoints.get(&pkt.endpoint) {
             ctx.send(
                 consumer,
@@ -371,7 +312,7 @@ impl<B: Send + 'static> Router<B> {
         }
     }
 
-    /// Stamp and route one accepted send (past the end-to-end gate).
+    /// Stamp and route one send.
     fn inject<M>(&mut self, ctx: &mut Ctx<'_, M>, send: NetSend<B>)
     where
         M: NetProtocol<Body = B>,
@@ -407,7 +348,6 @@ impl<B: Send + 'static> Router<B> {
             body: send.body,
         };
         *seq += 1;
-        let wants_ack = self.e2e_credits.contains_key(&packet.endpoint);
         // Interned once for the packet's whole life: the pool slot is
         // recycled when `deliver` takes it, so steady-state injection
         // allocates nothing (the old `Box` was one allocation per
@@ -418,7 +358,6 @@ impl<B: Send + 'static> Router<B> {
             tail_lag: SimTime::ZERO,
             sent_at,
             via: None,
-            wants_ack,
         });
         self.route_or_deliver(ctx, wire);
     }
@@ -429,34 +368,7 @@ impl<M: NetProtocol> Component<M> for Router<M::Body> {
         match msg.into_net() {
             NetMsg::Send(send) => {
                 self.stats.injected += 1;
-                if send.dst != self.node {
-                    if let Some(&cap) = self.e2e_credits.get(&send.endpoint) {
-                        let key = (send.endpoint, send.dst);
-                        let outstanding = self.e2e_outstanding.entry(key).or_insert(0);
-                        if *outstanding >= cap {
-                            self.e2e_waiting.entry(key).or_default().push_back(send);
-                            return;
-                        }
-                        *outstanding += 1;
-                    }
-                }
                 self.inject(ctx, send);
-            }
-            NetMsg::Ack(ack) => {
-                let key = (ack.endpoint, ack.dst);
-                let outstanding = self
-                    .e2e_outstanding
-                    .get_mut(&key)
-                    .expect("ack for a flow this router opened");
-                *outstanding -= 1;
-                if let Some(next) = self
-                    .e2e_waiting
-                    .get_mut(&key)
-                    .and_then(VecDeque::pop_front)
-                {
-                    *self.e2e_outstanding.get_mut(&key).expect("present") += 1;
-                    self.inject(ctx, next);
-                }
             }
             NetMsg::Wire(wire) => self.route_or_deliver(ctx, wire),
             NetMsg::Credit(credit) => {
@@ -510,7 +422,6 @@ pub fn build_network_routed<M: NetProtocol>(
     routing: Arc<RoutingTable>,
 ) -> Vec<ComponentId> {
     let ids: Vec<ComponentId> = (0..topo.node_count()).map(|_| sim.reserve()).collect();
-    let peers = Arc::new(ids.clone());
     for n in 0..topo.node_count() {
         let node = NodeId::from(n);
         let ports = std::array::from_fn(|p| {
@@ -531,10 +442,6 @@ pub fn build_network_routed<M: NetProtocol>(
                 endpoints: FxHashMap::default(),
                 next_seq: FxHashMap::default(),
                 expect_seq: FxHashMap::default(),
-                peers: Arc::clone(&peers),
-                e2e_credits: FxHashMap::default(),
-                e2e_outstanding: FxHashMap::default(),
-                e2e_waiting: FxHashMap::default(),
                 stats: RouterStats::default(),
             },
         );
@@ -719,8 +626,12 @@ mod tests {
         sim.run();
         let s = sim.component::<Sink>(sink).unwrap();
         assert_eq!(s.got.len(), N, "no packet may be dropped");
+        let seqs: Vec<u64> = s.got.iter().map(|&(_, q, _)| q).collect();
+        assert_eq!(seqs, (0..N as u64).collect::<Vec<_>>(), "FIFO under stalls");
         let r0 = sim.component::<Router<()>>(routers[0]).unwrap();
         assert!(r0.stats().credit_stalls > 0, "starved credits must stall");
+        let r2 = sim.component::<Router<()>>(routers[2]).unwrap();
+        assert_eq!(r2.stats().order_violations, 0);
     }
 
     #[test]
@@ -834,86 +745,6 @@ mod tests {
         let one = run(1);
         let two = run(2);
         assert!(two > 1.8 * one, "1 lane {one:.3e} vs 2 lanes {two:.3e}");
-    }
-
-    #[test]
-    fn e2e_flow_control_throttles_but_loses_nothing() {
-        let run = |e2e: Option<u32>| -> (usize, SimTime) {
-            let mut sim = Simulator::new();
-            let topo = Topology::line(3, 1);
-            let routers = build_network(&mut sim, &topo, NetParams::paper());
-            let sink = sink_on(&mut sim, &routers, 2, 0);
-            if let Some(credits) = e2e {
-                sim.component_mut::<Router<()>>(routers[0])
-                    .unwrap()
-                    .set_e2e_credits(0, credits);
-            }
-            // Small packets: the e2e round trip dominates serialization,
-            // making the latency cost of the safe mode visible.
-            const N: usize = 30;
-            for _ in 0..N {
-                sim.schedule(
-                    SimTime::ZERO,
-                    routers[0],
-                    NetSend::new(NodeId(2), 0, 512, ()),
-                );
-            }
-            sim.run();
-            let s = sim.component::<Sink>(sink).unwrap();
-            (s.got.len(), sim.now())
-        };
-        let (n_off, t_off) = run(None);
-        let (n_one, t_one) = run(Some(1));
-        let (n_deep, t_deep) = run(Some(64));
-        // Safety: nothing is dropped in any configuration.
-        assert_eq!(n_off, 30);
-        assert_eq!(n_one, 30);
-        assert_eq!(n_deep, 30);
-        // One credit serializes a full round trip per packet: much slower.
-        assert!(
-            t_one > t_off * 2,
-            "e2e(1) {t_one} should be much slower than off {t_off}"
-        );
-        // Ample e2e credits cost only the ack traffic, not the rate.
-        assert!(
-            t_deep < t_off + (t_off / 2),
-            "e2e(64) {t_deep} vs off {t_off}"
-        );
-    }
-
-    #[test]
-    fn e2e_ordering_preserved_under_throttling() {
-        let mut sim = Simulator::new();
-        let topo = Topology::line(2, 1);
-        let routers = build_network(&mut sim, &topo, NetParams::paper());
-        let sink = sink_on(&mut sim, &routers, 1, 3);
-        sim.component_mut::<Router<()>>(routers[0])
-            .unwrap()
-            .set_e2e_credits(3, 2);
-        for _ in 0..20 {
-            sim.schedule(
-                SimTime::ZERO,
-                routers[0],
-                NetSend::new(NodeId(1), 3, 2048, ()),
-            );
-        }
-        sim.run();
-        let s = sim.component::<Sink>(sink).unwrap();
-        let seqs: Vec<u64> = s.got.iter().map(|&(_, q, _)| q).collect();
-        assert_eq!(seqs, (0..20).collect::<Vec<_>>());
-        let r1 = sim.component::<Router<()>>(routers[1]).unwrap();
-        assert_eq!(r1.stats().order_violations, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one credit")]
-    fn e2e_zero_credits_rejected() {
-        let mut sim = Simulator::<TestMsg>::new();
-        let topo = Topology::line(2, 1);
-        let routers = build_network(&mut sim, &topo, NetParams::paper());
-        sim.component_mut::<Router<()>>(routers[0])
-            .unwrap()
-            .set_e2e_credits(0, 0);
     }
 
     #[test]

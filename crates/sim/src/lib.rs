@@ -88,7 +88,7 @@
 //!    between routers: a cluster pins every component of a node to
 //!    that node's shard, so the [`ShardMessage`] impl of the core
 //!    crate's `Msg` (`detach`/`attach`) relocates the payloads of router-to-router
-//!    traffic only (`NetWire`, `NetCredit`, `NetAck`) and panics on
+//!    traffic only (`NetWire`, `NetCredit`) and panics on
 //!    every other variant. A new router-to-router variant that carries
 //!    a [`PageRef`] or [`PoolRef`] gets an arm there.
 //!
@@ -153,6 +153,6 @@ pub use time::{Bandwidth, SimTime};
 // Re-exported so downstream crates can configure and harvest tracing
 // without a direct `bluedbm_trace` dependency line.
 pub use bluedbm_trace::{
-    HistogramSummary, MetricsDoc, MetricsNode, MetricsRegistry, TraceCat, TraceConfig, TraceDoc,
-    TraceName, TracePart, TraceSink, Tracer, WallLaneProfile, DRIVER_SHARD, STABLE_CATEGORIES,
+    MetricsDoc, MetricsNode, MetricsRegistry, TraceCat, TraceConfig, TraceDoc, TraceName,
+    TracePart, TraceSink, Tracer, WallLaneProfile, DRIVER_SHARD, STABLE_CATEGORIES,
 };

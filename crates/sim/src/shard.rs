@@ -25,9 +25,9 @@
 //! send site. For the BlueDBM cluster `L[s][r]` is the minimum network
 //! latency between the two shards' nodes — one hop (0.48 µs) for
 //! adjacent partitions, proportionally more for far-apart ones, which
-//! is sound because every cross-node send (cable hop, credit return,
-//! end-to-end ack) pays at least one hop of latency per hop of
-//! distance. Execution proceeds in coordinator-free rounds:
+//! is sound because every cross-node send (cable hop or credit return)
+//! pays at least one hop of latency per hop of distance. Execution
+//! proceeds in coordinator-free rounds:
 //!
 //! 1. every worker mails its outgoing parcels, its local queue frontier,
 //!    and the earliest parcel time per destination to every other

@@ -30,7 +30,7 @@ use crate::time::SimTime;
 /// assert!(h.percentile(0.5) >= SimTime::us(50));
 /// assert!(h.percentile(1.0) >= SimTime::us(450)); // the 500 us bucket
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
     // Index = bucket; value = count. Bucket for value v (in ns):
     // v < 16 -> v; otherwise 16 linear sub-buckets per power of two.
@@ -39,6 +39,20 @@ pub struct Histogram {
     sum_ns: u128,
     min_ns: u64,
     max_ns: u64,
+}
+
+impl Default for Histogram {
+    /// An empty histogram; its minimum starts at `u64::MAX` so the first
+    /// sample sets it.
+    fn default() -> Self {
+        Histogram {
+            buckets: Vec::new(),
+            count: 0,
+            sum_ns: 0,
+            min_ns: u64::MAX,
+            max_ns: 0,
+        }
+    }
 }
 
 const SUB: u64 = 16;
@@ -63,19 +77,6 @@ fn bucket_lower_bound(idx: usize) -> u64 {
 }
 
 impl Histogram {
-    /// An empty histogram whose minimum starts at `u64::MAX` (unlike
-    /// `default()`, which starts it at 0).
-    #[cfg(test)]
-    fn new() -> Self {
-        Histogram {
-            buckets: Vec::new(),
-            count: 0,
-            sum_ns: 0,
-            min_ns: u64::MAX,
-            max_ns: 0,
-        }
-    }
-
     /// Record one latency sample.
     pub fn record(&mut self, t: SimTime) {
         let ns = t.as_ns();
@@ -140,18 +141,16 @@ impl Histogram {
         SimTime::ns(self.max_ns)
     }
 
-    /// Pre-digest the histogram into the fixed percentile points the
-    /// metrics registry reports (`bluedbm_trace::HistogramSummary`).
-    pub fn summary(&self) -> bluedbm_trace::HistogramSummary {
-        bluedbm_trace::HistogramSummary {
-            count: self.count,
-            mean_ps: self.mean().as_ps(),
-            min_ps: self.min().as_ps(),
-            max_ps: self.max().as_ps(),
-            p50_ps: self.percentile(0.50).as_ps(),
-            p99_ps: self.percentile(0.99).as_ps(),
-            p999_ps: self.percentile(0.999).as_ps(),
-        }
+    /// Write the sample count and the fixed percentile points the
+    /// metrics registry reports, in picoseconds, as leaves of `node`.
+    pub fn fill_metrics(&self, node: &mut bluedbm_trace::MetricsNode) {
+        node.set("count", self.count);
+        node.set("mean_ps", self.mean().as_ps());
+        node.set("min_ps", self.min().as_ps());
+        node.set("max_ps", self.max().as_ps());
+        node.set("p50_ps", self.percentile(0.50).as_ps());
+        node.set("p99_ps", self.percentile(0.99).as_ps());
+        node.set("p999_ps", self.percentile(0.999).as_ps());
     }
 }
 
@@ -224,7 +223,7 @@ mod tests {
 
     #[test]
     fn histogram_relative_error_bounded() {
-        let mut h = Histogram::new();
+        let mut h = Histogram::default();
         let v = SimTime::us(57); // 57_000 ns, deep in log territory
         h.record(v);
         let p = h.percentile(0.5);
@@ -234,7 +233,7 @@ mod tests {
 
     #[test]
     fn histogram_percentiles_ordered() {
-        let mut h = Histogram::new();
+        let mut h = Histogram::default();
         for i in 1..=1000u64 {
             h.record(SimTime::us(i));
         }
@@ -250,7 +249,7 @@ mod tests {
 
     #[test]
     fn histogram_empty_behaviour() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         assert_eq!(h.count(), 0);
         assert_eq!(h.mean(), SimTime::ZERO);
         assert_eq!(h.percentile(0.99), SimTime::ZERO);
@@ -260,12 +259,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn histogram_percentile_validates() {
-        Histogram::new().percentile(1.5);
+        Histogram::default().percentile(1.5);
     }
 
     #[test]
     fn histogram_display_is_nonempty() {
-        let mut h = Histogram::new();
+        let mut h = Histogram::default();
         h.record(SimTime::us(50));
         let s = h.to_string();
         assert!(s.contains("n=1"));

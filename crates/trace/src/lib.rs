@@ -61,7 +61,7 @@ pub mod sink;
 pub mod wallclock;
 
 pub use doc::TraceDoc;
-pub use metrics::{HistogramSummary, MetricValue, MetricsDoc, MetricsNode, MetricsRegistry};
+pub use metrics::{MetricValue, MetricsDoc, MetricsNode, MetricsRegistry};
 pub use record::{
     TraceCat, TraceKind, TraceName, TraceRecord, ALL_CATEGORIES, DRIVER_SHARD, STABLE_CATEGORIES,
 };

@@ -81,27 +81,6 @@ impl MetricValue {
     }
 }
 
-/// A pre-digested latency histogram: the percentile points the ROADMAP
-/// SLO metric asks for, in picoseconds. Producers build one from
-/// `bluedbm_sim::Histogram::summary()`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
-pub struct HistogramSummary {
-    /// Samples recorded.
-    pub count: u64,
-    /// Mean, picoseconds.
-    pub mean_ps: u64,
-    /// Minimum, picoseconds.
-    pub min_ps: u64,
-    /// Maximum, picoseconds.
-    pub max_ps: u64,
-    /// 50th percentile (bucket lower bound), picoseconds.
-    pub p50_ps: u64,
-    /// 99th percentile, picoseconds.
-    pub p99_ps: u64,
-    /// 99.9th percentile, picoseconds.
-    pub p999_ps: u64,
-}
-
 #[derive(Clone, Debug, PartialEq, Serialize)]
 enum MetricEntry {
     Leaf(MetricValue),
@@ -151,20 +130,6 @@ impl MetricsNode {
                 }
             }
         }
-    }
-
-    /// Record a histogram summary as a `key` subtree with one leaf per
-    /// statistic.
-    pub fn histogram(&mut self, key: &str, h: &HistogramSummary) -> &mut Self {
-        let node = self.child(key);
-        node.set("count", h.count);
-        node.set("mean_ps", h.mean_ps);
-        node.set("min_ps", h.min_ps);
-        node.set("max_ps", h.max_ps);
-        node.set("p50_ps", h.p50_ps);
-        node.set("p99_ps", h.p99_ps);
-        node.set("p999_ps", h.p999_ps);
-        self
     }
 
     /// Leaf lookup by `/`-separated path.
@@ -301,18 +266,7 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         reg.scope("engine").set("shards", 4u64).set("mode", "threads");
         reg.scope("engine").child("shard0").set("rollbacks", 2u64);
-        reg.scope("kv").histogram(
-            "latency",
-            &HistogramSummary {
-                count: 10,
-                mean_ps: 100,
-                min_ps: 1,
-                max_ps: 500,
-                p50_ps: 90,
-                p99_ps: 400,
-                p999_ps: 500,
-            },
-        );
+        reg.scope("kv").child("latency").set("count", 10u64).set("p99_ps", 400u64);
         let doc = reg.snapshot();
         assert_eq!(doc.get("engine/shards").and_then(MetricValue::as_int), Some(4));
         assert_eq!(doc.get("engine/shard0/rollbacks").and_then(MetricValue::as_int), Some(2));
