@@ -317,7 +317,7 @@ impl Cluster {
                 // controller takes it over, so the mirror's physical
                 // decisions are valid verbatim on the simulated card.
                 let array = card_array(node, card)?;
-                node_mirrors.push(Ftl::new(&array, config.gc.ftl())?);
+                node_mirrors.push(Ftl::new(&array, config.gc.ftl)?);
                 let ctrl = sim.add_component(FlashController::new(array, config.flash.timing));
                 let split = sim.add_component(FlashSplitter::new(
                     ctrl,

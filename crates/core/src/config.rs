@@ -150,41 +150,15 @@ impl AccelConfig {
 /// migration reads/programs and block erases) as ordinary simulated
 /// commands on the same buses and controllers as foreground traffic.
 /// These knobs tune the policy and the conformance log.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct GcConfig {
-    /// Over-provisioned fraction withheld from the exported space.
-    pub over_provision: f64,
-    /// Per-plane free-block watermark that triggers collection.
-    pub gc_watermark: usize,
-    /// Erase-count spread beyond which wear leveling picks victims.
-    pub(crate) wear_threshold: u64,
+    /// The policy's knobs: over-provisioning and the wear-leveling
+    /// threshold.
+    pub ftl: bluedbm_ftl::FtlConfig,
     /// Record each card's logical op log and executed GC rounds so the
     /// conformance suite can replay them into an offline twin. Memory
     /// grows with the op count — leave off outside tests.
     pub log: bool,
-}
-
-impl GcConfig {
-    /// The lifecycle knobs as an offline-[`bluedbm_ftl::Ftl`] config.
-    pub fn ftl(&self) -> bluedbm_ftl::FtlConfig {
-        bluedbm_ftl::FtlConfig {
-            over_provision: self.over_provision,
-            gc_watermark: self.gc_watermark,
-            wear_threshold: self.wear_threshold,
-        }
-    }
-}
-
-impl Default for GcConfig {
-    fn default() -> Self {
-        let ftl = bluedbm_ftl::FtlConfig::default();
-        GcConfig {
-            over_provision: ftl.over_provision,
-            gc_watermark: ftl.gc_watermark,
-            wear_threshold: ftl.wear_threshold,
-            log: false,
-        }
-    }
 }
 
 /// How the simulation itself executes (not a property of the modelled

@@ -63,6 +63,10 @@ use bluedbm_flash::geometry::{FlashGeometry, Ppa};
 
 use crate::error::FtlError;
 
+/// GC triggers when a plane's free-block queue drops to this size. At
+/// least 1, so GC always has a destination block.
+const GC_WATERMARK: usize = 1;
+
 /// FTL tuning knobs.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FtlConfig {
@@ -70,9 +74,6 @@ pub struct FtlConfig {
     /// (over-provisioning), in `[0, 1)`. Typical SSDs use 7%; the GC
     /// ablation bench sweeps this.
     pub over_provision: f64,
-    /// GC triggers when a plane's free-block queue drops to this size.
-    /// Must be >= 1 so GC always has a destination block.
-    pub gc_watermark: usize,
     /// Wear-leveling kicks in when the erase-count spread exceeds this.
     pub wear_threshold: u64,
 }
@@ -81,7 +82,6 @@ impl Default for FtlConfig {
     fn default() -> Self {
         FtlConfig {
             over_provision: 0.12,
-            gc_watermark: 1,
             wear_threshold: 32,
         }
     }
@@ -220,7 +220,7 @@ impl Ftl {
     /// # Errors
     ///
     /// Returns [`FtlError::InvalidConfig`] unless `over_provision` is in
-    /// `[0, 1)` and `gc_watermark` is at least 1,
+    /// `[0, 1)`,
     /// [`FtlError::GeometryTooLarge`] if the array has more pages than
     /// the `u32` tables can index, and [`FtlError::NoSpace`] if the
     /// geometry is too small to hold any logical pages after
@@ -229,9 +229,6 @@ impl Ftl {
     pub fn new(array: impl Borrow<FlashArray>, config: FtlConfig) -> Result<Self, FtlError> {
         if !(0.0..1.0).contains(&config.over_provision) {
             return Err(FtlError::InvalidConfig("over-provision must be in [0, 1)"));
-        }
-        if config.gc_watermark == 0 {
-            return Err(FtlError::InvalidConfig("GC needs a reserve block (gc_watermark >= 1)"));
         }
         let array = array.borrow();
         let geom = array.geometry();
@@ -256,7 +253,7 @@ impl Ftl {
             let free: VecDeque<u32> = (0..geom.blocks_per_chip as u32)
                 .filter(|&b| blocks[first_block + b as usize].state == BlockState::Free)
                 .collect();
-            if free.len() <= config.gc_watermark {
+            if free.len() <= GC_WATERMARK {
                 return Err(FtlError::NoSpace);
             }
             planes.push(Plane {
@@ -272,7 +269,7 @@ impl Ftl {
             .sum();
         // Keep the watermark reserve out of the exported space too.
         let reserve: u64 =
-            planes.len() as u64 * config.gc_watermark as u64 * geom.pages_per_block as u64;
+            planes.len() as u64 * GC_WATERMARK as u64 * geom.pages_per_block as u64;
         let capacity =
             ((good_pages as f64 * (1.0 - config.over_provision)) as u64).saturating_sub(reserve);
         if capacity == 0 {
@@ -452,7 +449,7 @@ impl Ftl {
     /// running the garbage collector when the plane is out of room and
     /// appending each round it runs to `gc`.
     ///
-    /// Invariant: `gc_watermark` free blocks stay reserved as GC
+    /// Invariant: [`GC_WATERMARK`] free blocks stay reserved as GC
     /// destinations; host writes use the open block or pop free blocks
     /// above the reserve. Each [`Self::collect_one`] reclaims a positive
     /// number of pages, so the loop terminates.
@@ -465,7 +462,7 @@ impl Ftl {
             let p = (pi + offset) % n;
             loop {
                 if self.planes[p].active.is_some()
-                    || self.planes[p].free.len() > self.config.gc_watermark
+                    || self.planes[p].free.len() > GC_WATERMARK
                 {
                     if let Some(ppa) = self.alloc_in_plane(p) {
                         return Ok(ppa);

@@ -18,11 +18,12 @@
 //!   replays the same op log into a fresh twin to pin mappings, victim
 //!   order, erase counts and write amplification bit-for-bit. See the
 //!   [module docs](ftl) for the contract.
-//! * [`rfs::Rfs`] — the RFS-style log-structured file system that
-//!   performs FTL functions itself (logical-to-physical mapping and
-//!   garbage collection in the FS), and exposes the API that makes
-//!   BlueDBM's in-store processing usable: `physical_addrs(file)` returns
-//!   the raw flash addresses of a file so applications can stream them to
+//! * [`rfs::Rfs`] — the RFS-style file namespace: names, sizes and
+//!   each file's logical pages, written through one [`ftl::Ftl`] over a
+//!   raw array, so the file system's mapping and collection are that
+//!   `Ftl`'s. It exposes the API that makes BlueDBM's in-store
+//!   processing usable: `physical_addrs(file)` returns the raw flash
+//!   addresses of a file so applications can stream them to
 //!   accelerators (paper Figure 8).
 //!
 //! ## Example
@@ -48,4 +49,4 @@ pub mod rfs;
 
 pub use error::FtlError;
 pub use ftl::{Ftl, FtlConfig, FtlStats, GcRound, StepOutcome};
-pub use rfs::{Rfs, RfsConfig, RfsStats};
+pub use rfs::Rfs;

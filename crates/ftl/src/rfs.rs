@@ -1,122 +1,71 @@
-//! An RFS-style log-structured file system on raw flash.
+//! An RFS-style file namespace on raw flash.
 //!
 //! BlueDBM's preferred software stack skips the FTL entirely: the file
 //! system itself performs logical-to-physical mapping and garbage
 //! collection, "achieving better garbage collection efficiency at much
 //! lower memory requirement" (paper Section 4, citing its reference 26, RFS).
 //!
+//! Here that "no FTL" point is a layering choice, not a second flash
+//! manager. [`Rfs`] keeps the namespace — names, sizes and each file's
+//! logical pages — and hands every page to one [`Ftl`], the same
+//! page-mapping and greedy-collection policy the cluster runs per card
+//! and the conformance suite pins against an offline twin. Mapping and
+//! collection still happen in host software over a raw array, as in the
+//! paper; they are just one implementation, so a fix or a test of the
+//! collector covers the file system too. What this does not model is
+//! RFS's own claim: a collector that sees file boundaries and a smaller
+//! map. Every file page costs one `Ftl` table entry like any other.
+//!
 //! The crucial BlueDBM-specific API is [`Rfs::physical_addrs`]: "user-level
 //! applications can query the file system for the physical locations of
 //! files on the flash ... Applications can then provide in-storage
 //! processors with a stream of physical addresses, so that the in-storage
 //! processors can directly read data from flash with very low latency"
-//! (Figure 8).
+//! (Figure 8). It reads each logical page's location off the `Ftl`'s map.
 
-use std::collections::{BTreeMap, VecDeque};
-
-use bluedbm_sim::fxhash::FxHashMap;
+use std::collections::BTreeMap;
 
 use bluedbm_flash::array::FlashArray;
 use bluedbm_flash::geometry::Ppa;
 
 use crate::error::FtlError;
-
-/// File-system tuning knobs.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RfsConfig {
-    /// The segment cleaner runs when a plane's free-block queue drops to
-    /// this size. Must be >= 1.
-    pub(crate) cleaner_watermark: usize,
-}
-
-impl Default for RfsConfig {
-    fn default() -> Self {
-        RfsConfig {
-            cleaner_watermark: 1,
-        }
-    }
-}
-
-/// Cumulative file-system statistics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RfsStats {
-    /// Pages written on behalf of applications.
-    pub(crate) logical_writes: u64,
-    /// Pages programmed to flash (logical + cleaner relocation).
-    pub(crate) flash_writes: u64,
-    /// Cleaner victim blocks erased.
-    pub cleaner_erases: u64,
-    /// Valid pages relocated by the cleaner.
-    pub(crate) cleaner_moves: u64,
-}
+use crate::ftl::{Ftl, FtlConfig, FtlStats};
 
 #[derive(Clone, Debug, Default)]
 struct Inode {
-    pages: Vec<Ppa>,
+    /// The `Ftl` logical pages holding the file, in file order.
+    pages: Vec<u64>,
     size: u64,
 }
 
-#[derive(Clone, Debug)]
-struct Plane {
-    bus: u16,
-    chip: u16,
-    free: VecDeque<u32>,
-    active: Option<(u32, u32)>,
-}
-
-/// The log-structured file system. Names are flat strings (a hierarchical
-/// namespace adds nothing to the experiments; a path-shaped name like
+/// The file system. Names are flat strings (a hierarchical namespace
+/// adds nothing to the experiments; a path-shaped name like
 /// `"data/corpus.bin"` is just a string here).
 #[derive(Debug)]
 pub struct Rfs {
     array: FlashArray,
-    config: RfsConfig,
+    ftl: Ftl,
     /// By name, ordered so [`Rfs::list`] needs no sort.
     files: BTreeMap<String, Inode>,
-    /// Linear page -> (file, page index) for cleaner relocation.
-    owner: FxHashMap<usize, (String, u32)>,
-    valid: Vec<u32>,
-    planes: Vec<Plane>,
-    next_plane: usize,
-    stats: RfsStats,
+    /// Logical pages no file holds; the lowest is popped first on a
+    /// fresh file system.
+    free: Vec<u64>,
 }
 
 impl Rfs {
-    /// Format `array` with an empty file system.
+    /// Format `array` with an empty file system over a default-configured
+    /// [`Ftl`].
     ///
     /// # Errors
     ///
-    /// Returns [`FtlError::NoSpace`] when a plane lacks even the cleaner
-    /// reserve of good blocks.
-    pub fn format(array: FlashArray, config: RfsConfig) -> Result<Self, FtlError> {
-        assert!(config.cleaner_watermark >= 1, "cleaner needs a reserve");
-        let geom = array.geometry();
-        let mut planes = Vec::new();
-        for bus in 0..geom.buses as u16 {
-            for chip in 0..geom.chips_per_bus as u16 {
-                let free: VecDeque<u32> = (0..geom.blocks_per_chip as u32)
-                    .filter(|&b| !array.is_bad(Ppa::new(bus, chip, b, 0)))
-                    .collect();
-                if free.len() <= config.cleaner_watermark {
-                    return Err(FtlError::NoSpace);
-                }
-                planes.push(Plane {
-                    bus,
-                    chip,
-                    free,
-                    active: None,
-                });
-            }
-        }
+    /// Whatever [`Ftl::new`] refuses the array with.
+    pub fn format(array: FlashArray) -> Result<Self, FtlError> {
+        let ftl = Ftl::new(&array, FtlConfig::default())?;
         Ok(Rfs {
-            valid: vec![0; geom.total_blocks()],
-            files: BTreeMap::new(),
-            owner: FxHashMap::default(),
-            planes,
-            next_plane: 0,
+            free: (0..ftl.capacity_pages()).rev().collect(),
             array,
-            config,
-            stats: RfsStats::default(),
+            ftl,
+            files: BTreeMap::new(),
         })
     }
 
@@ -125,9 +74,9 @@ impl Rfs {
         self.array.geometry().page_bytes
     }
 
-    /// Statistics so far.
-    pub fn stats(&self) -> RfsStats {
-        self.stats
+    /// The flash manager's statistics so far.
+    pub fn stats(&self) -> FtlStats {
+        self.ftl.stats()
     }
 
     /// The wrapped array (wear inspection, direct ISP-style reads in
@@ -155,16 +104,19 @@ impl Rfs {
         Ok(())
     }
 
+    fn inode(&self, name: &str) -> Result<&Inode, FtlError> {
+        self.files
+            .get(name)
+            .ok_or_else(|| FtlError::NoSuchFile(name.to_string()))
+    }
+
     /// File size in bytes.
     ///
     /// # Errors
     ///
     /// [`FtlError::NoSuchFile`] when absent.
     pub(crate) fn size(&self, name: &str) -> Result<u64, FtlError> {
-        self.files
-            .get(name)
-            .map(|i| i.size)
-            .ok_or_else(|| FtlError::NoSuchFile(name.to_string()))
+        Ok(self.inode(name)?.size)
     }
 
     /// All file names, sorted.
@@ -179,81 +131,44 @@ impl Rfs {
     ///
     /// [`FtlError::NoSuchFile`] when absent.
     pub fn physical_addrs(&self, name: &str) -> Result<Vec<Ppa>, FtlError> {
-        self.files
-            .get(name)
-            .map(|i| i.pages.clone())
-            .ok_or_else(|| FtlError::NoSuchFile(name.to_string()))
+        Ok(self
+            .inode(name)?
+            .pages
+            .iter()
+            .map(|&lba| self.ftl.physical_of(lba).expect("a file's pages are written"))
+            .collect())
     }
 
-    fn block_index(&self, ppa: Ppa) -> usize {
-        let g = self.array.geometry();
-        (ppa.bus as usize * g.chips_per_bus + ppa.chip as usize) * g.blocks_per_chip
-            + ppa.block as usize
-    }
-
-    fn alloc_in_plane(&mut self, pi: usize) -> Option<Ppa> {
-        let pages_per_block = self.array.geometry().pages_per_block as u32;
-        let plane = &mut self.planes[pi];
-        if plane.active.is_none() {
-            let block = plane.free.pop_front()?;
-            plane.active = Some((block, 0));
+    /// Make `data` the contents of `name` from page `from` on: the file
+    /// keeps its own logical pages, overwriting them in place, takes
+    /// more from the free list or trims and returns the ones past the
+    /// end. Nothing changes when the pages would not fit.
+    fn store(&mut self, name: &str, from: usize, data: &[u8]) -> Result<(), FtlError> {
+        let page_bytes = self.page_bytes();
+        let inode = self
+            .files
+            .get_mut(name)
+            .ok_or_else(|| FtlError::NoSuchFile(name.to_string()))?;
+        let wanted = from + data.len().div_ceil(page_bytes);
+        if wanted > inode.pages.len() + self.free.len() {
+            return Err(FtlError::NoSpace);
         }
-        let (block, page) = plane.active.expect("just ensured");
-        let ppa = Ppa::new(plane.bus, plane.chip, block, page);
-        plane.active = if page + 1 == pages_per_block {
-            None
-        } else {
-            Some((block, page + 1))
-        };
-        Some(ppa)
-    }
-
-    fn alloc(&mut self) -> Result<Ppa, FtlError> {
-        let pi = self.next_plane;
-        self.next_plane = (self.next_plane + 1) % self.planes.len();
-        // Preferred plane first, then spill to any other plane: one plane
-        // can jam with 100%-valid blocks while others still have room.
-        let n = self.planes.len();
-        for offset in 0..n {
-            let p = (pi + offset) % n;
-            loop {
-                if self.planes[p].active.is_some()
-                    || self.planes[p].free.len() > self.config.cleaner_watermark
-                {
-                    if let Some(ppa) = self.alloc_in_plane(p) {
-                        return Ok(ppa);
-                    }
-                    break;
-                }
-                if !self.clean_one(p)? {
-                    break;
-                }
+        for lba in inode.pages.drain(wanted.min(inode.pages.len())..) {
+            self.ftl.step_trim(lba)?;
+            self.free.push(lba);
+        }
+        for (idx, chunk) in (from..).zip(data.chunks(page_bytes)) {
+            if idx == inode.pages.len() {
+                inode.pages.push(self.free.pop().expect("the fit was checked"));
             }
+            let mut page = chunk.to_vec();
+            page.resize(page_bytes, 0);
+            self.ftl
+                .step_write(inode.pages[idx])?
+                .apply(&mut self.array, &page)?;
         }
-        Err(FtlError::NoSpace)
-    }
-
-    /// Append one already-padded page to `name`'s inode.
-    fn append_page(&mut self, name: &str, data: &[u8]) -> Result<(), FtlError> {
-        let ppa = self.alloc()?;
-        self.array.program(ppa, data)?;
-        self.stats.flash_writes += 1;
-        let inode = self.files.get_mut(name).expect("caller checked");
-        let idx = inode.pages.len() as u32;
-        inode.pages.push(ppa);
-        self.owner
-            .insert(self.array.geometry().linear_of(ppa), (name.to_string(), idx));
-        let bi = self.block_index(ppa);
-        self.valid[bi] += 1;
+        inode.size = (from * page_bytes + data.len()) as u64;
         Ok(())
-    }
-
-    fn invalidate_page(&mut self, ppa: Ppa) {
-        let linear = self.array.geometry().linear_of(ppa);
-        if self.owner.remove(&linear).is_some() {
-            let bi = self.block_index(ppa);
-            self.valid[bi] -= 1;
-        }
     }
 
     /// Replace the contents of `name` with `data` (creating it if absent
@@ -261,29 +176,10 @@ impl Rfs {
     ///
     /// # Errors
     ///
-    /// [`FtlError::NoSuchFile`], [`FtlError::NoSpace`], or a flash error.
+    /// [`FtlError::NoSuchFile`], [`FtlError::NoSpace`] (the file is left
+    /// as it was), or a flash error.
     pub fn write(&mut self, name: &str, data: &[u8]) -> Result<(), FtlError> {
-        if !self.files.contains_key(name) {
-            return Err(FtlError::NoSuchFile(name.to_string()));
-        }
-        // Invalidate the old extent.
-        let old = std::mem::take(self.files.get_mut(name).expect("checked"));
-        for ppa in old.pages {
-            self.invalidate_page(ppa);
-        }
-        let page_bytes = self.page_bytes();
-        for chunk in data.chunks(page_bytes) {
-            self.stats.logical_writes += 1;
-            if chunk.len() == page_bytes {
-                self.append_page(name, chunk)?;
-            } else {
-                let mut padded = chunk.to_vec();
-                padded.resize(page_bytes, 0);
-                self.append_page(name, &padded)?;
-            }
-        }
-        self.files.get_mut(name).expect("checked").size = data.len() as u64;
-        Ok(())
+        self.store(name, 0, data)
     }
 
     /// Append `data` to `name`, read-modify-writing a partial tail page
@@ -295,34 +191,13 @@ impl Rfs {
     pub fn append(&mut self, name: &str, data: &[u8]) -> Result<(), FtlError> {
         let size = self.size(name)?;
         let page_bytes = self.page_bytes() as u64;
-        let tail_len = (size % page_bytes) as usize;
-        let mut data = data.to_vec();
-        if tail_len != 0 {
-            // Pull back the partial tail page, merge, rewrite.
-            let inode = self.files.get_mut(name).expect("size() checked");
-            let tail_ppa = inode.pages.pop().expect("partial tail implies a page");
-            let idx = inode.pages.len() as u32;
-            debug_assert_eq!(idx, (size / page_bytes) as u32);
-            let mut tail = self.array.read(tail_ppa)?.data;
-            tail.truncate(tail_len);
-            tail.extend_from_slice(&data);
-            self.invalidate_page(tail_ppa);
-            data = tail;
+        let (from, tail_len) = (size / page_bytes, size % page_bytes);
+        if tail_len == 0 {
+            return self.store(name, from as usize, data);
         }
-        let new_size = size - tail_len as u64 + data.len() as u64;
-        let page_bytes = self.page_bytes();
-        for chunk in data.chunks(page_bytes) {
-            self.stats.logical_writes += 1;
-            if chunk.len() == page_bytes {
-                self.append_page(name, chunk)?;
-            } else {
-                let mut padded = chunk.to_vec();
-                padded.resize(page_bytes, 0);
-                self.append_page(name, &padded)?;
-            }
-        }
-        self.files.get_mut(name).expect("checked").size = new_size;
-        Ok(())
+        let mut tail = self.read_range(name, from * page_bytes, tail_len as usize)?;
+        tail.extend_from_slice(data);
+        self.store(name, from as usize, &tail)
     }
 
     /// Read the whole file.
@@ -386,73 +261,15 @@ impl Rfs {
         Ok(self.array.read(ppa)?.data)
     }
 
-    /// Delete a file, invalidating its pages for the cleaner.
+    /// Delete a file, trimming its pages so collection can reclaim them.
     ///
     /// # Errors
     ///
     /// [`FtlError::NoSuchFile`] when absent.
     pub fn delete(&mut self, name: &str) -> Result<(), FtlError> {
-        let inode = self
-            .files
-            .remove(name)
-            .ok_or_else(|| FtlError::NoSuchFile(name.to_string()))?;
-        for ppa in inode.pages {
-            self.invalidate_page(ppa);
-        }
+        self.store(name, 0, &[])?;
+        self.files.remove(name);
         Ok(())
-    }
-
-    /// Compact the min-valid block of plane `pi`. Returns `false` when no
-    /// victim frees anything.
-    fn clean_one(&mut self, pi: usize) -> Result<bool, FtlError> {
-        let geom = self.array.geometry();
-        let pages_per_block = geom.pages_per_block as u32;
-        let (bus, chip) = (self.planes[pi].bus, self.planes[pi].chip);
-        let active_block = self.planes[pi].active.map(|(b, _)| b);
-
-        let mut best: Option<(u32, u32)> = None;
-        for block in 0..geom.blocks_per_chip as u32 {
-            if Some(block) == active_block
-                || self.array.is_bad(Ppa::new(bus, chip, block, 0))
-                || self.planes[pi].free.contains(&block)
-            {
-                continue;
-            }
-            let v = self.valid[self.block_index(Ppa::new(bus, chip, block, 0))];
-            if v == pages_per_block {
-                continue;
-            }
-            if best.map(|(_, bv)| v < bv).unwrap_or(true) {
-                best = Some((block, v));
-            }
-        }
-        let Some((victim, _)) = best else {
-            return Ok(false);
-        };
-
-        for page in 0..pages_per_block {
-            let src = Ppa::new(bus, chip, victim, page);
-            let linear = geom.linear_of(src);
-            let Some((name, idx)) = self.owner.get(&linear).cloned() else {
-                continue;
-            };
-            let data = self.array.read(src)?.data;
-            // Relocate within the plane: the cleaner reserve guarantees a
-            // destination and avoids cross-plane cleaning ping-pong.
-            let dst = self.alloc_in_plane(pi).ok_or(FtlError::NoSpace)?;
-            self.array.program(dst, &data)?;
-            self.stats.flash_writes += 1;
-            self.stats.cleaner_moves += 1;
-            self.invalidate_page(src);
-            self.files.get_mut(&name).expect("owner implies file").pages[idx as usize] = dst;
-            self.owner.insert(geom.linear_of(dst), (name, idx));
-            let bi = self.block_index(dst);
-            self.valid[bi] += 1;
-        }
-        self.array.erase(Ppa::new(bus, chip, victim, 0))?;
-        self.stats.cleaner_erases += 1;
-        self.planes[pi].free.push_back(victim);
-        Ok(true)
     }
 }
 
@@ -463,7 +280,7 @@ mod tests {
     use bluedbm_sim::rng::Rng;
 
     fn fs() -> Rfs {
-        Rfs::format(FlashArray::new(FlashGeometry::tiny(), 9), RfsConfig::default()).unwrap()
+        Rfs::format(FlashArray::new(FlashGeometry::tiny(), 9)).unwrap()
     }
 
     fn bytes(n: usize, seed: u64) -> Vec<u8> {
@@ -587,19 +404,37 @@ mod tests {
             fs.write("hot", &latest).unwrap();
         }
         assert_eq!(fs.read("hot").unwrap(), latest);
-        assert_eq!(fs.read("cold").unwrap(), cold, "cleaner must move cold data intact");
+        assert_eq!(fs.read("cold").unwrap(), cold, "collection must move cold data intact");
         let s = fs.stats();
-        assert!(s.cleaner_erases > 0, "cleaner must have run");
-        assert!(s.flash_writes >= s.logical_writes);
+        assert!(s.gc_erases > 0, "collection must have run");
+        assert!(s.flash_writes >= s.host_writes);
+    }
+
+    /// A write or append that needs more pages than the file holds plus
+    /// the free list fails with `NoSpace` and leaves every file as it
+    /// was, so the space stays usable.
+    #[test]
+    fn a_write_that_does_not_fit_changes_nothing() {
+        let mut fs = fs();
+        let page = fs.page_bytes();
+        fs.create("a").unwrap();
+        let data = bytes(1000, 10);
+        fs.write("a", &data).unwrap();
+        let addrs = fs.physical_addrs("a").unwrap();
+        let too_big = bytes(600 * page, 11);
+        assert!(matches!(fs.write("a", &too_big), Err(FtlError::NoSpace)));
+        assert!(matches!(fs.append("a", &too_big), Err(FtlError::NoSpace)));
+        assert_eq!(fs.size("a").unwrap(), data.len() as u64);
+        assert_eq!(fs.read("a").unwrap(), data);
+        assert_eq!(fs.physical_addrs("a").unwrap(), addrs);
+        fs.create("b").unwrap();
+        fs.write("b", &data).unwrap();
+        assert_eq!(fs.read("b").unwrap(), data);
     }
 
     #[test]
     fn many_files_interleaved() {
-        let mut fs = Rfs::format(
-            FlashArray::new(FlashGeometry::small(), 11),
-            RfsConfig::default(),
-        )
-        .unwrap();
+        let mut fs = Rfs::format(FlashArray::new(FlashGeometry::small(), 11)).unwrap();
         let mut contents: Vec<Vec<u8>> = Vec::new();
         for i in 0..12 {
             let name = format!("file{i}");

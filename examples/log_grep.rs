@@ -1,8 +1,9 @@
-//! In-store grep over the log-structured file system (the paper's
-//! Section 7.3 workload and Figure 8 software flow).
+//! In-store grep over the RFS-style file system (the paper's Section
+//! 7.3 workload and Figure 8 software flow).
 //!
-//! Files live on raw flash under the RFS-style file system. The
-//! application asks the FS for the *physical addresses* of a file and
+//! Files live on raw flash under the file namespace, whose pages the
+//! card's FTL maps and collects. The application asks the FS for the
+//! *physical addresses* of a file and
 //! streams them through in-store Morris-Pratt engines; only match
 //! offsets come back to the host.
 //!
@@ -11,7 +12,7 @@
 use bluedbm::core::baselines::{scan_cpu_utilization, sw_scan_bandwidth, Secondary};
 use bluedbm::core::SystemConfig;
 use bluedbm::flash::{FlashArray, FlashGeometry};
-use bluedbm::ftl::rfs::{Rfs, RfsConfig};
+use bluedbm::ftl::rfs::Rfs;
 use bluedbm::isp::mp::MpMatcher;
 use bluedbm::isp::Accelerator;
 use bluedbm::workloads::datagen;
@@ -19,12 +20,9 @@ use bluedbm::workloads::datagen;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = SystemConfig::paper();
 
-    // Format a flash card with the log-structured FS and store two log
-    // files with planted needles.
-    let mut fs = Rfs::format(
-        FlashArray::new(FlashGeometry::small(), 99),
-        RfsConfig::default(),
-    )?;
+    // Format a flash card with the file system and store two log files
+    // with planted needles.
+    let mut fs = Rfs::format(FlashArray::new(FlashGeometry::small(), 99))?;
     let needle = b"ERROR: flux capacitor";
     let corpus_a = datagen::corpus_with_needles(600_000, needle, 8, 1);
     let corpus_b = datagen::corpus_with_needles(400_000, needle, 5, 2);

@@ -2,7 +2,7 @@
 //! "SQL Database Acceleration by offloading query processing and
 //! filtering to in-store processors").
 //!
-//! A table lives in the log-structured file system. The query
+//! A table lives in the RFS-style file system on raw flash. The query
 //!
 //! ```sql
 //! SELECT region, COUNT(*), SUM(amount) FROM sales
@@ -16,7 +16,7 @@
 //! Run with: `cargo run --release --example sql_offload`
 
 use bluedbm::flash::{FlashArray, FlashGeometry};
-use bluedbm::ftl::rfs::{Rfs, RfsConfig};
+use bluedbm::ftl::rfs::Rfs;
 use bluedbm::isp::aggregate::AggregateEngine;
 use bluedbm::isp::filter::FilterEngine;
 use bluedbm::isp::Accelerator;
@@ -29,7 +29,7 @@ const REGION_OFF: usize = 8;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let geom = FlashGeometry::small();
-    let mut fs = Rfs::format(FlashArray::new(geom, 41), RfsConfig::default())?;
+    let mut fs = Rfs::format(FlashArray::new(geom, 41))?;
 
     // Build and store a 20k-row sales table.
     let mut rng = Rng::new(7);

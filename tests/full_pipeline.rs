@@ -4,7 +4,7 @@
 
 use bluedbm::flash::array::ErrorModel;
 use bluedbm::flash::{FlashArray, FlashGeometry};
-use bluedbm::ftl::rfs::{Rfs, RfsConfig};
+use bluedbm::ftl::rfs::Rfs;
 use bluedbm::isp::filter::FilterEngine;
 use bluedbm::isp::hamming::HammingEngine;
 use bluedbm::isp::lsh::{LshIndex, LshParams};
@@ -23,7 +23,7 @@ fn grep_pipeline_survives_bit_errors() {
         factory_bad_fraction: 0.0,
     };
     let array = FlashArray::with_error_model(FlashGeometry::small(), 7, model).unwrap();
-    let mut fs = Rfs::format(array, RfsConfig::default()).expect("format");
+    let mut fs = Rfs::format(array).expect("format");
 
     let needle = b"in-store-needle";
     let corpus = datagen::corpus_with_needles(300_000, needle, 12, 3);
@@ -49,7 +49,7 @@ fn grep_pipeline_survives_bit_errors() {
 #[test]
 fn nearest_neighbor_pipeline_over_filesystem() {
     let geom = FlashGeometry::small();
-    let mut fs = Rfs::format(FlashArray::new(geom, 11), RfsConfig::default()).expect("format");
+    let mut fs = Rfs::format(FlashArray::new(geom, 11)).expect("format");
     let item_bytes = geom.page_bytes;
 
     let mut rng = bluedbm::sim::rng::Rng::new(5);
@@ -86,7 +86,7 @@ fn nearest_neighbor_pipeline_over_filesystem() {
 #[test]
 fn selection_pushdown_over_table_file() {
     let geom = FlashGeometry::small();
-    let mut fs = Rfs::format(FlashArray::new(geom, 13), RfsConfig::default()).expect("format");
+    let mut fs = Rfs::format(FlashArray::new(geom, 13)).expect("format");
 
     const RECORD: usize = 64;
     let records_per_page = geom.page_bytes / RECORD;
@@ -112,12 +112,12 @@ fn selection_pushdown_over_table_file() {
     assert!(engine.result_bytes() < table.len() / 10);
 }
 
-/// Churn the file system hard (overwrites forcing the cleaner), then
-/// verify the ISP still sees coherent physical address streams.
+/// Churn the file system hard (overwrites forcing garbage collection),
+/// then verify the ISP still sees coherent physical address streams.
 #[test]
 fn cleaner_churn_keeps_physical_addresses_coherent() {
     let geom = FlashGeometry::tiny();
-    let mut fs = Rfs::format(FlashArray::new(geom, 17), RfsConfig::default()).expect("format");
+    let mut fs = Rfs::format(FlashArray::new(geom, 17)).expect("format");
     let needle = b"needle";
     fs.create("stable").expect("create");
     let corpus = datagen::corpus_with_needles(4_000, needle, 3, 9);
@@ -125,12 +125,12 @@ fn cleaner_churn_keeps_physical_addresses_coherent() {
 
     fs.create("churn").expect("create");
     // Rewrite a 6-page blob 300 times: ~1800 page writes against a
-    // 512-page card forces the segment cleaner many times over.
+    // 512-page card force the FTL to collect many times over.
     for round in 0..300u64 {
         let blob: Vec<u8> = datagen::random_pages(6, geom.page_bytes, round).concat();
         fs.write("churn", &blob).expect("rewrite");
     }
-    assert!(fs.stats().cleaner_erases > 0, "cleaner must have run");
+    assert!(fs.stats().gc_erases > 0, "collection must have run");
 
     // The stable file's extents may have been relocated, but the stream
     // must still be the file.

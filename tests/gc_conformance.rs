@@ -112,7 +112,7 @@ fn assert_twin_agrees(cluster: &Cluster) {
             let card_seed = ((0xB1DE + (n as u64)) << 8) | card as u64;
             let (twin, rounds) = common::replay_lifecycle(
                 &FlashArray::new(geom, card_seed),
-                config.gc.ftl(),
+                config.gc.ftl,
                 cluster.lifecycle_log(node, card),
             );
 
@@ -316,27 +316,8 @@ fn gc_pressure_degrades_put_tail_latency_past_the_cliff() {
 }
 
 // ---------------------------------------------------------------------
-// Pin: the lifecycle needs a collection reserve
+// Pin: the lifecycle knobs are checked as values
 // ---------------------------------------------------------------------
-
-/// The error a cluster built under `config` fails with.
-fn build_error(config: &SystemConfig) -> ClusterError {
-    Cluster::ring(2, config).expect_err("cluster accepted the configuration")
-}
-
-/// Pin: a lifecycle with no collection reserve is structurally
-/// impossible — relocation would have nowhere to land and sustained
-/// churn would die with `FtlError::NoSpace` mid-run, so the FTL rejects
-/// the configuration at construction, as a value.
-#[test]
-fn lifecycle_without_a_reserve_block_is_rejected() {
-    let mut config = gc_config();
-    config.gc.gc_watermark = 0;
-    assert!(matches!(
-        build_error(&config),
-        ClusterError::Ftl(e) if matches!(*e, FtlError::InvalidConfig(_))
-    ));
-}
 
 /// Over-provisioning must withhold a fraction in `[0, 1)`: all of the
 /// space, a negative share or a NaN is refused as a value, not a panic.
@@ -344,8 +325,8 @@ fn lifecycle_without_a_reserve_block_is_rejected() {
 fn over_provision_outside_its_range_is_rejected() {
     for over_provision in [1.0, -0.1, f64::NAN] {
         let mut config = gc_config();
-        config.gc.over_provision = over_provision;
-        let err = build_error(&config);
+        config.gc.ftl.over_provision = over_provision;
+        let err = Cluster::ring(2, &config).expect_err("cluster accepted the configuration");
         assert!(
             matches!(&err, ClusterError::Ftl(e) if matches!(**e, FtlError::InvalidConfig(_))),
             "over_provision {over_provision}: {err}"

@@ -220,22 +220,43 @@ fn aggregation_chunking_invariance() {
     });
 }
 
-/// The log-structured file system behaves exactly like an in-memory
-/// map of name -> bytes under any sequence of create / write /
-/// append / delete / read operations, cleaner churn included. (Heavier
-/// model-based test: fewer cases.)
+/// The file system behaves exactly like an in-memory map of name ->
+/// bytes under any sequence of create / write / append / delete / read
+/// operations, on a 64-page card small enough that its FTL collects and
+/// runs out of room: a write or append refused with `NoSpace` leaves
+/// the file as it was. Each checked file is also read the Figure 8 way,
+/// page by page off the array at its `physical_addrs`, so the address
+/// stream stays coherent under collection. (Heavier model-based test:
+/// fewer cases.)
 #[test]
 fn rfs_matches_map_model() {
+    use bluedbm::ftl::rfs::Rfs;
+    use bluedbm::ftl::FtlError;
+    fn holds(fs: &mut Rfs, name: &str, want: &[u8]) {
+        assert_eq!(&fs.read(name).expect("read"), want, "{name}");
+        let mut raw = Vec::new();
+        for ppa in fs.physical_addrs(name).expect("addrs") {
+            raw.extend(fs.array_mut().read(ppa).expect("in-store read").data);
+        }
+        assert_eq!(raw.len(), want.len().div_ceil(fs.page_bytes()) * fs.page_bytes());
+        assert_eq!(&raw[..want.len()], want, "{name} at its physical addresses");
+    }
     check("rfs_matches_map_model", 16, |s| {
-        use bluedbm::ftl::rfs::{Rfs, RfsConfig};
-        use bluedbm::ftl::FtlError;
+        let geom = FlashGeometry {
+            buses: 2,
+            chips_per_bus: 1,
+            blocks_per_chip: 4,
+            pages_per_block: 8,
+            page_bytes: 128,
+        };
         let ops = s.vec(1..60, |s| (s.range(0u8..5), s.range(0usize..4), s.vec(0..1500, byte)));
-        let mut fs = Rfs::format(
-            FlashArray::new(FlashGeometry::tiny(), 23),
-            RfsConfig::default(),
-        ).expect("format");
+        let mut fs = Rfs::format(FlashArray::new(geom, 23)).expect("format");
         let mut model: std::collections::BTreeMap<String, Vec<u8>> = Default::default();
         let names = ["a", "b", "c", "d"];
+        for name in names {
+            fs.create(name).expect("create");
+            model.insert(name.into(), vec![]);
+        }
         for (op, which, data) in ops {
             let name = names[which];
             match op {
@@ -247,6 +268,7 @@ fn rfs_matches_map_model() {
                 1 => match fs.write(name, &data) {
                     Ok(()) => { assert!(model.contains_key(name)); model.insert(name.into(), data); }
                     Err(FtlError::NoSuchFile(_)) => assert!(!model.contains_key(name)),
+                    Err(FtlError::NoSpace) => holds(&mut fs, name, &model[name]),
                     Err(e) => panic!("write: {e}"),
                 },
                 2 => match fs.append(name, &data) {
@@ -255,6 +277,7 @@ fn rfs_matches_map_model() {
                         model.get_mut(name).expect("checked").extend_from_slice(&data);
                     }
                     Err(FtlError::NoSuchFile(_)) => assert!(!model.contains_key(name)),
+                    Err(FtlError::NoSpace) => holds(&mut fs, name, &model[name]),
                     Err(e) => panic!("append: {e}"),
                 },
                 3 => match fs.delete(name) {
@@ -263,17 +286,13 @@ fn rfs_matches_map_model() {
                     Err(e) => panic!("delete: {e}"),
                 },
                 _ => match model.get(name) {
-                    Some(want) => assert_eq!(&fs.read(name).expect("read"), want),
+                    Some(want) => holds(&mut fs, name, want),
                     None => assert!(fs.read(name).is_err()),
                 },
             }
         }
         for (name, want) in &model {
-            assert_eq!(&fs.read(name).expect("final read"), want);
-            assert_eq!(
-                fs.physical_addrs(name).expect("addrs").len() as u64,
-                (want.len() as u64).div_ceil(fs.page_bytes() as u64)
-            );
+            holds(&mut fs, name, want);
         }
     });
 }
