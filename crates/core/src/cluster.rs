@@ -11,10 +11,12 @@
 //! [`Cluster::write_page_local`], [`Cluster::read_remote_dram`]) and
 //! [`Cluster::stream_reads`] are that sequence for one op or one batch.
 //!
-//! Page addresses handed to drivers are *logical*: every card keeps a
-//! mirror [`Ftl`] that places each write, decides garbage collection and
-//! wear leveling, and maps the address to a physical cell when an op is
-//! injected.
+//! Page addresses handed to drivers are *logical*. Each card's [`Ftl`]
+//! is run by its node's agent inside the simulation: it places a write
+//! when the write reaches the agent, decides garbage collection and wear
+//! leveling, and maps a read to its cell when the read's command is sent
+//! to the card (see `crate::node`). No `inject_*` call runs the
+//! simulation.
 //!
 //! One engine runs every cluster: a [`ShardedSimulator`] over the node →
 //! shard map. One shard (`config.sim.shards = 1`, the default) is the
@@ -32,7 +34,7 @@ use bluedbm_flash::array::{ErrorModel, FlashArray};
 use bluedbm_flash::controller::{CtrlStats, FlashController};
 use bluedbm_flash::error::FlashError;
 use bluedbm_flash::splitter::FlashSplitter;
-use bluedbm_ftl::{Ftl, FtlError, GcRound, StepOutcome};
+use bluedbm_ftl::{Ftl, FtlError, GcRound};
 use bluedbm_host::pcie::PcieLink;
 use bluedbm_net::router::{build_network_routed, Router, RouterStats};
 use bluedbm_net::routing::RoutingTable;
@@ -43,7 +45,7 @@ use bluedbm_sim::time::SimTime;
 use bluedbm_sim::{MetricsDoc, MetricsRegistry, PageStore, TracePart, WallLaneProfile};
 
 use crate::config::SystemConfig;
-use crate::gc::{GcAgent, GcAgentStats, GcKick, GcStats, LifecycleOp};
+use crate::gc::{GcAgentStats, GcStats, LifecycleOp};
 use crate::msg::{Msg, NetBody};
 use crate::node::{AgentOp, AgentStats, Completed, Consume, NodeAgent, DATA_ENDPOINTS, REQUEST_ENDPOINT};
 use crate::scheduler::{AccelSched, SchedStats};
@@ -74,7 +76,7 @@ fn cross_shard_lookaheads(
 pub enum ClusterError {
     /// An underlying flash operation failed.
     Flash(FlashError),
-    /// A card's mirror FTL cannot be built: the lifecycle knobs in
+    /// A card's FTL cannot be built: the lifecycle knobs in
     /// `config.gc` are out of range, or the geometry is too large for
     /// its tables or too small for the GC reserve. Boxed:
     /// construction-time only, and `ClusterError` rides in every
@@ -158,7 +160,7 @@ impl fmt::Display for ClusterError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ClusterError::Flash(e) => write!(f, "flash error: {e}"),
-            ClusterError::Ftl(e) => write!(f, "mirror FTL cannot be built: {e}"),
+            ClusterError::Ftl(e) => write!(f, "FTL cannot be built: {e}"),
             ClusterError::DeviceFull(n) => write!(f, "no free pages left on {n}"),
             ClusterError::InvalidPartition(e) => write!(f, "invalid partition: {e}"),
             ClusterError::Disconnected(n) => write!(f, "topology is disconnected: no route to {n}"),
@@ -211,25 +213,13 @@ pub struct Cluster {
     controllers: Vec<Vec<ComponentId>>,
     /// Per-node accelerator scheduler (paper Section 4).
     scheds: Vec<ComponentId>,
-    /// Per-node GC agent executing lifecycle rounds as simulated
-    /// traffic.
-    gc_agents: Vec<ComponentId>,
-    /// Per-(node, card) mirror FTL making the GC / wear-leveling
-    /// decisions the agents execute. Addresses handed to drivers encode
-    /// *logical* pages; the mirror's mapping table translates them at
-    /// injection time.
-    mirrors: Vec<Vec<Ftl>>,
-    /// Per-(node, card) logical op log (populated under
-    /// `config.gc.log`) — the conformance suite's replay input.
-    lifecycle_log: Vec<Vec<Vec<LifecycleOp>>>,
-    /// Per-(node, card) mirror-decided GC rounds in op order (populated
-    /// under `config.gc.log`) — the conformance suite's expected victim
-    /// and relocation sequence.
-    gc_rounds_log: Vec<Vec<Vec<GcRound>>>,
     /// Node -> shard map (all zeros on one shard).
     partition: Vec<u32>,
     /// Next never-allocated logical page per (node, card).
     bump: Vec<Vec<usize>>,
+    /// Logical page capacity per (node, card): its `Ftl`'s, read at
+    /// build.
+    capacity: Vec<Vec<usize>>,
     /// Freed pages available for reallocation, per node (LIFO — the
     /// most recently freed page is reused first, keeping the touched
     /// footprint compact).
@@ -305,19 +295,18 @@ impl Cluster {
         let mut scheds = Vec::with_capacity(n);
         let mut controllers = Vec::with_capacity(n);
         let mut splitters = Vec::with_capacity(n);
-        let mut gc_agents = Vec::with_capacity(n);
-        let mut mirrors = Vec::with_capacity(n);
+        let mut capacity = Vec::with_capacity(n);
         for (node, &node_router) in routers.iter().enumerate() {
             let mut node_ctrls = Vec::new();
             let mut node_splitters = Vec::new();
-            let mut node_mirrors = Vec::with_capacity(config.flash.cards_per_node);
+            let mut cards = Vec::with_capacity(config.flash.cards_per_node);
             for card in 0..config.flash.cards_per_node {
-                // One array per card: the mirror reads the factory state
+                // One array per card: the FTL reads the factory state
                 // (geometry, bad blocks, wear) off it before the card's
-                // controller takes it over, so the mirror's physical
-                // decisions are valid verbatim on the simulated card.
+                // controller takes it over, so its physical decisions
+                // are valid verbatim on the simulated card.
                 let array = card_array(node, card)?;
-                node_mirrors.push(Ftl::new(&array, config.gc.ftl)?);
+                let ftl = Ftl::new(&array, config.gc.ftl)?;
                 let ctrl = sim.add_component(FlashController::new(array, config.flash.timing));
                 let split = sim.add_component(FlashSplitter::new(
                     ctrl,
@@ -325,14 +314,9 @@ impl Cluster {
                 ));
                 node_ctrls.push(ctrl);
                 node_splitters.push(split);
+                cards.push((split, ftl));
             }
-            let gc_agent = sim.add_component(GcAgent::new(
-                node as u32,
-                node_splitters.clone(),
-                config.flash.geometry,
-            ));
-            gc_agents.push(gc_agent);
-            mirrors.push(node_mirrors);
+            capacity.push(cards.iter().map(|(_, ftl)| ftl.capacity_pages() as usize).collect());
             let link = sim.add_component(PcieLink::new(config.pcie));
             let sched = sim
                 .add_component(AccelSched::new(config.accel.units).with_node(node as u32));
@@ -340,12 +324,9 @@ impl Cluster {
                 NodeId::from(node),
                 node_router,
                 link,
-                node_splitters.clone(),
-                config.flash.geometry.page_bytes,
-                config.host.dram_latency,
-                config.host.read_buffers,
                 sched,
-                config.accel.bandwidth,
+                cards,
+                config,
             ));
             let router = sim
                 .component_mut::<Router<NetBody>>(node_router)
@@ -367,7 +348,6 @@ impl Cluster {
             owner[agents[node].index()] = shard;
             owner[pcie[node].index()] = shard;
             owner[scheds[node].index()] = shard;
-            owner[gc_agents[node].index()] = shard;
             for c in controllers[node].iter().chain(&splitters[node]) {
                 owner[c.index()] = shard;
             }
@@ -380,6 +360,7 @@ impl Cluster {
             sim,
             config: *config,
             bump: vec![vec![0; config.flash.cards_per_node]; n],
+            capacity,
             free: vec![Vec::new(); n],
             pages_in_use: 0,
             topo,
@@ -387,10 +368,6 @@ impl Cluster {
             routers,
             agents,
             scheds,
-            gc_agents,
-            mirrors,
-            lifecycle_log: vec![vec![Vec::new(); config.flash.cards_per_node]; n],
-            gc_rounds_log: vec![vec![Vec::new(); config.flash.cards_per_node]; n],
             controllers,
             partition: partition.to_vec(),
             next_op: 0,
@@ -556,11 +533,7 @@ impl Cluster {
             self.agent_stats(id).fill_metrics(scope.child("agent"));
             self.sched_stats(id).fill_metrics(scope.child("sched"));
             self.gc_agent_stats(id).fill_metrics(scope.child("gc_agent"));
-            self.sim
-                .component::<NodeAgent>(self.agents[node])
-                .expect("agent installed")
-                .host_buffers()
-                .fill_metrics(scope.child("host_buffers"));
+            self.agent(id).host_buffers().fill_metrics(scope.child("host_buffers"));
             for card in 0..self.config.flash.cards_per_node {
                 self.controller_stats(id, card)
                     .fill_metrics(scope.child(&format!("card{card}")));
@@ -583,12 +556,12 @@ impl Cluster {
     /// the card with the fewest, so allocations go round-robin across
     /// cards.
     ///
-    /// The address returned encodes a **logical** page: the mirror FTL
-    /// picks the physical cell at write time and may move it later
-    /// during collection, and every injection path translates through
-    /// the mapping table. Capacity is the FTL's exported logical
-    /// capacity (good pages minus over-provision and watermark reserve),
-    /// not the raw cell count — the slack is what GC reclaims into.
+    /// The address returned encodes a **logical** page: the card's FTL
+    /// picks the physical cell when the write reaches the node's agent
+    /// and may move it later during collection. Capacity is the FTL's
+    /// exported logical capacity (good pages minus over-provision and
+    /// watermark reserve), not the raw cell count — the slack is what GC
+    /// reclaims into.
     ///
     /// # Errors
     ///
@@ -598,10 +571,10 @@ impl Cluster {
             self.pages_in_use += 1;
             return Ok(addr);
         }
-        let mirrors = &self.mirrors[node.index()];
+        let capacity = &self.capacity[node.index()];
         let cards = &mut self.bump[node.index()];
         let card = (0..cards.len())
-            .filter(|&c| cards[c] < mirrors[c].capacity_pages() as usize)
+            .filter(|&c| cards[c] < capacity[c])
             .min_by_key(|&c| cards[c])
             .ok_or(ClusterError::DeviceFull(node))?;
         let lba = cards[card];
@@ -616,37 +589,33 @@ impl Cluster {
 
     /// Return an allocated page to `addr.node`'s free pool, where it
     /// becomes the next allocation candidate on that node. A free is a
-    /// logical trim: the mirror unmaps the page and its physical cell
-    /// turns stale, to be reclaimed when collection erases the block
-    /// (the simulated array keeps the stale page programmed until then,
-    /// as the mirror's books do). The caller
-    /// must own the page (allocated and not already freed) and must not
-    /// have reads in flight against it — the KV store's per-key gates
-    /// guarantee both.
+    /// logical trim, applied to the card's FTL at once: the page is
+    /// unmapped and its cell turns stale, to be reclaimed when collection
+    /// erases the block (the simulated array keeps the stale page
+    /// programmed until then, as the FTL's books do). The caller must own
+    /// the page (allocated and not already freed) and must not have reads
+    /// in flight against it — the KV store's per-key gates guarantee
+    /// both.
     ///
     /// # Errors
     ///
-    /// [`ClusterError::Flash`] wrapping `OutOfRange` on an address
-    /// outside the configured geometry or the card's logical space;
-    /// nothing changes.
+    /// [`ClusterError::Flash`] wrapping `OutOfRange` on an address the
+    /// cluster lacks: a node or card it does not have, a page outside the
+    /// geometry or the card's logical space; nothing changes.
     ///
     /// # Panics
     ///
     /// Panics if more pages are freed than were ever allocated (a
     /// double-free somewhere).
     pub(crate) fn free_page(&mut self, addr: GlobalPageAddr) -> Result<(), ClusterError> {
-        let (n, c) = (addr.node.index(), addr.card as usize);
         let out_of_range = || FlashError::OutOfRange(addr.ppa);
         let lba = self.lba_of(addr).ok_or_else(out_of_range)?;
-        self.mirrors[n][c].step_trim(lba).map_err(|_| out_of_range())?;
-        if self.config.gc.log {
-            self.lifecycle_log[n][c].push(LifecycleOp::Trim(lba));
-        }
+        self.agent_mut(addr.node).trim(addr.card, lba).map_err(|_| out_of_range())?;
         self.pages_in_use = self
             .pages_in_use
             .checked_sub(1)
             .expect("free_page without a matching alloc_page");
-        self.free[n].push(addr);
+        self.free[addr.node.index()].push(addr);
         Ok(())
     }
 
@@ -659,23 +628,13 @@ impl Cluster {
     }
 
     /// The logical page number `addr` names on its card, or `None` when
-    /// the geometry does not contain `addr.ppa`.
+    /// the cluster has no such node, card or page.
     fn lba_of(&self, addr: GlobalPageAddr) -> Option<u64> {
         let geom = self.config.flash.geometry;
-        geom.contains(addr.ppa).then(|| geom.linear_of(addr.ppa) as u64)
-    }
-
-    /// Translate a driver-visible (logical) address into the physical
-    /// cell the mirror FTL currently maps it to. An address outside the
-    /// geometry passes through unchanged, to complete with `OutOfRange`
-    /// where it lands; an unmapped logical page (never written, or
-    /// freed) has no cell, so `None`.
-    fn resolve(&self, addr: GlobalPageAddr) -> Option<GlobalPageAddr> {
-        let Some(lba) = self.lba_of(addr) else {
-            return Some(addr);
-        };
-        let mirror = &self.mirrors[addr.node.index()][addr.card as usize];
-        mirror.physical_of(lba).map(|ppa| GlobalPageAddr { ppa, ..addr })
+        let exists = addr.node.index() < self.node_count()
+            && usize::from(addr.card) < self.config.flash.cards_per_node
+            && geom.contains(addr.ppa);
+        exists.then(|| geom.linear_of(addr.ppa) as u64)
     }
 
     /// Check a write payload against the page size before anything is
@@ -688,108 +647,81 @@ impl Cluster {
         Ok(())
     }
 
-    /// Replay one host write of the freshly allocated `addr` on its
-    /// card's mirror FTL (logging it under `config.gc.log`): returns the
-    /// physical program target and any collection rounds the write
-    /// tripped, which the caller must execute before the program.
-    fn step_mirror(&mut self, addr: GlobalPageAddr) -> StepOutcome {
-        let (n, c) = (addr.node.index(), addr.card as usize);
-        let lba = self.config.flash.geometry.linear_of(addr.ppa) as u64;
-        if self.config.gc.log {
-            self.lifecycle_log[n][c].push(LifecycleOp::Write(lba));
-        }
-        // Allocation is gated on the mirror's exported capacity, so the
-        // policy can always make room: NoSpace here is a logic bug, not
-        // an operational condition.
-        let outcome = self.mirrors[n][c]
-            .step_write(lba)
-            .expect("mirror FTL out of space despite capacity-gated allocation");
-        if self.config.gc.log {
-            self.gc_rounds_log[n][c].extend(outcome.gc.iter().cloned());
-        }
-        outcome
-    }
-
-    /// Execute mirror-decided collection rounds on `node`/`card` as
-    /// simulated commands, stop-the-world: first drain in-flight
-    /// foreground traffic (whose physical targets were resolved against
-    /// the pre-collection mapping), then let the node's [`GcAgent`] run
-    /// the relocation reads/programs and erases through the shared
-    /// splitter and buses. The simulated clock advances across both
-    /// drains — that stall is precisely the GC pressure tenants observe.
-    fn run_gc(&mut self, node: NodeId, card: u8, rounds: Vec<GcRound>) {
-        self.sim.run();
-        let agent = self.gc_agents[node.index()];
-        self.sim
-            .component_mut::<GcAgent>(agent)
-            .expect("GC agent installed")
-            .push_job(card, rounds);
-        self.sim.schedule(SimTime::ZERO, agent, GcKick);
-        self.sim.run();
-    }
-
     /// Cluster-wide flash lifecycle accounting, aggregated over every
-    /// card's mirror FTL: host programs vs GC relocation programs (the
+    /// card's FTL: host programs vs GC relocation programs (the
     /// write-amplification numerator), victim erases, relocated pages,
     /// and the widest per-card erase-count spread the wear leveler is
     /// holding down.
     pub fn gc_stats(&self) -> GcStats {
         let mut total = GcStats::default();
-        for node in &self.mirrors {
-            for mirror in node {
-                let stats = mirror.stats();
+        for node in 0..self.node_count() {
+            for card in 0..self.config.flash.cards_per_node {
+                let ftl = self.ftl(NodeId::from(node), card);
+                let stats = ftl.stats();
                 total.host_writes += stats.host_writes;
                 total.gc_writes += stats.flash_writes - stats.host_writes;
                 total.erases += stats.gc_erases;
                 total.relocated += stats.gc_moves;
-                total.wear_spread = total.wear_spread.max(mirror.wear_spread());
+                total.wear_spread = total.wear_spread.max(ftl.wear_spread());
             }
         }
         total
     }
 
-    /// Per-node GC agent statistics: rounds/moves/erases this node has
-    /// executed as simulated traffic (preload-time functional rounds are
-    /// accounted only in the mirror's policy totals).
+    /// Per-node collection statistics: rounds/moves/erases this node's
+    /// agent has executed as simulated traffic (rounds a preload applies
+    /// functionally are accounted only in the FTL's policy totals).
     pub fn gc_agent_stats(&self, node: NodeId) -> &GcAgentStats {
-        self.sim
-            .component::<GcAgent>(self.gc_agents[node.index()])
-            .expect("GC agent installed")
-            .stats()
+        self.agent(node).gc_stats()
     }
 
-    /// Logical page capacity of `node` across its cards: the sum of the
-    /// mirror FTLs' exported capacities.
+    /// Logical page capacity of `node` across its cards: the sum of their
+    /// FTLs' exported capacities.
     pub fn node_capacity_pages(&self, node: NodeId) -> u64 {
-        self.mirrors[node.index()].iter().map(Ftl::capacity_pages).sum()
+        self.capacity[node.index()].iter().map(|&c| c as u64).sum()
     }
 
-    /// The mirror FTL of one card — the conformance suite compares its
-    /// mapping table and stats against an offline twin.
-    pub fn mirror(&self, node: NodeId, card: usize) -> &Ftl {
-        &self.mirrors[node.index()][card]
+    /// The FTL of one card — the conformance suite compares its mapping
+    /// table and stats against an offline twin.
+    pub fn ftl(&self, node: NodeId, card: usize) -> &Ftl {
+        &self.agent(node).card(card).ftl
     }
 
     /// The simulated flash array of one card (the only one) — the
     /// conformance suite checks its programmed pages and erase counts
     /// against an offline twin's books.
     pub fn card_array(&self, node: NodeId, card: usize) -> &FlashArray {
+        self.controller(node, card).array()
+    }
+
+    fn controller(&self, node: NodeId, card: usize) -> &FlashController {
         self.sim
             .component::<FlashController>(self.controllers[node.index()][card])
             .expect("controller installed")
-            .array()
     }
 
-    /// The logical lifecycle ops recorded for one card (empty unless
-    /// `config.gc.log`).
+    /// The logical lifecycle ops recorded for one card, in the order its
+    /// FTL stepped them (empty unless `config.gc.log`).
     pub fn lifecycle_log(&self, node: NodeId, card: usize) -> &[LifecycleOp] {
-        &self.lifecycle_log[node.index()][card]
+        &self.agent(node).card(card).lifecycle_log
     }
 
-    /// The mirror-decided GC rounds recorded for one card, in op order
-    /// (empty unless `config.gc.log`).
+    /// The GC rounds one card's FTL decided, in op order (empty unless
+    /// `config.gc.log`).
     pub fn gc_rounds_log(&self, node: NodeId, card: usize) -> &[GcRound] {
-        &self.gc_rounds_log[node.index()][card]
+        &self.agent(node).card(card).gc_rounds_log
+    }
+
+    fn agent(&self, node: NodeId) -> &NodeAgent {
+        self.sim
+            .component::<NodeAgent>(self.agents[node.index()])
+            .expect("agent installed")
+    }
+
+    fn agent_mut(&mut self, node: NodeId) -> &mut NodeAgent {
+        self.sim
+            .component_mut::<NodeAgent>(self.agents[node.index()])
+            .expect("agent installed")
     }
 
     fn op_id(&mut self) -> u64 {
@@ -845,12 +777,13 @@ impl Cluster {
     /// building a 100k-page dataset should not cost 100k simulated
     /// tPROGs). `data` shorter than a page is zero-padded.
     ///
-    /// Preload skips simulated time but not the lifecycle: the mirror
-    /// steps exactly as for a simulated write, and the step — any
-    /// collection rounds it decided, then the program — is applied
-    /// *functionally* to the card's array ([`StepOutcome::apply`]: no
-    /// simulated latency), so the array holds what the mirror's books
-    /// say for later simulated traffic.
+    /// Preload skips simulated time but not the lifecycle: the card's
+    /// FTL, reached in its node's agent, steps exactly as for a simulated
+    /// write, and the step — any collection rounds it decided, then the
+    /// program — is applied *functionally* to the card's array
+    /// ([`bluedbm_ftl::StepOutcome::apply`]: no simulated latency), so
+    /// the array holds what the FTL's books say for later simulated
+    /// traffic.
     ///
     /// # Errors
     ///
@@ -864,7 +797,8 @@ impl Cluster {
     ) -> Result<GlobalPageAddr, ClusterError> {
         self.check_page_size(data)?;
         let addr = self.alloc_page(node)?;
-        let outcome = self.step_mirror(addr);
+        let lba = self.config.flash.geometry.linear_of(addr.ppa) as u64;
+        let outcome = self.agent_mut(node).step_write(addr.card, lba);
         let page_bytes = self.config.flash.geometry.page_bytes;
         let mut page = Cow::Borrowed(data);
         if data.len() < page_bytes {
@@ -945,19 +879,21 @@ impl Cluster {
     /// concurrent multi-reader workloads (all-to-all scatter streams):
     /// inject from every reader, then [`Cluster::run_to_quiescence`] and
     /// [`Cluster::harvest_node`]. Returns the op id echoed in the
-    /// completion. A read of an unmapped logical page completes with
-    /// `NotProgrammed` at the injection instant, with no flash command
-    /// and no network message.
+    /// completion. The home node's agent maps the logical page to its
+    /// cell when it sends the read to the card; a page no cell holds
+    /// (never written, or freed) completes with `NotProgrammed` and no
+    /// flash command. An address the cluster lacks — a node, a card or
+    /// a page outside the geometry — completes with `OutOfRange` at the
+    /// injection instant, with no flash command and no network message.
     pub fn inject_read(&mut self, reader: NodeId, addr: GlobalPageAddr, consume: Consume) -> u64 {
         let op_id = self.op_id();
-        let op = match self.resolve(addr) {
-            Some(addr) => AgentOp::ReadFlash {
-                op_id,
-                addr,
-                consume,
-            },
-            None => AgentOp::ReadUnmapped { op_id, addr },
-        };
+        if self.lba_of(addr).is_none() {
+            let now = self.now();
+            let error = FlashError::OutOfRange(addr.ppa);
+            self.agent_mut(reader).complete(now, op_id, Some(addr), Err(error), now);
+            return op_id;
+        }
+        let op = AgentOp::ReadFlash { op_id, addr, consume };
         self.sim.schedule(SimTime::ZERO, self.agents[reader.index()], op);
         op_id
     }
@@ -965,7 +901,9 @@ impl Cluster {
     /// Inject one page write at `node` (allocating the page and staging
     /// the payload) **without running the simulation** — the write-side
     /// twin of [`Cluster::inject_read`], used by the concurrent KV
-    /// engine to put many tenants' writes in flight at once. `data`
+    /// engine to put many tenants' writes in flight at once. The card's
+    /// FTL places the write when it reaches the node's agent; a write
+    /// that trips collection waits out its own card's GC. `data`
     /// shorter than a page is zero-padded. Returns the op id echoed in
     /// the completion and the page allocated.
     ///
@@ -982,31 +920,13 @@ impl Cluster {
         self.check_page_size(data)?;
         let addr = self.alloc_page(node)?;
         let op_id = self.op_id();
-        // Replay the write against the mirror FTL first. If it trips a
-        // watermark the collection runs to completion as simulated
-        // traffic *before* this program is scheduled — the foreground
-        // write waits out its own GC, like on a real device.
-        let outcome = self.step_mirror(addr);
-        if !outcome.gc.is_empty() {
-            self.run_gc(node, addr.card, outcome.gc);
-        }
         // Staged in the store segment of the shard that owns the node,
         // where its flash controller consumes (and frees) the page.
         let page_bytes = self.config.flash.geometry.page_bytes;
         let shard = self.partition[node.index()] as usize;
-        let buffer = self.sim.page_store_mut(shard).alloc_padded(data, page_bytes);
-        self.sim.schedule(
-            SimTime::ZERO,
-            self.agents[node.index()],
-            AgentOp::WriteFlash {
-                op_id,
-                addr: GlobalPageAddr {
-                    ppa: outcome.target,
-                    ..addr
-                },
-                data: buffer,
-            },
-        );
+        let data = self.sim.page_store_mut(shard).alloc_padded(data, page_bytes);
+        let op = AgentOp::WriteFlash { op_id, addr, data };
+        self.sim.schedule(SimTime::ZERO, self.agents[node.index()], op);
         Ok((op_id, addr))
     }
 
@@ -1017,10 +937,7 @@ impl Cluster {
 
     /// Drain the completions recorded at `node`.
     pub fn harvest_node(&mut self, node: NodeId) -> Vec<Completed> {
-        self.sim
-            .component_mut::<NodeAgent>(self.agents[node.index()])
-            .expect("agent installed")
-            .take_completed()
+        self.agent_mut(node).take_completed()
     }
 
     /// Inject a batch of reads at `reader` (all at the current instant),
@@ -1059,10 +976,7 @@ impl Cluster {
     /// Node-agent statistics for `node` (borrowed; see
     /// [`Cluster::router_stats`]).
     pub fn agent_stats(&self, node: NodeId) -> &AgentStats {
-        self.sim
-            .component::<NodeAgent>(self.agents[node.index()])
-            .expect("agent installed")
-            .stats()
+        self.agent(node).stats()
     }
 
     /// Accelerator-scheduler statistics for `node` (borrowed; see
@@ -1078,10 +992,7 @@ impl Cluster {
     /// Controller statistics for one card of `node` (borrowed; see
     /// [`Cluster::router_stats`]).
     pub fn controller_stats(&self, node: NodeId, card: usize) -> &CtrlStats {
-        self.sim
-            .component::<FlashController>(self.controllers[node.index()][card])
-            .expect("controller installed")
-            .stats()
+        self.controller(node, card).stats()
     }
 
     /// Shard 0's segment of the simulator-owned page store — on a
@@ -1426,7 +1337,7 @@ mod tests {
     fn assert_untouched(cluster: &Cluster) {
         assert_eq!(cluster.flash_pages_in_use(), 0);
         assert_eq!(cluster.gc_stats().host_writes, 0);
-        assert_eq!(cluster.mirror(NodeId(0), 0).physical_of(0), None);
+        assert_eq!(cluster.ftl(NodeId(0), 0).physical_of(0), None);
     }
 
     #[test]
@@ -1455,16 +1366,36 @@ mod tests {
     #[test]
     fn address_outside_the_geometry_reads_out_of_range() {
         let mut cluster = tiny_cluster();
-        for i in 0..40u8 {
-            cluster.preload_page(NodeId(0), &[i; 512]).unwrap();
-        }
+        let addrs: Vec<GlobalPageAddr> = (0..40u8)
+            .map(|i| cluster.preload_page(NodeId(0), &[i; 512]).unwrap())
+            .collect();
         // Page 16 of a 16-page block: its linear index would alias the
-        // card's logical page 16, which holds preload #32.
+        // card's logical page 16, which holds preload #32. A card or a
+        // node the two-node, two-card cluster lacks must not index past
+        // its tables.
         let ppa = bluedbm_flash::Ppa::new(0, 0, 0, 16);
-        let addr = GlobalPageAddr { node: NodeId(0), card: 0, ppa };
-        for reader in [NodeId(0), NodeId(1)] {
-            let err = cluster.read_page(reader, addr, Consume::Isp).unwrap_err();
-            assert_eq!(err, ClusterError::Flash(FlashError::OutOfRange(ppa)));
+        let outside = [
+            GlobalPageAddr { node: NodeId(0), card: 0, ppa },
+            GlobalPageAddr { card: 7, ..addrs[0] },
+            GlobalPageAddr { node: NodeId(5), ..addrs[0] },
+        ];
+        for addr in outside {
+            let out_of_range = FlashError::OutOfRange(addr.ppa);
+            for reader in [NodeId(0), NodeId(1)] {
+                let reads = cluster.card_array(NodeId(0), 0).stats().reads;
+                let (injected, at) = (cluster.router_stats(reader).injected, cluster.now());
+                let op = cluster.inject_read(reader, addr, Consume::Isp);
+                cluster.run_to_quiescence();
+                let done = cluster.harvest_node(reader);
+                assert_eq!(done.len(), 1);
+                let c = &done[0];
+                let want = (op, Some(out_of_range.clone()), at, at);
+                assert_eq!((c.op_id, c.error.clone(), c.start, c.end), want, "{addr:?} read at {reader}");
+                assert_eq!(cluster.card_array(NodeId(0), 0).stats().reads, reads);
+                assert_eq!(cluster.router_stats(reader).injected, injected);
+                let err = cluster.read_page(reader, addr, Consume::Isp).unwrap_err();
+                assert_eq!(err, ClusterError::Flash(out_of_range.clone()));
+            }
         }
         cluster.assert_quiescent();
     }
@@ -1477,7 +1408,7 @@ mod tests {
         let err = cluster.free_page(GlobalPageAddr { ppa, ..addr }).unwrap_err();
         assert_eq!(err, ClusterError::Flash(FlashError::OutOfRange(ppa)));
         assert_eq!(cluster.flash_pages_in_use(), 1);
-        assert_eq!(cluster.mirror(NodeId(0), 0).stats().trims, 0);
+        assert_eq!(cluster.ftl(NodeId(0), 0).stats().trims, 0);
         // The page that was allocated still is, and is the one freed.
         cluster.free_page(addr).unwrap();
         assert_eq!(cluster.alloc_page(NodeId(0)).unwrap(), addr);
@@ -1498,7 +1429,7 @@ mod tests {
         let freed = addrs[2];
         assert_eq!((freed.card, geom.linear_of(freed.ppa)), (0, 1));
         assert_eq!((addrs[8].card, geom.linear_of(addrs[8].ppa)), (0, 4));
-        assert_eq!(cluster.mirror(NodeId(0), 0).physical_of(4), Some(geom.ppa_of(1)));
+        assert_eq!(cluster.ftl(NodeId(0), 0).physical_of(4), Some(geom.ppa_of(1)));
         cluster.free_page(freed).unwrap();
         let not_programmed = FlashError::NotProgrammed(freed.ppa);
         for reader in [NodeId(0), NodeId(1)] {
@@ -1511,9 +1442,15 @@ mod tests {
             assert_eq!(done.len(), 1);
             let c = &done[0];
             assert_eq!((c.op_id, c.error.clone(), c.data.is_none()), (op, Some(not_programmed.clone()), true));
-            assert_eq!((c.start, c.end), (at, at), "completes at the injection instant");
             assert_eq!(cluster.card_array(NodeId(0), 0).stats().reads, flash_reads);
-            assert_eq!(cluster.router_stats(reader).injected, injected);
+            if reader == NodeId(0) {
+                assert_eq!((c.start, c.end), (at, at), "completes at the injection instant");
+                assert_eq!(cluster.router_stats(reader).injected, injected);
+            } else {
+                // Only the home node knows the mapping: the request
+                // crosses the network, and the answer comes back.
+                assert_eq!(cluster.router_stats(reader).injected, injected + 1);
+            }
             let err = cluster.read_page(reader, freed, Consume::Isp).unwrap_err();
             assert_eq!(err, ClusterError::Flash(not_programmed.clone()));
         }

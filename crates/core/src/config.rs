@@ -138,17 +138,17 @@ impl AccelConfig {
     }
 }
 
-/// Flash lifecycle management: per-card mirror FTLs drive garbage
-/// collection, wear leveling and write-amplification accounting inside
-/// the event-driven simulation (paper Section 4 — BlueDBM's raw flash
-/// pushes the FTL into the driver).
+/// Flash lifecycle management: per-card FTLs drive garbage collection,
+/// wear leveling and write-amplification accounting inside the
+/// event-driven simulation (paper Section 4 — BlueDBM's raw flash pushes
+/// the FTL into the node's own software).
 ///
 /// The lifecycle is always on: the cluster's driver-visible page
-/// addresses are *logical*, each card keeps a [`bluedbm_ftl::Ftl`]
-/// mirror that maps them to physical pages, and a per-node
-/// `crate::gc::GcAgent` executes the mirror's GC rounds (valid-page
-/// migration reads/programs and block erases) as ordinary simulated
-/// commands on the same buses and controllers as foreground traffic.
+/// addresses are *logical*, and each node's agent runs one
+/// [`bluedbm_ftl::Ftl`] per card that maps them to physical pages and
+/// executes its GC rounds (valid-page migration reads/programs and block
+/// erases) as ordinary simulated commands on the same buses and
+/// controllers as foreground traffic, stopping only the collecting card.
 /// These knobs tune the policy and the conformance log.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct GcConfig {

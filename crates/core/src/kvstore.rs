@@ -35,7 +35,7 @@
 //!
 //! Values own flash pages. [`KvStore::submit_delete`] and overwriting
 //! puts release the previous extent back to the cluster's per-node free
-//! pool (`Cluster::free_page`), where the mirror FTL unmaps the pages
+//! pool (`Cluster::free_page`), where the card's FTL unmaps the pages
 //! and later puts reallocate them; the per-key gates guarantee no reader
 //! holds the extent when it is freed, and an overwrite retires the old
 //! extent only once its replacement is durable (a failed put leaves the

@@ -23,12 +23,13 @@
 //! * [`kvstore`] — the concurrent multi-tenant key-value workload
 //!   engine: async op submission, per-key FIFO consistency, windowed
 //!   injection, extent free-lists with a stranded-page audit;
-//! * [`gc`] — the flash lifecycle inside the simulation: per-card
-//!   mirror FTLs decide garbage collection and wear leveling, and a
-//!   per-node `gc::GcAgent` executes the migration reads/programs and
-//!   block erases as ordinary simulated commands, so GC pressure shows
-//!   up in tenant tail latency and [`cluster::Cluster::gc_stats`]
-//!   reports erase counts and write amplification.
+//! * [`gc`] — the flash lifecycle inside the simulation: each node
+//!   agent runs its cards' FTLs, which decide garbage collection and
+//!   wear leveling, and executes the migration reads/programs and block
+//!   erases as ordinary simulated commands while the collecting card
+//!   alone stops, so GC pressure shows up in tenant tail latency and
+//!   [`cluster::Cluster::gc_stats`] reports erase counts and write
+//!   amplification.
 //!
 //! ## Example
 //!

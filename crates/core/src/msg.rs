@@ -65,7 +65,6 @@ use bluedbm_sim::pool::PoolRef;
 use bluedbm_sim::shard::ShardMessage;
 use bluedbm_sim::{PageRef, PageStore, PoolStore};
 
-use crate::gc::GcKick;
 use crate::node::{AgentOp, DramServed, RemoteReq, RemoteResp};
 use crate::scheduler::{SchedDone, SchedFree, SchedSubmit};
 
@@ -115,8 +114,6 @@ pub(crate) enum Msg {
     SchedFree(SchedFree),
     /// Accelerator job completion (scheduler → requester).
     SchedDone(SchedDone),
-    /// Wake a node's GC agent: a mirror FTL queued lifecycle rounds.
-    GcKick(GcKick),
 }
 
 /// The fast-path size budget: one [`Msg`] must fit a 64-byte cache
@@ -191,13 +188,6 @@ impl From<SchedDone> for Msg {
     #[inline]
     fn from(m: SchedDone) -> Self {
         Msg::SchedDone(m)
-    }
-}
-
-impl From<GcKick> for Msg {
-    #[inline]
-    fn from(m: GcKick) -> Self {
-        Msg::GcKick(m)
     }
 }
 

@@ -7,6 +7,40 @@
 //! issues tagged commands to the local flash splitters, serves and issues
 //! remote requests over the integrated network, stages host-bound data
 //! through the PCIe link, and answers remote DRAM-buffer reads.
+//!
+//! ## Flash management
+//!
+//! BlueDBM's flash is raw: each node's own software maps pages and
+//! collects garbage for the cards on that node (paper Section 4). The
+//! agent is that software. It owns one [`Ftl`] per card, and page
+//! addresses arrive *logical*:
+//!
+//! * A write steps its card's `Ftl` when it reaches the agent (at zero
+//!   delay, in the order the driver injected it) and programs the cell
+//!   the step returns.
+//! * A read — local, or a remote node's request — is mapped with
+//!   [`Ftl::physical_of`] when it reaches the card's agent, and keeps
+//!   that cell through any wait for a tag or a collection: every
+//!   collection decided before it runs first, and none decided after it
+//!   starts until it has completed. (Mapping at send time would see the
+//!   moves of a collection decided later but not yet run.) A page no
+//!   cell holds completes with `NotProgrammed` and sends no flash
+//!   command.
+//! * When a step decides collection rounds, the card stops: commands
+//!   that arrive wait in its line, in arrival order. Once every command
+//!   the card accepted before the step has completed, the agent runs the
+//!   rounds under its own tags (`crate::gc::GcJob` is the cursor), then
+//!   sends the waiting commands. Each card collects on its own; the
+//!   node's other cards and every other node run on.
+//!
+//! The driver reaches the `Ftl`s functionally, between runs: a preload
+//! steps a write and applies it to the array at once, and a free trims at
+//! once, since a trim moves no data. So a trim can come before the step
+//! of a write that was injected earlier in the same round but has not yet
+//! reached the agent. That reorders an `Ftl`'s input only when a free
+//! follows a write to the same card within one round; since a trim moves
+//! no data and no read may be in flight against a freed page, the order
+//! changes no page's contents.
 
 use std::collections::VecDeque;
 
@@ -14,7 +48,8 @@ use bluedbm_sim::fxhash::FxHashMap;
 
 use bluedbm_flash::controller::{CtrlCmd, CtrlResp, Tag};
 use bluedbm_flash::error::FlashError;
-use bluedbm_flash::geometry::Ppa;
+use bluedbm_flash::geometry::{FlashGeometry, Ppa};
+use bluedbm_ftl::{Ftl, FtlError, GcRound, StepOutcome};
 use bluedbm_host::bufpool::BufferPool;
 use bluedbm_host::msg::HostMsg;
 use bluedbm_host::pcie::PcieXfer;
@@ -24,6 +59,8 @@ use bluedbm_sim::engine::{Component, ComponentId, Ctx};
 use bluedbm_sim::time::{Bandwidth, SimTime};
 use bluedbm_sim::{MetricsNode, PageRef, TraceCat, TraceName};
 
+use crate::config::SystemConfig;
+use crate::gc::{GcAgentStats, GcJob, LifecycleOp};
 use crate::msg::{Msg, NetBody};
 use crate::scheduler::{SchedDone, SchedSubmit};
 
@@ -42,7 +79,8 @@ pub struct GlobalPageAddr {
     pub node: NodeId,
     /// Flash card within the node.
     pub card: u8,
-    /// Physical page on that card.
+    /// Logical page on that card, in the card geometry's page
+    /// coordinates (its `Ftl` maps it to a cell).
     pub(crate) ppa: Ppa,
 }
 
@@ -70,25 +108,17 @@ pub(crate) enum AgentOp {
     ReadFlash {
         /// Driver-chosen id echoed in the completion record.
         op_id: u64,
-        /// Page to read.
+        /// Logical page to read; the driver checked that the cluster
+        /// has it.
         addr: GlobalPageAddr,
         /// Data destination.
         consume: Consume,
     },
-    /// A read of a logical page no cell holds (never written, or
-    /// freed): completes at once with `NotProgrammed`, touching neither
-    /// flash nor network.
-    ReadUnmapped {
-        /// Driver-chosen id echoed in the completion record.
-        op_id: u64,
-        /// The logical page asked for.
-        addr: GlobalPageAddr,
-    },
-    /// Program one local page.
+    /// Write one local logical page: the card's `Ftl` picks the cell.
     WriteFlash {
         /// Driver-chosen id echoed in the completion record.
         op_id: u64,
-        /// Page to program; must be local to this agent's node.
+        /// Logical page to write; must be local to this agent's node.
         addr: GlobalPageAddr,
         /// Handle to the page contents (staged in the simulator's page
         /// store by the driver; consumed by the flash controller).
@@ -249,6 +279,46 @@ enum FlashDest {
         req_id: u64,
         reply_ep: u16,
     },
+    /// A command of the card's collection in progress.
+    Gc,
+}
+
+/// A flash command before it has a tag.
+enum Cmd {
+    /// Read a physical cell.
+    Read(Ppa),
+    /// Program a physical cell.
+    Program(Ppa, PageRef),
+    /// Erase the block of a physical cell.
+    Erase(Ppa),
+}
+
+/// An entry of a card's line.
+enum Waiting {
+    /// Collection rounds one step decided, due once the commands the
+    /// card accepted before them have completed.
+    Gc(Vec<GcRound>),
+    /// A foreground command, sent when it reaches the head.
+    Cmd(Cmd, FlashDest),
+}
+
+/// One of the node's flash cards, as its agent runs it (see the module
+/// docs).
+pub(crate) struct Card {
+    splitter: ComponentId,
+    pub(crate) ftl: Ftl,
+    /// Foreground commands sent or tag-parked and not yet completed.
+    accepted: usize,
+    /// Commands and collections not yet started, in arrival order:
+    /// non-empty only while the card is stopped.
+    waiting: VecDeque<Waiting>,
+    /// The collection in progress.
+    gc: Option<GcJob>,
+    /// Every write and trim the `Ftl` stepped (under `config.gc.log`).
+    pub(crate) lifecycle_log: Vec<LifecycleOp>,
+    /// Every collection round the `Ftl` decided, in op order (under
+    /// `config.gc.log`).
+    pub(crate) gc_rounds_log: Vec<GcRound>,
 }
 
 /// A network round trip awaiting its response. Remembers what was asked
@@ -301,9 +371,10 @@ pub(crate) struct NodeAgent {
     node: NodeId,
     router: ComponentId,
     pcie: ComponentId,
-    /// Splitter (or controller) per flash card.
-    cards: Vec<ComponentId>,
-    page_bytes: usize,
+    cards: Vec<Card>,
+    geometry: FlashGeometry,
+    /// Record each card's lifecycle (`config.gc.log`).
+    log: bool,
     dram_latency: SimTime,
     /// The node's accelerator scheduler and one unit's processing
     /// bandwidth (for [`Consume::Accel`] reads).
@@ -311,11 +382,11 @@ pub(crate) struct NodeAgent {
     accel_bandwidth: Bandwidth,
 
     next_tag: u16,
-    flash_pending: FxHashMap<u16, FlashDest>,
+    /// In-flight tags: the card and what the command is for.
+    flash_pending: FxHashMap<u16, (u8, FlashDest)>,
     /// Flash commands waiting for a tag while all 65 536 are in flight,
-    /// in arrival order: the page, the payload of a write, and what the
-    /// command is for.
-    tag_parked: VecDeque<(GlobalPageAddr, Option<PageRef>, FlashDest)>,
+    /// in arrival order.
+    tag_parked: VecDeque<(u8, Cmd, FlashDest)>,
     next_req: u64,
     /// Per-destination counter for round-robin data-return endpoints
     /// (spreads response traffic across parallel lanes regardless of how
@@ -339,32 +410,41 @@ pub(crate) struct NodeAgent {
     /// Finished operations awaiting harvest.
     completed: Vec<Completed>,
     stats: AgentStats,
+    gc_stats: GcAgentStats,
 }
 
 impl NodeAgent {
-    /// Build an agent for `node` wired to its router, PCIe link, flash
-    /// card frontends and accelerator scheduler.
-    #[expect(clippy::too_many_arguments, reason = "the cluster builder is the one caller")]
+    /// Build an agent for `node` wired to its router, PCIe link and
+    /// accelerator scheduler, running each card's `(splitter, Ftl)`.
     pub(crate) fn new(
         node: NodeId,
         router: ComponentId,
         pcie: ComponentId,
-        cards: Vec<ComponentId>,
-        page_bytes: usize,
-        dram_latency: SimTime,
-        read_buffers: usize,
         sched: ComponentId,
-        accel_bandwidth: Bandwidth,
+        cards: Vec<(ComponentId, Ftl)>,
+        config: &SystemConfig,
     ) -> Self {
         NodeAgent {
             node,
             router,
             pcie,
-            cards,
-            page_bytes,
-            dram_latency,
+            cards: cards
+                .into_iter()
+                .map(|(splitter, ftl)| Card {
+                    splitter,
+                    ftl,
+                    accepted: 0,
+                    waiting: VecDeque::new(),
+                    gc: None,
+                    lifecycle_log: Vec::new(),
+                    gc_rounds_log: Vec::new(),
+                })
+                .collect(),
+            geometry: config.flash.geometry,
+            log: config.gc.log,
+            dram_latency: config.host.dram_latency,
             sched,
-            accel_bandwidth,
+            accel_bandwidth: config.accel.bandwidth,
             next_tag: 0,
             flash_pending: FxHashMap::default(),
             tag_parked: VecDeque::new(),
@@ -373,13 +453,14 @@ impl NodeAgent {
             net_pending: FxHashMap::default(),
             pcie_pending: FxHashMap::default(),
             next_pcie_token: 0,
-            host_buffers: BufferPool::new(read_buffers),
+            host_buffers: BufferPool::new(config.host.read_buffers),
             host_parked: VecDeque::new(),
             accel_pending: FxHashMap::default(),
             next_accel_job: 0,
             dram: FxHashMap::default(),
             completed: Vec::new(),
             stats: AgentStats::default(),
+            gc_stats: GcAgentStats::default(),
         }
     }
 
@@ -399,50 +480,215 @@ impl NodeAgent {
         std::mem::take(&mut self.completed)
     }
 
-    /// The next free rolling 16-bit tag, or `None` when every one is in
-    /// flight.
-    fn alloc_tag(&mut self) -> Option<u16> {
-        if self.flash_pending.len() > usize::from(u16::MAX) {
-            return None;
+    /// Collection statistics gathered so far.
+    pub(crate) fn gc_stats(&self) -> &GcAgentStats {
+        &self.gc_stats
+    }
+
+    /// One of the node's cards.
+    pub(crate) fn card(&self, card: usize) -> &Card {
+        &self.cards[card]
+    }
+
+    /// Step a write of logical page `lba` on `card`'s `Ftl`: the cell to
+    /// program and any collection rounds that must run first.
+    pub(crate) fn step_write(&mut self, card: u8, lba: u64) -> StepOutcome {
+        let card = &mut self.cards[usize::from(card)];
+        if self.log {
+            card.lifecycle_log.push(LifecycleOp::Write(lba));
         }
+        // Allocation is gated on the `Ftl`'s exported capacity, so the
+        // policy can always make room: NoSpace here is a logic bug, not
+        // an operational condition.
+        let outcome = card
+            .ftl
+            .step_write(lba)
+            .expect("Ftl out of space despite capacity-gated allocation");
+        if self.log {
+            card.gc_rounds_log.extend(outcome.gc.iter().cloned());
+        }
+        outcome
+    }
+
+    /// Trim logical page `lba` on `card`'s `Ftl`.
+    pub(crate) fn trim(&mut self, card: u8, lba: u64) -> Result<(), FtlError> {
+        let card = &mut self.cards[usize::from(card)];
+        card.ftl.step_trim(lba)?;
+        if self.log {
+            card.lifecycle_log.push(LifecycleOp::Trim(lba));
+        }
+        Ok(())
+    }
+
+    /// Hand a foreground command to `card`: it joins the card's line,
+    /// which sends it at once unless the card is stopped.
+    fn submit(&mut self, ctx: &mut Ctx<'_, Msg>, card: u8, cmd: Cmd, dest: FlashDest) {
+        self.cards[usize::from(card)].waiting.push_back(Waiting::Cmd(cmd, dest));
+        self.pump(ctx, card);
+    }
+
+    /// Move `card`'s line forward: send the commands at its head until a
+    /// collection is due, and start that collection once nothing the card
+    /// accepted before it is outstanding.
+    fn pump(&mut self, ctx: &mut Ctx<'_, Msg>, card: u8) {
         loop {
-            let t = self.next_tag;
-            self.next_tag = self.next_tag.wrapping_add(1);
-            if !self.flash_pending.contains_key(&t) {
-                return Some(t);
+            let c = &mut self.cards[usize::from(card)];
+            if c.gc.is_some() {
+                return;
+            }
+            match c.waiting.pop_front() {
+                None => return,
+                Some(Waiting::Gc(rounds)) if c.accepted > 0 => {
+                    c.waiting.push_front(Waiting::Gc(rounds));
+                    return;
+                }
+                Some(Waiting::Gc(rounds)) => {
+                    c.gc = Some(GcJob { rounds, round: 0, mv: 0 });
+                    self.gc_stats.jobs += 1;
+                    self.gc_next(ctx, card);
+                }
+                Some(Waiting::Cmd(cmd, dest)) => {
+                    c.accepted += 1;
+                    self.issue_flash(ctx, card, cmd, dest);
+                }
             }
         }
     }
 
-    /// Send one flash command for `addr` — a program of `data` when
-    /// given, a read otherwise — under a fresh tag, or park it until
-    /// [`Self::handle_ctrl_resp`] frees one.
-    fn issue_flash(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        addr: GlobalPageAddr,
-        data: Option<PageRef>,
-        dest: FlashDest,
-    ) {
-        let Some(tag) = self.alloc_tag() else {
-            self.tag_parked.push_back((addr, data, dest));
+    /// One of `card`'s foreground commands completed.
+    fn retire(&mut self, ctx: &mut Ctx<'_, Msg>, card: u8) {
+        let c = &mut self.cards[usize::from(card)];
+        c.accepted -= 1;
+        if c.accepted == 0 {
+            self.pump(ctx, card);
+        }
+    }
+
+    /// `(card << 32) | linear page` — the policy-pure payload word the
+    /// `Gc` trace records carry (stable across engines).
+    fn addr_word(&self, card: u8, ppa: Ppa) -> u64 {
+        (u64::from(card) << 32) | self.geometry.linear_of(ppa) as u64
+    }
+
+    /// Issue the next command of `card`'s collection — the next move's
+    /// read, or the round's erase — or end the collection and release
+    /// the card's line.
+    fn gc_next(&mut self, ctx: &mut Ctx<'_, Msg>, card: u8) {
+        let c = &mut self.cards[usize::from(card)];
+        let job = c.gc.as_ref().expect("a collection in progress");
+        let Some(round) = job.rounds.get(job.round) else {
+            c.gc = None;
+            self.pump(ctx, card);
             return;
         };
-        self.flash_pending.insert(tag, dest);
-        let (tag, ppa, reply_to) = (Tag(tag), addr.ppa, ctx.self_id());
-        let cmd = match data {
-            None => CtrlCmd::Read { tag, ppa, reply_to },
-            Some(data) => CtrlCmd::Write {
+        let (opens, victim, wear_leveling) = (job.mv == 0, round.victim, round.wear_leveling);
+        let cmd = match round.moves.get(job.mv) {
+            Some(&(src, _)) => Cmd::Read(src),
+            None => Cmd::Erase(victim),
+        };
+        if opens {
+            let a = self.addr_word(card, victim);
+            let b = u64::from(wear_leveling);
+            ctx.trace()
+                .instant(TraceCat::Gc, TraceName::Victim, self.node.0 as u32, a, b);
+        }
+        self.issue_flash(ctx, card, cmd, FlashDest::Gc);
+    }
+
+    /// A completion of `card`'s collection: program the relocated copy,
+    /// or count the move or erase and go on.
+    fn gc_resp(&mut self, ctx: &mut Ctx<'_, Msg>, card: u8, resp: CtrlResp) {
+        let node = self.node.0 as u32;
+        let job = self.cards[usize::from(card)].gc.as_mut().expect("a collection in progress");
+        let round = &job.rounds[job.round];
+        // The `Ftl` relocates only valid pages onto free cells and erases
+        // only its own victims: a failure means the array diverged from
+        // its books.
+        match resp {
+            CtrlResp::ReadDone { result, .. } => {
+                let read = result.expect("GC relocation read failed: array diverged from the Ftl");
+                let dst = round.moves[job.mv].1;
+                self.issue_flash(ctx, card, Cmd::Program(dst, read.page), FlashDest::Gc);
+            }
+            CtrlResp::WriteDone { result, .. } => {
+                result.expect("GC relocation program failed: array diverged from the Ftl");
+                let (src, dst) = round.moves[job.mv];
+                job.mv += 1;
+                self.gc_stats.moves += 1;
+                let (a, b) = (self.addr_word(card, src), self.geometry.linear_of(dst) as u64);
+                ctx.trace().instant(TraceCat::Gc, TraceName::Move, node, a, b);
+                self.gc_next(ctx, card);
+            }
+            CtrlResp::EraseDone { result, .. } => {
+                result.expect("GC erase failed: array diverged from the Ftl");
+                let (victim, moves) = (round.victim, round.moves.len() as u64);
+                job.round += 1;
+                job.mv = 0;
+                self.gc_stats.erases += 1;
+                self.gc_stats.rounds += 1;
+                let a = self.addr_word(card, victim);
+                ctx.trace().instant(TraceCat::Gc, TraceName::Erase, node, a, moves);
+                self.gc_next(ctx, card);
+            }
+        }
+    }
+
+    /// Send one command to `card` under a fresh tag, or park it until
+    /// [`Self::handle_ctrl_resp`] frees one.
+    fn issue_flash(&mut self, ctx: &mut Ctx<'_, Msg>, card: u8, cmd: Cmd, dest: FlashDest) {
+        if self.flash_pending.len() > usize::from(u16::MAX) {
+            self.tag_parked.push_back((card, cmd, dest));
+            return;
+        }
+        let tag = loop {
+            let t = self.next_tag;
+            self.next_tag = self.next_tag.wrapping_add(1);
+            if !self.flash_pending.contains_key(&t) {
+                break t;
+            }
+        };
+        self.flash_pending.insert(tag, (card, dest));
+        let (tag, reply_to) = (Tag(tag), ctx.self_id());
+        let cmd = match cmd {
+            Cmd::Read(ppa) => CtrlCmd::Read { tag, ppa, reply_to },
+            Cmd::Program(ppa, data) => CtrlCmd::Write {
                 tag,
                 ppa,
                 data,
                 reply_to,
             },
+            Cmd::Erase(ppa) => CtrlCmd::Erase { tag, ppa, reply_to },
         };
-        ctx.send(self.cards[addr.card as usize], SimTime::ZERO, cmd);
+        ctx.send(self.cards[usize::from(card)].splitter, SimTime::ZERO, cmd);
     }
 
-    fn complete(
+    /// A foreground read of logical page `logical` on `card`, mapped to
+    /// its cell now (see the module docs); a page no cell holds completes
+    /// with `NotProgrammed` at once.
+    fn read(&mut self, ctx: &mut Ctx<'_, Msg>, card: u8, logical: Ppa, dest: FlashDest) {
+        let lba = self.geometry.linear_of(logical) as u64;
+        match self.cards[usize::from(card)].ftl.physical_of(lba) {
+            Some(ppa) => self.submit(ctx, card, Cmd::Read(ppa), dest),
+            None => self.deliver_read(ctx, dest, Err(FlashError::NotProgrammed(logical))),
+        }
+    }
+
+    /// Hand a foreground read's result to whoever asked.
+    fn deliver_read(&mut self, ctx: &mut Ctx<'_, Msg>, dest: FlashDest, result: Result<PageRef, FlashError>) {
+        match dest {
+            FlashDest::Local { op_id, addr, consume, start } => {
+                self.consume_read(ctx, op_id, Some(addr), consume, start, result);
+            }
+            FlashDest::RemoteJob { origin, req_id, reply_ep } => {
+                let data = result.map_err(|e| RemoteError::of(&e));
+                let bytes = self.geometry.page_bytes as u32;
+                self.reply(ctx, origin, reply_ep, bytes, RemoteResp { req_id, data });
+            }
+            FlashDest::LocalWrite { .. } | FlashDest::Gc => panic!("a read result for a write or a collection"),
+        }
+    }
+
+    pub(crate) fn complete(
         &mut self,
         now: SimTime,
         op_id: u64,
@@ -560,10 +806,10 @@ impl NodeAgent {
             } => {
                 if addr.node == self.node {
                     self.stats.local_reads += 1;
-                    self.issue_flash(
+                    self.read(
                         ctx,
-                        addr,
-                        None,
+                        addr.card,
+                        addr.ppa,
                         FlashDest::Local {
                             op_id,
                             addr,
@@ -572,55 +818,22 @@ impl NodeAgent {
                         },
                     );
                 } else {
-                    self.stats.remote_reads += 1;
-                    let req_id = self.next_req;
-                    self.next_req += 1;
-                    self.net_pending.insert(
-                        req_id,
-                        NetPending {
-                            op_id,
-                            consume,
-                            start: ctx.now(),
-                            target: RemoteKind::Flash(addr),
-                        },
-                    );
-                    let rr = self.reply_rr.entry(addr.node).or_insert(0);
-                    let reply_ep = 1 + (*rr % u64::from(DATA_ENDPOINTS)) as u16;
-                    *rr += 1;
-                    // Interned, not boxed: the pool slot recycles when the
-                    // owning node takes the request back out, so the
-                    // remote-read control plane allocates nothing in
-                    // steady state.
-                    let req = ctx.pools().intern(RemoteReq {
-                        req_id,
-                        origin: self.node,
-                        reply_ep,
-                        kind: RemoteKind::Flash(addr),
-                    });
-                    ctx.send(
-                        self.router,
-                        SimTime::ZERO,
-                        NetSend::new(
-                            addr.node,
-                            REQUEST_ENDPOINT,
-                            REQUEST_BYTES,
-                            NetBody::Req(req),
-                        ),
-                    );
+                    self.request(ctx, op_id, consume, addr.node, RemoteKind::Flash(addr));
                 }
-            }
-            AgentOp::ReadUnmapped { op_id, addr } => {
-                let error = FlashError::NotProgrammed(addr.ppa);
-                self.complete(ctx.now(), op_id, Some(addr), Err(error), ctx.now());
             }
             AgentOp::WriteFlash { op_id, addr, data } => {
                 assert_eq!(addr.node, self.node, "remote writes are not modelled");
+                let outcome = self.step_write(addr.card, self.geometry.linear_of(addr.ppa) as u64);
+                if !outcome.gc.is_empty() {
+                    let line = &mut self.cards[usize::from(addr.card)].waiting;
+                    line.push_back(Waiting::Gc(outcome.gc));
+                }
                 let dest = FlashDest::LocalWrite {
                     op_id,
                     addr,
                     start: ctx.now(),
                 };
-                self.issue_flash(ctx, addr, Some(data), dest);
+                self.submit(ctx, addr.card, Cmd::Program(outcome.target, data), dest);
             }
             AgentOp::LoadDram { key, data } => {
                 self.dram.insert(key, data);
@@ -630,89 +843,60 @@ impl NodeAgent {
                 node,
                 key,
                 consume,
-            } => {
-                self.stats.remote_reads += 1;
-                let req_id = self.next_req;
-                self.next_req += 1;
-                self.net_pending.insert(
-                    req_id,
-                    NetPending {
-                        op_id,
-                        consume,
-                        start: ctx.now(),
-                        target: RemoteKind::Dram(key),
-                    },
-                );
-                let rr = self.reply_rr.entry(node).or_insert(0);
-                let reply_ep = 1 + (*rr % u64::from(DATA_ENDPOINTS)) as u16;
-                *rr += 1;
-                let req = ctx.pools().intern(RemoteReq {
-                    req_id,
-                    origin: self.node,
-                    reply_ep,
-                    kind: RemoteKind::Dram(key),
-                });
-                ctx.send(
-                    self.router,
-                    SimTime::ZERO,
-                    NetSend::new(
-                        node,
-                        REQUEST_ENDPOINT,
-                        REQUEST_BYTES,
-                        NetBody::Req(req),
-                    ),
-                );
-            }
+            } => self.request(ctx, op_id, consume, node, RemoteKind::Dram(key)),
         }
+    }
+
+    /// Send a response of `bytes` on the wire back to a requester.
+    fn reply(&self, ctx: &mut Ctx<'_, Msg>, origin: NodeId, reply_ep: u16, bytes: u32, resp: RemoteResp) {
+        let send = NetSend::new(origin, reply_ep, bytes, NetBody::Resp(resp));
+        ctx.send(self.router, SimTime::ZERO, send);
+    }
+
+    /// Send a read request for `target` to node `home` over the storage
+    /// network, remembering what was asked for.
+    fn request(&mut self, ctx: &mut Ctx<'_, Msg>, op_id: u64, consume: Consume, home: NodeId, target: RemoteKind) {
+        self.stats.remote_reads += 1;
+        let req_id = self.next_req;
+        self.next_req += 1;
+        let start = ctx.now();
+        let pending = NetPending { op_id, consume, start, target };
+        self.net_pending.insert(req_id, pending);
+        let rr = self.reply_rr.entry(home).or_insert(0);
+        let reply_ep = 1 + (*rr % u64::from(DATA_ENDPOINTS)) as u16;
+        *rr += 1;
+        // Interned, not boxed: the pool slot recycles when the owning
+        // node takes the request back out, so the remote-read control
+        // plane allocates nothing in steady state.
+        let req = ctx.pools().intern(RemoteReq {
+            req_id,
+            origin: self.node,
+            reply_ep,
+            kind: target,
+        });
+        let send = NetSend::new(home, REQUEST_ENDPOINT, REQUEST_BYTES, NetBody::Req(req));
+        ctx.send(self.router, SimTime::ZERO, send);
     }
 
     fn handle_ctrl_resp(&mut self, ctx: &mut Ctx<'_, Msg>, resp: CtrlResp) {
         let tag = resp.tag().0;
-        let dest = self
+        let (card, dest) = self
             .flash_pending
             .remove(&tag)
             .expect("completion for a tag the agent never issued");
-        if let Some((addr, data, parked)) = self.tag_parked.pop_front() {
-            self.issue_flash(ctx, addr, data, parked);
+        if let Some((card, cmd, dest)) = self.tag_parked.pop_front() {
+            self.issue_flash(ctx, card, cmd, dest);
         }
         match (dest, resp) {
-            (
-                FlashDest::Local {
-                    op_id,
-                    addr,
-                    consume,
-                    start,
-                },
-                CtrlResp::ReadDone { result, .. },
-            ) => {
-                self.consume_read(ctx, op_id, Some(addr), consume, start, result.map(|r| r.page));
-            }
+            (FlashDest::Gc, resp) => self.gc_resp(ctx, card, resp),
             (FlashDest::LocalWrite { op_id, addr, start }, CtrlResp::WriteDone { result, .. }) => {
                 let data = result.map(|()| Vec::new());
                 self.complete(ctx.now(), op_id, Some(addr), data, start);
+                self.retire(ctx, card);
             }
-            (
-                FlashDest::RemoteJob {
-                    origin,
-                    req_id,
-                    reply_ep,
-                },
-                CtrlResp::ReadDone { result, .. },
-            ) => {
-                let data = result
-                    .map(|r| r.page)
-                    .map_err(|e| RemoteError::of(&e));
-                let bytes = self.page_bytes as u32;
-                ctx.send(
-                    self.router,
-                    SimTime::ZERO,
-                    NetSend::new(
-                        origin,
-                        reply_ep,
-                        bytes,
-                        NetBody::Resp(RemoteResp { req_id, data }),
-                    ),
-                );
+            (dest, CtrlResp::ReadDone { result, .. }) => {
+                self.deliver_read(ctx, dest, result.map(|r| r.page));
+                self.retire(ctx, card);
             }
             _ => panic!("mismatched flash completion kind"),
         }
@@ -726,10 +910,10 @@ impl NodeAgent {
                 match req.kind {
                     RemoteKind::Flash(addr) => {
                         debug_assert_eq!(addr.node, self.node);
-                        self.issue_flash(
+                        self.read(
                             ctx,
-                            addr,
-                            None,
+                            addr.card,
+                            addr.ppa,
                             FlashDest::RemoteJob {
                                 origin: req.origin,
                                 req_id: req.req_id,
@@ -783,19 +967,11 @@ impl Component<Msg> for NodeAgent {
             Msg::FlashResp(resp) => self.handle_ctrl_resp(ctx, resp),
             Msg::NetRecv(recv) => self.handle_net(ctx, recv),
             Msg::Dram(served) => {
-                ctx.send(
-                    self.router,
-                    SimTime::ZERO,
-                    NetSend::new(
-                        served.origin,
-                        served.reply_ep,
-                        served.bytes,
-                        NetBody::Resp(RemoteResp {
-                            req_id: served.req_id,
-                            data: served.data,
-                        }),
-                    ),
-                );
+                let resp = RemoteResp {
+                    req_id: served.req_id,
+                    data: served.data,
+                };
+                self.reply(ctx, served.origin, served.reply_ep, served.bytes, resp);
             }
             Msg::SchedDone(SchedDone { job }) => {
                 let (op_id, addr, start, data) = self
@@ -848,6 +1024,101 @@ pub fn node_inventory(cards: usize) -> Vec<(&'static str, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::Cluster;
+
+    /// A two-node ring on the 512-byte-page tiny geometry, and three
+    /// quarters of node 0's capacity preloaded (alternating cards from
+    /// card 0).
+    fn three_quarters_full() -> (Cluster, Vec<GlobalPageAddr>) {
+        let mut config = SystemConfig::scaled_down();
+        config.flash.geometry = FlashGeometry::tiny();
+        let mut cluster = Cluster::ring(2, &config).unwrap();
+        let most = cluster.node_capacity_pages(NodeId(0)) as usize * 3 / 4;
+        let addrs = (0..most)
+            .map(|i| cluster.preload_page(NodeId(0), &[i as u8; 512]).unwrap())
+            .collect();
+        (cluster, addrs)
+    }
+
+    #[test]
+    fn inject_never_runs_the_simulation() {
+        // Overwrite churn of node 0, with remote reads beside it, until
+        // it has collected: no inject may move the clock or deliver an
+        // event.
+        let (mut cluster, addrs) = three_quarters_full();
+        let mut live = std::collections::VecDeque::from(addrs);
+        for round in 0..live.len() / 4 {
+            for i in 0..16u8 {
+                cluster.free_page(live.pop_front().unwrap()).unwrap();
+                let before = (cluster.now(), cluster.events_delivered());
+                let (_, addr) = cluster.inject_write(NodeId(0), &[i; 512]).unwrap();
+                cluster.inject_read(NodeId(1), live[live.len() / 2], Consume::Isp);
+                let after = (cluster.now(), cluster.events_delivered());
+                assert_eq!(after, before, "round {round}: an inject ran the simulation");
+                live.push_back(addr);
+            }
+            cluster.run_to_quiescence();
+            for node in [NodeId(0), NodeId(1)] {
+                assert!(cluster.harvest_node(node).iter().all(|c| c.error.is_none()));
+            }
+        }
+        assert!(cluster.gc_stats().erases > 0, "the churn collected");
+        cluster.assert_quiescent();
+    }
+
+    #[test]
+    fn reads_between_stacked_collections_find_their_pages() {
+        // Batches of overwrites of every fourth page stack collections on
+        // stopped cards, and the victims carry the other pages, cold,
+        // which reads queued between the collections must find where the
+        // collections before them, and none after them, left them.
+        let (mut cluster, addrs) = three_quarters_full();
+        let mut live: Vec<_> = addrs.into_iter().enumerate().map(|(i, a)| (a, i as u8)).collect();
+        let hot = live.len() / 4;
+        for round in 0..hot {
+            let mut reads = Vec::new();
+            for i in 0..16 {
+                let (h, fill) = (4 * ((round * 16 + i) % hot), (round * 16 + i) as u8);
+                cluster.free_page(live[h].0).unwrap();
+                let (_, addr) = cluster.inject_write(NodeId(0), &[fill; 512]).unwrap();
+                live[h] = (addr, fill);
+                let (page, value) = live[4 * ((i * 37 + round) % hot) + 1 + i % 3];
+                reads.push((cluster.inject_read(NodeId(0), page, Consume::Isp), value));
+            }
+            cluster.run_to_quiescence();
+            let done = cluster.harvest_node(NodeId(0));
+            for (op, value) in reads {
+                let c = done.iter().find(|c| c.op_id == op).expect("completed");
+                assert_eq!(c.data.as_deref(), Some(&[value; 512][..]), "round {round}: {:?}", c.error);
+            }
+        }
+        assert!(cluster.gc_agent_stats(NodeId(0)).moves > 0, "collections relocated pages");
+    }
+
+    #[test]
+    fn collection_stops_only_its_card() {
+        // Rewrite a card-0 page with a card-1 read in the same batch until
+        // a rewrite collects: the read never waits for card 0.
+        let (mut cluster, addrs) = three_quarters_full();
+        let (card0, card1) = (addrs[0], addrs[1]);
+        assert_eq!((card0.card, card1.card), (0, 1));
+        let uncontended = cluster.read_page(NodeId(0), card1, Consume::Isp).unwrap().latency;
+        for _ in 0..addrs.len() {
+            cluster.free_page(card0).unwrap();
+            let (at, erases) = (cluster.now(), cluster.gc_agent_stats(NodeId(0)).erases);
+            let (write, _) = cluster.inject_write(NodeId(0), &[1; 512]).unwrap();
+            let read = cluster.inject_read(NodeId(0), card1, Consume::Isp);
+            cluster.run_to_quiescence();
+            let done = cluster.harvest_node(NodeId(0));
+            let took = |op| done.iter().find(|c| c.op_id == op).expect("completed").end - at;
+            assert!(took(read) <= uncontended, "the card-1 read waited: {}", took(read));
+            if cluster.gc_agent_stats(NodeId(0)).erases > erases {
+                assert!(took(write) > uncontended, "the write did not wait out its collection");
+                return cluster.assert_quiescent();
+            }
+        }
+        panic!("no rewrite collected");
+    }
 
     #[test]
     fn inventory_matches_table2_modules() {

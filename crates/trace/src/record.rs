@@ -92,7 +92,7 @@ pub const ALL_CATEGORIES: u32 = {
 /// `Accel`/`BufPool` payloads include queue waits and park decisions,
 /// which the determinism contract explicitly leaves per-engine. `Gc`
 /// qualifies because victim choice and migration order come from the
-/// mirror FTL's policy, a pure function of the logical op sequence.
+/// card FTL's policy, a pure function of the logical op sequence.
 pub const STABLE_CATEGORIES: u32 = TraceCat::KvOp.bit() | TraceCat::Gc.bit();
 
 /// What happened: the closed set of event names instrumentation sites

@@ -294,7 +294,7 @@ pub fn ftl_matches_model(mut array: FlashArray, ops: Vec<(u8, u64, u8)>) {
 /// Replay a cluster card's recorded logical lifecycle ops against a
 /// fresh offline twin of a card in `factory` state — the GC conformance
 /// oracle. Returns the twin and the GC rounds it decided, in op order,
-/// for comparison against the cluster mirror's state and recorded
+/// for comparison against the cluster card FTL's state and recorded
 /// rounds.
 pub fn replay_lifecycle(
     factory: &FlashArray,

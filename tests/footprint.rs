@@ -93,10 +93,11 @@ const KEYS: u64 = 50_000;
 const TENANTS: u16 = 8;
 const BATCH: u64 = 4_096;
 const NODES: usize = 4;
-/// ≈ 10 % above the 86.5 MB / 91 199 calls the current layout measures
-/// (with a shadow `FlashArray` behind each card's mirror FTL: 94.0 MB,
-/// 97 343 calls; with a `Vec` per routed pair: 125.0 MB, 1 154 051
-/// calls).
+/// 11–15 % above the 85.3 MB / 87 095 calls the current layout measures
+/// (with a GC component per node beside driver-side FTLs: 85.5 MB,
+/// 90 171 calls; with a shadow `FlashArray` behind each card's FTL:
+/// 94.0 MB, 97 343 calls; with a `Vec` per routed pair: 125.0 MB,
+/// 1 154 051 calls).
 const MESH_MB_PIN: f64 = 95.0;
 const MESH_CALLS_PIN: u64 = 100_000;
 

@@ -1,10 +1,10 @@
 //! Flash-lifecycle conformance: the DES garbage collector pinned
 //! against the offline [`Ftl`] twin.
 //!
-//! The cluster runs GC *in the simulation* — a per-node `GcAgent`
-//! issues relocation reads, programs and erases as ordinary commands on
-//! the same buses and controllers as foreground traffic — while a
-//! driver-side mirror `Ftl` per card decides placement and victims.
+//! The cluster runs GC *in the simulation*: each node's agent runs one
+//! `Ftl` per card, which decides placement and victims, and issues the
+//! relocation reads, programs and erases as ordinary commands on the
+//! same buses and controllers as foreground traffic.
 //! This suite replays each card's recorded logical lifecycle (every
 //! host write and trim, in order) through a fresh offline `Ftl` built
 //! for an identical factory-fresh card and requires bit-level agreement
@@ -124,16 +124,16 @@ fn assert_twin_agrees(cluster: &Cluster) {
             );
 
             // Mapping table and cumulative stats.
-            let mirror = cluster.mirror(node, card);
+            let ftl = cluster.ftl(node, card);
             assert_eq!(
                 twin.stats(),
-                mirror.stats(),
+                ftl.stats(),
                 "node {n} card {card}: twin stats diverged"
             );
             for lba in 0..twin.capacity_pages() {
                 assert_eq!(
                     twin.physical_of(lba),
-                    mirror.physical_of(lba),
+                    ftl.physical_of(lba),
                     "node {n} card {card}: mapping of lba {lba} diverged"
                 );
             }
@@ -176,8 +176,8 @@ fn observe_gc(store: &KvStore, summary: &KvRunSummary) -> (u64, u64, GcStats, Ve
     for n in 0..cluster.node_count() {
         let node = NodeId::from(n);
         for card in 0..config.flash.cards_per_node {
-            let mirror = cluster.mirror(node, card);
-            let mapping = (0..mirror.capacity_pages()).map(|lba| mirror.physical_of(lba)).collect();
+            let ftl = cluster.ftl(node, card);
+            let mapping = (0..ftl.capacity_pages()).map(|lba| ftl.physical_of(lba)).collect();
             let des = cluster.card_array(node, card);
             let physical = (0..geom.total_pages())
                 .map(|linear| {
@@ -185,7 +185,7 @@ fn observe_gc(store: &KvStore, summary: &KvRunSummary) -> (u64, u64, GcStats, Ve
                     (des.is_programmed(ppa), des.erase_count(ppa))
                 })
                 .collect();
-            cards.push((mirror.stats(), mapping, physical));
+            cards.push((ftl.stats(), mapping, physical));
         }
     }
     (summary.errors, summary.digest, cluster.gc_stats(), cards)
@@ -201,8 +201,8 @@ fn observe_gc(store: &KvStore, summary: &KvRunSummary) -> (u64, u64, GcStats, Ve
 ///
 /// The churn is twice what the cards can hold, so it can only complete
 /// by collecting: it completes with zero errors and no
-/// `FtlError::NoSpace` anywhere (an out-of-space mirror panics the
-/// injection path, so completing *is* the assertion).
+/// `FtlError::NoSpace` anywhere (an out-of-space `Ftl` panics the
+/// write path, so completing *is* the assertion).
 #[test]
 fn churn_at_twice_capacity_collects_and_agrees_with_the_offline_twin() {
     let churn = 2 * logical_capacity_of(2);
@@ -214,15 +214,15 @@ fn churn_at_twice_capacity_collects_and_agrees_with_the_offline_twin() {
     assert!(gc.relocated > 0, "GC must relocate live pages: {gc:?}");
     assert!(gc.wa() > 1.0, "relocation must show up as WA: {}", gc.wa());
 
-    // The in-sim agents performed exactly the work the mirrors decided.
+    // The in-sim agents performed exactly the work the FTLs decided.
     let (mut agent_erases, mut agent_moves) = (0, 0);
     for n in 0..store.cluster().node_count() {
         let stats = store.cluster().gc_agent_stats(NodeId::from(n));
         agent_erases += stats.erases;
         agent_moves += stats.moves;
     }
-    assert_eq!(agent_erases, gc.erases, "agent erases vs mirror erases");
-    assert_eq!(agent_moves, gc.relocated, "agent moves vs mirror moves");
+    assert_eq!(agent_erases, gc.erases, "agent erases vs FTL erases");
+    assert_eq!(agent_moves, gc.relocated, "agent moves vs FTL moves");
 
     assert_twin_agrees(store.cluster());
 }
