@@ -14,8 +14,8 @@
 //! Page addresses handed to drivers are *logical*. Each card's [`Ftl`]
 //! is run by its node's agent inside the simulation: it places a write
 //! when the write reaches the agent, decides garbage collection and wear
-//! leveling, and maps a read to its cell when the read's command is sent
-//! to the card (see `crate::node`). No `inject_*` call runs the
+//! leveling, and maps a read to its cell when the read reaches the
+//! card's agent (see `crate::node`). No `inject_*` call runs the
 //! simulation.
 //!
 //! One engine runs every cluster: a [`ShardedSimulator`] over the node →
@@ -90,6 +90,10 @@ pub enum ClusterError {
     /// The topology is not connected: this node cannot be reached from
     /// node 0, so no route joins them.
     Disconnected(NodeId),
+    /// `config.flash.cards_per_node` is outside `1..=256`: a page
+    /// address names its card in 8 bits (as does the KV store's packed
+    /// extent), so a 257th card would alias the first.
+    CardsPerNode(usize),
     /// The simulation quiesced without producing the expected completion
     /// (a wiring bug, surfaced as an error for debuggability).
     MissingCompletion,
@@ -164,6 +168,7 @@ impl fmt::Display for ClusterError {
             ClusterError::DeviceFull(n) => write!(f, "no free pages left on {n}"),
             ClusterError::InvalidPartition(e) => write!(f, "invalid partition: {e}"),
             ClusterError::Disconnected(n) => write!(f, "topology is disconnected: no route to {n}"),
+            ClusterError::CardsPerNode(c) => write!(f, "{c} cards per node is outside 1..=256"),
             ClusterError::MissingCompletion => write!(f, "operation produced no completion"),
         }
     }
@@ -239,8 +244,9 @@ impl Cluster {
     /// geometry has more pages than a card's `u32` tables can index, and
     /// [`ClusterError::Ftl`] when the lifecycle knobs in `config.gc` are
     /// out of range or the geometry leaves no room for the GC reserve,
-    /// and [`ClusterError::Disconnected`] when some node cannot reach
-    /// another.
+    /// [`ClusterError::CardsPerNode`] when `config.flash.cards_per_node`
+    /// is outside `1..=256`, and [`ClusterError::Disconnected`] when
+    /// some node cannot reach another.
     pub fn new(topo: Topology, config: &SystemConfig) -> Result<Self, ClusterError> {
         let shards = config.sim.shards.clamp(1, topo.node_count());
         let partition = if shards <= 1 {
@@ -271,6 +277,10 @@ impl Cluster {
         config: &SystemConfig,
         partition: &[u32],
     ) -> Result<Self, ClusterError> {
+        let cards = config.flash.cards_per_node;
+        if !(1..=256).contains(&cards) {
+            return Err(ClusterError::CardsPerNode(cards));
+        }
         let shards = checked_shard_count(partition, topo.node_count())
             .map_err(ClusterError::InvalidPartition)?;
         let card_array = |node: usize, card: usize| {
@@ -582,7 +592,7 @@ impl Cluster {
         self.pages_in_use += 1;
         Ok(GlobalPageAddr {
             node,
-            card: card as u8,
+            card: card as u8, // < 256, checked at build
             ppa: self.config.flash.geometry.ppa_of(lba),
         })
     }
@@ -880,7 +890,7 @@ impl Cluster {
     /// inject from every reader, then [`Cluster::run_to_quiescence`] and
     /// [`Cluster::harvest_node`]. Returns the op id echoed in the
     /// completion. The home node's agent maps the logical page to its
-    /// cell when it sends the read to the card; a page no cell holds
+    /// cell when the read reaches it; a page no cell holds
     /// (never written, or freed) completes with `NotProgrammed` and no
     /// flash command. An address the cluster lacks — a node, a card or
     /// a page outside the geometry — completes with `OutOfRange` at the
@@ -1163,6 +1173,31 @@ mod tests {
                 ClusterError::Ftl(Box::new(FtlError::NoSpace))
             );
         }
+    }
+
+    #[test]
+    fn card_counts_past_the_8_bit_card_field_are_refused() {
+        // A page address names its card in 8 bits: card 256 would alias
+        // card 0, so the count is refused before anything is built.
+        for cards in [0, 257] {
+            let mut config = SystemConfig::scaled_down();
+            config.flash.cards_per_node = cards;
+            assert_eq!(
+                Cluster::ring(2, &config).unwrap_err(),
+                ClusterError::CardsPerNode(cards)
+            );
+        }
+        // 256 cards fit: one page per card lands on every card once.
+        let mut config = SystemConfig::scaled_down();
+        config.flash.geometry = bluedbm_flash::FlashGeometry::tiny();
+        config.flash.cards_per_node = 256;
+        let mut cluster = Cluster::ring(2, &config).unwrap();
+        let mut cards: Vec<u8> = (0..256)
+            .map(|_| cluster.alloc_page(NodeId(0)).unwrap().card)
+            .collect();
+        cards.sort_unstable();
+        cards.dedup();
+        assert_eq!(cards.len(), 256);
     }
 
     #[test]

@@ -56,7 +56,6 @@
 
 use bluedbm_flash::controller::{CtrlCmd, CtrlResp, Finish};
 use bluedbm_flash::msg::{FlashMsg, FlashProtocol};
-use bluedbm_flash::server::{ServerReq, ServerResp};
 use bluedbm_host::msg::{HostMsg, HostProtocol};
 use bluedbm_host::pcie::PcieXfer;
 use bluedbm_net::msg::{NetMsg, NetProtocol};
@@ -90,10 +89,6 @@ pub(crate) enum Msg {
     FlashResp(CtrlResp),
     /// Controller-internal delayed completion (self-send only).
     FlashFinish(Finish),
-    /// Flash Server request.
-    ServerReq(ServerReq),
-    /// Flash Server in-order response.
-    ServerResp(ServerResp),
     /// Local sender asks its router to inject a packet.
     NetSend(NetSend<NetBody>),
     /// Router delivers a packet to an endpoint consumer.
@@ -131,8 +126,6 @@ impl From<FlashMsg> for Msg {
             FlashMsg::Cmd(c) => Msg::FlashCmd(c),
             FlashMsg::Resp(r) => Msg::FlashResp(r),
             FlashMsg::Finish(f) => Msg::FlashFinish(f),
-            FlashMsg::ServerReq(r) => Msg::ServerReq(r),
-            FlashMsg::ServerResp(r) => Msg::ServerResp(r),
         }
     }
 }
@@ -219,8 +212,6 @@ impl FlashProtocol for Msg {
             Msg::FlashCmd(c) => FlashMsg::Cmd(c),
             Msg::FlashResp(r) => FlashMsg::Resp(r),
             Msg::FlashFinish(f) => FlashMsg::Finish(f),
-            Msg::ServerReq(r) => FlashMsg::ServerReq(r),
-            Msg::ServerResp(r) => FlashMsg::ServerResp(r),
             other => panic!("flash component received a non-flash message: {other:?}"),
         }
     }

@@ -41,6 +41,13 @@
 //! follows a write to the same card within one round; since a trim moves
 //! no data and no read may be in flight against a freed page, the order
 //! changes no page's contents.
+//!
+//! The paper's Flash Server (Section 3.1.2), which delivers a file's
+//! pages in order through an Address Translation Unit loaded by the file
+//! system, is not modelled: the card's `Ftl` is its one map (an ATU
+//! would be a second copy, gone stale at the first collection), and
+//! the KV driver already reassembles a multi-page get by placing each
+//! page at its index, which is the ordering the server offered.
 
 use std::collections::VecDeque;
 

@@ -2,9 +2,8 @@
 //!
 //! The BlueDBM flash card: a functional NAND array that stores real bytes
 //! with real program/erase semantics, a SECDED ECC codec, and the paper's
-//! controller stack — the raw tag-based flash controller (Section 3.1.1),
-//! the Flash Interface Splitter with tag renaming (Section 3.1.2), and the
-//! Flash Server with its Address Translation Unit (Figure 3).
+//! controller stack — the raw tag-based flash controller (Section 3.1.1)
+//! and the Flash Interface Splitter with tag renaming (Section 3.1.2).
 //!
 //! The paper implements these on an Artix-7 FPGA per flash board; here the
 //! same interfaces are modelled as discrete-event components over the
@@ -19,8 +18,13 @@
 //!   and bus contention, tag-limited parallelism, out-of-order completion.
 //! * [`splitter::FlashSplitter`] — shares one controller among several
 //!   agents (host DMA, local ISP, network) by renaming tags.
-//! * [`server::FlashServer`] — in-order page interface + file-handle
-//!   address translation for easy in-store processor development.
+//!
+//! The paper's Flash Server (Section 3.1.2, Figures 3 and 8) is not
+//! modelled. Its Address Translation Unit would hold a second copy of
+//! each card's logical → physical map, which the card's `Ftl` (run by
+//! the node agent in the core crate) keeps alone and rewrites at every
+//! collection. Its in-order delivery is done by the consumer instead:
+//! the KV driver places each page of a multi-page get by its index.
 //!
 //! ## Example: functional layer
 //!
@@ -45,7 +49,6 @@ pub mod msg;
 pub mod ecc;
 pub mod error;
 pub mod geometry;
-pub mod server;
 pub mod splitter;
 pub mod timing;
 
@@ -54,6 +57,5 @@ pub use controller::{CtrlCmd, CtrlResp, FlashController, Tag};
 pub use error::FlashError;
 pub use msg::{FlashMsg, FlashProtocol};
 pub use geometry::{FlashGeometry, Ppa};
-pub use server::FlashServer;
 pub use splitter::FlashSplitter;
 pub use timing::FlashTiming;

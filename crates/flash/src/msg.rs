@@ -8,22 +8,18 @@
 use bluedbm_sim::Message;
 
 use crate::controller::{CtrlCmd, CtrlResp, Finish};
-use crate::server::{ServerReq, ServerResp};
 
 /// Union of every message a flash-stack component sends or receives.
 #[derive(Debug)]
 pub enum FlashMsg {
-    /// Raw controller command ([`crate::FlashController`] /
-    /// [`crate::FlashSplitter`] ingress).
+    /// A tagged command, sent to a [`crate::FlashController`] or to a
+    /// [`crate::FlashSplitter`], which forwards it under a renamed tag.
     Cmd(CtrlCmd),
-    /// Controller completion (egress to whoever `reply_to` names).
+    /// A command's completion, sent to whoever its `reply_to` names: a
+    /// splitter restores the client's tag and passes it on.
     Resp(CtrlResp),
     /// Controller-internal delayed completion (self-send only).
     Finish(Finish),
-    /// Flash Server request ([`crate::FlashServer`] ingress).
-    ServerReq(ServerReq),
-    /// Flash Server in-order response (egress to the requesting client).
-    ServerResp(ServerResp),
 }
 
 impl From<CtrlCmd> for FlashMsg {
@@ -44,20 +40,6 @@ impl From<Finish> for FlashMsg {
     #[inline]
     fn from(m: Finish) -> Self {
         FlashMsg::Finish(m)
-    }
-}
-
-impl From<ServerReq> for FlashMsg {
-    #[inline]
-    fn from(m: ServerReq) -> Self {
-        FlashMsg::ServerReq(m)
-    }
-}
-
-impl From<ServerResp> for FlashMsg {
-    #[inline]
-    fn from(m: ServerResp) -> Self {
-        FlashMsg::ServerResp(m)
     }
 }
 

@@ -7,8 +7,8 @@
 //! locally so that only the (word, count) table — not the corpus —
 //! crosses to the host or the network shuffle. Words straddling page
 //! boundaries are handled by carrying the partial token between pages,
-//! which is correct because BlueDBM streams a file's pages in order
-//! (the Flash Server's in-order interface).
+//! which is correct when the caller feeds a file's pages in order (the
+//! paper's Flash Server delivers them so; here the driver does).
 
 use bluedbm_sim::fxhash::FxHashMap;
 

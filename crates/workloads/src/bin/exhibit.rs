@@ -57,9 +57,6 @@ const EXHIBITS: &[Exhibit] = &[
     ("ablation-credits", "Ablation: link-layer credit depth",
      "token flow control (Section 3.2.2)",
      || ablations::credit_depth().render()),
-    ("ablation-server-depth", "Ablation: Flash Server queue depth",
-     "in-order convenience interface with adjustable command queue (Section 3.1.2)",
-     || ablations::flash_server_depth().render()),
     ("ablation-overprovisioning", "Ablation: FTL over-provisioning vs write amplification",
      "driver-side FTL (Section 4)",
      || ablations::over_provisioning().render()),
@@ -144,36 +141,55 @@ mod tests {
         ];
         assert_eq!(selected("all"), paper_order);
         let sweeps = selected("ablations");
-        assert_eq!(sweeps.len(), 5);
+        assert_eq!(sweeps.len(), 4);
         assert!(sweeps.iter().all(|n| !paper_order.contains(n)));
         for n in paper_order {
             assert_eq!(selected(n), [n]);
         }
     }
 
-    /// FNV-1a, 64-bit.
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+    /// The lines where `new` departs from `old`: everything between
+    /// their common head and common tail, old lines as `-`, new as `+`.
+    fn line_diff(old: &str, new: &str) -> String {
+        let old: Vec<_> = old.lines().collect();
+        let new: Vec<_> = new.lines().collect();
+        let head = old.iter().zip(&new).take_while(|(a, b)| a == b).count();
+        let tail = old[head..]
+            .iter()
+            .rev()
+            .zip(new[head..].iter().rev())
+            .take_while(|(a, b)| a == b)
+            .count();
+        let mut out = format!("from line {}:\n", head + 1);
+        for line in &old[head..old.len() - tail] {
+            out += &format!("- {line}\n");
+        }
+        for line in &new[head..new.len() - tail] {
+            out += &format!("+ {line}\n");
+        }
+        out
     }
 
     #[test]
     fn all_and_ablations_print_the_pinned_bytes() {
         // Every driver fixes its seeds, so the printed tables are a pure
         // function of the model: a change that moves any simulated value
-        // in any exhibit moves these pins. Re-pin only for an intended
-        // behaviour change, and say which values moved.
-        for (arg, len, fnv) in [
-            ("all", 6180, 0x832c_f51f_21db_6869),
-            ("ablations", 1502, 0xece2_3584_b708_a77e),
+        // in any exhibit moves these pins. Re-pin (write the new output
+        // over the file) only for an intended behaviour change, and say
+        // which values moved.
+        let mut moved = String::new();
+        for (arg, pinned) in [
+            ("all", include_str!("../../expected/all.txt")),
+            ("ablations", include_str!("../../expected/ablations.txt")),
         ] {
             let out = render(arg);
-            assert_eq!(
-                (out.len(), fnv1a(out.as_bytes())),
-                (len, fnv),
-                "exhibit {arg}"
-            );
+            if out != pinned {
+                moved += &format!(
+                    "exhibit {arg} differs from crates/workloads/expected/{arg}.txt {}",
+                    line_diff(pinned, &out)
+                );
+            }
         }
+        assert!(moved.is_empty(), "{moved}");
     }
 }

@@ -202,69 +202,6 @@ pub fn over_provisioning() -> Sweep {
     }
 }
 
-/// Flash Server command-queue depth vs delivered bandwidth: the paper
-/// notes "the Flash Server's width, command queue depth and number of
-/// interfaces is adjustable based on the application" (Section 3.1.2) —
-/// its in-order convenience needs enough page buffers in flight to keep
-/// the out-of-order device busy.
-pub fn flash_server_depth() -> Sweep {
-    use bluedbm_flash::server::{FlashServer, ServerReq};
-
-    struct InOrderSink {
-        bytes: u64,
-        last: SimTime,
-    }
-    impl Component<FlashMsg> for InOrderSink {
-        fn handle(&mut self, ctx: &mut Ctx<'_, FlashMsg>, msg: FlashMsg) {
-            let FlashMsg::ServerResp(r) = msg else {
-                panic!("ServerResp expected")
-            };
-            if let Ok(page) = r.result {
-                self.bytes += ctx.pages().len(page) as u64;
-                ctx.pages().free(page);
-                self.last = ctx.now();
-            }
-        }
-    }
-
-    let geom = FlashGeometry::paper_card();
-    let points = [1usize, 2, 4, 8, 16, 32, 64]
-        .into_iter()
-        .map(|depth| {
-            let mut sim = Simulator::new();
-            let mut array = FlashArray::new(geom, 2);
-            let data = vec![0u8; geom.page_bytes];
-            let mut addrs = Vec::new();
-            for p in 0..2u32 {
-                for chip in 0..geom.chips_per_bus as u16 {
-                    for bus in 0..geom.buses as u16 {
-                        let ppa = Ppa::new(bus, chip, 0, p);
-                        array.program(ppa, &data).unwrap();
-                        addrs.push(ppa);
-                    }
-                }
-            }
-            let ctrl = sim.add_component(FlashController::new(array, FlashTiming::paper()));
-            let server = sim.add_component(FlashServer::new(ctrl, depth));
-            let sink = sim.add_component(InOrderSink {
-                bytes: 0,
-                last: SimTime::ZERO,
-            });
-            for ppa in addrs {
-                sim.schedule(SimTime::ZERO, server, ServerReq::ReadPpa { ppa, reply_to: sink });
-            }
-            sim.run();
-            let s = sim.component::<InOrderSink>(sink).unwrap();
-            (depth as f64, s.bytes as f64 / s.last.as_secs_f64() / 1e9)
-        })
-        .collect();
-    Sweep {
-        parameter: "server page buffers",
-        metric: "in-order read bandwidth (GB/s)",
-        points,
-    }
-}
-
 /// ISP-F vs H-RH-F latency as the hop count grows — the integrated
 /// network's advantage compounds with distance because the host-mediated
 /// path pays its software tax regardless.
@@ -338,15 +275,6 @@ mod tests {
         for (hops, ratio) in &s.points {
             assert!(*ratio > 2.0, "at {hops} hops the ratio fell to {ratio}");
         }
-    }
-
-    #[test]
-    fn flash_server_needs_queue_depth_to_keep_the_device_busy() {
-        let s = flash_server_depth();
-        let shallow = s.points.first().unwrap().1;
-        let deep = s.points.last().unwrap().1;
-        assert!(deep > 5.0 * shallow, "depth 1 {shallow} vs deep {deep}");
-        assert!(deep > 1.0 && deep <= 1.25, "deep {deep} should reach the card envelope");
     }
 
     #[test]

@@ -11,7 +11,9 @@
 # odd pairs parent first, even pairs change first. This script drives the
 # benchmark and does the arithmetic on what it prints; it times nothing
 # itself. Raw output of every run is kept in a fresh temp directory,
-# named at the end. Exits 1 if a run fails or a simulated value moved.
+# named at the end. Exits 1 if a run fails, a simulated value moved, or a
+# host metric's change median is worse than its parent median by more
+# than that metric's `bound` in BENCHMARK.json (the row says PAST BOUND).
 #
 # With a trailing `layers`, one `--trace 1` pass per side follows the
 # pairs and every per-layer metric whose two values differ is printed
@@ -24,7 +26,7 @@
 set -euo pipefail
 
 if [ $# -lt 3 ] || [ $# -gt 6 ] || { [ $# = 6 ] && [ "$6" != layers ]; }; then
-  sed -n '2,23p' "$0" >&2
+  sed -n '2,25p' "$0" >&2
   exit 2
 fi
 parent="$(cd "$1" && pwd)"
@@ -74,18 +76,19 @@ values() {
 
 host="setup_s wall_s events_per_s ops_per_s peak_rss_mb"
 better() { sed -n -E "s/.*\"name\": \"$1\".*\"better\": \"([a-z]+)\".*\"bound\".*/\1/p" "$change/BENCHMARK.json"; }
+bound() { sed -n -E "s/.*\"name\": \"$1\".*\"bound\": ([0-9.]+).*/\1/p" "$change/BENCHMARK.json"; }
 
 echo
 echo "== $workload, seed $seed, $pairs alternating pairs =="
 echo "   parent: $parent"
 echo "   change: $change"
-printf '%-14s %-40s %-40s %8s %6s\n' metric "parent median [q1, q3]" "change median [q1, q3]" "ratio" "won"
-for metric in $host; do
+printf '%-14s %-40s %-40s %8s %6s %6s\n' metric "parent median [q1, q3]" "change median [q1, q3]" "ratio" "won" "bound"
+rows="$(for metric in $host; do
   for i in $(seq 1 "$pairs"); do
     p="$(values "$runs/parent-$i.txt" | awk -v m="$metric" '$1 == m { print $2 }')"
     c="$(values "$runs/change-$i.txt" | awk -v m="$metric" '$1 == m { print $2 }')"
     echo "$p $c"
-  done | awk -v metric="$metric" -v better="$(better "$metric")" '
+  done | awk -v metric="$metric" -v better="$(better "$metric")" -v bound="$(bound "$metric")" '
     # Quartiles as Python statistics.quantiles(n=4) computes them (the
     # method benchmark/src/stats.rs uses), on a sorted array v[1..n].
     function quart(v, n, i,    m, j, d) {
@@ -103,18 +106,25 @@ for metric in $host; do
     END {
       sorted(p, sp, n); sorted(c, sc, n)
       pm = quart(sp, n, 2); cm = quart(sc, n, 2)
-      printf "%-14s %-40s %-40s %8.3f %3d/%d\n", metric,
+      # How much worse the change median is, as a share of the parent
+      # median, in the direction the metric gets worse.
+      worse = pm == 0 ? 0 : (better == "higher" ? pm - cm : cm - pm) / pm
+      printf "%-14s %-40s %-40s %8.3f %3d/%d %6s%s\n", metric,
         sprintf("%.6g [%.6g, %.6g]", pm, quart(sp, n, 1), quart(sp, n, 3)),
         sprintf("%.6g [%.6g, %.6g]", cm, quart(sc, n, 1), quart(sc, n, 3)),
-        (pm != 0 ? cm / pm : 0), won, n
+        (pm != 0 ? cm / pm : 0), won, n, bound, (bound != "" && worse > bound ? "  PAST BOUND" : "")
     }'
-done
+done)"
+echo "$rows"
 
 # Everything that is a pure function of the seed: one tuple per run.
 tuple() { values "$1" | awk -v host="$host" 'BEGIN { split(host, h); for (i in h) skip[h[i]] = 1 } !($1 in skip) { printf "%s=%s ", $1, $2 }'; }
 tuples="$(for f in "$runs"/parent-[0-9]*.txt "$runs"/change-[0-9]*.txt; do tuple "$f"; echo; done | sort | uniq -c)"
 echo
 status=0
+if echo "$rows" | grep -q 'PAST BOUND'; then
+  status=1
+fi
 if [ "$(echo "$tuples" | wc -l)" = 1 ]; then
   echo "digest, events, failed and every simulated metric: one identical tuple across all $((2 * pairs)) runs"
   echo "  ${tuples#*[0-9] }"
