@@ -84,6 +84,8 @@ pub enum ClusterError {
     Ftl(Box<FtlError>),
     /// A node's flash cards are fully allocated.
     DeviceFull(NodeId),
+    /// The topology has no nodes.
+    NoNodes,
     /// The node → shard map given to [`Cluster::with_partition`] cannot
     /// be built.
     InvalidPartition(PartitionError),
@@ -166,6 +168,7 @@ impl fmt::Display for ClusterError {
             ClusterError::Flash(e) => write!(f, "flash error: {e}"),
             ClusterError::Ftl(e) => write!(f, "FTL cannot be built: {e}"),
             ClusterError::DeviceFull(n) => write!(f, "no free pages left on {n}"),
+            ClusterError::NoNodes => write!(f, "the topology has no nodes"),
             ClusterError::InvalidPartition(e) => write!(f, "invalid partition: {e}"),
             ClusterError::Disconnected(n) => write!(f, "topology is disconnected: no route to {n}"),
             ClusterError::CardsPerNode(c) => write!(f, "{c} cards per node is outside 1..=256"),
@@ -245,10 +248,11 @@ impl Cluster {
     /// [`ClusterError::Ftl`] when the lifecycle knobs in `config.gc` are
     /// out of range or the geometry leaves no room for the GC reserve,
     /// [`ClusterError::CardsPerNode`] when `config.flash.cards_per_node`
-    /// is outside `1..=256`, and [`ClusterError::Disconnected`] when
-    /// some node cannot reach another.
+    /// is outside `1..=256`, [`ClusterError::Disconnected`] when some
+    /// node cannot reach another, and [`ClusterError::NoNodes`] when the
+    /// topology is empty.
     pub fn new(topo: Topology, config: &SystemConfig) -> Result<Self, ClusterError> {
-        let shards = config.sim.shards.clamp(1, topo.node_count());
+        let shards = config.sim.shards.min(topo.node_count()).max(1);
         let partition = if shards <= 1 {
             vec![0; topo.node_count()]
         } else {
@@ -277,6 +281,9 @@ impl Cluster {
         config: &SystemConfig,
         partition: &[u32],
     ) -> Result<Self, ClusterError> {
+        if topo.node_count() == 0 {
+            return Err(ClusterError::NoNodes);
+        }
         let cards = config.flash.cards_per_node;
         if !(1..=256).contains(&cards) {
             return Err(ClusterError::CardsPerNode(cards));
@@ -1330,6 +1337,21 @@ mod tests {
             }
             Ok(_) => panic!("a split topology was accepted"),
         }
+    }
+
+    #[test]
+    fn empty_topology_is_an_error() {
+        for shards in [1, 4] {
+            let mut config = SystemConfig::scaled_down();
+            config.sim.shards = shards;
+            let topo = || Topology::from_edges(0, &[]);
+            assert_eq!(Cluster::new(topo(), &config).unwrap_err(), ClusterError::NoNodes);
+            assert_eq!(
+                Cluster::with_partition(topo(), &config, &[]).unwrap_err(),
+                ClusterError::NoNodes
+            );
+        }
+        assert_eq!(ClusterError::NoNodes.to_string(), "the topology has no nodes");
     }
 
     #[test]

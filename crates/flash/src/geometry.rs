@@ -168,9 +168,10 @@ impl FlashGeometry {
 
 /// Physical page address: (bus, chip, block, page).
 ///
-/// This is the address format BlueDBM exposes all the way up to
-/// applications — the file system hands streams of `Ppa`s to in-store
-/// processors (paper Figure 8).
+/// What a flash command names. In the cluster only each card's `Ftl`,
+/// run inside the simulation, turns logical pages into `Ppa`s;
+/// applications address data by key or logical page, so a collection
+/// that moves a page leaves no stale address behind.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Ppa {
     /// Channel index.

@@ -13,11 +13,13 @@
 //! ## Layered design
 //!
 //! * [`array::FlashArray`] — synchronous, functional NAND: what the chips
-//!   *store*. Used directly by the FTL/filesystem correctness layer.
+//!   *store*. Each card's controller owns one; the FTL's tests drive
+//!   one directly.
 //! * [`controller::FlashController`] — DES component adding *when*: chip
 //!   and bus contention, tag-limited parallelism, out-of-order completion.
-//! * [`splitter::FlashSplitter`] — shares one controller among several
-//!   agents (host DMA, local ISP, network) by renaming tags.
+//! * [`splitter::FlashSplitter`] — the paper's tag-renaming front end.
+//!   In the cluster the node agent is its only client (see the [module
+//!   docs](splitter) for why it stays).
 //!
 //! The paper's Flash Server (Section 3.1.2, Figures 3 and 8) is not
 //! modelled. Its Address Translation Unit would hold a second copy of

@@ -5,7 +5,7 @@ use std::fmt;
 
 use bluedbm_flash::FlashError;
 
-/// Failures surfaced by the FTL, block device, or file system.
+/// Failures surfaced by the FTL.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FtlError {
@@ -25,19 +25,6 @@ pub enum FtlError {
     /// The array has more pages than the `u32` mapping tables can index
     /// (see [`bluedbm_flash::FlashGeometry::MAX_PAGES`]).
     GeometryTooLarge,
-    /// File not found.
-    NoSuchFile(String),
-    /// A file with that name already exists.
-    FileExists(String),
-    /// Read past the end of a file.
-    ReadPastEof {
-        /// File being read.
-        file: String,
-        /// Requested offset.
-        offset: u64,
-        /// Actual size.
-        size: u64,
-    },
     /// An underlying flash operation failed.
     Flash(FlashError),
 }
@@ -52,11 +39,6 @@ impl fmt::Display for FtlError {
             FtlError::InvalidConfig(why) => write!(f, "invalid FTL configuration: {why}"),
             FtlError::GeometryTooLarge => {
                 write!(f, "geometry exceeds the 2^32 - 3 pages the tables can index")
-            }
-            FtlError::NoSuchFile(name) => write!(f, "no such file: {name}"),
-            FtlError::FileExists(name) => write!(f, "file already exists: {name}"),
-            FtlError::ReadPastEof { file, offset, size } => {
-                write!(f, "read at {offset} past end of {file} ({size} bytes)")
             }
             FtlError::Flash(e) => write!(f, "flash error: {e}"),
         }

@@ -2,7 +2,7 @@
 //!
 //! BlueDBM's flash-management software (paper Section 4). The hardware
 //! exposes a *raw* flash interface — no on-device FTL — so management
-//! moves up into the driver and file system:
+//! moves up into the driver:
 //!
 //! * [`ftl::Ftl`] — "a full-fledged FTL implemented in the device driver,
 //!   similar to Fusion IO's driver": page-level logical-to-physical
@@ -18,13 +18,11 @@
 //!   replays the same op log into a fresh twin to pin mappings, victim
 //!   order, erase counts and write amplification bit-for-bit. See the
 //!   [module docs](ftl) for the contract.
-//! * [`rfs::Rfs`] — the RFS-style file namespace: names, sizes and
-//!   each file's logical pages, written through one [`ftl::Ftl`] over a
-//!   raw array, so the file system's mapping and collection are that
-//!   `Ftl`'s. It exposes the API that makes BlueDBM's in-store
-//!   processing usable: `physical_addrs(file)` returns the raw flash
-//!   addresses of a file so applications can stream them to
-//!   accelerators (paper Figure 8).
+//!
+//! The paper's preferred stack moves mapping and collection further
+//! up, into the RFS file system (its reference 26). That is not
+//! modelled: named data lives as values of the core crate's `KvStore`,
+//! whose pages each card's one `Ftl` maps and collects.
 //!
 //! ## Example
 //!
@@ -45,8 +43,6 @@
 
 pub mod error;
 pub mod ftl;
-pub mod rfs;
 
 pub use error::FtlError;
 pub use ftl::{Ftl, FtlConfig, FtlStats, GcRound, StepOutcome};
-pub use rfs::Rfs;

@@ -1,18 +1,16 @@
-//! In-store grep over the RFS-style file system (the paper's Section
-//! 7.3 workload and Figure 8 software flow).
+//! In-store grep over log files on a cluster (the paper's Section 7.3
+//! workload and Figure 8 software flow).
 //!
-//! Files live on raw flash under the file namespace, whose pages the
-//! card's FTL maps and collects. The application asks the FS for the
-//! *physical addresses* of a file and
-//! streams them through in-store Morris-Pratt engines; only match
-//! offsets come back to the host.
+//! Each file is one `KvStore` value, paged onto the flash cards of the
+//! node its name hashes to, whose in-simulation FTL maps and collects
+//! them. A get streams the file's pages off flash into that node's
+//! accelerator units; the Morris-Pratt engine consumes them page by page
+//! and only match offsets come back to the host.
 //!
 //! Run with: `cargo run --release --example log_grep`
 
 use bluedbm::core::baselines::{scan_cpu_utilization, sw_scan_bandwidth, Secondary};
-use bluedbm::core::SystemConfig;
-use bluedbm::flash::{FlashArray, FlashGeometry};
-use bluedbm::ftl::rfs::Rfs;
+use bluedbm::core::{Cluster, KvStore, SystemConfig};
 use bluedbm::isp::mp::MpMatcher;
 use bluedbm::isp::Accelerator;
 use bluedbm::workloads::datagen;
@@ -20,29 +18,28 @@ use bluedbm::workloads::datagen;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = SystemConfig::paper();
 
-    // Format a flash card with the file system and store two log files
-    // with planted needles.
-    let mut fs = Rfs::format(FlashArray::new(FlashGeometry::small(), 99))?;
+    // A two-node cluster storing two log files with planted needles.
+    let small = SystemConfig::scaled_down();
+    let mut store = KvStore::new(Cluster::ring(2, &small)?);
+    let page_bytes = small.flash.geometry.page_bytes;
     let needle = b"ERROR: flux capacitor";
     let corpus_a = datagen::corpus_with_needles(600_000, needle, 8, 1);
     let corpus_b = datagen::corpus_with_needles(400_000, needle, 5, 2);
-    fs.create("logs/app.log")?;
-    fs.write("logs/app.log", &corpus_a.text)?;
-    fs.create("logs/db.log")?;
-    fs.write("logs/db.log", &corpus_b.text)?;
-    println!("files on flash: {:?}", fs.list());
+    let files = ["logs/app.log", "logs/db.log"];
+    store.put(files[0].as_bytes(), &corpus_a.text)?;
+    store.put(files[1].as_bytes(), &corpus_b.text)?;
+    println!("files on flash: {files:?}");
 
-    // Figure 8 flow: (1) query the FS for physical locations, (2) hand
-    // the address stream to the accelerator, (3) the engine reads pages
-    // directly from flash, (4) only results return.
+    // Figure 8 flow: each page goes from flash straight to an in-store
+    // engine on the file's home node; only results return.
     let mut total_matches = 0;
     let mut scanned = 0u64;
-    for file in fs.list() {
-        let addrs = fs.physical_addrs(&file)?;
+    for file in files {
+        let home = store.home_node(file.as_bytes());
+        let text = store.get(home, file.as_bytes())?.value;
         let mut engine = MpMatcher::new(needle).expect("non-empty needle");
-        for (i, ppa) in addrs.iter().enumerate() {
-            let page = fs.array_mut().read(*ppa)?.data; // the low-latency ISP read
-            engine.consume(i as u64, &page);
+        for (i, page) in text.chunks(page_bytes).enumerate() {
+            engine.consume(i as u64, page);
         }
         println!(
             "{file}: {} matches at {:?}... ({} bytes scanned, {} result bytes returned)",
@@ -55,6 +52,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scanned += engine.scanned();
     }
     assert_eq!(total_matches, corpus_a.planted.len() + corpus_b.planted.len());
+    store.assert_no_stranded_pages();
+    store.cluster().assert_quiescent();
 
     // Figure 21's economics: one flash board sustains ~1.2 GB/s into the
     // MP engines at ~0% host CPU; software grep is device-bound and

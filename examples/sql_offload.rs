@@ -2,21 +2,22 @@
 //! "SQL Database Acceleration by offloading query processing and
 //! filtering to in-store processors").
 //!
-//! A table lives in the RFS-style file system on raw flash. The query
+//! A table is one `KvStore` value on a two-node cluster, paged onto the
+//! flash cards of its home node. The query
 //!
 //! ```sql
 //! SELECT region, COUNT(*), SUM(amount) FROM sales
 //! WHERE amount BETWEEN 500 AND 1000 GROUP BY region
 //! ```
 //!
-//! is executed entirely in-store: the filter engine selects rows, the
-//! aggregate engine folds them, and only the group table returns to the
-//! host.
+//! is executed entirely in-store: a get streams the table's pages off
+//! flash into the home node's accelerator units, the filter engine
+//! selects rows, the aggregate engine folds them, and only the group
+//! table returns to the host.
 //!
 //! Run with: `cargo run --release --example sql_offload`
 
-use bluedbm::flash::{FlashArray, FlashGeometry};
-use bluedbm::ftl::rfs::Rfs;
+use bluedbm::core::{Cluster, KvStore, SystemConfig};
 use bluedbm::isp::aggregate::AggregateEngine;
 use bluedbm::isp::filter::FilterEngine;
 use bluedbm::isp::Accelerator;
@@ -28,8 +29,9 @@ const AMOUNT_OFF: usize = 0;
 const REGION_OFF: usize = 8;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let geom = FlashGeometry::small();
-    let mut fs = Rfs::format(FlashArray::new(geom, 41))?;
+    let config = SystemConfig::scaled_down();
+    let mut store = KvStore::new(Cluster::ring(2, &config)?);
+    let page_bytes = config.flash.geometry.page_bytes;
 
     // Build and store a 20k-row sales table.
     let mut rng = Rng::new(7);
@@ -42,26 +44,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         table[at..at + 8].copy_from_slice(&amount.to_le_bytes());
         table[at + 8..at + 16].copy_from_slice(&region.to_le_bytes());
     }
-    fs.create("db/sales")?;
-    fs.write("db/sales", &table)?;
+    store.put(b"db/sales", &table)?;
     println!(
         "stored db/sales: {ROWS} rows, {} bytes across {} flash pages",
         table.len(),
-        fs.physical_addrs("db/sales")?.len()
+        store.cluster().flash_pages_in_use()
     );
 
     // In-store execution: stream pages once, filter feeding aggregate.
     let mut filter = FilterEngine::new(RECORD, AMOUNT_OFF, 500..1001);
     let mut agg = AggregateEngine::new(RECORD, REGION_OFF, AMOUNT_OFF);
-    let addrs = fs.physical_addrs("db/sales")?;
-    let rows_per_page = geom.page_bytes / RECORD;
-    for (i, ppa) in addrs.iter().enumerate() {
-        let page = fs.array_mut().read(*ppa)?.data;
-        filter.consume(i as u64, &page);
+    let home = store.home_node(b"db/sales");
+    let stored = store.get(home, b"db/sales")?.value;
+    for (i, page) in stored.chunks(page_bytes).enumerate() {
+        filter.consume(i as u64, page);
         // Push only matching rows into the aggregator (the engines
         // compose on-device; the host sees neither pages nor rows).
         let mut selected = Vec::new();
-        for rec in page.chunks_exact(RECORD).take(rows_per_page) {
+        for rec in page.chunks_exact(RECORD) {
             let amount = u64::from_le_bytes(rec[..8].try_into().expect("amount"));
             if (500..1001).contains(&amount) {
                 selected.extend_from_slice(rec);
@@ -102,6 +102,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     assert_eq!(checksum, want, "offloaded result must equal host evaluation");
+    store.assert_no_stranded_pages();
+    store.cluster().assert_quiescent();
     println!("host-side verification passed");
     Ok(())
 }

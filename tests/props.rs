@@ -220,81 +220,71 @@ fn aggregation_chunking_invariance() {
     });
 }
 
-/// The file system behaves exactly like an in-memory map of name ->
-/// bytes under any sequence of create / write / append / delete / read
-/// operations, on a 64-page card small enough that its FTL collects and
-/// runs out of room: a write or append refused with `NoSpace` leaves
-/// the file as it was. Each checked file is also read the Figure 8 way,
-/// page by page off the array at its `physical_addrs`, so the address
-/// stream stays coherent under collection. (Heavier model-based test:
-/// fewer cases.)
+/// A `KvStore` behaves exactly like an in-memory map of key -> bytes
+/// under any sequence of put (fresh or overwriting), delete and get
+/// operations on four keys, on a one-node cluster whose 64-page card is
+/// small enough that its `Ftl` collects and puts run out of room: a put
+/// refused with `DeviceFull` leaves the key's previous value readable.
+/// Every get reads the value off flash through the in-simulation
+/// `Ftl`'s map, so a collection that moved its pages must not show.
+/// (Heavier model-based test: fewer cases.)
 #[test]
-fn rfs_matches_map_model() {
-    use bluedbm::ftl::rfs::Rfs;
-    use bluedbm::ftl::FtlError;
-    fn holds(fs: &mut Rfs, name: &str, want: &[u8]) {
-        assert_eq!(&fs.read(name).expect("read"), want, "{name}");
-        let mut raw = Vec::new();
-        for ppa in fs.physical_addrs(name).expect("addrs") {
-            raw.extend(fs.array_mut().read(ppa).expect("in-store read").data);
+fn kv_store_matches_map_model() {
+    use bluedbm::core::cluster::ClusterError;
+    use bluedbm::core::{Cluster, KvStore, SystemConfig};
+    fn holds(store: &mut KvStore, key: &str, want: Option<&Vec<u8>>) {
+        match (store.get(NodeId(0), key.as_bytes()), want) {
+            (Ok(got), Some(want)) => assert_eq!(&got.value, want, "{key}"),
+            (Err(_), None) => {}
+            (got, want) => panic!("{key}: got {got:?}, want {want:?}"),
         }
-        assert_eq!(raw.len(), want.len().div_ceil(fs.page_bytes()) * fs.page_bytes());
-        assert_eq!(&raw[..want.len()], want, "{name} at its physical addresses");
     }
-    check("rfs_matches_map_model", 16, |s| {
-        let geom = FlashGeometry {
-            buses: 2,
-            chips_per_bus: 1,
-            blocks_per_chip: 4,
-            pages_per_block: 8,
-            page_bytes: 128,
-        };
+    let mut config = SystemConfig::scaled_down();
+    config.flash.cards_per_node = 1;
+    config.flash.geometry = FlashGeometry {
+        buses: 2,
+        chips_per_bus: 1,
+        blocks_per_chip: 4,
+        pages_per_block: 8,
+        page_bytes: 64,
+    };
+    let (refused, moved) = (std::cell::Cell::new(0u32), std::cell::Cell::new(0u64));
+    check("kv_store_matches_map_model", 16, |s| {
         let ops = s.vec(1..60, |s| (s.range(0u8..5), s.range(0usize..4), s.vec(0..1500, byte)));
-        let mut fs = Rfs::format(FlashArray::new(geom, 23)).expect("format");
-        let mut model: std::collections::BTreeMap<String, Vec<u8>> = Default::default();
-        let names = ["a", "b", "c", "d"];
-        for name in names {
-            fs.create(name).expect("create");
-            model.insert(name.into(), vec![]);
-        }
+        let cluster = Cluster::new(Topology::from_edges(1, &[]), &config).expect("cluster");
+        let mut store = KvStore::new(cluster);
+        let mut model: std::collections::BTreeMap<&str, Vec<u8>> = Default::default();
+        let keys = ["a", "b", "c", "d"];
         for (op, which, data) in ops {
-            let name = names[which];
+            let key = keys[which];
             match op {
-                0 => match fs.create(name) {
-                    Ok(()) => { assert!(!model.contains_key(name)); model.insert(name.into(), vec![]); }
-                    Err(FtlError::FileExists(_)) => assert!(model.contains_key(name)),
-                    Err(e) => panic!("create: {e}"),
-                },
-                1 => match fs.write(name, &data) {
-                    Ok(()) => { assert!(model.contains_key(name)); model.insert(name.into(), data); }
-                    Err(FtlError::NoSuchFile(_)) => assert!(!model.contains_key(name)),
-                    Err(FtlError::NoSpace) => holds(&mut fs, name, &model[name]),
-                    Err(e) => panic!("write: {e}"),
-                },
-                2 => match fs.append(name, &data) {
+                0 | 1 => match store.put(key.as_bytes(), &data) {
                     Ok(()) => {
-                        assert!(model.contains_key(name));
-                        model.get_mut(name).expect("checked").extend_from_slice(&data);
+                        model.insert(key, data);
                     }
-                    Err(FtlError::NoSuchFile(_)) => assert!(!model.contains_key(name)),
-                    Err(FtlError::NoSpace) => holds(&mut fs, name, &model[name]),
-                    Err(e) => panic!("append: {e}"),
+                    Err(ClusterError::DeviceFull(_)) => {
+                        refused.set(refused.get() + 1);
+                        holds(&mut store, key, model.get(key));
+                    }
+                    Err(e) => panic!("put: {e}"),
                 },
-                3 => match fs.delete(name) {
-                    Ok(()) => { assert!(model.remove(name).is_some()); }
-                    Err(FtlError::NoSuchFile(_)) => assert!(!model.contains_key(name)),
-                    Err(e) => panic!("delete: {e}"),
-                },
-                _ => match model.get(name) {
-                    Some(want) => holds(&mut fs, name, want),
-                    None => assert!(fs.read(name).is_err()),
-                },
+                2 => {
+                    store.submit_delete(0, key.as_bytes());
+                    let done = store.drive();
+                    assert_eq!(done[0].found, model.remove(key).is_some(), "delete {key}");
+                }
+                _ => holds(&mut store, key, model.get(key)),
             }
         }
-        for (name, want) in &model {
-            holds(&mut fs, name, want);
+        for key in keys {
+            holds(&mut store, key, model.get(key));
         }
+        store.assert_no_stranded_pages();
+        store.cluster().assert_quiescent();
+        moved.set(moved.get() + store.cluster().gc_stats().relocated);
     });
+    assert!(refused.get() > 0, "no put ran out of room");
+    assert!(moved.get() > 0, "no collection moved a live page");
 }
 
 /// The FTL behaves exactly like a hash map under any sequence of
