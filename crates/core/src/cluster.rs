@@ -1,22 +1,23 @@
 //! The cluster facade: build a DES world of N BlueDBM nodes and drive it
-//! through inject, run and harvest.
+//! through submit and drive.
 //!
 //! A [`Cluster`] owns the simulator, the per-node flash stacks
 //! (controller + splitter per card), the node agents, the PCIe links and
-//! the integrated network. Every page operation goes in one way:
-//! [`Cluster::inject_read`] / `Cluster::inject_write` schedule it at
-//! the current instant, [`Cluster::run_to_quiescence`] runs the event
-//! queue dry, and [`Cluster::harvest_node`] hands back the completions
-//! with simulated timestamps. The one-page calls ([`Cluster::read_page`],
-//! [`Cluster::write_page_local`], [`Cluster::read_remote_dram`]) and
-//! [`Cluster::stream_reads`] are that sequence for one op or one batch.
+//! the integrated network. Every simulated page operation goes in one
+//! way: [`Cluster::submit`] schedules a [`PageOp`] at the current instant
+//! without running anything, and [`Cluster::drive`] runs the event queue
+//! dry and hands back every completion, in op-id order, with simulated
+//! timestamps. [`Cluster::run_one`] is that pair for one op.
+//! [`Cluster::preload_page`] and [`Cluster::load_dram`] are functional
+//! setup: they fill a card or a DRAM buffer without simulated time.
 //!
-//! Page addresses handed to drivers are *logical*. Each card's [`Ftl`]
-//! is run by its node's agent inside the simulation: it places a write
-//! when the write reaches the agent, decides garbage collection and wear
-//! leveling, and maps a read to its cell when the read reaches the
-//! card's agent (see `crate::node`). No `inject_*` call runs the
-//! simulation.
+//! Page addresses are *logical*: a [`GlobalPageAddr`] names a card's
+//! logical page, its [`Ftl`]'s LBA. Each card's `Ftl` is run by its
+//! node's agent inside the simulation: it places a write when the write
+//! reaches the agent, decides garbage collection and wear leveling, and
+//! maps a read to its cell when the read reaches the card's agent (see
+//! `crate::node`). A failure on a page names the page
+//! ([`ClusterError::Page`]), never its cell.
 //!
 //! One engine runs every cluster: a [`ShardedSimulator`] over the node →
 //! shard map. One shard (`config.sim.shards = 1`, the default) is the
@@ -47,10 +48,25 @@ use bluedbm_sim::{MetricsDoc, MetricsRegistry, PageStore, TracePart, WallLanePro
 use crate::config::SystemConfig;
 use crate::gc::{GcAgentStats, GcStats, LifecycleOp};
 use crate::msg::{Msg, NetBody};
-use crate::node::{AgentOp, AgentStats, Completed, Consume, NodeAgent, DATA_ENDPOINTS, REQUEST_ENDPOINT};
+use crate::node::{AgentOp, AgentStats, Consume, NodeAgent, DATA_ENDPOINTS, REQUEST_ENDPOINT};
 use crate::scheduler::{AccelSched, SchedStats};
 
-pub use crate::node::GlobalPageAddr;
+pub use crate::node::{Completed, GlobalPageAddr};
+
+/// A chain of `n` nodes with `lanes` cables per hop, closed into a ring
+/// when `closed`; below two nodes there is nothing to cable, so 0 nodes
+/// is [`ClusterError::NoNodes`] and 1 a one-node cluster, as for
+/// [`Cluster::new`].
+fn chain(n: usize, lanes: usize, closed: bool) -> Result<Topology, ClusterError> {
+    // An inner node cables both of its hops; two nodes share one hop.
+    let ports = if n > 2 { 2 * lanes } else { lanes };
+    match n {
+        0 | 1 => Ok(Topology::from_edges(n, &[])),
+        _ if lanes == 0 || ports > Topology::MAX_PORTS => Err(ClusterError::Lanes(lanes)),
+        _ if closed => Ok(Topology::ring(n, lanes)),
+        _ => Ok(Topology::line(n, lanes)),
+    }
+}
 
 /// The per-pair lookahead matrix of a partition: entry `[s][r]` is
 /// `hop_latency x` the minimum hop distance between any node of shard
@@ -74,8 +90,18 @@ fn cross_shard_lookaheads(
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ClusterError {
-    /// An underlying flash operation failed.
+    /// A flash card cannot be built (`GeometryTooLarge`), or a write's
+    /// payload does not fit a page (`WrongPageSize`).
     Flash(FlashError),
+    /// An operation on this page failed.
+    Page(GlobalPageAddr, PageFault),
+    /// A DRAM read asked `node` for a key its buffer does not hold.
+    DramMiss {
+        /// The node whose buffer was read.
+        node: NodeId,
+        /// The key asked for.
+        key: u64,
+    },
     /// A card's FTL cannot be built: the lifecycle knobs in
     /// `config.gc` are out of range, or the geometry is too large for
     /// its tables or too small for the GC reserve. Boxed:
@@ -96,9 +122,79 @@ pub enum ClusterError {
     /// address names its card in 8 bits (as does the KV store's packed
     /// extent), so a 257th card would alias the first.
     CardsPerNode(usize),
-    /// The simulation quiesced without producing the expected completion
-    /// (a wiring bug, surfaced as an error for debuggability).
-    MissingCompletion,
+    /// [`Cluster::ring`] or [`Cluster::line`] was asked for this many
+    /// cables per hop: none, or more than [`Topology::MAX_PORTS`] hold.
+    Lanes(usize),
+}
+
+/// Why an operation on one page failed ([`ClusterError::Page`]'s cause).
+/// A remote read's answer carries it as its status code, so a remote
+/// failure names its page the way a local one does.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PageFault {
+    /// The cluster has no such page: a node or card it lacks, or a page
+    /// past the card's logical capacity.
+    OutOfRange,
+    /// No cell holds the page: it was never written, or it was freed.
+    NotProgrammed,
+    /// The page's cell is in a bad block.
+    BadBlock,
+    /// The page's cell read back with more errors than ECC corrects.
+    Uncorrectable,
+}
+
+impl PageFault {
+    /// The fault a flash failure on a page's cell is, if a page op can
+    /// meet it (the others mean the array and its `Ftl` disagree).
+    pub(crate) fn of(e: &FlashError) -> Option<Self> {
+        match e {
+            FlashError::OutOfRange(_) => Some(PageFault::OutOfRange),
+            FlashError::NotProgrammed(_) => Some(PageFault::NotProgrammed),
+            FlashError::BadBlock(_) => Some(PageFault::BadBlock),
+            FlashError::Uncorrectable(_) => Some(PageFault::Uncorrectable),
+            _ => None,
+        }
+    }
+}
+
+impl fmt::Display for PageFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            PageFault::OutOfRange => "out of range",
+            PageFault::NotProgrammed => "not programmed",
+            PageFault::BadBlock => "in a bad block",
+            PageFault::Uncorrectable => "uncorrectable ECC error",
+        })
+    }
+}
+
+/// The id [`Cluster::submit`] hands out and the op's [`Completed`]
+/// echoes: consecutive from 0, in submission order.
+pub type OpId = u64;
+
+/// One simulated page operation, for [`Cluster::submit`].
+#[derive(Clone, Copy, Debug)]
+pub enum PageOp<'a> {
+    /// Read a page of the global address space, local or remote.
+    Read {
+        /// The page read.
+        addr: GlobalPageAddr,
+        /// Who consumes the data.
+        consume: Consume,
+    },
+    /// Write one page, zero-padded, to the submitting node's flash on a
+    /// page the cluster allocates (the completion's `addr`).
+    Write(&'a [u8]),
+    /// Read entry `key` of `home`'s DRAM buffer over the integrated
+    /// network (the H-D path of Figure 12).
+    ReadDram {
+        /// The node whose buffer is read.
+        home: NodeId,
+        /// The entry read (see [`Cluster::load_dram`]).
+        key: u64,
+        /// Who consumes the data.
+        consume: Consume,
+    },
 }
 
 /// What is wrong with a node → shard map.
@@ -166,13 +262,23 @@ impl fmt::Display for ClusterError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ClusterError::Flash(e) => write!(f, "flash error: {e}"),
+            ClusterError::Page(a, fault) => {
+                write!(f, "page {} of card {} on {}: {fault}", a.lpn, a.card, a.node)
+            }
+            ClusterError::DramMiss { node, key } => {
+                write!(f, "no DRAM buffer entry {key} on {node}")
+            }
             ClusterError::Ftl(e) => write!(f, "FTL cannot be built: {e}"),
             ClusterError::DeviceFull(n) => write!(f, "no free pages left on {n}"),
             ClusterError::NoNodes => write!(f, "the topology has no nodes"),
             ClusterError::InvalidPartition(e) => write!(f, "invalid partition: {e}"),
             ClusterError::Disconnected(n) => write!(f, "topology is disconnected: no route to {n}"),
             ClusterError::CardsPerNode(c) => write!(f, "{c} cards per node is outside 1..=256"),
-            ClusterError::MissingCompletion => write!(f, "operation produced no completion"),
+            ClusterError::Lanes(l) => write!(
+                f,
+                "{l} cables per hop is outside 1..=the {} ports of a node",
+                Topology::MAX_PORTS
+            ),
         }
     }
 }
@@ -197,15 +303,6 @@ impl From<FtlError> for ClusterError {
     fn from(e: FtlError) -> Self {
         ClusterError::Ftl(Box::new(e))
     }
-}
-
-/// A completed single read with its simulated latency.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CompletedRead {
-    /// Page contents.
-    pub data: Vec<u8>,
-    /// Operation latency (accept to data-at-destination).
-    pub latency: SimTime,
 }
 
 /// A DES world of BlueDBM nodes. See the
@@ -235,7 +332,10 @@ pub struct Cluster {
     /// Flash pages allocated and not yet freed, cluster-wide — the KV
     /// layer's stranded-extent audit baseline.
     pages_in_use: u64,
-    next_op: u64,
+    next_op: OpId,
+    /// Completions [`Cluster::run_to_quiescence`] keeps for
+    /// [`Cluster::harvest_node`], by submitting node.
+    undrained: Vec<Vec<Completed>>,
 }
 
 impl Cluster {
@@ -388,27 +488,30 @@ impl Cluster {
             controllers,
             partition: partition.to_vec(),
             next_op: 0,
+            undrained: vec![Vec::new(); n],
         })
     }
 
     /// A ring of `n` nodes with enough lanes to mirror the paper's
-    /// cabling (4 each way for n > 2).
+    /// cabling (4 each way for n > 2). One node is a cluster with no
+    /// cables.
     ///
     /// # Errors
     ///
     /// As for [`Cluster::new`].
     pub fn ring(n: usize, config: &SystemConfig) -> Result<Self, ClusterError> {
-        let lanes = 4;
-        Self::new(Topology::ring(n, lanes), config)
+        Self::new(chain(n, 4, true)?, config)
     }
 
-    /// A line of `n` nodes with `lanes` parallel cables per hop.
+    /// A line of `n` nodes with `lanes` parallel cables per hop. One
+    /// node is a cluster with no cables.
     ///
     /// # Errors
     ///
-    /// As for [`Cluster::new`].
+    /// As for [`Cluster::new`], plus [`ClusterError::Lanes`] when
+    /// `lanes` is 0 or the node's ports cannot hold them.
     pub fn line(n: usize, lanes: usize, config: &SystemConfig) -> Result<Self, ClusterError> {
-        Self::new(Topology::line(n, lanes), config)
+        Self::new(chain(n, lanes, false)?, config)
     }
 
     /// The system configuration in force.
@@ -600,7 +703,7 @@ impl Cluster {
         Ok(GlobalPageAddr {
             node,
             card: card as u8, // < 256, checked at build
-            ppa: self.config.flash.geometry.ppa_of(lba),
+            lpn: lba as u32,  // < the card's Ftl capacity, a u32
         })
     }
 
@@ -616,18 +719,18 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// [`ClusterError::Flash`] wrapping `OutOfRange` on an address the
-    /// cluster lacks: a node or card it does not have, a page outside the
-    /// geometry or the card's logical space; nothing changes.
+    /// [`ClusterError::Page`] with [`PageFault::OutOfRange`] on an
+    /// address the cluster lacks: a node or card it does not have, or a
+    /// page past the card's logical capacity; nothing changes.
     ///
     /// # Panics
     ///
     /// Panics if more pages are freed than were ever allocated (a
     /// double-free somewhere).
     pub(crate) fn free_page(&mut self, addr: GlobalPageAddr) -> Result<(), ClusterError> {
-        let out_of_range = || FlashError::OutOfRange(addr.ppa);
-        let lba = self.lba_of(addr).ok_or_else(out_of_range)?;
-        self.agent_mut(addr.node).trim(addr.card, lba).map_err(|_| out_of_range())?;
+        let out_of_range = ClusterError::Page(addr, PageFault::OutOfRange);
+        let lba = self.lba_of(addr).ok_or(out_of_range.clone())?;
+        self.agent_mut(addr.node).trim(addr.card, lba).map_err(|_| out_of_range)?;
         self.pages_in_use = self
             .pages_in_use
             .checked_sub(1)
@@ -644,14 +747,12 @@ impl Cluster {
         self.pages_in_use
     }
 
-    /// The logical page number `addr` names on its card, or `None` when
-    /// the cluster has no such node, card or page.
+    /// The LBA `addr` names on its card's `Ftl`, or `None` when the
+    /// cluster has no such node or card, or the page is past the card's
+    /// logical capacity.
     fn lba_of(&self, addr: GlobalPageAddr) -> Option<u64> {
-        let geom = self.config.flash.geometry;
-        let exists = addr.node.index() < self.node_count()
-            && usize::from(addr.card) < self.config.flash.cards_per_node
-            && geom.contains(addr.ppa);
-        exists.then(|| geom.linear_of(addr.ppa) as u64)
+        let capacity = self.capacity.get(addr.node.index())?.get(usize::from(addr.card))?;
+        ((addr.lpn as usize) < *capacity).then_some(u64::from(addr.lpn))
     }
 
     /// Check a write payload against the page size before anything is
@@ -747,49 +848,6 @@ impl Cluster {
         id
     }
 
-    /// Run to quiescence and turn the one completion `node` must have
-    /// produced into a result: its data (empty for a write) and latency,
-    /// or its failure.
-    fn finish_one(&mut self, node: NodeId) -> Result<CompletedRead, ClusterError> {
-        self.sim.run();
-        let mut done = self.harvest_node(node);
-        let one = done.pop().ok_or(ClusterError::MissingCompletion)?;
-        debug_assert!(done.is_empty(), "single op produced multiple completions");
-        match (one.error, one.data) {
-            (Some(e), _) => Err(ClusterError::Flash(e)),
-            (None, Some(data)) => Ok(CompletedRead {
-                data,
-                latency: one.end - one.start,
-            }),
-            (None, None) => Err(ClusterError::MissingCompletion),
-        }
-    }
-
-    /// Write a page to `node`'s own flash through the full DES path and
-    /// run to quiescence.
-    ///
-    /// # Errors
-    ///
-    /// As for `Cluster::inject_write`, plus the write's flash failure
-    /// (the page then goes back to the free pool).
-    pub fn write_page_local(
-        &mut self,
-        node: NodeId,
-        data: &[u8],
-    ) -> Result<GlobalPageAddr, ClusterError> {
-        let (_op_id, addr) = self.inject_write(node, data)?;
-        match self.finish_one(node) {
-            Ok(_) => Ok(addr),
-            Err(e) => {
-                // The write failed: the page holds nothing durable, so
-                // return it to the pool (keeps the allocation audit
-                // honest on this blocking path).
-                let _ = self.free_page(addr);
-                Err(e)
-            }
-        }
-    }
-
     /// Preload a page without simulating the write (experiment setup:
     /// building a 100k-page dataset should not cost 100k simulated
     /// tPROGs). `data` shorter than a page is zero-padded.
@@ -814,8 +872,7 @@ impl Cluster {
     ) -> Result<GlobalPageAddr, ClusterError> {
         self.check_page_size(data)?;
         let addr = self.alloc_page(node)?;
-        let lba = self.config.flash.geometry.linear_of(addr.ppa) as u64;
-        let outcome = self.agent_mut(node).step_write(addr.card, lba);
+        let outcome = self.agent_mut(node).step_write(addr.card, u64::from(addr.lpn));
         let page_bytes = self.config.flash.geometry.page_bytes;
         let mut page = Cow::Borrowed(data);
         if data.len() < page_bytes {
@@ -831,147 +888,110 @@ impl Cluster {
         Ok(addr)
     }
 
-    /// Read one page at `reader` and run to quiescence. `consume` picks
-    /// the destination: [`Consume::Isp`] for the in-store processor
-    /// (local flash, or the ISP-F remote path when `addr` lives on
-    /// another node), [`Consume::Host`] for host memory (adds the PCIe
-    /// crossing), [`Consume::Accel`] for a shared accelerator unit.
-    ///
-    /// # Errors
-    ///
-    /// Flash failures.
-    pub fn read_page(
-        &mut self,
-        reader: NodeId,
-        addr: GlobalPageAddr,
-        consume: Consume,
-    ) -> Result<CompletedRead, ClusterError> {
-        self.inject_read(reader, addr, consume);
-        self.finish_one(reader)
-    }
-
-    /// Stage data into `node`'s DRAM buffer.
+    /// Store `data` under `key` in `node`'s DRAM buffer, for
+    /// [`PageOp::ReadDram`] (setup, like [`Cluster::preload_page`]).
     pub fn load_dram(&mut self, node: NodeId, key: u64, data: &[u8]) {
-        self.sim.schedule(
-            SimTime::ZERO,
-            self.agents[node.index()],
-            AgentOp::LoadDram {
-                key,
-                data: data.to_vec(),
-            },
-        );
-        self.sim.run();
+        self.agent_mut(node).dram.insert(key, data.to_vec());
     }
 
-    /// Read `host`'s DRAM buffer from `reader` over the integrated
-    /// network (the H-D path's storage half) and run to quiescence.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::Flash`] wrapping `UnknownHandle` when `key` was
-    /// never loaded.
-    pub fn read_remote_dram(
-        &mut self,
-        reader: NodeId,
-        host: NodeId,
-        key: u64,
-        consume: Consume,
-    ) -> Result<CompletedRead, ClusterError> {
+    /// Submit one page operation at `node` at the current instant,
+    /// **without running the simulation**, and return the op id its
+    /// completion will echo; [`Cluster::drive`] runs it. An op that
+    /// cannot start completes at once, with no flash command and no
+    /// network message: a read of a page the cluster lacks (a node, a
+    /// card, or a page past the card's logical capacity) with
+    /// [`PageFault::OutOfRange`], a write longer than a page
+    /// (`WrongPageSize`) or to a full node ([`ClusterError::DeviceFull`])
+    /// allocating nothing, and a DRAM read of a node the cluster lacks
+    /// with [`ClusterError::DramMiss`].
+    pub fn submit(&mut self, node: NodeId, op: PageOp<'_>) -> OpId {
         let op_id = self.op_id();
-        self.sim.schedule(
-            SimTime::ZERO,
-            self.agents[reader.index()],
-            AgentOp::ReadRemoteDram {
-                op_id,
-                node: host,
-                key,
-                consume,
+        let started = match op {
+            PageOp::Read { addr, consume } if self.lba_of(addr).is_some() => {
+                Ok(AgentOp::ReadFlash { op_id, addr, consume })
+            }
+            PageOp::Read { addr, .. } => {
+                Err((Some(addr), ClusterError::Page(addr, PageFault::OutOfRange)))
+            }
+            PageOp::Write(data) => match self.check_page_size(data).and_then(|()| self.alloc_page(node)) {
+                Ok(addr) => {
+                    // Staged in the store segment of the shard that owns
+                    // the node, where its flash controller consumes (and
+                    // frees) the page.
+                    let page_bytes = self.config.flash.geometry.page_bytes;
+                    let shard = self.partition[node.index()] as usize;
+                    let data = self.sim.page_store_mut(shard).alloc_padded(data, page_bytes);
+                    Ok(AgentOp::WriteFlash { op_id, addr, data })
+                }
+                Err(e) => Err((None, e)),
             },
-        );
-        self.finish_one(reader)
-    }
-
-    /// Inject one read at `reader` (scheduled at the current instant)
-    /// **without running the simulation** — the building block for
-    /// concurrent multi-reader workloads (all-to-all scatter streams):
-    /// inject from every reader, then [`Cluster::run_to_quiescence`] and
-    /// [`Cluster::harvest_node`]. Returns the op id echoed in the
-    /// completion. The home node's agent maps the logical page to its
-    /// cell when the read reaches it; a page no cell holds
-    /// (never written, or freed) completes with `NotProgrammed` and no
-    /// flash command. An address the cluster lacks — a node, a card or
-    /// a page outside the geometry — completes with `OutOfRange` at the
-    /// injection instant, with no flash command and no network message.
-    pub fn inject_read(&mut self, reader: NodeId, addr: GlobalPageAddr, consume: Consume) -> u64 {
-        let op_id = self.op_id();
-        if self.lba_of(addr).is_none() {
-            let now = self.now();
-            let error = FlashError::OutOfRange(addr.ppa);
-            self.agent_mut(reader).complete(now, op_id, Some(addr), Err(error), now);
-            return op_id;
+            PageOp::ReadDram { home, key, consume } if home.index() < self.node_count() => {
+                Ok(AgentOp::ReadRemoteDram { op_id, node: home, key, consume })
+            }
+            PageOp::ReadDram { home, key, .. } => Err((None, ClusterError::DramMiss { node: home, key })),
+        };
+        match started {
+            Ok(op) => self.sim.schedule(SimTime::ZERO, self.agents[node.index()], op),
+            Err((addr, error)) => {
+                let now = self.now();
+                self.agent_mut(node).complete(now, op_id, addr, Err(error), now);
+            }
         }
-        let op = AgentOp::ReadFlash { op_id, addr, consume };
-        self.sim.schedule(SimTime::ZERO, self.agents[reader.index()], op);
         op_id
     }
 
-    /// Inject one page write at `node` (allocating the page and staging
-    /// the payload) **without running the simulation** — the write-side
-    /// twin of [`Cluster::inject_read`], used by the concurrent KV
-    /// engine to put many tenants' writes in flight at once. The card's
-    /// FTL places the write when it reaches the node's agent; a write
-    /// that trips collection waits out its own card's GC. `data`
-    /// shorter than a page is zero-padded. Returns the op id echoed in
-    /// the completion and the page allocated.
+    /// Run the event queues to global quiescence (across all shards) and
+    /// return every completion recorded since the last drive, on every
+    /// node, in op-id order — submission order, whichever node finished
+    /// first.
+    pub fn drive(&mut self) -> Vec<Completed> {
+        self.sim.run();
+        let mut done = Vec::new();
+        for node in 0..self.node_count() {
+            done.append(&mut self.agent_mut(NodeId::from(node)).completed);
+        }
+        done.sort_unstable_by_key(|c| c.op_id);
+        done
+    }
+
+    /// Submit `op` at `node`, drive, and return its completion: the
+    /// blocking form of [`Cluster::submit`] and [`Cluster::drive`]. Ops
+    /// submitted before it run too, and their completions are dropped.
     ///
     /// # Errors
     ///
-    /// [`ClusterError::Flash`] wrapping `WrongPageSize` when `data` is
-    /// longer than a page, and [`ClusterError::DeviceFull`] when `node`
-    /// has no free pages; either way nothing is allocated.
-    pub(crate) fn inject_write(
-        &mut self,
-        node: NodeId,
-        data: &[u8],
-    ) -> Result<(u64, GlobalPageAddr), ClusterError> {
-        self.check_page_size(data)?;
-        let addr = self.alloc_page(node)?;
-        let op_id = self.op_id();
-        // Staged in the store segment of the shard that owns the node,
-        // where its flash controller consumes (and frees) the page.
-        let page_bytes = self.config.flash.geometry.page_bytes;
-        let shard = self.partition[node.index()] as usize;
-        let data = self.sim.page_store_mut(shard).alloc_padded(data, page_bytes);
-        let op = AgentOp::WriteFlash { op_id, addr, data };
-        self.sim.schedule(SimTime::ZERO, self.agents[node.index()], op);
-        Ok((op_id, addr))
-    }
-
-    /// Run the event queues to global quiescence (across all shards).
-    pub fn run_to_quiescence(&mut self) {
-        self.sim.run();
-    }
-
-    /// Drain the completions recorded at `node`.
-    pub fn harvest_node(&mut self, node: NodeId) -> Vec<Completed> {
-        self.agent_mut(node).take_completed()
-    }
-
-    /// Inject a batch of reads at `reader` (all at the current instant),
-    /// run to quiescence, and return every completion. Used by the
-    /// bandwidth experiments (Figure 13): per-class sustained rates are
-    /// computed from the completion timestamps.
-    pub fn stream_reads(
-        &mut self,
-        reader: NodeId,
-        addrs: &[GlobalPageAddr],
-        consume: Consume,
-    ) -> Vec<Completed> {
-        for &addr in addrs {
-            self.inject_read(reader, addr, consume);
+    /// The op's failure (see [`Cluster::submit`]).
+    pub fn run_one(&mut self, node: NodeId, op: PageOp<'_>) -> Result<Completed, ClusterError> {
+        self.submit(node, op);
+        // Submitted last, so last in op-id order.
+        let mut one = self.drive().pop().expect("drive completes every submitted op");
+        match one.error.take() {
+            Some(e) => Err(e),
+            None => Ok(one),
         }
-        self.run_to_quiescence();
-        self.harvest_node(reader)
+    }
+
+    /// `submit(reader, PageOp::Read { addr, consume })`, kept only
+    /// because the benchmark's mesh workload (`benchmark/src/mesh.rs`)
+    /// calls it, until that workload calls `submit` and `drive`.
+    pub fn inject_read(&mut self, reader: NodeId, addr: GlobalPageAddr, consume: Consume) -> OpId {
+        self.submit(reader, PageOp::Read { addr, consume })
+    }
+
+    /// [`Cluster::drive`], keeping each completion for
+    /// [`Cluster::harvest_node`] of its submitting node; kept only for
+    /// the benchmark's mesh workload, as [`Cluster::inject_read`] is.
+    pub fn run_to_quiescence(&mut self) {
+        for c in self.drive() {
+            self.undrained[c.node.index()].push(c);
+        }
+    }
+
+    /// The completions [`Cluster::run_to_quiescence`] kept for ops
+    /// submitted at `node`; kept only for the benchmark's mesh workload,
+    /// as [`Cluster::inject_read`] is.
+    pub fn harvest_node(&mut self, node: NodeId) -> Vec<Completed> {
+        std::mem::take(&mut self.undrained[node.index()])
     }
 
     /// Shortest-path hop count between two nodes, read off the routers'
@@ -1049,17 +1069,31 @@ mod tests {
         vec![fill; config.flash.geometry.page_bytes]
     }
 
+    fn read(
+        cluster: &mut Cluster,
+        at: NodeId,
+        addr: GlobalPageAddr,
+        consume: Consume,
+    ) -> Result<Completed, ClusterError> {
+        cluster.run_one(at, PageOp::Read { addr, consume })
+    }
+
+    fn latency(c: &Completed) -> SimTime {
+        c.end - c.start
+    }
+
     #[test]
     fn local_write_then_read_round_trip() {
         let config = SystemConfig::scaled_down();
         let mut cluster = Cluster::ring(2, &config).unwrap();
-        let addr = cluster.write_page_local(NodeId(0), &page(&config, 1)).unwrap();
-        let read = cluster.read_page(NodeId(0), addr, Consume::Isp).unwrap();
-        assert_eq!(read.data, page(&config, 1));
+        let written = cluster.run_one(NodeId(0), PageOp::Write(&page(&config, 1))).unwrap();
+        let addr = written.addr.unwrap();
+        let read = read(&mut cluster, NodeId(0), addr, Consume::Isp).unwrap();
+        assert_eq!(read.data, Some(page(&config, 1)));
         // Local ISP read: tR 50us + bus transfer (2 KiB page at 150 MB/s
         // is ~13.7us), no network.
-        assert!(read.latency >= SimTime::us(50));
-        assert!(read.latency < SimTime::us(66), "{}", read.latency);
+        assert!(latency(&read) >= SimTime::us(50));
+        assert!(latency(&read) < SimTime::us(66), "{}", latency(&read));
         // Every page handle was consumed on its way through the stack.
         cluster.assert_quiescent();
     }
@@ -1069,13 +1103,13 @@ mod tests {
         let config = SystemConfig::scaled_down();
         let mut cluster = Cluster::ring(4, &config).unwrap();
         let addr = cluster.preload_page(NodeId(0), &page(&config, 7)).unwrap();
-        let local = cluster.read_page(NodeId(0), addr, Consume::Isp).unwrap();
-        let remote = cluster.read_page(NodeId(1), addr, Consume::Isp).unwrap();
-        assert_eq!(remote.data, page(&config, 7));
-        assert!(remote.latency > local.latency);
+        let local = latency(&read(&mut cluster, NodeId(0), addr, Consume::Isp).unwrap());
+        let remote = read(&mut cluster, NodeId(1), addr, Consume::Isp).unwrap();
+        assert_eq!(remote.data, Some(page(&config, 7)));
+        assert!(latency(&remote) > local);
         // One hop each way (0.48us) plus the 8KB+ page on the wire: the
         // paper's "integrated network adds ~5% to a flash access".
-        let overhead = remote.latency - local.latency;
+        let overhead = latency(&remote) - local;
         assert!(
             overhead < SimTime::us(12),
             "network overhead too large: {overhead}"
@@ -1087,10 +1121,10 @@ mod tests {
         let config = SystemConfig::scaled_down();
         let mut cluster = Cluster::ring(2, &config).unwrap();
         let addr = cluster.preload_page(NodeId(0), &page(&config, 3)).unwrap();
-        let isp = cluster.read_page(NodeId(0), addr, Consume::Isp).unwrap();
-        let host = cluster.read_page(NodeId(0), addr, Consume::Host).unwrap();
-        assert_eq!(host.data, page(&config, 3));
-        let gap = host.latency - isp.latency;
+        let isp = latency(&read(&mut cluster, NodeId(0), addr, Consume::Isp).unwrap());
+        let host = read(&mut cluster, NodeId(0), addr, Consume::Host).unwrap();
+        assert_eq!(host.data, Some(page(&config, 3)));
+        let gap = latency(&host) - isp;
         // DMA setup 1us + ~1.3us transfer (2KB page at 1.6GB/s) + 2us
         // completion.
         assert!(gap > SimTime::us(3) && gap < SimTime::us(10), "{gap}");
@@ -1104,26 +1138,27 @@ mod tests {
         let data = page(&config, 9);
         cluster.load_dram(NodeId(1), 42, &data);
         let flash_addr = cluster.preload_page(NodeId(1), &data).unwrap();
-        let dram = cluster
-            .read_remote_dram(NodeId(0), NodeId(1), 42, Consume::Isp)
-            .unwrap();
-        let flash = cluster.read_page(NodeId(0), flash_addr, Consume::Isp).unwrap();
-        assert_eq!(dram.data, data);
+        let dram = PageOp::ReadDram { home: NodeId(1), key: 42, consume: Consume::Isp };
+        let dram = cluster.run_one(NodeId(0), dram).unwrap();
+        let flash = read(&mut cluster, NodeId(0), flash_addr, Consume::Isp).unwrap();
+        assert_eq!(dram.data, Some(data));
         // DRAM skips the 50us tR.
-        assert!(flash.latency > dram.latency + SimTime::us(40));
+        assert!(latency(&flash) > latency(&dram) + SimTime::us(40));
     }
 
     #[test]
     fn missing_dram_key_reports_error() {
         let config = SystemConfig::scaled_down();
         let mut cluster = Cluster::ring(2, &config).unwrap();
-        let err = cluster
-            .read_remote_dram(NodeId(0), NodeId(1), 999, Consume::Isp)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            ClusterError::Flash(FlashError::UnknownHandle(999))
-        ));
+        for home in [NodeId(1), NodeId(2)] {
+            let op = PageOp::ReadDram { home, key: 999, consume: Consume::Isp };
+            let err = cluster.run_one(NodeId(0), op).unwrap_err();
+            assert_eq!(err, ClusterError::DramMiss { node: home, key: 999 });
+        }
+        assert_eq!(
+            ClusterError::DramMiss { node: NodeId(1), key: 999 }.to_string(),
+            "no DRAM buffer entry 999 on node1"
+        );
     }
 
     #[test]
@@ -1131,11 +1166,9 @@ mod tests {
         let config = SystemConfig::scaled_down();
         let mut cluster = Cluster::ring(2, &config).unwrap();
         let addr = cluster.alloc_page(NodeId(0)).unwrap();
-        let err = cluster.read_page(NodeId(0), addr, Consume::Isp).unwrap_err();
-        assert!(matches!(
-            err,
-            ClusterError::Flash(FlashError::NotProgrammed(_))
-        ));
+        let err = read(&mut cluster, NodeId(0), addr, Consume::Isp).unwrap_err();
+        assert_eq!(err, ClusterError::Page(addr, PageFault::NotProgrammed));
+        assert_eq!(err.to_string(), "page 0 of card 0 on node0: not programmed");
     }
 
     #[test]
@@ -1221,7 +1254,10 @@ mod tests {
             addrs.push(cluster.preload_page(NodeId(1), &data).unwrap());
         }
         let t0 = cluster.now();
-        let done = cluster.stream_reads(NodeId(0), &addrs, Consume::Isp);
+        for addr in addrs {
+            cluster.submit(NodeId(0), PageOp::Read { addr, consume: Consume::Isp });
+        }
+        let done = cluster.drive();
         assert_eq!(done.len(), 600);
         let last = done.iter().map(|c| c.end).max().unwrap();
         let bytes = (600 * page_bytes) as f64;
@@ -1274,8 +1310,8 @@ mod tests {
         assert_eq!(cluster.shard_count(), 1);
         assert_eq!(cluster.min_lookahead(), None);
         assert_eq!(cluster.lookahead_between(0, 0), None);
-        let addr = cluster.write_page_local(NodeId(1), &page(&config, 5)).unwrap();
-        cluster.read_page(NodeId(0), addr, Consume::Host).unwrap();
+        let written = cluster.run_one(NodeId(1), PageOp::Write(&page(&config, 5))).unwrap();
+        read(&mut cluster, NodeId(0), written.addr.unwrap(), Consume::Host).unwrap();
         assert_eq!(cluster.sync_rounds(), None);
         assert_eq!(cluster.exec_mode(), None);
         assert_eq!(cluster.shard_stats(), None);
@@ -1355,6 +1391,19 @@ mod tests {
     }
 
     #[test]
+    fn rings_and_lines_of_too_few_nodes_or_lanes_are_typed() {
+        let config = SystemConfig::scaled_down();
+        assert_eq!(Cluster::ring(0, &config).unwrap_err(), ClusterError::NoNodes);
+        let one = Cluster::ring(1, &config).unwrap();
+        assert_eq!(one.node_count(), 1);
+        // No lane at all, and 5 lanes each way on the middle node of a
+        // line need 10 of its 8 ports.
+        for lanes in [0, 5] {
+            assert_eq!(Cluster::line(3, lanes, &config).unwrap_err(), ClusterError::Lanes(lanes));
+        }
+    }
+
+    #[test]
     fn host_stream_respects_the_read_buffer_pool() {
         use crate::node::NodeAgent;
 
@@ -1368,7 +1417,10 @@ mod tests {
         let addrs: Vec<GlobalPageAddr> = (0..32)
             .map(|i| cluster.preload_page(NodeId(0), &page(&config, i as u8)).unwrap())
             .collect();
-        let done = cluster.stream_reads(NodeId(0), &addrs, Consume::Host);
+        for addr in addrs {
+            cluster.submit(NodeId(0), PageOp::Read { addr, consume: Consume::Host });
+        }
+        let done = cluster.drive();
         assert_eq!(done.len(), 32, "every parked page eventually crosses PCIe");
         assert!(done.iter().all(|c| c.error.is_none()));
         let agent = cluster.agents[0];
@@ -1404,55 +1456,62 @@ mod tests {
         assert_eq!(err, ClusterError::Flash(FlashError::WrongPageSize { got: 513, want: 512 }));
         assert_untouched(&cluster);
         let addr = cluster.preload_page(NodeId(0), &[1, 2, 3]).unwrap();
-        let read = cluster.read_page(NodeId(0), addr, Consume::Isp).unwrap();
-        assert_eq!(read.data[..3], [1, 2, 3]);
-        assert!(read.data[3..].iter().all(|&b| b == 0));
+        let data = read(&mut cluster, NodeId(0), addr, Consume::Isp).unwrap().data.unwrap();
+        assert_eq!(data[..3], [1, 2, 3]);
+        assert!(data[3..].iter().all(|&b| b == 0));
     }
 
     #[test]
-    fn inject_write_refuses_long_pages_untouched() {
+    fn a_write_longer_than_a_page_is_refused_untouched() {
         let mut cluster = tiny_cluster();
-        let err = cluster.inject_write(NodeId(0), &[0; 4096]).unwrap_err();
-        assert_eq!(err, ClusterError::Flash(FlashError::WrongPageSize { got: 4096, want: 512 }));
+        let events = cluster.events_delivered();
+        let op = cluster.submit(NodeId(0), PageOp::Write(&[0; 4096]));
         assert_untouched(&cluster);
-        cluster.run_to_quiescence();
-        assert!(cluster.harvest_node(NodeId(0)).is_empty());
+        let done = cluster.drive();
+        assert_eq!(done.len(), 1);
+        let want = ClusterError::Flash(FlashError::WrongPageSize { got: 4096, want: 512 });
+        assert_eq!((done[0].op_id, done[0].addr, done[0].error.clone()), (op, None, Some(want)));
+        assert_eq!(cluster.events_delivered(), events);
+        assert_untouched(&cluster);
         cluster.assert_quiescent();
     }
 
     #[test]
     fn address_outside_the_geometry_reads_out_of_range() {
         let mut cluster = tiny_cluster();
+        let geom = cluster.config().flash.geometry;
         let addrs: Vec<GlobalPageAddr> = (0..40u8)
             .map(|i| cluster.preload_page(NodeId(0), &[i; 512]).unwrap())
             .collect();
-        // Page 16 of a 16-page block: its linear index would alias the
-        // card's logical page 16, which holds preload #32. A card or a
-        // node the two-node, two-card cluster lacks must not index past
-        // its tables.
-        let ppa = bluedbm_flash::Ppa::new(0, 0, 0, 16);
+        // The first page past card 0's logical capacity is still inside
+        // the geometry (the capacity leaves out the GC reserve); a page
+        // past the geometry, a card or a node the two-node, two-card
+        // cluster lacks must not index past its tables either.
+        let capacity = cluster.ftl(NodeId(0), 0).capacity_pages() as u32;
+        assert!((capacity as usize) < geom.total_pages());
         let outside = [
-            GlobalPageAddr { node: NodeId(0), card: 0, ppa },
+            GlobalPageAddr { lpn: capacity, ..addrs[0] },
+            GlobalPageAddr { lpn: geom.total_pages() as u32, ..addrs[0] },
             GlobalPageAddr { card: 7, ..addrs[0] },
             GlobalPageAddr { node: NodeId(5), ..addrs[0] },
         ];
         for addr in outside {
-            let out_of_range = FlashError::OutOfRange(addr.ppa);
+            let out_of_range = ClusterError::Page(addr, PageFault::OutOfRange);
             for reader in [NodeId(0), NodeId(1)] {
                 let reads = cluster.card_array(NodeId(0), 0).stats().reads;
                 let (injected, at) = (cluster.router_stats(reader).injected, cluster.now());
-                let op = cluster.inject_read(reader, addr, Consume::Isp);
-                cluster.run_to_quiescence();
-                let done = cluster.harvest_node(reader);
+                let op = cluster.submit(reader, PageOp::Read { addr, consume: Consume::Isp });
+                let done = cluster.drive();
                 assert_eq!(done.len(), 1);
                 let c = &done[0];
                 let want = (op, Some(out_of_range.clone()), at, at);
                 assert_eq!((c.op_id, c.error.clone(), c.start, c.end), want, "{addr:?} read at {reader}");
                 assert_eq!(cluster.card_array(NodeId(0), 0).stats().reads, reads);
                 assert_eq!(cluster.router_stats(reader).injected, injected);
-                let err = cluster.read_page(reader, addr, Consume::Isp).unwrap_err();
-                assert_eq!(err, ClusterError::Flash(out_of_range.clone()));
             }
+            // A free refuses it the same way, and changes nothing.
+            assert_eq!(cluster.free_page(addr), Err(out_of_range));
+            assert_eq!(cluster.flash_pages_in_use(), 40);
         }
         cluster.assert_quiescent();
     }
@@ -1461,9 +1520,9 @@ mod tests {
     fn freeing_an_address_outside_the_geometry_is_an_error() {
         let mut cluster = tiny_cluster();
         let addr = cluster.alloc_page(NodeId(0)).unwrap();
-        let ppa = bluedbm_flash::Ppa::new(0, 0, 0, 16);
-        let err = cluster.free_page(GlobalPageAddr { ppa, ..addr }).unwrap_err();
-        assert_eq!(err, ClusterError::Flash(FlashError::OutOfRange(ppa)));
+        let outside = GlobalPageAddr { lpn: u32::MAX, ..addr };
+        let err = cluster.free_page(outside).unwrap_err();
+        assert_eq!(err, ClusterError::Page(outside, PageFault::OutOfRange));
         assert_eq!(cluster.flash_pages_in_use(), 1);
         assert_eq!(cluster.ftl(NodeId(0), 0).stats().trims, 0);
         // The page that was allocated still is, and is the one freed.
@@ -1481,24 +1540,24 @@ mod tests {
         // Allocation alternates the two cards, and each card's writes
         // go round-robin over its four planes: the third preload is
         // card 0's logical page 1, and its fifth logical page (the ninth
-        // preload) sits in linear page 1, the cell that shares the freed
-        // page's index.
+        // preload) sits in linear page 1, the cell whose index is the
+        // freed page's number.
         let freed = addrs[2];
-        assert_eq!((freed.card, geom.linear_of(freed.ppa)), (0, 1));
-        assert_eq!((addrs[8].card, geom.linear_of(addrs[8].ppa)), (0, 4));
+        assert_eq!((freed.card, freed.lpn), (0, 1));
+        assert_eq!((addrs[8].card, addrs[8].lpn), (0, 4));
         assert_eq!(cluster.ftl(NodeId(0), 0).physical_of(4), Some(geom.ppa_of(1)));
         cluster.free_page(freed).unwrap();
-        let not_programmed = FlashError::NotProgrammed(freed.ppa);
+        let mut errors = Vec::new();
         for reader in [NodeId(0), NodeId(1)] {
             let flash_reads = cluster.card_array(NodeId(0), 0).stats().reads;
             let injected = cluster.router_stats(reader).injected;
             let at = cluster.now();
-            let op = cluster.inject_read(reader, freed, Consume::Host);
-            cluster.run_to_quiescence();
-            let done = cluster.harvest_node(reader);
+            let op = cluster.submit(reader, PageOp::Read { addr: freed, consume: Consume::Host });
+            let done = cluster.drive();
             assert_eq!(done.len(), 1);
             let c = &done[0];
-            assert_eq!((c.op_id, c.error.clone(), c.data.is_none()), (op, Some(not_programmed.clone()), true));
+            assert_eq!((c.op_id, c.node, c.data.is_none()), (op, reader, true));
+            errors.push(c.error.clone());
             assert_eq!(cluster.card_array(NodeId(0), 0).stats().reads, flash_reads);
             if reader == NodeId(0) {
                 assert_eq!((c.start, c.end), (at, at), "completes at the injection instant");
@@ -1508,11 +1567,12 @@ mod tests {
                 // crosses the network, and the answer comes back.
                 assert_eq!(cluster.router_stats(reader).injected, injected + 1);
             }
-            let err = cluster.read_page(reader, freed, Consume::Isp).unwrap_err();
-            assert_eq!(err, ClusterError::Flash(not_programmed.clone()));
         }
-        let read = cluster.read_page(NodeId(1), addrs[8], Consume::Isp).unwrap();
-        assert_eq!(read.data, [8; 512]);
+        // The local and the remote read name the same page the same way.
+        let not_programmed = ClusterError::Page(freed, PageFault::NotProgrammed);
+        assert_eq!(errors, [Some(not_programmed.clone()), Some(not_programmed)]);
+        let read = read(&mut cluster, NodeId(1), addrs[8], Consume::Isp).unwrap();
+        assert_eq!(read.data, Some(vec![8; 512]));
         cluster.assert_quiescent();
     }
 
@@ -1524,10 +1584,9 @@ mod tests {
         let addr = cluster.preload_page(NodeId(0), &[9; 512]).unwrap();
         let reads = (1 << 16) + 1;
         for _ in 0..reads {
-            cluster.inject_read(NodeId(0), addr, Consume::Isp);
+            cluster.submit(NodeId(0), PageOp::Read { addr, consume: Consume::Isp });
         }
-        cluster.run_to_quiescence();
-        let done = cluster.harvest_node(NodeId(0));
+        let done = cluster.drive();
         assert_eq!(done.len(), reads);
         assert!(done.iter().all(|c| c.error.is_none()));
         cluster.assert_quiescent();

@@ -66,7 +66,7 @@
 //!   gate and gives it back (for reuse) the moment it has neither, so
 //!   churn over fresh keys grows nothing.
 //! * **Record layout.** Each id's record is 16 bytes beside its arena
-//!   span: an 8-byte extent — one `(node, card, linear page)` packed
+//!   span: an 8-byte extent — one `(node, card, logical page)` packed
 //!   inline for a one-page value, or an index into a side table of page
 //!   lists for multi-page values — the byte count of the last page, and
 //!   the index of the key's gate (allocated only while ops hold or await
@@ -75,10 +75,10 @@
 //!   a `drive()` returns only when every submitted op has completed
 //!   (*drain to empty*), so the op table is a `Vec` indexed by
 //!   `id - base` that is cleared, and `base` advanced, at the end of
-//!   each drive. The cluster likewise numbers injected commands
-//!   consecutively, only this store injects into its cluster, and a
-//!   round's `run_to_quiescence` completes every command the round
-//!   injected before the next `pump` injects more (*quiesce per round*),
+//!   each drive. The cluster likewise numbers submitted commands
+//!   consecutively, only this store submits to its cluster, and a
+//!   round's [`Cluster::drive`] completes every command the round
+//!   submitted before the next `pump` submits more (*quiesce per round*),
 //!   so the command → (op, page) table is a `Vec` indexed by
 //!   `cluster op - first op of the round`, cleared every round. Both
 //!   indexings are asserted, not assumed.
@@ -96,8 +96,9 @@
 //!
 //! // Blocking convenience API (drives the simulation per call).
 //! store.put(b"user:42", b"a value that spans flash pages")?;
-//! let got = store.get(NodeId(2), b"user:42")?;
+//! let got = store.get(NodeId(2), b"user:42")?.expect("stored");
 //! assert_eq!(got.value, b"a value that spans flash pages");
+//! assert_eq!(store.get(NodeId(2), b"user:43")?, None);
 //!
 //! // Async API: two tenants' ops in flight concurrently.
 //! let a = store.submit_put(0, b"t0:k", b"alpha");
@@ -116,7 +117,6 @@
 
 use std::collections::VecDeque;
 
-use bluedbm_flash::FlashGeometry;
 use bluedbm_sim::fxhash::FxHashMap;
 
 use bluedbm_net::topology::NodeId;
@@ -125,7 +125,7 @@ use bluedbm_sim::{
     Histogram, MetricsDoc, MetricsRegistry, TraceCat, TraceName, TracePart, TraceSink, DRIVER_SHARD,
 };
 
-use crate::cluster::{Cluster, ClusterError, GlobalPageAddr};
+use crate::cluster::{Cluster, ClusterError, GlobalPageAddr, OpId, PageOp};
 use crate::keytable::KeyTable;
 use crate::node::{Completed, Consume};
 
@@ -171,8 +171,8 @@ impl<T: Default> Slab<T> {
 
 /// Where a value's pages live, in eight bytes: a tag in the top byte
 /// over either one packed page address — node (16 bits), card (8),
-/// linear page on the card (32) — or an index into the store's table of
-/// multi-page extents.
+/// logical page on the card (32) — or an index into the store's table
+/// of multi-page extents.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct Extent(u64);
 
@@ -215,17 +215,15 @@ impl Extent {
     }
 }
 
-fn pack(geometry: &FlashGeometry, addr: GlobalPageAddr) -> u64 {
-    // The cluster refused geometries past `FlashGeometry::MAX_PAGES`.
-    let linear = u32::try_from(geometry.linear_of(addr.ppa)).expect("linear page fits u32");
-    u64::from(addr.node.0) << 40 | u64::from(addr.card) << 32 | u64::from(linear)
+fn pack(addr: GlobalPageAddr) -> u64 {
+    u64::from(addr.node.0) << 40 | u64::from(addr.card) << 32 | u64::from(addr.lpn)
 }
 
-fn unpack(geometry: &FlashGeometry, packed: u64) -> GlobalPageAddr {
+fn unpack(packed: u64) -> GlobalPageAddr {
     GlobalPageAddr {
         node: NodeId((packed >> 40) as u16),
         card: (packed >> 32) as u8,
-        ppa: geometry.ppa_of(packed as u32 as usize),
+        lpn: packed as u32,
     }
 }
 
@@ -246,15 +244,23 @@ impl ExtentPages<'_> {
 
 /// The pages of `extent`, in value order (free function so callers can
 /// keep borrowing the store's other fields).
-fn extent_pages<'a>(
-    extents: &'a Slab<Vec<GlobalPageAddr>>,
-    geometry: &FlashGeometry,
-    extent: Extent,
-) -> ExtentPages<'a> {
+fn extent_pages(extents: &Slab<Vec<GlobalPageAddr>>, extent: Extent) -> ExtentPages<'_> {
     match extent.decode() {
         ExtentKind::Absent | ExtentKind::Empty => ExtentPages::Many(&[]),
-        ExtentKind::One(packed) => ExtentPages::One(unpack(geometry, packed)),
+        ExtentKind::One(packed) => ExtentPages::One(unpack(packed)),
         ExtentKind::Many(at) => ExtentPages::Many(&extents.items[at as usize]),
+    }
+}
+
+/// `extent` with `addr` appended as its last page.
+fn push_page(extents: &mut Slab<Vec<GlobalPageAddr>>, extent: Extent, addr: GlobalPageAddr) -> Extent {
+    match extent.decode() {
+        ExtentKind::One(first) => Extent::many(extents.insert(vec![unpack(first), addr])),
+        ExtentKind::Many(at) => {
+            extents.items[at as usize].push(addr);
+            extent
+        }
+        ExtentKind::Absent | ExtentKind::Empty => Extent::one(pack(addr)),
     }
 }
 
@@ -413,8 +419,9 @@ enum OpBody {
     Put {
         /// The payload, held until injection chunks it onto flash.
         value: Vec<u8>,
-        /// Pages allocated at injection; moved into the key record at
-        /// successful completion, freed on failure.
+        /// The pages its writes were given, in value order, as they
+        /// complete; moved into the key record at successful completion,
+        /// freed on failure.
         extent: Extent,
         /// True value length.
         len: usize,
@@ -486,18 +493,18 @@ struct PageOps {
 
 impl PageOps {
     /// Record that cluster op `cluster_op` is page `page` of KV op `id`.
-    fn note(&mut self, cluster_op: u64, id: KvOpId, page: usize) {
+    fn note(&mut self, cluster_op: OpId, id: KvOpId, page: usize) {
         if self.table.is_empty() {
             self.base = cluster_op;
         }
-        // Only this store injects into its cluster, and every injection
+        // Only this store submits to its cluster, and every submission
         // takes the next cluster op id.
         assert_eq!(cluster_op - self.base, self.table.len() as u64);
         self.table.push((id, page as u32));
     }
 
     /// The (KV op, page index) behind a completed cluster op.
-    fn owner(&self, cluster_op: u64) -> Option<(KvOpId, u32)> {
+    fn owner(&self, cluster_op: OpId) -> Option<(KvOpId, u32)> {
         let at = cluster_op.checked_sub(self.base)?;
         self.table.get(at as usize).copied()
     }
@@ -533,7 +540,7 @@ pub struct KvStore {
     next_op: KvOpId,
     finished: Vec<KvCompletion>,
     tenants: FxHashMap<TenantId, TenantStats>,
-    geometry: FlashGeometry,
+    page_bytes: usize,
     /// Driver-side trace sink ([`DRIVER_SHARD`]): KV op lifecycle
     /// records live here, beside — not inside — the engine's per-shard
     /// sinks. Disabled (free) unless `config.sim.trace` enables the
@@ -549,7 +556,7 @@ impl KvStore {
     /// Wrap a cluster as a key-value store.
     pub fn new(cluster: Cluster) -> Self {
         let nodes = cluster.node_count();
-        let geometry = cluster.config().flash.geometry;
+        let page_bytes = cluster.config().flash.geometry.page_bytes;
         let trace = TraceSink::new(cluster.config().sim.trace, DRIVER_SHARD);
         KvStore {
             cluster,
@@ -569,7 +576,7 @@ impl KvStore {
             next_op: 0,
             finished: Vec::new(),
             tenants: FxHashMap::default(),
-            geometry,
+            page_bytes,
             trace,
         }
     }
@@ -700,7 +707,7 @@ impl KvStore {
             key,
             OpBody::Put {
                 value: value.to_vec(),
-                extent: Extent::ABSENT,
+                extent: Extent::EMPTY,
                 len: value.len(),
             },
         )
@@ -769,7 +776,7 @@ impl KvStore {
     fn admit(&mut self, id: KvOpId) {
         let op = op_slot(&mut self.ops, self.ops_base, id);
         let pages = match &op.body {
-            OpBody::Put { value, .. } => value.len().div_ceil(self.geometry.page_bytes),
+            OpBody::Put { value, .. } => value.len().div_ceil(self.page_bytes),
             // Holding the gate pins the record: no put or delete of
             // this key can complete before this get has.
             OpBody::Get { .. } => page_count(&self.extents, self.keys.get(op.key).extent),
@@ -793,7 +800,7 @@ impl KvStore {
     /// Run the simulation until every submitted operation has completed,
     /// returning their completions (in completion order, deterministic
     /// for a given submission sequence). Interleaves windowed injection
-    /// rounds with runs to quiescence; on the sharded engine each round
+    /// rounds with [`Cluster::drive`]s; on the sharded engine each round
     /// executes across all worker shards.
     pub fn drive(&mut self) -> Vec<KvCompletion> {
         loop {
@@ -806,16 +813,10 @@ impl KvStore {
                 "KV engine stalled: {} ops pending but nothing in flight",
                 self.live_ops
             );
-            self.cluster.run_to_quiescence();
-            let mut batch: Vec<Completed> = Vec::with_capacity(self.page_ops.table.len());
-            for node in 0..self.cluster.node_count() {
-                batch.extend(self.cluster.harvest_node(NodeId::from(node)));
-            }
-            // Normalize harvest order to cluster-op order: injection
-            // order of gate-released successors (and therefore every
-            // observable downstream) is independent of which node's
-            // completions drain first.
-            batch.sort_unstable_by_key(|c| c.op_id);
+            // In cluster-op order: the injection order of gate-released
+            // successors (and therefore every observable downstream) is
+            // independent of which node's completions drain first.
+            let batch = self.cluster.drive();
             assert_eq!(
                 batch.len(),
                 self.page_ops.table.len(),
@@ -889,42 +890,18 @@ impl KvStore {
     fn inject_put(&mut self, id: KvOpId, home: NodeId, value: &[u8]) {
         // The old extent (if any) stays in the key record until the
         // replacement is durable — see `finalize` — so an overwrite
-        // transiently occupies both extents.
-        let mut extent = Extent::EMPTY;
+        // transiently occupies both extents. A write refused for want of
+        // a page completes at once with the error, which fails the put.
         let mut count = 0;
-        let mut error = None;
-        for chunk in value.chunks(self.geometry.page_bytes) {
-            match self.cluster.inject_write(home, chunk) {
-                Ok((cluster_op, addr)) => {
-                    self.page_ops.note(cluster_op, id, count);
-                    extent = match extent.decode() {
-                        ExtentKind::One(first) => {
-                            let first = unpack(&self.geometry, first);
-                            Extent::many(self.extents.insert(vec![first, addr]))
-                        }
-                        ExtentKind::Many(at) => {
-                            self.extents.items[at as usize].push(addr);
-                            extent
-                        }
-                        _ => Extent::one(pack(&self.geometry, addr)),
-                    };
-                    count += 1;
-                }
-                Err(e) => {
-                    error = Some(e);
-                    break;
-                }
-            }
+        for chunk in value.chunks(self.page_bytes) {
+            let cluster_op = self.cluster.submit(home, PageOp::Write(chunk));
+            self.page_ops.note(cluster_op, id, count);
+            count += 1;
         }
         self.inflight[home.index()] += count;
         let op = op_slot(&mut self.ops, self.ops_base, id);
         op.found = true;
-        op.error = error;
         op.outstanding = count;
-        let OpBody::Put { extent: slot, .. } = &mut op.body else {
-            unreachable!()
-        };
-        *slot = extent;
         if count == 0 {
             self.finalize(id);
         }
@@ -939,13 +916,14 @@ impl KvStore {
             return;
         }
         let mut count = 0;
-        for &addr in extent_pages(&self.extents, &self.geometry, extent).as_slice() {
-            let cluster_op = self.cluster.inject_read(reader, addr, Consume::Accel);
+        for &addr in extent_pages(&self.extents, extent).as_slice() {
+            let read = PageOp::Read { addr, consume: Consume::Accel };
+            let cluster_op = self.cluster.submit(reader, read);
             self.page_ops.note(cluster_op, id, count);
             count += 1;
         }
         self.inflight[home.index()] += count;
-        let page_bytes = self.geometry.page_bytes;
+        let page_bytes = self.page_bytes;
         let op = op_slot(&mut self.ops, self.ops_base, id);
         op.found = true;
         op.outstanding = count;
@@ -961,7 +939,7 @@ impl KvStore {
 
     /// Return every page of `extent` to the cluster's free pool.
     fn free_extent(&mut self, extent: Extent) {
-        for &addr in extent_pages(&self.extents, &self.geometry, extent).as_slice() {
+        for &addr in extent_pages(&self.extents, extent).as_slice() {
             self.cluster
                 .free_page(addr)
                 .expect("extents hold valid addresses");
@@ -977,14 +955,24 @@ impl KvStore {
             .page_ops
             .owner(c.op_id)
             .expect("completion for an op the KV engine never injected");
-        let page_bytes = self.geometry.page_bytes;
+        let page_bytes = self.page_bytes;
         let op = op_slot(&mut self.ops, self.ops_base, id);
         self.inflight[op.home.index()] -= 1;
         op.last_end = op.last_end.max(c.end);
+        match (&mut op.body, c.addr, c.data) {
+            (OpBody::Put { extent, .. }, Some(addr), _) => {
+                // Cluster ops complete in op-id order, so a put's pages
+                // arrive in value order.
+                debug_assert_eq!(page_count(&self.extents, *extent), page as usize);
+                *extent = push_page(&mut self.extents, *extent, addr);
+            }
+            (OpBody::Get { buf, .. }, _, Some(data)) => {
+                buf[page as usize * page_bytes..][..page_bytes].copy_from_slice(&data);
+            }
+            _ => {}
+        }
         if let Some(e) = c.error {
-            op.error.get_or_insert(ClusterError::Flash(e));
-        } else if let (OpBody::Get { buf, .. }, Some(data)) = (&mut op.body, c.data) {
-            buf[page as usize * page_bytes..][..page_bytes].copy_from_slice(&data);
+            op.error.get_or_insert(e);
         }
         op.outstanding -= 1;
         if op.outstanding == 0 {
@@ -1014,7 +1002,7 @@ impl KvStore {
                     self.directory_pages += pages as u64;
                     let state = self.keys.get_mut(op.key);
                     let old = std::mem::replace(&mut state.extent, extent);
-                    let tail = len - pages.saturating_sub(1) * self.geometry.page_bytes;
+                    let tail = len - pages.saturating_sub(1) * self.page_bytes;
                     state.tail = u32::try_from(tail).expect("page size fits u32");
                     if old.is_present() {
                         self.directory_pages -= page_count(&self.extents, old) as u64;
@@ -1163,26 +1151,21 @@ impl KvStore {
         }
     }
 
-    /// Fetch `key`'s value from the perspective of `reader` (any node).
-    /// Drives the simulation to completion.
+    /// Fetch `key`'s value from the perspective of `reader` (any node):
+    /// `None` when the key is absent. Drives the simulation to
+    /// completion.
     ///
     /// # Errors
     ///
-    /// [`ClusterError::Flash`] wrapping `UnknownHandle` when the key is
-    /// absent, or underlying read failures.
-    pub fn get(&mut self, reader: NodeId, key: &[u8]) -> Result<GetResult, ClusterError> {
+    /// The failure of a read of one of the value's pages.
+    pub fn get(&mut self, reader: NodeId, key: &[u8]) -> Result<Option<GetResult>, ClusterError> {
         let id = self.submit_get(0, reader, key);
         let c = self.drive_blocking(id);
         if let Some(e) = c.error {
             return Err(e);
         }
-        if !c.found {
-            return Err(ClusterError::Flash(bluedbm_flash::FlashError::UnknownHandle(0)));
-        }
-        Ok(GetResult {
-            value: c.value.expect("successful hit carries the value"),
-            elapsed: c.finished - c.started,
-        })
+        let elapsed = c.finished - c.started;
+        Ok(c.value.map(|value| GetResult { value, elapsed }))
     }
 
     /// Remove `key`, returning whether it was present. The extent goes
@@ -1221,7 +1204,7 @@ mod tests {
         let value: Vec<u8> = (0..3 * page + 123).map(|i| i as u8).collect();
         s.put(b"big", &value).unwrap();
         for reader in 0..4u16 {
-            let got = s.get(NodeId(reader), b"big").unwrap();
+            let got = s.get(NodeId(reader), b"big").unwrap().unwrap();
             assert_eq!(got.value, value, "reader {reader}");
             assert!(got.elapsed >= SimTime::us(50), "flash was touched");
         }
@@ -1244,10 +1227,10 @@ mod tests {
         let mut s = store(2);
         s.put(b"k", b"first").unwrap();
         s.put(b"k", b"second value").unwrap();
-        assert_eq!(s.get(NodeId(0), b"k").unwrap().value, b"second value");
+        assert_eq!(s.get(NodeId(0), b"k").unwrap().unwrap().value, b"second value");
         assert!(s.delete(b"k"));
         assert!(!s.delete(b"k"));
-        assert!(s.get(NodeId(0), b"k").is_err());
+        assert_eq!(s.get(NodeId(0), b"k"), Ok(None));
         assert!(s.is_empty());
         // Overwrite and delete both returned their extents.
         assert_eq!(s.cluster().flash_pages_in_use(), 0);
@@ -1258,8 +1241,8 @@ mod tests {
     fn empty_value_and_missing_key() {
         let mut s = store(2);
         s.put(b"empty", b"").unwrap();
-        assert_eq!(s.get(NodeId(1), b"empty").unwrap().value, b"");
-        assert!(s.get(NodeId(1), b"never").is_err());
+        assert_eq!(s.get(NodeId(1), b"empty").unwrap().unwrap().value, b"");
+        assert_eq!(s.get(NodeId(1), b"never"), Ok(None));
         assert_eq!(s.len(), 1);
         assert!(s.contains(b"empty"));
     }
@@ -1279,9 +1262,9 @@ mod tests {
         let page = s.cluster().config().flash.geometry.page_bytes;
         s.put(b"k", &vec![7u8; page]).unwrap();
         let home = s.home_node(b"k");
-        let local = s.get(home, b"k").unwrap().elapsed;
+        let local = s.get(home, b"k").unwrap().unwrap().elapsed;
         let far = NodeId::from((home.index() + 2) % 4);
-        let remote = s.get(far, b"k").unwrap().elapsed;
+        let remote = s.get(far, b"k").unwrap().unwrap().elapsed;
         assert!(remote > local);
         assert!(remote < local + SimTime::us(25), "near-uniform access");
     }
@@ -1366,7 +1349,7 @@ mod tests {
         // The freed pages satisfy the next allocation on that node.
         s.put(b"a", &vec![2; 2 * page]).unwrap();
         assert_eq!(s.cluster().flash_pages_in_use(), 2);
-        assert_eq!(s.get(NodeId(0), b"a").unwrap().value, vec![2; 2 * page]);
+        assert_eq!(s.get(NodeId(0), b"a").unwrap().unwrap().value, vec![2; 2 * page]);
         s.assert_no_stranded_pages();
     }
 
@@ -1397,7 +1380,7 @@ mod tests {
         // 6 pages > window of 2: must still complete.
         let value = vec![9u8; 6 * page];
         s.put(b"huge", &value).unwrap();
-        assert_eq!(s.get(NodeId(1), b"huge").unwrap().value, value);
+        assert_eq!(s.get(NodeId(1), b"huge").unwrap().unwrap().value, value);
         s.assert_no_stranded_pages();
     }
 
@@ -1419,7 +1402,7 @@ mod tests {
         }
         let err = s.put(b"k", &vec![2u8; page]).unwrap_err();
         assert!(matches!(err, ClusterError::DeviceFull(n) if n == home));
-        assert_eq!(s.get(NodeId(0), b"k").unwrap().value, vec![1u8; page]);
+        assert_eq!(s.get(NodeId(0), b"k").unwrap().unwrap().value, vec![1u8; page]);
         for addr in hogged {
             s.cluster.free_page(addr).unwrap();
         }
@@ -1451,19 +1434,14 @@ mod tests {
 
     #[test]
     fn packed_addresses_round_trip_at_the_field_edges() {
-        let geom = bluedbm_flash::FlashGeometry::small();
-        for (node, card, linear) in [
-            (0, 0, 0),
-            (u16::MAX, u8::MAX, geom.total_pages() - 1),
-            (0x0102, 3, 1),
-        ] {
+        for (node, card, lpn) in [(0, 0, 0), (u16::MAX, u8::MAX, u32::MAX), (0x0102, 3, 1)] {
             let addr = GlobalPageAddr {
                 node: NodeId(node),
                 card,
-                ppa: geom.ppa_of(linear),
+                lpn,
             };
-            let packed = pack(&geom, addr);
-            assert_eq!(unpack(&geom, packed), addr);
+            let packed = pack(addr);
+            assert_eq!(unpack(packed), addr);
             assert!(matches!(Extent::one(packed).decode(), ExtentKind::One(p) if p == packed));
         }
         assert!(!Extent::ABSENT.is_present() && Extent::EMPTY.is_present());

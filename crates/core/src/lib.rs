@@ -10,8 +10,8 @@
 //!   each traced to the paper sentence it comes from;
 //! * [`cluster::Cluster`] — a DES world of N nodes: flash cards behind
 //!   splitters, a node agent (the in-store processing fabric), the
-//!   integrated network, and a PCIe link per node, driven by injecting
-//!   page operations, running to quiescence and harvesting completions;
+//!   integrated network, and a PCIe link per node, driven by submitting
+//!   page operations and driving the simulation to their completions;
 //! * [`paths`] — the four remote-access paths of Figure 12 (ISP-F, H-F,
 //!   H-RH-F, H-D) with latency breakdowns;
 //! * [`baselines`] — the comparison arms: host CPU model, off-the-shelf
@@ -35,16 +35,20 @@
 //!
 //! ```rust
 //! use bluedbm_core::node::Consume;
-//! use bluedbm_core::{Cluster, SystemConfig};
+//! use bluedbm_core::{Cluster, PageOp, SystemConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let config = SystemConfig::scaled_down();
 //! let mut cluster = Cluster::ring(4, &config)?;
 //! let page = vec![0xAB; config.flash.geometry.page_bytes];
-//! let addr = cluster.write_page_local(0.into(), &page)?;
-//! let read = cluster.read_page(2.into(), addr, Consume::Isp)?;
-//! assert_eq!(read.data, page);
-//! assert!(read.latency >= bluedbm_sim::time::SimTime::us(50)); // flash tR dominates
+//! let written = cluster.run_one(0.into(), PageOp::Write(&page))?;
+//! let addr = written.addr.expect("a write names its page");
+//! // Submit any number of ops, then drive them all to completion.
+//! let op = cluster.submit(2.into(), PageOp::Read { addr, consume: Consume::Isp });
+//! let done = cluster.drive();
+//! assert_eq!((done[0].op_id, done[0].data.as_ref()), (op, Some(&page)));
+//! let latency = done[0].end - done[0].start;
+//! assert!(latency >= bluedbm_sim::time::SimTime::us(50)); // flash tR dominates
 //! # Ok(())
 //! # }
 //! ```
@@ -61,7 +65,7 @@ pub mod paths;
 pub mod power;
 pub mod scheduler;
 
-pub use cluster::{Cluster, CompletedRead, GlobalPageAddr};
+pub use cluster::{Cluster, GlobalPageAddr, PageOp};
 pub use gc::{GcAgentStats, GcStats, LifecycleOp};
 
 pub use config::{GcConfig, SystemConfig};

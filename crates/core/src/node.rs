@@ -24,8 +24,13 @@
 //!   collection decided before it runs first, and none decided after it
 //!   starts until it has completed. (Mapping at send time would see the
 //!   moves of a collection decided later but not yet run.) A page no
-//!   cell holds completes with `NotProgrammed` and sends no flash
-//!   command.
+//!   cell holds completes with [`PageFault::NotProgrammed`] and sends no
+//!   flash command.
+//! * A failure on a page is reported as [`ClusterError::Page`], naming
+//!   the page's logical address: the cell behind it is the agent's
+//!   business. A remote read's answer carries only the [`PageFault`]
+//!   code, and the requester, which knows what it asked for, names the
+//!   page, so a local and a remote failure of one page read the same.
 //! * When a step decides collection rounds, the card stops: commands
 //!   that arrive wait in its line, in arrival order. Once every command
 //!   the card accepted before the step has completed, the agent runs the
@@ -40,7 +45,8 @@
 //! reached the agent. That reorders an `Ftl`'s input only when a free
 //! follows a write to the same card within one round; since a trim moves
 //! no data and no read may be in flight against a freed page, the order
-//! changes no page's contents.
+//! changes no page's contents. A DRAM load fills the agent's buffer
+//! the same way, between runs.
 //!
 //! The paper's Flash Server (Section 3.1.2), which delivers a file's
 //! pages in order through an Address Translation Unit loaded by the file
@@ -54,7 +60,6 @@ use std::collections::VecDeque;
 use bluedbm_sim::fxhash::FxHashMap;
 
 use bluedbm_flash::controller::{CtrlCmd, CtrlResp, Tag};
-use bluedbm_flash::error::FlashError;
 use bluedbm_flash::geometry::{FlashGeometry, Ppa};
 use bluedbm_ftl::{Ftl, FtlError, GcRound, StepOutcome};
 use bluedbm_host::bufpool::BufferPool;
@@ -66,6 +71,7 @@ use bluedbm_sim::engine::{Component, ComponentId, Ctx};
 use bluedbm_sim::time::{Bandwidth, SimTime};
 use bluedbm_sim::{MetricsNode, PageRef, TraceCat, TraceName};
 
+use crate::cluster::{ClusterError, OpId, PageFault};
 use crate::config::SystemConfig;
 use crate::gc::{GcAgentStats, GcJob, LifecycleOp};
 use crate::msg::{Msg, NetBody};
@@ -79,16 +85,16 @@ pub(crate) const DATA_ENDPOINTS: u16 = 4;
 /// Wire size of a remote read request.
 pub const REQUEST_BYTES: u32 = 32;
 
-/// A page address in the cluster-wide global address space.
+/// A page address in the cluster-wide global address space: a logical
+/// page of one card, which the card's `Ftl` maps to a cell.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct GlobalPageAddr {
     /// Owning node.
     pub node: NodeId,
     /// Flash card within the node.
     pub card: u8,
-    /// Logical page on that card, in the card geometry's page
-    /// coordinates (its `Ftl` maps it to a cell).
-    pub(crate) ppa: Ppa,
+    /// Logical page number on that card: its `Ftl`'s LBA.
+    pub(crate) lpn: u32,
 }
 
 /// Who consumes the data of a read.
@@ -131,13 +137,6 @@ pub(crate) enum AgentOp {
         /// store by the driver; consumed by the flash controller).
         data: PageRef,
     },
-    /// Stage data into this node's DRAM buffer (setup; immediate).
-    LoadDram {
-        /// Key later used by `ReadRemoteDram`.
-        key: u64,
-        /// Value stored.
-        data: Vec<u8>,
-    },
     /// Read a remote node's DRAM buffer over the integrated network (the
     /// H-D path of Figure 12).
     ReadRemoteDram {
@@ -152,18 +151,23 @@ pub(crate) enum AgentOp {
     },
 }
 
-/// A finished operation, harvested by the cluster facade.
+/// A finished page operation, as [`crate::cluster::Cluster::drive`]
+/// returns it.
 #[derive(Clone, Debug)]
 pub struct Completed {
-    /// Echo of the driver's op id.
-    pub op_id: u64,
-    /// Address the operation touched (reads/writes).
+    /// The id [`crate::cluster::Cluster::submit`] returned.
+    pub op_id: OpId,
+    /// The node the operation was submitted at.
+    pub node: NodeId,
+    /// The page the operation touched: a read's, or the page a write
+    /// was given (`None` for a DRAM read, and for a write refused
+    /// before a page was allocated).
     pub addr: Option<GlobalPageAddr>,
     /// The payload: `Some` exactly when `error` is `None` — the page
     /// for a read, empty for a write.
     pub data: Option<Vec<u8>>,
     /// Failure, if any.
-    pub error: Option<FlashError>,
+    pub error: Option<ClusterError>,
     /// When the agent accepted the operation.
     pub start: SimTime,
     /// When it completed (data fully at its destination).
@@ -182,74 +186,25 @@ pub(crate) struct RemoteReq {
     kind: RemoteKind,
 }
 
+/// What a remote request asks for.
 #[derive(Clone, Copy, Debug)]
 enum RemoteKind {
     Flash(GlobalPageAddr),
-    Dram(u64),
-}
-
-/// Compact wire form of a remote read failure: a status code, as real
-/// hardware would return — the rich [`FlashError`] context (which page,
-/// which key) is reconstructed by the requester from its own pending
-/// state, so the response message stays small. Only the errors a read
-/// path can produce exist here.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum RemoteError {
-    /// The address does not exist on the owning node.
-    OutOfRange,
-    /// The block is marked bad.
-    BadBlock,
-    /// The page was never programmed.
-    NotProgrammed,
-    /// Uncorrectable ECC failure.
-    Uncorrectable,
-    /// The DRAM buffer holds no such key.
-    UnknownHandle,
-}
-
-impl RemoteError {
-    /// Collapse a read-path failure to its wire code.
-    fn of(e: &FlashError) -> Self {
-        match e {
-            FlashError::OutOfRange(_) => RemoteError::OutOfRange,
-            FlashError::BadBlock(_) => RemoteError::BadBlock,
-            FlashError::NotProgrammed(_) => RemoteError::NotProgrammed,
-            FlashError::Uncorrectable(_) => RemoteError::Uncorrectable,
-            FlashError::UnknownHandle(_) => RemoteError::UnknownHandle,
-            other => panic!("non-read error on the remote read path: {other}"),
-        }
-    }
-
-    /// Rehydrate the full error from the requester's knowledge of what
-    /// it asked for.
-    fn rehydrate(self, target: RemoteKind) -> FlashError {
-        match (self, target) {
-            (RemoteError::OutOfRange, RemoteKind::Flash(a)) => FlashError::OutOfRange(a.ppa),
-            (RemoteError::BadBlock, RemoteKind::Flash(a)) => FlashError::BadBlock(a.ppa),
-            (RemoteError::NotProgrammed, RemoteKind::Flash(a)) => {
-                FlashError::NotProgrammed(a.ppa)
-            }
-            (RemoteError::Uncorrectable, RemoteKind::Flash(a)) => {
-                FlashError::Uncorrectable(a.ppa)
-            }
-            (RemoteError::UnknownHandle, RemoteKind::Dram(key)) => {
-                FlashError::UnknownHandle(key)
-            }
-            (code, target) => panic!("error code {code:?} does not fit request {target:?}"),
-        }
-    }
+    /// A key of the named node's DRAM buffer.
+    Dram(NodeId, u64),
 }
 
 /// Remote response carried over the storage network. Public only because
 /// it rides [`crate::msg::NetBody`]. Page data travels by handle (the
-/// requesting agent consumes the page); failures travel as
-/// `RemoteError` codes.
+/// requesting agent consumes the page); a failure travels as its
+/// [`PageFault`] code, as real hardware would return a status — a DRAM
+/// miss as [`PageFault::NotProgrammed`], nothing stored under the key.
 #[derive(Clone, Debug)]
 pub(crate) struct RemoteResp {
     req_id: u64,
     /// `pub(crate)` so the cross-shard relocation in [`crate::msg`] can
     /// rewrite the page handle.
-    pub(crate) data: Result<PageRef, RemoteError>,
+    pub(crate) data: Result<PageRef, PageFault>,
 }
 
 /// Delayed local DRAM reply (models the DRAM access latency of a
@@ -263,7 +218,7 @@ pub(crate) struct DramServed {
     reply_ep: u16,
     req_id: u64,
     /// `pub(crate)` for the cross-shard relocation in [`crate::msg`].
-    pub(crate) data: Result<PageRef, RemoteError>,
+    pub(crate) data: Result<PageRef, PageFault>,
     bytes: u32,
 }
 
@@ -413,9 +368,10 @@ pub(crate) struct NodeAgent {
     /// unit: job -> the op state restored when [`SchedDone`] arrives.
     accel_pending: FxHashMap<u64, (u64, Option<GlobalPageAddr>, SimTime, Vec<u8>)>,
     next_accel_job: u64,
-    dram: FxHashMap<u64, Vec<u8>>,
-    /// Finished operations awaiting harvest.
-    completed: Vec<Completed>,
+    /// The DRAM buffer, by key.
+    pub(crate) dram: FxHashMap<u64, Vec<u8>>,
+    /// Finished operations awaiting [`crate::cluster::Cluster::drive`].
+    pub(crate) completed: Vec<Completed>,
     stats: AgentStats,
     gc_stats: GcAgentStats,
 }
@@ -480,11 +436,6 @@ impl NodeAgent {
     /// Statistics gathered so far.
     pub(crate) fn stats(&self) -> &AgentStats {
         &self.stats
-    }
-
-    /// Drain all completions recorded so far.
-    pub(crate) fn take_completed(&mut self) -> Vec<Completed> {
-        std::mem::take(&mut self.completed)
     }
 
     /// Collection statistics gathered so far.
@@ -669,27 +620,26 @@ impl NodeAgent {
         ctx.send(self.cards[usize::from(card)].splitter, SimTime::ZERO, cmd);
     }
 
-    /// A foreground read of logical page `logical` on `card`, mapped to
-    /// its cell now (see the module docs); a page no cell holds completes
+    /// A foreground read of logical page `lpn` on `card`, mapped to its
+    /// cell now (see the module docs); a page no cell holds completes
     /// with `NotProgrammed` at once.
-    fn read(&mut self, ctx: &mut Ctx<'_, Msg>, card: u8, logical: Ppa, dest: FlashDest) {
-        let lba = self.geometry.linear_of(logical) as u64;
-        match self.cards[usize::from(card)].ftl.physical_of(lba) {
+    fn read(&mut self, ctx: &mut Ctx<'_, Msg>, card: u8, lpn: u32, dest: FlashDest) {
+        match self.cards[usize::from(card)].ftl.physical_of(u64::from(lpn)) {
             Some(ppa) => self.submit(ctx, card, Cmd::Read(ppa), dest),
-            None => self.deliver_read(ctx, dest, Err(FlashError::NotProgrammed(logical))),
+            None => self.deliver_read(ctx, dest, Err(PageFault::NotProgrammed)),
         }
     }
 
     /// Hand a foreground read's result to whoever asked.
-    fn deliver_read(&mut self, ctx: &mut Ctx<'_, Msg>, dest: FlashDest, result: Result<PageRef, FlashError>) {
+    fn deliver_read(&mut self, ctx: &mut Ctx<'_, Msg>, dest: FlashDest, result: Result<PageRef, PageFault>) {
         match dest {
             FlashDest::Local { op_id, addr, consume, start } => {
+                let result = result.map_err(|fault| ClusterError::Page(addr, fault));
                 self.consume_read(ctx, op_id, Some(addr), consume, start, result);
             }
             FlashDest::RemoteJob { origin, req_id, reply_ep } => {
-                let data = result.map_err(|e| RemoteError::of(&e));
                 let bytes = self.geometry.page_bytes as u32;
-                self.reply(ctx, origin, reply_ep, bytes, RemoteResp { req_id, data });
+                self.reply(ctx, origin, reply_ep, bytes, RemoteResp { req_id, data: result });
             }
             FlashDest::LocalWrite { .. } | FlashDest::Gc => panic!("a read result for a write or a collection"),
         }
@@ -698,9 +648,9 @@ impl NodeAgent {
     pub(crate) fn complete(
         &mut self,
         now: SimTime,
-        op_id: u64,
+        op_id: OpId,
         addr: Option<GlobalPageAddr>,
-        data: Result<Vec<u8>, FlashError>,
+        data: Result<Vec<u8>, ClusterError>,
         start: SimTime,
     ) {
         self.stats.completions += 1;
@@ -710,6 +660,7 @@ impl NodeAgent {
         };
         self.completed.push(Completed {
             op_id,
+            node: self.node,
             addr,
             data,
             error,
@@ -728,7 +679,7 @@ impl NodeAgent {
         addr: Option<GlobalPageAddr>,
         consume: Consume,
         start: SimTime,
-        data: Result<PageRef, FlashError>,
+        data: Result<PageRef, ClusterError>,
     ) {
         match (consume, data) {
             (Consume::Isp, data) => {
@@ -816,7 +767,7 @@ impl NodeAgent {
                     self.read(
                         ctx,
                         addr.card,
-                        addr.ppa,
+                        addr.lpn,
                         FlashDest::Local {
                             op_id,
                             addr,
@@ -830,7 +781,7 @@ impl NodeAgent {
             }
             AgentOp::WriteFlash { op_id, addr, data } => {
                 assert_eq!(addr.node, self.node, "remote writes are not modelled");
-                let outcome = self.step_write(addr.card, self.geometry.linear_of(addr.ppa) as u64);
+                let outcome = self.step_write(addr.card, u64::from(addr.lpn));
                 if !outcome.gc.is_empty() {
                     let line = &mut self.cards[usize::from(addr.card)].waiting;
                     line.push_back(Waiting::Gc(outcome.gc));
@@ -842,15 +793,12 @@ impl NodeAgent {
                 };
                 self.submit(ctx, addr.card, Cmd::Program(outcome.target, data), dest);
             }
-            AgentOp::LoadDram { key, data } => {
-                self.dram.insert(key, data);
-            }
             AgentOp::ReadRemoteDram {
                 op_id,
                 node,
                 key,
                 consume,
-            } => self.request(ctx, op_id, consume, node, RemoteKind::Dram(key)),
+            } => self.request(ctx, op_id, consume, node, RemoteKind::Dram(node, key)),
         }
     }
 
@@ -897,12 +845,17 @@ impl NodeAgent {
         match (dest, resp) {
             (FlashDest::Gc, resp) => self.gc_resp(ctx, card, resp),
             (FlashDest::LocalWrite { op_id, addr, start }, CtrlResp::WriteDone { result, .. }) => {
-                let data = result.map(|()| Vec::new());
+                let data = result.map(|()| Vec::new()).map_err(|e| {
+                    PageFault::of(&e).map_or(ClusterError::Flash(e), |f| ClusterError::Page(addr, f))
+                });
                 self.complete(ctx.now(), op_id, Some(addr), data, start);
                 self.retire(ctx, card);
             }
             (dest, CtrlResp::ReadDone { result, .. }) => {
-                self.deliver_read(ctx, dest, result.map(|r| r.page));
+                let result = result.map(|r| r.page).map_err(|e| {
+                    PageFault::of(&e).expect("a flash read fails only with a page fault")
+                });
+                self.deliver_read(ctx, dest, result);
                 self.retire(ctx, card);
             }
             _ => panic!("mismatched flash completion kind"),
@@ -920,7 +873,7 @@ impl NodeAgent {
                         self.read(
                             ctx,
                             addr.card,
-                            addr.ppa,
+                            addr.lpn,
                             FlashDest::RemoteJob {
                                 origin: req.origin,
                                 req_id: req.req_id,
@@ -928,10 +881,10 @@ impl NodeAgent {
                             },
                         );
                     }
-                    RemoteKind::Dram(key) => {
+                    RemoteKind::Dram(_, key) => {
                         let data = match self.dram.get(&key) {
                             Some(d) => Ok(ctx.pages().alloc_from(d)),
-                            None => Err(RemoteError::UnknownHandle),
+                            None => Err(PageFault::NotProgrammed),
                         };
                         let bytes = match &data {
                             Ok(page) => ctx.pages().len(*page) as u32,
@@ -958,11 +911,12 @@ impl NodeAgent {
             .net_pending
             .remove(&resp.req_id)
             .expect("response for a request the agent never sent");
-        let addr = match pending.target {
-            RemoteKind::Flash(addr) => Some(addr),
-            RemoteKind::Dram(_) => None,
+        // The wire carries only the fault code: the requester names what
+        // it asked for.
+        let (addr, data) = match pending.target {
+            RemoteKind::Flash(addr) => (Some(addr), resp.data.map_err(|f| ClusterError::Page(addr, f))),
+            RemoteKind::Dram(node, key) => (None, resp.data.map_err(|_| ClusterError::DramMiss { node, key })),
         };
-        let data = resp.data.map_err(|code| code.rehydrate(pending.target));
         self.consume_read(ctx, pending.op_id, addr, pending.consume, pending.start, data);
     }
 }
@@ -1031,7 +985,7 @@ pub fn node_inventory(cards: usize) -> Vec<(&'static str, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::Cluster;
+    use crate::cluster::{Cluster, PageOp};
 
     /// A two-node ring on the 512-byte-page tiny geometry, and three
     /// quarters of node 0's capacity preloaded (alternating cards from
@@ -1048,9 +1002,9 @@ mod tests {
     }
 
     #[test]
-    fn inject_never_runs_the_simulation() {
+    fn submit_never_runs_the_simulation() {
         // Overwrite churn of node 0, with remote reads beside it, until
-        // it has collected: no inject may move the clock or deliver an
+        // it has collected: no submit may move the clock or deliver an
         // event.
         let (mut cluster, addrs) = three_quarters_full();
         let mut live = std::collections::VecDeque::from(addrs);
@@ -1058,15 +1012,17 @@ mod tests {
             for i in 0..16u8 {
                 cluster.free_page(live.pop_front().unwrap()).unwrap();
                 let before = (cluster.now(), cluster.events_delivered());
-                let (_, addr) = cluster.inject_write(NodeId(0), &[i; 512]).unwrap();
-                cluster.inject_read(NodeId(1), live[live.len() / 2], Consume::Isp);
+                cluster.submit(NodeId(0), PageOp::Write(&[i; 512]));
+                let addr = live[live.len() / 2];
+                cluster.submit(NodeId(1), PageOp::Read { addr, consume: Consume::Isp });
                 let after = (cluster.now(), cluster.events_delivered());
-                assert_eq!(after, before, "round {round}: an inject ran the simulation");
-                live.push_back(addr);
+                assert_eq!(after, before, "round {round}: a submit ran the simulation");
             }
-            cluster.run_to_quiescence();
-            for node in [NodeId(0), NodeId(1)] {
-                assert!(cluster.harvest_node(node).iter().all(|c| c.error.is_none()));
+            for c in cluster.drive() {
+                assert_eq!(c.error, None);
+                if c.node == NodeId(0) {
+                    live.push_back(c.addr.expect("a write names its page"));
+                }
             }
         }
         assert!(cluster.gc_stats().erases > 0, "the churn collected");
@@ -1083,20 +1039,23 @@ mod tests {
         let mut live: Vec<_> = addrs.into_iter().enumerate().map(|(i, a)| (a, i as u8)).collect();
         let hot = live.len() / 4;
         for round in 0..hot {
-            let mut reads = Vec::new();
+            let (mut writes, mut reads) = (Vec::new(), Vec::new());
             for i in 0..16 {
                 let (h, fill) = (4 * ((round * 16 + i) % hot), (round * 16 + i) as u8);
                 cluster.free_page(live[h].0).unwrap();
-                let (_, addr) = cluster.inject_write(NodeId(0), &[fill; 512]).unwrap();
-                live[h] = (addr, fill);
-                let (page, value) = live[4 * ((i * 37 + round) % hot) + 1 + i % 3];
-                reads.push((cluster.inject_read(NodeId(0), page, Consume::Isp), value));
+                writes.push((cluster.submit(NodeId(0), PageOp::Write(&[fill; 512])), h, fill));
+                let (addr, value) = live[4 * ((i * 37 + round) % hot) + 1 + i % 3];
+                let read = PageOp::Read { addr, consume: Consume::Isp };
+                reads.push((cluster.submit(NodeId(0), read), value));
             }
-            cluster.run_to_quiescence();
-            let done = cluster.harvest_node(NodeId(0));
+            let done = cluster.drive();
+            let find = |op| done.iter().find(|c| c.op_id == op).expect("completed");
             for (op, value) in reads {
-                let c = done.iter().find(|c| c.op_id == op).expect("completed");
+                let c = find(op);
                 assert_eq!(c.data.as_deref(), Some(&[value; 512][..]), "round {round}: {:?}", c.error);
+            }
+            for (op, h, fill) in writes {
+                live[h] = (find(op).addr.expect("a write names its page"), fill);
             }
         }
         assert!(cluster.gc_agent_stats(NodeId(0)).moves > 0, "collections relocated pages");
@@ -1109,14 +1068,14 @@ mod tests {
         let (mut cluster, addrs) = three_quarters_full();
         let (card0, card1) = (addrs[0], addrs[1]);
         assert_eq!((card0.card, card1.card), (0, 1));
-        let uncontended = cluster.read_page(NodeId(0), card1, Consume::Isp).unwrap().latency;
+        let read_card1 = PageOp::Read { addr: card1, consume: Consume::Isp };
+        let uncontended = cluster.run_one(NodeId(0), read_card1).map(|c| c.end - c.start).unwrap();
         for _ in 0..addrs.len() {
             cluster.free_page(card0).unwrap();
             let (at, erases) = (cluster.now(), cluster.gc_agent_stats(NodeId(0)).erases);
-            let (write, _) = cluster.inject_write(NodeId(0), &[1; 512]).unwrap();
-            let read = cluster.inject_read(NodeId(0), card1, Consume::Isp);
-            cluster.run_to_quiescence();
-            let done = cluster.harvest_node(NodeId(0));
+            let write = cluster.submit(NodeId(0), PageOp::Write(&[1; 512]));
+            let read = cluster.submit(NodeId(0), read_card1);
+            let done = cluster.drive();
             let took = |op| done.iter().find(|c| c.op_id == op).expect("completed").end - at;
             assert!(took(read) <= uncontended, "the card-1 read waited: {}", took(read));
             if cluster.gc_agent_stats(NodeId(0)).erases > erases {
@@ -1143,16 +1102,8 @@ mod tests {
 
     #[test]
     fn global_addr_ordering_and_copy() {
-        let a = GlobalPageAddr {
-            node: NodeId(0),
-            card: 0,
-            ppa: Ppa::new(0, 0, 0, 0),
-        };
-        let b = GlobalPageAddr {
-            node: NodeId(1),
-            card: 0,
-            ppa: Ppa::new(0, 0, 0, 0),
-        };
+        let a = GlobalPageAddr { node: NodeId(0), card: 0, lpn: 0 };
+        let b = GlobalPageAddr { node: NodeId(1), card: 0, lpn: 0 };
         assert!(a < b);
         let c = a;
         assert_eq!(a, c);

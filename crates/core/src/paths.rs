@@ -19,7 +19,7 @@
 use bluedbm_net::topology::NodeId;
 use bluedbm_sim::time::SimTime;
 
-use crate::cluster::{Cluster, ClusterError, GlobalPageAddr};
+use crate::cluster::{Cluster, ClusterError, GlobalPageAddr, PageOp};
 use crate::node::Consume;
 
 /// Which Figure 12 experiment to run.
@@ -105,10 +105,11 @@ pub fn measure_path(
         AccessPath::IspF => Consume::Isp,
         _ => Consume::Host,
     };
-    let measured = match path {
-        AccessPath::HD => cluster.read_remote_dram(reader, addr.node, dram_key, consume)?,
-        _ => cluster.read_page(reader, addr, consume)?,
+    let op = match path {
+        AccessPath::HD => PageOp::ReadDram { home: addr.node, key: dram_key, consume },
+        _ => PageOp::Read { addr, consume },
     };
+    let measured = cluster.run_one(reader, op)?;
 
     // Decompose the DES total using the model's own constants: the
     // request hop + response hop network propagation, and the storage
@@ -124,8 +125,7 @@ pub fn measure_path(
         AccessPath::HD => config.host.dram_latency,
         _ => config.flash.timing.read_cell + config.flash.timing.command_overhead,
     };
-    let transfer = measured
-        .latency
+    let transfer = (measured.end - measured.start)
         .saturating_sub(network)
         .saturating_sub(storage);
     let software = config.host.sw_overhead * path.software_layers();

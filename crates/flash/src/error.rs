@@ -28,23 +28,9 @@ pub enum FlashError {
         /// Bytes one page holds.
         want: usize,
     },
-    /// The controller's tag space is exhausted (too many in-flight
-    /// commands for the configured tag count).
-    TagsExhausted,
-    /// A tag was used that has no in-flight command.
-    UnknownTag(u16),
     /// The geometry has more pages than the `u32` page tables can index
     /// (see `crate::geometry::FlashGeometry::MAX_PAGES`).
     GeometryTooLarge,
-    /// A file handle unknown to the address translation unit.
-    UnknownHandle(u64),
-    /// A file-relative offset beyond the end of the mapped extent list.
-    OffsetOutOfRange {
-        /// The offending handle.
-        handle: u64,
-        /// The page offset requested.
-        page_offset: u64,
-    },
 }
 
 impl fmt::Display for FlashError {
@@ -62,19 +48,9 @@ impl fmt::Display for FlashError {
             FlashError::WrongPageSize { got, want } => {
                 write!(f, "buffer of {got} bytes where a {want}-byte page was expected")
             }
-            FlashError::TagsExhausted => write!(f, "controller tag space exhausted"),
-            FlashError::UnknownTag(tag) => write!(f, "no in-flight command holds tag {tag}"),
             FlashError::GeometryTooLarge => {
                 write!(f, "geometry exceeds the 2^32 - 3 pages a card can index")
             }
-            FlashError::UnknownHandle(h) => write!(f, "unknown file handle {h}"),
-            FlashError::OffsetOutOfRange {
-                handle,
-                page_offset,
-            } => write!(
-                f,
-                "page offset {page_offset} beyond mapped extent of handle {handle}"
-            ),
         }
     }
 }
@@ -98,6 +74,6 @@ mod tests {
     #[test]
     fn error_trait_object_compatible() {
         fn takes_err(_: &(dyn Error + Send + Sync)) {}
-        takes_err(&FlashError::TagsExhausted);
+        takes_err(&FlashError::GeometryTooLarge);
     }
 }

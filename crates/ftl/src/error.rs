@@ -75,7 +75,7 @@ mod tests {
 
     #[test]
     fn from_flash_error() {
-        let e: FtlError = FlashError::TagsExhausted.into();
-        assert!(matches!(e, FtlError::Flash(FlashError::TagsExhausted)));
+        let e: FtlError = FlashError::GeometryTooLarge.into();
+        assert!(matches!(e, FtlError::Flash(FlashError::GeometryTooLarge)));
     }
 }

@@ -1,7 +1,7 @@
 //! Physical cabling of the storage network.
 //!
 //! A topology is a set of nodes, each with up to
-//! `Topology::MAX_PORTS` = 8 serial ports (the fan-out of the paper's
+//! [`Topology::MAX_PORTS`] = 8 serial ports (the fan-out of the paper's
 //! flash board), and full-duplex cables between (node, port) pairs. The
 //! paper's Figure 5 shows a distributed star, a mesh and a fat tree; the
 //! builders here cover those shapes plus arbitrary edge lists loaded from
@@ -68,7 +68,7 @@ pub struct Topology {
 impl Topology {
     /// Physical port fan-out per node (paper Section 5.1: 8 SATA
     /// connectors pin out the serial ports).
-    pub(crate) const MAX_PORTS: usize = 8;
+    pub const MAX_PORTS: usize = 8;
 
     /// An edgeless topology over `nodes` nodes.
     pub(crate) fn empty(nodes: usize) -> Self {

@@ -6,7 +6,7 @@
 //! lanes each).
 
 use bluedbm_core::node::Consume;
-use bluedbm_core::{Cluster, GlobalPageAddr, NodeId, SystemConfig};
+use bluedbm_core::{Cluster, GlobalPageAddr, NodeId, PageOp, SystemConfig};
 use bluedbm_net::topology::Topology;
 use serde::Serialize;
 
@@ -61,7 +61,10 @@ fn interleave(lists: Vec<Vec<GlobalPageAddr>>) -> Vec<GlobalPageAddr> {
 
 fn measure(cluster: &mut Cluster, addrs: &[GlobalPageAddr], consume: Consume) -> Vec<f64> {
     let page_bytes = cluster.config().flash.geometry.page_bytes as u64;
-    let done = cluster.stream_reads(NodeId(0), addrs, consume);
+    for &addr in addrs {
+        cluster.submit(NodeId(0), PageOp::Read { addr, consume });
+    }
+    let done = cluster.drive();
     assert_eq!(done.len(), addrs.len(), "every read must complete");
     // Steady-state rate per source node: bytes / last completion time.
     let mut per_node: std::collections::BTreeMap<u16, (u64, f64)> = Default::default();

@@ -10,7 +10,7 @@ use bluedbm_core::baselines::{
     isp_scan_cpu_utilization, scan_cpu_utilization, sw_scan_bandwidth, Secondary,
 };
 use bluedbm_core::node::Consume;
-use bluedbm_core::{Cluster, NodeId, SystemConfig};
+use bluedbm_core::{Cluster, NodeId, PageOp, SystemConfig};
 use bluedbm_isp::mp::MpMatcher;
 use bluedbm_isp::Accelerator;
 use serde::Serialize;
@@ -64,7 +64,10 @@ pub fn run() -> Fig21 {
             card0.push(addr); // the paper's search runs on one board
         }
     }
-    let done = cluster.stream_reads(NodeId(0), &card0, Consume::Isp);
+    for &addr in &card0 {
+        cluster.submit(NodeId(0), PageOp::Read { addr, consume: Consume::Isp });
+    }
+    let done = cluster.drive();
     let last = done
         .iter()
         .map(|c| c.end)

@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example graph_analytics`
 
 use bluedbm::core::node::Consume;
-use bluedbm::core::{Cluster, GlobalPageAddr, NodeId, SystemConfig};
+use bluedbm::core::{Cluster, GlobalPageAddr, NodeId, PageOp, SystemConfig};
 use bluedbm::workloads::graphgen;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -44,10 +44,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let cluster = &mut cluster;
         graph.bfs_with_fetch(0, |page| {
             fetches += 1;
-            cluster
-                .read_page(NodeId(0), placement[page as usize], Consume::Isp)
-                .expect("graph pages were preloaded")
-                .data
+            let read = PageOp::Read { addr: placement[page as usize], consume: Consume::Isp };
+            let read = cluster.run_one(NodeId(0), read).expect("graph pages were preloaded");
+            read.data.unwrap_or_default()
         })
     };
     let elapsed = cluster.now() - t0;

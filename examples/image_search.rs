@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example image_search`
 
 use bluedbm::core::node::Consume;
-use bluedbm::core::{Cluster, GlobalPageAddr, NodeId, SystemConfig};
+use bluedbm::core::{Cluster, GlobalPageAddr, NodeId, PageOp, SystemConfig};
 use bluedbm::isp::hamming::HammingEngine;
 use bluedbm::isp::Accelerator;
 use bluedbm::workloads::lshgen;
@@ -39,8 +39,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // local or remote — and keeps the closest.
         let mut engine = HammingEngine::new(query.clone());
         for &c in &candidates {
-            let read = cluster.read_page(NodeId(0), placement[c as usize], Consume::Isp)?;
-            engine.consume(c, &read.data);
+            let read = PageOp::Read { addr: placement[c as usize], consume: Consume::Isp };
+            let data = cluster.run_one(NodeId(0), read)?.data.unwrap_or_default();
+            engine.consume(c, &data);
         }
         let (best, dist) = engine.best().expect("candidates were compared");
         let elapsed = cluster.now() - t0;

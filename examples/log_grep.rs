@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut scanned = 0u64;
     for file in files {
         let home = store.home_node(file.as_bytes());
-        let text = store.get(home, file.as_bytes())?.value;
+        let text = store.get(home, file.as_bytes())?.ok_or("file not stored")?.value;
         let mut engine = MpMatcher::new(needle).expect("non-empty needle");
         for (i, page) in text.chunks(page_bytes).enumerate() {
             engine.consume(i as u64, page);

@@ -11,7 +11,7 @@
 use bluedbm::sim::fxhash::FxHashMap;
 
 use bluedbm::core::node::Consume;
-use bluedbm::core::{Cluster, NodeId, SystemConfig};
+use bluedbm::core::{Cluster, NodeId, PageOp, SystemConfig};
 use bluedbm::isp::wordcount::WordCountEngine;
 use bluedbm::isp::Accelerator;
 use bluedbm::sim::rng::{Rng, Zipf};
@@ -64,8 +64,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut engine = WordCountEngine::new();
         let t0 = cluster.now();
         for (seq, &(addr, len)) in shard.iter().enumerate() {
-            let read = cluster.read_page(NodeId::from(node), addr, Consume::Isp)?;
-            engine.consume(seq as u64, &read.data[..len.max(1)]);
+            let read = PageOp::Read { addr, consume: Consume::Isp };
+            let data = cluster.run_one(NodeId::from(node), read)?.data.unwrap_or_default();
+            engine.consume(seq as u64, &data[..len.max(1)]);
         }
         engine.finish();
         let elapsed = cluster.now() - t0;

@@ -4,7 +4,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use bluedbm::core::node::Consume;
-use bluedbm::core::{Cluster, NodeId, SystemConfig};
+use bluedbm::core::{Cluster, NodeId, PageOp, SystemConfig};
 use bluedbm::isp::mp::MpMatcher;
 use bluedbm::isp::Accelerator;
 
@@ -18,22 +18,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 1. Write a page through the full simulated stack on node 0.
     let page = vec![0xAB; page_bytes];
-    let addr = cluster.write_page_local(NodeId(0), &page)?;
+    let written = cluster.run_one(NodeId(0), PageOp::Write(&page))?;
+    let addr = written.addr.expect("a write names its page");
     println!("wrote one page to {addr:?}");
 
     // 2. Read it back from node 2, two network hops away, straight into
     //    node 2's in-store processor (the ISP-F path).
-    let read = cluster.read_page(NodeId(2), addr, Consume::Isp)?;
-    assert_eq!(read.data, page);
+    let read = cluster.run_one(NodeId(2), PageOp::Read { addr, consume: Consume::Isp })?;
+    assert_eq!(read.data.as_ref(), Some(&page));
     println!(
         "remote in-store read: {} ({} hops of 0.48us each are a rounding error next to the 50us flash read)",
-        read.latency,
+        read.end - read.start,
         cluster.hops(NodeId(2), NodeId(0)).expect("a ring is connected"),
     );
 
     // 3. The same read into host memory pays PCIe on top.
-    let host_read = cluster.read_page(NodeId(2), addr, Consume::Host)?;
-    println!("remote host read:     {} (adds the PCIe crossing)", host_read.latency);
+    let host_read = cluster.run_one(NodeId(2), PageOp::Read { addr, consume: Consume::Host })?;
+    println!(
+        "remote host read:     {} (adds the PCIe crossing)",
+        host_read.end - host_read.start
+    );
 
     // 4. In-store string search: stream pages through a Morris-Pratt
     //    engine; only match offsets would cross back to the host.
@@ -46,9 +50,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for chunk in haystack.chunks(page_bytes) {
         addrs.push(cluster.preload_page(NodeId(1), chunk)?);
     }
-    for (i, a) in addrs.iter().enumerate() {
-        let r = cluster.read_page(NodeId(1), *a, Consume::Isp)?;
-        engine.consume(i as u64, &r.data);
+    for (i, &addr) in addrs.iter().enumerate() {
+        let read = cluster.run_one(NodeId(1), PageOp::Read { addr, consume: Consume::Isp })?;
+        engine.consume(i as u64, &read.data.unwrap_or_default());
     }
     println!(
         "in-store grep found matches at {:?} ({} result bytes from {} scanned)",

@@ -8,7 +8,7 @@
 //! ```
 
 use bluedbm::core::node::Consume;
-use bluedbm::core::{Cluster, NodeId, SystemConfig};
+use bluedbm::core::{Cluster, NodeId, PageOp, SystemConfig};
 use bluedbm::net::Topology;
 
 fn run_scatter(shards: usize) -> (Cluster, u64, usize) {
@@ -31,13 +31,11 @@ fn run_scatter(shards: usize) -> (Cluster, u64, usize) {
         for r in 1..=4 {
             let target = (reader + r * 3 + 1) % n;
             let target = if target == reader { (target + 1) % n } else { target };
-            cluster.inject_read(NodeId::from(reader), addrs[target], Consume::Isp);
+            let read = PageOp::Read { addr: addrs[target], consume: Consume::Isp };
+            cluster.submit(NodeId::from(reader), read);
         }
     }
-    cluster.run_to_quiescence();
-    let done: usize = (0..n)
-        .map(|node| cluster.harvest_node(NodeId::from(node)).len())
-        .sum();
+    let done = cluster.drive().len();
     cluster.assert_quiescent();
     let events = cluster.events_delivered();
     (cluster, events, done)

@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut filter = FilterEngine::new(RECORD, AMOUNT_OFF, 500..1001);
     let mut agg = AggregateEngine::new(RECORD, REGION_OFF, AMOUNT_OFF);
     let home = store.home_node(b"db/sales");
-    let stored = store.get(home, b"db/sales")?.value;
+    let stored = store.get(home, b"db/sales")?.ok_or("table not stored")?.value;
     for (i, page) in stored.chunks(page_bytes).enumerate() {
         filter.consume(i as u64, page);
         // Push only matching rows into the aggregator (the engines

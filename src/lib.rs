@@ -12,7 +12,7 @@
 //!
 //! ```rust
 //! use bluedbm::core::node::Consume;
-//! use bluedbm::core::{Cluster, SystemConfig};
+//! use bluedbm::core::{Cluster, PageOp, SystemConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // A 4-node appliance with the paper's device parameters, scaled-down
@@ -23,9 +23,9 @@
 //! // Write a page to node 0, read it back from node 2 over the integrated
 //! // storage network (global address space).
 //! let page = vec![0xAB; config.flash.geometry.page_bytes];
-//! let addr = cluster.write_page_local(0.into(), &page)?;
-//! let read = cluster.read_page(2.into(), addr, Consume::Isp)?;
-//! assert_eq!(read.data, page);
+//! let addr = cluster.run_one(0.into(), PageOp::Write(&page))?.addr.expect("written");
+//! let read = cluster.run_one(2.into(), PageOp::Read { addr, consume: Consume::Isp })?;
+//! assert_eq!(read.data, Some(page));
 //! # Ok(())
 //! # }
 //! ```

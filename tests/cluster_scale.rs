@@ -1,13 +1,18 @@
 //! Cross-crate integration: the paper's 20-node appliance — global
 //! address space, near-uniform latency, network invariants at scale.
 
-use bluedbm::core::node::Consume;
-use bluedbm::core::{Cluster, NodeId, SystemConfig};
+use bluedbm::core::node::{Completed, Consume};
+use bluedbm::core::{Cluster, GlobalPageAddr, NodeId, PageOp, SystemConfig};
 use bluedbm::sim::time::SimTime;
 
 fn twenty_node_cluster() -> Cluster {
     let config = SystemConfig::scaled_down();
     Cluster::ring(20, &config).expect("20-node ring builds")
+}
+
+/// Read `addr` at `reader` on an otherwise idle cluster.
+fn read(cluster: &mut Cluster, reader: NodeId, addr: GlobalPageAddr, consume: Consume) -> Completed {
+    cluster.run_one(reader, PageOp::Read { addr, consume }).expect("read")
 }
 
 #[test]
@@ -24,10 +29,8 @@ fn twenty_nodes_form_a_global_address_space() {
         })
         .collect();
     for (n, addr) in addrs.iter().enumerate() {
-        let read = cluster
-            .read_page(NodeId(0), *addr, Consume::Isp)
-            .expect("read");
-        assert_eq!(read.data, vec![n as u8; page_bytes], "node {n} contents");
+        let read = read(&mut cluster, NodeId(0), *addr, Consume::Isp);
+        assert_eq!(read.data, Some(vec![n as u8; page_bytes]), "node {n} contents");
     }
 }
 
@@ -41,10 +44,8 @@ fn access_latency_is_near_uniform_across_the_rack() {
     for n in 0..20u16 {
         let data = vec![n as u8; page_bytes];
         let addr = cluster.preload_page(NodeId(n), &data).expect("preload");
-        let read = cluster
-            .read_page(NodeId(0), addr, Consume::Isp)
-            .expect("read");
-        latencies.push((n, read.latency));
+        let read = read(&mut cluster, NodeId(0), addr, Consume::Isp);
+        latencies.push((n, read.end - read.start));
     }
     let local = latencies[0].1;
     let worst = latencies.iter().map(|&(_, l)| l).max().expect("non-empty");
@@ -74,7 +75,10 @@ fn no_order_violations_or_drops_under_mixed_load() {
             addrs.push(cluster.preload_page(NodeId(n), &data).expect("preload"));
         }
     }
-    let done = cluster.stream_reads(NodeId(0), &addrs, Consume::Isp);
+    for &addr in &addrs {
+        cluster.submit(NodeId(0), PageOp::Read { addr, consume: Consume::Isp });
+    }
+    let done = cluster.drive();
     assert_eq!(done.len(), addrs.len(), "flow control must not drop reads");
     for n in 0..20u16 {
         let stats = cluster.router_stats(NodeId(n));
@@ -91,13 +95,11 @@ fn writes_through_the_full_stack_on_every_node() {
     let page_bytes = cluster.config().flash.geometry.page_bytes;
     for n in 0..20u16 {
         let data = vec![0xC0u8 | (n as u8 & 0x0F); page_bytes];
-        let addr = cluster
-            .write_page_local(NodeId(n), &data)
+        let written = cluster
+            .run_one(NodeId(n), PageOp::Write(&data))
             .expect("write through the DES stack");
-        let read = cluster
-            .read_page(NodeId(n), addr, Consume::Isp)
-            .expect("read");
-        assert_eq!(read.data, data);
+        let read = read(&mut cluster, NodeId(n), written.addr.expect("written"), Consume::Isp);
+        assert_eq!(read.data, Some(data));
     }
     // Writes pay tPROG: simulated time must reflect 20 sequential writes.
     assert!(cluster.now() >= SimTime::ms(6), "now = {}", cluster.now());
@@ -137,16 +139,13 @@ fn mesh32x32_smoke_at_4_shards() {
         })
         .collect();
     for &(n, addr) in &addrs {
-        cluster.inject_read(NodeId::from(1023 - n), addr, Consume::Isp);
+        cluster.submit(NodeId::from(1023 - n), PageOp::Read { addr, consume: Consume::Isp });
     }
-    cluster.run_to_quiescence();
-    let mut completions = 0;
-    for &(n, _) in &addrs {
-        let done = cluster.harvest_node(NodeId::from(1023 - n));
-        assert!(done.iter().all(|c| c.error.is_none()), "read failed at {n}");
-        completions += done.len();
+    let done = cluster.drive();
+    assert_eq!(done.len(), addrs.len());
+    for (c, &(n, _)) in done.iter().zip(&addrs) {
+        assert_eq!((c.node, &c.error), (NodeId::from(1023 - n), &None), "read at {n}");
     }
-    assert_eq!(completions, addrs.len());
     cluster.assert_quiescent();
 }
 
@@ -157,11 +156,7 @@ fn host_consumed_reads_pay_pcie_everywhere() {
     let addr = cluster
         .preload_page(NodeId(7), &vec![1u8; page_bytes])
         .expect("preload");
-    let isp = cluster
-        .read_page(NodeId(3), addr, Consume::Isp)
-        .expect("isp");
-    let host = cluster
-        .read_page(NodeId(3), addr, Consume::Host)
-        .expect("host");
-    assert!(host.latency > isp.latency + SimTime::us(3));
+    let isp = read(&mut cluster, NodeId(3), addr, Consume::Isp);
+    let host = read(&mut cluster, NodeId(3), addr, Consume::Host);
+    assert!(host.end - host.start > isp.end - isp.start + SimTime::us(3));
 }

@@ -243,7 +243,7 @@ pub fn check_schedule(s: &mut KvStore, nodes: usize, steps: Vec<Draw>, chunk: us
     // Final state agrees with the oracle.
     assert_eq!(s.len(), oracle.len());
     for (key, value) in &oracle {
-        let got = s.get(NodeId(0), &[*key]).expect("oracle key present");
+        let got = s.get(NodeId(0), &[*key]).expect("read").expect("oracle key present");
         assert_eq!(&got.value, value, "final state of key {key}");
     }
 

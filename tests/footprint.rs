@@ -24,7 +24,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 
 use bluedbm::core::node::Consume;
-use bluedbm::core::{Cluster, KvStore, NodeId, SystemConfig};
+use bluedbm::core::{Cluster, KvStore, NodeId, PageOp, SystemConfig};
 use bluedbm::net::Topology;
 use bluedbm::sim::ExecMode;
 use bluedbm::workloads::kvgen::{kv_flash_geometry, KvWorkloadSpec};
@@ -122,7 +122,8 @@ fn scatter(cluster: &mut Cluster, pages: &[bluedbm::core::GlobalPageAddr]) {
         for r in 1..=SCATTER_READS {
             let target = (reader + r * (n / SCATTER_READS).max(1) + r % 2) % n;
             let target = if target == reader { (target + 1) % n } else { target };
-            cluster.inject_read(NodeId::from(reader), pages[target], Consume::Isp);
+            let read = PageOp::Read { addr: pages[target], consume: Consume::Isp };
+            cluster.submit(NodeId::from(reader), read);
         }
     }
 }
@@ -200,7 +201,7 @@ fn kv_footprint_stays_within_its_pins() {
     // The threaded shard engine's round path: an 8x8 mesh cut in two,
     // one worker thread per half. The first scatter grows everything
     // that grows (event heaps, pools, the slots' parcel vectors); the
-    // second is measured, run() call only.
+    // second is measured, drive() call only.
     let mut config = SystemConfig::scaled_down();
     config.sim.shards = 2;
     config.sim.exec = ExecMode::Threads;
@@ -210,17 +211,18 @@ fn kv_footprint_stays_within_its_pins() {
         .map(|node| halves.preload_page(NodeId::from(node), &page).expect("preload fits"))
         .collect();
     scatter(&mut halves, &pages);
-    halves.run_to_quiescence();
+    let warm = halves.drive();
     let warm_rounds = halves.sync_rounds().expect("sharded");
     scatter(&mut halves, &pages);
     let before_rounds = snapshot();
-    halves.run_to_quiescence();
+    let done = halves.drive();
     let after_rounds = snapshot();
     let rounds = halves.sync_rounds().expect("sharded") - warm_rounds;
     for node in 0..halves.node_count() {
-        let done = halves.harvest_node(NodeId::from(node));
-        assert_eq!(done.len(), 2 * SCATTER_READS);
-        assert!(done.iter().all(|c| c.error.is_none()));
+        let node = NodeId::from(node);
+        let reads = warm.iter().chain(&done).filter(|c| c.node == node);
+        assert_eq!(reads.clone().count(), 2 * SCATTER_READS);
+        assert!(reads.clone().all(|c| c.error.is_none()));
     }
     halves.assert_quiescent();
     drop(halves);

@@ -23,7 +23,7 @@ fn store(config: &SystemConfig) -> KvStore {
 /// `key`'s value, read on its home node (flash → accelerator units).
 fn get_local(store: &mut KvStore, key: &[u8]) -> Vec<u8> {
     let home = store.home_node(key);
-    store.get(home, key).expect("stored").value
+    store.get(home, key).expect("read").expect("stored").value
 }
 
 /// Every op finished and every allocated page belongs to a value.

@@ -33,7 +33,7 @@ use std::fmt::Write as _;
 
 use bluedbm::core::kvstore::{KvCompletion, KvOpKind};
 use bluedbm::core::node::Consume;
-use bluedbm::core::{Cluster, ExecMode, KvStore, NodeId, SystemConfig};
+use bluedbm::core::{Cluster, ExecMode, KvStore, NodeId, PageOp, SystemConfig};
 use bluedbm::flash::FlashGeometry;
 use bluedbm::net::Topology;
 use bluedbm::sim::{Rng, TraceConfig, TraceDoc, STABLE_CATEGORIES};
@@ -251,16 +251,14 @@ fn mesh(table: &mut Table, lane: &Lane) {
             for r in 0..PAGES {
                 let other = rng.below(n as u64 - 1) as usize;
                 let target = other + usize::from(other >= reader);
-                cluster.inject_read(NodeId::from(reader), addrs[target][r], Consume::Isp);
+                let read = PageOp::Read { addr: addrs[target][r], consume: Consume::Isp };
+                cluster.submit(NodeId::from(reader), read);
             }
         }
-        cluster.run_to_quiescence();
-        for reader in 0..n {
-            for c in cluster.harvest_node(NodeId::from(reader)) {
-                let data = c.data.expect("every scatter read succeeds");
-                digest ^= fnv(fnv(FNV_OFFSET, &c.op_id.to_le_bytes()), &data);
-                reads.push((c.end - c.start).as_ps());
-            }
+        for c in cluster.drive() {
+            let data = c.data.expect("every scatter read succeeds");
+            digest ^= fnv(fnv(FNV_OFFSET, &c.op_id.to_le_bytes()), &data);
+            reads.push((c.end - c.start).as_ps());
         }
     }
     cluster.assert_quiescent();

@@ -119,7 +119,7 @@ fn overwrite_churn_stays_within_reused_extents() {
         assert_eq!(s.cluster().flash_pages_in_use(), 2, "round {round}");
     }
     assert_eq!(
-        s.get(NodeId(1), b"hot").unwrap().value,
+        s.get(NodeId(1), b"hot").unwrap().unwrap().value,
         vec![199u8; page_bytes + 1]
     );
     s.assert_no_stranded_pages();

@@ -234,8 +234,8 @@ fn kv_store_matches_map_model() {
     use bluedbm::core::{Cluster, KvStore, SystemConfig};
     fn holds(store: &mut KvStore, key: &str, want: Option<&Vec<u8>>) {
         match (store.get(NodeId(0), key.as_bytes()), want) {
-            (Ok(got), Some(want)) => assert_eq!(&got.value, want, "{key}"),
-            (Err(_), None) => {}
+            (Ok(Some(got)), Some(want)) => assert_eq!(&got.value, want, "{key}"),
+            (Ok(None), None) => {}
             (got, want) => panic!("{key}: got {got:?}, want {want:?}"),
         }
     }
@@ -251,7 +251,7 @@ fn kv_store_matches_map_model() {
     let (refused, moved) = (std::cell::Cell::new(0u32), std::cell::Cell::new(0u64));
     check("kv_store_matches_map_model", 16, |s| {
         let ops = s.vec(1..60, |s| (s.range(0u8..5), s.range(0usize..4), s.vec(0..1500, byte)));
-        let cluster = Cluster::new(Topology::from_edges(1, &[]), &config).expect("cluster");
+        let cluster = Cluster::ring(1, &config).expect("cluster");
         let mut store = KvStore::new(cluster);
         let mut model: std::collections::BTreeMap<&str, Vec<u8>> = Default::default();
         let keys = ["a", "b", "c", "d"];

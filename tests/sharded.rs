@@ -24,7 +24,7 @@
 mod common;
 
 use bluedbm::core::node::{AgentStats, Consume};
-use bluedbm::core::{Cluster, ExecMode, GlobalPageAddr, NodeId, SystemConfig};
+use bluedbm::core::{Cluster, ExecMode, GlobalPageAddr, NodeId, PageOp, SystemConfig};
 use bluedbm::flash::controller::CtrlStats;
 use bluedbm::net::router::RouterStats;
 use bluedbm::net::Topology;
@@ -94,18 +94,14 @@ struct Observation {
 /// error text.
 type CompletionResult = (u64, Option<GlobalPageAddr>, Option<Vec<u8>>, Option<String>);
 
+/// Drive `cluster` to quiescence and observe it.
 fn observe(cluster: &mut Cluster) -> Observation {
     let n = cluster.node_count();
     let cards = cluster.config().flash.cards_per_node;
-    let mut completions = Vec::with_capacity(n);
-    for node in 0..n {
-        let mut done: Vec<_> = cluster
-            .harvest_node(NodeId::from(node))
-            .into_iter()
-            .map(|c| (c.op_id, c.addr, c.data, c.error.map(|e| e.to_string())))
-            .collect();
-        done.sort_by_key(|c| c.0);
-        completions.push(done);
+    let mut completions = vec![Vec::new(); n];
+    for c in cluster.drive() {
+        let done = (c.op_id, c.addr, c.data, c.error.map(|e| e.to_string()));
+        completions[c.node.index()].push(done);
     }
     Observation {
         events: cluster.events_delivered(),
@@ -177,10 +173,9 @@ fn run_scatter(mut cluster: Cluster, pages_per_node: usize, reads_per_node: usiz
             let target = (reader + 1 + (r * 3 + reader)) % n;
             let target = if target == reader { (target + 1) % n } else { target };
             let addr = addrs[target][r % pages_per_node];
-            cluster.inject_read(NodeId::from(reader), addr, Consume::Isp);
+            cluster.submit(NodeId::from(reader), PageOp::Read { addr, consume: Consume::Isp });
         }
     }
-    cluster.run_to_quiescence();
     let obs = observe(&mut cluster);
     cluster.assert_quiescent();
     obs
@@ -209,10 +204,9 @@ fn sharded_write_read_round_trip_with_host_consume() {
 
         let mut written = Vec::new();
         for node in 0..6u16 {
-            let addr = cluster
-                .write_page_local(NodeId(node), &vec![node as u8; page_bytes])
-                .unwrap();
-            written.push(addr);
+            let data = vec![node as u8; page_bytes];
+            let write = cluster.run_one(NodeId(node), PageOp::Write(&data)).unwrap();
+            written.push(write.addr.unwrap());
         }
         cluster.load_dram(NodeId(3), 77, &vec![0x5A; page_bytes]);
 
@@ -220,16 +214,15 @@ fn sharded_write_read_round_trip_with_host_consume() {
         for reader in 0..6u16 {
             let addr = written[(reader as usize + 2) % 6];
             let read = cluster
-                .read_page(NodeId(reader), addr, Consume::Host)
+                .run_one(NodeId(reader), PageOp::Read { addr, consume: Consume::Host })
                 .unwrap();
-            reads.push(read);
+            reads.push((read.data, read.end - read.start));
         }
-        let dram = cluster
-            .read_remote_dram(NodeId(0), NodeId(3), 77, Consume::Isp)
-            .unwrap();
-        let missing = cluster
-            .read_remote_dram(NodeId(1), NodeId(3), 999, Consume::Isp)
-            .unwrap_err();
+        let dram = PageOp::ReadDram { home: NodeId(3), key: 77, consume: Consume::Isp };
+        let dram = cluster.run_one(NodeId(0), dram).unwrap();
+        let dram = (dram.data, dram.end - dram.start);
+        let missing = PageOp::ReadDram { home: NodeId(3), key: 999, consume: Consume::Isp };
+        let missing = cluster.run_one(NodeId(1), missing).unwrap_err();
         cluster.assert_quiescent();
         (reads, dram, missing.to_string(), observe_strict(&mut cluster))
     });
