@@ -2,12 +2,13 @@
 //! through submit and drive.
 //!
 //! A [`Cluster`] owns the simulator, the per-node flash stacks
-//! (controller + splitter per card), the node agents, the PCIe links and
-//! the integrated network. Every simulated page operation goes in one
-//! way: [`Cluster::submit`] schedules a [`PageOp`] at the current instant
-//! without running anything, and [`Cluster::drive`] runs the event queue
-//! dry and hands back every completion, in op-id order, with simulated
-//! timestamps. [`Cluster::run_one`] is that pair for one op.
+//! (controller + splitter per card), the node agents (each booking its
+//! node's PCIe link and accelerator units) and the integrated network.
+//! Every simulated page operation goes in one way: [`Cluster::submit`]
+//! schedules a [`PageOp`] at the current instant without running
+//! anything, and [`Cluster::drive`] runs the event queue dry and hands
+//! back every completion, in op-id order, with simulated timestamps.
+//! [`Cluster::run_one`] is that pair for one op.
 //! [`Cluster::preload_page`] and [`Cluster::load_dram`] are functional
 //! setup: they fill a card or a DRAM buffer without simulated time.
 //!
@@ -36,7 +37,6 @@ use bluedbm_flash::controller::{CtrlStats, FlashController};
 use bluedbm_flash::error::FlashError;
 use bluedbm_flash::splitter::FlashSplitter;
 use bluedbm_ftl::{Ftl, FtlError, GcRound};
-use bluedbm_host::pcie::PcieLink;
 use bluedbm_net::router::{build_network_routed, Router, RouterStats};
 use bluedbm_net::routing::RoutingTable;
 use bluedbm_net::topology::{NodeId, Topology};
@@ -49,7 +49,7 @@ use crate::config::SystemConfig;
 use crate::gc::{GcAgentStats, GcStats, LifecycleOp};
 use crate::msg::{Msg, NetBody};
 use crate::node::{AgentOp, AgentStats, Consume, NodeAgent, DATA_ENDPOINTS, REQUEST_ENDPOINT};
-use crate::scheduler::{AccelSched, SchedStats};
+use crate::scheduler::SchedStats;
 
 pub use crate::node::{Completed, GlobalPageAddr};
 
@@ -316,8 +316,6 @@ pub struct Cluster {
     routers: Vec<ComponentId>,
     agents: Vec<ComponentId>,
     controllers: Vec<Vec<ComponentId>>,
-    /// Per-node accelerator scheduler (paper Section 4).
-    scheds: Vec<ComponentId>,
     /// Node -> shard map (all zeros on one shard).
     partition: Vec<u32>,
     /// Next never-allocated logical page per (node, card).
@@ -367,7 +365,7 @@ impl Cluster {
     /// node, shard ids dense from 0 (the shard count is
     /// `max(partition) + 1`; a map of all zeros is one shard, the
     /// sequential kernel unsplit). Every component of a node — router, flash
-    /// controllers, splitters, PCIe link, agent — is pinned to the
+    /// controllers, splitters, agent — is pinned to the
     /// node's shard, so only inter-node traffic crosses shards and the
     /// conservative lookahead is the minimum cross-shard link latency.
     ///
@@ -408,8 +406,6 @@ impl Cluster {
         let routers = build_network_routed(&mut sim, &topo, config.net, Arc::clone(&routing));
         let n = topo.node_count();
         let mut agents = Vec::with_capacity(n);
-        let mut pcie = Vec::with_capacity(n);
-        let mut scheds = Vec::with_capacity(n);
         let mut controllers = Vec::with_capacity(n);
         let mut splitters = Vec::with_capacity(n);
         let mut capacity = Vec::with_capacity(n);
@@ -434,17 +430,8 @@ impl Cluster {
                 cards.push((split, ftl));
             }
             capacity.push(cards.iter().map(|(_, ftl)| ftl.capacity_pages() as usize).collect());
-            let link = sim.add_component(PcieLink::new(config.pcie));
-            let sched = sim
-                .add_component(AccelSched::new(config.accel.units).with_node(node as u32));
-            let agent = sim.add_component(NodeAgent::new(
-                NodeId::from(node),
-                node_router,
-                link,
-                sched,
-                cards,
-                config,
-            ));
+            let agent =
+                sim.add_component(NodeAgent::new(NodeId::from(node), node_router, cards, config));
             let router = sim
                 .component_mut::<Router<NetBody>>(node_router)
                 .expect("router installed");
@@ -453,8 +440,6 @@ impl Cluster {
                 router.register_endpoint(ep, agent);
             }
             agents.push(agent);
-            pcie.push(link);
-            scheds.push(sched);
             controllers.push(node_ctrls);
             splitters.push(node_splitters);
         }
@@ -463,8 +448,6 @@ impl Cluster {
             let shard = partition[node];
             owner[routers[node].index()] = shard;
             owner[agents[node].index()] = shard;
-            owner[pcie[node].index()] = shard;
-            owner[scheds[node].index()] = shard;
             for c in controllers[node].iter().chain(&splitters[node]) {
                 owner[c.index()] = shard;
             }
@@ -484,7 +467,6 @@ impl Cluster {
             routing,
             routers,
             agents,
-            scheds,
             controllers,
             partition: partition.to_vec(),
             next_op: 0,
@@ -1020,10 +1002,7 @@ impl Cluster {
     /// [`Cluster::router_stats`]): FIFO unit grants, parked-job counts
     /// and queue waits for the node's shared acceleration units.
     pub fn sched_stats(&self, node: NodeId) -> &SchedStats {
-        self.sim
-            .component::<AccelSched>(self.scheds[node.index()])
-            .expect("scheduler installed")
-            .stats()
+        self.agent(node).sched_stats()
     }
 
     /// Controller statistics for one card of `node` (borrowed; see

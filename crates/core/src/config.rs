@@ -113,9 +113,10 @@ impl BaselineDevices {
 /// resources, BlueDBM runs a scheduler that assigns available
 /// hardware-acceleration units to competing user-applications. In our
 /// implementation, a simple FIFO-based policy is used." Each node's
-/// `crate::scheduler::AccelSched` component arbitrates these units;
-/// reads consumed with [`crate::node::Consume::Accel`] claim one for the
-/// time it takes to stream the page through at `bandwidth`.
+/// agent books these units under that policy
+/// (`crate::scheduler::AccelUnits`): a read consumed with
+/// [`crate::node::Consume::Accel`] claims one for the time it takes to
+/// stream the page through at `bandwidth`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AccelConfig {
     /// Identical acceleration units per node (Table 2 provisions four

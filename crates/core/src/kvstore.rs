@@ -25,11 +25,12 @@
 //! engines interleave the underlying events. Ops on different keys
 //! proceed fully concurrently.
 //!
-//! Get payloads are consumed with [`Consume::Accel`]: each page must be
-//! granted one of the node's shared accelerator units by the FIFO
-//! `crate::scheduler::AccelSched` (paper Section 4), so competing
-//! tenants queue against `config.accel.units` and the per-node queue
-//! waits are visible via [`Cluster::sched_stats`].
+//! Get payloads are consumed with [`Consume::Accel`]: each page must
+//! stream through one of the node's shared accelerator units, which the
+//! node's agent books under the FIFO policy of paper Section 4
+//! (`crate::scheduler::AccelUnits`), so competing tenants queue against
+//! `config.accel.units` and the per-node queue waits are visible via
+//! [`Cluster::sched_stats`].
 //!
 //! ## Flash extents and the leak audit
 //!

@@ -9,16 +9,17 @@
 //! * [`config::SystemConfig`] — every calibration constant of the model,
 //!   each traced to the paper sentence it comes from;
 //! * [`cluster::Cluster`] — a DES world of N nodes: flash cards behind
-//!   splitters, a node agent (the in-store processing fabric), the
-//!   integrated network, and a PCIe link per node, driven by submitting
-//!   page operations and driving the simulation to their completions;
+//!   splitters, a node agent (the in-store processing fabric, which
+//!   books its node's PCIe link and accelerator units), and the
+//!   integrated network, driven by submitting page operations and
+//!   driving the simulation to their completions;
 //! * [`paths`] — the four remote-access paths of Figure 12 (ISP-F, H-F,
 //!   H-RH-F, H-D) with latency breakdowns;
 //! * [`baselines`] — the comparison arms: host CPU model, off-the-shelf
 //!   SSD, HDD, DRAM store and the RAM-cloud spill model (Figures 16–21);
 //! * [`power`] — the Table 3 power model and the RAM-cloud comparison;
-//! * [`scheduler`] — the FIFO accelerator scheduler of Section 4, the
-//!   per-node simulated component (`scheduler::AccelSched`) gating
+//! * [`scheduler`] — the FIFO accelerator scheduler of Section 4: each
+//!   node agent books its node's units (`scheduler::AccelUnits`) for
 //!   in-store accelerator work;
 //! * [`kvstore`] — the concurrent multi-tenant key-value workload
 //!   engine: async op submission, per-key FIFO consistency, windowed

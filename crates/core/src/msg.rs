@@ -2,8 +2,10 @@
 //!
 //! `Msg` composes every subsystem protocol a full BlueDBM node speaks —
 //! flash commands, network packets (whose bodies are the remote-operation
-//! types in `NetBody`), PCIe transfers, and the node-agent operations —
+//! types in `NetBody`), and the node-agent operations and self-sends —
 //! into one enum that instantiates the typed [`bluedbm_sim::Simulator`].
+//! The PCIe link and the accelerator units exchange no messages: the
+//! agent books them directly and sends itself each completion.
 //!
 //! ## Handle-based payloads
 //!
@@ -11,11 +13,11 @@
 //! handle**: page contents live in the simulator-owned
 //! [`bluedbm_sim::PageStore`] and messages carry an 8-byte [`PageRef`].
 //! A page read off a simulated flash chip moves through the controller,
-//! the splitter, the network and the PCIe link as one handle copy per
-//! hop; the bytes are written once by the producer (the flash array) and
-//! copied out once by the consumer. Ownership rule: every [`PageRef`]
-//! inside a message has exactly one consumer, which must `free` (or
-//! `take`) the page — simulations audit this with
+//! the splitter, the network and the agent's completion self-sends as
+//! one handle copy per hop; the bytes are written once by the producer
+//! (the flash array) and copied out once by the consumer. Ownership
+//! rule: every [`PageRef`] inside a message has exactly one consumer,
+//! which must `free` (or `take`) the page — simulations audit this with
 //! `PageStore::assert_quiescent` after a run.
 //!
 //! ## The 64-byte budget
@@ -53,19 +55,18 @@
 //!
 //! To add a new message kind, see the "Adding a new message variant"
 //! checklist in the `bluedbm_sim` crate docs.
+//!
+//! [`PageRef`]: bluedbm_sim::PageRef
 
 use bluedbm_flash::controller::{CtrlCmd, CtrlResp, Finish};
 use bluedbm_flash::msg::{FlashMsg, FlashProtocol};
-use bluedbm_host::msg::{HostMsg, HostProtocol};
-use bluedbm_host::pcie::PcieXfer;
 use bluedbm_net::msg::{NetMsg, NetProtocol};
 use bluedbm_net::router::{CreditReturn, NetRecv, NetSend, Wire, WireRef};
 use bluedbm_sim::pool::PoolRef;
 use bluedbm_sim::shard::ShardMessage;
-use bluedbm_sim::{PageRef, PageStore, PoolStore};
+use bluedbm_sim::{PageStore, PoolStore};
 
-use crate::node::{AgentOp, DramServed, RemoteReq, RemoteResp};
-use crate::scheduler::{SchedDone, SchedFree, SchedSubmit};
+use crate::node::{AgentOp, DramServed, ReadDone, RemoteReq, RemoteResp};
 
 /// Functional payload of a storage-network packet in the full system.
 #[derive(Debug)]
@@ -97,23 +98,23 @@ pub(crate) enum Msg {
     NetWire(WireRef<NetBody>),
     /// Link-layer credit return.
     NetCredit(CreditReturn),
-    /// PCIe/DMA traffic carrying page handles.
-    Host(HostMsg<PageRef>),
     /// Driver operation addressed to a node agent.
     Op(AgentOp),
     /// Node-agent internal: delayed DRAM-buffer reply.
     Dram(DramServed),
-    /// Job submission to a node's accelerator scheduler (Section 4).
-    SchedSubmit(SchedSubmit),
-    /// Scheduler-internal delayed unit release (self-send only).
-    SchedFree(SchedFree),
-    /// Accelerator job completion (scheduler → requester).
-    SchedDone(SchedDone),
+    /// Node-agent internal: a host-bound page's booked PCIe transfer
+    /// has landed in host memory.
+    PcieDone(ReadDone),
+    /// Node-agent internal: accelerator job `.1` (Section 4) finished
+    /// its booked unit time.
+    AccelDone(ReadDone, u64),
 }
 
 /// The fast-path size budget: one [`Msg`] must fit a 64-byte cache
 /// line. Adding a variant (or growing one) past the budget fails the
 /// build here — carry bulk payloads by [`PageRef`] instead.
+///
+/// [`PageRef`]: bluedbm_sim::PageRef
 const _: () = assert!(
     std::mem::size_of::<Msg>() <= 64,
     "Msg exceeds the 64-byte fast-path budget; carry bulk payloads by PageRef"
@@ -142,13 +143,6 @@ impl From<NetMsg<NetBody>> for Msg {
     }
 }
 
-impl From<HostMsg<PageRef>> for Msg {
-    #[inline]
-    fn from(m: HostMsg<PageRef>) -> Self {
-        Msg::Host(m)
-    }
-}
-
 impl From<AgentOp> for Msg {
     #[inline]
     fn from(m: AgentOp) -> Self {
@@ -163,27 +157,6 @@ impl From<DramServed> for Msg {
     }
 }
 
-impl From<SchedSubmit> for Msg {
-    #[inline]
-    fn from(m: SchedSubmit) -> Self {
-        Msg::SchedSubmit(m)
-    }
-}
-
-impl From<SchedFree> for Msg {
-    #[inline]
-    fn from(m: SchedFree) -> Self {
-        Msg::SchedFree(m)
-    }
-}
-
-impl From<SchedDone> for Msg {
-    #[inline]
-    fn from(m: SchedDone) -> Self {
-        Msg::SchedDone(m)
-    }
-}
-
 impl From<CtrlCmd> for Msg {
     #[inline]
     fn from(m: CtrlCmd) -> Self {
@@ -195,13 +168,6 @@ impl From<NetSend<NetBody>> for Msg {
     #[inline]
     fn from(m: NetSend<NetBody>) -> Self {
         Msg::NetSend(m)
-    }
-}
-
-impl From<PcieXfer<PageRef>> for Msg {
-    #[inline]
-    fn from(m: PcieXfer<PageRef>) -> Self {
-        Msg::Host(HostMsg::Xfer(m))
     }
 }
 
@@ -228,18 +194,6 @@ impl NetProtocol for Msg {
             Msg::NetWire(w) => NetMsg::Wire(w),
             Msg::NetCredit(c) => NetMsg::Credit(c),
             other => panic!("network component received a non-network message: {other:?}"),
-        }
-    }
-}
-
-impl HostProtocol for Msg {
-    type Body = PageRef;
-
-    #[inline]
-    fn into_host(self) -> HostMsg<PageRef> {
-        match self {
-            Msg::Host(m) => m,
-            other => panic!("host component received a non-host message: {other:?}"),
         }
     }
 }
@@ -360,6 +314,6 @@ mod tests {
         use bluedbm_sim::Simulator;
         assert_eq!(Simulator::<Msg>::queue_entry_bytes(), 16);
         assert_eq!(Simulator::<Msg>::arena_slot_bytes(), 64);
-        assert_eq!(std::mem::size_of::<PageRef>(), 8);
+        assert_eq!(std::mem::size_of::<bluedbm_sim::PageRef>(), 8);
     }
 }

@@ -6,7 +6,15 @@
 //! DES component: it accepts operations from the experiment driver,
 //! issues tagged commands to the local flash splitters, serves and issues
 //! remote requests over the integrated network, stages host-bound data
-//! through the PCIe link, and answers remote DRAM-buffer reads.
+//! through the PCIe link, streams accelerator-bound data through the
+//! node's shared accelerator units, and answers remote DRAM-buffer reads.
+//!
+//! The agent is the only client of its node's PCIe link and accelerator
+//! units, so it books them directly. When a page reaches the agent, a
+//! host-bound page books its DMA transfer ([`PcieLink::transfer`]) and an
+//! accelerator-bound page books a unit (`crate::scheduler::AccelUnits`,
+//! the FIFO policy of paper Section 4); the agent then sends itself the
+//! completion at the booked instant.
 //!
 //! ## Flash management
 //!
@@ -63,8 +71,7 @@ use bluedbm_flash::controller::{CtrlCmd, CtrlResp, Tag};
 use bluedbm_flash::geometry::{FlashGeometry, Ppa};
 use bluedbm_ftl::{Ftl, FtlError, GcRound, StepOutcome};
 use bluedbm_host::bufpool::BufferPool;
-use bluedbm_host::msg::HostMsg;
-use bluedbm_host::pcie::PcieXfer;
+use bluedbm_host::pcie::PcieLink;
 use bluedbm_net::router::{NetRecv, NetSend};
 use bluedbm_net::topology::NodeId;
 use bluedbm_sim::engine::{Component, ComponentId, Ctx};
@@ -75,7 +82,7 @@ use crate::cluster::{ClusterError, OpId, PageFault};
 use crate::config::SystemConfig;
 use crate::gc::{GcAgentStats, GcJob, LifecycleOp};
 use crate::msg::{Msg, NetBody};
-use crate::scheduler::{SchedDone, SchedSubmit};
+use crate::scheduler::{AccelUnits, SchedStats};
 
 /// Endpoint used for remote request messages.
 pub(crate) const REQUEST_ENDPOINT: u16 = 0;
@@ -106,10 +113,10 @@ pub enum Consume {
     /// and H-* paths).
     Host,
     /// A shared in-store accelerator unit: data stays on the device but
-    /// must first be granted one of the node's
-    /// `config.accel.units` units by the FIFO
-    /// `crate::scheduler::AccelSched` (paper Section 4) — competing
-    /// tenants queue. The KV engine's get path.
+    /// must stream through one of the node's `config.accel.units` units,
+    /// which the FIFO `crate::scheduler::AccelUnits` (paper Section 4)
+    /// grants in submission order — competing tenants queue. The KV
+    /// engine's get path.
     Accel,
 }
 
@@ -222,6 +229,18 @@ pub(crate) struct DramServed {
     bytes: u32,
 }
 
+/// A read whose page is bound for the host or an accelerator unit: the
+/// op state the agent's completion self-send carries to the booked end
+/// of the page's PCIe transfer or accelerator job, so the agent keeps
+/// no map of booked reads.
+#[derive(Debug)]
+pub(crate) struct ReadDone {
+    op_id: u64,
+    addr: Option<GlobalPageAddr>,
+    start: SimTime,
+    page: PageRef,
+}
+
 /// What an in-flight flash tag is for.
 #[derive(Clone)]
 enum FlashDest {
@@ -310,7 +329,7 @@ pub struct AgentStats {
     pub completions: u64,
     /// Host-bound pages that had to park waiting for a read buffer.
     pub parked_pages: u64,
-    /// Read payloads submitted to the node's accelerator scheduler.
+    /// Read payloads booked on the node's accelerator units.
     pub accel_jobs: u64,
 }
 
@@ -332,15 +351,16 @@ impl AgentStats {
 pub(crate) struct NodeAgent {
     node: NodeId,
     router: ComponentId,
-    pcie: ComponentId,
+    /// The node's PCIe link (for [`Consume::Host`] reads).
+    pcie: PcieLink,
     cards: Vec<Card>,
     geometry: FlashGeometry,
     /// Record each card's lifecycle (`config.gc.log`).
     log: bool,
     dram_latency: SimTime,
-    /// The node's accelerator scheduler and one unit's processing
-    /// bandwidth (for [`Consume::Accel`] reads).
-    sched: ComponentId,
+    /// The node's accelerator units and one unit's processing bandwidth
+    /// (for [`Consume::Accel`] reads).
+    accel: AccelUnits,
     accel_bandwidth: Bandwidth,
 
     next_tag: u16,
@@ -355,19 +375,12 @@ pub(crate) struct NodeAgent {
     /// requests to different destinations interleave).
     reply_rr: FxHashMap<NodeId, u64>,
     net_pending: FxHashMap<u64, NetPending>,
-    /// Host-bound pages in flight on PCIe: token -> (op state).
-    pcie_pending: FxHashMap<u64, (u64, Option<GlobalPageAddr>, SimTime)>,
-    next_pcie_token: u64,
     /// The paper's host-interface read buffers: a device-to-host page
     /// must claim one of the (128 in the paper) buffers before its DMA
     /// is issued; pages that find the pool exhausted park in
     /// `host_parked` until a completion frees a buffer.
     host_buffers: BufferPool,
-    host_parked: VecDeque<(u64, Option<GlobalPageAddr>, SimTime, PageRef)>,
-    /// Read payloads being processed on (or queued for) an accelerator
-    /// unit: job -> the op state restored when [`SchedDone`] arrives.
-    accel_pending: FxHashMap<u64, (u64, Option<GlobalPageAddr>, SimTime, Vec<u8>)>,
-    next_accel_job: u64,
+    host_parked: VecDeque<ReadDone>,
     /// The DRAM buffer, by key.
     pub(crate) dram: FxHashMap<u64, Vec<u8>>,
     /// Finished operations awaiting [`crate::cluster::Cluster::drive`].
@@ -377,20 +390,23 @@ pub(crate) struct NodeAgent {
 }
 
 impl NodeAgent {
-    /// Build an agent for `node` wired to its router, PCIe link and
-    /// accelerator scheduler, running each card's `(splitter, Ftl)`.
+    /// Build an agent for `node` wired to its router, running each
+    /// card's `(splitter, Ftl)` and the node's PCIe link and accelerator
+    /// units.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.accel.units == 0`.
     pub(crate) fn new(
         node: NodeId,
         router: ComponentId,
-        pcie: ComponentId,
-        sched: ComponentId,
         cards: Vec<(ComponentId, Ftl)>,
         config: &SystemConfig,
     ) -> Self {
         NodeAgent {
             node,
             router,
-            pcie,
+            pcie: PcieLink::new(config.pcie),
             cards: cards
                 .into_iter()
                 .map(|(splitter, ftl)| Card {
@@ -406,7 +422,7 @@ impl NodeAgent {
             geometry: config.flash.geometry,
             log: config.gc.log,
             dram_latency: config.host.dram_latency,
-            sched,
+            accel: AccelUnits::new(config.accel.units),
             accel_bandwidth: config.accel.bandwidth,
             next_tag: 0,
             flash_pending: FxHashMap::default(),
@@ -414,12 +430,8 @@ impl NodeAgent {
             next_req: 0,
             reply_rr: FxHashMap::default(),
             net_pending: FxHashMap::default(),
-            pcie_pending: FxHashMap::default(),
-            next_pcie_token: 0,
             host_buffers: BufferPool::new(config.host.read_buffers),
             host_parked: VecDeque::new(),
-            accel_pending: FxHashMap::default(),
-            next_accel_job: 0,
             dram: FxHashMap::default(),
             completed: Vec::new(),
             stats: AgentStats::default(),
@@ -436,6 +448,11 @@ impl NodeAgent {
     /// Statistics gathered so far.
     pub(crate) fn stats(&self) -> &AgentStats {
         &self.stats
+    }
+
+    /// The node's accelerator-unit statistics.
+    pub(crate) fn sched_stats(&self) -> &SchedStats {
+        self.accel.stats()
     }
 
     /// Collection statistics gathered so far.
@@ -670,8 +687,9 @@ impl NodeAgent {
     }
 
     /// Deliver read data to its consumer: ISP copies the page out of the
-    /// store here; Host claims a read buffer and pays the PCIe crossing
-    /// first (parking if all buffers are in flight).
+    /// store here; Accel books an accelerator unit first; Host claims a
+    /// read buffer and pays the PCIe crossing first (parking if all
+    /// buffers are in flight).
     fn consume_read(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
@@ -689,31 +707,27 @@ impl NodeAgent {
             (Consume::Accel, Ok(page)) => {
                 // The payload must stream through one of the node's
                 // shared accelerator units before the op counts as done;
-                // the FIFO scheduler (paper Section 4) arbitrates them
-                // among competing tenants.
+                // the FIFO policy (paper Section 4) arbitrates them among
+                // competing tenants.
                 self.stats.accel_jobs += 1;
-                let data = ctx.pages().take(page);
-                let duration = self.accel_bandwidth.time_for(data.len() as u64);
-                let job = self.next_accel_job;
-                self.next_accel_job += 1;
-                self.accel_pending.insert(job, (op_id, addr, start, data));
-                let me = ctx.self_id();
-                ctx.send(
-                    self.sched,
-                    SimTime::ZERO,
-                    SchedSubmit {
-                        job,
-                        reply_to: me,
-                        duration,
-                    },
-                );
+                let (now, node) = (ctx.now(), self.node.0 as u32);
+                let duration = self.accel_bandwidth.time_for(ctx.pages().len(page) as u64);
+                let (job, grant) = self.accel.submit(now, duration);
+                if grant.start > now {
+                    ctx.trace().instant(TraceCat::Accel, TraceName::Park, node, job, 0);
+                }
+                let waited = (grant.start - now).as_ps();
+                ctx.trace().instant(TraceCat::Accel, TraceName::Grant, node, job, waited);
+                let done = ReadDone { op_id, addr, start, page };
+                ctx.send_self(grant.end - now, Msg::AccelDone(done, job));
             }
             (Consume::Accel, Err(e)) => {
                 self.complete(ctx.now(), op_id, addr, Err(e), start)
             }
             (Consume::Host, Ok(page)) => {
+                let read = ReadDone { op_id, addr, start, page };
                 if self.host_buffers.adopt(page) {
-                    self.issue_pcie(ctx, op_id, addr, start, page);
+                    self.issue_pcie(ctx, read);
                 } else {
                     // All 128 read buffers hold in-flight pages: the
                     // paper's free-queue discipline makes this page wait
@@ -726,7 +740,7 @@ impl NodeAgent {
                         op_id,
                         self.host_parked.len() as u64 + 1,
                     );
-                    self.host_parked.push_back((op_id, addr, start, page));
+                    self.host_parked.push_back(read);
                 }
             }
             (Consume::Host, Err(e)) => self.complete(ctx.now(), op_id, addr, Err(e), start),
@@ -734,24 +748,10 @@ impl NodeAgent {
     }
 
     /// DMA one buffered page to the host.
-    fn issue_pcie(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        op_id: u64,
-        addr: Option<GlobalPageAddr>,
-        start: SimTime,
-        page: PageRef,
-    ) {
-        let token = self.next_pcie_token;
-        self.next_pcie_token += 1;
-        self.pcie_pending.insert(token, (op_id, addr, start));
-        let me = ctx.self_id();
-        let bytes = ctx.pages().len(page) as u32;
-        ctx.send(
-            self.pcie,
-            SimTime::ZERO,
-            PcieXfer::new(bytes, me, token, page),
-        );
+    fn issue_pcie(&mut self, ctx: &mut Ctx<'_, Msg>, read: ReadDone) {
+        let now = ctx.now();
+        let done_at = self.pcie.transfer(now, ctx.pages().len(read.page) as u64);
+        ctx.send_self(done_at - now, Msg::PcieDone(read));
     }
 
     fn handle_op(&mut self, ctx: &mut Ctx<'_, Msg>, op: AgentOp) {
@@ -934,35 +934,31 @@ impl Component<Msg> for NodeAgent {
                 };
                 self.reply(ctx, served.origin, served.reply_ep, served.bytes, resp);
             }
-            Msg::SchedDone(SchedDone { job }) => {
-                let (op_id, addr, start, data) = self
-                    .accel_pending
-                    .remove(&job)
-                    .expect("accelerator completion for an unknown job");
-                self.complete(ctx.now(), op_id, addr, Ok(data), start);
+            Msg::AccelDone(done, job) => {
+                self.accel.complete();
+                ctx.trace()
+                    .instant(TraceCat::Accel, TraceName::Done, self.node.0 as u32, job, 0);
+                let data = ctx.pages().take(done.page);
+                self.complete(ctx.now(), done.op_id, done.addr, Ok(data), done.start);
             }
-            Msg::Host(HostMsg::Done(done)) => {
-                let (op_id, addr, start) = self
-                    .pcie_pending
-                    .remove(&done.token)
-                    .expect("PCIe completion for an unknown token");
+            Msg::PcieDone(done) => {
                 // The page is in host memory: return the read buffer to
                 // the free queue and hand the next parked page its slot.
-                self.host_buffers.release(done.body);
-                let data = ctx.pages().take(done.body);
-                self.complete(ctx.now(), op_id, addr, Ok(data), start);
-                if let Some((op_id, addr, start, page)) = self.host_parked.pop_front() {
-                    let adopted = self.host_buffers.adopt(page);
+                self.host_buffers.release(done.page);
+                let data = ctx.pages().take(done.page);
+                self.complete(ctx.now(), done.op_id, done.addr, Ok(data), done.start);
+                if let Some(next) = self.host_parked.pop_front() {
+                    let adopted = self.host_buffers.adopt(next.page);
                     debug_assert!(adopted, "a just-released buffer must be free");
-                    let waited = (ctx.now() - start).as_ps();
+                    let waited = (ctx.now() - next.start).as_ps();
                     ctx.trace().instant(
                         TraceCat::BufPool,
                         TraceName::Resume,
                         self.node.0 as u32,
-                        op_id,
+                        next.op_id,
                         waited,
                     );
-                    self.issue_pcie(ctx, op_id, addr, start, page);
+                    self.issue_pcie(ctx, next);
                 }
             }
             other => panic!("node agent got an unexpected message: {other:?}"),
@@ -970,15 +966,15 @@ impl Component<Msg> for NodeAgent {
     }
 }
 
-/// The Virtex-7 module inventory of one node — the software analogue of
-/// the paper's Table 2.
-pub fn node_inventory(cards: usize) -> Vec<(&'static str, usize)> {
+/// The Virtex-7 module inventory of one node under `config` — the
+/// software analogue of the paper's Table 2.
+pub fn node_inventory(config: &SystemConfig) -> Vec<(&'static str, usize)> {
     vec![
-        ("flash interface", cards),
+        ("flash interface", config.flash.cards_per_node),
         ("network interface", 1),
         ("dram interface", 1),
         ("host interface", 1),
-        ("in-store processor slots", 4),
+        ("in-store processor slots", config.accel.units),
     ]
 }
 
@@ -1087,8 +1083,28 @@ mod tests {
     }
 
     #[test]
+    fn reads_past_the_tag_space_wait_for_a_tag_and_complete() {
+        // Two reads more than the agent's 16-bit tag space, all at one
+        // instant: the last two park until the first completions free
+        // their tags.
+        let mut config = SystemConfig::scaled_down();
+        config.flash.geometry = FlashGeometry::tiny();
+        let mut cluster = Cluster::ring(1, &config).unwrap();
+        let page = [7u8; 512];
+        let addr = cluster.preload_page(NodeId(0), &page).unwrap();
+        let reads = usize::from(u16::MAX) + 3;
+        for _ in 0..reads {
+            cluster.submit(NodeId(0), PageOp::Read { addr, consume: Consume::Isp });
+        }
+        let done = cluster.drive();
+        assert_eq!(done.len(), reads);
+        assert!(done.iter().all(|c| c.data.as_deref() == Some(&page[..])));
+        cluster.assert_quiescent();
+    }
+
+    #[test]
     fn inventory_matches_table2_modules() {
-        let inv = node_inventory(2);
+        let inv = node_inventory(&SystemConfig::paper());
         let names: Vec<&str> = inv.iter().map(|(n, _)| *n).collect();
         for expected in [
             "flash interface",

@@ -13,16 +13,15 @@
 //! ## Pieces
 //!
 //! * [`PcieParams`] — bandwidth cap and latency constants.
-//! * [`PcieLink`] — DES component serializing device-to-host
-//!   transfers; send it [`PcieXfer`]s, receive [`PcieDone`]s.
+//! * [`PcieLink`] — the link's DMA engines and wire, booked by the
+//!   node's agent: each device-to-host transfer gets the instant its
+//!   completion lands.
 //! * [`BufferPool`] — the free-queue discipline of the 128 page
 //!   buffers, as a capacity view over the simulator's shared
 //!   `PageStore`.
 
 pub mod bufpool;
-pub mod msg;
 pub mod pcie;
 
 pub use bufpool::BufferPool;
-pub use msg::{HostMsg, HostProtocol};
-pub use pcie::{PcieDone, PcieLink, PcieParams, PcieXfer};
+pub use pcie::{PcieLink, PcieParams};

@@ -12,11 +12,8 @@
 //! modelled link — a cluster injects them at the node — so only the
 //! device-to-host direction and its 1.6 GB/s cap are modelled.
 
-use bluedbm_sim::engine::{Component, ComponentId, Ctx};
 use bluedbm_sim::resource::{MultiResource, SerialResource};
 use bluedbm_sim::time::{Bandwidth, SimTime};
-
-use crate::msg::{HostMsg, HostProtocol};
 
 /// PCIe link constants.
 ///
@@ -58,43 +55,9 @@ impl Default for PcieParams {
     }
 }
 
-/// A device-to-host transfer request addressed to a [`PcieLink`],
-/// generic over the carried body type.
-#[derive(Clone, Debug)]
-pub struct PcieXfer<B> {
-    /// Bytes to move.
-    pub(crate) bytes: u32,
-    /// Component notified with a [`PcieDone`] when the transfer (and its
-    /// completion notification) finish.
-    pub(crate) notify: ComponentId,
-    /// Caller token echoed in the completion.
-    pub(crate) token: u64,
-    /// Message object carried across (the functional payload).
-    pub(crate) body: B,
-}
-
-impl<B> PcieXfer<B> {
-    /// Convenience constructor.
-    pub fn new(bytes: u32, notify: ComponentId, token: u64, body: B) -> Self {
-        PcieXfer {
-            bytes,
-            notify,
-            token,
-            body,
-        }
-    }
-}
-
-/// Completion of a [`PcieXfer`], delivered when its notification lands.
-#[derive(Clone, Debug)]
-pub struct PcieDone<B> {
-    /// Echo of the request token.
-    pub token: u64,
-    /// The carried message object.
-    pub body: B,
-}
-
-/// DES component modelling one node's PCIe link.
+/// One node's PCIe link. Its one client, the node's agent, books each
+/// transfer when it issues it and learns the instant its completion
+/// lands, so the link exchanges no messages.
 pub struct PcieLink {
     params: PcieParams,
     engines: MultiResource,
@@ -110,83 +73,44 @@ impl PcieLink {
             link: SerialResource::new(),
         }
     }
-}
 
-impl<M: HostProtocol> Component<M> for PcieLink {
-    fn handle(&mut self, ctx: &mut Ctx<'_, M>, msg: M) {
-        match msg.into_host() {
-            HostMsg::Xfer(xfer) => {
-                // An engine owns its transfer end to end: descriptor setup
-                // plus the wire time. The link is the shared serializer.
-                let wire_time = self.params.d2h.time_for(u64::from(xfer.bytes));
-                let engine = self.engines.acquire(ctx.now(), self.params.dma_setup + wire_time);
-                let wire = self.link.acquire(engine.start + self.params.dma_setup, wire_time);
-                let done_at = wire.end + self.params.completion_latency;
-                ctx.send(
-                    xfer.notify,
-                    done_at - ctx.now(),
-                    HostMsg::Done(PcieDone {
-                        token: xfer.token,
-                        body: xfer.body,
-                    }),
-                );
-            }
-            other => panic!("pcie link got an unexpected message: {}", other.kind()),
-        }
+    /// Book a device-to-host transfer of `bytes` issued at `now`: the
+    /// instant its completion notification lands. Transfers must be
+    /// booked in non-decreasing `now`.
+    pub fn transfer(&mut self, now: SimTime, bytes: u64) -> SimTime {
+        // An engine owns its transfer end to end: descriptor setup plus
+        // the wire time. The link is the shared serializer.
+        let wire_time = self.params.d2h.time_for(bytes);
+        let engine = self.engines.acquire(now, self.params.dma_setup + wire_time);
+        let wire = self.link.acquire(engine.start + self.params.dma_setup, wire_time);
+        wire.end + self.params.completion_latency
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bluedbm_sim::engine::Simulator;
 
-    /// Records each completion's token and arrival time; every transfer
-    /// is requested at time zero, so the arrival time is its latency.
-    struct Sink {
-        done: Vec<(u64, SimTime)>,
-    }
-
-    type TestMsg = HostMsg<()>;
-
-    impl Component<TestMsg> for Sink {
-        fn handle(&mut self, ctx: &mut Ctx<'_, TestMsg>, msg: TestMsg) {
-            let HostMsg::Done(d) = msg else {
-                panic!("PcieDone expected")
-            };
-            self.done.push((d.token, ctx.now()));
-        }
-    }
-
-    /// Send `n` 8 KiB pages at time zero over a link with `params` and
-    /// return the sink's completions and the link's rate in bytes/s.
-    fn stream(params: PcieParams, n: u64) -> (Vec<(u64, SimTime)>, f64) {
-        let mut sim = Simulator::<TestMsg>::new();
-        let link = sim.add_component(PcieLink::new(params));
-        let sink = sim.add_component(Sink { done: vec![] });
-        for t in 0..n {
-            sim.schedule(SimTime::ZERO, link, PcieXfer::new(8192, sink, t, ()));
-        }
-        sim.run();
-        let rate = (n * 8192) as f64 / sim.now().as_secs_f64();
-        let done = std::mem::take(&mut sim.component_mut::<Sink>(sink).unwrap().done);
-        (done, rate)
+    /// Book `n` 8 KiB pages at time zero over a link with `params`: each
+    /// completion instant (its latency), and the link's rate in bytes/s.
+    fn stream(params: PcieParams, n: u64) -> (Vec<SimTime>, f64) {
+        let mut link = PcieLink::new(params);
+        let done: Vec<SimTime> = (0..n).map(|_| link.transfer(SimTime::ZERO, 8192)).collect();
+        let last = done.iter().copied().max().unwrap_or(SimTime::ZERO);
+        (done, (n * 8192) as f64 / last.as_secs_f64())
     }
 
     #[test]
     fn single_page_latency() {
         let (done, _) = stream(PcieParams::paper(), 1);
-        assert_eq!(done.len(), 1);
         // setup 1us + 8KiB/1.6GB/s (~5.1us) + completion 2us ~ 8.1us.
-        let lat = done[0].1;
+        let lat = done[0];
         assert!(lat > SimTime::us(7) && lat < SimTime::us(9), "{lat}");
     }
 
     #[test]
     fn d2h_saturates_at_paper_cap() {
-        const N: u64 = 400;
-        let (done, rate) = stream(PcieParams::paper(), N);
-        assert_eq!(done.len(), N as usize);
+        let (_, rate) = stream(PcieParams::paper(), 400);
         assert!(rate > 1.55e9 && rate <= 1.6e9, "rate {rate:.3e}");
     }
 
@@ -202,9 +126,8 @@ mod tests {
     }
 
     #[test]
-    fn tokens_and_bodies_round_trip() {
+    fn completions_land_in_issue_order() {
         let (done, _) = stream(PcieParams::paper(), 3);
-        let tokens: Vec<u64> = done.iter().map(|&(t, _)| t).collect();
-        assert_eq!(tokens, [0, 1, 2]);
+        assert!(done.windows(2).all(|w| w[0] < w[1]), "{done:?}");
     }
 }

@@ -25,13 +25,12 @@
 //! fetch), and every runner delivers one event per [`Component::handle`]
 //! call.
 //!
-//! Each hardware crate defines a protocol enum for its own components
-//! (`bluedbm_flash::FlashMsg`, `bluedbm_net::NetMsg<B>`,
-//! `bluedbm_host::HostMsg<B>`) plus a protocol trait that any composed
-//! message type implements. The workspace-wide composition lives in
-//! the core crate's `Msg`; single-subsystem simulations (unit tests,
-//! microbenches, network-only experiments) instantiate the kernel
-//! directly over the subsystem's own enum.
+//! The flash and network crates each define a protocol enum for their
+//! own components (`bluedbm_flash::FlashMsg`, `bluedbm_net::NetMsg<B>`)
+//! plus a protocol trait that any composed message type implements. The
+//! workspace-wide composition lives in the core crate's `Msg`;
+//! single-subsystem simulations (unit tests, microbenches, network-only
+//! experiments) instantiate the kernel over the subsystem's own enum.
 //!
 //! ## Page payloads travel by handle
 //!

@@ -7,9 +7,9 @@
 //! applied to the whole simulation: page payloads live in a slab owned by
 //! the [`Simulator`](crate::engine::Simulator), and messages carry an
 //! 8-byte [`PageRef`] instead of an inline `Vec<u8>`. A page crosses the
-//! flash controller, the splitter, the storage network and the PCIe link
-//! as one handle copy per hop; the bytes are written once at the
-//! producer and read once at the consumer.
+//! flash controller, the splitter, the storage network and the node
+//! agent's completion self-sends as one handle copy per hop; the bytes
+//! are written once at the producer and read once at the consumer.
 //!
 //! Handles are **generation-tagged**: every slot carries a counter that
 //! bumps on free, and a [`PageRef`] is only valid while its generation

@@ -109,7 +109,8 @@ pub enum TraceName {
     Event,
     /// `Mailbox`: an outbox flushed to a peer shard.
     Flush,
-    /// `Accel`: a job granted an accelerator unit.
+    /// `Accel`: a job granted an accelerator unit (stamped when the job
+    /// is booked, at submission; the payload is its wait).
     Grant,
     /// `Accel`: a job queued for a unit; `BufPool`: a page queued for a
     /// read buffer.

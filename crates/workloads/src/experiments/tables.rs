@@ -117,7 +117,7 @@ pub fn table2() -> Table2 {
         "host interface" => Some(88376),
         _ => None,
     };
-    let rows = node_inventory(config.flash.cards_per_node)
+    let rows = node_inventory(&config)
         .into_iter()
         .map(|(name, instances)| Table2Row {
             module: name.to_string(),

@@ -131,6 +131,11 @@ if [ "$(echo "$tuples" | wc -l)" = 1 ]; then
 else
   echo "SIMULATED VALUES DIFFER between runs (count, tuple):"
   echo "$tuples"
+  # Field by field, the first parent run against the first change run.
+  fields() { tuple "$1" | tr ' ' '\n' | sed -n 's/=/ /p' | LC_ALL=C sort; }
+  echo "fields that differ (parent -> change, pair 1):"
+  LC_ALL=C join -a 1 -a 2 -e - -o 0,1.2,2.2 <(fields "$runs/parent-1.txt") <(fields "$runs/change-1.txt") |
+    awk '$2 != $3 { printf "  %s: %s -> %s\n", $1, $2, $3 }'
   status=1
 fi
 if echo "$tuples" | grep -q 'failed=[1-9]'; then

@@ -303,6 +303,20 @@ fn trace_capture_never_perturbs_results() {
     });
 }
 
+/// A trace ring too small for the run drops records and counts them,
+/// and dropping never perturbs the run: completions, digest and event
+/// count equal the untraced run's.
+#[test]
+fn trace_ring_overflow_is_counted_and_never_perturbs_results() {
+    let spec = small_spec(4);
+    let off = run(&spec, ring4(&Lane::ONE, &SystemConfig::scaled_down()), 64);
+    let mut tiny = SystemConfig::scaled_down();
+    tiny.sim.trace = TraceConfig::on().with_capacity(64);
+    let (on, doc) = run_traced(&spec, ring4(&Lane::ONE, &tiny), 64);
+    assert!(doc.dropped() > 0, "a 64-record ring must overflow");
+    assert_eq!(off, on, "an overflowing trace ring perturbed the run");
+}
+
 /// Capture must never perturb *collection* either: with churn past
 /// the GC watermark, the traced and untraced runs must agree on
 /// every lifecycle counter (erases, relocations, WA) and every KV
