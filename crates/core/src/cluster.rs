@@ -122,6 +122,9 @@ pub enum ClusterError {
     /// address names its card in 8 bits (as does the KV store's packed
     /// extent), so a 257th card would alias the first.
     CardsPerNode(usize),
+    /// `config.accel.units` is zero: every node needs at least one
+    /// accelerator unit to serve its in-store jobs.
+    NoAccelUnits,
     /// [`Cluster::ring`] or [`Cluster::line`] was asked for this many
     /// cables per hop: none, or more than [`Topology::MAX_PORTS`] hold.
     Lanes(usize),
@@ -274,6 +277,7 @@ impl fmt::Display for ClusterError {
             ClusterError::InvalidPartition(e) => write!(f, "invalid partition: {e}"),
             ClusterError::Disconnected(n) => write!(f, "topology is disconnected: no route to {n}"),
             ClusterError::CardsPerNode(c) => write!(f, "{c} cards per node is outside 1..=256"),
+            ClusterError::NoAccelUnits => write!(f, "a node needs at least one accelerator unit"),
             ClusterError::Lanes(l) => write!(
                 f,
                 "{l} cables per hop is outside 1..=the {} ports of a node",
@@ -346,7 +350,8 @@ impl Cluster {
     /// [`ClusterError::Ftl`] when the lifecycle knobs in `config.gc` are
     /// out of range or the geometry leaves no room for the GC reserve,
     /// [`ClusterError::CardsPerNode`] when `config.flash.cards_per_node`
-    /// is outside `1..=256`, [`ClusterError::Disconnected`] when some
+    /// is outside `1..=256`, [`ClusterError::NoAccelUnits`] when
+    /// `config.accel.units` is zero, [`ClusterError::Disconnected`] when some
     /// node cannot reach another, and [`ClusterError::NoNodes`] when the
     /// topology is empty.
     pub fn new(topo: Topology, config: &SystemConfig) -> Result<Self, ClusterError> {
@@ -385,6 +390,9 @@ impl Cluster {
         let cards = config.flash.cards_per_node;
         if !(1..=256).contains(&cards) {
             return Err(ClusterError::CardsPerNode(cards));
+        }
+        if config.accel.units == 0 {
+            return Err(ClusterError::NoAccelUnits);
         }
         let shards = checked_shard_count(partition, topo.node_count())
             .map_err(ClusterError::InvalidPartition)?;
@@ -1352,6 +1360,15 @@ mod tests {
             }
             Ok(_) => panic!("a split topology was accepted"),
         }
+    }
+
+    #[test]
+    fn zero_accelerator_units_are_refused() {
+        let mut config = SystemConfig::scaled_down();
+        config.accel.units = 0;
+        let err = Cluster::ring(2, &config).unwrap_err();
+        assert_eq!(err, ClusterError::NoAccelUnits);
+        assert_eq!(err.to_string(), "a node needs at least one accelerator unit");
     }
 
     #[test]

@@ -2,21 +2,24 @@
 //!
 //! This is the synchronous truth layer under the DES controller. It
 //! enforces real NAND semantics — program-once-then-erase, whole-block
-//! erases, per-block wear counters — stores real bytes, injects
-//! wear-dependent bit errors, and runs every page through the SECDED
-//! codec from [`crate::ecc`].
+//! erases, per-block wear counters — stores real bytes, and, when its
+//! [`ErrorModel`] can flip bits, injects wear-dependent bit errors and
+//! runs every page through the SECDED codec from [`crate::ecc`]. A
+//! noise-free array (both error rates zero, as on every cluster card)
+//! models the controller's error-free logical interface directly: it
+//! stores page bytes alone and reads them back by copy.
 //!
 //! ## Storage layout
 //!
-//! Codewords (page bytes followed by their OOB parity) live in one
+//! Pages (followed by their OOB parity on a noisy array) live in one
 //! fixed-stride **slab** per card: a programmed page owns one slot,
 //! found through its block's slot table (allocated on the block's first
 //! program), and `erase` hands the block's slots back to a free list for
 //! the next program anywhere on the card. A page is programmed exactly
 //! when it holds a slot. The slab grows a chunk at a time and never
-//! moves, so a card costs its written pages × (page + OOB) bytes plus
-//! one slot table per block it has programmed — no per-page heap
-//! allocation, no hashing.
+//! moves, so a card costs its written pages × page bytes (× (page +
+//! OOB) bytes when noisy) plus one slot table per block it has
+//! programmed — no per-page heap allocation, no hashing.
 
 use bluedbm_sim::rng::Rng;
 
@@ -49,6 +52,12 @@ impl ErrorModel {
             factory_bad_fraction: 0.0,
         }
     }
+
+    /// `true` if this model can ever flip a stored bit: either error
+    /// rate is nonzero. Factory-bad blocks flip none.
+    fn flips_bits(&self) -> bool {
+        self.base_ber != 0.0 || self.ber_per_erase != 0.0
+    }
 }
 
 impl Default for ErrorModel {
@@ -66,15 +75,16 @@ pub struct ReadResult {
     pub(crate) corrected_words: u32,
 }
 
-/// "This page holds no codeword" in a block's slot table.
+/// "This page is not programmed" in a block's slot table.
 const NO_SLOT: u32 = u32::MAX;
 
-/// Slab chunks are about this many bytes: big enough that chunk
-/// bookkeeping vanishes, small enough that a card with two written pages
-/// stays cheap.
-const CHUNK_BYTES: usize = 16 * 1024;
+/// Slab chunks are at most this many bytes (a power-of-two number of
+/// slots): big enough that chunk bookkeeping vanishes, small enough that
+/// a card with two written pages stays cheap. A power-of-two stride (a
+/// noise-free card's page) fills its chunk exactly.
+const CHUNK_BYTES: usize = 8 * 1024;
 
-/// Fixed-stride codeword storage. Slot `s` is
+/// Fixed-stride page storage. Slot `s` is
 /// `chunks[s >> shift][(s & mask) * stride..][..stride]`; chunks are
 /// appended, never reallocated, so growth copies nothing.
 #[derive(Debug)]
@@ -138,7 +148,7 @@ impl Slab {
 struct BlockState {
     erase_count: u64,
     bad: bool,
-    /// Codeword slot of each programmed page ([`NO_SLOT`] otherwise);
+    /// Slab slot of each programmed page ([`NO_SLOT`] otherwise);
     /// `None` until the block's first program.
     slots: Option<Box<[u32]>>,
 }
@@ -164,13 +174,16 @@ pub struct ArrayStats {
 #[derive(Debug)]
 pub struct FlashArray {
     geometry: FlashGeometry,
-    /// Stored codewords (page data + OOB parity), one slot per
-    /// programmed page.
+    /// Stored pages, one slot per programmed page: page data alone, or
+    /// page data + OOB parity when `noisy`.
     slab: Slab,
     /// Per-block wear/bad/slot-table state, keyed by linear block id.
     blocks: Vec<BlockState>,
     rng: Rng,
     error_model: ErrorModel,
+    /// The error model can flip bits, so pages are stored and read as
+    /// SECDED codewords. Decided once, at construction.
+    noisy: bool,
     stats: ArrayStats,
 }
 
@@ -210,12 +223,15 @@ impl FlashArray {
                 slots: None,
             })
             .collect();
+        let noisy = error_model.flips_bits();
+        let oob_bytes = if noisy { geometry.oob_bytes() } else { 0 };
         Ok(FlashArray {
             geometry,
-            slab: Slab::new(geometry.page_bytes + geometry.oob_bytes()),
+            slab: Slab::new(geometry.page_bytes + oob_bytes),
             blocks,
             rng,
             error_model,
+            noisy,
             stats: ArrayStats::default(),
         })
     }
@@ -246,7 +262,7 @@ impl FlashArray {
         Ok(())
     }
 
-    /// The codeword slot of an in-range page, if it is programmed.
+    /// The slab slot of an in-range page, if it is programmed.
     fn slot_of(&self, ppa: Ppa) -> Option<u32> {
         let slots = self.blocks[self.block_index(ppa)].slots.as_deref()?;
         Some(slots[ppa.page as usize]).filter(|&slot| slot != NO_SLOT)
@@ -276,7 +292,9 @@ impl FlashArray {
         let slot = self.slab.alloc();
         let (page, oob) = self.slab.get_mut(slot).split_at_mut(page_bytes);
         page.copy_from_slice(data);
-        ecc::encode_page_into(data, oob);
+        if self.noisy {
+            ecc::encode_page_into(data, oob);
+        }
         let bi = self.block_index(ppa);
         let pages_per_block = self.geometry.pages_per_block;
         self.blocks[bi]
@@ -287,10 +305,11 @@ impl FlashArray {
         Ok(())
     }
 
-    /// Read one page through the ECC decode path.
+    /// Read one page.
     ///
-    /// Bit errors are injected per the [`ErrorModel`] and the block's
-    /// wear, then corrected (or reported) by SECDED.
+    /// On a noisy array, bit errors are injected per the [`ErrorModel`]
+    /// and the block's wear, then corrected (or reported) by SECDED; a
+    /// noise-free array returns the stored bytes.
     ///
     /// # Errors
     ///
@@ -307,17 +326,15 @@ impl FlashArray {
         })
     }
 
-    /// Read one page through the ECC decode path, writing the corrected
-    /// contents straight into `dest` (one page long) — the write-once
-    /// read path: the DES controller points `dest` at a
-    /// [`bluedbm_sim::PageStore`] page, so read data is produced by the
-    /// decoder in place instead of being decoded into a scratch `Vec`
-    /// and copied into the store afterwards. On the common no-injected-
-    /// errors configuration the stored codeword is decoded directly from
-    /// the slab with no intermediate copy at all.
+    /// Read one page, writing its contents straight into `dest` (one
+    /// page long) — the write-once read path: the DES controller points
+    /// `dest` at a [`bluedbm_sim::PageStore`] page, so read data lands in
+    /// the store without a scratch `Vec`. A noise-free array copies the
+    /// stored page into `dest`; a noisy one flips bits on a scratch copy
+    /// of the codeword and decodes that into `dest`.
     ///
-    /// Returns the number of corrected codewords; on any error `dest`'s
-    /// contents are unspecified.
+    /// Returns the number of corrected codewords (always 0 when
+    /// noise-free); on any error `dest`'s contents are unspecified.
     ///
     /// # Errors
     ///
@@ -328,25 +345,21 @@ impl FlashArray {
     /// Panics if `dest` is not exactly one page.
     pub(crate) fn read_into(&mut self, ppa: Ppa, dest: &mut [u8]) -> Result<u32, FlashError> {
         self.check(ppa)?;
-        let wear = self.blocks[self.block_index(ppa)].erase_count;
         let Some(slot) = self.slot_of(ppa) else {
             return Err(FlashError::NotProgrammed(ppa));
         };
         self.stats.reads += 1;
-        let page_bytes = self.geometry.page_bytes;
-        let decoded = if self.ber_at(wear) <= 0.0 {
-            // No injected errors: decode the stored codeword in place.
-            let (data, oob) = self.slab.get(slot).split_at(page_bytes);
-            ecc::decode_page_into(data, oob, dest)
-        } else {
-            // Error injection must not corrupt the stored truth: flip
-            // bits on a scratch copy, then decode into `dest`.
-            let mut codeword = self.slab.get(slot).to_vec();
-            self.inject_errors(&mut codeword, wear);
-            let (data, oob) = codeword.split_at(page_bytes);
-            ecc::decode_page_into(data, oob, dest)
-        };
-        match decoded {
+        if !self.noisy {
+            dest.copy_from_slice(self.slab.get(slot));
+            return Ok(0);
+        }
+        // Error injection must not corrupt the stored truth: flip bits
+        // on a scratch copy, then decode into `dest`.
+        let mut codeword = self.slab.get(slot).to_vec();
+        let wear = self.blocks[self.block_index(ppa)].erase_count;
+        self.inject_errors(&mut codeword, wear);
+        let (data, oob) = codeword.split_at(self.geometry.page_bytes);
+        match ecc::decode_page_into(data, oob, dest) {
             Some(corrected) => {
                 self.stats.corrected_words += u64::from(corrected);
                 Ok(corrected)
@@ -358,15 +371,10 @@ impl FlashArray {
         }
     }
 
-    /// Raw bit error rate at `wear` erase cycles — the one source of
-    /// truth for both the zero-copy fast-path gate and the injector.
-    fn ber_at(&self, wear: u64) -> f64 {
-        self.error_model.base_ber + self.error_model.ber_per_erase * wear as f64
-    }
-
-    /// Flip bits of `codeword` (page bytes then OOB) per the error model.
+    /// Flip bits of `codeword` (page bytes then OOB) per the error model
+    /// at `wear` erase cycles.
     fn inject_errors(&mut self, codeword: &mut [u8], wear: u64) {
-        let ber = self.ber_at(wear);
+        let ber = self.error_model.base_ber + self.error_model.ber_per_erase * wear as f64;
         if ber <= 0.0 {
             return;
         }
@@ -694,6 +702,31 @@ mod tests {
             FlashArray::with_error_model(geom, 1, ErrorModel::none()).unwrap_err(),
             FlashError::GeometryTooLarge
         );
+    }
+
+    #[test]
+    fn noise_free_arrays_store_page_bytes_alone() {
+        let geom = FlashGeometry::tiny();
+        let stride = |model| FlashArray::with_error_model(geom, 5, model).unwrap().slab.stride;
+        assert_eq!(tiny().slab.stride, geom.page_bytes);
+        // Factory-bad blocks flip no bits: still noise-free.
+        let bad_only = ErrorModel {
+            factory_bad_fraction: 0.25,
+            ..ErrorModel::none()
+        };
+        assert_eq!(stride(bad_only), geom.page_bytes);
+        // A wear-only model starts clean but must keep its parity for
+        // the bits that wear will flip later.
+        let wear_only = ErrorModel {
+            ber_per_erase: 2e-6,
+            ..ErrorModel::none()
+        };
+        assert_eq!(stride(wear_only), geom.page_bytes + geom.oob_bytes());
+        let base_only = ErrorModel {
+            base_ber: 3e-5,
+            ..ErrorModel::none()
+        };
+        assert_eq!(stride(base_only), geom.page_bytes + geom.oob_bytes());
     }
 
     #[test]

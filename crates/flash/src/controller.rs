@@ -95,10 +95,9 @@ impl CtrlCmd {
 /// and must free (or [`PageStore::take`]) it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PageRead {
-    /// Handle to the page contents after ECC correction.
+    /// Handle to the page contents (after ECC correction on a card
+    /// whose error model can flip bits).
     pub page: PageRef,
-    /// Codewords in which a single-bit error was corrected on this read.
-    pub(crate) corrected_words: u32,
 }
 
 /// Completions produced by the [`FlashController`].
@@ -320,16 +319,13 @@ impl FlashController {
             CtrlCmd::Read { tag, ppa, reply_to } => {
                 let page_bytes = self.array.geometry().page_bytes as u64;
                 // Write-once read path: allocate the store page first and
-                // let the ECC decoder produce the corrected data directly
-                // into it — no scratch `Vec`, no copy-into-store.
+                // let the array write the page's contents directly into
+                // it — no scratch `Vec`, no copy-into-store.
                 let page = pages.alloc(page_bytes as usize);
                 let result = self
                     .array
                     .read_into(ppa, pages.get_mut(page))
-                    .map(|corrected_words| PageRead {
-                        page,
-                        corrected_words,
-                    });
+                    .map(|_| PageRead { page });
                 if result.is_err() {
                     pages.free(page);
                 }

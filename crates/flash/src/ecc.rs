@@ -3,9 +3,11 @@
 //! The paper's Artix-7 flash controller spends most of its LUTs on ECC
 //! encoders/decoders (Table 1) and presents the Virtex-7 a "logical
 //! error-free access into flash". This module plays the same role in the
-//! model: every page is encoded on program and decoded/corrected on read,
-//! so the wear-driven bit errors injected by the array are actually
-//! exercised and corrected, not just counted.
+//! model: on an array whose error model can flip bits, every page is
+//! encoded on program and decoded/corrected on read, so the wear-driven
+//! bit errors injected by the array are actually exercised and corrected,
+//! not just counted. A noise-free array (every cluster card) has no
+//! errors to correct: it stores page bytes alone and reads them by copy.
 //!
 //! The code is a textbook extended Hamming code: 7 parity bits at
 //! power-of-two codeword positions plus one overall-parity bit, per 64-bit
@@ -69,56 +71,6 @@ const fn syndrome_masks() -> [u64; 7] {
 
 const SYNDROME_MASK: [u64; 7] = syndrome_masks();
 
-/// Reference encoder: seven mask parities plus the overall bit. Used to
-/// build the byte table at compile time (and by it alone at runtime).
-const fn encode_word(data: u64) -> u8 {
-    let mut syndrome = 0u8;
-    let mut j = 0;
-    while j < 7 {
-        syndrome |= (((data & SYNDROME_MASK[j]).count_ones() & 1) as u8) << j;
-        j += 1;
-    }
-    let overall = ((data.count_ones() + (syndrome as u32).count_ones()) & 1) as u8;
-    syndrome | (overall << 7)
-}
-
-/// The code is linear over GF(2) — every parity bit, including the
-/// overall bit, is an XOR of data bits — so the full 8-bit OOB of a
-/// word is the XOR of eight per-byte contributions:
-/// `OOB_TABLE[k][b] = encode(b << 8k)`. One L1-resident 2 KiB table
-/// turns encode into eight byte loads and seven XORs, with no popcounts
-/// on the hot path.
-const fn oob_table() -> [[u8; 256]; 8] {
-    let mut table = [[0u8; 256]; 8];
-    let mut k = 0;
-    while k < 8 {
-        let mut b = 0;
-        while b < 256 {
-            table[k][b] = encode_word((b as u64) << (8 * k));
-            b += 1;
-        }
-        k += 1;
-    }
-    table
-}
-
-const OOB_TABLE: [[u8; 256]; 8] = oob_table();
-
-/// The 8-bit OOB (7 Hamming parity bits + overall bit) of a data word,
-/// via the per-byte linearity table.
-#[inline]
-fn oob_of(data: u64) -> u8 {
-    let b = data.to_le_bytes();
-    OOB_TABLE[0][b[0] as usize]
-        ^ OOB_TABLE[1][b[1] as usize]
-        ^ OOB_TABLE[2][b[2] as usize]
-        ^ OOB_TABLE[3][b[3] as usize]
-        ^ OOB_TABLE[4][b[4] as usize]
-        ^ OOB_TABLE[5][b[5] as usize]
-        ^ OOB_TABLE[6][b[6] as usize]
-        ^ OOB_TABLE[7][b[7] as usize]
-}
-
 /// Outcome of decoding one codeword.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Decoded {
@@ -146,28 +98,28 @@ pub enum Decoded {
 /// assert_eq!(decode(0xDEAD_BEEF_CAFE_F00D, parity), Decoded::Clean(0xDEAD_BEEF_CAFE_F00D));
 /// ```
 pub fn encode(data: u64) -> u8 {
-    oob_of(data)
+    let mut syndrome = 0u8;
+    for (j, mask) in SYNDROME_MASK.iter().enumerate() {
+        syndrome |= (((data & mask).count_ones() & 1) as u8) << j;
+    }
+    let overall = ((data.count_ones() + syndrome.count_ones()) & 1) as u8;
+    syndrome | (overall << 7)
 }
 
 /// Decode a (data, parity) pair, correcting a single-bit error if present.
 pub fn decode(data: u64, parity: u8) -> Decoded {
-    // Recompute the word's OOB and diff it against the stored one. A
-    // zero diff — the overwhelmingly common case — is a clean word.
-    let diff = oob_of(data) ^ parity;
-    if diff == 0 {
-        return Decoded::Clean(data);
-    }
-
+    // Recompute the word's parity and diff it against the stored one.
     // Bits 0..=6 of the diff are exactly the classic Hamming syndrome
     // (recomputed parity XOR stored parity). The overall-parity check
     // over all 72 codeword bits folds to `diff`'s bit 7 XOR the
-    // syndrome's own parity, by the same GF(2) linearity that powers
-    // the table.
+    // syndrome's own parity, because the code is linear over GF(2):
+    // every parity bit is an XOR of data bits.
+    let diff = encode(data) ^ parity;
     let syndrome = diff & 0x7F;
     let overall_ok = ((u32::from(diff >> 7) + syndrome.count_ones()) & 1) == 0;
 
     match (syndrome, overall_ok) {
-        (0, true) => Decoded::Clean(data), // unreachable: diff == 0 above
+        (0, true) => Decoded::Clean(data),
         (0, false) => Decoded::Corrected(data), // flip was in the overall bit
         (_, false) => {
             // Single-bit error at codeword position `syndrome`.
