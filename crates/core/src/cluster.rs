@@ -125,6 +125,17 @@ pub enum ClusterError {
     /// `config.accel.units` is zero: every node needs at least one
     /// accelerator unit to serve its in-store jobs.
     NoAccelUnits,
+    /// `config.host.read_buffers` is zero: a host-bound page needs a
+    /// read buffer to cross the PCIe link.
+    NoReadBuffers,
+    /// `config.net.credits_per_lane` is zero on a topology with a cable:
+    /// no lane could ever send a packet.
+    NoLaneCredits,
+    /// `config.net.hop_latency` is zero on more than one shard: the
+    /// shards' conservative windows need a positive lookahead.
+    NoHopLatency,
+    /// The cluster has no such node.
+    NoSuchNode(NodeId),
     /// [`Cluster::ring`] or [`Cluster::line`] was asked for this many
     /// cables per hop: none, or more than [`Topology::MAX_PORTS`] hold.
     Lanes(usize),
@@ -278,6 +289,12 @@ impl fmt::Display for ClusterError {
             ClusterError::Disconnected(n) => write!(f, "topology is disconnected: no route to {n}"),
             ClusterError::CardsPerNode(c) => write!(f, "{c} cards per node is outside 1..=256"),
             ClusterError::NoAccelUnits => write!(f, "a node needs at least one accelerator unit"),
+            ClusterError::NoReadBuffers => write!(f, "a node needs at least one host read buffer"),
+            ClusterError::NoLaneCredits => write!(f, "a cabled lane needs at least one credit"),
+            ClusterError::NoHopLatency => {
+                write!(f, "more than one shard needs a positive hop latency")
+            }
+            ClusterError::NoSuchNode(n) => write!(f, "the cluster has no {n}"),
             ClusterError::Lanes(l) => write!(
                 f,
                 "{l} cables per hop is outside 1..=the {} ports of a node",
@@ -338,6 +355,9 @@ pub struct Cluster {
     /// Completions [`Cluster::run_to_quiescence`] keeps for
     /// [`Cluster::harvest_node`], by submitting node.
     undrained: Vec<Vec<Completed>>,
+    /// Ops submitted at a node the cluster lacks, which have no agent
+    /// to complete on, for the next [`Cluster::drive`].
+    refused: Vec<Completed>,
 }
 
 impl Cluster {
@@ -351,9 +371,13 @@ impl Cluster {
     /// out of range or the geometry leaves no room for the GC reserve,
     /// [`ClusterError::CardsPerNode`] when `config.flash.cards_per_node`
     /// is outside `1..=256`, [`ClusterError::NoAccelUnits`] when
-    /// `config.accel.units` is zero, [`ClusterError::Disconnected`] when some
-    /// node cannot reach another, and [`ClusterError::NoNodes`] when the
-    /// topology is empty.
+    /// `config.accel.units` is zero, [`ClusterError::NoReadBuffers`] when
+    /// `config.host.read_buffers` is zero, [`ClusterError::Disconnected`]
+    /// when some node cannot reach another, [`ClusterError::NoLaneCredits`]
+    /// when `config.net.credits_per_lane` is zero and the topology has a
+    /// cable, [`ClusterError::NoHopLatency`] when `config.net.hop_latency`
+    /// is zero on more than one shard, and [`ClusterError::NoNodes`] when
+    /// the topology is empty.
     pub fn new(topo: Topology, config: &SystemConfig) -> Result<Self, ClusterError> {
         let shards = config.sim.shards.min(topo.node_count()).max(1);
         let partition = if shards <= 1 {
@@ -394,8 +418,14 @@ impl Cluster {
         if config.accel.units == 0 {
             return Err(ClusterError::NoAccelUnits);
         }
+        if config.host.read_buffers == 0 {
+            return Err(ClusterError::NoReadBuffers);
+        }
         let shards = checked_shard_count(partition, topo.node_count())
             .map_err(ClusterError::InvalidPartition)?;
+        if shards > 1 && config.net.hop_latency == SimTime::ZERO {
+            return Err(ClusterError::NoHopLatency);
+        }
         let card_array = |node: usize, card: usize| {
             FlashArray::with_error_model(
                 config.flash.geometry,
@@ -409,6 +439,10 @@ impl Cluster {
             .find(|&n| routing.hops(NodeId(0), n).is_none())
         {
             return Err(ClusterError::Disconnected(lost));
+        }
+        // Connected, so a cable exactly when there are two nodes or more.
+        if topo.node_count() > 1 && config.net.credits_per_lane == 0 {
+            return Err(ClusterError::NoLaneCredits);
         }
         let mut sim = Simulator::new();
         let routers = build_network_routed(&mut sim, &topo, config.net, Arc::clone(&routing));
@@ -429,10 +463,8 @@ impl Cluster {
                 let array = card_array(node, card)?;
                 let ftl = Ftl::new(&array, config.gc.ftl)?;
                 let ctrl = sim.add_component(FlashController::new(array, config.flash.timing));
-                let split = sim.add_component(FlashSplitter::new(
-                    ctrl,
-                    FlashController::PAPER_TAGS,
-                ));
+                // Installed once the agent, its client, has an id.
+                let split = sim.reserve();
                 node_ctrls.push(ctrl);
                 node_splitters.push(split);
                 cards.push((split, ftl));
@@ -440,6 +472,9 @@ impl Cluster {
             capacity.push(cards.iter().map(|(_, ftl)| ftl.capacity_pages() as usize).collect());
             let agent =
                 sim.add_component(NodeAgent::new(NodeId::from(node), node_router, cards, config));
+            for (&ctrl, &split) in node_ctrls.iter().zip(&node_splitters) {
+                sim.install(split, FlashSplitter::new(ctrl, agent));
+            }
             let router = sim
                 .component_mut::<Router<NetBody>>(node_router)
                 .expect("router installed");
@@ -479,6 +514,7 @@ impl Cluster {
             partition: partition.to_vec(),
             next_op: 0,
             undrained: vec![Vec::new(); n],
+            refused: Vec::new(),
         })
     }
 
@@ -832,6 +868,15 @@ impl Cluster {
             .expect("agent installed")
     }
 
+    /// `node`, if the cluster has it.
+    fn has_node(&self, node: NodeId) -> Result<(), ClusterError> {
+        if node.index() < self.node_count() {
+            Ok(())
+        } else {
+            Err(ClusterError::NoSuchNode(node))
+        }
+    }
+
     fn op_id(&mut self) -> u64 {
         let id = self.next_op;
         self.next_op += 1;
@@ -852,6 +897,7 @@ impl Cluster {
     ///
     /// # Errors
     ///
+    /// [`ClusterError::NoSuchNode`] when the cluster has no `node`,
     /// [`ClusterError::Flash`] wrapping `WrongPageSize` when `data` is
     /// longer than a page (nothing is allocated), allocation failures,
     /// and flash failures.
@@ -860,6 +906,7 @@ impl Cluster {
         node: NodeId,
         data: &[u8],
     ) -> Result<GlobalPageAddr, ClusterError> {
+        self.has_node(node)?;
         self.check_page_size(data)?;
         let addr = self.alloc_page(node)?;
         let outcome = self.agent_mut(node).step_write(addr.card, u64::from(addr.lpn));
@@ -880,8 +927,14 @@ impl Cluster {
 
     /// Store `data` under `key` in `node`'s DRAM buffer, for
     /// [`PageOp::ReadDram`] (setup, like [`Cluster::preload_page`]).
-    pub fn load_dram(&mut self, node: NodeId, key: u64, data: &[u8]) {
+    ///
+    /// # Errors
+    ///
+    /// [`ClusterError::NoSuchNode`] when the cluster has no `node`.
+    pub fn load_dram(&mut self, node: NodeId, key: u64, data: &[u8]) -> Result<(), ClusterError> {
+        self.has_node(node)?;
         self.agent_mut(node).dram.insert(key, data.to_vec());
+        Ok(())
     }
 
     /// Submit one page operation at `node` at the current instant,
@@ -892,10 +945,21 @@ impl Cluster {
     /// card, or a page past the card's logical capacity) with
     /// [`PageFault::OutOfRange`], a write longer than a page
     /// (`WrongPageSize`) or to a full node ([`ClusterError::DeviceFull`])
-    /// allocating nothing, and a DRAM read of a node the cluster lacks
-    /// with [`ClusterError::DramMiss`].
+    /// allocating nothing, a DRAM read of a node the cluster lacks
+    /// with [`ClusterError::DramMiss`], and any op submitted at a node
+    /// the cluster lacks with [`ClusterError::NoSuchNode`].
     pub fn submit(&mut self, node: NodeId, op: PageOp<'_>) -> OpId {
         let op_id = self.op_id();
+        if let Err(error) = self.has_node(node) {
+            // No agent to complete it on: `drive` merges it in.
+            let addr = match op {
+                PageOp::Read { addr, .. } => Some(addr),
+                PageOp::Write(_) | PageOp::ReadDram { .. } => None,
+            };
+            let (now, error) = (self.now(), Some(error));
+            self.refused.push(Completed { op_id, node, addr, data: None, error, start: now, end: now });
+            return op_id;
+        }
         let started = match op {
             PageOp::Read { addr, consume } if self.lba_of(addr).is_some() => {
                 Ok(AgentOp::ReadFlash { op_id, addr, consume })
@@ -936,7 +1000,7 @@ impl Cluster {
     /// first.
     pub fn drive(&mut self) -> Vec<Completed> {
         self.sim.run();
-        let mut done = Vec::new();
+        let mut done = std::mem::take(&mut self.refused);
         for node in 0..self.node_count() {
             done.append(&mut self.agent_mut(NodeId::from(node)).completed);
         }
@@ -973,15 +1037,19 @@ impl Cluster {
     /// the benchmark's mesh workload, as [`Cluster::inject_read`] is.
     pub fn run_to_quiescence(&mut self) {
         for c in self.drive() {
-            self.undrained[c.node.index()].push(c);
+            // An op submitted at a node the cluster lacks has no node to
+            // be kept for.
+            if let Some(kept) = self.undrained.get_mut(c.node.index()) {
+                kept.push(c);
+            }
         }
     }
 
     /// The completions [`Cluster::run_to_quiescence`] kept for ops
-    /// submitted at `node`; kept only for the benchmark's mesh workload,
-    /// as [`Cluster::inject_read`] is.
+    /// submitted at `node` (none at a node the cluster lacks); kept only
+    /// for the benchmark's mesh workload, as [`Cluster::inject_read`] is.
     pub fn harvest_node(&mut self, node: NodeId) -> Vec<Completed> {
-        std::mem::take(&mut self.undrained[node.index()])
+        self.undrained.get_mut(node.index()).map(std::mem::take).unwrap_or_default()
     }
 
     /// Shortest-path hop count between two nodes, read off the routers'
@@ -1123,7 +1191,7 @@ mod tests {
         let config = SystemConfig::scaled_down();
         let mut cluster = Cluster::ring(2, &config).unwrap();
         let data = page(&config, 9);
-        cluster.load_dram(NodeId(1), 42, &data);
+        cluster.load_dram(NodeId(1), 42, &data).unwrap();
         let flash_addr = cluster.preload_page(NodeId(1), &data).unwrap();
         let dram = PageOp::ReadDram { home: NodeId(1), key: 42, consume: Consume::Isp };
         let dram = cluster.run_one(NodeId(0), dram).unwrap();
@@ -1372,6 +1440,74 @@ mod tests {
     }
 
     #[test]
+    fn zero_read_buffers_are_refused() {
+        let mut config = SystemConfig::scaled_down();
+        config.host.read_buffers = 0;
+        let err = Cluster::ring(1, &config).unwrap_err();
+        assert_eq!(err, ClusterError::NoReadBuffers);
+        assert_eq!(err.to_string(), "a node needs at least one host read buffer");
+    }
+
+    #[test]
+    fn zero_lane_credits_are_refused_where_there_is_a_cable() {
+        let mut config = SystemConfig::scaled_down();
+        config.net.credits_per_lane = 0;
+        let err = Cluster::ring(2, &config).unwrap_err();
+        assert_eq!(err, ClusterError::NoLaneCredits);
+        assert_eq!(err.to_string(), "a cabled lane needs at least one credit");
+        // One node has no lane to send on.
+        let mut one = Cluster::ring(1, &config).unwrap();
+        one.run_one(NodeId(0), PageOp::Write(&page(&config, 1))).unwrap();
+    }
+
+    #[test]
+    fn zero_hop_latency_is_refused_on_more_than_one_shard() {
+        let mut config = SystemConfig::scaled_down();
+        config.net.hop_latency = SimTime::ZERO;
+        let err = Cluster::with_partition(Topology::ring(4, 1), &config, &[0, 0, 1, 1]).unwrap_err();
+        assert_eq!(err, ClusterError::NoHopLatency);
+        assert_eq!(err.to_string(), "more than one shard needs a positive hop latency");
+        // One shard needs no lookahead.
+        let mut one = Cluster::with_partition(Topology::ring(4, 1), &config, &[0; 4]).unwrap();
+        let written = one.run_one(NodeId(0), PageOp::Write(&page(&config, 2))).unwrap();
+        read(&mut one, NodeId(3), written.addr.unwrap(), Consume::Isp).unwrap();
+    }
+
+    #[test]
+    fn a_node_the_cluster_lacks_is_a_typed_error() {
+        let config = SystemConfig::scaled_down();
+        let mut cluster = Cluster::ring(2, &config).unwrap();
+        let (lost, data) = (NodeId(9), page(&config, 4));
+        let err = ClusterError::NoSuchNode(lost);
+        assert_eq!(err.to_string(), "the cluster has no node9");
+        assert_eq!(cluster.preload_page(lost, &data), Err(err.clone()));
+        assert_eq!(cluster.load_dram(lost, 1, &data), Err(err.clone()));
+        let addr = cluster.preload_page(NodeId(0), &data).unwrap();
+        let ops = [
+            PageOp::Write(&data),
+            PageOp::Read { addr, consume: Consume::Host },
+            PageOp::ReadDram { home: NodeId(1), key: 1, consume: Consume::Isp },
+        ];
+        // Submitted between two reads that run, and returned in op-id
+        // order among them.
+        let before = cluster.submit(NodeId(1), PageOp::Read { addr, consume: Consume::Isp });
+        let refused: Vec<OpId> = ops.iter().map(|&op| cluster.submit(lost, op)).collect();
+        let after = cluster.submit(NodeId(0), PageOp::Read { addr, consume: Consume::Isp });
+        let at = cluster.now();
+        let done = cluster.drive();
+        let ids: Vec<OpId> = done.iter().map(|c| c.op_id).collect();
+        assert_eq!(ids, [vec![before], refused.clone(), vec![after]].concat());
+        for (c, want) in done[1..4].iter().zip([None, Some(addr), None]) {
+            assert_eq!((c.node, c.addr, c.error.clone()), (lost, want, Some(err.clone())));
+            assert_eq!((c.data.clone(), c.start, c.end), (None, at, at));
+        }
+        assert!(done[0].error.is_none() && done[4].error.is_none());
+        assert_eq!(cluster.run_one(lost, PageOp::Write(&data)).unwrap_err(), err);
+        assert_eq!(cluster.flash_pages_in_use(), 1);
+        cluster.assert_quiescent();
+    }
+
+    #[test]
     fn empty_topology_is_an_error() {
         for shards in [1, 4] {
             let mut config = SystemConfig::scaled_down();
@@ -1569,22 +1705,6 @@ mod tests {
         assert_eq!(errors, [Some(not_programmed.clone()), Some(not_programmed)]);
         let read = read(&mut cluster, NodeId(1), addrs[8], Consume::Isp).unwrap();
         assert_eq!(read.data, Some(vec![8; 512]));
-        cluster.assert_quiescent();
-    }
-
-    #[test]
-    fn more_reads_than_agent_tags_all_complete() {
-        // The agent's tag space is 16 bits: read 65 537 at once and the
-        // last one must wait for a tag, not spin for one forever.
-        let mut cluster = tiny_cluster();
-        let addr = cluster.preload_page(NodeId(0), &[9; 512]).unwrap();
-        let reads = (1 << 16) + 1;
-        for _ in 0..reads {
-            cluster.submit(NodeId(0), PageOp::Read { addr, consume: Consume::Isp });
-        }
-        let done = cluster.drive();
-        assert_eq!(done.len(), reads);
-        assert!(done.iter().all(|c| c.error.is_none()));
         cluster.assert_quiescent();
     }
 }

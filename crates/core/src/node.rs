@@ -4,7 +4,7 @@
 //! sits between four services: flash interface, network interface, host
 //! interface and the on-board DRAM buffer. `NodeAgent` is that hub as a
 //! DES component: it accepts operations from the experiment driver,
-//! issues tagged commands to the local flash splitters, serves and issues
+//! issues tagged commands to its flash cards, serves and issues
 //! remote requests over the integrated network, stages host-bound data
 //! through the PCIe link, streams accelerator-bound data through the
 //! node's shared accelerator units, and answers remote DRAM-buffer reads.
@@ -28,7 +28,7 @@
 //!   the step returns.
 //! * A read — local, or a remote node's request — is mapped with
 //!   [`Ftl::physical_of`] when it reaches the card's agent, and keeps
-//!   that cell through any wait for a tag or a collection: every
+//!   that cell through any wait in the card's line: every
 //!   collection decided before it runs first, and none decided after it
 //!   starts until it has completed. (Mapping at send time would see the
 //!   moves of a collection decided later but not yet run.) A page no
@@ -42,9 +42,19 @@
 //! * When a step decides collection rounds, the card stops: commands
 //!   that arrive wait in its line, in arrival order. Once every command
 //!   the card accepted before the step has completed, the agent runs the
-//!   rounds under its own tags (`crate::gc::GcJob` is the cursor), then
-//!   sends the waiting commands. Each card collects on its own; the
+//!   rounds one command at a time (`crate::gc::GcJob` is the cursor),
+//!   then sends the waiting commands. Each card collects on its own; the
 //!   node's other cards and every other node run on.
+//!
+//! ## A card's line
+//!
+//! Each card has one flash queue: its line. The agent hands out the
+//! card's [`FlashController::PAPER_TAGS`] controller tags itself, as
+//! `Tag((card << 8) | slot)`, and the line sends its head only while
+//! fewer than that many of the card's commands are out, so the
+//! controller never queues one. A command's slot remembers what the
+//! command is for until its completion frees it. The card's splitter
+//! is one event hop each way and renames nothing.
 //!
 //! The driver reaches the `Ftl`s functionally, between runs: a preload
 //! steps a write and applies it to the array at once, and a free trims at
@@ -67,7 +77,7 @@ use std::collections::VecDeque;
 
 use bluedbm_sim::fxhash::FxHashMap;
 
-use bluedbm_flash::controller::{CtrlCmd, CtrlResp, Tag};
+use bluedbm_flash::controller::{CtrlCmd, CtrlResp, FlashController, Tag};
 use bluedbm_flash::geometry::{FlashGeometry, Ppa};
 use bluedbm_ftl::{Ftl, FtlError, GcRound, StepOutcome};
 use bluedbm_host::bufpool::BufferPool;
@@ -241,7 +251,7 @@ pub(crate) struct ReadDone {
     page: PageRef,
 }
 
-/// What an in-flight flash tag is for.
+/// What an in-flight flash command is for.
 #[derive(Clone)]
 enum FlashDest {
     Local {
@@ -279,19 +289,24 @@ enum Waiting {
     /// Collection rounds one step decided, due once the commands the
     /// card accepted before them have completed.
     Gc(Vec<GcRound>),
-    /// A foreground command, sent when it reaches the head.
+    /// A foreground command, sent when it reaches the head and the card
+    /// has a tag free.
     Cmd(Cmd, FlashDest),
 }
 
 /// One of the node's flash cards, as its agent runs it (see the module
 /// docs).
 pub(crate) struct Card {
+    /// The hop to the card's controller.
     splitter: ComponentId,
     pub(crate) ftl: Ftl,
-    /// Foreground commands sent or tag-parked and not yet completed.
-    accepted: usize,
+    /// What each command out on the card is for, by the slot its tag
+    /// carries; grown on demand up to [`FlashController::PAPER_TAGS`].
+    slots: Vec<Option<FlashDest>>,
+    /// The slots free for reuse.
+    free_slots: Vec<u8>,
     /// Commands and collections not yet started, in arrival order:
-    /// non-empty only while the card is stopped.
+    /// non-empty only while the card is stopped or all its tags are out.
     waiting: VecDeque<Waiting>,
     /// The collection in progress.
     gc: Option<GcJob>,
@@ -363,12 +378,6 @@ pub(crate) struct NodeAgent {
     accel: AccelUnits,
     accel_bandwidth: Bandwidth,
 
-    next_tag: u16,
-    /// In-flight tags: the card and what the command is for.
-    flash_pending: FxHashMap<u16, (u8, FlashDest)>,
-    /// Flash commands waiting for a tag while all 65 536 are in flight,
-    /// in arrival order.
-    tag_parked: VecDeque<(u8, Cmd, FlashDest)>,
     next_req: u64,
     /// Per-destination counter for round-robin data-return endpoints
     /// (spreads response traffic across parallel lanes regardless of how
@@ -396,7 +405,8 @@ impl NodeAgent {
     ///
     /// # Panics
     ///
-    /// Panics if `config.accel.units == 0`.
+    /// Panics if `config.accel.units` or `config.host.read_buffers` is
+    /// zero (the cluster refuses both first).
     pub(crate) fn new(
         node: NodeId,
         router: ComponentId,
@@ -412,7 +422,8 @@ impl NodeAgent {
                 .map(|(splitter, ftl)| Card {
                     splitter,
                     ftl,
-                    accepted: 0,
+                    slots: Vec::new(),
+                    free_slots: Vec::new(),
                     waiting: VecDeque::new(),
                     gc: None,
                     lifecycle_log: Vec::new(),
@@ -424,9 +435,6 @@ impl NodeAgent {
             dram_latency: config.host.dram_latency,
             accel: AccelUnits::new(config.accel.units),
             accel_bandwidth: config.accel.bandwidth,
-            next_tag: 0,
-            flash_pending: FxHashMap::default(),
-            tag_parked: VecDeque::new(),
             next_req: 0,
             reply_rr: FxHashMap::default(),
             net_pending: FxHashMap::default(),
@@ -502,19 +510,24 @@ impl NodeAgent {
         self.pump(ctx, card);
     }
 
-    /// Move `card`'s line forward: send the commands at its head until a
-    /// collection is due, and start that collection once nothing the card
-    /// accepted before it is outstanding.
+    /// Move `card`'s line forward: send the commands at its head while
+    /// the card has a tag free, until a collection is due, and start that
+    /// collection once nothing the card accepted before it is out.
     fn pump(&mut self, ctx: &mut Ctx<'_, Msg>, card: u8) {
         loop {
             let c = &mut self.cards[usize::from(card)];
             if c.gc.is_some() {
                 return;
             }
+            let out = c.slots.len() - c.free_slots.len();
             match c.waiting.pop_front() {
                 None => return,
-                Some(Waiting::Gc(rounds)) if c.accepted > 0 => {
-                    c.waiting.push_front(Waiting::Gc(rounds));
+                Some(head @ Waiting::Gc(_)) if out > 0 => {
+                    c.waiting.push_front(head);
+                    return;
+                }
+                Some(head @ Waiting::Cmd(..)) if out == FlashController::PAPER_TAGS => {
+                    c.waiting.push_front(head);
                     return;
                 }
                 Some(Waiting::Gc(rounds)) => {
@@ -522,20 +535,8 @@ impl NodeAgent {
                     self.gc_stats.jobs += 1;
                     self.gc_next(ctx, card);
                 }
-                Some(Waiting::Cmd(cmd, dest)) => {
-                    c.accepted += 1;
-                    self.issue_flash(ctx, card, cmd, dest);
-                }
+                Some(Waiting::Cmd(cmd, dest)) => self.issue_flash(ctx, card, cmd, dest),
             }
-        }
-    }
-
-    /// One of `card`'s foreground commands completed.
-    fn retire(&mut self, ctx: &mut Ctx<'_, Msg>, card: u8) {
-        let c = &mut self.cards[usize::from(card)];
-        c.accepted -= 1;
-        if c.accepted == 0 {
-            self.pump(ctx, card);
         }
     }
 
@@ -608,22 +609,21 @@ impl NodeAgent {
         }
     }
 
-    /// Send one command to `card` under a fresh tag, or park it until
-    /// [`Self::handle_ctrl_resp`] frees one.
+    /// Send one command to `card` under one of its free tags: the caller
+    /// checked that the card has one.
     fn issue_flash(&mut self, ctx: &mut Ctx<'_, Msg>, card: u8, cmd: Cmd, dest: FlashDest) {
-        if self.flash_pending.len() > usize::from(u16::MAX) {
-            self.tag_parked.push_back((card, cmd, dest));
-            return;
-        }
-        let tag = loop {
-            let t = self.next_tag;
-            self.next_tag = self.next_tag.wrapping_add(1);
-            if !self.flash_pending.contains_key(&t) {
-                break t;
+        let c = &mut self.cards[usize::from(card)];
+        let slot = match c.free_slots.pop() {
+            Some(slot) => {
+                c.slots[usize::from(slot)] = Some(dest);
+                slot
+            }
+            None => {
+                c.slots.push(Some(dest));
+                (c.slots.len() - 1) as u8 // < PAPER_TAGS, checked by `pump`
             }
         };
-        self.flash_pending.insert(tag, (card, dest));
-        let (tag, reply_to) = (Tag(tag), ctx.self_id());
+        let (tag, reply_to) = (Tag((u16::from(card) << 8) | u16::from(slot)), c.splitter);
         let cmd = match cmd {
             Cmd::Read(ppa) => CtrlCmd::Read { tag, ppa, reply_to },
             Cmd::Program(ppa, data) => CtrlCmd::Write {
@@ -634,7 +634,7 @@ impl NodeAgent {
             },
             Cmd::Erase(ppa) => CtrlCmd::Erase { tag, ppa, reply_to },
         };
-        ctx.send(self.cards[usize::from(card)].splitter, SimTime::ZERO, cmd);
+        ctx.send(reply_to, SimTime::ZERO, cmd);
     }
 
     /// A foreground read of logical page `lpn` on `card`, mapped to its
@@ -833,15 +833,16 @@ impl NodeAgent {
         ctx.send(self.router, SimTime::ZERO, send);
     }
 
+    /// A command of one of the node's cards completed: free its tag, hand
+    /// the result on, and move the card's line forward.
     fn handle_ctrl_resp(&mut self, ctx: &mut Ctx<'_, Msg>, resp: CtrlResp) {
-        let tag = resp.tag().0;
-        let (card, dest) = self
-            .flash_pending
-            .remove(&tag)
+        let Tag(tag) = resp.tag();
+        let (card, slot) = ((tag >> 8) as u8, tag as u8);
+        let c = &mut self.cards[usize::from(card)];
+        let dest = c.slots[usize::from(slot)]
+            .take()
             .expect("completion for a tag the agent never issued");
-        if let Some((card, cmd, dest)) = self.tag_parked.pop_front() {
-            self.issue_flash(ctx, card, cmd, dest);
-        }
+        c.free_slots.push(slot);
         match (dest, resp) {
             (FlashDest::Gc, resp) => self.gc_resp(ctx, card, resp),
             (FlashDest::LocalWrite { op_id, addr, start }, CtrlResp::WriteDone { result, .. }) => {
@@ -849,14 +850,14 @@ impl NodeAgent {
                     PageFault::of(&e).map_or(ClusterError::Flash(e), |f| ClusterError::Page(addr, f))
                 });
                 self.complete(ctx.now(), op_id, Some(addr), data, start);
-                self.retire(ctx, card);
+                self.pump(ctx, card);
             }
             (dest, CtrlResp::ReadDone { result, .. }) => {
                 let result = result.map(|r| r.page).map_err(|e| {
                     PageFault::of(&e).expect("a flash read fails only with a page fault")
                 });
                 self.deliver_read(ctx, dest, result);
-                self.retire(ctx, card);
+                self.pump(ctx, card);
             }
             _ => panic!("mismatched flash completion kind"),
         }
@@ -1083,16 +1084,18 @@ mod tests {
     }
 
     #[test]
-    fn reads_past_the_tag_space_wait_for_a_tag_and_complete() {
-        // Two reads more than the agent's 16-bit tag space, all at one
-        // instant: the last two park until the first completions free
-        // their tags.
+    fn a_card_line_holds_reads_past_the_controller_tags() {
+        // Three times the card's tags and one more, of one page, at one
+        // instant: the card's line holds every read past the 128th until
+        // a completion frees a tag, so the controller never queues one,
+        // and the line keeps the chip as busy as the controller's own
+        // queue did.
         let mut config = SystemConfig::scaled_down();
         config.flash.geometry = FlashGeometry::tiny();
         let mut cluster = Cluster::ring(1, &config).unwrap();
         let page = [7u8; 512];
         let addr = cluster.preload_page(NodeId(0), &page).unwrap();
-        let reads = usize::from(u16::MAX) + 3;
+        let reads = 3 * FlashController::PAPER_TAGS + 1;
         for _ in 0..reads {
             cluster.submit(NodeId(0), PageOp::Read { addr, consume: Consume::Isp });
         }
@@ -1100,6 +1103,11 @@ mod tests {
         assert_eq!(done.len(), reads);
         assert!(done.iter().all(|c| c.data.as_deref() == Some(&page[..])));
         cluster.assert_quiescent();
+        let ctrl = cluster.controller_stats(NodeId(0), usize::from(addr.card));
+        assert_eq!((ctrl.peak_in_flight, ctrl.tag_stalls), (FlashController::PAPER_TAGS, 0));
+        let last = done.iter().map(|c| c.end).max().unwrap();
+        let sum: u64 = done.iter().map(|c| c.end.as_ps()).sum();
+        assert_eq!((last.as_ps(), sum), (19_253_613_333, 3_716_641_133_205));
     }
 
     #[test]

@@ -147,7 +147,7 @@ mod tests {
         let mut cluster = Cluster::ring(4, &config).unwrap();
         let page = vec![0x5Au8; config.flash.geometry.page_bytes];
         let addr = cluster.preload_page(NodeId(1), &page).unwrap();
-        cluster.load_dram(NodeId(1), 7, &page);
+        cluster.load_dram(NodeId(1), 7, &page).unwrap();
         (cluster, addr)
     }
 

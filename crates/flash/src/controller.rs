@@ -70,26 +70,6 @@ pub enum CtrlCmd {
     },
 }
 
-impl CtrlCmd {
-    /// The tag carried by this command.
-    pub(crate) fn tag(&self) -> Tag {
-        match self {
-            CtrlCmd::Read { tag, .. } | CtrlCmd::Write { tag, .. } | CtrlCmd::Erase { tag, .. } => {
-                *tag
-            }
-        }
-    }
-
-    /// The reply target carried by this command.
-    pub(crate) fn reply_to(&self) -> ComponentId {
-        match self {
-            CtrlCmd::Read { reply_to, .. }
-            | CtrlCmd::Write { reply_to, .. }
-            | CtrlCmd::Erase { reply_to, .. } => *reply_to,
-        }
-    }
-}
-
 /// A successful page read as delivered by the controller: the data sits
 /// in the simulator's [`PageStore`]; the handle's consumer owns the page
 /// and must free (or [`PageStore::take`]) it.

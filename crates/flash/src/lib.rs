@@ -3,7 +3,7 @@
 //! The BlueDBM flash card: a functional NAND array that stores real bytes
 //! with real program/erase semantics, a SECDED ECC codec, and the paper's
 //! controller stack — the raw tag-based flash controller (Section 3.1.1)
-//! and the Flash Interface Splitter with tag renaming (Section 3.1.2).
+//! and the Flash Interface Splitter (Section 3.1.2).
 //!
 //! The paper implements these on an Artix-7 FPGA per flash board; here the
 //! same interfaces are modelled as discrete-event components over the
@@ -17,9 +17,10 @@
 //!   one directly.
 //! * [`controller::FlashController`] — DES component adding *when*: chip
 //!   and bus contention, tag-limited parallelism, out-of-order completion.
-//! * [`splitter::FlashSplitter`] — the paper's tag-renaming front end.
-//!   In the cluster the node agent is its only client (see the [module
-//!   docs](splitter) for why it stays).
+//! * [`splitter::FlashSplitter`] — the paper's front end, reduced to
+//!   one event hop: the node agent is each card's only client and hands
+//!   out the controller's tags itself, so nothing is renamed (see the
+//!   [module docs](splitter) for why the hop stays).
 //!
 //! The paper's Flash Server (Section 3.1.2, Figures 3 and 8) is not
 //! modelled. Its Address Translation Unit would hold a second copy of

@@ -13,10 +13,10 @@ use crate::controller::{CtrlCmd, CtrlResp, Finish};
 #[derive(Debug)]
 pub enum FlashMsg {
     /// A tagged command, sent to a [`crate::FlashController`] or to a
-    /// [`crate::FlashSplitter`], which forwards it under a renamed tag.
+    /// [`crate::FlashSplitter`], which forwards it unchanged.
     Cmd(CtrlCmd),
     /// A command's completion, sent to whoever its `reply_to` names: a
-    /// splitter restores the client's tag and passes it on.
+    /// splitter passes it on, unchanged, to its client.
     Resp(CtrlResp),
     /// Controller-internal delayed completion (self-send only).
     Finish(Finish),

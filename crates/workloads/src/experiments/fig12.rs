@@ -58,7 +58,7 @@ pub fn run() -> Fig12 {
     let addr = cluster
         .preload_page(NodeId(1), &page)
         .expect("preload fits");
-    cluster.load_dram(NodeId(1), 1, &page);
+    cluster.load_dram(NodeId(1), 1, &page).expect("node 1 exists");
 
     let rows = AccessPath::ALL
         .iter()

@@ -94,8 +94,10 @@ const KEYS: u64 = 50_000;
 const TENANTS: u16 = 8;
 const BATCH: u64 = 4_096;
 const NODES: usize = 4;
-/// 11–15 % above the 85.3 MB / 86 070 calls the current layout measures
-/// (with a GC component per node beside driver-side FTLs: 85.5 MB,
+/// 16–22 % above the 81.6 MB / 81 974 calls the current layout measures
+/// (with the agent's hashed tags and a renaming splitter stacked on each
+/// card's line: 85.3 MB, 86 070 calls; with a GC component per node
+/// beside driver-side FTLs: 85.5 MB,
 /// 90 171 calls; with a shadow `FlashArray` behind each card's FTL:
 /// 94.0 MB, 97 343 calls; with a `Vec` per routed pair: 125.0 MB,
 /// 1 154 051 calls).

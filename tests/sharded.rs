@@ -208,7 +208,7 @@ fn sharded_write_read_round_trip_with_host_consume() {
             let write = cluster.run_one(NodeId(node), PageOp::Write(&data)).unwrap();
             written.push(write.addr.unwrap());
         }
-        cluster.load_dram(NodeId(3), 77, &vec![0x5A; page_bytes]);
+        cluster.load_dram(NodeId(3), 77, &vec![0x5A; page_bytes]).unwrap();
 
         let mut reads = Vec::new();
         for reader in 0..6u16 {
