@@ -352,6 +352,8 @@ pub struct Cluster {
     /// layer's stranded-extent audit baseline.
     pages_in_use: u64,
     next_op: OpId,
+    /// The first op id submitted since the last [`Cluster::drive`].
+    drained: OpId,
     /// Completions [`Cluster::run_to_quiescence`] keeps for
     /// [`Cluster::harvest_node`], by submitting node.
     undrained: Vec<Vec<Completed>>,
@@ -513,6 +515,7 @@ impl Cluster {
             controllers,
             partition: partition.to_vec(),
             next_op: 0,
+            drained: 0,
             undrained: vec![Vec::new(); n],
             refused: Vec::new(),
         })
@@ -998,14 +1001,28 @@ impl Cluster {
     /// return every completion recorded since the last drive, on every
     /// node, in op-id order — submission order, whichever node finished
     /// first.
+    ///
+    /// Op ids are handed out consecutively and every op submitted since
+    /// the last drive has completed at quiescence, so the ids since then
+    /// are dense: each completion is placed at `op_id − first id since
+    /// the last drive` in one vector sized to the drive, with no sort.
     pub fn drive(&mut self) -> Vec<Completed> {
         self.sim.run();
-        let mut done = std::mem::take(&mut self.refused);
+        let first = std::mem::replace(&mut self.drained, self.next_op);
+        let mut slots: Vec<Option<Completed>> = Vec::new();
+        slots.resize_with((self.next_op - first) as usize, || None);
+        let mut place = |c: Completed| {
+            let at = (c.op_id - first) as usize;
+            slots[at] = Some(c);
+        };
+        self.refused.drain(..).for_each(&mut place);
         for node in 0..self.node_count() {
-            done.append(&mut self.agent_mut(NodeId::from(node)).completed);
+            self.agent_mut(NodeId::from(node))
+                .completed
+                .drain(..)
+                .for_each(&mut place);
         }
-        done.sort_unstable_by_key(|c| c.op_id);
-        done
+        slots.into_iter().flatten().collect()
     }
 
     /// Submit `op` at `node`, drive, and return its completion: the
@@ -1504,6 +1521,33 @@ mod tests {
         assert!(done[0].error.is_none() && done[4].error.is_none());
         assert_eq!(cluster.run_one(lost, PageOp::Write(&data)).unwrap_err(), err);
         assert_eq!(cluster.flash_pages_in_use(), 1);
+        cluster.assert_quiescent();
+    }
+
+    #[test]
+    fn drive_places_each_completion_by_its_op_id() {
+        // A remote read outlasts a local one submitted after it, and a
+        // refused op completes at once; each drive still returns only
+        // the ops submitted since the last, in op-id order.
+        let config = SystemConfig::scaled_down();
+        let mut cluster = Cluster::ring(4, &config).unwrap();
+        let data = page(&config, 3);
+        let addr = cluster.preload_page(NodeId(0), &data).unwrap();
+        let read = PageOp::Read { addr, consume: Consume::Isp };
+        let ids = |done: &[Completed]| done.iter().map(|c| c.op_id).collect::<Vec<_>>();
+        let first = [cluster.submit(NodeId(1), read), cluster.submit(NodeId(0), read)];
+        assert_eq!(ids(&cluster.drive()), first);
+        let remote = cluster.submit(NodeId(2), read);
+        let refused = cluster.submit(NodeId(9), read);
+        let local = cluster.submit(NodeId(0), read);
+        let done = cluster.drive();
+        assert_eq!(ids(&done), [remote, refused, local]);
+        assert!(done[2].end < done[0].end, "the local read finishes first");
+        assert_eq!(done[1].error, Some(ClusterError::NoSuchNode(NodeId(9))));
+        assert_eq!((done[0].data.as_ref(), done[2].data.as_ref()), (Some(&data), Some(&data)));
+        assert!(cluster.drive().is_empty());
+        let one = cluster.run_one(NodeId(3), read).unwrap();
+        assert_eq!((one.op_id, one.node, one.data), (local + 1, NodeId(3), Some(data)));
         cluster.assert_quiescent();
     }
 

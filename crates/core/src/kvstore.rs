@@ -72,6 +72,15 @@
 //!   lists for multi-page values — the byte count of the last page, and
 //!   the index of the key's gate (allocated only while ops hold or await
 //!   it). A stored one-page value costs no heap allocation of its own.
+//! * **Payload arena.** A put's value is copied once, at submit, onto
+//!   the end of one driver-owned byte arena, and the op keeps its offset
+//!   and length; injection chunks the pages straight out of the arena.
+//!   The arena is emptied with the op table at the end of every drive
+//!   and keeps its capacity, so a steady stream of puts allocates
+//!   nothing per op.
+//! * **No per-op copies out.** A completion carries no key (callers map
+//!   op id → key at submit), and a one-page get's value *is* the page
+//!   its read returned; only a multi-page get reassembles into a buffer.
 //! * **Per-round dense tables.** Op ids are handed out consecutively and
 //!   a `drive()` returns only when every submitted op has completed
 //!   (*drain to empty*), so the op table is a `Vec` indexed by
@@ -79,10 +88,13 @@
 //!   each drive. The cluster likewise numbers submitted commands
 //!   consecutively, only this store submits to its cluster, and a
 //!   round's [`Cluster::drive`] completes every command the round
-//!   submitted before the next `pump` submits more (*quiesce per round*),
-//!   so the command → (op, page) table is a `Vec` indexed by
-//!   `cluster op - first op of the round`, cleared every round. Both
-//!   indexings are asserted, not assumed.
+//!   submitted before the next `pump` submits more (*quiesce per round*).
+//!   [`Cluster::drive`] places each completion at its op id's offset
+//!   from the first op since the last drive — no sort — so the round's
+//!   completions come back in the order `pump` submitted them, and the
+//!   command → (op, page) table is a plain `Vec` read by position,
+//!   cleared every round. A lost or extra completion changes the
+//!   round's length, which `drive` asserts.
 //!
 //! # Examples
 //!
@@ -126,7 +138,7 @@ use bluedbm_sim::{
     Histogram, MetricsDoc, MetricsRegistry, TraceCat, TraceName, TracePart, TraceSink, DRIVER_SHARD,
 };
 
-use crate::cluster::{Cluster, ClusterError, GlobalPageAddr, OpId, PageOp};
+use crate::cluster::{Cluster, ClusterError, GlobalPageAddr, PageOp};
 use crate::keytable::KeyTable;
 use crate::node::{Completed, Consume};
 
@@ -318,7 +330,9 @@ pub enum KvOpKind {
     Delete,
 }
 
-/// One finished KV operation.
+/// One finished KV operation. It names its op by the id `submit_*`
+/// returned and carries no copy of the key: a caller that needs the key
+/// maps op id → key at submission.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KvCompletion {
     /// The id `submit_*` returned.
@@ -327,8 +341,6 @@ pub struct KvCompletion {
     pub tenant: TenantId,
     /// Operation kind.
     pub kind: KvOpKind,
-    /// The key operated on.
-    pub key: Vec<u8>,
     /// The value read (successful gets of present keys only).
     pub value: Option<Vec<u8>>,
     /// Whether the key existed: hit/miss for gets and deletes, always
@@ -418,8 +430,9 @@ impl KeyGate {
 #[derive(Debug)]
 enum OpBody {
     Put {
-        /// The payload, held until injection chunks it onto flash.
-        value: Vec<u8>,
+        /// Where the payload starts in `KvStore::payloads`, which holds
+        /// it until injection chunks it onto flash.
+        at: usize,
         /// The pages its writes were given, in value order, as they
         /// complete; moved into the key record at successful completion,
         /// freed on failure.
@@ -429,7 +442,8 @@ enum OpBody {
     },
     Get {
         reader: NodeId,
-        /// Page-granular reassembly buffer, filled by completion index.
+        /// The value: a one-page value's page itself, or a page-granular
+        /// reassembly buffer filled by completion index.
         buf: Vec<u8>,
         /// True value length (the last page is zero-padded on flash).
         len: usize,
@@ -484,33 +498,6 @@ struct Ready {
     pages: usize,
 }
 
-/// One round's page commands: cluster op `base + i` is page `table[i].1`
-/// of KV op `table[i].0`. Cleared every round.
-#[derive(Debug, Default)]
-struct PageOps {
-    table: Vec<(KvOpId, u32)>,
-    base: u64,
-}
-
-impl PageOps {
-    /// Record that cluster op `cluster_op` is page `page` of KV op `id`.
-    fn note(&mut self, cluster_op: OpId, id: KvOpId, page: usize) {
-        if self.table.is_empty() {
-            self.base = cluster_op;
-        }
-        // Only this store submits to its cluster, and every submission
-        // takes the next cluster op id.
-        assert_eq!(cluster_op - self.base, self.table.len() as u64);
-        self.table.push((id, page as u32));
-    }
-
-    /// The (KV op, page index) behind a completed cluster op.
-    fn owner(&self, cluster_op: OpId) -> Option<(KvOpId, u32)> {
-        let at = cluster_op.checked_sub(self.base)?;
-        self.table.get(at as usize).copied()
-    }
-}
-
 /// Cluster-backed concurrent key-value store. See the [module
 /// docs](self) for the consistency and backpressure model.
 pub struct KvStore {
@@ -530,7 +517,13 @@ pub struct KvStore {
     ops: Vec<Option<InFlight>>,
     ops_base: KvOpId,
     live_ops: usize,
-    page_ops: PageOps,
+    /// One round's page commands, in submission order: the round's
+    /// `i`-th cluster completion is page `page_ops[i].1` of KV op
+    /// `page_ops[i].0`. Cleared every round.
+    page_ops: Vec<(KvOpId, u32)>,
+    /// Put payloads, back to back, until their ops are injected.
+    /// Emptied with the op table at the end of every [`KvStore::drive`].
+    payloads: Vec<u8>,
     /// Gate-holding ops awaiting injection (window backpressure).
     ready: VecDeque<Ready>,
     /// Scratch for [`KvStore::pump`]: ops the window turned away.
@@ -569,7 +562,8 @@ impl KvStore {
             ops: Vec::new(),
             ops_base: 0,
             live_ops: 0,
-            page_ops: PageOps::default(),
+            page_ops: Vec::new(),
+            payloads: Vec::new(),
             ready: VecDeque::new(),
             deferred: VecDeque::new(),
             inflight: vec![0; nodes],
@@ -703,11 +697,13 @@ impl KvStore {
     /// transiently occupies both extents' space. Returns immediately;
     /// the write happens when [`KvStore::drive`] runs the simulation.
     pub fn submit_put(&mut self, tenant: TenantId, key: &[u8], value: &[u8]) -> KvOpId {
+        let at = self.payloads.len();
+        self.payloads.extend_from_slice(value);
         self.submit(
             tenant,
             key,
             OpBody::Put {
-                value: value.to_vec(),
+                at,
                 extent: Extent::EMPTY,
                 len: value.len(),
             },
@@ -777,7 +773,7 @@ impl KvStore {
     fn admit(&mut self, id: KvOpId) {
         let op = op_slot(&mut self.ops, self.ops_base, id);
         let pages = match &op.body {
-            OpBody::Put { value, .. } => value.len().div_ceil(self.page_bytes),
+            OpBody::Put { len, .. } => len.div_ceil(self.page_bytes),
             // Holding the gate pins the record: no put or delete of
             // this key can complete before this get has.
             OpBody::Get { .. } => page_count(&self.extents, self.keys.get(op.key).extent),
@@ -804,33 +800,41 @@ impl KvStore {
     /// rounds with [`Cluster::drive`]s; on the sharded engine each round
     /// executes across all worker shards.
     pub fn drive(&mut self) -> Vec<KvCompletion> {
+        // `poll` hands the vector away, so size it for every op this
+        // drive finishes rather than regrow it from empty.
+        self.finished.reserve(self.live_ops);
         loop {
             self.pump();
             if self.live_ops == 0 {
                 break;
             }
             assert!(
-                !self.page_ops.table.is_empty(),
+                !self.page_ops.is_empty(),
                 "KV engine stalled: {} ops pending but nothing in flight",
                 self.live_ops
             );
             // In cluster-op order: the injection order of gate-released
             // successors (and therefore every observable downstream) is
-            // independent of which node's completions drain first.
+            // independent of which node's completions drain first. Only
+            // this store submits to its cluster, so the round's
+            // completions line up one for one with `page_ops`.
             let batch = self.cluster.drive();
             assert_eq!(
                 batch.len(),
-                self.page_ops.table.len(),
+                self.page_ops.len(),
                 "a quiescent cluster has completed every injected command"
             );
-            for c in batch {
-                self.feed(c);
+            for (i, c) in batch.into_iter().enumerate() {
+                let (id, page) = self.page_ops[i];
+                self.feed(id, page, c);
             }
-            self.page_ops.table.clear();
+            self.page_ops.clear();
         }
-        // Every op has completed, so nothing refers into the op table.
+        // Every op has completed, so nothing refers into the op table
+        // or the payload arena.
         self.ops.clear();
         self.ops_base = self.next_op;
+        self.payloads.clear();
         self.poll()
     }
 
@@ -867,9 +871,9 @@ impl KvStore {
             home.index() as u64,
         );
         match &mut op.body {
-            OpBody::Put { value, .. } => {
-                let value = std::mem::take(value);
-                self.inject_put(id, home, &value);
+            OpBody::Put { at, len, .. } => {
+                let (at, len) = (*at, *len);
+                self.inject_put(id, home, at, len);
             }
             OpBody::Get { reader, .. } => {
                 let reader = *reader;
@@ -888,15 +892,15 @@ impl KvStore {
         }
     }
 
-    fn inject_put(&mut self, id: KvOpId, home: NodeId, value: &[u8]) {
+    fn inject_put(&mut self, id: KvOpId, home: NodeId, at: usize, len: usize) {
         // The old extent (if any) stays in the key record until the
         // replacement is durable — see `finalize` — so an overwrite
         // transiently occupies both extents. A write refused for want of
         // a page completes at once with the error, which fails the put.
         let mut count = 0;
-        for chunk in value.chunks(self.page_bytes) {
-            let cluster_op = self.cluster.submit(home, PageOp::Write(chunk));
-            self.page_ops.note(cluster_op, id, count);
+        for chunk in self.payloads[at..at + len].chunks(self.page_bytes) {
+            self.cluster.submit(home, PageOp::Write(chunk));
+            self.page_ops.push((id, count as u32));
             count += 1;
         }
         self.inflight[home.index()] += count;
@@ -919,8 +923,8 @@ impl KvStore {
         let mut count = 0;
         for &addr in extent_pages(&self.extents, extent).as_slice() {
             let read = PageOp::Read { addr, consume: Consume::Accel };
-            let cluster_op = self.cluster.submit(reader, read);
-            self.page_ops.note(cluster_op, id, count);
+            self.cluster.submit(reader, read);
+            self.page_ops.push((id, count as u32));
             count += 1;
         }
         self.inflight[home.index()] += count;
@@ -932,7 +936,10 @@ impl KvStore {
             unreachable!()
         };
         *len = count.saturating_sub(1) * page_bytes + tail;
-        *buf = vec![0; count * page_bytes];
+        // A one-page value is its page, handed over at completion.
+        if count > 1 {
+            *buf = vec![0; count * page_bytes];
+        }
         if count == 0 {
             self.finalize(id);
         }
@@ -950,12 +957,8 @@ impl KvStore {
         }
     }
 
-    /// Apply one harvested cluster completion to its owning op.
-    fn feed(&mut self, c: Completed) {
-        let (id, page) = self
-            .page_ops
-            .owner(c.op_id)
-            .expect("completion for an op the KV engine never injected");
+    /// Apply one harvested cluster completion, page `page` of op `id`.
+    fn feed(&mut self, id: KvOpId, page: u32, c: Completed) {
         let page_bytes = self.page_bytes;
         let op = op_slot(&mut self.ops, self.ops_base, id);
         self.inflight[op.home.index()] -= 1;
@@ -967,6 +970,8 @@ impl KvStore {
                 debug_assert_eq!(page_count(&self.extents, *extent), page as usize);
                 *extent = push_page(&mut self.extents, *extent, addr);
             }
+            // A one-page get has no buffer: its page becomes the value.
+            (OpBody::Get { buf, .. }, _, Some(data)) if buf.is_empty() => *buf = data,
             (OpBody::Get { buf, .. }, _, Some(data)) => {
                 buf[page as usize * page_bytes..][..page_bytes].copy_from_slice(&data);
             }
@@ -1066,14 +1071,11 @@ impl KvStore {
             flags,
         );
 
-        // Copy the key out before the gate release can retire its id.
-        let key = self.keys.key(op.key).to_vec();
         self.release_gate(op.key, exclusive);
         self.finished.push(KvCompletion {
             op: id,
             tenant: op.tenant,
             kind,
-            key,
             value,
             found: op.found,
             error: op.error,
@@ -1208,6 +1210,22 @@ mod tests {
             let got = s.get(NodeId(reader), b"big").unwrap().unwrap();
             assert_eq!(got.value, value, "reader {reader}");
             assert!(got.elapsed >= SimTime::us(50), "flash was touched");
+        }
+        s.assert_no_stranded_pages();
+        s.cluster().assert_quiescent();
+    }
+
+    #[test]
+    fn put_get_round_trip_one_page_with_a_short_tail() {
+        // A one-page get hands its page over as the value: the zero
+        // padding past the tail must not come with it.
+        let mut s = store(4);
+        let page = s.cluster().config().flash.geometry.page_bytes;
+        let value: Vec<u8> = (0..page - 5).map(|i| i as u8 | 1).collect();
+        s.put(b"one", &value).unwrap();
+        for reader in 0..4u16 {
+            let got = s.get(NodeId(reader), b"one").unwrap().unwrap();
+            assert_eq!(got.value, value, "reader {reader}");
         }
         s.assert_no_stranded_pages();
         s.cluster().assert_quiescent();
@@ -1480,7 +1498,7 @@ mod tests {
         assert_eq!(s.gates.free.len(), s.gates.items.len());
         assert!(s.extents.items.len() <= 16);
         assert_eq!(s.extents.free.len(), s.extents.items.len());
-        assert!(s.ops.is_empty() && s.page_ops.table.is_empty());
+        assert!(s.ops.is_empty() && s.page_ops.is_empty() && s.payloads.is_empty());
         s.assert_no_stranded_pages();
         s.cluster().assert_quiescent();
     }

@@ -89,8 +89,6 @@ pub enum CtrlResp {
         tag: Tag,
         /// Handle to the page data after ECC, or the failure.
         result: Result<PageRead, FlashError>,
-        /// When the command was accepted by the controller.
-        issued_at: SimTime,
     },
     /// A program finished.
     WriteDone {
@@ -324,15 +322,7 @@ impl FlashController {
                     self.stats.read_latency.record(done - now);
                     self.stats.read_throughput.record(page_bytes);
                 }
-                (
-                    done,
-                    CtrlResp::ReadDone {
-                        tag,
-                        result,
-                        issued_at: now,
-                    },
-                    reply_to,
-                )
+                (done, CtrlResp::ReadDone { tag, result }, reply_to)
             }
             CtrlCmd::Write {
                 tag,

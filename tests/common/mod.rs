@@ -190,33 +190,36 @@ pub fn check_schedule(s: &mut KvStore, nodes: usize, steps: Vec<Draw>, chunk: us
     let page_bytes = s.cluster().config().flash.geometry.page_bytes;
 
     let mut oracle: BTreeMap<u8, Vec<u8>> = BTreeMap::new();
-    // op id -> expected (kind, found, value).
+    // op id -> expected (kind, found, value), and op id -> key.
     let mut expected: BTreeMap<u64, (KvOpKind, bool, Option<Vec<u8>>)> = BTreeMap::new();
+    let mut key_of: BTreeMap<u64, u8> = BTreeMap::new();
     let mut completions = Vec::new();
     let mut pending = 0usize;
 
     for (i, draw) in steps.into_iter().enumerate() {
         let step = decode(draw, nodes, page_bytes);
-        match step {
+        let (id, key, expect) = match step {
             Step::Put { key, len } => {
                 // Deterministic distinctive contents per (key, step).
                 let value: Vec<u8> = (0..len).map(|j| (j as u8) ^ key ^ (i as u8)).collect();
                 let tenant = u16::from(key) % 4;
                 let id = s.submit_put(tenant, &[key], &value);
                 oracle.insert(key, value);
-                expected.insert(id, (KvOpKind::Put, true, None));
+                (id, key, (KvOpKind::Put, true, None))
             }
             Step::Get { key, reader } => {
                 let id = s.submit_get(u16::from(key) % 4, NodeId::from(reader), &[key]);
                 let value = oracle.get(&key).cloned();
-                expected.insert(id, (KvOpKind::Get, value.is_some(), value));
+                (id, key, (KvOpKind::Get, value.is_some(), value))
             }
             Step::Delete { key } => {
                 let id = s.submit_delete(u16::from(key) % 4, &[key]);
                 let found = oracle.remove(&key).is_some();
-                expected.insert(id, (KvOpKind::Delete, found, None));
+                (id, key, (KvOpKind::Delete, found, None))
             }
-        }
+        };
+        expected.insert(id, expect);
+        key_of.insert(id, key);
         pending += 1;
         if pending >= chunk {
             completions.extend(s.drive());
@@ -228,14 +231,15 @@ pub fn check_schedule(s: &mut KvStore, nodes: usize, steps: Vec<Draw>, chunk: us
     assert_eq!(completions.len(), expected.len(), "every op completes");
     for c in &completions {
         let (kind, found, value) = expected.remove(&c.op).expect("unknown op id");
+        let key = key_of[&c.op];
         assert_eq!(c.kind, kind, "op {} kind", c.op);
         assert!(c.error.is_none(), "op {} failed: {:?}", c.op, c.error);
-        assert_eq!(c.found, found, "op {} hit/miss (key {:?})", c.op, c.key);
+        assert_eq!(c.found, found, "op {} hit/miss (key [{key}])", c.op);
         if kind == KvOpKind::Get {
             assert_eq!(
                 c.value, value,
-                "op {} read the wrong value for key {:?}",
-                c.op, c.key
+                "op {} read the wrong value for key [{key}]",
+                c.op
             );
         }
     }

@@ -76,18 +76,20 @@ fn tenants_saturating_one_unit_all_complete_in_fifo_spirit() {
         s.put(key.as_bytes(), &vec![k as u8; page_bytes]).unwrap();
     }
 
-    // Every tenant reads every key, all in flight at once.
+    // Every tenant reads every key, all in flight at once; op id → key
+    // index, kept at submission.
+    let mut key_of = std::collections::BTreeMap::new();
     for tenant in 0..6u16 {
-        for key in &keys {
+        for (k, key) in keys.iter().enumerate() {
             let reader = NodeId::from(tenant as usize % 2);
-            s.submit_get(tenant, reader, key.as_bytes());
+            key_of.insert(s.submit_get(tenant, reader, key.as_bytes()), k);
         }
     }
     let done = s.drive();
     assert_eq!(done.len(), 6 * 12);
     for c in &done {
-        assert!(c.error.is_none() && c.found, "get {:?} failed", c.key);
-        let k = keys.iter().position(|key| key.as_bytes() == c.key).unwrap();
+        let k = key_of[&c.op];
+        assert!(c.error.is_none() && c.found, "get of {} failed", keys[k]);
         assert_eq!(c.value.as_deref(), Some(&vec![k as u8; page_bytes][..]));
     }
     // Per-tenant fairness: FIFO means every tenant completed all reads.
