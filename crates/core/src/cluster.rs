@@ -1,9 +1,10 @@
 //! The cluster facade: build a DES world of N BlueDBM nodes and drive it
 //! through submit and drive.
 //!
-//! A [`Cluster`] owns the simulator, the per-node flash stacks
-//! (controller + splitter per card), the node agents (each booking its
-//! node's PCIe link and accelerator units) and the integrated network.
+//! A [`Cluster`] owns the simulator, the per-node flash cards (a
+//! controller and a splitter hop each, `crate::card`), the node agents
+//! (each booking its node's PCIe link and accelerator units) and the
+//! integrated network.
 //! Every simulated page operation goes in one way: [`Cluster::submit`]
 //! schedules a [`PageOp`] at the current instant without running
 //! anything, and [`Cluster::drive`] runs the event queue dry and hands
@@ -35,7 +36,6 @@ use std::sync::Arc;
 use bluedbm_flash::array::{ErrorModel, FlashArray};
 use bluedbm_flash::controller::{CtrlStats, FlashController};
 use bluedbm_flash::error::FlashError;
-use bluedbm_flash::splitter::FlashSplitter;
 use bluedbm_ftl::{Ftl, FtlError, GcRound};
 use bluedbm_net::router::{build_network_routed, Router, RouterStats};
 use bluedbm_net::routing::RoutingTable;
@@ -45,8 +45,9 @@ use bluedbm_sim::shard::{ExecMode, ShardStats, ShardedSimulator};
 use bluedbm_sim::time::SimTime;
 use bluedbm_sim::{MetricsDoc, MetricsRegistry, PageStore, TracePart, WallLaneProfile};
 
+use crate::card::{CardController, CardSplitter};
 use crate::config::SystemConfig;
-use crate::gc::{GcAgentStats, GcStats, LifecycleOp};
+use crate::gc::{GcStats, GcTrafficStats, LifecycleOp};
 use crate::msg::{Msg, NetBody};
 use crate::node::{AgentOp, AgentStats, Consume, NodeAgent, DATA_ENDPOINTS, REQUEST_ENDPOINT};
 use crate::scheduler::SchedStats;
@@ -360,6 +361,9 @@ pub struct Cluster {
     /// Ops submitted at a node the cluster lacks, which have no agent
     /// to complete on, for the next [`Cluster::drive`].
     refused: Vec<Completed>,
+    /// [`Cluster::drive`]'s placement slots, one per op of the drive;
+    /// empty between drives, and kept for their capacity.
+    slots: Vec<Option<Completed>>,
 }
 
 impl Cluster {
@@ -464,9 +468,11 @@ impl Cluster {
                 // are valid verbatim on the simulated card.
                 let array = card_array(node, card)?;
                 let ftl = Ftl::new(&array, config.gc.ftl)?;
-                let ctrl = sim.add_component(FlashController::new(array, config.flash.timing));
-                // Installed once the agent, its client, has an id.
-                let split = sim.reserve();
+                let (ctrl, split) = (sim.reserve(), sim.reserve());
+                let model = FlashController::new(array, config.flash.timing);
+                sim.install(ctrl, CardController::new(model, split));
+                // The splitter is installed once the agent, its client,
+                // has an id.
                 node_ctrls.push(ctrl);
                 node_splitters.push(split);
                 cards.push((split, ftl));
@@ -475,7 +481,7 @@ impl Cluster {
             let agent =
                 sim.add_component(NodeAgent::new(NodeId::from(node), node_router, cards, config));
             for (&ctrl, &split) in node_ctrls.iter().zip(&node_splitters) {
-                sim.install(split, FlashSplitter::new(ctrl, agent));
+                sim.install(split, CardSplitter::new(ctrl, agent));
             }
             let router = sim
                 .component_mut::<Router<NetBody>>(node_router)
@@ -518,6 +524,7 @@ impl Cluster {
             drained: 0,
             undrained: vec![Vec::new(); n],
             refused: Vec::new(),
+            slots: Vec::new(),
         })
     }
 
@@ -681,7 +688,7 @@ impl Cluster {
             self.router_stats(id).fill_metrics(scope.child("router"));
             self.agent_stats(id).fill_metrics(scope.child("agent"));
             self.sched_stats(id).fill_metrics(scope.child("sched"));
-            self.gc_agent_stats(id).fill_metrics(scope.child("gc_agent"));
+            self.gc_traffic_stats(id).fill_metrics(scope.child("gc_traffic"));
             self.agent(id).host_buffers().fill_metrics(scope.child("host_buffers"));
             for card in 0..self.config.flash.cards_per_node {
                 self.controller_stats(id, card)
@@ -818,7 +825,7 @@ impl Cluster {
     /// Per-node collection statistics: rounds/moves/erases this node's
     /// agent has executed as simulated traffic (rounds a preload applies
     /// functionally are accounted only in the FTL's policy totals).
-    pub fn gc_agent_stats(&self, node: NodeId) -> &GcAgentStats {
+    pub fn gc_traffic_stats(&self, node: NodeId) -> &GcTrafficStats {
         self.agent(node).gc_stats()
     }
 
@@ -842,9 +849,11 @@ impl Cluster {
     }
 
     fn controller(&self, node: NodeId, card: usize) -> &FlashController {
-        self.sim
-            .component::<FlashController>(self.controllers[node.index()][card])
+        &self
+            .sim
+            .component::<CardController>(self.controllers[node.index()][card])
             .expect("controller installed")
+            .model
     }
 
     /// The logical lifecycle ops recorded for one card, in the order its
@@ -921,8 +930,9 @@ impl Cluster {
         let ctrl = self.controllers[node.index()][addr.card as usize];
         let array = self
             .sim
-            .component_mut::<FlashController>(ctrl)
+            .component_mut::<CardController>(ctrl)
             .expect("controller installed")
+            .model
             .array_mut();
         outcome.apply(array, &page)?;
         Ok(addr)
@@ -1005,12 +1015,14 @@ impl Cluster {
     /// Op ids are handed out consecutively and every op submitted since
     /// the last drive has completed at quiescence, so the ids since then
     /// are dense: each completion is placed at `op_id − first id since
-    /// the last drive` in one vector sized to the drive, with no sort.
+    /// the last drive` in a slot vector kept across drives, with no sort,
+    /// and moved out once into a result of exactly the drive's size.
     pub fn drive(&mut self) -> Vec<Completed> {
         self.sim.run();
         let first = std::mem::replace(&mut self.drained, self.next_op);
-        let mut slots: Vec<Option<Completed>> = Vec::new();
-        slots.resize_with((self.next_op - first) as usize, || None);
+        let len = (self.next_op - first) as usize;
+        let mut slots = std::mem::take(&mut self.slots);
+        slots.resize_with(len, || None);
         let mut place = |c: Completed| {
             let at = (c.op_id - first) as usize;
             slots[at] = Some(c);
@@ -1022,7 +1034,10 @@ impl Cluster {
                 .drain(..)
                 .for_each(&mut place);
         }
-        slots.into_iter().flatten().collect()
+        let mut done = Vec::with_capacity(len);
+        done.extend(slots.drain(..).flatten());
+        self.slots = slots;
+        done
     }
 
     /// Submit `op` at `node`, drive, and return its completion: the

@@ -70,7 +70,7 @@ impl GcStats {
 /// functionally are not counted here — see the card's `Ftl` stats for
 /// policy totals).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GcAgentStats {
+pub struct GcTrafficStats {
     /// Jobs (watermark triggers) executed.
     pub(crate) jobs: u64,
     /// Collection rounds completed.
@@ -81,7 +81,7 @@ pub struct GcAgentStats {
     pub erases: u64,
 }
 
-impl GcAgentStats {
+impl GcTrafficStats {
     /// Write every counter into a metrics `node`.
     pub(crate) fn fill_metrics(&self, node: &mut MetricsNode) {
         node.set("jobs", self.jobs);

@@ -51,9 +51,10 @@
 //! In-flight flash work is bounded by a per-home-node window
 //! (`DEFAULT_WINDOW` page commands): an op's page commands are injected only
 //! when its home node has room (an oversized op is admitted alone), and
-//! further ready ops wait driver-side. This models bounded device queue
-//! depth and keeps the node agents' 16-bit flash tag space safe at
-//! million-key scale.
+//! further ready ops wait driver-side. This bounds how much work the
+//! driver injects per home node at once. It does not guard the flash
+//! tags: each card's line in its node agent holds any command past the
+//! card's 128 tags.
 //!
 //! ## Driver state
 //!

@@ -8,8 +8,9 @@
 //!
 //! * [`config::SystemConfig`] — every calibration constant of the model,
 //!   each traced to the paper sentence it comes from;
-//! * [`cluster::Cluster`] — a DES world of N nodes: flash cards behind
-//!   splitters, a node agent (the in-store processing fabric, which
+//! * [`cluster::Cluster`] — a DES world of N nodes: flash cards (each
+//!   a controller booking and two event hops, its splitter and its
+//!   controller), a node agent (the in-store processing fabric, which
 //!   books its node's PCIe link and accelerator units), and the
 //!   integrated network, driven by submitting page operations and
 //!   driving the simulation to their completions;
@@ -55,6 +56,7 @@
 //! ```
 
 pub mod baselines;
+mod card;
 pub mod cluster;
 pub mod config;
 pub mod gc;
@@ -67,7 +69,7 @@ pub mod power;
 pub mod scheduler;
 
 pub use cluster::{Cluster, GlobalPageAddr, PageOp};
-pub use gc::{GcAgentStats, GcStats, LifecycleOp};
+pub use gc::{GcStats, GcTrafficStats, LifecycleOp};
 
 pub use config::{GcConfig, SystemConfig};
 pub use kvstore::{KvCompletion, KvOpKind, KvStore, TenantId, TenantStats};

@@ -12,9 +12,9 @@
 //! Control fields travel inline; **bulk page payloads travel by
 //! handle**: page contents live in the simulator-owned
 //! [`bluedbm_sim::PageStore`] and messages carry an 8-byte [`PageRef`].
-//! A page read off a simulated flash chip moves through the controller,
-//! the splitter, the network and the agent's completion self-sends as
-//! one handle copy per hop; the bytes are written once by the producer
+//! A page read off a simulated flash chip moves through the card's
+//! controller and splitter hops, the network and the agent's completion
+//! self-sends as one handle copy per hop; the bytes are written once by the producer
 //! (the flash array) and copied out once by the consumer. Ownership
 //! rule: every [`PageRef`] inside a message has exactly one consumer,
 //! which must `free` (or `take`) the page — simulations audit this with
@@ -28,9 +28,9 @@
 //! keep it true:
 //!
 //! * `Msg` is **flat** — one discriminant level. Each nested enum
-//!   wrapper costs 8 bytes of tag + padding, so the subsystem enums
-//!   (`FlashMsg`, `NetMsg`) are split into their variants here and
-//!   reassembled (a plain move) in the protocol-trait impls below;
+//!   wrapper costs 8 bytes of tag + padding, so the network's `NetMsg`
+//!   is split into its variants here and reassembled (a plain move) in
+//!   the protocol-trait impl below;
 //! * bulk payloads ride the page store as [`PageRef`]s (above);
 //! * the two verbose network objects are **interned in the
 //!   simulator-owned control-block pool** where they are born:
@@ -58,8 +58,7 @@
 //!
 //! [`PageRef`]: bluedbm_sim::PageRef
 
-use bluedbm_flash::controller::{CtrlCmd, CtrlResp, Finish};
-use bluedbm_flash::msg::{FlashMsg, FlashProtocol};
+use bluedbm_flash::controller::{CtrlCmd, CtrlResp};
 use bluedbm_net::msg::{NetMsg, NetProtocol};
 use bluedbm_net::router::{CreditReturn, NetRecv, NetSend, Wire, WireRef};
 use bluedbm_sim::pool::PoolRef;
@@ -84,12 +83,15 @@ pub(crate) enum NetBody {
 /// purpose — see the module docs for the layout rules.
 #[derive(Debug)]
 pub(crate) enum Msg {
-    /// Raw flash-controller command.
+    /// Raw flash-controller command, from a card's agent through its
+    /// splitter to its controller (`crate::card`).
     FlashCmd(CtrlCmd),
-    /// Flash-controller completion.
+    /// Flash-controller completion, from a card's controller through its
+    /// splitter to its agent.
     FlashResp(CtrlResp),
-    /// Controller-internal delayed completion (self-send only).
-    FlashFinish(Finish),
+    /// Card-controller internal: a booked command's finish instant, with
+    /// its response (self-send only).
+    FlashFinish(CtrlResp),
     /// Local sender asks its router to inject a packet.
     NetSend(NetSend<NetBody>),
     /// Router delivers a packet to an endpoint consumer.
@@ -119,17 +121,6 @@ const _: () = assert!(
     std::mem::size_of::<Msg>() <= 64,
     "Msg exceeds the 64-byte fast-path budget; carry bulk payloads by PageRef"
 );
-
-impl From<FlashMsg> for Msg {
-    #[inline]
-    fn from(m: FlashMsg) -> Self {
-        match m {
-            FlashMsg::Cmd(c) => Msg::FlashCmd(c),
-            FlashMsg::Resp(r) => Msg::FlashResp(r),
-            FlashMsg::Finish(f) => Msg::FlashFinish(f),
-        }
-    }
-}
 
 impl From<NetMsg<NetBody>> for Msg {
     #[inline]
@@ -168,18 +159,6 @@ impl From<NetSend<NetBody>> for Msg {
     #[inline]
     fn from(m: NetSend<NetBody>) -> Self {
         Msg::NetSend(m)
-    }
-}
-
-impl FlashProtocol for Msg {
-    #[inline]
-    fn into_flash(self) -> FlashMsg {
-        match self {
-            Msg::FlashCmd(c) => FlashMsg::Cmd(c),
-            Msg::FlashResp(r) => FlashMsg::Resp(r),
-            Msg::FlashFinish(f) => FlashMsg::Finish(f),
-            other => panic!("flash component received a non-flash message: {other:?}"),
-        }
     }
 }
 
@@ -277,31 +256,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn protocol_round_trips_preserve_variants() {
-        let cmd = CtrlCmd::Erase {
-            tag: bluedbm_flash::Tag(3),
-            ppa: bluedbm_flash::Ppa::new(0, 0, 0, 0),
-            reply_to: {
-                let mut sim = bluedbm_sim::Simulator::<Msg>::new();
-                sim.reserve()
-            },
-        };
-        let msg: Msg = FlashMsg::Cmd(cmd).into();
-        assert!(matches!(msg, Msg::FlashCmd(_)));
-        let back = msg.into_flash();
-        assert!(matches!(back, FlashMsg::Cmd(CtrlCmd::Erase { .. })));
-    }
-
-    #[test]
     #[should_panic(expected = "crossed shards")]
     fn only_router_traffic_crosses_shards() {
-        let mut sim = bluedbm_sim::Simulator::<Msg>::new();
         let mut pages = PageStore::new();
         let mut msg = Msg::FlashCmd(CtrlCmd::Write {
             tag: bluedbm_flash::Tag(1),
             ppa: bluedbm_flash::Ppa::new(0, 0, 0, 0),
             data: pages.alloc_from(&[7; 8]),
-            reply_to: sim.reserve(),
         });
         msg.detach(&mut pages, &mut PoolStore::default());
     }

@@ -52,9 +52,12 @@
 //! card's [`FlashController::PAPER_TAGS`] controller tags itself, as
 //! `Tag((card << 8) | slot)`, and the line sends its head only while
 //! fewer than that many of the card's commands are out, so the
-//! controller never queues one. A command's slot remembers what the
-//! command is for until its completion frees it. The card's splitter
-//! is one event hop each way and renames nothing.
+//! controller never counts a stall. A command's slot remembers what the
+//! command is for until its completion frees it. A command reaches the
+//! card through two event hops (`crate::card`), its splitter and its
+//! controller, which books it on the card's [`FlashController`] model
+//! when it arrives and answers back through the splitter at the booked
+//! end; neither hop queues or renames anything.
 //!
 //! The driver reaches the `Ftl`s functionally, between runs: a preload
 //! steps a write and applies it to the array at once, and a free trims at
@@ -90,7 +93,7 @@ use bluedbm_sim::{MetricsNode, PageRef, TraceCat, TraceName};
 
 use crate::cluster::{ClusterError, OpId, PageFault};
 use crate::config::SystemConfig;
-use crate::gc::{GcAgentStats, GcJob, LifecycleOp};
+use crate::gc::{GcJob, GcTrafficStats, LifecycleOp};
 use crate::msg::{Msg, NetBody};
 use crate::scheduler::{AccelUnits, SchedStats};
 
@@ -297,7 +300,7 @@ enum Waiting {
 /// One of the node's flash cards, as its agent runs it (see the module
 /// docs).
 pub(crate) struct Card {
-    /// The hop to the card's controller.
+    /// The card's splitter, the first hop to its controller.
     splitter: ComponentId,
     pub(crate) ftl: Ftl,
     /// What each command out on the card is for, by the slot its tag
@@ -395,7 +398,7 @@ pub(crate) struct NodeAgent {
     /// Finished operations awaiting [`crate::cluster::Cluster::drive`].
     pub(crate) completed: Vec<Completed>,
     stats: AgentStats,
-    gc_stats: GcAgentStats,
+    gc_stats: GcTrafficStats,
 }
 
 impl NodeAgent {
@@ -443,7 +446,7 @@ impl NodeAgent {
             dram: FxHashMap::default(),
             completed: Vec::new(),
             stats: AgentStats::default(),
-            gc_stats: GcAgentStats::default(),
+            gc_stats: GcTrafficStats::default(),
         }
     }
 
@@ -464,7 +467,7 @@ impl NodeAgent {
     }
 
     /// Collection statistics gathered so far.
-    pub(crate) fn gc_stats(&self) -> &GcAgentStats {
+    pub(crate) fn gc_stats(&self) -> &GcTrafficStats {
         &self.gc_stats
     }
 
@@ -623,18 +626,13 @@ impl NodeAgent {
                 (c.slots.len() - 1) as u8 // < PAPER_TAGS, checked by `pump`
             }
         };
-        let (tag, reply_to) = (Tag((u16::from(card) << 8) | u16::from(slot)), c.splitter);
+        let tag = Tag((u16::from(card) << 8) | u16::from(slot));
         let cmd = match cmd {
-            Cmd::Read(ppa) => CtrlCmd::Read { tag, ppa, reply_to },
-            Cmd::Program(ppa, data) => CtrlCmd::Write {
-                tag,
-                ppa,
-                data,
-                reply_to,
-            },
-            Cmd::Erase(ppa) => CtrlCmd::Erase { tag, ppa, reply_to },
+            Cmd::Read(ppa) => CtrlCmd::Read { tag, ppa },
+            Cmd::Program(ppa, data) => CtrlCmd::Write { tag, ppa, data },
+            Cmd::Erase(ppa) => CtrlCmd::Erase { tag, ppa },
         };
-        ctx.send(reply_to, SimTime::ZERO, cmd);
+        ctx.send(c.splitter, SimTime::ZERO, cmd);
     }
 
     /// A foreground read of logical page `lpn` on `card`, mapped to its
@@ -1055,7 +1053,7 @@ mod tests {
                 live[h] = (find(op).addr.expect("a write names its page"), fill);
             }
         }
-        assert!(cluster.gc_agent_stats(NodeId(0)).moves > 0, "collections relocated pages");
+        assert!(cluster.gc_traffic_stats(NodeId(0)).moves > 0, "collections relocated pages");
     }
 
     #[test]
@@ -1069,13 +1067,13 @@ mod tests {
         let uncontended = cluster.run_one(NodeId(0), read_card1).map(|c| c.end - c.start).unwrap();
         for _ in 0..addrs.len() {
             cluster.free_page(card0).unwrap();
-            let (at, erases) = (cluster.now(), cluster.gc_agent_stats(NodeId(0)).erases);
+            let (at, erases) = (cluster.now(), cluster.gc_traffic_stats(NodeId(0)).erases);
             let write = cluster.submit(NodeId(0), PageOp::Write(&[1; 512]));
             let read = cluster.submit(NodeId(0), read_card1);
             let done = cluster.drive();
             let took = |op| done.iter().find(|c| c.op_id == op).expect("completed").end - at;
             assert!(took(read) <= uncontended, "the card-1 read waited: {}", took(read));
-            if cluster.gc_agent_stats(NodeId(0)).erases > erases {
+            if cluster.gc_traffic_stats(NodeId(0)).erases > erases {
                 assert!(took(write) > uncontended, "the write did not wait out its collection");
                 return cluster.assert_quiescent();
             }
@@ -1087,9 +1085,9 @@ mod tests {
     fn a_card_line_holds_reads_past_the_controller_tags() {
         // Three times the card's tags and one more, of one page, at one
         // instant: the card's line holds every read past the 128th until
-        // a completion frees a tag, so the controller never queues one,
-        // and the line keeps the chip as busy as the controller's own
-        // queue did.
+        // a completion frees a tag, so the controller never books one
+        // past them, and the line keeps the chip as busy as the
+        // controller's own queue did.
         let mut config = SystemConfig::scaled_down();
         config.flash.geometry = FlashGeometry::tiny();
         let mut cluster = Cluster::ring(1, &config).unwrap();

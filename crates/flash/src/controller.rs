@@ -1,9 +1,12 @@
-//! The raw, tag-based flash controller (paper Section 3.1.1).
+//! The raw, tag-based flash controller (paper Section 3.1.1), as a
+//! timing model its client books.
 //!
-//! The controller exposes exactly the paper's interface semantics:
+//! The controller exposes the paper's interface semantics:
 //!
-//! * commands carry a **tag**; at most `tag_limit` commands are in flight
-//!   (the implementation has 128 tags) — further commands queue;
+//! * commands carry a **tag**, which the client hands out: the hardware
+//!   has [`FlashController::PAPER_TAGS`] (128), and a client holds any
+//!   command past them itself ([`CtrlStats::tag_stalls`] counts the
+//!   bookings made while all 128 were already out);
 //! * completions return **out of order** with respect to issue order,
 //!   interleaved across buses; the tag identifies which request finished;
 //! * to saturate the device, *multiple commands must be in flight*,
@@ -13,10 +16,11 @@
 //! Contention is modelled per-chip (cell operations serialize on a die)
 //! and per-bus (transfers serialize on a channel), which is where the
 //! paper's 1.2 GB/s-per-card ceiling comes from: 8 buses x 150 MB/s.
+//! A command's finish instant is fixed when it is accepted, so
+//! [`FlashController::book`] returns it with the response; the client
+//! delivers the response at that instant and then calls
+//! [`FlashController::complete`].
 
-use std::collections::VecDeque;
-
-use bluedbm_sim::engine::{Component, ComponentId, Ctx};
 use bluedbm_sim::pagestore::{PageRef, PageStore};
 use bluedbm_sim::resource::SerialResource;
 use bluedbm_sim::stats::{Histogram, Throughput};
@@ -25,7 +29,6 @@ use bluedbm_sim::time::SimTime;
 use crate::array::FlashArray;
 use crate::error::FlashError;
 use crate::geometry::Ppa;
-use crate::msg::{FlashMsg, FlashProtocol};
 use crate::timing::FlashTiming;
 
 /// Identifies one in-flight command (the paper's request tag).
@@ -41,8 +44,6 @@ pub enum CtrlCmd {
         tag: Tag,
         /// Page to read.
         ppa: Ppa,
-        /// Component to deliver the [`CtrlResp`] to.
-        reply_to: ComponentId,
     },
     /// Program one page.
     Write {
@@ -56,8 +57,6 @@ pub enum CtrlCmd {
         /// has read it, mirroring the paper's write-buffer free-queue
         /// discipline.
         data: PageRef,
-        /// Component to deliver the [`CtrlResp`] to.
-        reply_to: ComponentId,
     },
     /// Erase the block containing `ppa`.
     Erase {
@@ -65,8 +64,6 @@ pub enum CtrlCmd {
         tag: Tag,
         /// Any page inside the victim block.
         ppa: Ppa,
-        /// Component to deliver the [`CtrlResp`] to.
-        reply_to: ComponentId,
     },
 }
 
@@ -117,17 +114,6 @@ impl CtrlResp {
     }
 }
 
-/// Controller-internal delayed completion. Public only because it rides
-/// the [`FlashMsg`] enum as a self-send; nothing outside the controller
-/// constructs or inspects one. Carries just a slot into the
-/// controller's pending-finish slab, so the message stays 4 bytes — the
-/// completed response and its reply target wait in the controller until
-/// the modelled latency elapses.
-#[derive(Clone, Debug)]
-pub struct Finish {
-    slot: u32,
-}
-
 /// A one-line hardware-inventory record, the software analogue of the
 /// paper's Table 1 resource rows.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -151,9 +137,10 @@ pub struct CtrlStats {
     pub read_latency: Histogram,
     /// Read payload throughput.
     pub read_throughput: Throughput,
-    /// Commands that had to wait for a free tag.
+    /// Commands booked while [`FlashController::PAPER_TAGS`] were
+    /// already out.
     pub tag_stalls: u64,
-    /// Peak simultaneous in-flight commands.
+    /// Peak simultaneous in-flight commands (booked, not yet completed).
     pub peak_in_flight: usize,
 }
 
@@ -169,21 +156,16 @@ impl CtrlStats {
     }
 }
 
-/// DES component wrapping a [`FlashArray`] with the paper's controller
-/// timing and interface. Send it [`CtrlCmd`]s; it replies with
-/// [`CtrlResp`]s.
+/// A [`FlashArray`] with the paper's controller timing and interface:
+/// [`FlashController::book`] a [`CtrlCmd`] to get its finish instant
+/// and [`CtrlResp`], and [`FlashController::complete`] it once the
+/// response is delivered.
 pub struct FlashController {
     array: FlashArray,
     timing: FlashTiming,
-    tag_limit: usize,
     in_flight: usize,
-    pending: VecDeque<CtrlCmd>,
     chips: Vec<SerialResource>,
     buses: Vec<SerialResource>,
-    /// Completed responses awaiting their modelled finish instant,
-    /// indexed by the slot a [`Finish`] self-send carries.
-    finish_slots: Vec<Option<(CtrlResp, ComponentId)>>,
-    free_finish: Vec<u32>,
     stats: CtrlStats,
 }
 
@@ -191,30 +173,15 @@ impl FlashController {
     /// The paper's tag budget: 128 outstanding commands.
     pub const PAPER_TAGS: usize = 128;
 
-    /// Wrap an array with paper timing and 128 tags.
+    /// Wrap an array with `timing`.
     pub fn new(array: FlashArray, timing: FlashTiming) -> Self {
-        Self::with_tags(array, timing, Self::PAPER_TAGS)
-    }
-
-    /// Wrap an array with a custom tag budget (used by the tag-parallelism
-    /// ablation bench).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tag_limit == 0`.
-    pub fn with_tags(array: FlashArray, timing: FlashTiming, tag_limit: usize) -> Self {
-        assert!(tag_limit > 0, "controller needs at least one tag");
         let geom = array.geometry();
         FlashController {
             array,
             timing,
-            tag_limit,
             in_flight: 0,
-            pending: VecDeque::new(),
             chips: vec![SerialResource::new(); geom.total_chips()],
             buses: vec![SerialResource::new(); geom.buses],
-            finish_slots: Vec::new(),
-            free_finish: Vec::new(),
             stats: CtrlStats::default(),
         }
     }
@@ -243,7 +210,7 @@ impl FlashController {
             ModuleSpec {
                 name: "bus controller",
                 instances: geom.buses,
-                queue_depth: self.tag_limit / geom.buses.max(1),
+                queue_depth: Self::PAPER_TAGS / geom.buses.max(1),
                 buffer_bytes: geom.page_bytes,
             },
             ModuleSpec {
@@ -261,8 +228,8 @@ impl FlashController {
             ModuleSpec {
                 name: "scoreboard",
                 instances: 1,
-                queue_depth: self.tag_limit,
-                buffer_bytes: self.tag_limit * 8,
+                queue_depth: Self::PAPER_TAGS,
+                buffer_bytes: Self::PAPER_TAGS * 8,
             },
             ModuleSpec {
                 name: "phy",
@@ -283,18 +250,20 @@ impl FlashController {
         ppa.bus as usize * self.array.geometry().chips_per_bus + ppa.chip as usize
     }
 
-    /// Compute the completion time of a command accepted at `now` and run
-    /// the functional operation against `pages`, the simulator's page
-    /// store. Returns `(finish_time, response, reply_target)`.
-    fn execute(
-        &mut self,
-        now: SimTime,
-        pages: &mut PageStore,
-        cmd: CtrlCmd,
-    ) -> (SimTime, CtrlResp, ComponentId) {
+    /// Book a command accepted at `now`: run the functional operation
+    /// against `pages`, the simulator's page store, and reserve the chip
+    /// and bus time it needs. Returns the instant it finishes and its
+    /// response; the command is in flight until
+    /// [`FlashController::complete`].
+    pub fn book(&mut self, now: SimTime, pages: &mut PageStore, cmd: CtrlCmd) -> (SimTime, CtrlResp) {
+        if self.in_flight >= Self::PAPER_TAGS {
+            self.stats.tag_stalls += 1;
+        }
+        self.in_flight += 1;
+        self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.in_flight);
         let accept = now + self.timing.command_overhead;
         match cmd {
-            CtrlCmd::Read { tag, ppa, reply_to } => {
+            CtrlCmd::Read { tag, ppa } => {
                 let page_bytes = self.array.geometry().page_bytes as u64;
                 // Write-once read path: allocate the store page first and
                 // let the array write the page's contents directly into
@@ -322,14 +291,9 @@ impl FlashController {
                     self.stats.read_latency.record(done - now);
                     self.stats.read_throughput.record(page_bytes);
                 }
-                (done, CtrlResp::ReadDone { tag, result }, reply_to)
+                (done, CtrlResp::ReadDone { tag, result })
             }
-            CtrlCmd::Write {
-                tag,
-                ppa,
-                data,
-                reply_to,
-            } => {
+            CtrlCmd::Write { tag, ppa, data } => {
                 let bytes = pages.len(data);
                 let result = self.array.program(ppa, pages.get(data));
                 // The write buffer "will be returned to the free queue
@@ -346,9 +310,9 @@ impl FlashController {
                 } else {
                     accept
                 };
-                (done, CtrlResp::WriteDone { tag, result }, reply_to)
+                (done, CtrlResp::WriteDone { tag, result })
             }
-            CtrlCmd::Erase { tag, ppa, reply_to } => {
+            CtrlCmd::Erase { tag, ppa } => {
                 let result = self.array.erase(ppa);
                 let done = if self.array.geometry().contains(ppa) {
                     let ci = self.chip_index(ppa);
@@ -356,298 +320,158 @@ impl FlashController {
                 } else {
                     accept
                 };
-                (done, CtrlResp::EraseDone { tag, result }, reply_to)
+                (done, CtrlResp::EraseDone { tag, result })
             }
         }
     }
 
-    fn issue<M: FlashProtocol>(&mut self, ctx: &mut Ctx<'_, M>, cmd: CtrlCmd) {
-        self.in_flight += 1;
-        self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.in_flight);
-        let now = ctx.now();
-        let (done, resp, reply_to) = self.execute(now, ctx.pages(), cmd);
-        let slot = match self.free_finish.pop() {
-            Some(slot) => {
-                self.finish_slots[slot as usize] = Some((resp, reply_to));
-                slot
-            }
-            None => {
-                self.finish_slots.push(Some((resp, reply_to)));
-                (self.finish_slots.len() - 1) as u32
-            }
-        };
-        ctx.send_self(done - now, FlashMsg::Finish(Finish { slot }));
+    /// Mark one booked command as finished: its response has been
+    /// delivered.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in a debug build) if no command is in flight.
+    pub fn complete(&mut self) {
+        self.in_flight -= 1;
     }
 }
 
-impl<M: FlashProtocol> Component<M> for FlashController {
-    fn handle(&mut self, ctx: &mut Ctx<'_, M>, msg: M) {
-        match msg.into_flash() {
-            FlashMsg::Cmd(cmd) => {
-                if self.in_flight >= self.tag_limit {
-                    self.stats.tag_stalls += 1;
-                    self.pending.push_back(cmd);
-                } else {
-                    self.issue(ctx, cmd);
-                }
-            }
-            FlashMsg::Finish(Finish { slot }) => {
-                let (resp, reply_to) = self.finish_slots[slot as usize]
-                    .take()
-                    .expect("finish for a slot the controller never armed");
-                self.free_finish.push(slot);
-                self.in_flight -= 1;
-                ctx.send(reply_to, SimTime::ZERO, FlashMsg::Resp(resp));
-                if self.in_flight < self.tag_limit {
-                    if let Some(next) = self.pending.pop_front() {
-                        self.issue(ctx, next);
-                    }
-                }
-            }
-            other => panic!("flash controller got an unexpected message: {other:?}"),
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::geometry::FlashGeometry;
-    use bluedbm_sim::engine::Simulator;
 
-    /// Test harness client that records completions.
-    struct Client {
-        reads: Vec<(Tag, Vec<u8>, SimTime)>,
-        writes: Vec<Tag>,
-        erases: Vec<Tag>,
-        errors: Vec<(Tag, FlashError)>,
-    }
-
-    impl Client {
-        fn new() -> Self {
-            Client {
-                reads: vec![],
-                writes: vec![],
-                erases: vec![],
-                errors: vec![],
-            }
-        }
-    }
-
-    impl Component<FlashMsg> for Client {
-        fn handle(&mut self, ctx: &mut Ctx<'_, FlashMsg>, msg: FlashMsg) {
-            let FlashMsg::Resp(resp) = msg else {
-                panic!("CtrlResp expected")
-            };
-            match resp {
-                CtrlResp::ReadDone { tag, result, .. } => match result {
-                    Ok(r) => self.reads.push((tag, ctx.pages().take(r.page), ctx.now())),
-                    Err(e) => self.errors.push((tag, e)),
-                },
-                CtrlResp::WriteDone { tag, result } => match result {
-                    Ok(()) => self.writes.push(tag),
-                    Err(e) => self.errors.push((tag, e)),
-                },
-                CtrlResp::EraseDone { tag, result } => match result {
-                    Ok(()) => self.erases.push(tag),
-                    Err(e) => self.errors.push((tag, e)),
-                },
-            }
-        }
-    }
-
-    fn setup(timing: FlashTiming) -> (Simulator<FlashMsg>, ComponentId, ComponentId) {
-        let mut sim = Simulator::new();
+    /// A tiny card and an empty page store to book against.
+    fn setup(timing: FlashTiming) -> (FlashController, PageStore) {
         let array = FlashArray::new(FlashGeometry::tiny(), 5);
-        let ctrl = sim.add_component(FlashController::new(array, timing));
-        let client = sim.add_component(Client::new());
-        (sim, ctrl, client)
+        (FlashController::new(array, timing), PageStore::new())
+    }
+
+    /// Book a read of `ppa` at `now`, take its page out of `pages` and
+    /// complete it; returns the finish instant and the bytes (or error).
+    fn read(
+        ctl: &mut FlashController,
+        pages: &mut PageStore,
+        now: SimTime,
+        tag: u16,
+        ppa: Ppa,
+    ) -> (SimTime, Result<Vec<u8>, FlashError>) {
+        let (done, resp) = ctl.book(now, pages, CtrlCmd::Read { tag: Tag(tag), ppa });
+        ctl.complete();
+        let CtrlResp::ReadDone { result, .. } = resp else {
+            panic!("a read answers ReadDone")
+        };
+        (done, result.map(|r| pages.take(r.page)))
     }
 
     #[test]
     fn write_then_read_round_trip_with_latency() {
-        let timing = FlashTiming::paper();
-        let (mut sim, ctrl, client) = setup(timing);
+        let (mut ctl, mut pages) = setup(FlashTiming::paper());
         let geom = FlashGeometry::tiny();
         let ppa = Ppa::new(0, 0, 0, 0);
         let data = vec![0x77u8; geom.page_bytes];
-        let buffer = sim.page_store_mut().alloc_from(&data);
-        sim.schedule(
+        let buffer = pages.alloc_from(&data);
+        let (write_done, resp) = ctl.book(
             SimTime::ZERO,
-            ctrl,
+            &mut pages,
             CtrlCmd::Write {
                 tag: Tag(1),
                 ppa,
                 data: buffer,
-                reply_to: client,
             },
         );
-        sim.run();
-        let write_done = sim.now();
+        ctl.complete();
+        assert!(matches!(resp, CtrlResp::WriteDone { tag: Tag(1), result: Ok(()) }));
         // tPROG dominates: at least 300 us.
         assert!(write_done >= SimTime::us(300));
 
-        sim.schedule(
-            SimTime::ZERO,
-            ctrl,
-            CtrlCmd::Read {
-                tag: Tag(2),
-                ppa,
-                reply_to: client,
-            },
-        );
-        sim.run();
-        let read_latency = sim.now() - write_done;
+        let (read_done, bytes) = read(&mut ctl, &mut pages, write_done, 2, ppa);
+        let read_latency = read_done - write_done;
         // tR (50us) + 512B transfer at 150MB/s (~3.4us) + overhead.
         assert!(read_latency >= SimTime::us(50), "latency {read_latency}");
         assert!(read_latency < SimTime::us(60), "latency {read_latency}");
-
-        let c = sim.component::<Client>(client).unwrap();
-        assert_eq!(c.writes, vec![Tag(1)]);
-        assert_eq!(c.reads.len(), 1);
-        assert_eq!(c.reads[0].1, data);
-        sim.page_store().assert_quiescent();
+        assert_eq!(bytes.unwrap(), data);
+        pages.assert_quiescent();
     }
 
     #[test]
     fn parallel_reads_across_buses_overlap() {
         // Two reads on different buses should finish at (almost) the same
         // time; two reads on the same chip must serialize their tR.
-        let timing = FlashTiming::paper();
-        let (mut sim, ctrl, client) = setup(timing);
-        let geom = FlashGeometry::tiny();
-        let mut ctl = sim.component_mut::<FlashController>(ctrl).unwrap();
-        let data = vec![1u8; geom.page_bytes];
-        for bus in 0..2 {
-            ctl.array_mut()
-                .program(Ppa::new(bus, 0, 0, 0), &data)
-                .unwrap();
+        let (mut ctl, mut pages) = setup(FlashTiming::paper());
+        let data = vec![1u8; FlashGeometry::tiny().page_bytes];
+        for ppa in [Ppa::new(0, 0, 0, 0), Ppa::new(1, 0, 0, 0), Ppa::new(0, 0, 0, 1)] {
+            ctl.array_mut().program(ppa, &data).unwrap();
         }
-        ctl = sim.component_mut::<FlashController>(ctrl).unwrap();
-        ctl.array_mut().program(Ppa::new(0, 0, 0, 1), &data).unwrap();
 
         // Different buses in parallel.
-        for (i, bus) in [0u16, 1].iter().enumerate() {
-            sim.schedule(
-                SimTime::ZERO,
-                ctrl,
-                CtrlCmd::Read {
-                    tag: Tag(i as u16),
-                    ppa: Ppa::new(*bus, 0, 0, 0),
-                    reply_to: client,
-                },
-            );
-        }
-        sim.run();
-        let parallel_done = sim.now();
+        let parallel_done = (0..2u16)
+            .map(|bus| read(&mut ctl, &mut pages, SimTime::ZERO, bus, Ppa::new(bus, 0, 0, 0)).0)
+            .max()
+            .unwrap();
         assert!(parallel_done < SimTime::us(60), "parallel: {parallel_done}");
 
         // Same chip: must serialize the 50us cell reads.
-        let t0 = sim.now();
-        for page in [0u32, 1] {
-            sim.schedule(
-                SimTime::ZERO,
-                ctrl,
-                CtrlCmd::Read {
-                    tag: Tag(10 + page as u16),
-                    ppa: Ppa::new(0, 0, 0, page),
-                    reply_to: client,
-                },
-            );
-        }
-        sim.run();
-        let serial_span = sim.now() - t0;
+        let t0 = parallel_done;
+        let serial_done = (0..2u32)
+            .map(|page| read(&mut ctl, &mut pages, t0, 10 + page as u16, Ppa::new(0, 0, 0, page)).0)
+            .max()
+            .unwrap();
+        let serial_span = serial_done - t0;
         assert!(serial_span >= SimTime::us(100), "serial: {serial_span}");
     }
 
     #[test]
     fn out_of_order_completion() {
-        // Issue a slow read (bus 0) then a fast-only-because-parallel read
-        // (bus 1) plus an erase on bus 0 chip 1; completions interleave.
-        let timing = FlashTiming::test_fast();
-        let (mut sim, ctrl, client) = setup(timing);
-        let geom = FlashGeometry::tiny();
-        let data = vec![2u8; geom.page_bytes];
-        {
-            let ctl = sim.component_mut::<FlashController>(ctrl).unwrap();
-            // Two pages on one chip (will serialize), one on another bus.
-            ctl.array_mut().program(Ppa::new(0, 0, 0, 0), &data).unwrap();
-            ctl.array_mut().program(Ppa::new(0, 0, 0, 1), &data).unwrap();
-            ctl.array_mut().program(Ppa::new(1, 0, 0, 0), &data).unwrap();
+        // Issue a read, then a second read serialized behind it on the
+        // same chip, then a read on the other bus: completions interleave.
+        let (mut ctl, mut pages) = setup(FlashTiming::test_fast());
+        let data = vec![2u8; FlashGeometry::tiny().page_bytes];
+        let ppas = [Ppa::new(0, 0, 0, 0), Ppa::new(0, 0, 0, 1), Ppa::new(1, 0, 0, 0)];
+        for ppa in ppas {
+            ctl.array_mut().program(ppa, &data).unwrap();
         }
-        for (tag, ppa) in [
-            (Tag(0), Ppa::new(0, 0, 0, 0)),
-            (Tag(1), Ppa::new(0, 0, 0, 1)),
-            (Tag(2), Ppa::new(1, 0, 0, 0)),
-        ] {
-            sim.schedule(
-                SimTime::ZERO,
-                ctrl,
-                CtrlCmd::Read {
-                    tag,
-                    ppa,
-                    reply_to: client,
-                },
-            );
-        }
-        sim.run();
-        let c = sim.component::<Client>(client).unwrap();
-        let order: Vec<Tag> = c.reads.iter().map(|(t, _, _)| *t).collect();
+        let mut done: Vec<(SimTime, Tag)> = (0..3u16)
+            .map(|tag| (read(&mut ctl, &mut pages, SimTime::ZERO, tag, ppas[usize::from(tag)]).0, Tag(tag)))
+            .collect();
+        done.sort();
+        let order: Vec<Tag> = done.iter().map(|&(_, t)| t).collect();
         // Tag 2 (other bus) must complete before tag 1 (serialized behind 0).
         let pos = |t: Tag| order.iter().position(|&x| x == t).unwrap();
         assert!(pos(Tag(2)) < pos(Tag(1)), "completion order {order:?}");
     }
 
     #[test]
-    fn tag_exhaustion_queues_commands() {
-        let timing = FlashTiming::test_fast();
-        let mut sim = Simulator::new();
-        let array = FlashArray::new(FlashGeometry::tiny(), 5);
-        let ctrl = sim.add_component(FlashController::with_tags(array, timing, 2));
-        let client = sim.add_component(Client::new());
-        {
-            let ctl = sim.component_mut::<FlashController>(ctrl).unwrap();
-            let data = vec![3u8; FlashGeometry::tiny().page_bytes];
-            for p in 0..6 {
-                ctl.array_mut().program(Ppa::new(0, 0, 0, p), &data).unwrap();
-            }
+    fn bookings_past_the_paper_tags_count_as_stalls() {
+        // `peak_in_flight` counts bookings not yet completed; a booking
+        // made while all 128 tags are out is a stall.
+        let (mut ctl, mut pages) = setup(FlashTiming::test_fast());
+        let data = vec![3u8; FlashGeometry::tiny().page_bytes];
+        let ppa = Ppa::new(0, 0, 0, 0);
+        ctl.array_mut().program(ppa, &data).unwrap();
+        for tag in 0..=FlashController::PAPER_TAGS {
+            let (_, resp) = ctl.book(SimTime::ZERO, &mut pages, CtrlCmd::Read { tag: Tag(tag as u16), ppa });
+            let CtrlResp::ReadDone { result: Ok(read), .. } = resp else {
+                panic!("the read succeeds")
+            };
+            pages.free(read.page);
         }
-        for p in 0..6u32 {
-            sim.schedule(
-                SimTime::ZERO,
-                ctrl,
-                CtrlCmd::Read {
-                    tag: Tag(p as u16),
-                    ppa: Ppa::new(0, 0, 0, p),
-                    reply_to: client,
-                },
-            );
-        }
-        sim.run();
-        let c = sim.component::<Client>(client).unwrap();
-        assert_eq!(c.reads.len(), 6, "all queued commands eventually run");
-        let ctl = sim.component::<FlashController>(ctrl).unwrap();
-        assert!(ctl.stats().tag_stalls >= 4, "stalls: {}", ctl.stats().tag_stalls);
-        assert!(ctl.stats().peak_in_flight <= 2);
+        let stats = ctl.stats();
+        assert_eq!((stats.peak_in_flight, stats.tag_stalls), (FlashController::PAPER_TAGS + 1, 1));
+        ctl.complete();
+        ctl.book(SimTime::ZERO, &mut pages, CtrlCmd::Erase { tag: Tag(0), ppa });
+        assert_eq!((ctl.stats().peak_in_flight, ctl.stats().tag_stalls), (FlashController::PAPER_TAGS + 1, 2));
+        pages.assert_quiescent();
     }
 
     #[test]
     fn errors_are_reported_not_dropped() {
-        let timing = FlashTiming::test_fast();
-        let (mut sim, ctrl, client) = setup(timing);
-        sim.schedule(
-            SimTime::ZERO,
-            ctrl,
-            CtrlCmd::Read {
-                tag: Tag(9),
-                ppa: Ppa::new(0, 0, 0, 0), // never programmed
-                reply_to: client,
-            },
-        );
-        sim.run();
-        let c = sim.component::<Client>(client).unwrap();
-        assert_eq!(c.errors.len(), 1);
-        assert!(matches!(c.errors[0].1, FlashError::NotProgrammed(_)));
+        let (mut ctl, mut pages) = setup(FlashTiming::test_fast());
+        // Never programmed.
+        let (_, result) = read(&mut ctl, &mut pages, SimTime::ZERO, 9, Ppa::new(0, 0, 0, 0));
+        assert!(matches!(result, Err(FlashError::NotProgrammed(_))));
+        pages.assert_quiescent();
     }
 
     #[test]
@@ -655,47 +479,31 @@ mod tests {
         // Keep all 4 chips of the tiny geometry busy: with enough tags the
         // sustained rate approaches the 2-bus aggregate transfer limit or
         // the cell-read limit, whichever binds.
-        let timing = FlashTiming::paper();
-        let (mut sim, ctrl, client) = setup(timing);
+        let (mut ctl, mut pages) = setup(FlashTiming::paper());
         let geom = FlashGeometry::tiny();
         let data = vec![4u8; geom.page_bytes];
         const READS_PER_CHIP: u32 = 8;
-        {
-            let ctl = sim.component_mut::<FlashController>(ctrl).unwrap();
-            for bus in 0..geom.buses as u16 {
-                for chip in 0..geom.chips_per_bus as u16 {
-                    for p in 0..READS_PER_CHIP {
-                        ctl.array_mut()
-                            .program(Ppa::new(bus, chip, 0, p), &data)
-                            .unwrap();
-                    }
-                }
-            }
-        }
-        let mut tag = 0u16;
+        let mut ppas = Vec::new();
         for bus in 0..geom.buses as u16 {
             for chip in 0..geom.chips_per_bus as u16 {
                 for p in 0..READS_PER_CHIP {
-                    sim.schedule(
-                        SimTime::ZERO,
-                        ctrl,
-                        CtrlCmd::Read {
-                            tag: Tag(tag),
-                            ppa: Ppa::new(bus, chip, 0, p),
-                            reply_to: client,
-                        },
-                    );
-                    tag += 1;
+                    ppas.push(Ppa::new(bus, chip, 0, p));
                 }
             }
         }
-        sim.run();
-        let c = sim.component::<Client>(client).unwrap();
-        assert_eq!(c.reads.len(), tag as usize);
+        for &ppa in &ppas {
+            ctl.array_mut().program(ppa, &data).unwrap();
+        }
+        let mut last = SimTime::ZERO;
+        for (tag, &ppa) in ppas.iter().enumerate() {
+            let (done, bytes) = read(&mut ctl, &mut pages, SimTime::ZERO, tag as u16, ppa);
+            assert_eq!(bytes.unwrap(), data);
+            last = last.max(done);
+        }
         // Each chip serializes 8 x 50us = 400us of cell reads; chips run in
         // parallel, so the whole batch should take ~400-450us, not 1.6ms.
-        assert!(sim.now() < SimTime::us(480), "took {}", sim.now());
-        assert!(sim.now() >= SimTime::us(400));
+        assert!(last < SimTime::us(480), "took {last}");
+        assert!(last >= SimTime::us(400));
     }
 
     #[test]
@@ -711,15 +519,5 @@ mod tests {
         assert!(names.contains(&"scoreboard"));
         let bus = inv.iter().find(|m| m.name == "bus controller").unwrap();
         assert_eq!(bus.instances, 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one tag")]
-    fn zero_tags_rejected() {
-        let _ = FlashController::with_tags(
-            FlashArray::new(FlashGeometry::tiny(), 1),
-            FlashTiming::paper(),
-            0,
-        );
     }
 }

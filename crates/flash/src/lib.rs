@@ -2,25 +2,25 @@
 //!
 //! The BlueDBM flash card: a functional NAND array that stores real bytes
 //! with real program/erase semantics, a SECDED ECC codec, and the paper's
-//! controller stack — the raw tag-based flash controller (Section 3.1.1)
-//! and the Flash Interface Splitter (Section 3.1.2).
+//! raw tag-based flash controller (Section 3.1.1).
 //!
 //! The paper implements these on an Artix-7 FPGA per flash board; here the
-//! same interfaces are modelled as discrete-event components over the
-//! [`bluedbm_sim`] kernel, with timing taken from the paper (50 µs reads,
-//! 1.2 GB/s per card across 8 buses).
+//! controller is a timing model over the [`bluedbm_sim`] kernel's
+//! resources, with timing taken from the paper (50 µs reads, 1.2 GB/s per
+//! card across 8 buses). It sends no messages: its client books each
+//! command and delivers the response at the instant the booking returns.
 //!
 //! ## Layered design
 //!
 //! * [`array::FlashArray`] — synchronous, functional NAND: what the chips
 //!   *store*. Each card's controller owns one; the FTL's tests drive
 //!   one directly.
-//! * [`controller::FlashController`] — DES component adding *when*: chip
-//!   and bus contention, tag-limited parallelism, out-of-order completion.
-//! * [`splitter::FlashSplitter`] — the paper's front end, reduced to
-//!   one event hop: the node agent is each card's only client and hands
-//!   out the controller's tags itself, so nothing is renamed (see the
-//!   [module docs](splitter) for why the hop stays).
+//! * [`controller::FlashController`] — the booking model adding *when*:
+//!   chip and bus contention and out-of-order completion, counted against
+//!   the paper's 128 tags. In a cluster, the core crate's node agent is
+//!   each card's only client and hands out the tags; the card's
+//!   controller and Flash Interface Splitter (Section 3.1.2) are the two
+//!   event hops the core crate wires around this model.
 //!
 //! The paper's Flash Server (Section 3.1.2, Figures 3 and 8) is not
 //! modelled. Its Address Translation Unit would hold a second copy of
@@ -48,17 +48,13 @@
 
 pub mod array;
 pub mod controller;
-pub mod msg;
 pub mod ecc;
 pub mod error;
 pub mod geometry;
-pub mod splitter;
 pub mod timing;
 
 pub use array::FlashArray;
 pub use controller::{CtrlCmd, CtrlResp, FlashController, Tag};
 pub use error::FlashError;
-pub use msg::{FlashMsg, FlashProtocol};
 pub use geometry::{FlashGeometry, Ppa};
-pub use splitter::FlashSplitter;
 pub use timing::FlashTiming;

@@ -25,12 +25,14 @@
 //! fetch), and every runner delivers one event per [`Component::handle`]
 //! call.
 //!
-//! The flash and network crates each define a protocol enum for their
-//! own components (`bluedbm_flash::FlashMsg`, `bluedbm_net::NetMsg<B>`)
-//! plus a protocol trait that any composed message type implements. The
-//! workspace-wide composition lives in the core crate's `Msg`;
-//! single-subsystem simulations (unit tests, microbenches, network-only
-//! experiments) instantiate the kernel over the subsystem's own enum.
+//! The network crate defines a protocol enum for its own components
+//! (`bluedbm_net::NetMsg<B>`) plus a protocol trait that any composed
+//! message type implements. The workspace-wide composition lives in the
+//! core crate's `Msg`, which also carries the variants of the core
+//! crate's own components (the flash cards' two hops, the node agents);
+//! network-only simulations (unit tests, microbenches, the credit-depth
+//! ablation) instantiate the kernel over `NetMsg<B>`. The flash crate's
+//! controller sends nothing: it is a timing model its client books.
 //!
 //! ## Page payloads travel by handle
 //!
@@ -66,18 +68,19 @@
 //!
 //! ### Adding a new message variant
 //!
-//! 1. Define the payload struct and add a variant for it to the owning
-//!    crate's protocol enum (plus a `From<Payload>` impl for ergonomic
-//!    `ctx.send(to, delay, payload)` call sites). Carry bulk data as a
+//! 1. Define the payload struct and add a variant for it to the enum of
+//!    the components that exchange it: the network crate's `NetMsg<B>`
+//!    for router traffic, otherwise the core crate's `Msg` itself (plus
+//!    a `From<Payload>` impl for ergonomic `ctx.send(to, delay, payload)`
+//!    call sites). Carry bulk data as a
 //!    [`PageRef`] into the simulator's [`PageStore`], never as an inline
 //!    `Vec<u8>`, and decide which component is the handle's one consumer
 //!    (who frees it).
 //! 2. Handle the variant in the receiving component's
 //!    [`Component::handle`] `match`; unknown variants should `panic!` —
 //!    they indicate mis-wiring, not a runtime condition.
-//! 3. If the payload must cross the workspace composition, add the
-//!    corresponding arm to the `From`/protocol impls of the core crate's
-//!    `Msg`.
+//! 3. If the variant went into `NetMsg<B>`, add the corresponding arm to
+//!    the `From`/`NetProtocol` impls of the core crate's `Msg`.
 //!    `Msg` is **flat** (one discriminant level) and budgeted: the
 //!    compile-time assertion in `crates/core/src/msg.rs` fails the build if
 //!    the new variant pushes `size_of::<Msg>()` past 64 bytes — slim the

@@ -10,10 +10,12 @@
 //! * **Integrated network vs host-mediated hops** — Section 6.4's
 //!   argument for overlapping storage and network access.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use bluedbm_core::paths::{measure_path, AccessPath};
 use bluedbm_core::{Cluster, NodeId, SystemConfig};
-use bluedbm_flash::controller::{CtrlCmd, FlashController, Tag};
-use bluedbm_flash::msg::FlashMsg;
+use bluedbm_flash::controller::{CtrlCmd, CtrlResp, FlashController, Tag};
 use bluedbm_flash::{FlashArray, FlashGeometry, FlashTiming, Ppa};
 use bluedbm_ftl::ftl::{Ftl, FtlConfig};
 use bluedbm_net::msg::NetMsg;
@@ -22,6 +24,7 @@ use bluedbm_net::router::{build_network, NetSend, Router};
 use bluedbm_net::topology::Topology;
 use bluedbm_sim::engine::{Component, Ctx, Simulator};
 use bluedbm_sim::rng::Rng;
+use bluedbm_sim::PageStore;
 use bluedbm_sim::time::SimTime;
 use serde::Serialize;
 
@@ -48,18 +51,32 @@ impl Sweep {
     }
 }
 
-/// Counts read completions (helper client).
-struct Collector {
-    done: u64,
-    last: SimTime,
-}
-
-impl Component<FlashMsg> for Collector {
-    fn handle(&mut self, ctx: &mut Ctx<'_, FlashMsg>, msg: FlashMsg) {
-        if matches!(msg, FlashMsg::Resp(_)) {
-            self.done += 1;
-            self.last = ctx.now();
+/// Read `reads` in order through `ctl`, keeping at most `tags` of them
+/// booked: the first `tags` at time zero, then each next one at the
+/// earliest completion (same-instant completions in booking order),
+/// freeing every page read. Returns each read's index and finish
+/// instant, in completion order.
+fn tag_window_reads(ctl: &mut FlashController, reads: &[Ppa], tags: usize) -> Vec<(usize, SimTime)> {
+    let mut pages = PageStore::new();
+    let mut booked = BinaryHeap::new();
+    let mut done = Vec::with_capacity(reads.len());
+    let mut now = SimTime::ZERO;
+    let mut next = reads.iter().enumerate();
+    loop {
+        while booked.len() < tags {
+            let Some((i, &ppa)) = next.next() else { break };
+            let (end, resp) = ctl.book(now, &mut pages, CtrlCmd::Read { tag: Tag(i as u16), ppa });
+            if let CtrlResp::ReadDone { result: Ok(read), .. } = resp {
+                pages.free(read.page);
+            }
+            booked.push(Reverse((end, i)));
         }
+        let Some(Reverse((end, i))) = booked.pop() else {
+            return done;
+        };
+        ctl.complete();
+        now = end;
+        done.push((i, end));
     }
 }
 
@@ -69,7 +86,6 @@ pub fn tag_parallelism() -> Sweep {
     let points = [1usize, 2, 4, 8, 16, 32, 64, 128]
         .into_iter()
         .map(|tags| {
-            let mut sim = Simulator::new();
             let mut array = FlashArray::new(geom, 1);
             // One page on every chip, several rounds.
             const ROUNDS: u32 = 4;
@@ -86,30 +102,11 @@ pub fn tag_parallelism() -> Sweep {
                     }
                 }
             }
-            let ctrl = sim.add_component(FlashController::with_tags(
-                array,
-                FlashTiming::paper(),
-                tags,
-            ));
-            let client = sim.add_component(Collector {
-                done: 0,
-                last: SimTime::ZERO,
-            });
-            for (i, ppa) in addrs.iter().enumerate() {
-                sim.schedule(
-                    SimTime::ZERO,
-                    ctrl,
-                    CtrlCmd::Read {
-                        tag: Tag(i as u16),
-                        ppa: *ppa,
-                        reply_to: client,
-                    },
-                );
-            }
-            sim.run();
-            let c = sim.component::<Collector>(client).unwrap();
-            let bytes = c.done * geom.page_bytes as u64;
-            (tags as f64, bytes as f64 / c.last.as_secs_f64() / 1e9)
+            let mut ctl = FlashController::new(array, FlashTiming::paper());
+            let done = tag_window_reads(&mut ctl, &addrs, tags);
+            let last = done.last().map_or(SimTime::ZERO, |&(_, end)| end);
+            let bytes = done.len() as u64 * geom.page_bytes as u64;
+            (tags as f64, bytes as f64 / last.as_secs_f64() / 1e9)
         })
         .collect();
     Sweep {
@@ -246,6 +243,32 @@ mod tests {
         for w in s.points.windows(2) {
             assert!(w[1].1 >= w[0].1 * 0.99, "{:?}", s.points);
         }
+    }
+
+    #[test]
+    fn a_tag_window_books_successors_at_completions_in_booking_order() {
+        // Reads 0 and 1 sit on different buses and finish at one
+        // instant; 2..6 queue behind them on one chip.
+        let geom = FlashGeometry::tiny();
+        let mut array = FlashArray::new(geom, 1);
+        let data = vec![0u8; geom.page_bytes];
+        let mut reads = vec![Ppa::new(0, 0, 0, 0), Ppa::new(1, 1, 0, 0)];
+        reads.extend((1..5).map(|p| Ppa::new(0, 1, 0, p)));
+        for &ppa in &reads {
+            array.program(ppa, &data).unwrap();
+        }
+        let mut ctl = FlashController::new(array, FlashTiming::paper());
+        let done = tag_window_reads(&mut ctl, &reads, 2);
+        assert_eq!(ctl.stats().peak_in_flight, 2, "at most 2 booked at once");
+        let order: Vec<usize> = done.iter().map(|&(i, _)| i).collect();
+        assert_eq!(order, [0, 1, 2, 3, 4, 5], "all 6 complete, in booking order");
+        assert_eq!(done[0].1, done[1].1, "reads 0 and 1 finish at one instant");
+        // Read 2 was booked at that instant, by read 0's completion, so
+        // it holds the chip first and read 3 waits a cell read behind it.
+        let t = FlashTiming::paper();
+        let read_time = t.command_overhead + t.read_cell + t.transfer_time(geom.page_bytes);
+        assert_eq!(done[2].1, done[0].1 + read_time);
+        assert_eq!(done[3].1, done[2].1 + t.read_cell);
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! simulator makes. Requested bytes and call counts depend only on the
 //! code and the (seedless) workload below — not on the host, the
 //! allocator's bins or the clock — so the pins are exact-repeatable and
-//! can sit 5–15 % above what the current layout achieves (233.9 B live
-//! per key; 0.029 store calls per put and 1.075 per get, the test's own
-//! key building kept outside the counted regions; the hash-map layout
+//! can sit 3–40 % above what the current layout achieves (236.9 B live
+//! per key, counting the completion slots `Cluster::drive` keeps across
+//! drives; 0.024 store calls per put and 1.071 per get, the test's own
+//! key building kept outside the counted regions; 233.9 B and 0.029 /
+//! 1.075 calls while the slots were allocated per drive; the hash-map layout
 //! before it: 415.4 B, and 10.03 / 8.08 calls per put / get with the
 //! test's own key `Vec` counted in). A change that brings back a
 //! per-key `Vec`, a per-op value or key copy, a per-page `Box`, an
@@ -93,13 +95,14 @@ fn snapshot() -> (i64, i64, u64, u64) {
     )
 }
 
-/// Store allocator calls per steady-state put, ≈ 14 % above the 0.029
-/// (119 calls over a 4 096-op batch) measured: the payload goes into a
-/// driver-owned arena, so what is left is per round and per drive,
-/// not per op. With a copy of each value and of each completion's key
+/// Store allocator calls per steady-state put, ≈ 38 % above the 0.024
+/// measured (0.029, 119 calls over a 4 096-op batch, while
+/// `Cluster::drive` allocated its slots per drive): the payload goes
+/// into a driver-owned arena, so what is left is per round and per
+/// drive, not per op. With a copy of each value and of each completion's key
 /// it was 2.03.
 const PUT_CALLS_PIN: f64 = 0.033;
-/// Store allocator calls per steady-state get, ≈ 12 % above the 1.075
+/// Store allocator calls per steady-state get, ≈ 12 % above the 1.071
 /// measured: one call per get is the page the read hands back as the
 /// value. With a reassembly buffer per get and a copy of each
 /// completion's key it was 3.07.

@@ -217,7 +217,7 @@ fn churn_at_twice_capacity_collects_and_agrees_with_the_offline_twin() {
     // The in-sim agents performed exactly the work the FTLs decided.
     let (mut agent_erases, mut agent_moves) = (0, 0);
     for n in 0..store.cluster().node_count() {
-        let stats = store.cluster().gc_agent_stats(NodeId::from(n));
+        let stats = store.cluster().gc_traffic_stats(NodeId::from(n));
         agent_erases += stats.erases;
         agent_moves += stats.moves;
     }
