@@ -628,7 +628,7 @@ impl Cluster {
     /// [`TracePart`] per shard (empty parts when `config.sim.trace` is
     /// off). Taking empties the buffers but keeps each sink's sequence
     /// running, so back-to-back harvests see disjoint records that still
-    /// merge in order; merge parts with [`bluedbm_sim::TraceDoc::merge`].
+    /// merge in order; gather parts with [`bluedbm_sim::TraceDoc::merge`].
     pub(crate) fn take_trace(&mut self) -> Vec<TracePart> {
         self.sim.take_trace()
     }
@@ -1085,9 +1085,16 @@ impl Cluster {
     }
 
     /// Shortest-path hop count between two nodes, read off the routers'
-    /// shared table (never `None`: a cluster's topology is connected).
-    pub fn hops(&self, a: NodeId, b: NodeId) -> Option<u32> {
-        self.routing.hops(a, b)
+    /// shared table.
+    ///
+    /// # Errors
+    ///
+    /// [`ClusterError::NoSuchNode`] when the cluster lacks `a` or `b`.
+    pub fn hops(&self, a: NodeId, b: NodeId) -> Result<u32, ClusterError> {
+        self.has_node(a)?;
+        self.has_node(b)?;
+        // Never taken: building refuses a topology that is not connected.
+        self.routing.hops(a, b).ok_or(ClusterError::Disconnected(b))
     }
 
     /// Router statistics for `node`. Borrowed straight from the
@@ -1514,6 +1521,9 @@ mod tests {
         assert_eq!(err.to_string(), "the cluster has no node9");
         assert_eq!(cluster.preload_page(lost, &data), Err(err.clone()));
         assert_eq!(cluster.load_dram(lost, 1, &data), Err(err.clone()));
+        assert_eq!(cluster.hops(lost, NodeId(0)), Err(err.clone()));
+        assert_eq!(cluster.hops(NodeId(0), lost), Err(err.clone()));
+        assert_eq!(cluster.hops(NodeId(1), NodeId(0)), Ok(1));
         let addr = cluster.preload_page(NodeId(0), &data).unwrap();
         let ops = [
             PageOp::Write(&data),

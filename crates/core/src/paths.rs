@@ -115,11 +115,7 @@ pub fn measure_path(
     // request hop + response hop network propagation, and the storage
     // access time, are known; everything else the DES added is transfer
     // (bus serialization, wire time, queueing, PCIe).
-    let hops = u64::from(
-        cluster
-            .hops(reader, addr.node)
-            .expect("the read above just crossed this path"),
-    );
+    let hops = u64::from(cluster.hops(reader, addr.node)?);
     let network = config.net.hop_latency * (2 * hops);
     let storage = match path {
         AccessPath::HD => config.host.dram_latency,

@@ -1023,7 +1023,8 @@ mod tests {
                 sim.schedule(SimTime::us(2), to, Num(n));
             }
             drive(&mut sim);
-            (sim.take_trace().records, sim.events_delivered())
+            let doc = bluedbm_trace::TraceDoc::merge(vec![sim.take_trace()]);
+            (doc.records().copied().collect::<Vec<_>>(), sim.events_delivered())
         }
         let (run, delivered) = traced(|sim| sim.run());
         assert_eq!(delivered, 12);

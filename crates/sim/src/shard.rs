@@ -484,7 +484,7 @@ impl<M: ShardMessage> ShardedSimulator<M> {
 
     /// Install (or disable) event tracing on every shard simulator.
     /// Each shard's records are stamped with its shard id; harvest the
-    /// merged set with [`take_trace`](Self::take_trace). Also arms the
+    /// records with [`take_trace`](Self::take_trace). Also arms the
     /// wall-clock worker profilers when
     /// [`TraceConfig::wall_profile`] is set (threaded modes only).
     ///
@@ -499,9 +499,11 @@ impl<M: ShardMessage> ShardedSimulator<M> {
         }
     }
 
-    /// Harvest every shard's captured records, in shard order (merge
-    /// them with `bluedbm_trace::TraceDoc::merge`). Sinks stay
-    /// installed; sequence numbering keeps running.
+    /// Harvest every shard's captured records, in shard order. A
+    /// shard's clock only moves forward, so each part is one run in
+    /// time order; gather them with `bluedbm_trace::TraceDoc::merge`,
+    /// which walks the runs in merge order only when exported. Sinks
+    /// stay installed; sequence numbering keeps running.
     pub fn take_trace(&mut self) -> Vec<TracePart> {
         self.shards.iter_mut().map(Simulator::take_trace).collect()
     }

@@ -99,7 +99,9 @@ fn summarize(input: &str, doc: &TraceDoc) {
             println!("  {:>8}: {n}", cat.label());
         }
     }
-    if let (Some(first), Some(last)) = (doc.records().first(), doc.records().last()) {
+    let mut walk = doc.records();
+    if let Some(first) = walk.next() {
+        let last = walk.last().unwrap_or(first);
         println!(
             "  span: {} ps .. {} ps ({:.3} ms simulated)",
             first.at_ps,

@@ -23,7 +23,7 @@ pub const MAGIC: &[u8; 8] = b"BDBMTRC1";
 /// One encoded record (see the module docs' layout).
 const RECORD_BYTES: usize = 46;
 
-/// Encode a merged trace.
+/// Encode a trace, its records in merge order.
 pub fn encode(doc: &TraceDoc) -> Vec<u8> {
     // The table lists names in first-use order; `slot` maps a name to
     // its table index.
@@ -222,7 +222,7 @@ mod tests {
         let doc = sample();
         let bytes = encode(&doc);
         let back = decode(&bytes).expect("decode");
-        assert_eq!(back.records(), doc.records());
+        assert!(back.records().eq(doc.records()));
         assert_eq!(back.dropped(), doc.dropped());
         assert_eq!(back.digest_full(ALL_CATEGORIES), doc.digest_full(ALL_CATEGORIES));
     }

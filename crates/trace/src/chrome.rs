@@ -18,6 +18,8 @@
 //! count, so a file cut short at sink capacity says so on its own and
 //! `simtrace --check` can fail on it.
 
+use std::collections::BTreeSet;
+
 use crate::doc::TraceDoc;
 use crate::json::{self, escape, Json};
 use crate::record::{TraceCat, TraceKind, TraceRecord};
@@ -68,7 +70,8 @@ fn ts_us(at_ps: u64) -> String {
     format!("{}.{:06}", at_ps / 1_000_000, at_ps % 1_000_000)
 }
 
-/// Render a merged trace as Chrome `trace_event` JSON.
+/// Render a trace as Chrome `trace_event` JSON, its records in merge
+/// order.
 pub fn to_chrome_json(doc: &TraceDoc) -> String {
     let mut out = String::with_capacity(128 + doc.len() * 96);
     out.push_str(&format!(
@@ -77,9 +80,7 @@ pub fn to_chrome_json(doc: &TraceDoc) -> String {
     ));
 
     // Metadata first: name every process and thread-track in use.
-    let mut tracks: Vec<(u32, u32)> = doc.records().iter().map(|r| (pid_of(r.cat), tid_of(r))).collect();
-    tracks.sort_unstable();
-    tracks.dedup();
+    let tracks: BTreeSet<(u32, u32)> = doc.unordered().map(|r| (pid_of(r.cat), tid_of(r))).collect();
     let mut pids: Vec<u32> = tracks.iter().map(|&(pid, _)| pid).collect();
     pids.dedup();
 

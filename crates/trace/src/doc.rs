@@ -1,89 +1,65 @@
-//! The merged trace of a run: every sink's records in one total order.
+//! The trace of a run: every sink's records as sorted runs, walked in
+//! one total order.
 
 use crate::record::{TraceCat, TraceRecord};
 use crate::sink::TracePart;
 
-/// A merged trace, sorted by the deterministic key `(at_ps, shard,
-/// seq)`. This order — not emission interleaving — is what exporters
-/// and digests see, which is why the merged trace of a run is
-/// reproducible no matter how many worker threads captured it.
+/// A simulation's trace, held as the sorted runs its sinks handed
+/// over. Its order is the deterministic key `(at_ps, shard, seq)` — not
+/// emission interleaving — which [`TraceDoc::records`] merges the runs
+/// into as it walks them. That order is what exporters see, which is
+/// why the trace of a simulation is reproducible no matter how many
+/// worker threads captured it; counts and digests fold over the runs in
+/// any order.
 #[derive(Debug, Default, Clone)]
 pub struct TraceDoc {
-    records: Vec<TraceRecord>,
+    /// Non-empty runs, each sorted by `(at_ps, shard, seq)`.
+    runs: Vec<Vec<TraceRecord>>,
     dropped: u64,
 }
 
-/// Whether `a` sorts after `b` in `(at_ps, shard, seq)` order. The
-/// leading pair is packed into one `u128` so one compare orders both;
-/// `seq` only decides between two harvests of one sink.
+/// The merge key: `(at_ps, shard)` packed into one `u128` so one
+/// compare orders both; `seq` only decides between records of one sink
+/// at one instant.
 #[inline]
-fn after(a: &TraceRecord, b: &TraceRecord) -> bool {
-    let key = |r: &TraceRecord| (u128::from(r.at_ps) << 32) | u128::from(r.shard);
-    let (ka, kb) = (key(a), key(b));
-    ka > kb || (ka == kb && a.seq > b.seq)
-}
-
-/// Merge sorted `src` into sorted `dst`, back to front in `dst`'s own
-/// buffer: the write cursor never falls behind `dst`'s read cursor, so
-/// nothing unread is overwritten.
-fn merge_into(dst: &mut Vec<TraceRecord>, src: &[TraceRecord]) {
-    let mut i = dst.len();
-    let mut j = src.len();
-    // Grow to the merged length; every new slot is rewritten below.
-    dst.extend_from_slice(src);
-    while j > 0 {
-        let b = src[j - 1];
-        if i > 0 && after(&dst[i - 1], &b) {
-            dst[i + j - 1] = dst[i - 1];
-            i -= 1;
-        } else {
-            dst[i + j - 1] = b;
-            j -= 1;
-        }
-    }
-}
-
-/// Put one sink's harvest in merge order (see [`TraceDoc::merge`]).
-fn sort_run(run: &mut [TraceRecord]) {
-    if !run.is_sorted_by_key(|r| r.at_ps) {
-        run.sort_by_key(|r| r.at_ps);
-    }
+fn key(r: &TraceRecord) -> (u128, u64) {
+    ((u128::from(r.at_ps) << 32) | u128::from(r.shard), r.seq)
 }
 
 impl TraceDoc {
-    /// Merge per-sink harvests into one document, in `(at_ps, shard,
-    /// seq)` order.
-    ///
-    /// A part leaves its sink in that order unless a site stamped a
-    /// record in the past (the KV driver's `finish`); only such a part
-    /// is sorted, stably by `at_ps`, which keeps equal instants in
-    /// emission (= `seq`) order. The other parts are then merged into
-    /// the largest one's buffer, so no second full-size copy of the
-    /// trace is ever resident.
+    /// Gather per-sink harvests into one document. Each part is two
+    /// runs already in `(at_ps, seq)` order (see [`crate::TraceSink`]),
+    /// and a part's records share one shard, so each run is in
+    /// `(at_ps, shard, seq)` order too: nothing is sorted or copied
+    /// here, and empty runs are dropped.
     pub fn merge(parts: Vec<TracePart>) -> TraceDoc {
         let dropped = parts.iter().map(|p| p.dropped).sum();
-        let mut runs: Vec<Vec<TraceRecord>> = parts.into_iter().map(|p| p.records).collect();
-        let Some(largest) = (0..runs.len()).max_by_key(|&i| runs[i].len()) else {
-            return TraceDoc::default();
-        };
-        let mut records = runs.swap_remove(largest);
-        sort_run(&mut records);
-        records.reserve_exact(runs.iter().map(Vec::len).sum());
-        for mut run in runs {
-            sort_run(&mut run);
-            merge_into(&mut records, &run);
-        }
-        TraceDoc { records, dropped }
+        let runs = parts
+            .into_iter()
+            .flat_map(|p| [p.in_order, p.late])
+            .filter(|run| !run.is_empty())
+            .collect();
+        TraceDoc { runs, dropped }
     }
 
     /// Build directly from sorted records (binary decode path).
     pub(crate) fn from_sorted(records: Vec<TraceRecord>, dropped: u64) -> TraceDoc {
-        TraceDoc { records, dropped }
+        let runs = if records.is_empty() { Vec::new() } else { vec![records] };
+        TraceDoc { runs, dropped }
     }
 
-    /// The records, in merge order.
-    pub fn records(&self) -> &[TraceRecord] {
-        &self.records
+    /// The records in `(at_ps, shard, seq)` order, merged from the runs
+    /// as the iterator advances.
+    pub fn records(&self) -> Records<'_> {
+        Records {
+            heads: self.runs.iter().map(Vec::as_slice).collect(),
+        }
+    }
+
+    /// Every record, run after run: for folds that do not depend on
+    /// order.
+    pub(crate) fn unordered(&self) -> impl Iterator<Item = &TraceRecord> {
+        self.runs.iter().flatten()
     }
 
     /// Total records dropped at sink capacity across the run.
@@ -93,17 +69,17 @@ impl TraceDoc {
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.runs.iter().map(Vec::len).sum()
     }
 
     /// True when no records were captured.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.runs.is_empty()
     }
 
     /// How many records fall in `cat`.
     pub fn count(&self, cat: TraceCat) -> usize {
-        self.records.iter().filter(|r| r.cat == cat).count()
+        self.unordered().filter(|r| r.cat == cat).count()
     }
 
     /// XOR fold of `TraceRecord::digest_full` over every record whose
@@ -123,17 +99,16 @@ impl TraceDoc {
     }
 
     fn fold(&self, mask: u32, f: impl Fn(&TraceRecord) -> u64) -> u64 {
-        self.records
-            .iter()
+        self.unordered()
             .filter(|r| mask & r.cat.bit() != 0)
             .fold(0, |acc, r| acc ^ f(r))
     }
 
     /// Render as CSV (one header line, one line per record).
     pub fn to_csv(&self) -> String {
-        let mut out = String::with_capacity(32 + self.records.len() * 48);
+        let mut out = String::with_capacity(32 + self.len() * 48);
         out.push_str("at_ps,shard,seq,cat,kind,name,track,a,b\n");
-        for r in &self.records {
+        for r in self.records() {
             out.push_str(&format!(
                 "{},{},{},{},{},{},{},{},{}\n",
                 r.at_ps,
@@ -148,6 +123,41 @@ impl TraceDoc {
             ));
         }
         out
+    }
+}
+
+/// A k-way merge of a [`TraceDoc`]'s runs, in `(at_ps, shard, seq)`
+/// order ([`TraceDoc::records`]). A trace has a handful of runs (two
+/// per sink at most), so each step scans the runs' heads for the least
+/// key.
+#[derive(Debug, Clone)]
+pub struct Records<'a> {
+    /// Each run's unread tail; a run leaves when it is used up, so
+    /// every tail here is non-empty.
+    heads: Vec<&'a [TraceRecord]>,
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = &'a TraceRecord;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a TraceRecord> {
+        let mut least = 0;
+        for i in 1..self.heads.len() {
+            if key(&self.heads[i][0]) < key(&self.heads[least][0]) {
+                least = i;
+            }
+        }
+        let (first, rest) = self.heads.get(least)?.split_first()?;
+        if rest.is_empty() {
+            // `remove`, not `swap_remove`: runs keep their order, so a
+            // key two runs share (two sinks given one shard id) comes
+            // from the earlier run first.
+            self.heads.remove(least);
+        } else {
+            self.heads[least] = rest;
+        }
+        Some(first)
     }
 }
 
@@ -170,7 +180,7 @@ mod tests {
     #[test]
     fn merge_orders_by_time_then_shard_then_seq() {
         let doc = TraceDoc::merge(vec![part(1, &[5, 7]), part(0, &[5, 6])]);
-        let key: Vec<(u64, u32)> = doc.records().iter().map(|r| (r.at_ps, r.shard)).collect();
+        let key: Vec<(u64, u32)> = doc.records().map(|r| (r.at_ps, r.shard)).collect();
         assert_eq!(key, vec![(5, 0), (5, 1), (6, 0), (7, 1)]);
     }
 
@@ -225,11 +235,11 @@ mod tests {
                 taken.push(sink.take());
             }
             let mut want: Vec<TraceRecord> =
-                taken.iter().flat_map(|p| p.records.iter().copied()).collect();
+                taken.iter().flat_map(|p| p.in_order.iter().chain(&p.late).copied()).collect();
             want.sort_unstable_by_key(|r| (r.at_ps, r.shard, r.seq));
             let dropped: u64 = taken.iter().map(|p| p.dropped).sum();
             let doc = TraceDoc::merge(taken);
-            assert_eq!(doc.records(), &want[..]);
+            assert_eq!(doc.records().copied().collect::<Vec<_>>(), want);
             assert_eq!(doc.dropped(), dropped);
         });
     }

@@ -9,10 +9,12 @@
 //! 1. **Determinism.** A [`TraceRecord`] carries only simulated state:
 //!    the simulated timestamp in picoseconds, the owning shard, a
 //!    per-shard sequence number, and integer payloads. Records are
-//!    keyed `(at_ps, shard, seq)`, so the merged trace of a run is
-//!    bit-identical across reruns of the same engine, and the
-//!    arbitration-independent slice of it (see
-//!    [`TraceDoc::digest_stable`]) is identical across *engines*.
+//!    keyed `(at_ps, shard, seq)`, so the trace of a run, walked in
+//!    that order ([`TraceDoc::records`]), is bit-identical across
+//!    reruns of the same engine, and the arbitration-independent slice
+//!    of it (see [`TraceDoc::digest_stable`]) is identical across
+//!    *engines*. A trace is held as each sink's sorted runs and merged
+//!    only while an exporter walks it: no merged copy is ever built.
 //!    The one deliberately wall-clock-flavored module,
 //!    [`wallclock`], never writes into the deterministic record.
 //! 2. **Zero cost when disabled.** Every [`TraceSink`] entry point

@@ -1,14 +1,27 @@
-//! The per-shard ring buffer trace records are written into.
+//! The per-shard buffer trace records are written into.
+//!
+//! A sink keeps two runs. A record stamped no earlier than the last one
+//! in the in-order run is appended to it; that is every record of an
+//! engine shard, whose clock only moves forward. A record stamped
+//! before it goes to the late run: in practice the KV driver's
+//! `finish`, stamped at the op's end, which the driver's clock has
+//! passed. [`TraceSink::take`] sorts the late run in place, so a
+//! harvest is two sorted runs, and nothing is merged until an exporter
+//! walks the trace in order ([`crate::TraceDoc::records`]).
 
 use crate::record::{TraceCat, TraceKind, TraceName, TraceRecord};
 use crate::TraceConfig;
 
-/// One sink's harvest: its records plus how many it had to drop at
-/// capacity. Merged into a [`crate::TraceDoc`].
+/// One sink's harvest: its records as two runs, each sorted by
+/// `(at_ps, seq)`, plus how many it had to drop at capacity. Merged
+/// into a [`crate::TraceDoc`].
 #[derive(Debug, Default, Clone)]
 pub struct TracePart {
-    /// Captured records, in emission order: one shard, `seq` rising.
-    pub records: Vec<TraceRecord>,
+    /// Records appended in time order, `seq` rising.
+    pub(crate) in_order: Vec<TraceRecord>,
+    /// Records stamped before the in-order run's last one, sorted by
+    /// `(at_ps, seq)` at harvest.
+    pub(crate) late: Vec<TraceRecord>,
     /// Records discarded because the buffer was full.
     pub(crate) dropped: u64,
 }
@@ -17,7 +30,8 @@ pub struct TracePart {
 ///
 /// Disabled is the default and costs one branch per entry point: the
 /// buffer is unallocated and `on` is false. When full the sink drops
-/// *new* records (counted in `dropped`) rather than evicting old ones.
+/// *new* records (counted in `dropped`) rather than evicting old ones;
+/// the capacity counts both runs.
 #[derive(Debug, Default)]
 pub struct TraceSink {
     on: bool,
@@ -25,7 +39,8 @@ pub struct TraceSink {
     capacity: usize,
     seq: u64,
     dropped: u64,
-    records: Vec<TraceRecord>,
+    in_order: Vec<TraceRecord>,
+    late: Vec<TraceRecord>,
 }
 
 impl TraceSink {
@@ -46,7 +61,8 @@ impl TraceSink {
             capacity: cfg.capacity as usize,
             seq: 0,
             dropped: 0,
-            records: Vec::new(),
+            in_order: Vec::new(),
+            late: Vec::new(),
         }
     }
 
@@ -89,14 +105,18 @@ impl TraceSink {
         a: u64,
         b: u64,
     ) {
-        if self.records.len() >= self.capacity {
+        if self.in_order.len() + self.late.len() >= self.capacity {
             self.dropped += 1;
             self.seq += 1;
             return;
         }
         let seq = self.seq;
         self.seq += 1;
-        self.records.push(TraceRecord {
+        let run = match self.in_order.last() {
+            Some(last) if at_ps < last.at_ps => &mut self.late,
+            _ => &mut self.in_order,
+        };
+        run.push(TraceRecord {
             at_ps,
             shard: self.shard,
             seq,
@@ -111,10 +131,15 @@ impl TraceSink {
 
     /// Harvest the captured records, leaving the sink enabled and its
     /// sequence counter running (a second harvest continues, not
-    /// restarts, the numbering).
+    /// restarts, the numbering). The late run is sorted here, in place:
+    /// `seq` is unique within the sink, so the unstable sort by
+    /// `(at_ps, seq)` gives the stable order.
     pub fn take(&mut self) -> TracePart {
+        let mut late = std::mem::take(&mut self.late);
+        late.sort_unstable_by_key(|r| (r.at_ps, r.seq));
         TracePart {
-            records: std::mem::take(&mut self.records),
+            in_order: std::mem::take(&mut self.in_order),
+            late,
             dropped: std::mem::replace(&mut self.dropped, 0),
         }
     }
@@ -170,8 +195,9 @@ mod tests {
     fn disabled_sink_captures_nothing() {
         let mut s = TraceSink::disabled();
         s.at(5).instant(TraceCat::KvOp, TraceName::Submit, 0, 1, 2);
-        assert!(s.records.is_empty());
-        assert_eq!(s.take().records.len(), 0);
+        assert!(s.in_order.is_empty() && s.late.is_empty());
+        let part = s.take();
+        assert!(part.in_order.is_empty() && part.late.is_empty());
     }
 
     #[test]
@@ -181,9 +207,9 @@ mod tests {
             s.at(i).instant(TraceCat::KvOp, TraceName::Submit, 0, i, 0);
         }
         let part = s.take();
-        assert_eq!(part.records.len(), 2);
-        assert_eq!(part.records[0].a, 0);
-        assert_eq!(part.records[1].a, 1);
+        assert_eq!(part.in_order.len(), 2);
+        assert_eq!(part.in_order[0].a, 0);
+        assert_eq!(part.in_order[1].a, 1);
         assert_eq!(part.dropped, 3);
     }
 
@@ -194,6 +220,54 @@ mod tests {
         let _ = s.take();
         s.at(2).instant(TraceCat::KvOp, TraceName::Gate, 0, 0, 0);
         let part = s.take();
-        assert_eq!(part.records[0].seq, 1);
+        assert_eq!(part.in_order[0].seq, 1);
+    }
+
+    /// `(at_ps, seq)` of each record of `run`.
+    fn keys(run: &[TraceRecord]) -> Vec<(u64, u64)> {
+        run.iter().map(|r| (r.at_ps, r.seq)).collect()
+    }
+
+    #[test]
+    fn a_record_stamped_in_the_past_goes_to_the_late_run() {
+        let mut s = enabled(64);
+        for t in [10, 20, 15, 20, 5, 30, 30, 25] {
+            s.at(t).instant(TraceCat::KvOp, TraceName::Finish, 0, t, 0);
+        }
+        // One numbering across both runs: 15, 5 and 25 come after the
+        // in-order run's last record, and take their place in `seq`.
+        assert_eq!(keys(&s.in_order), [(10, 0), (20, 1), (20, 3), (30, 5), (30, 6)]);
+        assert_eq!(keys(&s.late), [(15, 2), (5, 4), (25, 7)]);
+    }
+
+    #[test]
+    fn capacity_counts_both_runs() {
+        let mut s = enabled(4);
+        for t in [10, 5, 20, 15, 30, 1] {
+            s.at(t).instant(TraceCat::KvOp, TraceName::Finish, 0, t, 0);
+        }
+        let part = s.take();
+        assert_eq!(keys(&part.in_order), [(10, 0), (20, 2)]);
+        assert_eq!(keys(&part.late), [(5, 1), (15, 3)]);
+        assert_eq!(part.dropped, 2);
+    }
+
+    #[test]
+    fn take_sorts_the_late_run_and_keeps_numbering() {
+        let mut s = enabled(64);
+        for t in [50, 40, 10, 40, 60, 10] {
+            s.at(t).instant(TraceCat::KvOp, TraceName::Finish, 0, t, 0);
+        }
+        let part = s.take();
+        assert_eq!(keys(&part.in_order), [(50, 0), (60, 4)]);
+        // Equal instants keep emission order.
+        assert_eq!(keys(&part.late), [(10, 2), (10, 5), (40, 1), (40, 3)]);
+        // The second harvest starts a fresh in-order run and numbers on.
+        for t in [5, 3] {
+            s.at(t).instant(TraceCat::KvOp, TraceName::Finish, 0, t, 0);
+        }
+        let part = s.take();
+        assert_eq!(keys(&part.in_order), [(5, 6)]);
+        assert_eq!(keys(&part.late), [(3, 7)]);
     }
 }

@@ -57,7 +57,8 @@ fn binary_traces_round_trip_and_damage_is_an_error() {
         let doc = doc(s, 1..4);
         let bytes = binfmt::encode(&doc);
         let back = binfmt::decode(&bytes).expect("a valid encoding decodes");
-        assert_eq!((back.records(), back.dropped()), (doc.records(), doc.dropped()));
+        assert!(back.records().eq(doc.records()));
+        assert_eq!(back.dropped(), doc.dropped());
         for end in 0..bytes.len() {
             assert!(binfmt::decode(&bytes[..end]).is_err(), "truncated at {end} decoded");
         }
@@ -95,7 +96,7 @@ fn chrome_exports_validate_and_damage_is_an_error() {
         let report = chrome::check_chrome_json(&export);
         if doc.dropped() == 0 {
             let report = report.expect("a whole trace's export validates");
-            let kinds = |kind| doc.records().iter().filter(|r| r.kind == kind).count();
+            let kinds = |kind| doc.records().filter(|r| r.kind == kind).count();
             assert_eq!(
                 (report.spans, report.instants, report.counters),
                 (kinds(TraceKind::SpanEnd), kinds(TraceKind::Instant), kinds(TraceKind::Counter))

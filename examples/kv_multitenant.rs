@@ -14,7 +14,10 @@
 //! `BLUEDBM_TRACE=<prefix>` captures the deterministic event trace of
 //! every run, writing `<prefix>-<engine>.bin` (binary, for `simtrace`)
 //! and `<prefix>-<engine>.json` (Chrome `trace_event`, load in
-//! Perfetto). The KV-op trace digest is asserted identical across all
+//! Perfetto). Both are written straight from the sinks' sorted runs,
+//! merged as the exporter walks them; `simtrace --chrome` on the
+//! `.bin` writes the same `.json` bytes (CI's trace-smoke job `cmp`s
+//! them). The KV-op trace digest is asserted identical across all
 //! engines.
 //!
 //! ```text
