@@ -626,7 +626,8 @@ impl Cluster {
 
     /// Harvest the per-shard trace buffers accumulated so far, one
     /// [`TracePart`] per shard (empty parts when `config.sim.trace` is
-    /// off). Taking empties the buffers but keeps each sink's sequence
+    /// off), each a run of the varint bytes its sink encoded at push.
+    /// Taking empties the buffers but keeps each sink's sequence
     /// running, so back-to-back harvests see disjoint records that still
     /// merge in order; gather parts with [`bluedbm_sim::TraceDoc::merge`].
     pub(crate) fn take_trace(&mut self) -> Vec<TracePart> {

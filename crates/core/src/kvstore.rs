@@ -619,12 +619,14 @@ impl KvStore {
 
     /// Harvest every trace buffer: the cluster's per-shard engine sinks
     /// plus the KV driver's own [`DRIVER_SHARD`] sink. Each part is two
-    /// sorted runs; the driver's second run holds its `finish` records,
-    /// stamped at each op's end, which its clock has passed. Gather the
-    /// parts with [`bluedbm_sim::TraceDoc::merge`], which copies and
-    /// sorts nothing; the runs are merged only while an exporter walks
-    /// them. Taking empties the buffers but keeps every sink's sequence
-    /// running, so a later harvest's records follow this one's.
+    /// sorted runs, each held as the varint bytes its sink encoded; the
+    /// driver's second run holds its `finish` records, stamped at each
+    /// op's end, which its clock has passed, and sorted and encoded
+    /// here. Gather the parts with [`bluedbm_sim::TraceDoc::merge`],
+    /// which copies, sorts and decodes nothing; the runs are decoded and
+    /// merged only while an exporter or a digest walks them. Taking
+    /// empties the buffers but keeps every sink's sequence running, so
+    /// a later harvest's records follow this one's.
     pub fn take_trace(&mut self) -> Vec<TracePart> {
         let mut parts = self.cluster.take_trace();
         parts.push(self.trace.take());

@@ -82,8 +82,14 @@ impl RoutingTable {
         }
     }
 
+    /// The flat index of `(src, dst)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the node, if `src` or `dst` is not in the network.
     #[inline]
     fn at(&self, src: NodeId, dst: NodeId) -> usize {
+        assert!(src.index() < self.nodes, "{src} is not in this network");
         assert!(dst.index() < self.nodes, "{dst} is not in this network");
         src.index() * self.nodes + dst.index()
     }
@@ -110,6 +116,10 @@ impl RoutingTable {
     }
 
     /// Shortest-path hop count (`None` if unreachable).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` or `dst` is not in the network.
     #[inline]
     pub fn hops(&self, src: NodeId, dst: NodeId) -> Option<u32> {
         let h = self.hops[self.at(src, dst)];
@@ -121,7 +131,8 @@ impl RoutingTable {
     ///
     /// # Panics
     ///
-    /// Panics if `dst` is unreachable from `src`.
+    /// Panics if `src` or `dst` is not in the network, or if `dst` is
+    /// unreachable from `src`.
     pub fn path(&self, topo: &Topology, src: NodeId, dst: NodeId, endpoint: u16) -> Vec<NodeId> {
         let mut path = vec![src];
         let mut here = src;
@@ -193,6 +204,27 @@ mod tests {
         for p in &paths {
             assert_eq!(p.len(), 5, "all chosen paths are still shortest");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "node9 is not in this network")]
+    fn a_source_outside_the_network_is_named() {
+        let table = RoutingTable::compute(&Topology::ring(4, 1));
+        let _ = table.hops(NodeId(9), NodeId(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "node9 is not in this network")]
+    fn a_destination_outside_the_network_is_named() {
+        let table = RoutingTable::compute(&Topology::ring(4, 1));
+        let _ = table.hops(NodeId(0), NodeId(9));
+    }
+
+    #[test]
+    #[should_panic(expected = "node7 is not in this network")]
+    fn a_path_from_outside_the_network_is_named() {
+        let topo = Topology::ring(4, 1);
+        let _ = RoutingTable::compute(&topo).path(&topo, NodeId(7), NodeId(0), 0);
     }
 
     #[test]

@@ -1024,7 +1024,7 @@ mod tests {
             }
             drive(&mut sim);
             let doc = bluedbm_trace::TraceDoc::merge(vec![sim.take_trace()]);
-            (doc.records().copied().collect::<Vec<_>>(), sim.events_delivered())
+            (doc.records().collect::<Vec<_>>(), sim.events_delivered())
         }
         let (run, delivered) = traced(|sim| sim.run());
         assert_eq!(delivered, 12);

@@ -501,9 +501,10 @@ impl<M: ShardMessage> ShardedSimulator<M> {
 
     /// Harvest every shard's captured records, in shard order. A
     /// shard's clock only moves forward, so each part is one run in
-    /// time order; gather them with `bluedbm_trace::TraceDoc::merge`,
-    /// which walks the runs in merge order only when exported. Sinks
-    /// stay installed; sequence numbering keeps running.
+    /// time order, held as the varint bytes the sink encoded at push;
+    /// gather them with `bluedbm_trace::TraceDoc::merge`, which decodes
+    /// and walks the runs in merge order only when exported. Sinks stay
+    /// installed; sequence numbering keeps running.
     pub fn take_trace(&mut self) -> Vec<TracePart> {
         self.shards.iter_mut().map(Simulator::take_trace).collect()
     }

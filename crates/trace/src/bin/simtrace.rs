@@ -7,12 +7,18 @@
 //! simtrace --check <trace.json>            validate exported Chrome JSON
 //! ```
 //!
+//! The input is a format-2 binary trace (`BDBMTRC2`, see
+//! `bluedbm_trace::binfmt`); a format-1 file is refused with a message
+//! naming its version. Exports stream to their files through a buffer,
+//! and the Chrome export is validated by reading the written file back.
 //! Flags compose: one input may be exported to both formats in one run.
 //! Exit status is non-zero on any parse or validation failure, and on a
 //! trace that dropped records at capacity — a binary trace's summary and
 //! exports are still written, and a Chrome file's check still printed,
 //! but neither can stand for a whole run.
 
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 
 use bluedbm_trace::{binfmt, chrome, TraceCat, TraceDoc, ALL_CATEGORIES, STABLE_CATEGORIES};
@@ -63,22 +69,32 @@ fn run() -> Result<(), String> {
 
     let bytes = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
     let doc = binfmt::decode(&bytes).map_err(|e| format!("{input}: {e}"))?;
+    drop(bytes);
     summarize(input, &doc);
 
     if let Some(path) = chrome_out {
-        let json = chrome::to_chrome_json(&doc);
-        // Validate our own output before writing: --check must never be
-        // able to fail on a file this tool produced.
+        write_file(path, |out| chrome::write_json(&doc, out))?;
+        // Validate what was written by reading the file back: --check
+        // must never be able to fail on a file this tool produced.
+        let json = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         let check = chrome::check_chrome_json(&json)
-            .map_err(|e| format!("internal error: exported Chrome JSON invalid: {e}"))?;
-        std::fs::write(path, &json).map_err(|e| format!("{path}: {e}"))?;
+            .map_err(|e| format!("internal error: {path}: exported Chrome JSON invalid: {e}"))?;
         println!("wrote {path}: {} Chrome events", check.events);
     }
     if let Some(path) = csv_out {
-        std::fs::write(path, doc.to_csv()).map_err(|e| format!("{path}: {e}"))?;
+        write_file(path, |out| doc.write_csv(out))?;
         println!("wrote {path}: {} rows", doc.len());
     }
     dropped_is_loud(doc.dropped())
+}
+
+/// Create `path` and stream `export` into it through a buffer.
+fn write_file(path: &str, export: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>) -> Result<(), String> {
+    let file = File::create(path).map_err(|e| format!("{path}: {e}"))?;
+    let mut out = BufWriter::new(file);
+    export(&mut out)
+        .and_then(|()| out.flush())
+        .map_err(|e| format!("{path}: {e}"))
 }
 
 /// A trace that lost records at capacity fails the run.

@@ -1,66 +1,57 @@
-//! The binary on-disk trace format (`.bin`, consumed by `simtrace`).
+//! The binary on-disk trace format (`.bin`, consumed by `simtrace`):
+//! a header, then each of the trace's sorted runs as the sink encoded
+//! it, so nothing is re-encoded on write or decoded on read beyond the
+//! check every run read from a file must pass.
 //!
-//! Layout (all integers little-endian):
+//! Layout (fixed-width integers little-endian):
 //!
 //! ```text
-//! magic      8  b"BDBMTRC1"
-//! names      u32 count, then per name: u16 len + UTF-8 bytes
+//! magic      8  b"BDBMTRC2"
 //! dropped    u64
-//! records    u64 count, then per record:
-//!            at_ps u64 | shard u32 | seq u64 | cat u8 | kind u8
-//!            | name_idx u32 | track u32 | a u64 | b u64
+//! runs       u32 count, then per run:
+//!            shard u32 | records u64
+//!            | tags u16 count, then per tag: cat u8 | kind u8
+//!              | u8 len + the name's UTF-8 label
+//!            | u64 len + the run's record bytes
 //! ```
 //!
-//! Names are interned into a table of `TraceName::label`s, in first-use
-//! order; the table is tiny (one entry per distinct name in the trace).
+//! A run's record bytes are laid out in `src/run.rs`: per record, a
+//! zigzag time delta, a tag code into the run's table, `track`, `a`,
+//! `b` and, where it does not follow on, `seq`, each a LEB128 varint.
+//! Names travel as their `TraceName::label`, so reordering `TraceName`
+//! moves no byte. Version 1 (`BDBMTRC1`: one 46-byte record after
+//! another) is not read.
+
+use std::io::{self, Write};
 
 use crate::doc::TraceDoc;
-use crate::record::{TraceCat, TraceKind, TraceName, TraceRecord};
+use crate::record::{TraceCat, TraceKind, TraceName};
+use crate::run::Run;
 
-/// File magic: format version 1.
-pub const MAGIC: &[u8; 8] = b"BDBMTRC1";
+/// File magic: format version 2.
+pub const MAGIC: &[u8; 8] = b"BDBMTRC2";
 
-/// One encoded record (see the module docs' layout).
-const RECORD_BYTES: usize = 46;
+/// The magic of format version 1, named when a file carries it.
+const MAGIC_V1: &[u8; 8] = b"BDBMTRC1";
 
-/// Encode a trace, its records in merge order.
-pub fn encode(doc: &TraceDoc) -> Vec<u8> {
-    // The table lists names in first-use order; `slot` maps a name to
-    // its table index.
-    let mut names: Vec<TraceName> = Vec::new();
-    let mut slot = [u32::MAX; TraceName::ALL.len()];
-    for r in doc.records() {
-        let s = &mut slot[r.name as usize];
-        if *s == u32::MAX {
-            *s = names.len() as u32;
-            names.push(r.name);
+/// Write a trace: the header, then each run's bytes as they are held.
+pub fn write(doc: &TraceDoc, out: &mut impl Write) -> io::Result<()> {
+    out.write_all(MAGIC)?;
+    out.write_all(&doc.dropped().to_le_bytes())?;
+    out.write_all(&(doc.runs().len() as u32).to_le_bytes())?;
+    for run in doc.runs() {
+        out.write_all(&run.shard.to_le_bytes())?;
+        out.write_all(&(run.len as u64).to_le_bytes())?;
+        out.write_all(&(run.tags.len() as u16).to_le_bytes())?;
+        for &(cat, kind, name) in &run.tags {
+            let label = name.label().as_bytes();
+            out.write_all(&[cat as u8, kind as u8, label.len() as u8])?;
+            out.write_all(label)?;
         }
+        out.write_all(&(run.bytes.len() as u64).to_le_bytes())?;
+        out.write_all(&run.bytes)?;
     }
-
-    let mut out = Vec::with_capacity(64 + doc.len() * RECORD_BYTES);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&(names.len() as u32).to_le_bytes());
-    for name in &names {
-        let bytes = name.label().as_bytes();
-        out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
-        out.extend_from_slice(bytes);
-    }
-
-    out.extend_from_slice(&doc.dropped().to_le_bytes());
-    out.extend_from_slice(&(doc.len() as u64).to_le_bytes());
-    for r in doc.records() {
-        let idx = slot[r.name as usize];
-        out.extend_from_slice(&r.at_ps.to_le_bytes());
-        out.extend_from_slice(&r.shard.to_le_bytes());
-        out.extend_from_slice(&r.seq.to_le_bytes());
-        out.push(r.cat as u8);
-        out.push(r.kind as u8);
-        out.extend_from_slice(&idx.to_le_bytes());
-        out.extend_from_slice(&r.track.to_le_bytes());
-        out.extend_from_slice(&r.a.to_le_bytes());
-        out.extend_from_slice(&r.b.to_le_bytes());
-    }
-    out
+    Ok(())
 }
 
 struct Reader<'a> {
@@ -80,101 +71,92 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], String> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
     fn u8(&mut self) -> Result<u8, String> {
         Ok(self.take(1)?[0])
     }
 
     fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        self.array().map(u16::from_le_bytes)
     }
 
     fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        self.array().map(u32::from_le_bytes)
     }
 
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    /// A `u64` that counts something held in memory.
+    fn len(&mut self) -> Result<usize, String> {
+        let at = self.pos;
+        let n = self.array().map(u64::from_le_bytes)?;
+        usize::try_from(n).map_err(|_| format!("length {n} at byte {at} does not fit in memory"))
     }
 }
 
-/// Decode a trace file. A string-table entry that is not some
-/// `TraceName::label` is an error.
+/// Decode a trace file, checking every run's records. A
+/// tag whose category or kind is unknown, or whose label is not some
+/// `TraceName::label`, is an error; so is a version-1 file.
 pub fn decode(bytes: &[u8]) -> Result<TraceDoc, String> {
     let mut rd = Reader { bytes, pos: 0 };
-    if rd.take(8)? != MAGIC {
-        return Err("not a BlueDBM trace file (bad magic; expected BDBMTRC1)".to_string());
-    }
-
-    // The count is the file's claim: reserve no more than the bytes left
-    // can hold (each name costs at least its u16 length).
-    let name_count = rd.u32()? as usize;
-    let room = (bytes.len() - rd.pos) / 2;
-    let mut names: Vec<TraceName> = Vec::with_capacity(name_count.min(room));
-    for _ in 0..name_count {
-        let len = rd.u16()? as usize;
-        let raw = rd.take(len)?;
-        let name = std::str::from_utf8(raw)
-            .ok()
-            .and_then(TraceName::from_label)
-            .ok_or_else(|| {
-                format!(
-                    "unknown name {:?} in string table",
-                    String::from_utf8_lossy(raw)
-                )
-            })?;
-        names.push(name);
-    }
-
-    let dropped = rd.u64()?;
-    let count = rd.u64()? as usize;
-    // As for the names: reserve what the bytes left can hold.
-    let room = (bytes.len() - rd.pos) / RECORD_BYTES;
-    let mut records: Vec<TraceRecord> = Vec::with_capacity(count.min(room));
-    for i in 0..count {
-        let at_ps = rd.u64()?;
-        let shard = rd.u32()?;
-        let seq = rd.u64()?;
-        let cat = rd.u8()?;
-        let kind = rd.u8()?;
-        let name_idx = rd.u32()? as usize;
-        let track = rd.u32()?;
-        let a = rd.u64()?;
-        let b = rd.u64()?;
-        let cat = TraceCat::from_u8(cat).ok_or_else(|| format!("record {i}: bad category {cat}"))?;
-        let kind = TraceKind::from_u8(kind).ok_or_else(|| format!("record {i}: bad kind {kind}"))?;
-        let name = *names
-            .get(name_idx)
-            .ok_or_else(|| format!("record {i}: name index {name_idx} out of table"))?;
-        // `TraceDoc` promises merge order; a file cannot be trusted to keep it.
-        let prev = records.last().map(|p| (p.at_ps, p.shard, p.seq));
-        if prev.is_some_and(|p| (at_ps, shard, seq) < p) {
-            return Err(format!("record {i}: out of merge order"));
+    match rd.take(8)? {
+        magic if magic == MAGIC => {}
+        magic if magic == MAGIC_V1 => {
+            return Err(
+                "trace format version 1 (BDBMTRC1) is no longer read; this simtrace reads version 2 \
+                 (BDBMTRC2): capture the trace again"
+                    .to_string(),
+            )
         }
-        records.push(TraceRecord {
-            at_ps,
+        _ => return Err("not a BlueDBM trace file (bad magic; expected BDBMTRC2)".to_string()),
+    }
+    let dropped = rd.array().map(u64::from_le_bytes)?;
+    // Counts are the file's claims: nothing is reserved for them, so a
+    // claim the bytes cannot back fails on the missing bytes.
+    let run_count = rd.u32()?;
+    let mut runs = Vec::new();
+    for k in 0..run_count {
+        let shard = rd.u32()?;
+        let len = rd.len()?;
+        let mut tags = Vec::new();
+        for _ in 0..rd.u16()? {
+            let (cat, kind) = (rd.u8()?, rd.u8()?);
+            let cat = TraceCat::from_u8(cat).ok_or_else(|| format!("run {k}: bad category {cat}"))?;
+            let kind = TraceKind::from_u8(kind).ok_or_else(|| format!("run {k}: bad kind {kind}"))?;
+            let label_len = usize::from(rd.u8()?);
+            let raw = rd.take(label_len)?;
+            let name = std::str::from_utf8(raw)
+                .ok()
+                .and_then(TraceName::from_label)
+                .ok_or_else(|| format!("run {k}: unknown name {:?}", String::from_utf8_lossy(raw)))?;
+            tags.push((cat, kind, name));
+        }
+        let byte_len = rd.len()?;
+        let run = Run {
             shard,
-            seq,
-            cat,
-            kind,
-            name,
-            track,
-            a,
-            b,
-        });
+            len,
+            tags,
+            bytes: rd.take(byte_len)?.to_vec(),
+        };
+        // `TraceDoc` promises well-formed runs in merge order; a file
+        // cannot be trusted to keep either.
+        run.check().map_err(|e| format!("run {k}: {e}"))?;
+        runs.push(run);
     }
     if rd.pos != bytes.len() {
-        return Err(format!(
-            "{} trailing bytes after the last record",
-            bytes.len() - rd.pos
-        ));
+        return Err(format!("{} trailing bytes after the last run", bytes.len() - rd.pos));
     }
-    Ok(TraceDoc::from_sorted(records, dropped))
+    Ok(TraceDoc::from_runs(runs, dropped))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{fnv_bytes, FNV_OFFSET};
+    use crate::record::{fnv_bytes, TraceRecord, FNV_OFFSET};
+    use crate::run::RunWriter;
     use crate::sink::TraceSink;
     use crate::{TraceConfig, ALL_CATEGORIES, DRIVER_SHARD};
 
@@ -194,25 +176,33 @@ mod tests {
         TraceDoc::merge(vec![sink.take(), driver.take()])
     }
 
+    fn encode(doc: &TraceDoc) -> Vec<u8> {
+        let mut out = Vec::new();
+        write(doc, &mut out).unwrap();
+        out
+    }
+
+    /// Where the first run's first tag label starts: after the magic,
+    /// `dropped`, the run count, the run's shard, its record count, its
+    /// tag count and the tag's cat, kind and label length.
+    const FIRST_LABEL: usize = 8 + 8 + 4 + 4 + 8 + 2 + 3;
+
     #[test]
     fn encoding_is_pinned() {
-        // Taken on the parent of the `TraceName` change, where names were
-        // strings: the format did not move by a byte.
+        // Taken when format 2 was introduced (format 1 wrote 341 bytes).
         let bytes = encode(&sample());
-        assert_eq!(bytes.len(), 341);
-        assert_eq!(fnv_bytes(FNV_OFFSET, &bytes), 0xe507_1214_4894_dd1b);
+        assert_eq!(bytes.len(), 167);
+        assert_eq!(fnv_bytes(FNV_OFFSET, &bytes), 0xad08_ee1b_65ef_138b);
     }
 
     #[test]
     fn unknown_name_is_an_error() {
         let mut bytes = encode(&sample());
-        // The first table entry, "submit", follows the magic, the name
-        // count and its own u16 length.
-        let at = 8 + 4 + 2;
+        let at = FIRST_LABEL;
         assert_eq!(&bytes[at..at + 6], b"submit");
         bytes[at..at + 6].copy_from_slice(b"sublet");
         let err = decode(&bytes).unwrap_err();
-        assert!(err.contains("unknown name \"sublet\""), "{err}");
+        assert!(err.contains("run 0: unknown name \"sublet\""), "{err}");
         bytes[at] = 0xff;
         assert!(decode(&bytes).unwrap_err().contains("unknown name"));
     }
@@ -225,6 +215,7 @@ mod tests {
         assert!(back.records().eq(doc.records()));
         assert_eq!(back.dropped(), doc.dropped());
         assert_eq!(back.digest_full(ALL_CATEGORIES), doc.digest_full(ALL_CATEGORIES));
+        assert_eq!(encode(&back), bytes, "a decoded trace writes the bytes it was read from");
     }
 
     #[test]
@@ -234,33 +225,53 @@ mod tests {
         assert!(decode(&bytes[..4]).is_err(), "truncated magic");
         let mut bad = bytes.clone();
         bad[0] = b'X';
-        assert!(decode(&bad).is_err(), "bad magic");
+        assert!(decode(&bad).unwrap_err().contains("bad magic"));
         let mut short = bytes.clone();
         short.truncate(bytes.len() - 3);
-        assert!(decode(&short).is_err(), "truncated record");
+        assert!(decode(&short).is_err(), "truncated run");
         let mut long = bytes;
         long.push(0);
-        assert!(decode(&long).is_err(), "trailing garbage");
+        assert!(decode(&long).unwrap_err().contains("1 trailing bytes"));
     }
 
     #[test]
-    fn huge_name_count_is_an_error_not_an_allocation() {
-        // 12 bytes: magic plus a name count no file this short can back.
+    fn a_version_1_file_is_named_and_refused() {
+        let mut bytes = encode(&sample());
+        bytes[..8].copy_from_slice(MAGIC_V1);
+        let err = decode(&bytes).unwrap_err();
+        assert!(err.contains("version 1 (BDBMTRC1)"), "{err}");
+    }
+
+    #[test]
+    fn huge_run_count_is_an_error_not_an_allocation() {
+        // 20 bytes: magic, `dropped` and a run count no file this short
+        // can back.
         let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&0u64.to_le_bytes());
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         let err = decode(&bytes).unwrap_err();
-        assert!(err.contains("truncated trace file at byte 12"), "{err}");
+        assert!(err.contains("truncated trace file at byte 20"), "{err}");
     }
 
     #[test]
     fn records_out_of_merge_order_are_rejected() {
-        let doc = sample();
-        let mut bytes = encode(&doc);
-        let first_record = bytes.len() - doc.len() * RECORD_BYTES;
-        let (head, tail) = bytes[first_record..].split_at_mut(RECORD_BYTES);
-        head.swap_with_slice(&mut tail[..RECORD_BYTES]);
+        let rec = |at_ps, seq| TraceRecord {
+            at_ps,
+            shard: 0,
+            seq,
+            cat: TraceCat::Gc,
+            kind: TraceKind::Instant,
+            name: TraceName::Move,
+            track: 0,
+            a: 0,
+            b: 0,
+        };
+        let mut w = RunWriter::new(0);
+        w.push(&rec(20, 0));
+        w.push(&rec(10, 1));
+        let bytes = encode(&TraceDoc::from_runs(vec![w.finish()], 0));
         let err = decode(&bytes).unwrap_err();
-        assert!(err.contains("record 1: out of merge order"), "{err}");
+        assert_eq!(err, "run 0: record 1: out of merge order");
     }
 
     #[test]
@@ -268,12 +279,9 @@ mod tests {
         // Discriminant 2 is retired (see `TraceCat`); a file that still
         // carries it must decode to an error, not a panic or a
         // mislabeled record.
-        const CAT_OFFSET: usize = 8 + 4 + 8; // after at_ps, shard, seq
-        let doc = sample();
-        let mut bytes = encode(&doc);
-        let first_record = bytes.len() - doc.len() * RECORD_BYTES;
-        bytes[first_record + CAT_OFFSET] = 2;
+        let mut bytes = encode(&sample());
+        bytes[FIRST_LABEL - 3] = 2;
         let err = decode(&bytes).unwrap_err();
-        assert!(err.contains("record 0: bad category 2"), "{err}");
+        assert_eq!(err, "run 0: bad category 2");
     }
 }

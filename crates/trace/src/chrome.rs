@@ -19,6 +19,8 @@
 //! `simtrace --check` can fail on it.
 
 use std::collections::BTreeSet;
+use std::fmt;
+use std::io::{self, Write};
 
 use crate::doc::TraceDoc;
 use crate::json::{self, escape, Json};
@@ -65,87 +67,86 @@ fn thread_name(pid: u32, tid: u32) -> String {
     }
 }
 
-fn ts_us(at_ps: u64) -> String {
-    // Picoseconds → microseconds with full precision (1 ps = 1e-6 µs).
-    format!("{}.{:06}", at_ps / 1_000_000, at_ps % 1_000_000)
+/// A picosecond instant as fractional microseconds, at full precision
+/// (1 ps = 1e-6 µs).
+struct Us(u64);
+
+impl fmt::Display for Us {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}.{:06}", self.0 / 1_000_000, self.0 % 1_000_000)
+    }
 }
 
-/// Render a trace as Chrome `trace_event` JSON, its records in merge
-/// order.
-pub fn to_chrome_json(doc: &TraceDoc) -> String {
-    let mut out = String::with_capacity(128 + doc.len() * 96);
-    out.push_str(&format!(
+/// Write a trace as Chrome `trace_event` JSON, its records in merge
+/// order, event by event as the merge walks.
+pub fn write_json(doc: &TraceDoc, out: &mut impl Write) -> io::Result<()> {
+    write!(
+        out,
         "{{\"displayTimeUnit\":\"ms\",\"otherData\":{{\"dropped\":{}}},\"traceEvents\":[",
         doc.dropped()
-    ));
+    )?;
 
     // Metadata first: name every process and thread-track in use.
-    let tracks: BTreeSet<(u32, u32)> = doc.unordered().map(|r| (pid_of(r.cat), tid_of(r))).collect();
+    let tracks: BTreeSet<(u32, u32)> = doc.unordered().map(|r| (pid_of(r.cat), tid_of(&r))).collect();
     let mut pids: Vec<u32> = tracks.iter().map(|&(pid, _)| pid).collect();
     pids.dedup();
 
-    let mut first = true;
-    let mut push = |out: &mut String, event: String| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&event);
-    };
-
+    // The separator before each event: none before the first.
+    let mut sep = "";
     for pid in pids {
-        push(
-            &mut out,
-            format!(
-                "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"tid\":0,\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                process_name(pid)
-            ),
-        );
+        write!(
+            out,
+            "{sep}{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"tid\":0,\
+             \"args\":{{\"name\":\"{}\"}}}}",
+            process_name(pid)
+        )?;
+        sep = ",";
     }
     for (pid, tid) in &tracks {
-        push(
-            &mut out,
-            format!(
-                "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{pid},\"tid\":{tid},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                escape(&thread_name(*pid, *tid))
-            ),
-        );
+        write!(
+            out,
+            "{sep}{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{pid},\"tid\":{tid},\
+             \"args\":{{\"name\":\"{}\"}}}}",
+            escape(&thread_name(*pid, *tid))
+        )?;
+        sep = ",";
     }
 
     for r in doc.records() {
         let pid = pid_of(r.cat);
-        let tid = tid_of(r);
-        let ts = ts_us(r.at_ps);
+        let tid = tid_of(&r);
+        let ts = Us(r.at_ps);
         let name = r.name.label();
         let cat = r.cat.label();
-        let event = match r.kind {
-            TraceKind::SpanBegin => format!(
-                "{{\"ph\":\"B\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid},\"cat\":\"{cat}\",\
+        match r.kind {
+            TraceKind::SpanBegin => write!(
+                out,
+                "{sep}{{\"ph\":\"B\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid},\"cat\":\"{cat}\",\
                  \"name\":\"{name}\",\"args\":{{\"a\":{},\"b\":{}}}}}",
                 r.a, r.b
             ),
-            TraceKind::SpanEnd => format!(
-                "{{\"ph\":\"E\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid},\"cat\":\"{cat}\",\
+            TraceKind::SpanEnd => write!(
+                out,
+                "{sep}{{\"ph\":\"E\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid},\"cat\":\"{cat}\",\
                  \"name\":\"{name}\"}}"
             ),
-            TraceKind::Instant => format!(
-                "{{\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid},\
+            TraceKind::Instant => write!(
+                out,
+                "{sep}{{\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid},\
                  \"cat\":\"{cat}\",\"name\":\"{name}\",\"args\":{{\"a\":{},\"b\":{}}}}}",
                 r.a, r.b
             ),
-            TraceKind::Counter => format!(
-                "{{\"ph\":\"C\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid},\
+            TraceKind::Counter => write!(
+                out,
+                "{sep}{{\"ph\":\"C\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid},\
                  \"name\":\"{name}\",\"args\":{{\"value\":{}}}}}",
                 r.a
             ),
-        };
-        push(&mut out, event);
+        }?;
+        sep = ",";
     }
 
-    out.push_str("]}");
-    out
+    out.write_all(b"]}")
 }
 
 /// What `--check` verified about a Chrome trace file.
@@ -262,6 +263,12 @@ mod tests {
     use crate::sink::TraceSink;
     use crate::TraceConfig;
 
+    fn export(doc: &TraceDoc) -> String {
+        let mut out = Vec::new();
+        write_json(doc, &mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
     fn sample() -> TraceDoc {
         use crate::record::TraceName::*;
         let mut sink = TraceSink::new(TraceConfig::on(), 0);
@@ -277,7 +284,7 @@ mod tests {
 
     #[test]
     fn export_validates_and_counts() {
-        let json = to_chrome_json(&sample());
+        let json = export(&sample());
         let check = check_chrome_json(&json).expect("valid chrome trace");
         // 3 tracks + 3 process metadata + 5 records.
         assert_eq!(check.spans, 1);
@@ -294,7 +301,7 @@ mod tests {
             sink.at(t)
                 .instant(TraceCat::KvOp, crate::record::TraceName::Submit, 0, t, 0);
         }
-        let json = to_chrome_json(&TraceDoc::merge(vec![sink.take()]));
+        let json = export(&TraceDoc::merge(vec![sink.take()]));
         assert!(json.contains("\"otherData\":{\"dropped\":2}"), "{json}");
         assert_eq!(check_chrome_json(&json).unwrap().dropped, 2);
         let bad = r#"{"otherData":{"dropped":-1},"traceEvents":[]}"#;
@@ -303,9 +310,9 @@ mod tests {
 
     #[test]
     fn ts_is_fractional_microseconds() {
-        assert_eq!(ts_us(1_000_000), "1.000000");
-        assert_eq!(ts_us(1_234_567), "1.234567");
-        assert_eq!(ts_us(999), "0.000999");
+        assert_eq!(Us(1_000_000).to_string(), "1.000000");
+        assert_eq!(Us(1_234_567).to_string(), "1.234567");
+        assert_eq!(Us(999).to_string(), "0.000999");
     }
 
     #[test]

@@ -1,20 +1,23 @@
-//! The trace of a run: every sink's records as sorted runs, walked in
-//! one total order.
+//! The trace of a run: every sink's records as sorted runs of bytes,
+//! decoded and walked in one total order.
 
-use crate::record::{TraceCat, TraceRecord};
+use std::io::{self, Write};
+
+use crate::record::{stable_head, TraceCat, TraceRecord};
+use crate::run::{Cursor, Run};
 use crate::sink::TracePart;
 
-/// A simulation's trace, held as the sorted runs its sinks handed
-/// over. Its order is the deterministic key `(at_ps, shard, seq)` — not
-/// emission interleaving — which [`TraceDoc::records`] merges the runs
-/// into as it walks them. That order is what exporters see, which is
-/// why the trace of a simulation is reproducible no matter how many
-/// worker threads captured it; counts and digests fold over the runs in
-/// any order.
+/// A simulation's trace, held as the encoded sorted runs its sinks
+/// handed over. Its order is the deterministic key `(at_ps, shard,
+/// seq)` — not emission interleaving — which [`TraceDoc::records`]
+/// merges the runs into as it decodes them. That order is what
+/// exporters see, which is why the trace of a simulation is
+/// reproducible no matter how many worker threads captured it; counts
+/// and digests fold over the runs in any order.
 #[derive(Debug, Default, Clone)]
 pub struct TraceDoc {
     /// Non-empty runs, each sorted by `(at_ps, shard, seq)`.
-    runs: Vec<Vec<TraceRecord>>,
+    runs: Vec<Run>,
     dropped: u64,
 }
 
@@ -30,36 +33,45 @@ impl TraceDoc {
     /// Gather per-sink harvests into one document. Each part is two
     /// runs already in `(at_ps, seq)` order (see [`crate::TraceSink`]),
     /// and a part's records share one shard, so each run is in
-    /// `(at_ps, shard, seq)` order too: nothing is sorted or copied
-    /// here, and empty runs are dropped.
+    /// `(at_ps, shard, seq)` order too: nothing is sorted, copied or
+    /// decoded here, and empty runs are dropped.
     pub fn merge(parts: Vec<TracePart>) -> TraceDoc {
         let dropped = parts.iter().map(|p| p.dropped).sum();
-        let runs = parts
-            .into_iter()
-            .flat_map(|p| [p.in_order, p.late])
-            .filter(|run| !run.is_empty())
-            .collect();
+        let runs = parts.into_iter().flat_map(|p| [p.in_order, p.late]).collect();
+        TraceDoc::from_runs(runs, dropped)
+    }
+
+    /// Build from sorted runs (the binary decode path checks each
+    /// first); empty runs are dropped.
+    pub(crate) fn from_runs(mut runs: Vec<Run>, dropped: u64) -> TraceDoc {
+        runs.retain(|run| run.len > 0);
         TraceDoc { runs, dropped }
     }
 
-    /// Build directly from sorted records (binary decode path).
-    pub(crate) fn from_sorted(records: Vec<TraceRecord>, dropped: u64) -> TraceDoc {
-        let runs = if records.is_empty() { Vec::new() } else { vec![records] };
-        TraceDoc { runs, dropped }
+    /// The runs, in the order they were gathered.
+    pub(crate) fn runs(&self) -> &[Run] {
+        &self.runs
     }
 
-    /// The records in `(at_ps, shard, seq)` order, merged from the runs
-    /// as the iterator advances.
+    /// The records in `(at_ps, shard, seq)` order, decoded and merged
+    /// from the runs as the iterator advances.
     pub fn records(&self) -> Records<'_> {
         Records {
-            heads: self.runs.iter().map(Vec::as_slice).collect(),
+            heads: self
+                .runs
+                .iter()
+                .filter_map(|run| {
+                    let mut cursor = run.records();
+                    cursor.next().map(|head| (head, cursor))
+                })
+                .collect(),
         }
     }
 
     /// Every record, run after run: for folds that do not depend on
     /// order.
-    pub(crate) fn unordered(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.runs.iter().flatten()
+    pub(crate) fn unordered(&self) -> impl Iterator<Item = TraceRecord> + '_ {
+        self.runs.iter().flat_map(Run::records)
     }
 
     /// Total records dropped at sink capacity across the run.
@@ -69,7 +81,7 @@ impl TraceDoc {
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.runs.iter().map(Vec::len).sum()
+        self.runs.iter().map(|run| run.len).sum()
     }
 
     /// True when no records were captured.
@@ -77,16 +89,32 @@ impl TraceDoc {
         self.runs.is_empty()
     }
 
+    /// The runs whose tag table holds some category in `mask`: the
+    /// others hold no record a fold over `mask` needs, and are skipped
+    /// undecoded.
+    fn runs_holding(&self, mask: u32) -> impl Iterator<Item = &Run> {
+        self.runs
+            .iter()
+            .filter(move |run| run.tags.iter().any(|&(cat, _, _)| mask & cat.bit() != 0))
+    }
+
+    /// Every record whose category is in `mask`.
+    fn masked(&self, mask: u32) -> impl Iterator<Item = TraceRecord> + '_ {
+        self.runs_holding(mask)
+            .flat_map(Run::records)
+            .filter(move |r| mask & r.cat.bit() != 0)
+    }
+
     /// How many records fall in `cat`.
     pub fn count(&self, cat: TraceCat) -> usize {
-        self.unordered().filter(|r| r.cat == cat).count()
+        self.masked(cat.bit()).count()
     }
 
     /// XOR fold of `TraceRecord::digest_full` over every record whose
     /// category is in `mask`. Order-independent; pins bit-identity of
     /// the selected slice (reruns of one engine must agree exactly).
     pub fn digest_full(&self, mask: u32) -> u64 {
-        self.fold(mask, TraceRecord::digest_full)
+        self.masked(mask).fold(0, |acc, r| acc ^ r.digest_full())
     }
 
     /// XOR fold of `TraceRecord::digest_stable` over every record
@@ -95,22 +123,33 @@ impl TraceDoc {
     /// identical for Seq / Threads / Cooperative runs of
     /// the same workload.
     pub fn digest_stable(&self, mask: u32) -> u64 {
-        self.fold(mask, TraceRecord::digest_stable)
+        let mut acc = 0;
+        for run in self.runs_holding(mask) {
+            // A record's digest opens with its (cat, kind, name): hash
+            // that once per tag, and `None` for a tag outside `mask`.
+            let heads: Vec<Option<u64>> = run
+                .tags
+                .iter()
+                .map(|&(cat, kind, name)| (mask & cat.bit() != 0).then(|| stable_head(cat, kind, name)))
+                .collect();
+            let mut records = run.records();
+            while let Some((code, r)) = records.next_coded() {
+                if let Some(head) = heads[code] {
+                    acc ^= r.stable_tail(head);
+                }
+            }
+        }
+        acc
     }
 
-    fn fold(&self, mask: u32, f: impl Fn(&TraceRecord) -> u64) -> u64 {
-        self.unordered()
-            .filter(|r| mask & r.cat.bit() != 0)
-            .fold(0, |acc, r| acc ^ f(r))
-    }
-
-    /// Render as CSV (one header line, one line per record).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::with_capacity(32 + self.len() * 48);
-        out.push_str("at_ps,shard,seq,cat,kind,name,track,a,b\n");
+    /// Write as CSV (one header line, one line per record), record by
+    /// record as the merge walks.
+    pub fn write_csv(&self, out: &mut impl Write) -> io::Result<()> {
+        out.write_all(b"at_ps,shard,seq,cat,kind,name,track,a,b\n")?;
         for r in self.records() {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{}\n",
+            writeln!(
+                out,
+                "{},{},{},{},{},{},{},{},{}",
                 r.at_ps,
                 r.shard,
                 r.seq,
@@ -120,44 +159,46 @@ impl TraceDoc {
                 r.track,
                 r.a,
                 r.b,
-            ));
+            )?;
         }
-        out
+        Ok(())
     }
 }
 
 /// A k-way merge of a [`TraceDoc`]'s runs, in `(at_ps, shard, seq)`
 /// order ([`TraceDoc::records`]). A trace has a handful of runs (two
-/// per sink at most), so each step scans the runs' heads for the least
-/// key.
+/// per sink at most), so each step scans the runs' decoded heads for
+/// the least key.
 #[derive(Debug, Clone)]
 pub struct Records<'a> {
-    /// Each run's unread tail; a run leaves when it is used up, so
-    /// every tail here is non-empty.
-    heads: Vec<&'a [TraceRecord]>,
+    /// Each run's next record and the cursor past it; a run leaves when
+    /// it is used up.
+    heads: Vec<(TraceRecord, Cursor<'a>)>,
 }
 
-impl<'a> Iterator for Records<'a> {
-    type Item = &'a TraceRecord;
+impl Iterator for Records<'_> {
+    type Item = TraceRecord;
 
     #[inline]
-    fn next(&mut self) -> Option<&'a TraceRecord> {
+    fn next(&mut self) -> Option<TraceRecord> {
         let mut least = 0;
         for i in 1..self.heads.len() {
-            if key(&self.heads[i][0]) < key(&self.heads[least][0]) {
+            if key(&self.heads[i].0) < key(&self.heads[least].0) {
                 least = i;
             }
         }
-        let (first, rest) = self.heads.get(least)?.split_first()?;
-        if rest.is_empty() {
+        let (head, cursor) = self.heads.get_mut(least)?;
+        let record = *head;
+        match cursor.next() {
+            Some(next) => *head = next,
             // `remove`, not `swap_remove`: runs keep their order, so a
             // key two runs share (two sinks given one shard id) comes
             // from the earlier run first.
-            self.heads.remove(least);
-        } else {
-            self.heads[least] = rest;
+            None => {
+                self.heads.remove(least);
+            }
         }
-        Some(first)
+        Some(record)
     }
 }
 
@@ -199,7 +240,9 @@ mod tests {
     #[test]
     fn csv_shape() {
         let doc = TraceDoc::merge(vec![part(0, &[10])]);
-        let csv = doc.to_csv();
+        let mut csv = Vec::new();
+        doc.write_csv(&mut csv).unwrap();
+        let csv = String::from_utf8(csv).unwrap();
         let mut lines = csv.lines();
         assert_eq!(lines.next(), Some("at_ps,shard,seq,cat,kind,name,track,a,b"));
         assert_eq!(lines.next(), Some("10,0,0,kvop,instant,submit,0,10,0"));
@@ -235,12 +278,19 @@ mod tests {
                 taken.push(sink.take());
             }
             let mut want: Vec<TraceRecord> =
-                taken.iter().flat_map(|p| p.in_order.iter().chain(&p.late).copied()).collect();
+                taken.iter().flat_map(|p| p.in_order.records().chain(p.late.records())).collect();
             want.sort_unstable_by_key(|r| (r.at_ps, r.shard, r.seq));
             let dropped: u64 = taken.iter().map(|p| p.dropped).sum();
             let doc = TraceDoc::merge(taken);
-            assert_eq!(doc.records().copied().collect::<Vec<_>>(), want);
+            assert_eq!(doc.records().collect::<Vec<_>>(), want);
             assert_eq!(doc.dropped(), dropped);
+            // The folds decode what the walk does (and skip the runs
+            // that hold no category asked for).
+            let fold = |f: fn(&TraceRecord) -> u64| want.iter().fold(0, |acc, r| acc ^ f(r));
+            assert_eq!(doc.digest_full(crate::ALL_CATEGORIES), fold(TraceRecord::digest_full));
+            assert_eq!(doc.digest_stable(crate::STABLE_CATEGORIES), fold(TraceRecord::digest_stable));
+            assert_eq!(doc.digest_stable(TraceCat::Gc.bit()), 0);
+            assert_eq!((doc.count(TraceCat::KvOp), doc.count(TraceCat::Gc)), (want.len(), 0));
         });
     }
 }

@@ -13,8 +13,13 @@
 //!    that order ([`TraceDoc::records`]), is bit-identical across
 //!    reruns of the same engine, and the arbitration-independent slice
 //!    of it (see [`TraceDoc::digest_stable`]) is identical across
-//!    *engines*. A trace is held as each sink's sorted runs and merged
-//!    only while an exporter walks it: no merged copy is ever built.
+//!    *engines*. A trace is held as each sink's sorted runs, each a
+//!    varint byte stream encoded at push (see `run`), and decoded and
+//!    merged only while an exporter or a fold walks it: no merged copy
+//!    is ever built, and no 48-byte record is kept for an in-order
+//!    record between push and export. (A record stamped in the past
+//!    waits in its sink as a [`TraceRecord`] until
+//!    [`TraceSink::take`] sorts and encodes it.)
 //!    The one deliberately wall-clock-flavored module,
 //!    [`wallclock`], never writes into the deterministic record.
 //! 2. **Zero cost when disabled.** Every [`TraceSink`] entry point
@@ -59,6 +64,7 @@ pub mod doc;
 pub mod json;
 pub mod metrics;
 pub mod record;
+mod run;
 pub mod sink;
 pub mod wallclock;
 
@@ -78,9 +84,9 @@ pub struct TraceConfig {
     /// Master switch. When false every sink is a no-op and owns no
     /// buffer.
     pub enabled: bool,
-    /// Per-sink record capacity; once full, further records are
-    /// *dropped and counted* (never silently, never by evicting older
-    /// records).
+    /// Per-sink record capacity, in records (not bytes); once full,
+    /// further records are *dropped and counted* (never silently, never
+    /// by evicting older records).
     pub(crate) capacity: u32,
     /// Also collect per-lane wall-clock profiles ([`wallclock`]) on the
     /// threaded shard runtime. Strictly outside the deterministic
@@ -89,8 +95,9 @@ pub struct TraceConfig {
 }
 
 impl TraceConfig {
-    /// Default per-sink capacity: 2^18 records (12 MiB per shard when
-    /// saturated: 48 bytes a record).
+    /// Default per-sink capacity: 2^18 records. Saturated, a sink holds
+    /// about 1.5 MiB: an in-order record is encoded in 5–7 bytes (48
+    /// bytes only for a record stamped in the past, until harvest).
     pub(crate) const DEFAULT_CAPACITY: u32 = 1 << 18;
 
     /// Tracing disabled (the default).

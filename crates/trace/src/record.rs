@@ -1,4 +1,6 @@
-//! The trace record: a fixed-size, integer-only event.
+//! The trace record: a fixed-size, integer-only event. A sink stores
+//! records encoded as bytes (`crate::run`); this is the form they are
+//! pushed and decoded in.
 
 /// Shard id used by sinks that live outside the simulator proper (the
 /// KV driver loop). Sorts after every real shard in the merge key.
@@ -246,8 +248,9 @@ pub struct TraceRecord {
     pub(crate) b: u64,
 }
 
-// Every capture push and every merge move copies one record: keep it at
-// four u64s, two u32s and three bytes.
+// Every push builds one, a late record waits in its sink as one, and
+// every decode and merge step moves one by value: keep it at four u64s,
+// two u32s and three bytes.
 const _: () = assert!(std::mem::size_of::<TraceRecord>() <= 48);
 
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -265,6 +268,15 @@ pub(crate) fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
 #[inline]
 fn fnv_u64(h: u64, v: u64) -> u64 {
     fnv_bytes(h, &v.to_le_bytes())
+}
+
+/// The opening of a record's stable digest
+/// ([`crate::TraceDoc::digest_stable`]): FNV-1a over its `(cat, kind,
+/// name)`, which a fold over many records of one tag computes once.
+pub(crate) fn stable_head(cat: TraceCat, kind: TraceKind, name: TraceName) -> u64 {
+    let h = fnv_u64(FNV_OFFSET, u64::from(cat as u8));
+    let h = fnv_u64(h, u64::from(kind as u8));
+    fnv_bytes(h, name.label().as_bytes())
 }
 
 impl TraceRecord {
@@ -285,12 +297,19 @@ impl TraceRecord {
     /// FNV-1a over the arbitration-independent fields only (no
     /// timestamp, shard or sequence number). XOR-folding these across
     /// the [`STABLE_CATEGORIES`] slice of a trace yields a value that
-    /// must be identical across engines.
+    /// must be identical across engines. ([`crate::TraceDoc`] folds it
+    /// as [`stable_head`] once per tag and [`Self::stable_tail`] per
+    /// record.)
+    #[cfg(test)]
     pub(crate) fn digest_stable(&self) -> u64 {
-        let h = fnv_u64(FNV_OFFSET, u64::from(self.cat as u8));
-        let h = fnv_u64(h, u64::from(self.kind as u8));
-        let h = fnv_bytes(h, self.name.label().as_bytes());
-        let h = fnv_u64(h, u64::from(self.track));
+        self.stable_tail(stable_head(self.cat, self.kind, self.name))
+    }
+
+    /// The stable digest resumed from the hash of the record's `(cat,
+    /// kind, name)`, its [`stable_head`].
+    #[inline]
+    pub(crate) fn stable_tail(&self, head: u64) -> u64 {
+        let h = fnv_u64(head, u64::from(self.track));
         let h = fnv_u64(h, self.a);
         fnv_u64(h, self.b)
     }

@@ -95,26 +95,34 @@ fn fixed_trace() -> TraceDoc {
     TraceDoc::merge(vec![shard1.take(), drv.take(), small.take(), shard0.take()])
 }
 
+/// `export` run into a buffer.
+fn bytes(export: impl FnOnce(&mut Vec<u8>) -> std::io::Result<()>) -> Vec<u8> {
+    let mut out = Vec::new();
+    export(&mut out).unwrap();
+    out
+}
+
 #[test]
 fn exported_bytes_are_pinned() {
     let doc = fixed_trace();
-    let bin = binfmt::encode(&doc);
-    let csv = doc.to_csv();
-    let json = chrome::to_chrome_json(&doc);
+    let bin = bytes(|out| binfmt::write(&doc, out));
+    let csv = bytes(|out| doc.write_csv(out));
+    let json = bytes(|out| chrome::write_json(&doc, out));
     let got = (
         doc.len(),
         doc.dropped(),
         fnv(&bin),
-        fnv(csv.as_bytes()),
-        fnv(json.as_bytes()),
+        fnv(&csv),
+        fnv(&json),
         doc.digest_full(ALL_CATEGORIES),
         doc.digest_stable(STABLE_CATEGORIES),
     );
-    // Taken before the trace was kept as sorted runs.
+    // The CSV, the Chrome JSON and both digests were taken before the
+    // trace was kept as sorted runs; the binary hash with format 2.
     let want = (
         289,
         40,
-        0xd16f_06e8_529a_50fa,
+        0xf6bd_8259_c5d8_b417,
         0x3ba1_8bd9_112e_2882,
         0x6314_a481_f23c_8d17,
         0xc635_0288_19ae_4640,

@@ -1,9 +1,9 @@
 //! `simtrace`'s three inputs under random and damaged data: a binary
 //! trace (`binfmt::decode`), JSON text (`json::parse`) and a Chrome
-//! export (`chrome::check_chrome_json`). Arbitrary bytes, every
-//! truncation and single-byte mutations of a valid encoding or export
-//! must each come back `Ok` or `Err`, never as a panic; a valid trace
-//! round-trips exactly.
+//! export (`chrome::check_chrome_json`). Arbitrary bytes and byte
+//! mutations of a valid encoding or export must each come back `Ok` or
+//! `Err`, never as a panic, and every truncation must be an `Err`; a
+//! valid trace round-trips exactly.
 
 use std::ops::Range;
 
@@ -50,19 +50,36 @@ fn mutate(s: &mut Source, mut bytes: Vec<u8>, alphabet: &[u8]) -> Vec<u8> {
     bytes
 }
 
+/// `export` run into a buffer.
+fn bytes(export: impl FnOnce(&mut Vec<u8>) -> std::io::Result<()>) -> Vec<u8> {
+    let mut out = Vec::new();
+    export(&mut out).unwrap();
+    out
+}
+
 #[test]
 fn binary_traces_round_trip_and_damage_is_an_error() {
     let all_bytes: Vec<u8> = (0..=255).collect();
     check("binary_traces_round_trip_and_damage_is_an_error", 64, |s| {
         let doc = doc(s, 1..4);
-        let bytes = binfmt::encode(&doc);
-        let back = binfmt::decode(&bytes).expect("a valid encoding decodes");
+        let encoded = bytes(|out| binfmt::write(&doc, out));
+        let back = binfmt::decode(&encoded).expect("a valid encoding decodes");
         assert!(back.records().eq(doc.records()));
         assert_eq!(back.dropped(), doc.dropped());
-        for end in 0..bytes.len() {
-            assert!(binfmt::decode(&bytes[..end]).is_err(), "truncated at {end} decoded");
+        for end in 0..encoded.len() {
+            assert!(binfmt::decode(&encoded[..end]).is_err(), "truncated at {end} decoded");
         }
-        let _ = binfmt::decode(&mutate(s, bytes, &all_bytes));
+        // One to four bytes overwritten, anywhere: in the header, a
+        // run's tag table or its varint records.
+        let mut damaged = encoded;
+        for _ in 0..s.range(1usize..5) {
+            damaged = mutate(s, damaged, &all_bytes);
+        }
+        if let Ok(back) = binfmt::decode(&damaged) {
+            // Whatever decodes is a trace: it walks, folds and exports.
+            let _ = (back.records().count(), back.digest_full(bluedbm_trace::ALL_CATEGORIES));
+            let _ = bytes(|out| chrome::write_json(&back, out));
+        }
     });
 }
 
@@ -92,7 +109,7 @@ fn chrome_exports_validate_and_damage_is_an_error() {
     check("chrome_exports_validate_and_damage_is_an_error", 32, |s| {
         // One sink: checking every truncation is quadratic in the export.
         let doc = doc(s, 1..2);
-        let export = chrome::to_chrome_json(&doc);
+        let export = String::from_utf8(bytes(|out| chrome::write_json(&doc, out))).unwrap();
         let report = chrome::check_chrome_json(&export);
         if doc.dropped() == 0 {
             let report = report.expect("a whole trace's export validates");
@@ -119,7 +136,8 @@ fn a_span_cut_at_capacity_fails_the_check() {
     bluedbm_check::replay(&[0, 0, 1, 0, 0, 0, 0, 0, 2, 0], |s| {
         let doc = doc(s, 1..2);
         assert_eq!((doc.len(), doc.dropped()), (1, 1));
-        let err = chrome::check_chrome_json(&chrome::to_chrome_json(&doc)).unwrap_err();
+        let export = String::from_utf8(bytes(|out| chrome::write_json(&doc, out))).unwrap();
+        let err = chrome::check_chrome_json(&export).unwrap_err();
         assert!(err.contains("unclosed span"), "{err}");
     });
 }

@@ -13,7 +13,9 @@ fn write_trace(file: &str, capacity: u32) -> PathBuf {
             .instant(TraceCat::KvOp, TraceName::Submit, 0, t, 0);
     }
     let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(file);
-    std::fs::write(&path, binfmt::encode(&TraceDoc::merge(vec![sink.take()]))).unwrap();
+    let mut bytes = Vec::new();
+    binfmt::write(&TraceDoc::merge(vec![sink.take()]), &mut bytes).unwrap();
+    std::fs::write(&path, bytes).unwrap();
     path
 }
 
@@ -81,4 +83,15 @@ fn a_whole_trace_passes() {
         stdout.contains("OK") && stdout.contains("0 dropped"),
         "{stdout}"
     );
+}
+
+#[test]
+fn a_version_1_file_exits_1_naming_its_version() {
+    let bin = write_trace("v1.bin", 64);
+    let mut bytes = std::fs::read(&bin).unwrap();
+    bytes[..8].copy_from_slice(b"BDBMTRC1");
+    std::fs::write(&bin, bytes).unwrap();
+    let (code, stdout, stderr) = simtrace(&[bin.as_os_str()]);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(stderr.contains("version 1 (BDBMTRC1)"), "{stderr}");
 }

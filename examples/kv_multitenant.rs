@@ -14,8 +14,9 @@
 //! `BLUEDBM_TRACE=<prefix>` captures the deterministic event trace of
 //! every run, writing `<prefix>-<engine>.bin` (binary, for `simtrace`)
 //! and `<prefix>-<engine>.json` (Chrome `trace_event`, load in
-//! Perfetto). Both are written straight from the sinks' sorted runs,
-//! merged as the exporter walks them; `simtrace --chrome` on the
+//! Perfetto). Both are streamed to the file straight from the sinks'
+//! sorted runs: the `.bin` is the runs' bytes as captured, and the
+//! `.json` is written as the exporter merges them; `simtrace --chrome` on the
 //! `.bin` writes the same `.json` bytes (CI's trace-smoke job `cmp`s
 //! them). The KV-op trace digest is asserted identical across all
 //! engines.
@@ -26,6 +27,8 @@
 //! BLUEDBM_TRACE=/tmp/kvtrace cargo run --release --example kv_multitenant
 //! ```
 
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::time::Instant;
 
 use bluedbm::core::{Cluster, KvStore, SystemConfig};
@@ -126,10 +129,8 @@ fn run(spec: &KvWorkloadSpec, shards: usize, slug: &str) -> RunOut {
 
     let trace_digest = tracing.map(|prefix| {
         let doc = TraceDoc::merge(store.take_trace());
-        std::fs::write(format!("{prefix}-{slug}.bin"), binfmt::encode(&doc))
-            .expect("write binary trace");
-        std::fs::write(format!("{prefix}-{slug}.json"), chrome::to_chrome_json(&doc))
-            .expect("write chrome trace");
+        write_file(&format!("{prefix}-{slug}.bin"), |out| binfmt::write(&doc, out));
+        write_file(&format!("{prefix}-{slug}.json"), |out| chrome::write_json(&doc, out));
         println!(
             "  trace: {} records ({} dropped) -> {prefix}-{slug}.bin/.json",
             doc.len(),
@@ -143,6 +144,12 @@ fn run(spec: &KvWorkloadSpec, shards: usize, slug: &str) -> RunOut {
         wall,
         trace_digest: trace_digest.flatten(),
     }
+}
+
+/// Stream `export` into a new file at `path`.
+fn write_file(path: &str, export: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>) {
+    let mut out = BufWriter::new(File::create(path).expect("create trace file"));
+    export(&mut out).and_then(|()| out.flush()).expect("write trace file");
 }
 
 fn main() {

@@ -20,8 +20,8 @@
 //!
 //! The same test also pins what a sync round of the threaded shard
 //! engine asks of the allocator (see [`SYNC_ROUND_CALLS_PIN`]), and that
-//! decoding a trace header whose record count is a lie requests next to
-//! nothing.
+//! decoding a trace header whose record or byte count is a lie requests
+//! next to nothing.
 //!
 //! One `#[test]` only: the counters are process-wide, and a second test
 //! thread would allocate into the measurement.
@@ -249,15 +249,23 @@ fn kv_footprint_stays_within_its_pins() {
     halves.assert_quiescent();
     drop(halves);
 
-    // A trace file's record count is only its claim: magic, no names,
-    // `dropped`, then `count = u64::MAX` and no records must fail on the
-    // missing bytes, not reserve for the claim first.
-    let mut header = bluedbm::trace::binfmt::MAGIC.to_vec();
-    header.extend_from_slice(&0u32.to_le_bytes());
-    header.extend_from_slice(&0u64.to_le_bytes());
-    header.extend_from_slice(&u64::MAX.to_le_bytes());
+    // A trace file's counts are only its claims: a run that claims
+    // `u64::MAX` records over no bytes, and one that claims `u64::MAX`
+    // bytes that are not there, must each fail on the missing bytes,
+    // not reserve for the claim first.
+    let header = |records: u64, bytes: u64| {
+        let mut h = bluedbm::trace::binfmt::MAGIC.to_vec();
+        h.extend_from_slice(&0u64.to_le_bytes()); // dropped
+        h.extend_from_slice(&1u32.to_le_bytes()); // runs
+        h.extend_from_slice(&0u32.to_le_bytes()); // shard
+        h.extend_from_slice(&records.to_le_bytes());
+        h.extend_from_slice(&0u16.to_le_bytes()); // tags
+        h.extend_from_slice(&bytes.to_le_bytes());
+        h
+    };
+    let headers = [header(u64::MAX, 0), header(1, u64::MAX)];
     let before_decode = snapshot();
-    let decoded = bluedbm::trace::binfmt::decode(&header).map(|doc| doc.len());
+    let decoded = headers.each_ref().map(|h| bluedbm::trace::binfmt::decode(h).map(|doc| doc.len()));
     let decode_requested = snapshot().3 - before_decode.3;
 
     // Report only now: captured test output is itself heap-allocated.
@@ -300,12 +308,14 @@ fn kv_footprint_stays_within_its_pins() {
         "{per_round:.2} allocator calls per sync round exceeds the {SYNC_ROUND_CALLS_PIN} pin"
     );
 
-    println!("decoding a {}-byte trace header claiming u64::MAX records: {decode_requested} B requested", header.len());
-    assert!(decoded.is_err(), "a header without its records decoded: {decoded:?}");
+    let header_len = headers[0].len();
+    println!(
+        "decoding two {header_len}-byte trace headers claiming u64::MAX records or bytes: {decode_requested} B requested"
+    );
+    assert!(decoded.iter().all(Result::is_err), "a header without its records decoded: {decoded:?}");
     assert!(
         decode_requested < 1 << 20,
-        "decoding a {}-byte header requested {decode_requested} B",
-        header.len()
+        "decoding two {header_len}-byte headers requested {decode_requested} B"
     );
 
     let mesh_mb = (mesh_built.0 - before_mesh.0) as f64 / (1 << 20) as f64;
