@@ -442,7 +442,7 @@ impl Cluster {
         let routing = Arc::new(RoutingTable::compute(&topo));
         if let Some(lost) = (0..topo.node_count())
             .map(NodeId::from)
-            .find(|&n| routing.hops(NodeId(0), n).is_none())
+            .find(|&n| routing.hops(&topo, NodeId(0), n).is_none())
         {
             return Err(ClusterError::Disconnected(lost));
         }
@@ -1085,8 +1085,8 @@ impl Cluster {
         self.undrained.get_mut(node.index()).map(std::mem::take).unwrap_or_default()
     }
 
-    /// Shortest-path hop count between two nodes, read off the routers'
-    /// shared table.
+    /// Shortest-path hop count between two nodes, walked along the
+    /// routers' shared table.
     ///
     /// # Errors
     ///
@@ -1095,7 +1095,7 @@ impl Cluster {
         self.has_node(a)?;
         self.has_node(b)?;
         // Never taken: building refuses a topology that is not connected.
-        self.routing.hops(a, b).ok_or(ClusterError::Disconnected(b))
+        self.routing.hops(&self.topo, a, b).ok_or(ClusterError::Disconnected(b))
     }
 
     /// Router statistics for `node`. Borrowed straight from the

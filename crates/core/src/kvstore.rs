@@ -67,12 +67,13 @@
 //!   carry the id. A key keeps its id while it has a value or a busy
 //!   gate and gives it back (for reuse) the moment it has neither, so
 //!   churn over fresh keys grows nothing.
-//! * **Record layout.** Each id's record is 16 bytes beside its arena
-//!   span: an 8-byte extent — one `(node, card, logical page)` packed
-//!   inline for a one-page value, or an index into a side table of page
-//!   lists for multi-page values — the byte count of the last page, and
-//!   the index of the key's gate (allocated only while ops hold or await
-//!   it). A stored one-page value costs no heap allocation of its own.
+//! * **Record layout.** Each id's record is 12 bytes beside its 8-byte
+//!   arena span: an 8-byte extent — one `(node, card, logical page)`
+//!   packed inline for a one-page value, or an index into a side table
+//!   of page lists for multi-page values — and the byte count of the
+//!   last page. A key's gate is allocated only while ops hold or await
+//!   it, and found through a map that holds only those keys. A stored
+//!   one-page value costs no heap allocation of its own.
 //! * **Payload arena.** A put's value is copied once, at submit, onto
 //!   the end of one driver-owned byte arena, and the op keeps its offset
 //!   and length; injection chunks the pages straight out of the arena.
@@ -186,9 +187,10 @@ impl<T: Default> Slab<T> {
 /// Where a value's pages live, in eight bytes: a tag in the top byte
 /// over either one packed page address — node (16 bits), card (8),
 /// logical page on the card (32) — or an index into the store's table
-/// of multi-page extents.
+/// of multi-page extents. Stored as two `u32` halves (high, low), so a
+/// key record needs only 4-byte alignment.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct Extent(u64);
+struct Extent([u32; 2]);
 
 /// [`Extent`], decoded.
 enum ExtentKind {
@@ -204,23 +206,32 @@ enum ExtentKind {
 
 impl Extent {
     const TAG_SHIFT: u32 = 56;
-    const ABSENT: Extent = Extent(0);
-    const EMPTY: Extent = Extent(1 << Self::TAG_SHIFT);
+    const ABSENT: Extent = Extent::from_bits(0);
+    const EMPTY: Extent = Extent::from_bits(1 << Self::TAG_SHIFT);
+
+    const fn from_bits(bits: u64) -> Self {
+        Extent([(bits >> 32) as u32, bits as u32])
+    }
+
+    fn bits(self) -> u64 {
+        u64::from(self.0[0]) << 32 | u64::from(self.0[1])
+    }
 
     fn one(packed: u64) -> Self {
-        Extent(2 << Self::TAG_SHIFT | packed)
+        Extent::from_bits(2 << Self::TAG_SHIFT | packed)
     }
 
     fn many(at: u32) -> Self {
-        Extent(3 << Self::TAG_SHIFT | u64::from(at))
+        Extent::from_bits(3 << Self::TAG_SHIFT | u64::from(at))
     }
 
     fn decode(self) -> ExtentKind {
-        match self.0 >> Self::TAG_SHIFT {
+        let bits = self.bits();
+        match bits >> Self::TAG_SHIFT {
             0 => ExtentKind::Absent,
             1 => ExtentKind::Empty,
-            2 => ExtentKind::One(self.0 & ((1 << Self::TAG_SHIFT) - 1)),
-            _ => ExtentKind::Many(self.0 as u32),
+            2 => ExtentKind::One(bits & ((1 << Self::TAG_SHIFT) - 1)),
+            _ => ExtentKind::Many(bits as u32),
         }
     }
 
@@ -286,28 +297,13 @@ fn page_count(extents: &Slab<Vec<GlobalPageAddr>>, extent: Extent) -> usize {
     }
 }
 
-/// "No gate" in [`KeyState::gate`].
-const NO_GATE: u32 = u32::MAX;
-
-/// Per-key driver state, stored inline in the key table's entry.
-#[derive(Debug)]
+/// Per-key driver state, stored inline in the key table's entry (12
+/// bytes, 4-aligned: with the key's arena span, 20 bytes per key).
+#[derive(Debug, Default)]
 struct KeyState {
     extent: Extent,
     /// Value bytes in the extent's last page (the rest is zero padding).
     tail: u32,
-    /// The key's gate in `KvStore::gates` while any op holds or awaits
-    /// it, [`NO_GATE`] otherwise.
-    gate: u32,
-}
-
-impl Default for KeyState {
-    fn default() -> Self {
-        KeyState {
-            extent: Extent::ABSENT,
-            tail: 0,
-            gate: NO_GATE,
-        }
-    }
 }
 
 /// A blocking-get result: the value plus the simulated time the
@@ -474,6 +470,8 @@ struct InFlight {
     /// The key's id in `KvStore::keys` (live while the op holds or
     /// awaits the key's gate, i.e. for the op's whole life).
     key: u32,
+    /// The key's gate in `KvStore::gates`, live as long as the op.
+    gate: u32,
     body: OpBody,
     /// Page commands still outstanding in the simulation.
     outstanding: usize,
@@ -513,6 +511,9 @@ pub struct KvStore {
     /// Page lists of multi-page values ([`ExtentKind::Many`]).
     extents: Slab<Vec<GlobalPageAddr>>,
     gates: Slab<KeyGate>,
+    /// Key id → its gate in `gates`, only for keys whose gate some op
+    /// holds or awaits (at most one drive's ops), not per stored key.
+    gate_of: FxHashMap<u32, u32>,
     /// In-flight ops; op `id` is `ops[id - ops_base]` (`None` once
     /// finalized). Emptied at the end of every [`KvStore::drive`].
     ops: Vec<Option<InFlight>>,
@@ -560,6 +561,7 @@ impl KvStore {
             directory_pages: 0,
             extents: Slab::default(),
             gates: Slab::default(),
+            gate_of: FxHashMap::default(),
             ops: Vec::new(),
             ops_base: 0,
             live_ops: 0,
@@ -746,10 +748,13 @@ impl KvStore {
         // The one place key bytes are hashed: everything downstream
         // names the key by id.
         let key_id = self.keys.intern(key);
+        let gates = &mut self.gates;
+        let at = *self.gate_of.entry(key_id).or_insert_with(|| gates.insert(KeyGate::default()));
         debug_assert_eq!(id - self.ops_base, self.ops.len() as u64);
         self.ops.push(Some(InFlight {
             tenant,
             key: key_id,
+            gate: at,
             body,
             outstanding: 0,
             error: None,
@@ -760,11 +765,7 @@ impl KvStore {
             home: self.home_node(key),
         }));
         self.live_ops += 1;
-        let state = self.keys.get_mut(key_id);
-        if state.gate == NO_GATE {
-            state.gate = self.gates.insert(KeyGate::default());
-        }
-        let gate = &mut self.gates.items[state.gate as usize];
+        let gate = &mut self.gates.items[at as usize];
         if gate.waiting.is_empty() && gate.admits(exclusive) {
             gate.acquire(exclusive);
             self.admit(id);
@@ -1077,7 +1078,7 @@ impl KvStore {
             flags,
         );
 
-        self.release_gate(op.key, exclusive);
+        self.release_gate(op.key, op.gate, exclusive);
         self.finished.push(KvCompletion {
             op: id,
             tenant: op.tenant,
@@ -1091,11 +1092,11 @@ impl KvStore {
         });
     }
 
-    /// Release one hold on `key`'s gate and admit waiting successors in
-    /// FIFO order: a run of consecutive readers, or one writer. A key
-    /// left with neither gate nor value gives its id back.
-    fn release_gate(&mut self, key: u32, exclusive: bool) {
-        let at = self.keys.get(key).gate;
+    /// Release one hold on `key`'s gate (`at` in `gates`) and admit
+    /// waiting successors in FIFO order: a run of consecutive readers,
+    /// or one writer. A key left with neither gate nor value gives its id
+    /// back.
+    fn release_gate(&mut self, key: u32, at: u32, exclusive: bool) {
         let gate = &mut self.gates.items[at as usize];
         if exclusive {
             gate.writer = false;
@@ -1122,9 +1123,8 @@ impl KvStore {
         }
         if self.gates.items[at as usize].idle() {
             self.gates.remove(at);
-            let state = self.keys.get_mut(key);
-            state.gate = NO_GATE;
-            if !state.extent.is_present() {
+            self.gate_of.remove(&key);
+            if !self.keys.get(key).extent.is_present() {
                 self.keys.remove(key);
             }
         }
@@ -1470,6 +1470,8 @@ mod tests {
             assert!(matches!(Extent::one(packed).decode(), ExtentKind::One(p) if p == packed));
         }
         assert!(!Extent::ABSENT.is_present() && Extent::EMPTY.is_present());
+        // Two `u32` halves: a key record is 12 bytes at 4-byte alignment.
+        assert_eq!((size_of::<KeyState>(), align_of::<KeyState>()), (12, 4));
         assert!(matches!(
             Extent::many(u32::MAX).decode(),
             ExtentKind::Many(u32::MAX)
@@ -1501,6 +1503,7 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.keys.len(), 0, "every key id was given back");
         assert!(s.gates.items.len() <= 32, "{} gates", s.gates.items.len());
+        assert!(s.gate_of.is_empty(), "{} keys still map to a gate", s.gate_of.len());
         assert_eq!(s.gates.free.len(), s.gates.items.len());
         assert!(s.extents.items.len() <= 16);
         assert_eq!(s.extents.free.len(), s.extents.items.len());

@@ -46,13 +46,35 @@
 //!
 //! # Table encoding
 //!
-//! Both mapping tables are `Vec<u32>` with **0 = unmapped**: `l2p[lba]`
-//! holds the linear physical page `+ 1`, `p2l[linear]` the logical page
-//! `+ 1`. Four bytes per entry instead of an `Option<Ppa>`'s sixteen,
-//! and an all-zero table is what the allocator hands out for free — a
-//! mirror costs host RAM only for the table pages its writes touch. The
-//! `+ 1` is why [`Ftl::new`] refuses geometries past
+//! Both mapping tables hold `u32` entries with **0 = unmapped**: an
+//! `l2p` entry holds the linear physical page `+ 1`, a `p2l` entry the
+//! logical page `+ 1`. Four bytes per entry instead of an `Option<Ppa>`'s
+//! sixteen; the `+ 1` is why [`Ftl::new`] refuses geometries past
 //! [`FlashGeometry::MAX_PAGES`].
+//!
+//! Neither map exists up front. Both are cut into tables of
+//! `pages_per_block` entries (rounded up to a power of two, so an entry
+//! is found by a shift and a mask), made on demand at the end of one
+//! arena and named by a `u32` index. `p2l` has one table per physical
+//! block, made the first time the block is opened and kept across its
+//! erases (GC has zeroed every entry by then), as the card's
+//! `FlashArray` keeps its per-block slot tables; the block's books hold
+//! its index. `l2p` has one table per chunk of logical pages, made on
+//! the first write mapped into the chunk; its index vector grows only as
+//! far as the highest chunk made. A table not made yet reads as all
+//! unmapped. So an `Ftl` costs host memory for the blocks it has opened
+//! and the logical ranges it has written, not for its card's capacity:
+//! [`Ftl::new`] over a 512 Ki-page paper card requests under 64 KiB —
+//! the per-block books and the planes' free lists — where both whole
+//! maps took 3.8 MB.
+//!
+//! One arena rather than a heap allocation per table: a boxed table
+//! costs a pointer load and an allocator header each, and measured
+//! 20–30 % slower `step_write` churn than whole maps, against a few
+//! percent for the arena. A `u32` index rather than a pointer: a
+//! per-block pointer vector costs 16 bytes for every block up to the
+//! highest opened, and blocks are numbered plane by plane, so a card's
+//! first writes already reach its last plane.
 
 use std::borrow::Borrow;
 use std::collections::VecDeque;
@@ -175,11 +197,51 @@ enum BlockState {
     Bad,
 }
 
+/// "No table made yet" in [`Ftl::l2p`] and [`Block::p2l`].
+const NO_TABLE: u32 = u32::MAX;
+
+/// Both maps' tables, `1 << shift` entries each, made on demand at the
+/// end of one arena and named by their index in it.
+#[derive(Debug)]
+struct Tables {
+    shift: u32,
+    arena: Vec<u32>,
+}
+
+impl Tables {
+    /// A new all-unmapped table's index.
+    fn make(&mut self) -> u32 {
+        let end = self.arena.len();
+        self.arena.resize(end + (1 << self.shift), 0);
+        (end >> self.shift) as u32
+    }
+
+    /// Entry `i` of `table`; a table not made yet ([`NO_TABLE`]) reads as
+    /// all unmapped.
+    fn get(&self, table: u32, i: usize) -> u32 {
+        if table == NO_TABLE {
+            return 0;
+        }
+        self.arena[(table as usize) << self.shift | i]
+    }
+
+    fn entry(&mut self, table: u32, i: usize) -> &mut u32 {
+        &mut self.arena[(table as usize) << self.shift | i]
+    }
+
+    fn table(&mut self, table: u32) -> &mut [u32] {
+        &mut self.arena[(table as usize) << self.shift..][..1 << self.shift]
+    }
+}
+
 /// The FTL's books on one linear block.
 #[derive(Clone, Copy, Debug)]
 struct Block {
     erases: u64,
     valid: u32,
+    /// This block's `p2l` table in [`Ftl::tables`], made the first time
+    /// the block is opened ([`NO_TABLE`] until then).
+    p2l: u32,
     state: BlockState,
 }
 
@@ -199,11 +261,15 @@ struct Plane {
 pub struct Ftl {
     geom: FlashGeometry,
     config: FtlConfig,
-    /// Logical page -> linear physical page `+ 1` (0 = unmapped).
+    /// Logical page -> linear physical page `+ 1` (0 = unmapped): per
+    /// chunk of `1 << tables.shift` logical pages, its table in `tables`,
+    /// made on the first write mapped into the chunk; grown only as far
+    /// as the highest chunk made.
     l2p: Vec<u32>,
-    /// Linear physical page -> logical page `+ 1` (0 = unmapped; for GC
+    /// The `l2p` chunks' and the blocks' `p2l` tables (a block's entries
+    /// hold its pages' logical page `+ 1`, 0 = unmapped; for GC
     /// relocation).
-    p2l: Vec<u32>,
+    tables: Tables,
     /// Per linear block.
     blocks: Vec<Block>,
     planes: Vec<Plane>,
@@ -232,14 +298,15 @@ impl Ftl {
         }
         let array = array.borrow();
         let geom = array.geometry();
-        let total_pages = geom
-            .checked_total_pages()
-            .ok_or(FtlError::GeometryTooLarge)?;
+        if geom.checked_total_pages().is_none() {
+            return Err(FtlError::GeometryTooLarge);
+        }
         let blocks: Vec<Block> = geom
             .blocks()
             .map(|b| Block {
                 erases: array.erase_count(b),
                 valid: 0,
+                p2l: NO_TABLE,
                 state: if array.is_bad(b) {
                     BlockState::Bad
                 } else {
@@ -250,9 +317,12 @@ impl Ftl {
         let mut planes = Vec::with_capacity(geom.total_chips());
         for plane in 0..geom.total_chips() {
             let first_block = plane * geom.blocks_per_chip;
-            let free: VecDeque<u32> = (0..geom.blocks_per_chip as u32)
-                .filter(|&b| blocks[first_block + b as usize].state == BlockState::Free)
-                .collect();
+            // Sized once: a plane never holds more free blocks than it has.
+            let mut free = VecDeque::with_capacity(geom.blocks_per_chip);
+            free.extend(
+                (0..geom.blocks_per_chip as u32)
+                    .filter(|&b| blocks[first_block + b as usize].state == BlockState::Free),
+            );
             if free.len() <= GC_WATERMARK {
                 return Err(FtlError::NoSpace);
             }
@@ -278,8 +348,11 @@ impl Ftl {
         Ok(Ftl {
             geom,
             config,
-            l2p: vec![0; capacity as usize],
-            p2l: vec![0; total_pages],
+            l2p: Vec::new(),
+            tables: Tables {
+                shift: geom.pages_per_block.next_power_of_two().trailing_zeros(),
+                arena: Vec::new(),
+            },
             blocks,
             planes,
             next_plane: 0,
@@ -368,7 +441,11 @@ impl Ftl {
         if plane.active.is_none() {
             let block = plane.free.pop_front()?;
             plane.active = Some((block, 0));
-            self.blocks[first_block + block as usize].state = BlockState::Open;
+            let books = &mut self.blocks[first_block + block as usize];
+            books.state = BlockState::Open;
+            if books.p2l == NO_TABLE {
+                books.p2l = self.tables.make();
+            }
         }
         let (block, page) = plane.active.expect("just ensured");
         let ppa = Ppa::new(plane.bus, plane.chip, block, page);
@@ -401,8 +478,8 @@ impl Ftl {
         let mut gc = Vec::new();
         let target = self.alloc_for_host(pi, &mut gc)?;
         self.stats.flash_writes += 1;
-        self.invalidate(lba);
-        self.map(lba, target);
+        let old = self.map(lba, target);
+        self.unmap_physical(old);
         Ok(StepOutcome { target, gc })
     }
 
@@ -421,27 +498,72 @@ impl Ftl {
         Ok(old)
     }
 
-    fn map(&mut self, lba: u64, ppa: Ppa) {
+    /// Point `lba` at the freshly allocated `ppa` and return its previous
+    /// `l2p` entry, whose physical page the caller still has to release.
+    fn map(&mut self, lba: u64, ppa: Ppa) -> u32 {
         // Both fit: `new` bounded the geometry, `check_lba` the lba.
-        let linear = self.geom.linear_of(ppa);
-        self.l2p[lba as usize] = linear as u32 + 1;
-        self.p2l[linear] = lba as u32 + 1;
-        self.blocks[linear / self.geom.pages_per_block].valid += 1;
+        let block = self.linear_block(ppa);
+        let linear = block * self.geom.pages_per_block + ppa.page as usize;
+        let (chunk, at) = self.l2p_index(lba);
+        if chunk >= self.l2p.len() {
+            self.l2p.resize(chunk + 1, NO_TABLE);
+        }
+        if self.l2p[chunk] == NO_TABLE {
+            self.l2p[chunk] = self.tables.make();
+        }
+        let old = std::mem::replace(self.tables.entry(self.l2p[chunk], at), linear as u32 + 1);
+        let books = &mut self.blocks[block];
+        books.valid += 1;
+        *self.tables.entry(books.p2l, ppa.page as usize) = lba as u32 + 1;
+        old
     }
 
     fn invalidate(&mut self, lba: u64) {
-        let entry = std::mem::take(&mut self.l2p[lba as usize]);
-        if entry != 0 {
-            let linear = entry as usize - 1;
-            self.p2l[linear] = 0;
-            self.blocks[linear / self.geom.pages_per_block].valid -= 1;
+        let (chunk, at) = self.l2p_index(lba);
+        let table = self.l2p.get(chunk).copied().unwrap_or(NO_TABLE);
+        if table != NO_TABLE {
+            let old = std::mem::take(self.tables.entry(table, at));
+            self.unmap_physical(old);
         }
+    }
+
+    /// Release the physical page an `l2p` entry named (nothing for 0).
+    fn unmap_physical(&mut self, entry: u32) {
+        if entry != 0 {
+            let per = self.geom.pages_per_block;
+            let linear = entry as usize - 1;
+            let books = &mut self.blocks[linear / per];
+            books.valid -= 1;
+            *self.tables.entry(books.p2l, linear % per) = 0;
+        }
+    }
+
+    /// The `l2p` entry of `lba`: 0 when unmapped, also when its chunk
+    /// was never written or it lies past the table.
+    fn l2p_at(&self, lba: u64) -> u32 {
+        let (chunk, at) = self.l2p_index(lba);
+        self.tables.get(self.l2p.get(chunk).copied().unwrap_or(NO_TABLE), at)
+    }
+
+    /// `lba`'s `l2p` chunk and its entry in that chunk.
+    #[inline]
+    fn l2p_index(&self, lba: u64) -> (usize, usize) {
+        let lba = lba as usize;
+        (lba >> self.tables.shift, lba & ((1 << self.tables.shift) - 1))
+    }
+
+    /// The `p2l` entry of a linear page: 0 when unmapped, also when its
+    /// block was never opened.
+    #[cfg(test)]
+    fn p2l_at(&self, linear: usize) -> u32 {
+        let per = self.geom.pages_per_block;
+        self.tables.get(self.blocks[linear / per].p2l, linear % per)
     }
 
     /// The current physical location of a logical page (the query the
     /// BlueDBM software stack uses to feed in-store processors).
     pub fn physical_of(&self, lba: u64) -> Option<Ppa> {
-        let entry = *self.l2p.get(lba as usize)?;
+        let entry = self.l2p_at(lba);
         (entry != 0).then(|| self.geom.ppa_of(entry as usize - 1))
     }
 
@@ -528,20 +650,25 @@ impl Ftl {
         // block guarantees a destination, and staying local avoids
         // cross-plane GC ping-pong (a victim always has fewer valid pages
         // than one whole block, so reclamation is net-positive).
+        // Closed, so opened once: the victim has its table.
+        let table = self.blocks[first_block + victim as usize].p2l;
         for page in 0..pages_per_block {
             let src = Ppa::new(bus, chip, victim, page);
-            let linear = self.geom.linear_of(src);
-            let Some(lba) = self.p2l[linear].checked_sub(1).map(u64::from) else {
+            let Some(lba) = self.tables.get(table, page as usize).checked_sub(1).map(u64::from) else {
                 continue;
             };
             let dst = self.alloc_in_plane(pi).ok_or(FtlError::NoSpace)?;
             self.stats.flash_writes += 1;
             self.stats.gc_moves += 1;
-            self.invalidate(lba);
-            self.map(lba, dst);
+            let old = self.map(lba, dst);
+            debug_assert_eq!(old as usize, self.geom.linear_of(src) + 1);
             round.moves.push((src, dst));
         }
+        // Every valid page moved: the victim's books and table empty at once.
+        self.tables.table(table).fill(0);
         let books = &mut self.blocks[first_block + victim as usize];
+        debug_assert_eq!(books.valid as usize, round.moves.len());
+        books.valid = 0;
         books.erases += 1;
         books.state = BlockState::Free;
         self.stats.gc_erases += 1;
@@ -897,12 +1024,12 @@ mod tests {
         // last lba so both edges share one entry pair.
         let first = write(&mut ftl, &mut model, last);
         assert_eq!(geom.linear_of(first), 0);
-        assert_eq!(ftl.p2l[0], last as u32 + 1);
+        assert_eq!(ftl.p2l_at(0), last as u32 + 1);
         write(&mut ftl, &mut model, 0);
-        assert_ne!(ftl.l2p[0], 0);
+        assert_ne!(ftl.l2p_at(0), 0);
         // Trim reports and clears; an unmapped entry reads as absent.
         assert_eq!(ftl.step_trim(last).unwrap(), Some(first));
-        assert_eq!((ftl.physical_of(last), ftl.p2l[0]), (None, 0));
+        assert_eq!((ftl.physical_of(last), ftl.p2l_at(0)), (None, 0));
         assert_eq!(ftl.step_trim(last).unwrap(), None);
         model.at.remove(&last);
         write(&mut ftl, &mut model, last);
@@ -920,6 +1047,40 @@ mod tests {
         // Linear page 0 was erased and reprogrammed along the way.
         assert!(ftl.erase_count(first) > 0);
         assert_eq!(model.at.len() as u64, last + 1);
+    }
+
+    /// An erased victim joins the back of its plane's free queue: the
+    /// next block the plane opens is the one that waited longest, not
+    /// the one GC just erased, so erases rotate over every free block.
+    #[test]
+    fn a_plane_opens_its_oldest_free_block_after_gc() {
+        let mut ftl = make(FlashGeometry::tiny());
+        let cap = ftl.capacity_pages();
+        for lba in 0..cap {
+            ftl.step_write(lba).unwrap();
+        }
+        // Empty plane 0's block 0, so the first GC round there moves
+        // nothing and leaves two free blocks: the reserve and the victim.
+        let first = Ppa::new(0, 0, 0, 0);
+        for lba in 0..cap {
+            if ftl.physical_of(lba).is_some_and(|p| Ppa { page: 0, ..p } == first) {
+                ftl.step_trim(lba).unwrap();
+            }
+        }
+        assert_eq!(ftl.planes[0].free, [7]);
+        for lba in (0..cap).cycle() {
+            if ftl.physical_of(lba).is_none() {
+                continue;
+            }
+            let out = ftl.step_write(lba).unwrap();
+            let Some(round) = out.gc.iter().find(|r| (r.victim.bus, r.victim.chip) == (0, 0)) else {
+                continue;
+            };
+            assert_eq!((round.victim, round.moves.len()), (first, 0));
+            assert_eq!(out.target, Ppa::new(0, 0, 7, 0), "the reserve block opens first");
+            assert_eq!(ftl.planes[0].free, [0]);
+            break;
+        }
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //! [`Topology`] by BFS and endpoint-indexed selection among equal-cost
 //! next hops.
 //!
-//! Both tables are flat `n × n` arrays — one byte and one `u32` per
+//! The table is one flat `n × n` array of port masks — one byte per
 //! (source, destination) pair — so a router's per-hop lookup is a single
-//! indexed load and a 1024-node cluster's tables are two allocations
-//! (≈ 5 MB), not a million small ones.
+//! indexed load and a 1024-node cluster's table is one 1 MB allocation,
+//! not a million small ones. Hop counts are not stored: [`RoutingTable::hops`]
+//! walks the masks along the path.
 
 use std::collections::VecDeque;
 
@@ -24,7 +25,7 @@ use crate::topology::{NodeId, PortId, Topology};
 // One bit per port: a node's candidate set must fit the `u8` mask.
 const _: () = assert!(Topology::MAX_PORTS <= 8);
 
-/// Precomputed next-hop tables for every node.
+/// Precomputed next-hop table for every node.
 ///
 /// # Examples
 ///
@@ -34,7 +35,7 @@ const _: () = assert!(Topology::MAX_PORTS <= 8);
 ///
 /// let topo = Topology::ring(4, 2);
 /// let table = RoutingTable::compute(&topo);
-/// assert_eq!(table.hops(NodeId(0), NodeId(2)), Some(2)); // either way around
+/// assert_eq!(table.hops(&topo, NodeId(0), NodeId(2)), Some(2)); // either way around
 /// let path = table.path(&topo, NodeId(0), NodeId(2), 0);
 /// assert!(path[1] == NodeId(1) || path[1] == NodeId(3));
 /// ```
@@ -45,32 +46,28 @@ pub struct RoutingTable {
     /// `src` begins a shortest path to `dst` (zero when unreachable or
     /// `src == dst`).
     candidates: Vec<u8>,
-    /// `hops[src * nodes + dst]` = shortest-path length (`u32::MAX` when
-    /// unreachable).
-    hops: Vec<u32>,
 }
 
 impl RoutingTable {
-    /// Compute tables for `topo`.
+    /// Compute the table for `topo`.
     pub fn compute(topo: &Topology) -> Self {
         let n = topo.node_count();
-        let mut hops = vec![u32::MAX; n * n];
-        let mut queue = VecDeque::new();
-        for (src, row) in hops.chunks_exact_mut(n).enumerate() {
-            topo.distances_into(NodeId::from(src), row, &mut queue);
-        }
         let mut candidates = vec![0u8; n * n];
-        for (src, masks) in candidates.chunks_exact_mut(n).enumerate() {
-            let from_src = &hops[src * n..][..n];
-            for (port, via) in topo.neighbors(NodeId::from(src)) {
-                let from_via = &hops[via.index() * n..][..n];
-                let bit = 1u8 << port.0;
-                // `via` is one hop closer than `src`. Never true for
-                // `dst == src` (distance 0) nor for an unreachable `dst`
-                // (then `via` cannot reach it either).
-                for ((mask, &d_src), &d_via) in masks.iter_mut().zip(from_src).zip(from_via) {
+        // Cables are full duplex (`Topology::connect` sets both ends), so
+        // one BFS from `dst` gives every node's distance *to* it.
+        let mut to_dst = vec![0; n];
+        let mut queue = VecDeque::new();
+        for dst in 0..n {
+            topo.distances_into(NodeId::from(dst), &mut to_dst, &mut queue);
+            for (src, &d_src) in to_dst.iter().enumerate() {
+                let mask = &mut candidates[src * n + dst];
+                for (port, via) in topo.neighbors(NodeId::from(src)) {
+                    // `via` is one hop closer than `src`. Never true for
+                    // `dst == src` (distance 0) nor for an unreachable
+                    // `dst` (then `via` cannot reach it either).
+                    let d_via = to_dst[via.index()];
                     if d_via != u32::MAX && d_via + 1 == d_src {
-                        *mask |= bit;
+                        *mask |= 1u8 << port.0;
                     }
                 }
             }
@@ -78,7 +75,6 @@ impl RoutingTable {
         RoutingTable {
             nodes: n,
             candidates,
-            hops,
         }
     }
 
@@ -115,15 +111,20 @@ impl RoutingTable {
         Some(PortId(mask.trailing_zeros() as u8))
     }
 
-    /// Shortest-path hop count (`None` if unreachable).
+    /// `true` if `dst` can be reached from `src` (always for `src == dst`).
+    fn reaches(&self, src: NodeId, dst: NodeId) -> bool {
+        self.candidates[self.at(src, dst)] != 0 || src == dst
+    }
+
+    /// Shortest-path hop count (`None` if unreachable), counted by
+    /// walking one path: O(path length).
     ///
     /// # Panics
     ///
-    /// Panics if `src` or `dst` is not in the network.
-    #[inline]
-    pub fn hops(&self, src: NodeId, dst: NodeId) -> Option<u32> {
-        let h = self.hops[self.at(src, dst)];
-        (h != u32::MAX).then_some(h)
+    /// Panics if `src` or `dst` is not in `topo`, the network this table
+    /// was computed for.
+    pub fn hops(&self, topo: &Topology, src: NodeId, dst: NodeId) -> Option<u32> {
+        self.reaches(src, dst).then(|| self.walk(topo, src, dst, 0).count() as u32 - 1)
     }
 
     /// The full path an (endpoint, src, dst) flow takes, as a node list
@@ -134,17 +135,26 @@ impl RoutingTable {
     /// Panics if `src` or `dst` is not in the network, or if `dst` is
     /// unreachable from `src`.
     pub fn path(&self, topo: &Topology, src: NodeId, dst: NodeId, endpoint: u16) -> Vec<NodeId> {
-        let mut path = vec![src];
-        let mut here = src;
-        while here != dst {
-            let port = self
-                .next_port(here, dst, endpoint)
-                .expect("destination must be reachable");
-            let (next, _) = topo.peer(here, port).expect("routed port is cabled");
-            path.push(next);
-            here = next;
-        }
-        path
+        self.walk(topo, src, dst, endpoint).collect()
+    }
+
+    /// The nodes `endpoint`'s flow from `src` visits on its way to `dst`,
+    /// both ends included.
+    fn walk<'a>(
+        &'a self,
+        topo: &'a Topology,
+        src: NodeId,
+        dst: NodeId,
+        endpoint: u16,
+    ) -> impl Iterator<Item = NodeId> + 'a {
+        std::iter::successors(Some(src), move |&here| {
+            (here != dst).then(|| {
+                let port = self
+                    .next_port(here, dst, endpoint)
+                    .expect("destination must be reachable");
+                topo.peer(here, port).expect("routed port is cabled").0
+            })
+        })
     }
 }
 
@@ -165,7 +175,7 @@ mod tests {
                 let path = table.path(&topo, NodeId(src), NodeId(dst), 0);
                 assert_eq!(
                     path.len() as u32 - 1,
-                    table.hops(NodeId(src), NodeId(dst)).unwrap()
+                    table.hops(&topo, NodeId(src), NodeId(dst)).unwrap()
                 );
                 assert_eq!(*path.last().unwrap(), NodeId(dst));
             }
@@ -209,15 +219,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "node9 is not in this network")]
     fn a_source_outside_the_network_is_named() {
-        let table = RoutingTable::compute(&Topology::ring(4, 1));
-        let _ = table.hops(NodeId(9), NodeId(0));
+        let topo = Topology::ring(4, 1);
+        let _ = RoutingTable::compute(&topo).hops(&topo, NodeId(9), NodeId(0));
     }
 
     #[test]
     #[should_panic(expected = "node9 is not in this network")]
     fn a_destination_outside_the_network_is_named() {
-        let table = RoutingTable::compute(&Topology::ring(4, 1));
-        let _ = table.hops(NodeId(0), NodeId(9));
+        let topo = Topology::ring(4, 1);
+        let _ = RoutingTable::compute(&topo).hops(&topo, NodeId(0), NodeId(9));
     }
 
     #[test]
@@ -232,8 +242,9 @@ mod tests {
         let topo = Topology::from_edges(4, &[(0, 1, 1), (2, 3, 1)]);
         let table = RoutingTable::compute(&topo);
         assert!(table.next_port(NodeId(0), NodeId(2), 0).is_none());
-        assert!(table.hops(NodeId(0), NodeId(2)).is_none());
-        assert_eq!(table.hops(NodeId(0), NodeId(1)), Some(1));
+        assert!(table.hops(&topo, NodeId(0), NodeId(2)).is_none());
+        assert!(!table.reaches(NodeId(0), NodeId(2)) && table.reaches(NodeId(2), NodeId(2)));
+        assert_eq!(table.hops(&topo, NodeId(0), NodeId(1)), Some(1));
     }
 
     /// The table before it was dense, rebuilt from first principles: the
@@ -279,7 +290,7 @@ mod tests {
             for src in 0..n {
                 for dst in 0..n {
                     let (s, d) = (NodeId::from(src), NodeId::from(dst));
-                    let hops = table.hops(s, d);
+                    let hops = table.hops(topo, s, d);
                     assert_eq!(
                         hops,
                         (dist[src][dst] != u32::MAX).then_some(dist[src][dst]),
@@ -303,7 +314,8 @@ mod tests {
                         // already pinned every single step of the others.
                         if n <= 64 || endpoint == (src + dst) as u16 % 16 {
                             let path = table.path(topo, s, d, endpoint);
-                            assert_eq!(path.len() as u32 - 1, hops.unwrap(), "{name}: {path:?}");
+                            let walked = (path.len() as u32 - 1, path.last());
+                            assert_eq!(walked, (hops.unwrap(), Some(&d)), "{name}: {path:?}");
                         }
                     }
                 }

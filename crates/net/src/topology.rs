@@ -308,15 +308,16 @@ impl Topology {
     }
 
     /// [`distances_from`](Self::distances_from) into a caller-owned row
-    /// (one slot per node, all `u32::MAX` on entry) with a reusable BFS
-    /// queue, so an all-pairs table costs no allocation per source.
+    /// (one slot per node, overwritten) with a reusable BFS queue, so a
+    /// BFS from every node costs no allocation per source.
     pub(crate) fn distances_into(
         &self,
         src: NodeId,
         dist: &mut [u32],
         queue: &mut std::collections::VecDeque<NodeId>,
     ) {
-        debug_assert!(dist.len() == self.node_count() && dist.iter().all(|&d| d == u32::MAX));
+        debug_assert_eq!(dist.len(), self.node_count());
+        dist.fill(u32::MAX);
         dist[src.index()] = 0;
         queue.push_back(src);
         while let Some(u) = queue.pop_front() {

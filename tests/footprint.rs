@@ -5,16 +5,20 @@
 //! simulator makes. Requested bytes and call counts depend only on the
 //! code and the (seedless) workload below — not on the host, the
 //! allocator's bins or the clock — so the pins are exact-repeatable and
-//! can sit 3–40 % above what the current layout achieves (236.9 B live
+//! can sit 3–40 % above what the current layout achieves (243.7 B live
 //! per key, counting the completion slots `Cluster::drive` keeps across
-//! drives; 0.024 store calls per put and 1.071 per get, the test's own
-//! key building kept outside the counted regions; 233.9 B and 0.029 /
-//! 1.075 calls while the slots were allocated per drive; the hash-map layout
-//! before it: 415.4 B, and 10.03 / 8.08 calls per put / get with the
-//! test's own key `Vec` counted in). A change that brings back a
-//! per-key `Vec`, a per-op value or key copy, a per-page `Box`, an
-//! eagerly written table or ECC parity on a noise-free flash card
-//! (16 B per 128 B page: 249.6 B per key) trips them; a change that
+//! drives and the FTL map tables the load's writes make, with a 20-byte
+//! key record; 236.9 B with both FTL maps allocated when the cluster was
+//! built and a 24-byte record; 233.9 B while the slots were allocated
+//! per drive; the hash-map layout before it: 415.4 B. Store calls: 0.024
+//! per put and 1.071 per get, the test's own key building kept outside
+//! the counted regions; 0.028 per put while each FTL map table was an
+//! allocation of its own, 0.029 / 1.075 while the slots were allocated
+//! per drive, and 10.03 / 8.08 in the hash-map layout with the test's
+//! own key `Vec` counted in). A change that brings back a per-key
+//! `Vec`, a per-op value or key copy, a per-page `Box`, an eagerly
+//! written table or ECC parity on a noise-free flash card (16 B per
+//! 128 B page: ≈ 12.7 B more per key) trips them; a change that
 //! shrinks the footprint should tighten them (every assert prints what
 //! it measured).
 //!
@@ -31,6 +35,8 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 
 use bluedbm::core::node::Consume;
 use bluedbm::core::{Cluster, KvStore, NodeId, PageOp, SystemConfig};
+use bluedbm::flash::{FlashArray, FlashGeometry};
+use bluedbm::ftl::{Ftl, FtlConfig};
 use bluedbm::net::Topology;
 use bluedbm::sim::ExecMode;
 use bluedbm::workloads::kvgen::{kv_flash_geometry, KvWorkloadSpec};
@@ -96,11 +102,12 @@ fn snapshot() -> (i64, i64, u64, u64) {
 }
 
 /// Store allocator calls per steady-state put, ≈ 38 % above the 0.024
-/// measured (0.029, 119 calls over a 4 096-op batch, while
-/// `Cluster::drive` allocated its slots per drive): the payload goes
-/// into a driver-owned arena, so what is left is per round and per
-/// drive, not per op. With a copy of each value and of each completion's key
-/// it was 2.03.
+/// measured (0.028 while each FTL map table was an allocation of its
+/// own, not a slice of one arena; 0.029, 119 calls over a 4 096-op
+/// batch, while `Cluster::drive` allocated its slots per drive): the
+/// payload goes into a driver-owned arena, so what is left is per round
+/// and per drive, not per op. With a copy of each value and of each
+/// completion's key it was 2.03.
 const PUT_CALLS_PIN: f64 = 0.033;
 /// Store allocator calls per steady-state get, ≈ 12 % above the 1.071
 /// measured: one call per get is the page the read hands back as the
@@ -112,15 +119,24 @@ const KEYS: u64 = 50_000;
 const TENANTS: u16 = 8;
 const BATCH: u64 = 4_096;
 const NODES: usize = 4;
-/// 16–22 % above the 81.6 MB / 81 974 calls the current layout measures
-/// (with the agent's hashed tags and a renaming splitter stacked on each
-/// card's line: 85.3 MB, 86 070 calls; with a GC component per node
-/// beside driver-side FTLs: 85.5 MB,
-/// 90 171 calls; with a shadow `FlashArray` behind each card's FTL:
-/// 94.0 MB, 97 343 calls; with a `Vec` per routed pair: 125.0 MB,
-/// 1 154 051 calls).
-const MESH_MB_PIN: f64 = 95.0;
-const MESH_CALLS_PIN: u64 = 100_000;
+/// 17 % above the 21.3 MB / 45 110 calls the current layout measures:
+/// each card's FTL maps made as its blocks open and its logical ranges
+/// are written, one byte of port mask per node pair and no hop matrix
+/// (with both FTL maps allocated for every page of all 2 048 cards, a
+/// `u32` hop count per node pair and free lists grown by doubling:
+/// 81.6 MB, 81 974 calls; with the agent's hashed tags and a renaming
+/// splitter stacked on each card's line: 85.3 MB, 86 070 calls; with a
+/// GC component per node beside driver-side FTLs: 85.5 MB, 90 171 calls;
+/// with a shadow `FlashArray` behind each card's FTL: 94.0 MB, 97 343
+/// calls; with a `Vec` per routed pair: 125.0 MB, 1 154 051 calls).
+const MESH_MB_PIN: f64 = 25.0;
+const MESH_CALLS_PIN: u64 = 53_000;
+
+/// Bytes `Ftl::new` may request for a paper-geometry card (2 048
+/// blocks, 512 Ki pages). Its maps are made as the card is written, so
+/// what it asks for up front is the per-block books and the planes'
+/// free lists; with both maps allocated for every page it was 3.8 MB.
+const FTL_NEW_BYTES_PIN: u64 = 64 << 10;
 
 /// Allocator calls per sync round of a warmed two-shard threaded run,
 /// ≈ 10 % above the 11.11 (7 332 calls over 660 rounds) the slot
@@ -210,9 +226,9 @@ fn kv_footprint_stays_within_its_pins() {
 
     // The 1024-node mesh the `mesh_scatter` workloads build: what stays
     // live once the cluster stands, and how many allocator calls it
-    // took. The routing table is two flat arrays (1 MB of port masks,
-    // 4 MB of hop counts); as a `Vec` per (source, destination) pair it
-    // alone was over a million calls and ≈ 55 MB.
+    // took. The routing table is one flat 1 MB array of port masks; as a
+    // `Vec` per (source, destination) pair it alone was over a million
+    // calls and ≈ 55 MB.
     let before_mesh = snapshot();
     let mesh = Cluster::new(Topology::mesh2d(32, 32), &SystemConfig::scaled_down())
         .expect("mesh cluster");
@@ -264,6 +280,15 @@ fn kv_footprint_stays_within_its_pins() {
         h
     };
     let headers = [header(u64::MAX, 0), header(1, u64::MAX)];
+
+    // An FTL over a paper-geometry card (512 Ki pages): its maps are
+    // made as blocks open and logical ranges are written, so building
+    // one requests only the per-block books and the planes' free lists.
+    let paper = FlashArray::new(FlashGeometry::paper_card(), 1);
+    let before_ftl = snapshot();
+    let ftl = Ftl::new(&paper, FtlConfig::default()).expect("paper-card FTL");
+    let ftl_requested = snapshot().3 - before_ftl.3;
+    drop((ftl, paper));
     let before_decode = snapshot();
     let decoded = headers.each_ref().map(|h| bluedbm::trace::binfmt::decode(h).map(|doc| doc.len()));
     let decode_requested = snapshot().3 - before_decode.3;
@@ -316,6 +341,12 @@ fn kv_footprint_stays_within_its_pins() {
     assert!(
         decode_requested < 1 << 20,
         "decoding two {header_len}-byte headers requested {decode_requested} B"
+    );
+
+    println!("Ftl::new over a paper card: {ftl_requested} B requested");
+    assert!(
+        ftl_requested < FTL_NEW_BYTES_PIN,
+        "Ftl::new over a paper card requested {ftl_requested} B, over the {FTL_NEW_BYTES_PIN} B pin"
     );
 
     let mesh_mb = (mesh_built.0 - before_mesh.0) as f64 / (1 << 20) as f64;

@@ -92,6 +92,7 @@ fn routing_always_finds_shortest_paths() {
                 if src == dst { continue; }
                 let path = table.path(&topo, NodeId::from(src), NodeId::from(dst), endpoint);
                 assert_eq!(path.len() as u32 - 1, want);
+                assert_eq!(table.hops(&topo, NodeId::from(src), NodeId::from(dst)), Some(want));
                 assert_eq!(*path.last().unwrap(), NodeId::from(dst));
             }
         }
@@ -295,6 +296,69 @@ fn ftl_matches_hashmap_model() {
     check("ftl_matches_hashmap_model", 16, |s| {
         let ops = s.vec(1..300, |s| (s.range(0u8..3), s.range(0u64..64), s.range(0u8..255)));
         common::ftl_matches_model(FlashArray::new(FlashGeometry::tiny(), 3), ops);
+    });
+}
+
+/// The FTL's maps, made a block or a chunk at a time, answer exactly
+/// what a plain `BTreeMap` l2p model stepped from the reported outcomes
+/// says, after every step of random writes and trims that churn the
+/// tiny card past its capacity: `physical_of` for every lba (past the
+/// capacity too), `is_programmed` for every page, and GC moves that name
+/// only live lbas. Lbas and blocks never written answer `None`/`false`.
+#[test]
+fn ftl_lazy_maps_match_a_btreemap_model_under_churn() {
+    use bluedbm::flash::Ppa;
+    use bluedbm::ftl::{Ftl, FtlConfig};
+    use std::collections::{BTreeMap, BTreeSet};
+
+    let geom = FlashGeometry::tiny();
+    check("ftl_lazy_maps_match_a_btreemap_model_under_churn", 12, |s| {
+        // Lbas below 160 only, so most of the logical space is never
+        // written; 448 writes fill seven of each plane's eight blocks, so
+        // GC runs in every case.
+        let ops = s.vec(600..900, |s| (s.below(8) == 0, s.range(0u64..160)));
+        let mut ftl = Ftl::new(FlashArray::new(geom, 3), FtlConfig::default()).expect("ftl");
+        let cap = ftl.capacity_pages();
+        let mut at: BTreeMap<u64, Ppa> = BTreeMap::new();
+        let mut owner: BTreeMap<Ppa, u64> = BTreeMap::new();
+        let mut programmed: BTreeSet<Ppa> = BTreeSet::new();
+        let mut erased = 0;
+        for (trim, lba) in ops {
+            if trim {
+                let old = ftl.step_trim(lba).expect("trim");
+                assert_eq!(old, at.remove(&lba), "trim of lba {lba}");
+                if let Some(old) = old {
+                    owner.remove(&old);
+                }
+            } else {
+                let out = ftl.step_write(lba).expect("write");
+                for round in &out.gc {
+                    for &(src, dst) in &round.moves {
+                        let moved = owner.remove(&src).expect("GC moves live lbas only");
+                        assert!(programmed.insert(dst), "{dst:?} programmed twice");
+                        at.insert(moved, dst);
+                        owner.insert(dst, moved);
+                    }
+                    let victim = |p: &Ppa| Ppa { page: 0, ..*p } == round.victim;
+                    assert!(!owner.keys().any(victim), "GC erased a live page");
+                    programmed.retain(|p| !victim(p));
+                    erased += 1;
+                }
+                if let Some(old) = at.insert(lba, out.target) {
+                    owner.remove(&old);
+                }
+                owner.insert(out.target, lba);
+                assert!(programmed.insert(out.target), "{:?} programmed twice", out.target);
+            }
+            for l in 0..cap + 64 {
+                assert_eq!(ftl.physical_of(l), at.get(&l).copied(), "lba {l}");
+            }
+            for linear in 0..geom.total_pages() {
+                let ppa = geom.ppa_of(linear);
+                assert_eq!(ftl.is_programmed(ppa), programmed.contains(&ppa), "{ppa:?}");
+            }
+        }
+        assert!(erased > 0, "the schedule never churned past capacity");
     });
 }
 
