@@ -281,22 +281,7 @@ impl Topology {
     /// `true` if every node can reach every other node.
     #[cfg(test)]
     pub(crate) fn is_connected(&self) -> bool {
-        let n = self.node_count();
-        if n == 0 {
-            return true;
-        }
-        let mut seen = vec![false; n];
-        let mut stack = vec![NodeId(0)];
-        seen[0] = true;
-        while let Some(u) = stack.pop() {
-            for (_, v) in self.neighbors(u) {
-                if !seen[v.index()] {
-                    seen[v.index()] = true;
-                    stack.push(v);
-                }
-            }
-        }
-        seen.into_iter().all(|s| s)
+        self.node_count() == 0 || self.distances_from(NodeId(0)).iter().all(|&d| d != u32::MAX)
     }
 
     /// BFS hop distances from `src` to every node (`u32::MAX` if
