@@ -69,24 +69,6 @@ fn chain(n: usize, lanes: usize, closed: bool) -> Result<Topology, ClusterError>
     }
 }
 
-/// The per-pair lookahead matrix of a partition: entry `[s][r]` is
-/// `hop_latency x` the minimum hop distance between any node of shard
-/// `s` and any node of shard `r`. Sound because every cross-node message
-/// — cable transmit or credit return — pays at least one hop of latency
-/// per hop of distance, so a message from shard `s` into shard `r` takes
-/// at least that long.
-fn cross_shard_lookaheads(
-    topo: &Topology,
-    partition: &[u32],
-    shards: usize,
-    hop_latency: SimTime,
-) -> Vec<Vec<SimTime>> {
-    topo.shard_distances(partition, shards)
-        .into_iter()
-        .map(|row| row.into_iter().map(|d| hop_latency * u64::from(d)).collect())
-        .collect()
-}
-
 /// Errors surfaced by the cluster facade.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
@@ -258,7 +240,7 @@ fn checked_shard_count(partition: &[u32], nodes: usize) -> Result<usize, Partiti
         return Err(PartitionError::Length { nodes, entries: partition.len() });
     }
     // Bounded by the node count before anything is sized by it: the
-    // engine builds a simulator per shard and a shards² lookahead matrix.
+    // engine builds a simulator per shard and a slot per shard pair.
     if let Some(&shard) = partition.iter().find(|&&s| s as usize >= nodes) {
         return Err(PartitionError::ShardOutOfRange { shard, nodes });
     }
@@ -389,8 +371,8 @@ impl Cluster {
         let partition = if shards <= 1 {
             vec![0; topo.node_count()]
         } else {
-            // Latency-aware min-cut partition: fewest cut cables, so the
-            // least cross-shard mail and the largest per-pair lookaheads.
+            // Min-cut partition: fewest cut cables, so the least
+            // cross-shard mail.
             topo.min_cut_partition(shards)
         };
         Self::with_partition(topo, config, &partition)
@@ -402,7 +384,7 @@ impl Cluster {
     /// sequential kernel unsplit). Every component of a node — router, flash
     /// controllers, splitters, agent — is pinned to the
     /// node's shard, so only inter-node traffic crosses shards and the
-    /// conservative lookahead is the minimum cross-shard link latency.
+    /// conservative lookahead is the hop latency.
     ///
     /// # Errors
     ///
@@ -503,8 +485,7 @@ impl Cluster {
                 owner[c.index()] = shard;
             }
         }
-        let lookaheads = cross_shard_lookaheads(&topo, partition, shards, config.net.hop_latency);
-        let mut sim = ShardedSimulator::with_lookaheads(sim, owner, shards, lookaheads);
+        let mut sim = ShardedSimulator::from_simulator(sim, owner, shards, config.net.hop_latency);
         sim.set_exec_mode(config.sim.exec);
         sim.set_trace(config.sim.trace);
         Ok(Cluster {
@@ -588,21 +569,10 @@ impl Cluster {
         (self.sim.shard_count() > 1).then_some(&self.sim)
     }
 
-    /// The minimum conservative window — the smallest entry of the
-    /// per-pair lookahead matrix (`None` on one shard).
-    pub fn min_lookahead(&self) -> Option<SimTime> {
+    /// The conservative window — the hop latency (`None` on one
+    /// shard).
+    pub fn lookahead(&self) -> Option<SimTime> {
         self.windowed().map(ShardedSimulator::lookahead)
-    }
-
-    /// The per-pair conservative lookahead from shard `src` to shard
-    /// `dst` (`None` on one shard).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either shard index is out of range on more than one
-    /// shard.
-    pub fn lookahead_between(&self, src: usize, dst: usize) -> Option<SimTime> {
-        self.windowed().map(|sim| sim.lookahead_between(src, dst))
     }
 
     /// Cumulative conservative-sync rounds executed (`None` on one
@@ -1365,7 +1335,7 @@ mod tests {
     }
 
     #[test]
-    fn default_partition_minimizes_cut_and_widens_lookaheads() {
+    fn default_partition_minimizes_cut_and_synchronizes_on_one_hop() {
         let mut config = SystemConfig::scaled_down();
         config.sim.shards = 4;
         let topo = || Topology::mesh2d(8, 8);
@@ -1377,23 +1347,8 @@ mod tests {
         let band: Vec<u32> = (0..64).map(|i| (i / per) as u32).collect();
         let t = topo();
         assert!(t.cut_cables(cluster.partition()) < t.cut_cables(&band));
-        // Adjacent shard pairs synchronize on one hop; diagonal pairs
-        // (two hops apart) get a strictly wider window.
-        let hop = config.net.hop_latency;
-        let min = cluster.min_lookahead().unwrap();
-        assert_eq!(min, hop);
-        let mut widest = SimTime::ZERO;
-        for s in 0..4 {
-            for r in 0..4 {
-                if s == r {
-                    continue;
-                }
-                let l = cluster.lookahead_between(s, r).unwrap();
-                assert!(l >= min, "pair ({s},{r}) below the global bound");
-                widest = widest.max(l);
-            }
-        }
-        assert_eq!(widest, hop * 2, "quadrant diagonals are two hops apart");
+        // Every shard pair synchronizes on one hop.
+        assert_eq!(cluster.lookahead(), Some(config.net.hop_latency));
     }
 
     #[test]
@@ -1403,8 +1358,7 @@ mod tests {
         let config = SystemConfig::scaled_down();
         let mut cluster = Cluster::with_partition(Topology::ring(3, 4), &config, &[0; 3]).unwrap();
         assert_eq!(cluster.shard_count(), 1);
-        assert_eq!(cluster.min_lookahead(), None);
-        assert_eq!(cluster.lookahead_between(0, 0), None);
+        assert_eq!(cluster.lookahead(), None);
         let written = cluster.run_one(NodeId(1), PageOp::Write(&page(&config, 5))).unwrap();
         read(&mut cluster, NodeId(0), written.addr.unwrap(), Consume::Host).unwrap();
         assert_eq!(cluster.sync_rounds(), None);
@@ -1438,8 +1392,8 @@ mod tests {
 
     #[test]
     fn partition_with_a_shard_id_past_the_node_count_is_an_error() {
-        // Nothing may be sized by this id: 70 001 simulators and a
-        // 70 001² lookahead matrix do not fit in memory.
+        // Nothing may be sized by this id: 70 001 simulators and
+        // 70 001² slots do not fit in memory.
         assert_eq!(
             partition_error(&[0, 0, 0, 70_000]),
             PartitionError::ShardOutOfRange { shard: 70_000, nodes: 4 }

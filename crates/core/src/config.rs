@@ -168,9 +168,8 @@ pub struct GcConfig {
 pub struct SimConfig {
     /// Worker shards for parallel conservative simulation. `1` (the
     /// default) runs the sequential engine; `n > 1` partitions the
-    /// cluster's nodes across `n` scoped worker threads with the
-    /// cross-shard lookahead derived from the minimum inter-node link
-    /// latency. Sharded runs are deterministic and observably identical
+    /// cluster's nodes across `n` scoped worker threads with the hop
+    /// latency as the cross-shard lookahead. Sharded runs are deterministic and observably identical
     /// to sequential runs — see `bluedbm_sim::shard`.
     pub shards: usize,
     /// How the sharded engine's workers execute (ignored when

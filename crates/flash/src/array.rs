@@ -146,7 +146,7 @@ impl Slab {
 
 #[derive(Clone, Debug, Default)]
 struct BlockState {
-    erase_count: u64,
+    erase_count: u32,
     bad: bool,
     /// Slab slot of each programmed page ([`NO_SLOT`] otherwise);
     /// `None` until the block's first program.
@@ -373,8 +373,8 @@ impl FlashArray {
 
     /// Flip bits of `codeword` (page bytes then OOB) per the error model
     /// at `wear` erase cycles.
-    fn inject_errors(&mut self, codeword: &mut [u8], wear: u64) {
-        let ber = self.error_model.base_ber + self.error_model.ber_per_erase * wear as f64;
+    fn inject_errors(&mut self, codeword: &mut [u8], wear: u32) {
+        let ber = self.error_model.base_ber + self.error_model.ber_per_erase * f64::from(wear);
         if ber <= 0.0 {
             return;
         }
@@ -418,7 +418,7 @@ impl FlashArray {
     }
 
     /// Erase cycles endured by the block containing `ppa`.
-    pub fn erase_count(&self, ppa: Ppa) -> u64 {
+    pub fn erase_count(&self, ppa: Ppa) -> u32 {
         self.blocks[self.block_index(ppa)].erase_count
     }
 

@@ -64,9 +64,9 @@
 //! far as the highest chunk made. A table not made yet reads as all
 //! unmapped. So an `Ftl` costs host memory for the blocks it has opened
 //! and the logical ranges it has written, not for its card's capacity:
-//! [`Ftl::new`] over a 512 Ki-page paper card requests under 64 KiB —
-//! the per-block books and the planes' free lists — where both whole
-//! maps took 3.8 MB.
+//! [`Ftl::new`] over a 512 Ki-page paper card requests 43 KiB — the
+//! per-block books (16 B a block, with a 32-bit erase count) and the
+//! planes' free lists — where both whole maps took 3.8 MB.
 //!
 //! One arena rather than a heap allocation per table: a boxed table
 //! costs a pointer load and an allocator header each, and measured
@@ -237,7 +237,7 @@ impl Tables {
 /// The FTL's books on one linear block.
 #[derive(Clone, Copy, Debug)]
 struct Block {
-    erases: u64,
+    erases: u32,
     valid: u32,
     /// This block's `p2l` table in [`Ftl::tables`], made the first time
     /// the block is opened ([`NO_TABLE`] until then).
@@ -397,7 +397,7 @@ impl Ftl {
     /// # Panics
     ///
     /// Panics if `ppa` lies outside the geometry.
-    pub fn erase_count(&self, ppa: Ppa) -> u64 {
+    pub fn erase_count(&self, ppa: Ppa) -> u32 {
         self.blocks[self.linear_block(ppa)].erases
     }
 
@@ -429,7 +429,7 @@ impl Ftl {
             .map(|b| b.erases)
             .min()
             .unwrap_or(0);
-        max - min
+        u64::from(max - min)
     }
 
     /// Pop a destination page in plane `pi`, opening a new block if
@@ -609,7 +609,7 @@ impl Ftl {
         let wear_leveling = self.wear_spread() > self.config.wear_threshold;
 
         // Victim: fewest valid pages; under wear pressure, coldest block.
-        let mut best: Option<(u32, u32, u64)> = None; // (block, valid, wear)
+        let mut best: Option<(u32, u32, u32)> = None; // (block, valid, wear)
         for block in 0..self.geom.blocks_per_chip as u32 {
             let books = self.blocks[first_block + block as usize];
             if books.state != BlockState::Closed {

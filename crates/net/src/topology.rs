@@ -336,60 +336,12 @@ impl Topology {
         crossings / 2
     }
 
-    /// Minimum hop distance between every pair of shards under
-    /// `partition`: `d[s][r]` = min over nodes `a` of shard `s`, `b` of
-    /// shard `r` of the hop distance `a -> b` (0 on the diagonal,
-    /// `u32::MAX` between mutually unreachable or empty shards).
-    /// Computed with one multi-source BFS per shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partition` does not cover every node or names a shard
-    /// `>= shards`.
-    pub fn shard_distances(&self, partition: &[u32], shards: usize) -> Vec<Vec<u32>> {
-        assert_eq!(partition.len(), self.node_count(), "one shard per node");
-        assert!(
-            partition.iter().all(|&s| (s as usize) < shards),
-            "partition names a shard out of range"
-        );
-        let mut out = vec![vec![u32::MAX; shards]; shards];
-        for (s, row) in out.iter_mut().enumerate() {
-            // Multi-source BFS from every node of shard `s`.
-            let mut dist = vec![u32::MAX; self.node_count()];
-            let mut queue = std::collections::VecDeque::new();
-            for n in 0..self.node_count() {
-                if partition[n] as usize == s {
-                    dist[n] = 0;
-                    queue.push_back(NodeId::from(n));
-                }
-            }
-            while let Some(u) = queue.pop_front() {
-                for (_, v) in self.neighbors(u) {
-                    if dist[v.index()] == u32::MAX {
-                        dist[v.index()] = dist[u.index()] + 1;
-                        queue.push_back(v);
-                    }
-                }
-            }
-            for n in 0..self.node_count() {
-                if dist[n] < row[partition[n] as usize] {
-                    row[partition[n] as usize] = dist[n];
-                }
-            }
-        }
-        out
-    }
-
-    /// A latency-aware node → shard partition that minimizes the number
-    /// of cut cables. Two deterministic candidates — the index-band
-    /// split (optimal on lines, rings and row-major mesh strips) and a
-    /// balanced region growth from k-center seeds (better on irregular
-    /// graphs) — are each refined with greedy boundary moves plus
-    /// pairwise Kernighan–Lin sweeps, and the cheaper result wins.
-    /// Fewer cut cables means less cross-shard mail, and the surviving
-    /// far shard pairs keep large per-pair lookaheads
-    /// ([`Topology::shard_distances`]), so the conservative engine
-    /// synchronizes less often.
+    /// A node → shard partition with few cut cables. Of two
+    /// deterministic candidates — the index-band split (optimal on
+    /// lines, rings and row-major mesh strips) and a balanced region
+    /// growth from k-center seeds (better on irregular graphs) — the one
+    /// with fewer cut cables wins, then the better balanced. Fewer cut
+    /// cables means less cross-shard mail.
     ///
     /// Fully deterministic (ties break on the lowest node index). Every
     /// shard in `0..shards` is inhabited. For `shards >= node count`,
@@ -408,25 +360,18 @@ impl Topology {
         // Balanced index bands via the spread formula (every shard
         // inhabited even when `shards` does not divide `n`).
         let band: Vec<u32> = (0..n).map(|i| (i * shards / n) as u32).collect();
-        let mut best: Option<(usize, u64, Vec<u32>)> = None;
-        for mut candidate in [band, self.grown_partition(shards)] {
-            self.refine_partition(&mut candidate, shards);
-            let cut = self.cut_cables(&candidate);
-            let imbalance: u64 = {
-                let mut sizes = vec![0u64; shards];
-                for &s in &candidate {
-                    sizes[s as usize] += 1;
-                }
-                sizes.iter().map(|&s| s * s).sum()
-            };
-            if best
-                .as_ref()
-                .is_none_or(|(bc, bi, _)| (cut, imbalance) < (*bc, *bi))
-            {
-                best = Some((cut, imbalance, candidate));
+        // Balance breaks a tie: the sum of squared shard sizes.
+        let imbalance = |assign: &[u32]| -> u64 {
+            let mut sizes = vec![0u64; shards];
+            for &s in assign {
+                sizes[s as usize] += 1;
             }
-        }
-        best.expect("at least one candidate").2
+            sizes.iter().map(|&s| s * s).sum()
+        };
+        [band, self.grown_partition(shards)]
+            .into_iter()
+            .min_by_key(|candidate| (self.cut_cables(candidate), imbalance(candidate)))
+            .expect("two candidates")
     }
 
     /// Balanced region growth: k-center seeds (greedy farthest-first
@@ -521,144 +466,6 @@ impl Topology {
         assign
     }
 
-    /// Iterated refinement: greedy single-node boundary moves (strict
-    /// cut reduction, balance-respecting), then a Kernighan–Lin sweep
-    /// over every shard pair. Each accepted change strictly reduces the
-    /// cut, so the loop terminates; the round cap bounds the worst case.
-    fn refine_partition(&self, assign: &mut [u32], shards: usize) {
-        for _ in 0..4 {
-            let mut improved = self.greedy_moves(assign, shards);
-            for a in 0..shards as u32 {
-                for b in a + 1..shards as u32 {
-                    improved |= self.kl_pass(assign, a, b);
-                }
-            }
-            if !improved {
-                break;
-            }
-        }
-    }
-
-    /// One sweep of single-node migrations: move a node to a
-    /// neighboring shard when that strictly reduces its cut cables
-    /// without growing a larger shard or emptying its own.
-    fn greedy_moves(&self, assign: &mut [u32], shards: usize) -> bool {
-        let n = self.node_count();
-        let mut sizes = vec![0usize; shards];
-        for &s in assign.iter() {
-            sizes[s as usize] += 1;
-        }
-        let mut moved_any = false;
-        for _ in 0..8 {
-            let mut moved = false;
-            for u in 0..n {
-                let a = assign[u] as usize;
-                if sizes[a] <= 1 {
-                    continue;
-                }
-                let mut degree = vec![0usize; shards];
-                for (_, v) in self.neighbors(NodeId::from(u)) {
-                    degree[assign[v.index()] as usize] += 1;
-                }
-                let Some(b) = (0..shards)
-                    .filter(|&b| b != a && degree[b] > degree[a] && sizes[a] >= sizes[b])
-                    .max_by_key(|&b| (degree[b], std::cmp::Reverse(b)))
-                else {
-                    continue;
-                };
-                assign[u] = b as u32;
-                sizes[a] -= 1;
-                sizes[b] += 1;
-                moved = true;
-                moved_any = true;
-            }
-            if !moved {
-                break;
-            }
-        }
-        moved_any
-    }
-
-    /// `D`-value of `u` for a Kernighan–Lin pass over shards `a`/`b`:
-    /// lanes to the opposite pass shard minus lanes to its own. Edges to
-    /// shards outside the pair stay cut either way, so they don't count.
-    fn kl_d(&self, assign: &[u32], a: u32, b: u32, u: usize) -> i64 {
-        let own = assign[u];
-        let other = if own == a { b } else { a };
-        let mut d = 0i64;
-        for (_, v) in self.neighbors(NodeId::from(u)) {
-            let s = assign[v.index()];
-            if s == own {
-                d -= 1;
-            } else if s == other {
-                d += 1;
-            }
-        }
-        d
-    }
-
-    /// One Kernighan–Lin sweep between shards `a` and `b`: greedily swap
-    /// the highest-`D` unlocked node of each side (swaps keep both sizes
-    /// exact), allowing transient cut increases, then keep the best
-    /// prefix. Returns whether the cut strictly improved.
-    fn kl_pass(&self, assign: &mut [u32], a: u32, b: u32) -> bool {
-        let n = self.node_count();
-        let mut d = vec![0i64; n];
-        for u in 0..n {
-            if assign[u] == a || assign[u] == b {
-                d[u] = self.kl_d(assign, a, b, u);
-            }
-        }
-        let count_a = assign.iter().filter(|&&s| s == a).count();
-        let count_b = assign.iter().filter(|&&s| s == b).count();
-        let max_swaps = count_a.min(count_b).min(128);
-        let mut locked = vec![false; n];
-        let mut swaps: Vec<(usize, usize)> = Vec::new();
-        let (mut cum, mut best_cum, mut best_len) = (0i64, 0i64, 0usize);
-        for _ in 0..max_swaps {
-            let pick = |side: u32, assign: &[u32], locked: &[bool], d: &[i64]| {
-                let mut best: Option<usize> = None;
-                for u in 0..n {
-                    if assign[u] == side && !locked[u] && best.is_none_or(|w| d[u] > d[w]) {
-                        best = Some(u);
-                    }
-                }
-                best
-            };
-            let Some(u) = pick(a, assign, &locked, &d) else { break };
-            let Some(v) = pick(b, assign, &locked, &d) else { break };
-            let lanes_uv = self
-                .neighbors(NodeId::from(u))
-                .filter(|&(_, m)| m.index() == v)
-                .count() as i64;
-            let gain = d[u] + d[v] - 2 * lanes_uv;
-            assign[u] = b;
-            assign[v] = a;
-            locked[u] = true;
-            locked[v] = true;
-            swaps.push((u, v));
-            cum += gain;
-            if cum > best_cum {
-                best_cum = cum;
-                best_len = swaps.len();
-            }
-            for w in self
-                .neighbors(NodeId::from(u))
-                .chain(self.neighbors(NodeId::from(v)))
-                .map(|(_, m)| m.index())
-            {
-                if !locked[w] && (assign[w] == a || assign[w] == b) {
-                    d[w] = self.kl_d(assign, a, b, w);
-                }
-            }
-        }
-        // Roll back everything past the best prefix.
-        for &(u, v) in &swaps[best_len..] {
-            assign[u] = a;
-            assign[v] = b;
-        }
-        best_cum > 0
-    }
 }
 
 #[cfg(test)]
@@ -804,28 +611,6 @@ mod tests {
         // Alternating shards cut every hop.
         assert_eq!(t.cut_cables(&[0, 1, 0, 1]), 8);
         assert_eq!(t.cut_cables(&[0, 0, 0, 0]), 0);
-    }
-
-    #[test]
-    fn shard_distances_on_a_line() {
-        let t = Topology::line(6, 1);
-        // Shards [0,0 | 1,1 | 2,2]: adjacent pairs touch (distance 1),
-        // the end pair is 0 -> 2 at distance... n2 of shard 0 to n4 of
-        // shard 2 is 2 hops.
-        let d = t.shard_distances(&[0, 0, 1, 1, 2, 2], 3);
-        assert_eq!(d[0][0], 0);
-        assert_eq!(d[0][1], 1);
-        assert_eq!(d[1][2], 1);
-        assert_eq!(d[0][2], 3); // n1 -> n4
-        assert_eq!(d[2][0], 3); // symmetric
-    }
-
-    #[test]
-    fn shard_distances_disconnected_is_max() {
-        let t = Topology::from_edges(4, &[(0, 1, 1), (2, 3, 1)]);
-        let d = t.shard_distances(&[0, 0, 1, 1], 2);
-        assert_eq!(d[0][1], u32::MAX);
-        assert_eq!(d[1][0], u32::MAX);
     }
 
     #[test]

@@ -331,11 +331,10 @@ pub(crate) struct ShardEnv<M> {
     pub(crate) owner: Arc<Vec<u32>>,
     /// Outgoing mailbox per destination shard (the self slot stays empty).
     pub(crate) outboxes: Vec<Vec<Outbound<M>>>,
-    /// This shard's row of the per-pair lookahead matrix: the model's
-    /// promise that a message to shard `r` takes at least
-    /// `lookahead_to[r]` to arrive. The conservative execution bounds
+    /// The model's promise that a message to another shard takes at
+    /// least this long to arrive. The conservative execution bounds
     /// rest on it, so it is asserted at the send site.
-    pub(crate) lookahead_to: Arc<[SimTime]>,
+    pub(crate) lookahead: SimTime,
     /// The next [`Outbound::seq`]: this shard's cross-shard send order.
     pub(crate) sent: u64,
 }
@@ -402,9 +401,9 @@ impl<M: Message> Ctx<'_, M> {
     ///
     /// Under the sharded runtime a send to a component owned by another
     /// shard is diverted into that shard's mailbox instead of the local
-    /// queues; it must be delayed by at least the per-pair lookahead for
-    /// that destination shard (the conservative contract every execution
-    /// bound rests on), which is asserted here.
+    /// queues; it must be delayed by at least the lookahead (the
+    /// conservative contract every execution bound rests on), which is
+    /// asserted here.
     #[inline]
     pub fn send<T: Into<M>>(&mut self, to: ComponentId, delay: SimTime, msg: T) {
         let at = self.now + delay;
@@ -416,12 +415,12 @@ impl<M: Message> Ctx<'_, M> {
                     "message sent to uninstalled component {to:?}"
                 );
                 assert!(
-                    delay >= env.lookahead_to[dst as usize],
+                    delay >= env.lookahead,
                     "lookahead violation: shard {} sent to {to:?} (shard {dst}) with \
-                     delay {delay}, below the pair lookahead {}; cross-shard paths \
-                     must have latency >= their pair's lookahead",
+                     delay {delay}, below the lookahead {}; cross-shard paths \
+                     must have latency >= the lookahead",
                     env.me,
-                    env.lookahead_to[dst as usize],
+                    env.lookahead,
                 );
                 env.outboxes[dst as usize].push(Outbound {
                     at,

@@ -20,13 +20,11 @@
 //! Cross-shard messages ride per-pair **mailboxes** (one hand-off slot
 //! per ordered shard pair) as `(time, seq, slot, msg)` entries.
 //! Correctness rests on one property of the model: every direct message
-//! from a component of shard `s` to a component of shard `r` takes at
-//! least the **per-pair lookahead** `L[s][r]` to arrive, asserted at the
-//! send site. For the BlueDBM cluster `L[s][r]` is the minimum network
-//! latency between the two shards' nodes — one hop (0.48 µs) for
-//! adjacent partitions, proportionally more for far-apart ones, which
-//! is sound because every cross-node send (cable hop or credit return)
-//! pays at least one hop of latency per hop of distance. Execution
+//! from a component of one shard to a component of another takes at
+//! least the **lookahead** `L` to arrive, asserted at the send site. For
+//! the BlueDBM cluster `L` is the network's hop latency (0.48 µs): every
+//! cross-node send (cable hop or credit return) pays at least one hop,
+//! and a node's components all live on the node's shard. Execution
 //! proceeds in coordinator-free rounds:
 //!
 //! 1. every worker mails its outgoing parcels, its local queue frontier,
@@ -38,26 +36,18 @@
 //!    `h_s` is empty, the run is over;
 //! 3. otherwise each worker merges its incoming mail and executes local
 //!    events strictly below its **safe bound**, the Chandy–Misra–Bryant
-//!    estimate over exact horizons generalized to the pair matrix.
-//!    Nothing is in flight after the merge, so shard `t`'s earliest
-//!    possible next event is the least fixed point of
+//!    estimate over exact horizons. Nothing is in flight after the
+//!    merge, so shard `t`'s earliest possible next event is
 //!
 //!    ```text
-//!    E_t = min(h_t, min_{r≠t}(E_r + L[r][t]))
+//!    E_t = min(h_t, min_{r≠t} h_r + L)
 //!    ```
 //!
-//!    (its own queued work, or the earliest chain of cross-shard
-//!    reactions that could reach it — computed by Bellman–Ford style
-//!    relaxation over the matrix, identically on every worker), and the
-//!    bound is `min_{s≠me}(E_s + L[s][me])`. With a uniform matrix this
-//!    collapses to the classic `eot_s = min(h_s + L, min_{r≠s}(h_r) +
-//!    2L)` two-level estimate; with a distance-aware matrix, far shard
-//!    pairs synchronize in proportionally larger steps, so a mailbox
-//!    flush to a far partition batches the traffic of several adjacent
-//!    lookahead windows into one exchange instead of flushing every
-//!    round. On imbalanced phases the busy shard runs multiple
-//!    lookaheads per round while idle shards just relay frontiers,
-//!    instead of everyone lock-stepping through one-lookahead windows.
+//!    (its own queued work, or the earliest reaction another shard's
+//!    work could send it; a longer chain of reactions arrives no
+//!    earlier), and the bound is `min_{s≠me} E_s + L`. On imbalanced
+//!    phases the busy shard runs up to two lookaheads per round while
+//!    idle shards just relay frontiers.
 //!
 //! ## The round path of a threaded run
 //!
@@ -99,7 +89,7 @@
 //! ## Execution modes
 //!
 //! The round is written once: staging a shard's outboxes, settling the
-//! window (post-merge horizons, the `E_t` fixed point, the safe bound)
+//! window (post-merge horizons, the `E_t` estimates, the safe bound)
 //! and merging a shard's arrivals are each one function. Two drivers
 //! call them and differ only in how an exchange travels:
 //!
@@ -303,7 +293,7 @@ struct Lane {
 
 /// N-shard conservative-parallel façade over [`Simulator`]. Build the
 /// component graph on a sequential simulator first, then split it with
-/// [`ShardedSimulator::with_lookaheads`] (one shard keeps it whole).
+/// [`ShardedSimulator::from_simulator`] (one shard keeps it whole).
 ///
 /// The driving API mirrors the sequential engine where it can:
 /// [`schedule`](Self::schedule), [`run`](Self::run),
@@ -314,15 +304,10 @@ struct Lane {
 pub struct ShardedSimulator<M: ShardMessage> {
     shards: Vec<Simulator<M>>,
     owner: Arc<Vec<u32>>,
-    /// Per-pair lookahead matrix: `lookaheads[s][r]` is the minimum
-    /// latency of any direct message from shard `s` to shard `r`
-    /// (diagonal unused, zero). One row is shared with each shard's
-    /// [`ShardEnv`] for the send-site assertion; workers use the full
-    /// matrix for the execution bound.
-    lookaheads: Arc<Vec<Arc<[SimTime]>>>,
-    /// The matrix's minimum off-diagonal entry — the classic global
-    /// conservative window, kept for probes and quick reasoning.
-    min_lookahead: SimTime,
+    /// The minimum latency of any direct message between two shards:
+    /// the window every execution bound rests on, asserted at the send
+    /// site.
+    lookahead: SimTime,
     /// Events the source simulator had already delivered before the
     /// split, so aggregate accounting stays continuous (0 on one shard,
     /// whose simulator keeps its own count).
@@ -354,45 +339,28 @@ impl<M: ShardMessage> ShardedSimulator<M> {
     /// Split a fully built (but idle) simulator into `shards` shards
     /// (one shard keeps it whole, see the [module docs](self)).
     /// `owner[i]` names the shard that owns component id `i`
-    /// ([`u32::MAX`] for reserved-but-uninstalled ids);
-    /// `lookaheads[s][r]` is the minimum latency of any direct message
-    /// from a component of shard `s` to a component of shard `r` — for
-    /// a cluster, the minimum network latency between the two shards'
-    /// nodes. Entries need not be symmetric; diagonal entries are
-    /// ignored. Larger (honest) entries for far-apart shard pairs let
-    /// the conservative bound advance in larger steps.
+    /// ([`u32::MAX`] for reserved-but-uninstalled ids); `lookahead` is
+    /// the minimum latency of any direct message from a component of
+    /// one shard to a component of another — for a cluster, the hop
+    /// latency.
     ///
     /// # Panics
     ///
-    /// Panics if `shards == 0`, the matrix is not `shards × shards`,
-    /// any off-diagonal entry is zero, the simulator still has pending
-    /// events or live store entries, `owner` does not cover every
-    /// component, or an installed component is left unowned.
-    pub fn with_lookaheads(
+    /// Panics if `shards == 0`, the lookahead is zero on more than one
+    /// shard, the simulator still has pending events or live store
+    /// entries, `owner` does not cover every component, or an installed
+    /// component is left unowned.
+    pub fn from_simulator(
         sim: Simulator<M>,
         owner: Vec<u32>,
         shards: usize,
-        lookaheads: Vec<Vec<SimTime>>,
+        lookahead: SimTime,
     ) -> Self {
         assert!(shards > 0, "at least one shard");
-        assert_eq!(lookaheads.len(), shards, "one lookahead row per shard");
-        let mut min_lookahead: Option<SimTime> = None;
-        for (s, row) in lookaheads.iter().enumerate() {
-            assert_eq!(row.len(), shards, "one lookahead entry per shard pair");
-            for (r, &l) in row.iter().enumerate() {
-                if s == r {
-                    continue;
-                }
-                assert!(
-                    l > SimTime::ZERO,
-                    "conservative sharding needs a positive lookahead (pair {s} -> {r})"
-                );
-                min_lookahead = Some(min_lookahead.map_or(l, |m| m.min(l)));
-            }
-        }
-        let min_lookahead = min_lookahead.unwrap_or(SimTime::ZERO);
-        let lookaheads: Arc<Vec<Arc<[SimTime]>>> =
-            Arc::new(lookaheads.into_iter().map(Arc::from).collect());
+        assert!(
+            shards == 1 || lookahead > SimTime::ZERO,
+            "conservative sharding needs a positive lookahead"
+        );
         assert!(sim.is_idle(), "split the simulator before scheduling events");
         assert_eq!(
             sim.pages.live_pages(),
@@ -427,13 +395,12 @@ impl<M: ShardMessage> ShardedSimulator<M> {
             (vec![sim], 0)
         } else {
             let base_delivered = sim.delivered;
-            (Self::split(sim, &owner, &lookaheads), base_delivered)
+            (Self::split(sim, &owner, shards, lookahead), base_delivered)
         };
         ShardedSimulator {
             shards: parts,
             owner,
-            lookaheads,
-            min_lookahead,
+            lookahead,
             base_delivered,
             sync_rounds: AtomicU64::new(0),
             delivered_live: (0..shards).map(|_| AtomicU64::new(0)).collect(),
@@ -449,9 +416,9 @@ impl<M: ShardMessage> ShardedSimulator<M> {
     fn split(
         sim: Simulator<M>,
         owner: &Arc<Vec<u32>>,
-        lookaheads: &[Arc<[SimTime]>],
+        shards: usize,
+        lookahead: SimTime,
     ) -> Vec<Simulator<M>> {
-        let shards = lookaheads.len();
         let base_now = sim.now;
         let mut parts: Vec<Simulator<M>> = (0..shards)
             .map(|me| {
@@ -461,7 +428,7 @@ impl<M: ShardMessage> ShardedSimulator<M> {
                     me: me as u32,
                     owner: Arc::clone(owner),
                     outboxes: (0..shards).map(|_| Vec::new()).collect(),
-                    lookahead_to: Arc::clone(&lookaheads[me]),
+                    lookahead,
                     sent: 0,
                 });
                 part
@@ -534,21 +501,10 @@ impl<M: ShardMessage> ShardedSimulator<M> {
         self.shards.len()
     }
 
-    /// The minimum conservative window size — the smallest off-diagonal
-    /// entry of the lookahead matrix (for a uniform matrix, its one
-    /// off-diagonal value).
+    /// The conservative window: the minimum latency any cross-shard
+    /// message may have.
     pub fn lookahead(&self) -> SimTime {
-        self.min_lookahead
-    }
-
-    /// The per-pair lookahead from shard `src` to shard `dst` —
-    /// the minimum latency any message from `src` may cross with.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either shard index is out of range.
-    pub fn lookahead_between(&self, src: usize, dst: usize) -> SimTime {
-        self.lookaheads[src][dst]
+        self.lookahead
     }
 
     /// The shard owning component `id`, or `None` for a
@@ -703,7 +659,7 @@ impl<M: ShardMessage> ShardedSimulator<M> {
         if !threads {
             run_cooperative(
                 &mut self.shards,
-                &self.lookaheads,
+                self.lookahead,
                 &self.sync_rounds,
                 &self.delivered_live,
             );
@@ -721,7 +677,7 @@ impl<M: ShardMessage> ShardedSimulator<M> {
         let fabric = &fabric[..];
         let sims: Vec<Simulator<M>> = self.shards.drain(..).collect();
         let lanes: Vec<Lane> = std::mem::take(&mut self.lanes);
-        let lookaheads = &self.lookaheads;
+        let lookahead = self.lookahead;
         let spin = cores_per_shard;
         let rounds_base = self.sync_rounds.load(Ordering::Relaxed);
         let rounds_ctr = &self.sync_rounds;
@@ -732,12 +688,12 @@ impl<M: ShardMessage> ShardedSimulator<M> {
                 .zip(lanes)
                 .enumerate()
                 .map(|(me, (sim, lane))| {
-                    let cfg = WorkerCfg { me, spin, pin, rounds_base };
+                    let cfg = WorkerCfg { me, shards: n, spin, pin, rounds_base };
                     let shared = SharedCounters {
                         rounds: rounds_ctr,
                         delivered: &delivered_live[me],
                     };
-                    scope.spawn(move |_| worker(cfg, shared, sim, lane, fabric, lookaheads))
+                    scope.spawn(move |_| worker(cfg, shared, sim, lane, fabric, lookahead))
                 })
                 .collect();
             let mut joined = Vec::with_capacity(n);
@@ -823,6 +779,7 @@ fn recv<T>(slot: &Slot<T>, round: u64, spin: bool, lane: &mut Lane) -> Result<()
 /// Per-worker configuration, fixed for the whole run.
 struct WorkerCfg {
     me: usize,
+    shards: usize,
     spin: bool,
     pin: bool,
     rounds_base: u64,
@@ -897,21 +854,21 @@ fn stage_exchange<M: ShardMessage>(
 /// Settle one round's window from what every shard staged: its queue
 /// frontier `queue_nexts[s]` and the earliest parcel it mailed to each
 /// destination, `out_mins[s * n + t]`. Fills `earliest` with every
-/// shard's fixed-point estimate `E_t` and returns `false` when every
-/// post-merge horizon is empty — the run is over.
+/// shard's estimate `E_t` and returns `false` when every post-merge
+/// horizon is empty — the run is over.
 ///
 /// Every threaded worker runs this identical computation on identical
 /// tables, so no coordinator is needed.
 fn settle_window(
     queue_nexts: &[Option<SimTime>],
     out_mins: &[Option<SimTime>],
-    lookaheads: &[Arc<[SimTime]>],
+    lookahead: SimTime,
     earliest: &mut [Option<SimTime>],
 ) -> bool {
-    let n = lookaheads.len();
+    let n = earliest.len();
     // Every shard's exact *post-merge* horizon: its queue plus every
     // parcel just mailed to it. After the merge nothing is in flight,
-    // which is what makes the reactive fixed point below sound.
+    // which is what makes the reactive estimate below sound.
     for (t, horizon) in earliest.iter_mut().enumerate() {
         let mailed = (0..n)
             .filter(|&r| r != t)
@@ -919,51 +876,33 @@ fn settle_window(
             .min();
         *horizon = min_opt(queue_nexts[t], mailed);
     }
-    if earliest.iter().all(Option::is_none) {
+    let Some(first) = earliest.iter().flatten().min().copied() else {
         return false;
-    }
-    // The Chandy–Misra–Bryant safe bound generalized to the per-pair
-    // matrix: shard `t`'s earliest possible next event is the least
-    // fixed point of
+    };
+    // Shard `t`'s earliest possible next event,
     //
-    //   E_t = min(h_t, min_{r != t}(E_r + L[r][t]))
+    //   E_t = min(h_t, min_{r != t} h_r + L)
     //
-    // — its own queued work, or the earliest chain of cross-shard
-    // reactions that could reach it. Computed by relaxation over the
-    // matrix (Bellman–Ford on the shard graph, at most n-1 passes).
-    for _ in 1..n {
-        let mut changed = false;
-        for t in 0..n {
-            for r in (0..n).filter(|&r| r != t) {
-                if let Some(er) = earliest[r] {
-                    let via = er + lookaheads[r][t];
-                    if earliest[t].is_none_or(|e| via < e) {
-                        earliest[t] = Some(via);
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
+    // — its own queued work, or a reaction to another shard's; a chain
+    // of reactions pays `L` per link and never arrives earlier. The
+    // `r = t` term `h_t + L` never wins against `h_t`, so the minimum
+    // may run over every shard: `E_t = min(h_t, first + L)`.
+    let reach = first + lookahead;
+    for e in earliest.iter_mut() {
+        *e = Some(e.map_or(reach, |h| h.min(reach)));
     }
     true
 }
 
 /// Shard `me`'s execution bound from the settled estimates:
-/// `min_{s != me}(E_s + L[s][me])`. Everything strictly below it is
-/// already in `me`'s queues; `None` when no other shard can ever reach
-/// `me` again.
-fn safe_bound(
-    earliest: &[Option<SimTime>],
-    lookaheads: &[Arc<[SimTime]>],
-    me: usize,
-) -> Option<SimTime> {
+/// `min_{s != me} E_s + L`. Everything strictly below it is already in
+/// `me`'s queues; `None` when no other shard can ever reach `me` again.
+fn safe_bound(earliest: &[Option<SimTime>], lookahead: SimTime, me: usize) -> Option<SimTime> {
     (0..earliest.len())
         .filter(|&s| s != me)
-        .filter_map(|s| earliest[s].map(|e| e + lookaheads[s][me]))
+        .filter_map(|s| earliest[s])
         .min()
+        .map(|e| e + lookahead)
 }
 
 /// Merge one round's incoming `(source shard, parcel)` pairs into shard
@@ -979,21 +918,20 @@ fn merge_arrivals<M: ShardMessage>(
     sim: &mut Simulator<M>,
     me: usize,
     arrivals: &mut Vec<(usize, Parcel<M>)>,
-    lookaheads: &[Arc<[SimTime]>],
+    lookahead: SimTime,
 ) {
     arrivals.sort_unstable_by_key(|(src, p)| (p.at, p.sent_at, *src, p.seq));
     for (src, mut parcel) in arrivals.drain(..) {
         // The send site already asserts this (`Ctx::send`); keep a
         // second line of defense at the merge so a future bypass of
         // that path still can't deliver a parcel that breaks the
-        // window bound the fixed point relies on.
+        // window bound the estimates rely on.
         debug_assert!(
-            parcel.at >= parcel.sent_at + lookaheads[src][me],
+            parcel.at >= parcel.sent_at + lookahead,
             "lookahead violation at merge: shard {src} -> shard {me} parcel arrives \
-             at {:?} but was sent at {:?}, below the pair lookahead {:?}",
+             at {:?} but was sent at {:?}, below the lookahead {lookahead:?}",
             parcel.at,
             parcel.sent_at,
-            lookaheads[src][me],
         );
         parcel
             .msg
@@ -1013,15 +951,14 @@ fn worker<M: ShardMessage>(
     mut sim: Simulator<M>,
     mut lane: Lane,
     fabric: &[Slot<Exchange<M>>],
-    lookaheads: &[Arc<[SimTime]>],
+    lookahead: SimTime,
 ) -> (Simulator<M>, Lane) {
-    let WorkerCfg { me, spin, pin, rounds_base } = cfg;
+    let WorkerCfg { me, shards: n, spin, pin, rounds_base } = cfg;
     if pin {
         // Pure performance (cache affinity across the per-round spin
         // windows); failure means "run unpinned", never an error.
         let _ = affinity::pin_to_core(me);
     }
-    let n = lookaheads.len();
     let _close = CloseOnExit(&fabric[me * n..(me + 1) * n]);
     // Exchanges made, which is also the slot round stamp: one per sync
     // round plus the terminating all-empty one.
@@ -1065,12 +1002,12 @@ fn worker<M: ShardMessage>(
                 arrivals.extend(ex.parcels.drain(..).map(|p| (src, p)));
             });
         }
-        if !settle_window(&queue_nexts, &out_mins, lookaheads, &mut earliest) {
+        if !settle_window(&queue_nexts, &out_mins, lookahead, &mut earliest) {
             return (sim, lane);
         }
         shared.rounds.fetch_max(rounds_base + exchange, Ordering::Relaxed);
-        merge_arrivals(&mut sim, me, &mut arrivals, lookaheads);
-        if let Some(bound) = safe_bound(&earliest, lookaheads, me) {
+        merge_arrivals(&mut sim, me, &mut arrivals, lookahead);
+        if let Some(bound) = safe_bound(&earliest, lookahead, me) {
             let stamp = lane.wall.stamp();
             sim.run_before(bound);
             lane.wall.add_execute(stamp);
@@ -1092,7 +1029,7 @@ fn worker<M: ShardMessage>(
 /// semantics in every mode.
 fn run_cooperative<M: ShardMessage>(
     sims: &mut [Simulator<M>],
-    lookaheads: &[Arc<[SimTime]>],
+    lookahead: SimTime,
     rounds_ctr: &AtomicU64,
     delivered_live: &[AtomicU64],
 ) {
@@ -1112,7 +1049,7 @@ fn run_cooperative<M: ShardMessage>(
             let mins = &mut out_mins[src * n..(src + 1) * n];
             queue_nexts[src] = stage_exchange(sim, src, &mut outgoing[src], mins);
         }
-        if !settle_window(&queue_nexts, &out_mins, lookaheads, &mut earliest) {
+        if !settle_window(&queue_nexts, &out_mins, lookahead, &mut earliest) {
             return;
         }
         rounds_ctr.fetch_add(1, Ordering::Relaxed);
@@ -1120,8 +1057,8 @@ fn run_cooperative<M: ShardMessage>(
             for (src, from_src) in outgoing.iter_mut().enumerate().filter(|&(src, _)| src != me) {
                 arrivals.extend(from_src[me].drain(..).map(|p| (src, p)));
             }
-            merge_arrivals(sim, me, &mut arrivals, lookaheads);
-            if let Some(bound) = safe_bound(&earliest, lookaheads, me) {
+            merge_arrivals(sim, me, &mut arrivals, lookahead);
+            if let Some(bound) = safe_bound(&earliest, lookahead, me) {
                 sim.run_before(bound);
             }
             delivered_live[me].store(sim.events_delivered(), Ordering::Relaxed);
@@ -1134,7 +1071,7 @@ impl<M: ShardMessage> fmt::Debug for ShardedSimulator<M> {
         f.debug_struct("ShardedSimulator")
             .field("shards", &self.shards.len())
             .field("components", &self.owner.len())
-            .field("min_lookahead", &self.min_lookahead)
+            .field("lookahead", &self.lookahead)
             .field("now", &self.now())
             .field("delivered", &self.events_delivered())
             .finish()
@@ -1148,20 +1085,6 @@ mod tests {
     use crate::pagestore::PageRef;
 
     const HOP: SimTime = SimTime::us(1);
-
-    impl<M: ShardMessage> ShardedSimulator<M> {
-        /// [`ShardedSimulator::with_lookaheads`] with one `lookahead`
-        /// for every shard pair.
-        fn from_simulator(
-            sim: Simulator<M>,
-            owner: Vec<u32>,
-            shards: usize,
-            lookahead: SimTime,
-        ) -> Self {
-            let lookaheads = vec![vec![lookahead; shards]; shards];
-            Self::with_lookaheads(sim, owner, shards, lookaheads)
-        }
-    }
 
     /// Test protocol: a counter bounce with a fixed latency, plus a
     /// page-carrying shape to exercise relocation.
@@ -1466,8 +1389,8 @@ mod tests {
         sharded.run();
     }
 
-    /// Three-party bounce for the matrix tests: a -> b -> c -> a with
-    /// distinct latencies, so a non-uniform matrix is honest.
+    /// Three-party bounce over three shards: a -> b -> c -> a with
+    /// distinct latencies, every one at least `HOP`.
     fn triangle_world() -> (Simulator<TMsg>, [ComponentId; 3]) {
         let mut sim = Simulator::new();
         let a = sim.reserve();
@@ -1480,24 +1403,16 @@ mod tests {
     }
 
     #[test]
-    fn non_uniform_matrix_matches_sequential() {
+    fn unequal_link_latencies_match_sequential() {
         let (mut seq, [a, b, c]) = triangle_world();
         seq.schedule(SimTime::ZERO, a, TMsg::Val(60));
         seq.run();
 
-        // Honest per-pair matrix: each entry is the latency of the one
-        // link that crosses that pair (generous where no link exists —
-        // b never sends to a directly, etc.).
-        let la = |u: u64| HOP * u;
-        let matrix = vec![
-            vec![SimTime::ZERO, la(1), la(3)],
-            vec![la(6), SimTime::ZERO, la(4)],
-            vec![la(2), la(6), SimTime::ZERO],
-        ];
+        // The lookahead is the shortest link; the longer ones deliver
+        // later than a window, which the bound must allow for.
         let (sim, [a2, b2, c2]) = triangle_world();
-        let mut sharded = ShardedSimulator::with_lookaheads(sim, vec![0, 1, 2], 3, matrix);
-        assert_eq!(sharded.lookahead(), la(1));
-        assert_eq!(sharded.lookahead_between(1, 0), la(6));
+        let mut sharded = ShardedSimulator::from_simulator(sim, vec![0, 1, 2], 3, HOP);
+        assert_eq!(sharded.lookahead(), HOP);
         sharded.schedule(SimTime::ZERO, a2, TMsg::Val(60));
         sharded.run();
 
@@ -1511,11 +1426,9 @@ mod tests {
         }
     }
 
-    #[test]
-    #[should_panic(expected = "lookahead violation")]
-    fn send_below_pair_lookahead_panics() {
-        // The global minimum (0 -> 1 at HOP) would admit this send; the
-        // *pair* lookahead 1 -> 0 of 3*HOP must still catch it.
+    /// A one-shot send two hops long from shard 1 to shard 0, under a
+    /// lookahead of three hops, in `exec` mode.
+    fn send_below_the_lookahead(exec: ExecMode) {
         let mut sim = Simulator::new();
         let sink = sim.reserve();
         let b = sim.add_component(Burster {
@@ -1523,57 +1436,32 @@ mod tests {
             shots: vec![(HOP * 2, 1)],
         });
         sim.install(sink, Sink { got: vec![] });
-        let matrix = vec![
-            vec![SimTime::ZERO, HOP],
-            vec![HOP * 3, SimTime::ZERO],
-        ];
-        let mut sharded = ShardedSimulator::with_lookaheads(sim, vec![0, 1], 2, matrix);
+        let mut sharded = ShardedSimulator::from_simulator(sim, vec![0, 1], 2, HOP * 3);
+        sharded.set_exec_mode(exec);
         sharded.schedule(SimTime::ZERO, b, TMsg::Val(0));
         sharded.run();
     }
 
     #[test]
     #[should_panic(expected = "lookahead violation")]
-    fn send_below_pair_lookahead_panics_cooperative() {
-        // Same violation as above, but with Cooperative rounds forced:
-        // the check must hold in both exec modes (send-site assert,
+    fn nonzero_send_below_the_lookahead_panics() {
+        send_below_the_lookahead(ExecMode::Threads);
+    }
+
+    #[test]
+    #[should_panic(expected = "lookahead violation")]
+    fn nonzero_send_below_the_lookahead_panics_cooperative() {
+        // The check must hold in both exec modes (send-site assert,
         // backed by the merge-phase debug assertion that names the
         // offending shard pair).
-        let mut sim = Simulator::new();
-        let sink = sim.reserve();
-        let b = sim.add_component(Burster {
-            sink,
-            shots: vec![(HOP * 2, 1)],
-        });
-        sim.install(sink, Sink { got: vec![] });
-        let matrix = vec![
-            vec![SimTime::ZERO, HOP],
-            vec![HOP * 3, SimTime::ZERO],
-        ];
-        let mut sharded = ShardedSimulator::with_lookaheads(sim, vec![0, 1], 2, matrix);
-        sharded.set_exec_mode(ExecMode::Cooperative);
-        sharded.schedule(SimTime::ZERO, b, TMsg::Val(0));
-        sharded.run();
+        send_below_the_lookahead(ExecMode::Cooperative);
     }
 
     #[test]
     #[should_panic(expected = "positive lookahead")]
-    fn zero_off_diagonal_lookahead_rejected() {
+    fn zero_lookahead_rejected() {
         let (sim, _) = triangle_world();
-        let matrix = vec![
-            vec![SimTime::ZERO, HOP, HOP],
-            vec![HOP, SimTime::ZERO, SimTime::ZERO],
-            vec![HOP, HOP, SimTime::ZERO],
-        ];
-        let _ = ShardedSimulator::with_lookaheads(sim, vec![0, 1, 2], 3, matrix);
-    }
-
-    #[test]
-    #[should_panic(expected = "one lookahead row per shard")]
-    fn wrong_matrix_shape_rejected() {
-        let (sim, _) = triangle_world();
-        let matrix = vec![vec![SimTime::ZERO, HOP], vec![HOP, SimTime::ZERO]];
-        let _ = ShardedSimulator::with_lookaheads(sim, vec![0, 1, 2], 3, matrix);
+        let _ = ShardedSimulator::from_simulator(sim, vec![0, 1, 2], 3, SimTime::ZERO);
     }
 
     #[test]
@@ -1584,13 +1472,7 @@ mod tests {
         // only move the identical rounds between threads.
         let run = |exec: ExecMode| {
             let (sim, [a, b, c]) = triangle_world();
-            let la = |u: u64| HOP * u;
-            let matrix = vec![
-                vec![SimTime::ZERO, la(1), la(3)],
-                vec![la(6), SimTime::ZERO, la(4)],
-                vec![la(2), la(6), SimTime::ZERO],
-            ];
-            let mut sharded = ShardedSimulator::with_lookaheads(sim, vec![0, 1, 2], 3, matrix);
+            let mut sharded = ShardedSimulator::from_simulator(sim, vec![0, 1, 2], 3, HOP);
             sharded.set_exec_mode(exec);
             assert_eq!(sharded.exec_mode(), exec);
             // Long enough that the slots' two buffers and the recycled

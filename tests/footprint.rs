@@ -119,24 +119,29 @@ const KEYS: u64 = 50_000;
 const TENANTS: u16 = 8;
 const BATCH: u64 = 4_096;
 const NODES: usize = 4;
-/// 17 % above the 21.3 MB / 45 110 calls the current layout measures:
-/// each card's FTL maps made as its blocks open and its logical ranges
-/// are written, one byte of port mask per node pair and no hop matrix
-/// (with both FTL maps allocated for every page of all 2 048 cards, a
-/// `u32` hop count per node pair and free lists grown by doubling:
+/// 16 % and 17 % above the 17.3 MB / 45 094 calls the current layout
+/// measures: each card's FTL maps made as its blocks open and its
+/// logical ranges are written, 32-bit erase counts in the FTL's and the
+/// array's per-block books, one byte of port mask per node pair and no
+/// hop matrix (with 64-bit erase counts and a shard lookahead matrix:
+/// 21.3 MB, 45 110 calls; with both FTL maps allocated for every page
+/// of all 2 048 cards, a `u32` hop count per node pair and free lists
+/// grown by doubling:
 /// 81.6 MB, 81 974 calls; with the agent's hashed tags and a renaming
 /// splitter stacked on each card's line: 85.3 MB, 86 070 calls; with a
 /// GC component per node beside driver-side FTLs: 85.5 MB, 90 171 calls;
 /// with a shadow `FlashArray` behind each card's FTL: 94.0 MB, 97 343
 /// calls; with a `Vec` per routed pair: 125.0 MB, 1 154 051 calls).
-const MESH_MB_PIN: f64 = 25.0;
+const MESH_MB_PIN: f64 = 20.0;
 const MESH_CALLS_PIN: u64 = 53_000;
 
 /// Bytes `Ftl::new` may request for a paper-geometry card (2 048
-/// blocks, 512 Ki pages). Its maps are made as the card is written, so
-/// what it asks for up front is the per-block books and the planes'
-/// free lists; with both maps allocated for every page it was 3.8 MB.
-const FTL_NEW_BYTES_PIN: u64 = 64 << 10;
+/// blocks, 512 Ki pages), 16 % above the 44 032 B it measures. Its maps
+/// are made as the card is written, so what it asks for up front is the
+/// per-block books (16 B a block) and the planes' free lists; with a
+/// 64-bit erase count padding each block's books to 24 B it was
+/// 60 416 B, and with both maps allocated for every page 3.8 MB.
+const FTL_NEW_BYTES_PIN: u64 = 50 << 10;
 
 /// Allocator calls per sync round of a warmed two-shard threaded run,
 /// ≈ 10 % above the 11.11 (7 332 calls over 660 rounds) the slot

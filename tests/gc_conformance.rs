@@ -162,7 +162,7 @@ fn assert_twin_agrees(cluster: &Cluster) {
 
 /// Per card: FTL stats, the full mapping table, and the physical state
 /// (programmed, erase count) of every simulated page.
-type CardPrint = (FtlStats, Vec<Option<bluedbm::flash::Ppa>>, Vec<(bool, u64)>);
+type CardPrint = (FtlStats, Vec<Option<bluedbm::flash::Ppa>>, Vec<(bool, u32)>);
 
 /// Everything GC-observable about a churn run, for cross-engine
 /// equality — errors, KV digest, lifecycle stats and every card's

@@ -23,8 +23,10 @@
 //! trace digest (KV shapes; the mesh emits no stable-category record),
 //! per-tenant put and get p50/p99/p999 (per-read for the mesh), the
 //! final simulated clock, write amplification, GC erases and moves
-//! (KV shapes), and the routers' summed credit stalls. Times are exact
-//! picoseconds.
+//! (KV shapes), the routers' summed credit stalls and, on the two-shard
+//! lane, the sync rounds of the window protocol (a round count is a
+//! function of the simulated work alone, never of thread scheduling).
+//! Times are exact picoseconds.
 
 mod common;
 
@@ -68,7 +70,8 @@ impl Table {
         }
     }
 
-    /// The routers' summed credit stalls, the event count and the clock.
+    /// The routers' summed credit stalls, the event count, the clock
+    /// and, on more than one shard, the window protocol's sync rounds.
     fn cluster_rows(&mut self, workload: &str, lane: &Lane, cluster: &Cluster) {
         let stalls: u64 = (0..cluster.node_count())
             .map(|n| cluster.router_stats(NodeId::from(n)).credit_stalls)
@@ -76,6 +79,9 @@ impl Table {
         self.row(workload, lane, "credit_stalls", stalls);
         self.row(workload, lane, "events", cluster.events_delivered());
         self.row(workload, lane, "sim_time_ps", cluster.now().as_ps());
+        if let Some(rounds) = cluster.sync_rounds() {
+            self.row(workload, lane, "sync_rounds", rounds);
+        }
     }
 }
 
