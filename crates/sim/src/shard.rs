@@ -896,7 +896,8 @@ fn settle_window(
 
 /// Shard `me`'s execution bound from the settled estimates:
 /// `min_{s != me} E_s + L`. Everything strictly below it is already in
-/// `me`'s queues; `None` when no other shard can ever reach `me` again.
+/// `me`'s queues. A settled window gives every shard an estimate, so
+/// this is `None` only without another shard.
 fn safe_bound(earliest: &[Option<SimTime>], lookahead: SimTime, me: usize) -> Option<SimTime> {
     (0..earliest.len())
         .filter(|&s| s != me)
