@@ -245,6 +245,56 @@ struct Block {
     state: BlockState,
 }
 
+/// The erase counts [`Ftl::wear_spread`] needs, kept as erases happen
+/// so a GC round reads them instead of scanning every block.
+#[derive(Clone, Copy, Debug)]
+struct Wear {
+    /// Highest erase count of any block (a bad block's never changes).
+    max: u32,
+    /// Lowest erase count of any good block.
+    min: u32,
+    /// Good blocks whose erase count is `min`.
+    at_min: u32,
+}
+
+impl Wear {
+    /// One pass over every block's books.
+    fn scan(blocks: &[Block]) -> Self {
+        let mut wear = Wear { max: 0, min: u32::MAX, at_min: 0 };
+        for b in blocks {
+            wear.max = wear.max.max(b.erases);
+            if b.state == BlockState::Bad || b.erases > wear.min {
+                continue;
+            }
+            if b.erases < wear.min {
+                (wear.min, wear.at_min) = (b.erases, 0);
+            }
+            wear.at_min += 1;
+        }
+        if wear.at_min == 0 {
+            // No good block: the spread is the highest count.
+            wear.min = 0;
+        }
+        wear
+    }
+
+    fn spread(self) -> u64 {
+        u64::from(self.max - self.min)
+    }
+
+    /// A good block's count just rose to `erases`. Rescans only when the
+    /// last block at the minimum leaves it.
+    fn erased(&mut self, erases: u32, blocks: &[Block]) {
+        self.max = self.max.max(erases);
+        if erases - 1 == self.min {
+            self.at_min -= 1;
+            if self.at_min == 0 {
+                *self = Wear::scan(blocks);
+            }
+        }
+    }
+}
+
 /// Per-(bus, chip) allocation state.
 #[derive(Clone, Debug)]
 struct Plane {
@@ -272,6 +322,9 @@ pub struct Ftl {
     tables: Tables,
     /// Per linear block.
     blocks: Vec<Block>,
+    /// The extremes of `blocks`' erase counts, scanned by the first
+    /// collection: building a card costs no scan.
+    wear: Option<Wear>,
     planes: Vec<Plane>,
     next_plane: usize,
     capacity: u64,
@@ -353,6 +406,7 @@ impl Ftl {
                 shift: geom.pages_per_block.next_power_of_two().trailing_zeros(),
                 arena: Vec::new(),
             },
+            wear: None,
             blocks,
             planes,
             next_plane: 0,
@@ -421,15 +475,7 @@ impl Ftl {
     /// Highest erase count of any block minus the lowest of any good
     /// block: the spread wear leveling holds down.
     pub fn wear_spread(&self) -> u64 {
-        let max = self.blocks.iter().map(|b| b.erases).max().unwrap_or(0);
-        let min = self
-            .blocks
-            .iter()
-            .filter(|b| b.state != BlockState::Bad)
-            .map(|b| b.erases)
-            .min()
-            .unwrap_or(0);
-        u64::from(max - min)
+        self.wear.unwrap_or_else(|| Wear::scan(&self.blocks)).spread()
     }
 
     /// Pop a destination page in plane `pi`, opening a new block if
@@ -606,7 +652,8 @@ impl Ftl {
         let pages_per_block = self.geom.pages_per_block as u32;
         let first_block = pi * self.geom.blocks_per_chip;
         let (bus, chip) = (self.planes[pi].bus, self.planes[pi].chip);
-        let wear_leveling = self.wear_spread() > self.config.wear_threshold;
+        let wear = self.wear.get_or_insert_with(|| Wear::scan(&self.blocks));
+        let wear_leveling = wear.spread() > self.config.wear_threshold;
 
         // Victim: fewest valid pages; under wear pressure, coldest block.
         let mut best: Option<(u32, u32, u32)> = None; // (block, valid, wear)
@@ -671,6 +718,9 @@ impl Ftl {
         books.valid = 0;
         books.erases += 1;
         books.state = BlockState::Free;
+        let erases = books.erases;
+        let wear = self.wear.as_mut().expect("scanned at the round's start");
+        wear.erased(erases, &self.blocks);
         self.stats.gc_erases += 1;
         self.planes[pi].free.push_back(victim);
         Ok(Some(round))
@@ -926,7 +976,8 @@ mod tests {
     /// blocks, pre-worn blocks, trims and active wear leveling, every
     /// step applied to the array. At each checkpoint the books must say
     /// exactly what the NAND holds — programmed pages and erase counts —
-    /// and every mapped page must read back its model bytes.
+    /// and every mapped page must read back its model bytes. After every
+    /// step, the kept wear spread must equal the array's, scanned whole.
     #[test]
     fn books_match_a_real_array_under_churn() {
         let geom = FlashGeometry::small();
@@ -950,6 +1001,14 @@ mod tests {
         let cap = card.ftl.capacity_pages();
         let mut rng = Rng::new(42);
         let mut expect: Vec<Option<u64>> = vec![None; cap as usize];
+        let scanned_spread = |array: &FlashArray| {
+            let counts = |good_only: bool| {
+                geom.blocks()
+                    .filter(move |&b| !(good_only && array.is_bad(b)))
+                    .map(|b| array.erase_count(b))
+            };
+            u64::from(counts(false).max().unwrap() - counts(true).min().unwrap())
+        };
         let check = |card: &mut Card, expect: &[Option<u64>]| {
             for linear in 0..geom.total_pages() {
                 let ppa = geom.ppa_of(linear);
@@ -978,6 +1037,7 @@ mod tests {
                 card.write(lba, stamp);
                 expect[lba as usize] = Some(stamp);
             }
+            assert_eq!(card.ftl.wear_spread(), scanned_spread(&card.array), "step {stamp}");
             if stamp % (cap / 2) == 0 {
                 check(&mut card, &expect);
             }

@@ -130,7 +130,6 @@
 //! assert_eq!(sim.now(), SimTime::us(10)); // last ping's pong
 //! ```
 
-mod affinity;
 mod arena;
 pub mod engine;
 pub mod fxhash;

@@ -49,6 +49,10 @@
 //!    phases the busy shard runs up to two lookaheads per round while
 //!    idle shards just relay frontiers.
 //!
+//! Every bound is at least the global horizon `min_s h_s` plus `L`, so
+//! each round moves that horizon up by `L` or more; a round that does
+//! not panics with "no progress" rather than repeating forever.
+//!
 //! ## The round path of a threaded run
 //!
 //! A round's exchange goes through one `Slot` per ordered shard pair
@@ -105,10 +109,10 @@
 //! oversubscribed host the workers cannot overlap, every receive parks,
 //! and the threads add one futex park/unpark per worker per round —
 //! tens of microseconds times tens of thousands of rounds.
-//! [`ExecMode::Threads`] forces the threads and also pins each worker to
-//! its own core on Linux (`crate::affinity`) so the per-round spin
-//! windows keep their cache affinity; [`ExecMode::Cooperative`] forces
-//! the calling thread.
+//! [`ExecMode::Threads`] forces the threads (where they run is left to
+//! the OS); [`ExecMode::Cooperative`] forces the calling thread. A worker
+//! shares nothing with the façade but the slot fabric, and both drivers
+//! return their round count.
 //!
 //! ## Determinism and observational equivalence
 //!
@@ -156,14 +160,11 @@
 
 use std::any::Any;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bluedbm_trace::{
     TraceCat, TraceConfig, TraceKind, TraceName, TracePart, WallLane, WallLaneProfile,
 };
-
-use crate::affinity;
 
 use crate::engine::{Component, ComponentId, Message, Outbound, ShardEnv, Simulator, UNOWNED};
 use crate::pagestore::PageStore;
@@ -222,7 +223,8 @@ pub enum ExecMode {
     /// round, tens of thousands of rounds per busy workload.
     #[default]
     Auto,
-    /// Always spawn one worker thread per shard.
+    /// Always spawn one worker thread per shard, wherever the OS places
+    /// it.
     Threads,
     /// Always run the rounds on the calling thread, the shards taking
     /// turns, with plain vectors for mailboxes.
@@ -315,14 +317,8 @@ pub struct ShardedSimulator<M: ShardMessage> {
     /// Cumulative synchronization rounds across all [`run`](Self::run)
     /// calls — every worker executes the identical round count, so this
     /// is the protocol-overhead denominator (each round is one
-    /// all-to-all exchange plus a window execution). Atomic so workers
-    /// publish each round and the count is well-defined mid-run.
-    sync_rounds: AtomicU64,
-    /// Per-shard delivery counters published once per round by the
-    /// workers, so [`events_delivered`](Self::events_delivered) stays
-    /// well-defined while the shard simulators are out on their worker
-    /// threads.
-    delivered_live: Vec<AtomicU64>,
+    /// all-to-all exchange plus a window execution).
+    sync_rounds: u64,
     /// Per-shard worker state (spin/park counts, wall profile, spin
     /// budget), moved onto the workers for a run and reassembled after
     /// it.
@@ -402,8 +398,7 @@ impl<M: ShardMessage> ShardedSimulator<M> {
             owner,
             lookahead,
             base_delivered,
-            sync_rounds: AtomicU64::new(0),
-            delivered_live: (0..shards).map(|_| AtomicU64::new(0)).collect(),
+            sync_rounds: 0,
             lanes: (0..shards).map(|_| Lane::default()).collect(),
             exec: ExecMode::default(),
             trace_cfg: TraceConfig::off(),
@@ -528,32 +523,18 @@ impl<M: ShardMessage> ShardedSimulator<M> {
     }
 
     /// Total events delivered across all shards (plus any delivered
-    /// before the split). Well-defined at any point in any exec mode:
-    /// while a threaded run has the shard simulators out on their
-    /// worker threads, this reads the per-round counters the workers
-    /// publish, so the value is always a consistent
-    /// through-some-round total.
+    /// before the split).
     pub fn events_delivered(&self) -> u64 {
-        if self.shards.is_empty() {
-            // Mid-threaded-run: the simulators are on the workers.
-            let live: u64 = self
-                .delivered_live
-                .iter()
-                .map(|d| d.load(Ordering::Relaxed))
-                .sum();
-            return self.base_delivered + live;
-        }
         self.base_delivered + self.shards.iter().map(|s| s.events_delivered()).sum::<u64>()
     }
 
     /// Cumulative synchronization rounds executed by
     /// [`run`](Self::run): one all-to-all mailbox/horizon exchange per
     /// round, identical on every worker and across every [`ExecMode`].
-    /// Published once per round, so the value is well-defined mid-run.
     /// Divide into wall time to see what the window protocol itself
     /// costs.
     pub fn sync_rounds(&self) -> u64 {
-        self.sync_rounds.load(Ordering::Relaxed)
+        self.sync_rounds
     }
 
     /// Per-shard execution statistics — spin/park tallies — plus the
@@ -561,7 +542,7 @@ impl<M: ShardMessage> ShardedSimulator<M> {
     /// [`run`](Self::run) calls.
     pub fn shard_stats(&self) -> ShardStats {
         ShardStats {
-            sync_rounds: self.sync_rounds(),
+            sync_rounds: self.sync_rounds,
             shards: self.lanes.iter().map(|lane| lane.stats.clone()).collect(),
         }
     }
@@ -632,14 +613,14 @@ impl<M: ShardMessage> ShardedSimulator<M> {
 
     /// Run to global quiescence: execute the window protocol — on
     /// worker threads or cooperatively, per the [`ExecMode`] — until no
-    /// shard knows of any pending event. [`ExecMode::Threads`] pins
-    /// each worker to its own core on Linux; [`ExecMode::Auto`] leaves
-    /// placement to the OS.
+    /// shard knows of any pending event. [`ExecMode::Threads`] only
+    /// forces the worker threads; where they run is left to the OS.
     ///
     /// # Panics
     ///
     /// Re-raises the first root-cause panic of any shard worker
-    /// (component panics, lookahead violations, stale handles).
+    /// (component panics, lookahead violations, stale handles, a window
+    /// that makes no progress).
     pub fn run(&mut self) {
         let n = self.shards.len();
         if n == 1 {
@@ -650,25 +631,16 @@ impl<M: ShardMessage> ShardedSimulator<M> {
         // Spin-probe for exchanges only when the host has a core per
         // worker; on oversubscribed hosts probing burns the very
         // timeslice the peer needs, so workers park immediately.
-        let cores_per_shard = affinity::host_cores() >= n;
+        let cores_per_shard = host_cores() >= n;
         let threads = match self.exec {
             ExecMode::Threads => true,
             ExecMode::Cooperative => false,
             ExecMode::Auto => cores_per_shard,
         };
         if !threads {
-            run_cooperative(
-                &mut self.shards,
-                self.lookahead,
-                &self.sync_rounds,
-                &self.delivered_live,
-            );
+            self.sync_rounds += run_cooperative(&mut self.shards, self.lookahead);
             return;
         }
-        // Only the explicitly threaded mode pins: Auto picked threads
-        // because the host happens to have the cores, not because the
-        // user asked for a fixed thread layout.
-        let pin = self.exec == ExecMode::Threads;
         // One slot per ordered pair, `fabric[src * n + dst]` (the
         // diagonal is never touched).
         let fabric: Vec<Slot<Exchange<M>>> = (0..n * n)
@@ -679,28 +651,21 @@ impl<M: ShardMessage> ShardedSimulator<M> {
         let lanes: Vec<Lane> = std::mem::take(&mut self.lanes);
         let lookahead = self.lookahead;
         let spin = cores_per_shard;
-        let rounds_base = self.sync_rounds.load(Ordering::Relaxed);
-        let rounds_ctr = &self.sync_rounds;
-        let delivered_live = &self.delivered_live;
         let result = crossbeam::scope(|scope| {
             let handles: Vec<_> = sims
                 .into_iter()
                 .zip(lanes)
                 .enumerate()
                 .map(|(me, (sim, lane))| {
-                    let cfg = WorkerCfg { me, shards: n, spin, pin, rounds_base };
-                    let shared = SharedCounters {
-                        rounds: rounds_ctr,
-                        delivered: &delivered_live[me],
-                    };
-                    scope.spawn(move |_| worker(cfg, shared, sim, lane, fabric, lookahead))
+                    let cfg = WorkerCfg { me, shards: n, spin };
+                    scope.spawn(move |_| worker(cfg, sim, lane, fabric, lookahead))
                 })
                 .collect();
             let mut joined = Vec::with_capacity(n);
             let mut panics = Vec::new();
             for handle in handles {
                 match handle.join() {
-                    Ok(pair) => joined.push(pair),
+                    Ok(done) => joined.push(done),
                     Err(payload) => panics.push(payload),
                 }
             }
@@ -711,11 +676,24 @@ impl<M: ShardMessage> ShardedSimulator<M> {
                 if let Some(payload) = pick_root_cause(panics) {
                     std::panic::resume_unwind(payload);
                 }
-                (self.shards, self.lanes) = joined.into_iter().unzip();
+                let rounds = joined[0].2;
+                debug_assert!(joined.iter().all(|w| w.2 == rounds), "workers disagree on rounds");
+                self.sync_rounds += rounds;
+                (self.shards, self.lanes) =
+                    joined.into_iter().map(|(sim, lane, _)| (sim, lane)).unzip();
             }
             Err(payload) => std::panic::resume_unwind(payload),
         }
     }
+}
+
+/// The host's available parallelism, or 1 if the OS cannot say.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one host probe; it gates how the event schedule executes, never what it computes"
+)]
+fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |p| p.get())
 }
 
 /// A worker that dies because a *peer* closed its slots panics with this
@@ -781,17 +759,6 @@ struct WorkerCfg {
     me: usize,
     shards: usize,
     spin: bool,
-    pin: bool,
-    rounds_base: u64,
-}
-
-/// Counters a worker publishes once per round so the façade's
-/// [`ShardedSimulator::sync_rounds`] and
-/// [`ShardedSimulator::events_delivered`] stay well-defined mid-run.
-#[derive(Clone, Copy)]
-struct SharedCounters<'a> {
-    rounds: &'a AtomicU64,
-    delivered: &'a AtomicU64,
 }
 
 /// Closes a worker's outgoing slots when it leaves — by return or by
@@ -857,12 +824,18 @@ fn stage_exchange<M: ShardMessage>(
 /// shard's estimate `E_t` and returns `false` when every post-merge
 /// horizon is empty — the run is over.
 ///
+/// `floor` (a run starts it at zero) checks progress: every bound is at
+/// least the global horizon `first` plus `L`, so a sound round leaves no
+/// event or parcel below that, and a window rule that ends a round short
+/// panics here instead of repeating empty rounds forever.
+///
 /// Every threaded worker runs this identical computation on identical
 /// tables, so no coordinator is needed.
 fn settle_window(
     queue_nexts: &[Option<SimTime>],
     out_mins: &[Option<SimTime>],
     lookahead: SimTime,
+    floor: &mut SimTime,
     earliest: &mut [Option<SimTime>],
 ) -> bool {
     let n = earliest.len();
@@ -879,6 +852,11 @@ fn settle_window(
     let Some(first) = earliest.iter().flatten().min().copied() else {
         return false;
     };
+    assert!(
+        first >= *floor,
+        "no progress: the global horizon {first:?} is below {floor:?}, where the last \
+         round's bounds should have carried every shard"
+    );
     // Shard `t`'s earliest possible next event,
     //
     //   E_t = min(h_t, min_{r != t} h_r + L)
@@ -891,6 +869,7 @@ fn settle_window(
     for e in earliest.iter_mut() {
         *e = Some(e.map_or(reach, |h| h.min(reach)));
     }
+    *floor = reach;
     true
 }
 
@@ -944,22 +923,16 @@ fn merge_arrivals<M: ShardMessage>(
 /// One shard's worker loop: exchange mailboxes + horizons with every
 /// peer, agree (identically, with no coordinator) on the next window,
 /// execute it, and repeat until the global horizon is empty. Returns
-/// the shard simulator (so the façade can be reassembled) and the
-/// shard's lane state.
+/// the shard simulator (so the façade can be reassembled), the shard's
+/// lane state and the sync rounds run.
 fn worker<M: ShardMessage>(
     cfg: WorkerCfg,
-    shared: SharedCounters<'_>,
     mut sim: Simulator<M>,
     mut lane: Lane,
     fabric: &[Slot<Exchange<M>>],
     lookahead: SimTime,
-) -> (Simulator<M>, Lane) {
-    let WorkerCfg { me, shards: n, spin, pin, rounds_base } = cfg;
-    if pin {
-        // Pure performance (cache affinity across the per-round spin
-        // windows); failure means "run unpinned", never an error.
-        let _ = affinity::pin_to_core(me);
-    }
+) -> (Simulator<M>, Lane, u64) {
+    let WorkerCfg { me, shards: n, spin } = cfg;
     let _close = CloseOnExit(&fabric[me * n..(me + 1) * n]);
     // Exchanges made, which is also the slot round stamp: one per sync
     // round plus the terminating all-empty one.
@@ -975,6 +948,7 @@ fn worker<M: ShardMessage>(
     let mut arrivals: Vec<(usize, Parcel<M>)> = Vec::new();
     // `earliest[t]` is the fixed-point estimate `E_t` (see module doc).
     let mut earliest: Vec<Option<SimTime>> = vec![None; n];
+    let mut floor = SimTime::ZERO;
     loop {
         exchange += 1;
         // Drain the outboxes (empty in round one, but external
@@ -1003,17 +977,16 @@ fn worker<M: ShardMessage>(
                 arrivals.extend(ex.parcels.drain(..).map(|p| (src, p)));
             });
         }
-        if !settle_window(&queue_nexts, &out_mins, lookahead, &mut earliest) {
-            return (sim, lane);
+        if !settle_window(&queue_nexts, &out_mins, lookahead, &mut floor, &mut earliest) {
+            // Every exchange but this terminating one was a sync round.
+            return (sim, lane, exchange - 1);
         }
-        shared.rounds.fetch_max(rounds_base + exchange, Ordering::Relaxed);
         merge_arrivals(&mut sim, me, &mut arrivals, lookahead);
         if let Some(bound) = safe_bound(&earliest, lookahead, me) {
             let stamp = lane.wall.stamp();
             sim.run_before(bound);
             lane.wall.add_execute(stamp);
         }
-        shared.delivered.store(sim.events_delivered(), Ordering::Relaxed);
     }
 }
 
@@ -1021,19 +994,9 @@ fn worker<M: ShardMessage>(
 /// shard stages its exchange into plain vectors, the window is settled
 /// once for all of them, and the shards take turns merging and running
 /// to their bounds. Staging, settling and merging are the functions the
-/// threaded worker calls, so every delivery is bit-identical to a
-/// threaded run.
-///
-/// Rounds and per-shard deliveries are published to the façade's
-/// counters as they happen, exactly like the threaded workers, so
-/// `sync_rounds()` / `events_delivered()` have the same mid-run
-/// semantics in every mode.
-fn run_cooperative<M: ShardMessage>(
-    sims: &mut [Simulator<M>],
-    lookahead: SimTime,
-    rounds_ctr: &AtomicU64,
-    delivered_live: &[AtomicU64],
-) {
+/// threaded worker calls, so every delivery — and the returned count of
+/// sync rounds — is bit-identical to a threaded run.
+fn run_cooperative<M: ShardMessage>(sims: &mut [Simulator<M>], lookahead: SimTime) -> u64 {
     let n = sims.len();
     // The worker's round-persistent tables, held once for all shards;
     // `outgoing[src][dst]` stands in for the slot from `src` to `dst`.
@@ -1043,6 +1006,8 @@ fn run_cooperative<M: ShardMessage>(
     let mut out_mins: Vec<Option<SimTime>> = vec![None; n * n];
     let mut arrivals: Vec<(usize, Parcel<M>)> = Vec::new();
     let mut earliest: Vec<Option<SimTime>> = vec![None; n];
+    let mut floor = SimTime::ZERO;
+    let mut rounds = 0u64;
     loop {
         // Every shard stages before any shard merges, as in the
         // threaded all-to-all.
@@ -1050,10 +1015,10 @@ fn run_cooperative<M: ShardMessage>(
             let mins = &mut out_mins[src * n..(src + 1) * n];
             queue_nexts[src] = stage_exchange(sim, src, &mut outgoing[src], mins);
         }
-        if !settle_window(&queue_nexts, &out_mins, lookahead, &mut earliest) {
-            return;
+        if !settle_window(&queue_nexts, &out_mins, lookahead, &mut floor, &mut earliest) {
+            return rounds;
         }
-        rounds_ctr.fetch_add(1, Ordering::Relaxed);
+        rounds += 1;
         for (me, sim) in sims.iter_mut().enumerate() {
             for (src, from_src) in outgoing.iter_mut().enumerate().filter(|&(src, _)| src != me) {
                 arrivals.extend(from_src[me].drain(..).map(|p| (src, p)));
@@ -1062,7 +1027,6 @@ fn run_cooperative<M: ShardMessage>(
             if let Some(bound) = safe_bound(&earliest, lookahead, me) {
                 sim.run_before(bound);
             }
-            delivered_live[me].store(sim.events_delivered(), Ordering::Relaxed);
         }
     }
 }
@@ -1466,6 +1430,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "no progress")]
+    fn a_round_that_runs_nothing_is_an_error() {
+        // The same tables settled twice: the round between ran nothing.
+        let (queue_nexts, out_mins) = ([Some(HOP), None], [None; 4]);
+        let (mut floor, mut earliest) = (SimTime::ZERO, [None; 2]);
+        assert!(settle_window(&queue_nexts, &out_mins, HOP, &mut floor, &mut earliest));
+        assert_eq!((floor, earliest), (HOP * 2, [Some(HOP), Some(HOP * 2)]));
+        settle_window(&queue_nexts, &out_mins, HOP, &mut floor, &mut earliest);
+    }
+
+    #[test]
     fn threaded_and_cooperative_modes_are_bit_identical() {
         // Same world, same injection, opposite ExecMode forced: every
         // observable — delivery logs with timestamps, event totals,
@@ -1579,9 +1554,8 @@ mod tests {
 
     #[test]
     fn counters_agree_across_exec_modes_and_successive_runs() {
-        // `sync_rounds()` / `events_delivered()` are published per round
-        // in every mode, accumulate across run() calls, and agree across
-        // modes on the same workload.
+        // `sync_rounds()` / `events_delivered()` accumulate across run()
+        // calls and agree across modes on the same workload.
         let observe = |exec: ExecMode| {
             let (sim, a, b) = bounce_world();
             let mut sharded = ShardedSimulator::from_simulator(sim, vec![0, 1], 2, HOP);

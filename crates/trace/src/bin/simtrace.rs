@@ -9,8 +9,8 @@
 //!
 //! The input is a format-2 binary trace (`BDBMTRC2`, see
 //! `bluedbm_trace::binfmt`); a format-1 file is refused with a message
-//! naming its version. Exports stream to their files through a buffer,
-//! and the Chrome export is validated by reading the written file back.
+//! naming its version. Exports stream to their files through a buffer;
+//! `--check` validates a Chrome export.
 //! Flags compose: one input may be exported to both formats in one run.
 //! Exit status is non-zero on any parse or validation failure, and on a
 //! trace that dropped records at capacity — a binary trace's summary and
@@ -74,12 +74,7 @@ fn run() -> Result<(), String> {
 
     if let Some(path) = chrome_out {
         write_file(path, |out| chrome::write_json(&doc, out))?;
-        // Validate what was written by reading the file back: --check
-        // must never be able to fail on a file this tool produced.
-        let json = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let check = chrome::check_chrome_json(&json)
-            .map_err(|e| format!("internal error: {path}: exported Chrome JSON invalid: {e}"))?;
-        println!("wrote {path}: {} Chrome events", check.events);
+        println!("wrote {path}: {} records", doc.len());
     }
     if let Some(path) = csv_out {
         write_file(path, |out| doc.write_csv(out))?;

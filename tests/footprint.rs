@@ -51,6 +51,10 @@ static REQUESTED: AtomicU64 = AtomicU64::new(0);
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // which upholds the `GlobalAlloc` contract; the counters are plain
 // atomics and never touch the returned memory.
+#[expect(
+    unsafe_code,
+    reason = "a counting global allocator can only be written as an `unsafe impl GlobalAlloc`"
+)]
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         CALLS.fetch_add(1, Relaxed);
@@ -119,10 +123,11 @@ const KEYS: u64 = 50_000;
 const TENANTS: u16 = 8;
 const BATCH: u64 = 4_096;
 const NODES: usize = 4;
-/// 16 % and 17 % above the 17.3 MB / 45 094 calls the current layout
+/// 15 % and 17 % above the 17.4 MB / 45 093 calls the current layout
 /// measures: each card's FTL maps made as its blocks open and its
 /// logical ranges are written, 32-bit erase counts in the FTL's and the
-/// array's per-block books, one byte of port mask per node pair and no
+/// array's per-block books (17.3 MB before each `Ftl` kept its wear
+/// extremes), one byte of port mask per node pair and no
 /// hop matrix (with 64-bit erase counts and a shard lookahead matrix:
 /// 21.3 MB, 45 110 calls; with both FTL maps allocated for every page
 /// of all 2 048 cards, a `u32` hop count per node pair and free lists

@@ -255,13 +255,16 @@ fn trace_reruns_are_bit_identical_per_engine() {
 fn threads_and_cooperative_produce_the_same_full_trace() {
     // Threads and Cooperative execute the identical conservative round
     // protocol, so even the engine-internal categories — dispatch
-    // instants, mailbox flushes — must match record for record.
+    // instants, mailbox flushes — must match record for record, and the
+    // two drivers must count the same sync rounds.
     let spec = small_spec(4);
     for shards in [2, 4] {
         let cooperative = Lane::new(shards, ExecMode::Cooperative);
         assert_lanes_agree(&Lane::new(shards, ExecMode::Threads), &[cooperative], |lane| {
-            let (_, doc) = run_traced(&spec, ring4(lane, &traced()), 64);
-            (doc.len(), doc.digest_full(ALL_CATEGORIES))
+            let mut store = KvStore::new(ring4(lane, &traced()));
+            run_requests(&mut store, spec.load().chain(spec.churn()), 64);
+            let doc = TraceDoc::merge(store.take_trace());
+            (store.cluster().sync_rounds(), doc.len(), doc.digest_full(ALL_CATEGORIES))
         });
     }
 }
